@@ -7,43 +7,48 @@ import argparse
 import time
 
 from besselmp import (
-    ball_min_solve,
     canonical_coercive_spec,
     canonical_well_spec,
-    mountain_pass_solve,
-    probe_geometry,
     ps_diagnostics,
+    two_solution_stages,
 )
 
 
 def run_one(name, spec, seed):
     print(f"=== {name} ===")
+    done = {}
     t0 = time.perf_counter()
-    probe = probe_geometry(spec, seed=seed)
-    print(f"probe   rho={probe.rho:.4f}  eta={probe.eta:.6f}  "
-          f"mu0~{probe.mu0_estimate:.4f}  ({time.perf_counter() - t0:.1f}s)")
-    for rho, emin in probe.rho_table:
-        print(f"        rho={rho:8.4f}  sphere min={emin:12.6f}")
+    for stage, ok, result in two_solution_stages(spec, seed=seed):
+        took = f"({time.perf_counter() - t0:.1f}s)"
+        if isinstance(result, str):
+            print(f"{stage} failed: {result}  {took}")
+        elif stage == "probe_geometry":
+            print(f"probe   rho={result.rho:.4f}  eta={result.eta:.6f}  "
+                  f"mu0~{result.mu0_estimate:.4f}  {took}")
+            for rho, emin in result.rho_table:
+                print(f"        rho={rho:8.4f}  sphere min={emin:12.6f}")
+        elif stage == "levels":
+            lv = result["levels"]
+            print(f"levels  min={lv['local_min_energy']:.3e} < 0 < "
+                  f"saddle={lv['mountain_pass_energy']:.4f}  "
+                  f"(sphere floor estimate eta={lv['ridge_height']:.4f})  "
+                  f"distance={result['distinctness']:.3f}  ok={ok}")
+        else:
+            label, energy = ("saddle ", f"{result.energy:.8f}") if stage == "mountain_pass" \
+                else ("minimum", f"{result.energy:.3e}")
+            print(f"{label} E={energy}  |r|={result.residual_norm:.2e}  "
+                  f"iters={result.iterations}  ok={ok}  {took}")
+        done[stage] = result
+        t0 = time.perf_counter()
 
-    t0 = time.perf_counter()
-    mp = mountain_pass_solve(spec, probe.e, probe=probe, seed=seed)
-    print(f"saddle  E={mp.energy:.8f}  |r|={mp.residual_norm:.2e}  "
-          f"iters={mp.iterations}  ok={mp.ok}  ({time.perf_counter() - t0:.1f}s)")
-
-    t0 = time.perf_counter()
-    ball = ball_min_solve(spec, probe.rho)
-    print(f"minimum E={ball.energy:.3e}  |r|={ball.residual_norm:.2e}  "
-          f"iters={ball.iterations}  ok={ball.ok}  ({time.perf_counter() - t0:.1f}s)")
-
-    print(f"levels  min={ball.energy:.3e} < 0 < saddle={mp.energy:.4f}  "
-          f"(sphere floor estimate eta={probe.eta:.4f})")
-
-    # Diagnose the pair of converged iterates as a bounded sequence with
-    # vanishing gradients.  The far rungs of the descended path are NOT such a
-    # sequence (they slide downhill without bound), so they make a poor demo.
-    diag = ps_diagnostics(spec, [ball.solution, mp.solution], seed=seed)
-    print(f"bounded-sequence check: all_ok={diag.all_ok}  "
-          f"max ||u||_lam={diag.max_norm:.3f}  bound={diag.norm_bound:.3f}")
+    if "levels" in done:
+        # Diagnose the pair of converged iterates as a bounded sequence with
+        # vanishing gradients.  The far rungs of the descended path are NOT such a
+        # sequence (they slide downhill without bound), so they make a poor demo.
+        pair = [done["local_min"].solution, done["mountain_pass"].solution]
+        diag = ps_diagnostics(spec, pair, seed=seed)
+        print(f"bounded-sequence check: all_ok={diag.all_ok}  "
+              f"max ||u||_lam={diag.max_norm:.3f}  bound={diag.norm_bound:.3f}")
     print()
 
 

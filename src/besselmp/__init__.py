@@ -60,6 +60,7 @@ from .solvers import (
     probe_geometry,
     ps_diagnostics,
     two_solution_experiment,
+    two_solution_stages,
     two_solution_sweep,
 )
 from .verify import (

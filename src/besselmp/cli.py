@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 import time
@@ -25,13 +26,7 @@ from .fieldio import save_field
 from .grid import Field
 from .kernels import bessel_kernel
 from .problem import validate_assumptions
-from .solvers import (
-    GeometryError,
-    assess_levels,
-    ball_min_solve,
-    mountain_pass_solve,
-    probe_geometry,
-)
+from .solvers import _attempt, two_solution_stages
 from . import verify as verify_mod
 
 __all__ = ["StageResult", "RunReport", "run", "main"]
@@ -102,10 +97,11 @@ def _probe_summary(probe) -> dict:
 def _write_trace(path: Path, entries) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "energy", "residual_norm", "step_size", "max_node_index"])
+        writer.writerow(["iteration", "energy", "residual_norm", "step_size",
+                         "max_node_index", "phase"])
         for t in entries:
             writer.writerow([t.iteration, t.energy, t.residual_norm, t.step_size,
-                             t.max_node_index])
+                             t.max_node_index, t.phase])
 
 
 def _write_profile(path: Path, grid, columns: dict) -> None:
@@ -126,78 +122,44 @@ def _write_profile(path: Path, grid, columns: dict) -> None:
 
 def _timed(stages, name, fn):
     t0 = time.perf_counter()
-    try:
-        passed, summary = fn()
-    except (GeometryError, ValueError, RuntimeError) as err:
-        passed, summary = False, {"error": f"{type(err).__name__}: {err}"}
+    outcome, error = _attempt(fn)
+    passed, summary = outcome if error is None else (False, {"error": error})
     stages.append(StageResult(name, bool(passed), time.perf_counter() - t0, summary))
-    return stages[-1]
 
 
-def _run_solve(cfg, out, stages):
+# how many stages of the two-solution pipeline each solve mode runs
+_PIPELINE_STAGES = {"probe-geometry": 1, "solve": 2, "two-solutions": 4}
+_TRACE_FILES = {"mountain_pass": "trace.csv", "local_min": "trace_ball.csv"}
+
+
+def _run_pipeline(cfg, out, stages):
+    """Time each pipeline stage and write its artifacts and summary."""
     spec = build_spec(cfg)
-    opts = build_options(cfg)
-    holder = {}
-
-    def probe_stage():
-        probe = probe_geometry(spec, rho_grid=cfg.rho_grid,
-                               samples_per_rho=cfg.samples_per_rho, seed=cfg.seed)
-        holder["probe"] = probe
-        return probe.eta > 0, _probe_summary(probe)
-
-    if not _timed(stages, "probe_geometry", probe_stage).passed:
-        return
-
-    def mp_stage():
-        report = mountain_pass_solve(spec, holder["probe"].e, opts,
-                                     probe=holder["probe"], seed=cfg.seed)
-        holder["mp"] = report
-        return report.ok, _solve_summary(report)
-
-    mp_result = _timed(stages, "mountain_pass", mp_stage)
-    if "mp" in holder:
-        mp = holder["mp"]
-        _write_trace(out / "trace.csv", mp.trace)
-        save_field(mp.solution, out / "mountain_pass.bmpf")
-        if cfg.mode == "solve":
-            _write_profile(out / "profile.csv", spec.grid, {"u": mp.solution})
-
-    if cfg.mode == "solve" or not mp_result.passed:
-        return
-
-    def ball_stage():
-        report = ball_min_solve(spec, holder["probe"].rho, opts)
-        holder["ball"] = report
-        return report.ok, _solve_summary(report)
-
-    ball_result = _timed(stages, "local_min", ball_stage)
-    if "ball" in holder:
-        ball = holder["ball"]
-        _write_trace(out / "trace_ball.csv", ball.trace)
-        save_field(ball.solution, out / "local_min.bmpf")
-        _write_profile(out / "profile.csv", spec.grid,
-                       {"u_mountain_pass": holder["mp"].solution,
-                        "u_local_min": ball.solution})
-    if not ball_result.passed:
-        return
-
-    def levels_stage():
-        probe, mp, ball = holder["probe"], holder["mp"], holder["ball"]
-        success, distinctness, failure = assess_levels(probe, mp, ball, opts,
-                                                       cfg.distinct_tol)
-        summary = {
-            "levels": {
-                "local_min_energy": ball.energy,
-                "zero": 0.0,
-                "ridge_height": probe.eta,
-                "mountain_pass_energy": mp.energy,
-            },
-            "distinctness": distinctness,
-            "failure": failure,
-        }
-        return success, summary
-
-    _timed(stages, "levels", levels_stage)
+    pipeline = two_solution_stages(spec, build_options(cfg), cfg.seed, cfg.distinct_tol,
+                                   rho_grid=cfg.rho_grid, samples_per_rho=cfg.samples_per_rho)
+    solutions = {}
+    t0 = time.perf_counter()
+    for name, ok, result in itertools.islice(pipeline, _PIPELINE_STAGES[cfg.mode]):
+        wall = time.perf_counter() - t0
+        if isinstance(result, str):
+            summary = {"error": result}
+        elif name == "probe_geometry":
+            summary = _probe_summary(result)
+            if cfg.mode == "probe-geometry":
+                save_field(result.e, out / "endpoint.bmpf")
+        elif name == "levels":
+            summary = result
+        else:
+            summary = _solve_summary(result)
+            _write_trace(out / _TRACE_FILES[name], result.trace)
+            save_field(result.solution, out / f"{name}.bmpf")
+            solutions[f"u_{name}"] = result.solution
+            if cfg.mode == "solve":
+                _write_profile(out / "profile.csv", spec.grid, {"u": result.solution})
+            elif name == "local_min":
+                _write_profile(out / "profile.csv", spec.grid, solutions)
+        stages.append(StageResult(name, bool(ok), wall, summary))
+        t0 = time.perf_counter()
 
 
 def _resolve_checks(cfg, spec):
@@ -264,18 +226,6 @@ def _embedding_record(cfg, spec):
                 "table": {str(s): v for s, v in est.table.items()}}
 
 
-def _run_probe(cfg, out, stages):
-    spec = build_spec(cfg)
-
-    def probe_stage():
-        probe = probe_geometry(spec, rho_grid=cfg.rho_grid,
-                               samples_per_rho=cfg.samples_per_rho, seed=cfg.seed)
-        save_field(probe.e, out / "endpoint.bmpf")
-        return probe.eta > 0, _probe_summary(probe)
-
-    _timed(stages, "probe_geometry", probe_stage)
-
-
 def _run_kernel_table(cfg, out, stages):
     def table_stage():
         buf = io.StringIO()
@@ -300,12 +250,10 @@ def run(cfg: RunConfig) -> RunReport:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stages: list[StageResult] = []
-    if cfg.mode in ("solve", "two-solutions"):
-        _run_solve(cfg, out, stages)
+    if cfg.mode in _PIPELINE_STAGES:
+        _run_pipeline(cfg, out, stages)
     elif cfg.mode == "verify":
         _run_verify(cfg, out, stages)
-    elif cfg.mode == "probe-geometry":
-        _run_probe(cfg, out, stages)
     elif cfg.mode == "kernel-table":
         _run_kernel_table(cfg, out, stages)
     else:

@@ -362,16 +362,21 @@ def _ball_integrals(V: Field, radii, ball_radius=1.0):
     return np.asarray(out)
 
 
+def _ladder_verdict(ladder):
+    """(finite, monotone, decayed) for a ladder of ball integrals; all three mean decay."""
+    finite = bool(np.all(np.isfinite(ladder)))
+    # grid jitter moves individual rungs by a few percent, hence the slack
+    monotone = finite and bool(np.all(ladder[1:] <= ladder[:-1] * 1.05 + 1e-12))
+    decayed = finite and bool(ladder[-1] <= 0.1 * ladder[0] + 1e-12)
+    return finite, monotone, decayed
+
+
 def _check_ball_decay(spec):
     g = spec.grid
     top = 0.5 * g.box_length - 1.5
     radii = np.linspace(0.0, max(top, 1.0), 8)
     ladder = _ball_integrals(spec.V_field, radii)
-    finite = np.all(np.isfinite(ladder))
-    # grid jitter moves individual rungs by a few percent, hence the slack
-    monotone = finite and bool(np.all(ladder[1:] <= ladder[:-1] * 1.05 + 1e-12))
-    decayed = finite and bool(ladder[-1] <= 0.1 * ladder[0] + 1e-12)
-    ok = bool(finite and monotone and decayed)
+    ok = all(_ladder_verdict(ladder))
     return AssumptionCheck(
         "ball_integrals_decay", ok, spec.potential.family == "coercive",
         f"int_(B(y,1)) dx/V along |y| in [0, {radii[-1]:.3g}]: "

@@ -23,7 +23,6 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .grid import Field, apply_multiplier, lp_norm, random_field, weighted_norm_sq
 from .problem import ProblemSpec, energy, precond_gradient, residual
-from .util import parallel_map
 
 __all__ = [
     "SolveOptions",
@@ -39,6 +38,7 @@ __all__ = [
     "mountain_pass_solve",
     "ball_min_solve",
     "assess_levels",
+    "two_solution_stages",
     "two_solution_experiment",
     "two_solution_sweep",
     "ps_diagnostics",
@@ -280,7 +280,7 @@ def probe_geometry(spec: ProblemSpec, rho_grid=None, samples_per_rho: int = 64,
             s = _sphere_sample(spec, rho, rng)
             if s is not None:
                 samples.append(s)
-        breakdowns = parallel_map(lambda u: energy(spec, u), samples)
+        breakdowns = [energy(spec, u) for u in samples]
         totals = [bd.total for bd in breakdowns]
         for i in np.argsort(totals)[:4]:
             refined = _tangential_polish(spec, samples[int(i)], rho)
@@ -687,33 +687,61 @@ def assess_levels(probe, mp, ball, opts: SolveOptions, distinct_tol: float):
     return True, distinctness, None
 
 
-def two_solution_experiment(spec: ProblemSpec, opts: SolveOptions | None = None,
-                            seed: int = 0, distinct_tol: float = 1e-3) -> TwoSolutionResult:
-    """Probe the geometry, then find both the saddle and the ball minimizer.
+def _attempt(fn):
+    """fn() as (result, None), or (None, "Type: message") when it raised.
 
-    Success means: both solves converged and passed their own checks, the
-    level ordering m < 0 < eta <= c holds, and the two solutions are at
-    least distinct_tol apart in L^2.
+    GeometryError, ValueError and RuntimeError fail the stage that raised
+    them; any other exception is a bug and propagates.
+    """
+    try:
+        return fn(), None
+    except (GeometryError, ValueError, RuntimeError) as err:
+        return None, f"{type(err).__name__}: {err}"
+
+
+def _stage(name, fn, passed):
+    """Yield one stage as (name, ok, result); return the result if it passed."""
+    result, error = _attempt(fn)
+    ok = error is None and bool(passed(result))
+    yield name, ok, result if error is None else error
+    return result if ok else None
+
+
+def two_solution_stages(spec: ProblemSpec, opts: SolveOptions | None = None, seed: int = 0,
+                        distinct_tol: float = 1e-3, rho_grid=None, samples_per_rho: int = 64):
+    """Run the two-solution argument one stage at a time.
+
+    Yields (stage, ok, result) for "probe_geometry" (a GeometryProbe),
+    "mountain_pass" and "local_min" (SolveReports) and "levels" (a dict
+    with the "levels" table, the "distinctness" and the "failure" message),
+    in that order, and stops after the first stage that fails.  A stage
+    that raised yields its error as the text "Type: message" instead.
     """
     opts = opts or SolveOptions()
-    try:
-        probe = probe_geometry(spec, seed=seed)
-    except GeometryError as err:
-        return TwoSolutionResult(None, None, None, 0.0, {}, False, f"probe: {err}")
+    probe = yield from _stage(
+        "probe_geometry",
+        lambda: probe_geometry(spec, rho_grid=rho_grid, samples_per_rho=samples_per_rho,
+                               seed=seed),
+        lambda p: p.eta > 0)
+    if probe is None:
+        return
+    mp = yield from _stage(
+        "mountain_pass", lambda: mountain_pass_solve(spec, probe.e, opts, probe=probe, seed=seed),
+        lambda r: r.ok)
+    if mp is None:
+        return
+    ball = yield from _stage("local_min", lambda: ball_min_solve(spec, probe.rho, opts),
+                             lambda r: r.ok)
+    if ball is None:
+        return
+    yield from _stage("levels", lambda: _level_verdict(probe, mp, ball, opts, distinct_tol),
+                      lambda v: v["failure"] is None)
 
-    mp = mountain_pass_solve(spec, probe.e, opts, probe=probe, seed=seed)
-    if not mp.ok:
-        return TwoSolutionResult(probe, mp, None, 0.0, _levels(probe, mp, None),
-                                 False, f"mountain_pass: {mp.message}")
 
-    ball = ball_min_solve(spec, probe.rho, opts)
-    if not ball.ok:
-        return TwoSolutionResult(probe, mp, ball, 0.0, _levels(probe, mp, ball),
-                                 False, f"local_min: {ball.message}")
-
-    success, distinctness, failure = assess_levels(probe, mp, ball, opts, distinct_tol)
-    return TwoSolutionResult(probe, mp, ball, distinctness, _levels(probe, mp, ball),
-                             success, failure)
+def _level_verdict(probe, mp, ball, opts, distinct_tol):
+    _, distinctness, failure = assess_levels(probe, mp, ball, opts, distinct_tol)
+    return {"levels": _levels(probe, mp, ball), "distinctness": distinctness,
+            "failure": failure}
 
 
 def _levels(probe, mp, ball):
@@ -723,6 +751,37 @@ def _levels(probe, mp, ball):
         "ridge_height": probe.eta if probe else None,
         "mountain_pass_energy": mp.energy if mp else None,
     }
+
+
+# failed_stage names the probe by its short name; other stages by their own
+_FAILURE_PREFIX = {"probe_geometry": "probe"}
+
+
+def two_solution_experiment(spec: ProblemSpec, opts: SolveOptions | None = None,
+                            seed: int = 0, distinct_tol: float = 1e-3) -> TwoSolutionResult:
+    """Probe the geometry, then find both the saddle and the ball minimizer.
+
+    Success means: both solves converged and passed their own checks, the
+    level ordering m < 0 < eta <= c holds, and the two solutions are at
+    least distinct_tol apart in L^2.
+    """
+    results, failure = {}, None
+    for name, ok, result in two_solution_stages(spec, opts, seed, distinct_tol):
+        if isinstance(result, str):  # the stage raised
+            failure = f"{_FAILURE_PREFIX.get(name, name)}: {result}"
+        else:
+            results[name] = result
+            if not ok and isinstance(result, SolveReport):
+                failure = f"{name}: {result.message}"
+    probe = results.get("probe_geometry")
+    mp = results.get("mountain_pass")
+    ball = results.get("local_min")
+    verdict = results.get("levels")
+    if verdict is not None:
+        return TwoSolutionResult(probe, mp, ball, verdict["distinctness"], verdict["levels"],
+                                 verdict["failure"] is None, verdict["failure"])
+    levels = _levels(probe, mp, ball) if probe is not None else {}
+    return TwoSolutionResult(probe, mp, ball, 0.0, levels, False, failure)
 
 
 DEFAULT_WELL_SWEEP = (

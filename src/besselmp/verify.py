@@ -22,8 +22,7 @@ from .grid import (
     weighted_norm_sq,
 )
 from .problem import ProblemSpec, critical_exponent, energy, eval_f, eval_scrF
-from .problem import _ball_integrals
-from .util import parallel_map
+from .problem import _ball_integrals, _ladder_verdict
 
 __all__ = [
     "CheckRecord",
@@ -114,7 +113,7 @@ def check_sublevel_l2_bound(spec: ProblemSpec, b: float, trials: int = 100,
         rhs += float(np.sum(u.values[mask] ** 2) * g.cell_volume)
         return rhs - lhs, lhs + abs(rhs)
 
-    results = parallel_map(margin, fields)
+    results = [margin(u) for u in fields]
     margins = np.array([m for m, _ in results])
     scales = np.array([s for _, s in results])
     violations = int(np.count_nonzero(margins < -1e-12 * scales))
@@ -193,9 +192,7 @@ def coercivity_probe(V: Field, radii, b: float | None = None) -> CheckRecord:
     """
     radii = [float(r) for r in radii]
     ladder = _ball_integrals(V, radii)
-    finite = bool(np.all(np.isfinite(ladder)))
-    monotone = finite and bool(np.all(ladder[1:] <= ladder[:-1] * 1.05 + 1e-12))
-    decayed = finite and bool(ladder[-1] <= 0.1 * ladder[0] + 1e-12)
+    finite, monotone, decayed = _ladder_verdict(ladder)
     data = {"radii": radii, "ladder": [float(v) for v in ladder]}
     witnesses = [{"finite": finite, "monotone": monotone, "decayed": decayed}]
     if not finite:
@@ -236,12 +233,9 @@ def holder_estimate(u: Field, beta: float) -> float:
         raise ValueError(f"holder exponent must lie in (0, 2), got {beta}")
     g = u.grid
     if beta > 1.0:
+        # dim > 1: the first-axis derivative stands in; a gradient magnitude would mix axes
         base = spectral_derivative(u, axis=0)
         expo = beta - 1.0
-        if g.dim > 1:
-            # quotient of the gradient magnitude would mix axes; the first
-            # axis derivative is representative for the refinement study
-            pass
     else:
         base = u
         expo = beta

@@ -50,7 +50,7 @@ def test_solve_mode(tmp_path, capsys):
     assert f"report: {out / 'report.json'}" in stdout
 
 
-def test_two_solutions_mode(tmp_path):
+def test_two_solutions_mode(tmp_path, well_result):
     out = tmp_path / "out"
     rc = main(["two-solutions", "--config", str(_write(tmp_path, WELL_CFG)),
                "--out", str(out)])
@@ -67,8 +67,17 @@ def test_two_solutions_mode(tmp_path):
     header = (out / "profile.csv").read_text().splitlines()[0].split(",")
     assert "u_mountain_pass" in header and "u_local_min" in header
 
-    levels = rep["stages"][-1]["summary"]["levels"]
+    for trace in ("trace.csv", "trace_ball.csv"):
+        header = (out / trace).read_text().splitlines()[0].split(",")
+        assert header == ["iteration", "energy", "residual_norm", "step_size",
+                          "max_node_index", "phase"], trace
+
+    summary = rep["stages"][-1]["summary"]
+    levels = summary["levels"]
     assert levels["local_min_energy"] < 0.0 < levels["mountain_pass_energy"]
+    # the CLI runs the library's pipeline: same config and seed, same numbers
+    assert levels == well_result.levels
+    assert summary["distinctness"] == well_result.distinctness
 
     # saved fields round trip through the binary format
     u = load_field(out / "mountain_pass.bmpf")
