@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import CHECK_NAMES, ConfigError, RunConfig, build_options, build_spec, parse_config
+from .config import ConfigError, RunConfig, build_options, build_spec, parse_config
 from .fieldio import save_field
 from .grid import Field
 from .kernels import bessel_kernel

@@ -31,6 +31,15 @@ __all__ = [
     "random_field",
 ]
 
+# Largest grid, in points, on which Newton solves use the dense multiplier
+# matrix (32 MB at this size); larger grids go through a Krylov solver.
+DENSE_MAX_POINTS = 2048
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -74,11 +83,12 @@ class Grid:
     @cached_property
     def axis_coords(self) -> np.ndarray:
         """Sample positions along one axis, origin at index n//2."""
-        return -0.5 * self.box_length + self.spacing * np.arange(self.n)
+        return _read_only(-0.5 * self.box_length + self.spacing * np.arange(self.n))
 
     def coords(self) -> tuple:
         """Tuple of dim coordinate arrays of shape ``self.shape`` (ij indexing)."""
-        return tuple(np.meshgrid(*(self.axis_coords,) * self.dim, indexing="ij"))
+        return self._cached("coords", lambda: tuple(
+            _read_only(c) for c in np.meshgrid(*(self.axis_coords,) * self.dim, indexing="ij")))
 
     @cached_property
     def radius_sq(self) -> np.ndarray:
@@ -86,12 +96,12 @@ class Grid:
         out = np.zeros(self.shape)
         for c in self.coords():
             out += c**2
-        return out
+        return _read_only(out)
 
     @cached_property
     def axis_freqs(self) -> np.ndarray:
         """Angular frequencies 2*pi*k/box_length in FFT layout along one axis."""
-        return (2.0 * np.pi) * np.fft.fftfreq(self.n, d=self.spacing)
+        return _read_only((2.0 * np.pi) * np.fft.fftfreq(self.n, d=self.spacing))
 
     @cached_property
     def freq_sq(self) -> np.ndarray:
@@ -100,7 +110,48 @@ class Grid:
         mesh = np.meshgrid(*(self.axis_freqs,) * self.dim, indexing="ij")
         for f in mesh:
             out += f**2
-        return out
+        return _read_only(out)
+
+    # The spectral workspace: arrays that depend on the grid and an operator
+    # order only, built on first use and shared by every field on the grid.
+
+    @cached_property
+    def _workspace(self) -> dict:
+        return {}
+
+    def _cached(self, key, build):
+        ws = self._workspace
+        if key not in ws:
+            ws[key] = build()
+        return ws[key]
+
+    def symbol(self, s: float) -> np.ndarray:
+        """The multiplier (1 + |xi|^2)^s on the frequency lattice, FFT layout."""
+        if not np.isfinite(s):
+            raise ValueError(f"multiplier order must be finite, got {s}")
+        s = float(s)
+        return self._cached(("symbol", s), lambda: _read_only((1.0 + self.freq_sq) ** s))
+
+    def multiplier_matrix(self, s: float) -> np.ndarray:
+        """Dense matrix of ``apply_multiplier(., s)`` on raveled fields.
+
+        Column j is the multiplier applied to the j-th unit field, so the
+        matrix is exactly the operator that ``apply_multiplier`` evaluates.
+        Grids above ``DENSE_MAX_POINTS`` points are refused: the matrix
+        grows with the square of the point count.
+        """
+        npts = self.total_points
+        if npts > DENSE_MAX_POINTS:
+            raise ValueError(f"dense multiplier matrix needs at most {DENSE_MAX_POINTS} points, "
+                             f"grid has {npts}")
+
+        def build():
+            return _read_only(np.stack([
+                apply_multiplier(Field(self, col.reshape(self.shape)), s).values.ravel()
+                for col in np.eye(npts)
+            ], axis=1))
+
+        return self._cached(("matrix", float(s)), build)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +248,9 @@ def apply_multiplier(field: Field, s: float) -> Field:
     Exact (to roundoff) on band-limited data for any real s; s < 0 smooths,
     s > 0 roughens, s = 0 is the identity.
     """
-    if not np.isfinite(s):
-        raise ValueError(f"multiplier order must be finite, got {s}")
+    symbol = field.grid.symbol(s)
     u_hat = np.fft.fftn(field.values)
-    u_hat *= (1.0 + field.grid.freq_sq) ** float(s)
+    u_hat *= symbol
     return Field(field.grid, np.fft.ifftn(u_hat).real)
 
 

@@ -25,7 +25,6 @@ from .grid import (
     Field,
     Grid,
     apply_multiplier,
-    bessel_norm_sq,
     weighted_norm_sq,
 )
 

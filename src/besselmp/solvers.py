@@ -21,7 +21,7 @@ import numpy as np
 from scipy import optimize
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .grid import Field, apply_multiplier, lp_norm, random_field, weighted_norm_sq
+from .grid import DENSE_MAX_POINTS, Field, apply_multiplier, lp_norm, random_field, weighted_norm_sq
 from .problem import ProblemSpec, energy, precond_gradient, residual
 
 __all__ = [
@@ -375,18 +375,13 @@ def _hessian_diag(spec, u):
 
 
 def _newton_direction(spec, u, r):
-    """Solve (D^2 Phi)(u) delta = -r; dense below 2^11 unknowns, Krylov above."""
+    """Solve (D^2 Phi)(u) delta = -r; dense up to DENSE_MAX_POINTS unknowns, Krylov above."""
     g = spec.grid
     diag = _hessian_diag(spec, u)
     rhs = -r.values.ravel()
     npts = g.total_points
-    if npts <= 2048:
-        eye = np.eye(npts)
-        mult = np.stack([
-            apply_multiplier(Field(g, col.reshape(g.shape)), spec.alpha).values.ravel()
-            for col in eye
-        ], axis=1)
-        J = mult + np.diag(diag.ravel())
+    if npts <= DENSE_MAX_POINTS:
+        J = g.multiplier_matrix(spec.alpha) + np.diag(diag.ravel())
         try:
             delta = np.linalg.solve(J, rhs)
         except np.linalg.LinAlgError:

@@ -230,6 +230,54 @@ def test_multiplier_rejects_non_finite_order():
         apply_multiplier(constant_field(g, 1.0), math.nan)
 
 
+# ---------------------------------------------------------------------------
+# spectral workspace
+
+
+def _columnwise_matrix(g, s):
+    cols = [apply_multiplier(Field(g, e.reshape(g.shape)), s).values.ravel()
+            for e in np.eye(g.total_points)]
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("s", [0.75, -0.75])
+def test_multiplier_matrix_matches_columnwise_build(dim, n, s):
+    g = make_grid(dim, n, 20.0)
+    M = g.multiplier_matrix(s)
+    assert M.shape == (g.total_points, g.total_points)
+    assert np.array_equal(M, _columnwise_matrix(g, s))
+    assert g.multiplier_matrix(s) is M
+
+
+def test_symbol_and_coords_are_cached():
+    g = make_grid(2, 16, 20.0)
+    sym = g.symbol(0.75)
+    assert np.array_equal(sym, (1.0 + g.freq_sq) ** 0.75)
+    assert g.symbol(0.75) is sym
+    assert g.symbol(-0.75) is not sym
+    assert g.coords() is g.coords()
+
+
+def test_workspace_arrays_are_read_only():
+    g = make_grid(2, 16, 20.0)
+    for arr in (g.symbol(0.75), g.multiplier_matrix(0.75), *g.coords()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_workspace_is_per_grid_instance():
+    a, b = make_grid(1, 16, 8.0), make_grid(1, 16, 8.0)
+    assert a == b
+    assert a.symbol(0.5) is not b.symbol(0.5)
+
+
+def test_multiplier_matrix_refuses_large_grids():
+    g = make_grid(2, 64, 20.0)
+    with pytest.raises(ValueError, match="at most 2048 points"):
+        g.multiplier_matrix(0.75)
+
+
 def test_spectral_derivative_on_sine():
     L = 20.0
     g = make_grid(1, 64, L)

@@ -1,0 +1,44 @@
+"""Every name a package module imports is used in that module's body."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "besselmp"
+# __init__.py imports names to re-export them
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree):
+    """(bound name, line) for each import in the module, __future__ excluded."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
+
+
+def _used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        # names listed in __all__ count as used
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return used
+
+
+def test_modules_found():
+    assert len(MODULES) >= 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unused = [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
+              if name not in used]
+    assert not unused, "imported but never used: " + ", ".join(unused)

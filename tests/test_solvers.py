@@ -10,6 +10,7 @@ from besselmp import (
     Field,
     GeometryError,
     SolveOptions,
+    apply_multiplier,
     assess_levels,
     ball_min_solve,
     canonical_coercive_spec,
@@ -22,6 +23,8 @@ from besselmp import (
     two_solution_experiment,
     weighted_norm_sq,
 )
+from besselmp.config import RunConfig, build_spec
+from besselmp.solvers import _hessian_diag, _newton_direction
 
 
 def _norm_lam(spec, u):
@@ -221,6 +224,26 @@ def test_assess_levels_verdicts(well_result):
     # feeding the minimizer in as the saddle breaks the ordering
     ok, _, failure = assess_levels(probe, ball, ball, opts, distinct_tol=1e-3)
     assert not ok and "ordering" in failure
+
+
+# ---------------------------------------------------------------------------
+# Newton direction
+
+
+def test_dense_newton_direction_2d():
+    # 16 x 16 = 256 points takes the dense branch; J is rebuilt here column
+    # by column so the check does not go through the grid's cached matrix
+    spec = build_spec(RunConfig(dim=2, n=16, box_length=10.0))
+    g = spec.grid
+    u = Field(g, 2.0 * np.exp(-g.radius_sq))
+    r = residual(spec, u)
+    delta = _newton_direction(spec, u, r)
+    assert delta is not None
+    cols = [apply_multiplier(Field(g, e.reshape(g.shape)), spec.alpha).values.ravel()
+            for e in np.eye(g.total_points)]
+    J = np.stack(cols, axis=1) + np.diag(_hessian_diag(spec, u).ravel())
+    rv = r.values.ravel()
+    assert np.linalg.norm(J @ delta.values.ravel() + rv) <= 1e-8 * np.linalg.norm(rv)
 
 
 # ---------------------------------------------------------------------------
