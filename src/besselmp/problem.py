@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -24,8 +25,10 @@ from scipy import ndimage
 from .grid import (
     Field,
     Grid,
+    _multiply,
+    _row_sum,
+    _weighted_norm_sq_rows,
     apply_multiplier,
-    weighted_norm_sq,
 )
 
 __all__ = [
@@ -87,9 +90,11 @@ class PowerNonlinearity:
 class CustomNonlinearity:
     """User-supplied f(x, u), F(x, u) with declared growth q and superquadraticity theta.
 
-    Callables receive x as a tuple of coordinate arrays (or None for
-    x-independent evaluation) and must vectorize over u.  Only sampled
-    validation is possible for these.
+    Callables receive x as the tuple of ``grid.shape`` coordinate arrays
+    (or None for x-independent evaluation) and must vectorize over u.  u
+    may arrive as one field or as a stack of fields with leading axes, so
+    expressions in x must broadcast against it (plain elementwise numpy
+    does).  Only sampled validation is possible for these.
     """
 
     f_fn: object
@@ -141,6 +146,13 @@ class WellPotential:
 
 @dataclass(frozen=True)
 class CustomPotential:
+    """V(x) = fn(*coords), with coords the tuple of ``grid.shape`` coordinate arrays.
+
+    fn must return an array of ``grid.shape``; the energy and the residual
+    multiply it into fields that may arrive stacked with leading axes,
+    against which it broadcasts.
+    """
+
     fn: object
     family: str = "coercive"
 
@@ -158,6 +170,12 @@ class GaussianWeight:
 
 @dataclass(frozen=True)
 class CustomWeight:
+    """xi(x) = fn(*coords), with coords the tuple of ``grid.shape`` coordinate arrays.
+
+    As for ``CustomPotential``, the values broadcast against fields that
+    may arrive stacked with leading axes.
+    """
+
     fn: object
 
     def values(self, grid: Grid) -> np.ndarray:
@@ -233,19 +251,53 @@ def eval_scrF(spec: ProblemSpec, u_value, x=None):
     return 0.5 * u * spec.nonlinearity.f(x, u) - spec.nonlinearity.F(x, u)
 
 
+class _EnergyRows(NamedTuple):
+    """Energy pieces of a stack of fields, one entry per row.
+
+    ``xi_integral`` is int xi |u|^p and ``xi_term`` is mu/p times it; a row
+    whose total is not finite has total +inf.
+    """
+
+    quad: np.ndarray
+    f_term: np.ndarray
+    xi_integral: np.ndarray
+    xi_term: np.ndarray
+    total: np.ndarray
+
+
+def _energy_rows(spec: ProblemSpec, u: np.ndarray) -> _EnergyRows:
+    """Phi and its pieces for every row of ``u`` (trailing axes on the grid)."""
+    g = spec.grid
+    vol = g.cell_volume
+    quad = 0.5 * _weighted_norm_sq_rows(g, u, spec.V_field.values, spec.lam, spec.alpha)
+    f_term = _row_sum(g, spec.nonlinearity.F(g.coords(), u)) * vol
+    xi_integral = _row_sum(g, spec.xi_field.values * np.abs(u) ** spec.p) * vol
+    xi_term = (spec.mu / spec.p) * xi_integral
+    total = quad - f_term - xi_term
+    total = np.where(np.isfinite(total), total, np.inf)
+    return _EnergyRows(quad, f_term, xi_integral, xi_term, total)
+
+
+def _require_finite_energy(total) -> None:
+    if not np.all(np.isfinite(total)):
+        raise ValueError("energy evaluated non-finite; field is out of range for the nonlinearity")
+
+
+def _residual_rows(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
+    """Strong-form residual of every row of ``u``; rows are not checked for finiteness."""
+    vals = _multiply(spec.grid, u, spec.alpha) + spec.lam * spec.V_field.values * u
+    vals = vals - spec.nonlinearity.f(spec.grid.coords(), u)
+    return vals - spec.mu * spec.xi_field.values * np.sign(u) * np.abs(u) ** (spec.p - 1.0)
+
+
 def energy(spec: ProblemSpec, u: Field) -> EnergyBreakdown:
     """Evaluate Phi(u) and its three pieces."""
     if u.grid != spec.grid:
         raise ValueError("field grid does not match problem grid")
-    vol = spec.grid.cell_volume
-    coords = spec.grid.coords()
-    quad = 0.5 * weighted_norm_sq(u, spec.V_field, spec.lam, spec.alpha)
-    f_term = float(np.sum(spec.nonlinearity.F(coords, u.values)) * vol)
-    xi_term = (spec.mu / spec.p) * float(np.sum(spec.xi_field.values * np.abs(u.values) ** spec.p) * vol)
-    total = quad - f_term - xi_term
-    if not np.isfinite(total):
-        raise ValueError("energy evaluated non-finite; field is out of range for the nonlinearity")
-    return EnergyBreakdown(quad=quad, f_term=f_term, xi_term=xi_term, total=total)
+    rows = _energy_rows(spec, u.values)
+    _require_finite_energy(rows.total)
+    return EnergyBreakdown(quad=float(rows.quad), f_term=float(rows.f_term),
+                           xi_term=float(rows.xi_term), total=float(rows.total))
 
 
 def residual(spec: ProblemSpec, u: Field) -> Field:
@@ -256,11 +308,7 @@ def residual(spec: ProblemSpec, u: Field) -> Field:
     """
     if u.grid != spec.grid:
         raise ValueError("field grid does not match problem grid")
-    coords = spec.grid.coords()
-    vals = apply_multiplier(u, spec.alpha).values + spec.lam * spec.V_field.values * u.values
-    vals = vals - spec.nonlinearity.f(coords, u.values)
-    vals = vals - spec.mu * spec.xi_field.values * np.sign(u.values) * np.abs(u.values) ** (spec.p - 1.0)
-    return Field(spec.grid, vals)
+    return Field(spec.grid, _residual_rows(spec, u.values))
 
 
 def precond_gradient(spec: ProblemSpec, u: Field) -> Field:

@@ -21,8 +21,26 @@ import numpy as np
 from scipy import optimize
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .grid import DENSE_MAX_POINTS, Field, apply_multiplier, lp_norm, random_field, weighted_norm_sq
-from .problem import ProblemSpec, energy, precond_gradient, residual
+from .grid import (
+    DENSE_MAX_POINTS,
+    Field,
+    _band_limit,
+    _multiply,
+    _weighted_norm_sq_rows,
+    apply_multiplier,
+    lp_norm,
+    random_field,
+    weighted_norm_sq,
+)
+from .problem import (
+    ProblemSpec,
+    _energy_rows,
+    _EnergyRows,
+    _require_finite_energy,
+    _residual_rows,
+    energy,
+    residual,
+)
 
 __all__ = [
     "SolveOptions",
@@ -173,8 +191,8 @@ def _guarded_residual_norm(spec, u, s, direction):
 # geometry probe
 
 
-def _sphere_sample(spec, rho, rng):
-    """Random field scaled onto the sphere ||u||_lam = rho.
+def _sphere_draws(spec, rng, count):
+    """``count`` raw sphere candidates as a stack, drawn in RNG order.
 
     Two families with equal odds: band-limited noise under a random
     Gaussian envelope (broad oscillatory profiles), and width-randomized
@@ -182,64 +200,114 @@ def _sphere_sample(spec, rho, rng):
     profiles).  The bump family tracks the low-energy corners of the
     sphere; without it the sampled minimum overshoots the true infimum
     so badly that the reported ridge height can land above the saddle.
+    Each draw takes a family, a width and a noise field from ``rng``.
     """
     g = spec.grid
     hi = g.box_length / 4.0
-    if rng.uniform() < 0.5:
-        sigma = float(np.exp(rng.uniform(np.log(0.6), np.log(hi))))
-        u = random_field(g, rng, envelope_sigma=sigma)
-    else:
-        sigma = float(np.exp(rng.uniform(np.log(0.3), np.log(hi))))
-        noise = random_field(g, rng, envelope_sigma=sigma)
-        peak = float(np.max(np.abs(noise.values))) or 1.0
-        u = Field(g, np.exp(-g.radius_sq / sigma**2) * (1.0 + 0.05 * noise.values / peak))
-    nrm = _norm_lam(spec, u)
-    if nrm < 1e-14:
-        return None
-    return u * (rho / nrm)
+    bump = np.empty(count, dtype=bool)
+    sigma = np.empty(count)
+    noise = np.empty((count,) + g.shape)
+    for i in range(count):
+        bump[i] = rng.uniform() >= 0.5
+        lo = 0.3 if bump[i] else 0.6
+        sigma[i] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        noise[i] = rng.standard_normal(g.shape)
+    rows = _band_limit(g, noise, 0.25, sigma)
+    if bump.any():
+        jitter = rows[bump]
+        peak = np.max(np.abs(jitter), axis=tuple(range(1, jitter.ndim)), keepdims=True)
+        peak[peak == 0.0] = 1.0
+        width = _per_row(sigma[bump], g)
+        rows[bump] = np.exp(-g.radius_sq / width**2) * (1.0 + 0.05 * jitter / peak)
+    return rows
 
 
-def _weighted_inner(spec, a, b):
-    va = weighted_norm_sq(a + b, spec.V_field, spec.lam, spec.alpha)
-    vb = weighted_norm_sq(a - b, spec.V_field, spec.lam, spec.alpha)
-    return 0.25 * (va - vb)
+def _per_row(values, grid):
+    """Per-row scalars shaped to broadcast against a stack of fields."""
+    return values.reshape(values.shape + (1,) * grid.dim)
 
 
-def _tangential_polish(spec, u, rho, steps=25):
-    """Descend Phi along the sphere ||u||_lam = rho from u; returns the endpoint.
+def _norm_lam_rows(spec, u):
+    return np.sqrt(_weighted_norm_sq_rows(spec.grid, u, spec.V_field.values, spec.lam, spec.alpha))
+
+
+def _sphere_samples(spec, rho, count, rng):
+    """``count`` random fields scaled onto ||u||_lam = rho, with their energy pieces.
+
+    Drawn and scored in stacks of ``grid.batch_rows``; a draw whose norm
+    vanishes is replaced by the next one, so the samples do not depend on
+    the stack size.
+    """
+    rows, terms = [], []
+    while count > 0:
+        raw = _sphere_draws(spec, rng, min(count, spec.grid.batch_rows))
+        nrm = _norm_lam_rows(spec, raw)
+        ok = nrm >= 1e-14
+        u = raw[ok] * _per_row(rho / nrm[ok], spec.grid)
+        t = _energy_rows(spec, u)
+        _require_finite_energy(t.total)
+        rows.append(u)
+        terms.append(t)
+        count -= len(u)
+    return np.concatenate(rows), _concat_terms(terms)
+
+
+def _concat_terms(parts):
+    return _EnergyRows(*map(np.concatenate, zip(*parts)))
+
+
+def _sphere_polish(spec, u, rho, e_u, steps=25):
+    """Descend Phi along the spheres ||u_i||_lam = rho_i from each row of u; returns the endpoints.
 
     Plain sampling overestimates the sphere minimum, and near the saddle
     radius the bias is large enough to push the recorded ridge height above
     the saddle level itself.  A few projected-gradient steps per promising
     sample close most of that gap while keeping every evaluation a genuine
     feasible point, so the recorded minimum stays an upper bound.
+
+    The rows move in lockstep but independently: each keeps its own step,
+    backtracks on its own and stops when a backtracking run finds no
+    decrease.  A trial row that is not finite, or whose norm is not, halves
+    that row's step; a residual that is not finite raises ValueError.
     """
-    e_u = _energy_or_inf(spec, u)
-    step = 0.5
+    g = spec.grid
+    u, e_u = u.copy(), e_u.copy()
+    step = np.full(len(u), 0.5)
+    active = np.arange(len(u))
     for _ in range(steps):
-        g = precond_gradient(spec, u)
-        coef = _weighted_inner(spec, g, u) / rho**2
-        tang = g - coef * u
-        moved = False
-        s = step
-        for _ in range(30):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    trial = u - s * tang
-            except ValueError:
-                s *= 0.5
-                continue
-            nrm = _norm_lam(spec, trial)
-            if nrm > 1e-14:
-                trial = trial * (rho / nrm)
-                e_t = _energy_or_inf(spec, trial)
-                if e_t < e_u - 1e-14:
-                    u, e_u, moved = trial, e_t, True
-                    step = min(s * 2.0, 4.0)
-                    break
-            s *= 0.5
-        if not moved:
+        if active.size == 0:
             break
+        ua, ea, ra = u[active], e_u[active], rho[active]
+        r = _residual_rows(spec, ua)
+        if not np.all(np.isfinite(r)):
+            raise ValueError("field values must be finite")
+        grad = _multiply(g, r, -spec.alpha)
+        va = _weighted_norm_sq_rows(g, grad + ua, spec.V_field.values, spec.lam, spec.alpha)
+        vb = _weighted_norm_sq_rows(g, grad - ua, spec.V_field.values, spec.lam, spec.alpha)
+        tang = grad - ua * _per_row(0.25 * (va - vb) / ra**2, g)
+        s = step[active]
+        trying = np.ones(active.size, dtype=bool)
+        for _ in range(30):
+            idx = np.flatnonzero(trying)
+            if idx.size == 0:
+                break
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = ua[idx] - tang[idx] * _per_row(s[idx], g)
+                nrm = np.full(idx.size, np.nan)
+                finite = np.all(np.isfinite(trial), axis=tuple(range(1, trial.ndim)))
+                nrm[finite] = _norm_lam_rows(spec, trial[finite])
+                ok = np.isfinite(nrm) & (nrm > 1e-14)
+                idx = idx[ok]
+                trial = trial[ok] * _per_row(ra[idx] / nrm[ok], g)
+                e_t = _energy_rows(spec, trial).total
+            won = e_t < ea[idx] - 1e-14
+            ua[idx[won]], ea[idx[won]] = trial[won], e_t[won]
+            trying[idx[won]] = False
+            s[trying] *= 0.5
+        moved = ~trying
+        u[active], e_u[active] = ua, ea
+        step[active[moved]] = np.minimum(s[moved] * 2.0, 4.0)
+        active = active[moved]
     return u
 
 
@@ -247,8 +315,11 @@ def probe_geometry(spec: ProblemSpec, rho_grid=None, samples_per_rho: int = 64,
                    seed: int = 0) -> GeometryProbe:
     """Estimate the ridge radius rho, its height eta, a mu budget, and a far endpoint e.
 
-    Raises GeometryError with the sampled table when no radius keeps the
-    sphere minimum positive (mu too large, or no ridge at all).
+    Each radius's samples are drawn and scored as stacks; the four lowest
+    per radius are then polished along their spheres, all radii together,
+    in stacks of ``grid.batch_rows``.  Raises GeometryError with the
+    sampled table when no radius keeps the sphere minimum positive (mu too
+    large, or no ridge at all).
     """
     rng = np.random.Generator(np.random.Philox(seed))
 
@@ -272,37 +343,38 @@ def probe_geometry(spec: ProblemSpec, rho_grid=None, samples_per_rho: int = 64,
     if not rho_grid:
         raise GeometryError("no admissible rho below ||e||")
 
+    # one radius's samples at a time; its four lowest are polished after the last radius
+    scored, starts = [], []
+    for rho in rho_grid:
+        samples, terms = _sphere_samples(spec, rho, samples_per_rho, rng)
+        lowest = np.argsort(terms.total)[:4]
+        scored.append(terms)
+        starts.append((samples[lowest], np.full(lowest.size, rho), terms.total[lowest]))
+    start_u, start_rho, start_e = (np.concatenate(a) for a in zip(*starts))
+    cap = spec.grid.batch_rows
+    polished = _concat_terms([
+        _energy_rows(spec, _sphere_polish(spec, start_u[i:i + cap], start_rho[i:i + cap],
+                                          start_e[i:i + cap]))
+        for i in range(0, len(start_u), cap)])
+
     table = []
     best = None
-    for rho in rho_grid:
-        samples = []
-        while len(samples) < samples_per_rho:
-            s = _sphere_sample(spec, rho, rng)
-            if s is not None:
-                samples.append(s)
-        breakdowns = [energy(spec, u) for u in samples]
-        totals = [bd.total for bd in breakdowns]
-        for i in np.argsort(totals)[:4]:
-            refined = _tangential_polish(spec, samples[int(i)], rho)
-            samples.append(refined)
-            breakdowns.append(energy(spec, refined))
-            totals.append(breakdowns[-1].total)
-        totals = np.array(totals)
-        table.append((rho, float(np.min(totals))))
+    offset = 0
+    for rho, terms in zip(rho_grid, scored):
+        k = min(4, len(terms.total))
+        terms = _concat_terms([terms, _EnergyRows(*(a[offset:offset + k] for a in polished))])
+        offset += k
+        table.append((rho, float(np.min(terms.total))))
         if best is None or table[-1][1] > best[1]:
             # keep the mu-independent pieces for the mu budget bisection
-            base = np.array([bd.total + bd.xi_term for bd in breakdowns])
-            xi_ints = np.array([bd.xi_term * spec.p / spec.mu if spec.mu > 0 else 0.0
-                                for bd in breakdowns])
-            best = (rho, table[-1][1], base, xi_ints, samples)
+            base = terms.total + terms.xi_term
+            xi_ints = terms.xi_term * spec.p / spec.mu if spec.mu > 0 else terms.xi_integral
+            best = (rho, table[-1][1], base, xi_ints)
 
-    rho_star, eta, base, xi_ints, samples = best
+    rho_star, eta, base, xi_ints = best
     if eta <= 0.0:
         lines = ", ".join(f"rho={r:.4g}: min={m:.4g}" for r, m in table)
         raise GeometryError(f"no sampled sphere minimum is positive ({lines})")
-
-    if spec.mu == 0.0:
-        xi_ints = np.array([_xi_integral(spec, u) for u in samples])
 
     def eta_at(mu):
         return float(np.min(base - (mu / spec.p) * xi_ints))
@@ -314,10 +386,6 @@ def probe_geometry(spec: ProblemSpec, rho_grid=None, samples_per_rho: int = 64,
         sample_count=samples_per_rho * len(rho_grid), seed=seed,
         rho_table=tuple(table),
     )
-
-
-def _xi_integral(spec, u):
-    return float(np.sum(spec.xi_field.values * np.abs(u.values) ** spec.p) * spec.grid.cell_volume)
 
 
 def _bisect_mu(eta_at, start, doublings=60, bisections=80):

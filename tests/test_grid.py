@@ -23,7 +23,14 @@ from besselmp import (
     transform,
     weighted_norm_sq,
 )
-from besselmp.grid import make_grid
+from besselmp.grid import (
+    BATCH_MAX_POINTS,
+    _band_limit,
+    _bessel_norm_sq_rows,
+    _multiply,
+    _weighted_norm_sq_rows,
+    make_grid,
+)
 
 
 def _rng(seed):
@@ -270,6 +277,66 @@ def test_workspace_is_per_grid_instance():
     a, b = make_grid(1, 16, 8.0), make_grid(1, 16, 8.0)
     assert a == b
     assert a.symbol(0.5) is not b.symbol(0.5)
+
+
+# ---------------------------------------------------------------------------
+# row kernels
+
+
+ROW_GRIDS = [(1, 64, 20.0), (2, 16, 12.0), (3, 8, 10.0)]
+
+
+def _stack(g, rows, seed):
+    rng = _rng(seed)
+    return np.stack([random_field(g, rng, envelope_sigma=2.0).values for _ in range(rows)])
+
+
+def test_batch_rows_follow_from_the_point_count():
+    assert BATCH_MAX_POINTS == 16384
+    assert make_grid(1, 256, 40.0).batch_rows == 64
+    with pytest.warns(UserWarning, match="power of two"):
+        assert make_grid(2, 48, 15.0).batch_rows == 7
+    assert make_grid(3, 32, 10.0).batch_rows == 1
+    assert make_grid(3, 64, 10.0).batch_rows == 1
+
+
+@pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
+@pytest.mark.parametrize("s", [0.75, -0.375])
+def test_multiplier_rows_match_field_api(dim, n, box, s):
+    g = make_grid(dim, n, box)
+    u = _stack(g, 5, dim)
+    out = _multiply(g, u, s)
+    assert out.shape == u.shape
+    for row, got in zip(u, out):
+        assert np.array_equal(got, apply_multiplier(Field(g, row), s).values)
+    # extra leading axes are rows too
+    assert np.array_equal(_multiply(g, u.reshape((5, 1) + g.shape), s)[:, 0], out)
+
+
+@pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
+def test_norm_rows_match_field_api(dim, n, box):
+    g = make_grid(dim, n, box)
+    u = _stack(g, 5, 10 + dim)
+    V = Field(g, 1.0 + g.radius_sq)
+    bessel = _bessel_norm_sq_rows(g, u, 0.75)
+    weighted = _weighted_norm_sq_rows(g, u, V.values, 2.5, 0.75)
+    assert bessel.shape == weighted.shape == (5,)
+    for i, row in enumerate(u):
+        f = Field(g, row)
+        assert bessel[i] == bessel_norm_sq(f, 0.75)
+        assert weighted[i] == weighted_norm_sq(f, V, 2.5, 0.75)
+
+
+@pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
+def test_band_limit_rows_match_random_field(dim, n, box):
+    g = make_grid(dim, n, box)
+    sigmas = np.array([0.7, 1.9, 3.3])
+    draws = _rng(dim)
+    noise = np.stack([draws.standard_normal(g.shape) for _ in sigmas])
+    out = _band_limit(g, noise, 0.25, sigmas)
+    again = _rng(dim)
+    for row, sigma in zip(out, sigmas):
+        assert np.array_equal(row, random_field(g, again, envelope_sigma=float(sigma)).values)
 
 
 def test_multiplier_matrix_refuses_large_grids():

@@ -28,7 +28,7 @@ from besselmp import (
     weighted_norm_sq,
 )
 from besselmp.grid import apply_multiplier, make_grid
-from besselmp.problem import eval_F, eval_f, eval_scrF
+from besselmp.problem import _energy_rows, _residual_rows, eval_F, eval_f, eval_scrF
 
 
 def _rng(seed):
@@ -217,6 +217,51 @@ def test_energy_overflow_reported(coercive_spec):
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             energy(coercive_spec, big)
+
+
+def _row_specs():
+    """One spec per dim; the 2-D one uses a nonlinearity that depends on x."""
+
+    def weight(x):
+        return 1.0 + 0.5 * np.exp(-x[0] ** 2)
+
+    custom = CustomNonlinearity(
+        f_fn=lambda x, u: weight(x) * np.sign(u) * np.abs(u) ** 3.0,
+        F_fn=lambda x, u: weight(x) * np.abs(u) ** 4.0 / 4.0, q=4.0, theta=4.0)
+    return [
+        _spec(grid=make_grid(1, 64, 20.0)),
+        _spec(grid=make_grid(2, 16, 12.0), nonlinearity=custom),
+        _spec(grid=make_grid(3, 8, 10.0), nonlinearity=PowerNonlinearity(3.0),
+              potential=WellPotential(radius=1.0, height=5.0, ramp=1.0)),
+    ]
+
+
+@pytest.mark.parametrize("spec", _row_specs(), ids=["1d", "2d-custom", "3d-well"])
+def test_energy_and_residual_rows_match_field_api(spec):
+    g = spec.grid
+    rng = _rng(g.dim)
+    u = np.stack([random_field(g, rng, envelope_sigma=2.0).values * 3.0 for _ in range(4)])
+    rows = _energy_rows(spec, u)
+    res = _residual_rows(spec, u)
+    assert rows.total.shape == (4,) and res.shape == u.shape
+    for i, row in enumerate(u):
+        f = Field(g, row)
+        bd = energy(spec, f)
+        assert (rows.quad[i], rows.f_term[i], rows.xi_term[i], rows.total[i]) == \
+            (bd.quad, bd.f_term, bd.xi_term, bd.total)
+        assert rows.xi_integral[i] == float(
+            np.sum(spec.xi_field.values * np.abs(row) ** spec.p) * g.cell_volume)
+        assert np.array_equal(res[i], residual(spec, f).values)
+
+
+def test_energy_rows_overflow_is_per_row(coercive_spec):
+    g = coercive_spec.grid
+    u = np.stack([np.exp(-g.radius_sq), np.full(g.shape, 1e100), 2.0 * np.exp(-g.radius_sq)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _energy_rows(coercive_spec, u).total
+    assert total[1] == math.inf
+    assert total[0] == energy(coercive_spec, Field(g, u[0])).total
+    assert total[2] == energy(coercive_spec, Field(g, u[2])).total
 
 
 def test_residual_zero_at_zero(coercive_spec):

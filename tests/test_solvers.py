@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from besselmp import (
+    CustomNonlinearity,
     Field,
     GeometryError,
     SolveOptions,
@@ -24,7 +25,7 @@ from besselmp import (
     weighted_norm_sq,
 )
 from besselmp.config import RunConfig, build_spec
-from besselmp.solvers import _hessian_diag, _newton_direction
+from besselmp.solvers import _hessian_diag, _newton_direction, _sphere_polish
 
 
 def _norm_lam(spec, u):
@@ -78,6 +79,88 @@ class TestProbe:
         greedy = replace(coercive_spec, mu=1000.0 * coercive_spec.mu)
         with pytest.raises(GeometryError, match="no sampled sphere minimum"):
             probe_geometry(greedy, seed=0)
+
+    # Exact values recorded from the probe that scored one sample at a
+    # time; scoring and polishing the samples as stacks must not move a bit.
+
+    def test_exact_regression(self, coercive_probe):
+        p = coercive_probe
+        assert p.rho == 3.8448366189930585
+        assert p.eta == 3.174790056554434
+        assert p.mu0_estimate == 1.561162634447685
+        assert p.rho_table == (
+            (0.12816122063310195, 0.008077617992462554),
+            (0.2083406223638835, 0.02139940457945801),
+            (0.3386813477005797, 0.056563305026672867),
+            (0.5505650025367566, 0.14874159909970192),
+            (0.8950059519849372, 0.3863553409471094),
+            (1.4549338414131858, 0.9696763748904729),
+            (2.3651602295991823, 2.210330518889604),
+            (3.8448366189930585, 3.174790056554434),
+        )
+
+    def test_mu_zero_budget_uses_raw_xi_integrals(self):
+        p = probe_geometry(replace(canonical_coercive_spec(), mu=0.0), seed=0)
+        assert p.eta == 3.194711737509179
+        assert p.mu0_estimate == 1.561379285137786
+
+
+def _probe_key(p):
+    return (p.rho, p.eta, p.mu0_estimate, p.rho_table)
+
+
+def test_sphere_polish_rows_move_independently(coercive_spec):
+    g = coercive_spec.grid
+    good = np.exp(-g.radius_sq / 4.0) * (1.0 + 0.1 * np.sin(g.axis_coords))
+    rho = _norm_lam(coercive_spec, Field(g, good))
+    e_good = energy(coercive_spec, Field(g, good)).total
+    alone = _sphere_polish(coercive_spec, good[None], np.array([rho]), np.array([e_good]))
+    assert energy(coercive_spec, Field(g, alone[0])).total < e_good
+    # a row whose trials are never finite keeps halving its own step and
+    # stops where it started, without changing a bit of its neighbour
+    huge = np.full(g.shape, 1e100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = _sphere_polish(coercive_spec, np.stack([good, huge]), np.array([rho, rho]),
+                              np.array([e_good, math.inf]))
+    assert np.array_equal(both[0], alone[0])
+    assert np.array_equal(both[1], huge)
+
+
+@pytest.mark.parametrize("cfg,eta", [
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.674763245966698),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 40.317244176602486),
+], ids=["2d", "3d"])
+def test_probe_in_higher_dims(cfg, eta):
+    spec = build_spec(cfg)
+    first = probe_geometry(spec, seed=0)
+    again = probe_geometry(spec, seed=0)
+    assert first.eta > 0.0
+    assert first.eta == eta
+    assert _probe_key(again) == _probe_key(first)
+    np.testing.assert_array_equal(again.e.values, first.e.values)
+    assert probe_geometry(spec, seed=1).eta != first.eta
+
+
+def test_probe_with_x_dependent_custom_nonlinearity():
+    spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
+    plain = probe_geometry(spec, seed=0)
+
+    def weight(x):
+        return 1.0 + 0.5 * np.exp(-x[0] ** 2)
+
+    heavier = CustomNonlinearity(
+        f_fn=lambda x, u: weight(x) * np.sign(u) * np.abs(u) ** 3.0,
+        F_fn=lambda x, u: weight(x) * np.abs(u) ** 4.0 / 4.0, q=4.0, theta=4.0)
+    p = probe_geometry(replace(spec, nonlinearity=heavier), seed=0)
+    assert p.eta > 0.0
+    # a larger primitive lowers every sampled energy, so the ridge drops
+    assert p.eta < plain.eta
+    assert _probe_key(probe_geometry(replace(spec, nonlinearity=heavier), seed=0)) == _probe_key(p)
+    # reading x without depending on it reproduces the power law exactly
+    flat = CustomNonlinearity(
+        f_fn=lambda x, u: np.sign(u) * np.abs(u) ** 3.0 + 0.0 * x[0],
+        F_fn=lambda x, u: np.abs(u) ** 4.0 / 4.0 + 0.0 * x[0], q=4.0, theta=4.0)
+    assert _probe_key(probe_geometry(replace(spec, nonlinearity=flat), seed=0)) == _probe_key(plain)
 
 
 # ---------------------------------------------------------------------------
