@@ -316,6 +316,11 @@ def _band_limit(grid: Grid, noise: np.ndarray, band_fraction: float,
     return vals
 
 
+def _lp_norm(grid: Grid, values: np.ndarray, r: float) -> float:
+    """L^r norm of one field's values over the box; r is not checked."""
+    return float((np.sum(np.abs(values) ** r) * grid.cell_volume) ** (1.0 / r))
+
+
 def apply_multiplier(field: Field, s: float) -> Field:
     """Apply (I - Laplacian)^s through the symbol (1 + |xi|^2)^s.
 
@@ -359,7 +364,7 @@ def lp_norm(field: Field, r: float) -> float:
     """L^r norm over the box, huge-r values are fine (no overflow guard needed at desk scale)."""
     if not (r >= 1 and np.isfinite(r)):
         raise ValueError(f"lp_norm needs r >= 1, got {r}")
-    return float((np.sum(np.abs(field.values) ** r) * field.grid.cell_volume) ** (1.0 / r))
+    return _lp_norm(field.grid, field.values, r)
 
 
 def random_field(grid: Grid, rng: np.random.Generator, band_fraction: float = 0.25,

@@ -389,17 +389,21 @@ def _check_superquadratic(spec):
     )
 
 
-def _ball_integrals(V: Field, radii, ball_radius=1.0):
-    """Integral of 1/V over balls B(y e_1, ball_radius); inf where V vanishes inside."""
+def _unit_ball(grid: Grid, y: float) -> np.ndarray:
+    """Mask of the grid points inside the unit ball B(y e_1, 1)."""
+    coords = grid.coords()
+    d2 = (coords[0] - y) ** 2
+    for c in coords[1:]:
+        d2 = d2 + c**2
+    return d2 < 1.0
+
+
+def _ball_integrals(V: Field, radii):
+    """Integral of 1/V over the unit balls B(y e_1, 1); inf where V vanishes inside."""
     g = V.grid
-    coords = g.coords()
     out = []
     for y in radii:
-        d2 = (coords[0] - y) ** 2
-        for c in coords[1:]:
-            d2 = d2 + c**2
-        mask = d2 < ball_radius**2
-        vals = V.values[mask]
+        vals = V.values[_unit_ball(g, y)]
         if vals.size == 0:
             out.append(0.0)
         elif np.min(vals) <= 0.0:

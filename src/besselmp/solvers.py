@@ -10,6 +10,11 @@ construction (every node only ever moves downhill).
 
 The negative-energy solution comes from projected preconditioned descent
 inside the ball ||u||_lam <= rho, monotone in Phi at every accepted step.
+
+The solvers take and return Fields but work on plain arrays inside,
+through the row kernels of ``grid`` and ``problem``: a trial point that
+overflows reads +inf energy, or a residual norm that fails every
+acceptance test, instead of being refused by the Field constructor.
 """
 
 from __future__ import annotations
@@ -25,12 +30,10 @@ from .grid import (
     DENSE_MAX_POINTS,
     Field,
     _band_limit,
+    _lp_norm,
     _multiply,
     _weighted_norm_sq_rows,
-    apply_multiplier,
     lp_norm,
-    random_field,
-    weighted_norm_sq,
 )
 from .problem import (
     ProblemSpec,
@@ -39,7 +42,6 @@ from .problem import (
     _require_finite_energy,
     _residual_rows,
     energy,
-    residual,
 )
 
 __all__ = [
@@ -72,32 +74,34 @@ class PathCollapseError(RuntimeError):
     """Every interior path node shrank to zero; e is degenerate for this problem."""
 
 
+# Line-search and stopping constants of the path deformation, the Newton
+# polish and the ball descent.
+STEP_INIT = 1.0
+STEP_MAX = 10.0
+ARMIJO_SLOPE = 1e-4
+BACKTRACK_FACTOR = 0.5
+STALL_WINDOW = 25  # path sweeps over which the max-node energy must still fall
+STALL_TOL = 1e-9
+POLISH_THRESHOLD = 5e-2  # relative residual at which the path hands over to Newton
+NEWTON_MAX = 80
+COLLAPSE_FRACTION = 0.1  # a saddle this far inside the probed rho has collapsed to 0
+INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
+# the probed ridge height is a sampled upper bound whose bias peaks when
+# a rung lands on the saddle sphere (the sampled minimum then approaches
+# the saddle level from above); level comparisons against it use this
+# relative slack, while residual certificates stay at tol
+LEVEL_SLACK = 0.01
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     tol: float = 1e-8
     max_iter: int = 5000
     path_nodes: int = 41
-    step_init: float = 1.0
-    step_max: float = 10.0
-    armijo_slope: float = 1e-4
-    backtrack_factor: float = 0.5
-    stall_window: int = 25
-    stall_tol: float = 1e-9
-    polish_threshold: float = 5e-2
-    newton_max: int = 80
-    collapse_fraction: float = 0.1
-    interior_margin: float = 0.02
-    # the probed ridge height is a sampled upper bound whose bias peaks when
-    # a rung lands on the saddle sphere (the sampled minimum then approaches
-    # the saddle level from above); level comparisons against it use this
-    # relative slack, while residual certificates stay at tol
-    level_slack: float = 0.01
 
     def __post_init__(self):
         if self.path_nodes < 3:
             raise ValueError("path needs at least 3 nodes")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -142,49 +146,33 @@ class SolveReport:
     path: PathState | None = None
 
 
-def _inner(a: Field, b: Field) -> float:
-    return float(np.sum(a.values * b.values) * a.grid.cell_volume)
+# Array helpers: u, r and search directions are ndarrays whose trailing axes
+# are the grid's; only _residual and _norm_lam also meet stacks of fields.
 
 
-def _norm_lam(spec: ProblemSpec, u: Field) -> float:
-    return math.sqrt(weighted_norm_sq(u, spec.V_field, spec.lam, spec.alpha))
+def _energy(spec, u) -> float:
+    """Phi(u); +inf when u is out of range for the nonlinearity."""
+    return float(_energy_rows(spec, u).total)
 
 
-def _bump(spec: ProblemSpec, sigma: float = 1.0) -> Field:
-    return Field(spec.grid, np.exp(-spec.grid.radius_sq / sigma**2))
+def _residual(spec, u):
+    """Residual at the iterate u (or at each row of a stack); it must be finite."""
+    r = _residual_rows(spec, u)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("field values must be finite")
+    return r
 
 
-def _energy_or_inf(spec, u):
-    """Energy total, with out-of-float-range fields mapped to +inf.
-
-    Line searches probe trial points that can overflow the nonlinearity;
-    those trials must read as infinitely bad, not crash the solve.
-    """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return energy(spec, u).total
-    except ValueError:
-        return math.inf
+def _inner(spec, a, b) -> float:
+    return float(np.sum(a * b) * spec.grid.cell_volume)
 
 
-def _guarded_energy(spec, u, s, direction):
-    """(trial, energy) for u + s*direction; (None, inf) when out of range."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            trial = u + s * direction
-    except ValueError:
-        return None, math.inf
-    return trial, _energy_or_inf(spec, trial)
+def _norm_lam(spec, u):
+    return np.sqrt(_weighted_norm_sq_rows(spec.grid, u, spec.V_field.values, spec.lam, spec.alpha))
 
 
-def _guarded_residual_norm(spec, u, s, direction):
-    """(trial, ||residual||) for u + s*direction; (None, inf) when out of range."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            trial = u + s * direction
-            return trial, lp_norm(residual(spec, trial), 2)
-    except ValueError:
-        return None, math.inf
+def _bump(spec):
+    return np.exp(-spec.grid.radius_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +215,6 @@ def _per_row(values, grid):
     return values.reshape(values.shape + (1,) * grid.dim)
 
 
-def _norm_lam_rows(spec, u):
-    return np.sqrt(_weighted_norm_sq_rows(spec.grid, u, spec.V_field.values, spec.lam, spec.alpha))
-
-
 def _sphere_samples(spec, rho, count, rng):
     """``count`` random fields scaled onto ||u||_lam = rho, with their energy pieces.
 
@@ -241,7 +225,7 @@ def _sphere_samples(spec, rho, count, rng):
     rows, terms = [], []
     while count > 0:
         raw = _sphere_draws(spec, rng, min(count, spec.grid.batch_rows))
-        nrm = _norm_lam_rows(spec, raw)
+        nrm = _norm_lam(spec, raw)
         ok = nrm >= 1e-14
         u = raw[ok] * _per_row(rho / nrm[ok], spec.grid)
         t = _energy_rows(spec, u)
@@ -256,7 +240,7 @@ def _concat_terms(parts):
     return _EnergyRows(*map(np.concatenate, zip(*parts)))
 
 
-def _sphere_polish(spec, u, rho, e_u, steps=25):
+def _sphere_polish(spec, u, rho, e_u):
     """Descend Phi along the spheres ||u_i||_lam = rho_i from each row of u; returns the endpoints.
 
     Plain sampling overestimates the sphere minimum, and near the saddle
@@ -274,13 +258,11 @@ def _sphere_polish(spec, u, rho, e_u, steps=25):
     u, e_u = u.copy(), e_u.copy()
     step = np.full(len(u), 0.5)
     active = np.arange(len(u))
-    for _ in range(steps):
+    for _ in range(25):
         if active.size == 0:
             break
         ua, ea, ra = u[active], e_u[active], rho[active]
-        r = _residual_rows(spec, ua)
-        if not np.all(np.isfinite(r)):
-            raise ValueError("field values must be finite")
+        r = _residual(spec, ua)
         grad = _multiply(g, r, -spec.alpha)
         va = _weighted_norm_sq_rows(g, grad + ua, spec.V_field.values, spec.lam, spec.alpha)
         vb = _weighted_norm_sq_rows(g, grad - ua, spec.V_field.values, spec.lam, spec.alpha)
@@ -291,15 +273,14 @@ def _sphere_polish(spec, u, rho, e_u, steps=25):
             idx = np.flatnonzero(trying)
             if idx.size == 0:
                 break
-            with np.errstate(over="ignore", invalid="ignore"):
-                trial = ua[idx] - tang[idx] * _per_row(s[idx], g)
-                nrm = np.full(idx.size, np.nan)
-                finite = np.all(np.isfinite(trial), axis=tuple(range(1, trial.ndim)))
-                nrm[finite] = _norm_lam_rows(spec, trial[finite])
-                ok = np.isfinite(nrm) & (nrm > 1e-14)
-                idx = idx[ok]
-                trial = trial[ok] * _per_row(ra[idx] / nrm[ok], g)
-                e_t = _energy_rows(spec, trial).total
+            trial = ua[idx] - tang[idx] * _per_row(s[idx], g)
+            nrm = np.full(idx.size, np.nan)
+            finite = np.all(np.isfinite(trial), axis=tuple(range(1, trial.ndim)))
+            nrm[finite] = _norm_lam(spec, trial[finite])
+            ok = np.isfinite(nrm) & (nrm > 1e-14)
+            idx = idx[ok]
+            trial = trial[ok] * _per_row(ra[idx] / nrm[ok], g)
+            e_t = _energy_rows(spec, trial).total
             won = e_t < ea[idx] - 1e-14
             ua[idx[won]], ea[idx[won]] = trial[won], e_t[won]
             trying[idx[won]] = False
@@ -311,6 +292,13 @@ def _sphere_polish(spec, u, rho, e_u, steps=25):
     return u
 
 
+# Overflow in a trial point is an expected outcome of a line search (the
+# trial reads +inf energy and is rejected), so the three solver entry
+# points silence overflow and invalid-value warnings for their whole run.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
 def probe_geometry(spec: ProblemSpec, rho_grid=None, samples_per_rho: int = 64,
                    seed: int = 0) -> GeometryProbe:
     """Estimate the ridge radius rho, its height eta, a mu budget, and a far endpoint e.
@@ -329,7 +317,7 @@ def probe_geometry(spec: ProblemSpec, rho_grid=None, samples_per_rho: int = 64,
     e = None
     for _ in range(60):
         cand = t * phi0
-        if _energy_or_inf(spec, cand) < 0.0:
+        if _energy(spec, cand) < 0.0:
             e = cand
             break
         t *= 1.5
@@ -382,24 +370,24 @@ def probe_geometry(spec: ProblemSpec, rho_grid=None, samples_per_rho: int = 64,
     mu0 = _bisect_mu(eta_at, start=max(spec.mu, 1e-3))
 
     return GeometryProbe(
-        rho=rho_star, eta=eta, mu0_estimate=mu0, e=e,
+        rho=rho_star, eta=eta, mu0_estimate=mu0, e=Field(spec.grid, e),
         sample_count=samples_per_rho * len(rho_grid), seed=seed,
         rho_table=tuple(table),
     )
 
 
-def _bisect_mu(eta_at, start, doublings=60, bisections=80):
+def _bisect_mu(eta_at, start):
     if eta_at(0.0) <= 0.0:
         return 0.0
     hi = start
-    for _ in range(doublings):
+    for _ in range(60):
         if eta_at(hi) <= 0.0:
             break
         hi *= 2.0
     else:
         return hi  # positive even at an absurd mu; report the bound reached
     lo = 0.0
-    for _ in range(bisections):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         if eta_at(mid) > 0.0:
             lo = mid
@@ -412,30 +400,32 @@ def _bisect_mu(eta_at, start, doublings=60, bisections=80):
 # mountain pass
 
 
-def _armijo_step(spec, u, e_u, step, opts):
+def _armijo_step(spec, u, e_u, step):
     """One monotone descent step from u; returns (new_u, new_energy, step_used)."""
-    r = residual(spec, u)
-    g = apply_multiplier(r, -spec.alpha)
-    slope = _inner(r, g)
-    if slope <= 0.0:
+    r = _residual(spec, u)
+    g = _multiply(spec.grid, r, -spec.alpha)
+    slope = _inner(spec, r, g)
+    if not 0.0 < slope < math.inf:
+        # an overflowed slope makes the decrease test unpassable for every step
         return u, e_u, 0.0
     s = step
     for _ in range(40):
-        trial, e_t = _guarded_energy(spec, u, -s, g)
-        if trial is not None and e_t <= e_u - opts.armijo_slope * s * slope:
+        trial = u - s * g
+        e_t = _energy(spec, trial)
+        if e_t <= e_u - ARMIJO_SLOPE * s * slope:
             return trial, e_t, s
-        s *= opts.backtrack_factor
+        s *= BACKTRACK_FACTOR
     return u, e_u, 0.0
 
 
 def _hessian_diag(spec, u):
     """Pointwise part of the second derivative of Phi at u."""
     coords = spec.grid.coords()
-    vals = spec.lam * spec.V_field.values - spec.nonlinearity.f_prime(coords, u.values)
+    vals = spec.lam * spec.V_field.values - spec.nonlinearity.f_prime(coords, u)
     if spec.mu > 0:
         # |u|^{p-2} blows up at zeros of u; the concave term's curvature is
         # meaningless there, so it is clamped off below a floor
-        au = np.abs(u.values)
+        au = np.abs(u)
         floor = 1e-12 * max(1.0, float(np.max(au)))
         curv = np.where(au > floor, au ** (spec.p - 2.0), 0.0)
         vals = vals - spec.mu * (spec.p - 1.0) * spec.xi_field.values * curv
@@ -446,7 +436,7 @@ def _newton_direction(spec, u, r):
     """Solve (D^2 Phi)(u) delta = -r; dense up to DENSE_MAX_POINTS unknowns, Krylov above."""
     g = spec.grid
     diag = _hessian_diag(spec, u)
-    rhs = -r.values.ravel()
+    rhs = -r.ravel()
     npts = g.total_points
     if npts <= DENSE_MAX_POINTS:
         J = g.multiplier_matrix(spec.alpha) + np.diag(diag.ravel())
@@ -456,11 +446,11 @@ def _newton_direction(spec, u, r):
             return None
     else:
         def matvec(v):
-            f = Field(g, v.reshape(g.shape))
-            return (apply_multiplier(f, spec.alpha).values + diag * f.values).ravel()
+            v = v.reshape(g.shape)
+            return (_multiply(g, v, spec.alpha) + diag * v).ravel()
 
         def precond(v):
-            return apply_multiplier(Field(g, v.reshape(g.shape)), -spec.alpha).values.ravel()
+            return _multiply(g, v.reshape(g.shape), -spec.alpha).ravel()
 
         op = LinearOperator((npts, npts), matvec=matvec)
         M = LinearOperator((npts, npts), matvec=precond)
@@ -469,17 +459,16 @@ def _newton_direction(spec, u, r):
             return None
     if not np.all(np.isfinite(delta)):
         return None
-    return Field(g, delta.reshape(g.shape))
+    return delta.reshape(g.shape)
 
 
-def _polish(spec, u, opts, trace, it0, node_index, phase="polish"):
+def _polish(spec, u, opts, trace, it0, node_index):
     """Damped Newton on the residual; returns (u, residual_norm, iterations_used)."""
-    rn_floor = 1e-30
     it = it0
-    for _ in range(opts.newton_max):
-        r = residual(spec, u)
-        rn = lp_norm(r, 2)
-        trace.append(TraceEntry(it, energy(spec, u).total, rn, 0.0, node_index, phase))
+    for _ in range(NEWTON_MAX):
+        r = _residual(spec, u)
+        rn = _lp_norm(spec.grid, r, 2)
+        trace.append(TraceEntry(it, _energy(spec, u), rn, 0.0, node_index, "polish"))
         it += 1
         if rn <= opts.tol:
             return u, rn, it
@@ -488,27 +477,27 @@ def _polish(spec, u, opts, trace, it0, node_index, phase="polish"):
         if delta is not None:
             s = 1.0
             while s > 1e-10:
-                trial, rn_t = _guarded_residual_norm(spec, u, s, delta)
-                if trial is not None and rn_t <= (1.0 - 1e-4 * s) * rn:
+                trial = u + s * delta
+                if _lp_norm(spec.grid, _residual_rows(spec, trial), 2) <= (1.0 - 1e-4 * s) * rn:
                     u, moved = trial, True
                     break
                 s *= 0.5
         if not moved:
             # fall back to preconditioned descent on the residual norm
-            g = apply_multiplier(r, -spec.alpha)
+            g = _multiply(spec.grid, r, -spec.alpha)
             s = 1.0
             while s > 1e-12:
-                trial, rn_t = _guarded_residual_norm(spec, u, -s, g)
-                if trial is not None and rn_t < rn:
+                trial = u - s * g
+                if _lp_norm(spec.grid, _residual_rows(spec, trial), 2) < rn:
                     u, moved = trial, True
                     break
                 s *= 0.5
         if not moved:
-            return u, max(rn, rn_floor), it
-    r = residual(spec, u)
-    return u, lp_norm(r, 2), it
+            return u, max(rn, 1e-30), it
+    return u, _lp_norm(spec.grid, _residual(spec, u), 2), it
 
 
+@_quiet_overflow
 def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None = None,
                         probe: GeometryProbe | None = None, seed: int = 0) -> SolveReport:
     """Saddle-point search along deforming paths from 0 to e.
@@ -525,41 +514,42 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
     rng = np.random.Generator(np.random.Philox(seed))
 
     for attempt in (0, 1):
-        report = _mp_once(spec, e, opts, probe, rng, perturb=attempt > 0)
+        report = _mp_once(spec, e.values, opts, probe, rng, perturb=attempt > 0)
         collapsed = report.converged and probe is not None and \
-            _norm_lam(spec, report.solution) < opts.collapse_fraction * probe.rho
+            _norm_lam(spec, report.solution.values) < COLLAPSE_FRACTION * probe.rho
         if not collapsed:
             return report
     return replace(report, ok=False, message="collapsed to zero after restart")
 
 
 def _mp_once(spec, e, opts, probe, rng, perturb):
+    g = spec.grid
     m = opts.path_nodes
-    zero = Field(spec.grid, np.zeros(spec.grid.shape))
     nodes = [(i / (m - 1)) * e for i in range(m)]
-    nodes[0] = zero
+    nodes[0] = np.zeros(g.shape)
     if perturb:
-        scale = 0.01 * float(np.max(np.abs(e.values)))
+        scale = 0.01 * float(np.max(np.abs(e)))
         for i in range(1, m - 1):
-            noise = random_field(spec.grid, rng, envelope_sigma=2.0)
+            noise = _band_limit(g, rng.standard_normal(g.shape), 0.25, 2.0)
             nodes[i] = nodes[i] + scale * noise
-    energies = [energy(spec, u).total for u in nodes]
-    steps = np.full(m, opts.step_init)
+    energies = [_energy(spec, u) for u in nodes]
+    steps = np.full(m, STEP_INIT)
 
     trace: list[TraceEntry] = []
     it = 0
     recent: list[float] = []
     ridge_high = max(energies)
-    best = None  # (residual_norm, node field, node index) near the ridge
+    best = None  # (residual_norm, node values, node index) near the ridge
 
+    # nodes are replaced, never changed in place: best keeps a reference
     while it < opts.max_iter:
         for i in range(1, m - 1):
-            nodes[i], energies[i], used = _armijo_step(spec, nodes[i], energies[i], steps[i], opts)
-            steps[i] = min(max(used, 1e-6) * 2.0, opts.step_max) if used > 0 else max(steps[i] * 0.5, 1e-6)
+            nodes[i], energies[i], used = _armijo_step(spec, nodes[i], energies[i], steps[i])
+            steps[i] = min(max(used, 1e-6) * 2.0, STEP_MAX) if used > 0 else max(steps[i] * 0.5, 1e-6)
 
         e_max = max(energies)
         k = next(i for i, v in enumerate(energies) if v >= e_max - 1e-12)
-        rn = lp_norm(residual(spec, nodes[k]), 2)
+        rn = _lp_norm(g, _residual(spec, nodes[k]), 2)
         trace.append(TraceEntry(it, energies[k], rn, float(steps[k]), k, "path"))
         it += 1
         ridge_high = max(ridge_high, e_max)
@@ -571,8 +561,8 @@ def _mp_once(spec, e, opts, probe, rng, perturb):
         if e_max >= 0.5 * ridge_high and (best is None or rn < best[0]):
             best = (rn, nodes[k], k)
 
-        interior_peak = max(float(np.max(np.abs(u.values))) for u in nodes[1:-1])
-        if interior_peak < 1e-12 * max(1.0, float(np.max(np.abs(e.values)))):
+        interior_peak = max(float(np.max(np.abs(u))) for u in nodes[1:-1])
+        if interior_peak < 1e-12 * max(1.0, float(np.max(np.abs(e)))):
             raise PathCollapseError("every interior node collapsed to zero")
 
         if rn <= opts.tol:
@@ -580,35 +570,36 @@ def _mp_once(spec, e, opts, probe, rng, perturb):
             break
         if e_max < 0.5 * ridge_high:
             break  # torn through the ridge; refine from the best bracketing seed
-        if it >= 20 and rn <= opts.polish_threshold * (1.0 + abs(energies[k])):
+        if it >= 20 and rn <= POLISH_THRESHOLD * (1.0 + abs(energies[k])):
             best = (rn, nodes[k], k)
             break
         recent.append(energies[k])
-        if len(recent) > opts.stall_window:
+        if len(recent) > STALL_WINDOW:
             recent.pop(0)
-            if recent[0] - recent[-1] <= opts.stall_tol * (1.0 + abs(recent[-1])):
+            if recent[0] - recent[-1] <= STALL_TOL * (1.0 + abs(recent[-1])):
                 best = (rn, nodes[k], k)
                 break
 
     if best is None:
         k = max(range(m), key=lambda i: energies[i])
-        best = (lp_norm(residual(spec, nodes[k]), 2), nodes[k], k)
+        best = (_lp_norm(g, _residual(spec, nodes[k]), 2), nodes[k], k)
     rn, u, candidate_idx = best
     if rn > opts.tol:
         u, rn, it = _polish(spec, u, opts, trace, it, candidate_idx)
 
-    e_u = energy(spec, u).total
+    solution = Field(g, u)
+    e_u = energy(spec, solution).total
     converged = rn <= opts.tol
     ok = converged
     message = "converged" if converged else "residual tolerance not reached"
     if converged and probe is not None and \
-            e_u < probe.eta - opts.level_slack * (1.0 + abs(probe.eta)):
+            e_u < probe.eta - LEVEL_SLACK * (1.0 + abs(probe.eta)):
         ok = False
         message = f"converged at energy {e_u:.6g} below the probed ridge height {probe.eta:.6g}"
     return SolveReport(
-        solution=u, energy=e_u, residual_norm=rn, iterations=it,
+        solution=solution, energy=e_u, residual_norm=rn, iterations=it,
         classification="mountain_pass", converged=converged, ok=ok,
-        message=message, trace=tuple(trace), path=PathState(nodes=list(nodes)),
+        message=message, trace=tuple(trace), path=PathState(nodes=[Field(g, v) for v in nodes]),
     )
 
 
@@ -616,6 +607,7 @@ def _mp_once(spec, e, opts, probe, rng, perturb):
 # ball minimization
 
 
+@_quiet_overflow
 def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = None) -> SolveReport:
     """Minimize Phi over the ball ||u||_lam <= rho by projected descent.
 
@@ -628,17 +620,19 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
     if not (rho > 0 and np.isfinite(rho)):
         raise ValueError(f"ball radius must be positive, got {rho}")
 
+    g = spec.grid
     phi0 = _bump(spec)
     t_max = rho / _norm_lam(spec, phi0)
     # the negative dip near zero sits at amplitudes of order mu^{1/(2-p)},
     # which can be minuscule; the scan floor has to reach well below it
     ts = t_max * np.geomspace(1e-8, 1.0, 80)
-    scan = [(t, _energy_or_inf(spec, t * phi0)) for t in ts]
+    scan = [(t, _energy(spec, t * phi0)) for t in ts]
     t_best, e_best = min(scan, key=lambda te: te[1])
     if e_best >= 0.0:
-        zero = Field(spec.grid, np.zeros(spec.grid.shape))
+        zero = np.zeros(g.shape)
         return SolveReport(
-            solution=zero, energy=0.0, residual_norm=lp_norm(residual(spec, zero), 2),
+            solution=Field(g, zero), energy=0.0,
+            residual_norm=_lp_norm(g, _residual(spec, zero), 2),
             iterations=0, classification="local_min", converged=False, ok=False,
             message="no negative energy found inside the ball (is mu positive?)",
             trace=(), path=None,
@@ -646,15 +640,15 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
 
     u = t_best * phi0
     e_u = e_best
-    step = opts.step_init
+    step = STEP_INIT
     trace: list[TraceEntry] = []
     pinned_run = 0
     converged = False
     it = 0
 
     while it < opts.max_iter:
-        r = residual(spec, u)
-        rn = lp_norm(r, 2)
+        r = _residual(spec, u)
+        rn = _lp_norm(g, r, 2)
         trace.append(TraceEntry(it, e_u, rn, step, -1, "ball"))
         it += 1
         if rn <= opts.tol:
@@ -668,52 +662,53 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
             if delta is not None:
                 s, accepted = 1.0, False
                 while s > 1e-10:
-                    trial, e_t = _guarded_energy(spec, u, s, delta)
-                    if trial is not None and _norm_lam(spec, trial) <= rho \
-                            and e_t <= e_u + 1e-12:
+                    trial = u + s * delta
+                    e_t = _energy(spec, trial)
+                    # most trials fail the energy test, so the norm comes second
+                    if e_t <= e_u + 1e-12 and _norm_lam(spec, trial) <= rho:
                         u, e_u, accepted = trial, e_t, True
                         break
                     s *= 0.5
                 if accepted:
                     continue
 
-        g = apply_multiplier(r, -spec.alpha)
-        slope = _inner(r, g)
+        d = _multiply(g, r, -spec.alpha)
+        slope = _inner(spec, r, d)
         s = step
         accepted = False
         projected = False
         for _ in range(40):
-            trial, e_t = _guarded_energy(spec, u, -s, g)
-            if trial is not None:
-                t_norm = _norm_lam(spec, trial)
-                projected = t_norm > rho
-                if projected:
-                    trial = trial * (rho / t_norm)
-                    e_t = _energy_or_inf(spec, trial)
-                target = e_u - opts.armijo_slope * s * slope if not projected else e_u - 1e-14
-                if e_t <= target:
-                    u, e_u, accepted = trial, e_t, True
-                    step = min(s * 2.0, opts.step_max)
-                    break
-            s *= opts.backtrack_factor
+            trial = u - s * d
+            e_t = _energy(spec, trial)
+            t_norm = _norm_lam(spec, trial)
+            projected = t_norm > rho
+            if projected:
+                trial = trial * (rho / t_norm)
+                e_t = _energy(spec, trial)
+            target = e_u - ARMIJO_SLOPE * s * slope if not projected else e_u - 1e-14
+            if e_t <= target:
+                u, e_u, accepted = trial, e_t, True
+                step = min(s * 2.0, STEP_MAX)
+                break
+            s *= BACKTRACK_FACTOR
         if not accepted:
             break
         pinned_run = pinned_run + 1 if projected else 0
         if pinned_run > 50:
             break
 
-    margin = rho - _norm_lam(spec, u)
-    ok = converged and e_u < 0.0 and margin >= opts.interior_margin * rho
+    margin = rho - float(_norm_lam(spec, u))
+    ok = converged and e_u < 0.0 and margin >= INTERIOR_MARGIN * rho
     if not converged:
         message = "pinned to the sphere" if pinned_run > 50 else "residual tolerance not reached"
     elif e_u >= 0.0:
         message = "converged but the energy is not negative"
-    elif margin < opts.interior_margin * rho:
+    elif margin < INTERIOR_MARGIN * rho:
         message = f"converged on the boundary shell (margin {margin:.3g})"
     else:
         message = "converged"
     return SolveReport(
-        solution=u, energy=e_u, residual_norm=lp_norm(residual(spec, u), 2),
+        solution=Field(g, u), energy=e_u, residual_norm=_lp_norm(g, _residual(spec, u), 2),
         iterations=it, classification="local_min", converged=converged, ok=ok,
         message=message, trace=tuple(trace), path=None,
     )
@@ -734,7 +729,7 @@ class TwoSolutionResult:
     failed_stage: str | None
 
 
-def assess_levels(probe, mp, ball, opts: SolveOptions, distinct_tol: float):
+def assess_levels(probe, mp, ball, distinct_tol: float):
     """Final verdict over the two converged solves.
 
     Returns (success, distinctness, failure message or None).  The ridge
@@ -742,7 +737,7 @@ def assess_levels(probe, mp, ball, opts: SolveOptions, distinct_tol: float):
     sampled upper bound, not an exact level.
     """
     distinctness = lp_norm(mp.solution - ball.solution, 2)
-    slack = opts.level_slack * (1.0 + abs(probe.eta))
+    slack = LEVEL_SLACK * (1.0 + abs(probe.eta))
     if not ball.energy < 0.0 < probe.eta <= mp.energy + slack:
         return False, distinctness, "levels: ordering m < 0 < eta <= c failed"
     if distinctness <= distinct_tol:
@@ -797,12 +792,12 @@ def two_solution_stages(spec: ProblemSpec, opts: SolveOptions | None = None, see
                              lambda r: r.ok)
     if ball is None:
         return
-    yield from _stage("levels", lambda: _level_verdict(probe, mp, ball, opts, distinct_tol),
+    yield from _stage("levels", lambda: _level_verdict(probe, mp, ball, distinct_tol),
                       lambda v: v["failure"] is None)
 
 
-def _level_verdict(probe, mp, ball, opts, distinct_tol):
-    _, distinctness, failure = assess_levels(probe, mp, ball, opts, distinct_tol)
+def _level_verdict(probe, mp, ball, distinct_tol):
+    _, distinctness, failure = assess_levels(probe, mp, ball, distinct_tol)
     return {"levels": _levels(probe, mp, ball), "distinctness": distinctness,
             "failure": failure}
 
@@ -916,7 +911,7 @@ def ps_diagnostics(spec: ProblemSpec, iterates, embedding_trials: int = 200,
     all_ok = True
     max_norm = 0.0
     for u, e_u in zip(iterates, totals):
-        t = _norm_lam(spec, u)
+        t = float(_norm_lam(spec, u.values))
         max_norm = max(max_norm, t)
         lhs = half * t * t
         rhs = 1.0 + c_level + t + slack * t**spec.p

@@ -35,8 +35,6 @@ def _norm_lam(spec, u):
 def test_solve_options_validation():
     with pytest.raises(ValueError, match="3 nodes"):
         SolveOptions(path_nodes=2)
-    with pytest.raises(ValueError, match="backtrack_factor"):
-        SolveOptions(backtrack_factor=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +176,14 @@ class TestMountainPass:
     def test_energy_regression(self, coercive_mp):
         assert coercive_mp.energy == pytest.approx(3.22418890, rel=1e-6)
 
+    # Exact values from the Field-by-Field solvers; running them on arrays
+    # must not move a bit.  The dense Newton solve's last bits follow the
+    # BLAS thread count: these were recorded with OpenBLAS on two threads
+    # (on one thread the saddle reads 3.224188904309268).
+
+    def test_exact_regression(self, coercive_mp):
+        assert coercive_mp.energy == 3.2241889043092673
+
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
 
@@ -234,6 +240,9 @@ class TestBallMin:
         # the concave term is tiny at mu = 0.01, so the dip is shallow
         assert -1e-9 < coercive_ball.energy < 0.0
 
+    def test_exact_regression(self, coercive_ball):
+        assert coercive_ball.energy == -5.63467669466981e-11
+
     def test_descent_monotone(self, coercive_ball):
         es = [t.energy for t in coercive_ball.trace]
         for a, b in zip(es, es[1:]):
@@ -270,6 +279,12 @@ class TestTwoSolutions:
         assert well_result.local_min.energy == pytest.approx(-9.819310e-08, rel=1e-3)
         assert well_result.distinctness == pytest.approx(1.674074, rel=1e-3)
 
+    def test_well_exact_regression(self, well_result):
+        # recorded as the coercive pins above, with OpenBLAS on two threads
+        assert well_result.mountain_pass.energy == 1.493150517621171
+        assert well_result.local_min.energy == -9.819309641087939e-08
+        assert well_result.distinctness == 1.674073806896934
+
     def test_levels_echo_reports(self, well_result):
         lv = well_result.levels
         assert lv["local_min_energy"] == well_result.local_min.energy
@@ -291,21 +306,33 @@ class TestTwoSolutions:
         assert r.levels["local_min_energy"] is not None
 
 
+@pytest.mark.parametrize("cfg,saddle,minimizer", [
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945194, -2.484581077199908e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124023, -3.083582225587135e-11),
+], ids=["2d", "3d"])
+def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
+    # both grids take the dense Newton route; the pins were recorded with
+    # OpenBLAS on two threads, like the 1-D ones
+    r = two_solution_experiment(build_spec(cfg), seed=0)
+    assert r.success, r.failed_stage
+    assert r.mountain_pass.energy == saddle
+    assert r.local_min.energy == minimizer
+
+
 def test_assess_levels_verdicts(well_result):
-    opts = SolveOptions()
     probe = well_result.probe
     mp = well_result.mountain_pass
     ball = well_result.local_min
 
-    ok, dist, failure = assess_levels(probe, mp, ball, opts, distinct_tol=1e-3)
+    ok, dist, failure = assess_levels(probe, mp, ball, distinct_tol=1e-3)
     assert ok and failure is None
     assert dist == well_result.distinctness
 
-    ok, _, failure = assess_levels(probe, mp, ball, opts, distinct_tol=10.0)
+    ok, _, failure = assess_levels(probe, mp, ball, distinct_tol=10.0)
     assert not ok and "not distinct" in failure
 
     # feeding the minimizer in as the saddle breaks the ordering
-    ok, _, failure = assess_levels(probe, ball, ball, opts, distinct_tol=1e-3)
+    ok, _, failure = assess_levels(probe, ball, ball, distinct_tol=1e-3)
     assert not ok and "ordering" in failure
 
 
@@ -318,15 +345,15 @@ def test_dense_newton_direction_2d():
     # by column so the check does not go through the grid's cached matrix
     spec = build_spec(RunConfig(dim=2, n=16, box_length=10.0))
     g = spec.grid
-    u = Field(g, 2.0 * np.exp(-g.radius_sq))
-    r = residual(spec, u)
+    u = 2.0 * np.exp(-g.radius_sq)
+    r = residual(spec, Field(g, u)).values
     delta = _newton_direction(spec, u, r)
     assert delta is not None
     cols = [apply_multiplier(Field(g, e.reshape(g.shape)), spec.alpha).values.ravel()
             for e in np.eye(g.total_points)]
     J = np.stack(cols, axis=1) + np.diag(_hessian_diag(spec, u).ravel())
-    rv = r.values.ravel()
-    assert np.linalg.norm(J @ delta.values.ravel() + rv) <= 1e-8 * np.linalg.norm(rv)
+    rv = r.ravel()
+    assert np.linalg.norm(J @ delta.ravel() + rv) <= 1e-8 * np.linalg.norm(rv)
 
 
 # ---------------------------------------------------------------------------
