@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, build_options, build_spec, parse_config
+from .config import MODES, ConfigError, RunConfig, build_options, build_spec, parse_config
 from .fieldio import save_field
 from .grid import Field
 from .kernels import bessel_kernel
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
         description="Spectral two-solution solver and property checks for a "
                     "nonlocal elliptic problem on a periodic box.")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("solve", "two-solutions", "verify", "probe-geometry", "kernel-table"):
+    for mode in MODES:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", type=Path, default=None,
                         help="key=value or JSON config file")

@@ -2,7 +2,9 @@
 
 Parsing accumulates every problem it finds (unknown keys, duplicates,
 range violations) and reports them together; nothing is computed from a
-config that failed validation.
+config that failed validation.  Range rules live in the objects a run
+builds (Grid, ProblemSpec, WellPotential, SolveOptions): parsing builds
+them and reports what they reject, so a config that parses also builds.
 """
 
 from __future__ import annotations
@@ -149,36 +151,16 @@ def _coerce(key, value, errors):
 
 
 def _validate(cfg: RunConfig, errors) -> None:
+    """Rules no built object owns; build_spec and build_options check the rest."""
     if cfg.mode not in MODES:
         errors.append(f"mode: unknown mode {cfg.mode!r}; choose from {', '.join(MODES)}")
-    if cfg.dim not in (1, 2, 3):
-        errors.append(f"dim: must be 1, 2, or 3, got {cfg.dim}")
-    if cfg.n <= 0:
-        errors.append(f"n: must be positive, got {cfg.n}")
-    if cfg.box_length <= 0:
-        errors.append(f"box_length: must be positive, got {cfg.box_length}")
-    if not 0.0 < cfg.alpha < 1.0:
-        errors.append(f"alpha: must lie in the open interval (0, 1), got {cfg.alpha}")
-    if cfg.lam <= 0:
-        errors.append(f"lambda: must be positive, got {cfg.lam}")
-    if cfg.mu < 0:
-        errors.append(f"mu: must be nonnegative, got {cfg.mu}")
-    if not 1.0 < cfg.p < 2.0:
-        errors.append(f"p: must lie in the open interval (1, 2), got {cfg.p}")
-    if cfg.q <= 2.0:
-        errors.append(f"q: must exceed 2, got {cfg.q}")
     if cfg.potential not in POTENTIALS:
         errors.append(f"potential: unknown choice {cfg.potential!r}; choose from {', '.join(POTENTIALS)}")
     if cfg.xi not in WEIGHTS:
         errors.append(f"xi: unknown choice {cfg.xi!r}; choose from {', '.join(WEIGHTS)}")
-    for name in ("well_radius", "well_height", "well_ramp", "tol", "distinct_tol", "b"):
+    for name in ("distinct_tol", "b", "samples_per_rho", "trials"):
         if getattr(cfg, name) <= 0:
             errors.append(f"{name}: must be positive, got {getattr(cfg, name)}")
-    for name in ("max_iter", "samples_per_rho", "trials"):
-        if getattr(cfg, name) <= 0:
-            errors.append(f"{name}: must be positive, got {getattr(cfg, name)}")
-    if cfg.path_nodes < 3:
-        errors.append(f"path_nodes: needs at least 3 nodes, got {cfg.path_nodes}")
     if cfg.beta is not None and not 0.0 < cfg.beta < 2.0:
         errors.append(f"beta: must lie in (0, 2), got {cfg.beta}")
     if cfg.rho_grid is not None and any(r <= 0 for r in cfg.rho_grid):
@@ -186,6 +168,12 @@ def _validate(cfg: RunConfig, errors) -> None:
     for name in cfg.checks:
         if name != "auto" and name not in CHECK_NAMES:
             errors.append(f"checks: unknown checker {name!r}; choose from {', '.join(CHECK_NAMES)}")
+    for build in (build_spec, build_options):
+        try:
+            build(cfg)
+        except ValueError as err:
+            # the constructors join their problems with "; " (grid._require)
+            errors.extend(str(err).split("; "))
 
 
 def parse_config(text: str) -> RunConfig:

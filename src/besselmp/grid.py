@@ -41,6 +41,13 @@ DENSE_MAX_POINTS = 2048
 BATCH_MAX_POINTS = 16384
 
 
+def _require(*rules) -> None:
+    """Raise one ValueError naming every (holds, message) rule that fails, joined by "; "."""
+    problems = [message for holds, message in rules if not holds]
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -55,12 +62,10 @@ class Grid:
     box_length: float
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if int(self.n) != self.n or self.n <= 0:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not (self.box_length > 0.0 and np.isfinite(self.box_length)):
-            raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
+        _require((self.dim in (1, 2, 3), f"dim must be 1, 2 or 3, got {self.dim}"),
+                 (int(self.n) == self.n and self.n > 0, f"n must be a positive integer, got {self.n}"),
+                 (0.0 < self.box_length < np.inf,
+                  f"box_length must be positive and finite, got {self.box_length}"))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "box_length", float(self.box_length))
         if self.n < 8:

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, signal, special
+from scipy import integrate, special
 
 from .grid import Field, apply_multiplier, make_grid, spectral_derivative
 
@@ -138,7 +138,13 @@ def _singular_integral(field: Field, index: int, alpha: float, refine_factor: in
     g = field.grid
     nf = g.n * refine_factor
     hf = g.spacing / refine_factor
-    u_fine = signal.resample(field.values, nf)
+    # trigonometric interpolation onto the fine grid as scipy.signal.resample
+    # does it: zero-pad the half spectrum, halving an even n's Nyquist bin
+    half = np.zeros(nf // 2 + 1, dtype=complex)
+    half[: g.n // 2 + 1] = np.fft.rfft(field.values)
+    if g.n % 2 == 0 and refine_factor > 1:
+        half[g.n // 2] *= 0.5
+    u_fine = np.fft.irfft(half, nf) * refine_factor
     count = nf // 2 - 1
     z, w, moment2 = _pv_weights(alpha, hf, count)
 

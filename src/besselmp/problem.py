@@ -26,6 +26,7 @@ from .grid import (
     Field,
     Grid,
     _multiply,
+    _require,
     _row_sum,
     _weighted_norm_sq_rows,
     apply_multiplier,
@@ -135,8 +136,9 @@ class WellPotential:
     family = "well"
 
     def __post_init__(self):
-        if self.radius <= 0 or self.height <= 0 or self.ramp <= 0:
-            raise ValueError("well radius, height and ramp width must all be positive")
+        _require((self.radius > 0, f"well radius: must be positive, got {self.radius}"),
+                 (self.height > 0, f"well height: must be positive, got {self.height}"),
+                 (self.ramp > 0, f"well ramp: must be positive, got {self.ramp}"))
 
     def values(self, grid: Grid) -> np.ndarray:
         rho = np.sqrt(grid.radius_sq)
@@ -194,25 +196,21 @@ class ProblemSpec:
     weight: object = field(default_factory=GaussianWeight)
 
     def __post_init__(self):
-        problems = []
-        if not 0.0 < self.alpha < 1.0:
-            problems.append(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not (self.lam > 0 and np.isfinite(self.lam)):
-            problems.append(f"lam must be positive, got {self.lam}")
-        if not (self.mu >= 0 and np.isfinite(self.mu)):
-            problems.append(f"mu must be nonnegative, got {self.mu}")
-        if not 1.0 < self.p < 2.0:
-            problems.append(f"p must lie in (1, 2), got {self.p}")
+        alpha_ok = 0.0 < self.alpha < 1.0
         q = getattr(self.nonlinearity, "q", None)
         theta = getattr(self.nonlinearity, "theta", None)
-        if q is not None and 0.0 < self.alpha < 1.0:
-            qmax = critical_exponent(self.grid.dim, self.alpha)
-            if not 2.0 < q < qmax:
-                problems.append(f"growth exponent q={q} must lie in (2, {qmax})")
-        if theta is not None and not theta > 2.0:
-            problems.append(f"superquadraticity exponent theta={theta} must exceed 2")
-        if problems:
-            raise ValueError("; ".join(problems))
+        # without a valid alpha only the lower bound on q can be checked
+        qmax = critical_exponent(self.grid.dim, self.alpha) if alpha_ok else math.inf
+        _require(
+            (alpha_ok, f"alpha: must lie in the open interval (0, 1), got {self.alpha}"),
+            (0.0 < self.lam < math.inf, f"lam: must be positive and finite, got {self.lam}"),
+            (0.0 <= self.mu < math.inf, f"mu: must be nonnegative and finite, got {self.mu}"),
+            (1.0 < self.p < 2.0, f"p: must lie in the open interval (1, 2), got {self.p}"),
+            (q is None or 2.0 < q < qmax, f"q: growth exponent must lie in (2, {qmax}), got {q}"),
+            # a theta equal to q is checked by the rule on q
+            (theta is None or theta == q or theta > 2.0,
+             f"theta: superquadraticity exponent must exceed 2, got {theta}"),
+        )
 
     @cached_property
     def V_field(self) -> Field:

@@ -32,6 +32,7 @@ from .grid import (
     _band_limit,
     _lp_norm,
     _multiply,
+    _require,
     _weighted_norm_sq_rows,
     lp_norm,
 )
@@ -100,8 +101,9 @@ class SolveOptions:
     path_nodes: int = 41
 
     def __post_init__(self):
-        if self.path_nodes < 3:
-            raise ValueError("path needs at least 3 nodes")
+        _require((self.tol > 0, f"tol: must be positive, got {self.tol}"),
+                 (self.max_iter >= 1, f"max_iter: must be at least 1, got {self.max_iter}"),
+                 (self.path_nodes >= 3, f"path_nodes: needs at least 3 nodes, got {self.path_nodes}"))
 
 
 @dataclass(frozen=True)

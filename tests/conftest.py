@@ -2,9 +2,18 @@
 
 The solve fixtures are session-scoped because several files assert against
 the same converged run; everything downstream treats them as read-only.
+
+The dense Newton solve's last bits follow the BLAS thread count, so the
+suite pins BLAS to one thread before NumPy loads (pytest imports this file
+first); the exact solver pins hold whatever the environment sets.
 """
 
-import pytest
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
 
 from besselmp import (
     ball_min_solve,

@@ -173,6 +173,23 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("mode", ["solve", "verify"])
+@pytest.mark.parametrize("text,limit", [
+    ("dim = 3\n", 4.0),              # default alpha 0.75: 2*3/(3 - 1.5)
+    ("alpha = 0.25\n", 4.0),         # 1-D: 2/(1 - 0.5)
+    ("dim = 2\nq = 9\n", 8.0),       # 2*2/(2 - 1.5)
+], ids=["dim3", "alpha-quarter", "dim2-q9"])
+def test_supercritical_growth_is_a_config_error(tmp_path, capsys, mode, text, limit):
+    out = tmp_path / "out"
+    rc = main([mode, "--config", str(_write(tmp_path, text)), "--out", str(out)])
+    assert rc == 2
+
+    err = capsys.readouterr().err
+    assert f"config error: q: growth exponent must lie in (2, {limit})" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_runs_are_deterministic(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["solve", "--out", str(out_a)]) == 0

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselmp import ConfigError, RunConfig, parse_config
 from besselmp.config import build_options, build_spec
@@ -135,3 +137,24 @@ def test_build_options_maps_solver_keys():
     assert opts.tol == 1e-6
     assert opts.max_iter == 99
     assert opts.path_nodes == 11
+
+
+@pytest.mark.filterwarnings("ignore:n=")  # coarse or non-power-of-two grids
+@settings(max_examples=300, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), n=st.integers(0, 300),
+       box_length=st.floats(0.0, 50.0), alpha=st.floats(0.0, 1.0), p=st.floats(1.0, 2.0),
+       q=st.floats(2.0, 12.0), lam=st.floats(0.0, 100.0), mu=st.floats(-0.01, 1.0),
+       potential=st.sampled_from(["coercive_quadratic", "well"]),
+       well_radius=st.floats(0.0, 5.0), well_height=st.floats(0.0, 100.0),
+       well_ramp=st.floats(0.0, 5.0), path_nodes=st.integers(2, 60),
+       tol=st.floats(0.0, 1e-3), max_iter=st.integers(0, 10000))
+def test_parsed_config_always_builds(**values):
+    # ranges reach each rule's boundary, so both verdicts come up often
+    text = "\n".join(f"{key} = {value}" for key, value in values.items())
+    try:
+        cfg = parse_config(text)
+    except ConfigError as err:
+        assert err.errors
+        return
+    build_spec(cfg)
+    build_options(cfg)

@@ -25,6 +25,7 @@ from besselmp import (
     weighted_norm_sq,
 )
 from besselmp.config import RunConfig, build_spec
+from besselmp.grid import DENSE_MAX_POINTS
 from besselmp.solvers import _hessian_diag, _newton_direction, _sphere_polish
 
 
@@ -35,6 +36,10 @@ def _norm_lam(spec, u):
 def test_solve_options_validation():
     with pytest.raises(ValueError, match="3 nodes"):
         SolveOptions(path_nodes=2)
+    with pytest.raises(ValueError, match="tol: must be positive"):
+        SolveOptions(tol=0.0)
+    with pytest.raises(ValueError, match="max_iter: must be at least 1"):
+        SolveOptions(max_iter=0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +183,11 @@ class TestMountainPass:
 
     # Exact values from the Field-by-Field solvers; running them on arrays
     # must not move a bit.  The dense Newton solve's last bits follow the
-    # BLAS thread count: these were recorded with OpenBLAS on two threads
-    # (on one thread the saddle reads 3.224188904309268).
+    # BLAS thread count: these were recorded on one thread, which conftest
+    # pins (on two OpenBLAS threads the saddle reads 3.2241889043092673).
 
     def test_exact_regression(self, coercive_mp):
-        assert coercive_mp.energy == 3.2241889043092673
+        assert coercive_mp.energy == 3.224188904309268
 
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
@@ -212,6 +217,15 @@ class TestMountainPass:
         assert again.energy == coercive_mp.energy
         np.testing.assert_array_equal(again.solution.values,
                                       coercive_mp.solution.values)
+
+    def test_saddle_below_ridge_height_rejected(self, coercive_spec, coercive_probe,
+                                                coercive_mp):
+        high = replace(coercive_probe, eta=1.1 * coercive_mp.energy)
+        report = mountain_pass_solve(coercive_spec, coercive_probe.e, probe=high)
+        assert report.converged and not report.ok
+        assert report.message.startswith("converged at energy")
+        assert "below the probed ridge height" in report.message
+        assert report.energy == coercive_mp.energy
 
     def test_rejects_positive_energy_endpoint(self, coercive_spec):
         g = coercive_spec.grid
@@ -280,10 +294,10 @@ class TestTwoSolutions:
         assert well_result.distinctness == pytest.approx(1.674074, rel=1e-3)
 
     def test_well_exact_regression(self, well_result):
-        # recorded as the coercive pins above, with OpenBLAS on two threads
-        assert well_result.mountain_pass.energy == 1.493150517621171
-        assert well_result.local_min.energy == -9.819309641087939e-08
-        assert well_result.distinctness == 1.674073806896934
+        # recorded as the coercive pins above, on one BLAS thread
+        assert well_result.mountain_pass.energy == 1.4931505176211715
+        assert well_result.local_min.energy == -9.819309641087934e-08
+        assert well_result.distinctness == 1.6740738068969343
 
     def test_levels_echo_reports(self, well_result):
         lv = well_result.levels
@@ -308,11 +322,11 @@ class TestTwoSolutions:
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
     (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945194, -2.484581077199908e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124023, -3.083582225587135e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124027, -3.083582225587135e-11),
 ], ids=["2d", "3d"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
-    # both grids take the dense Newton route; the pins were recorded with
-    # OpenBLAS on two threads, like the 1-D ones
+    # both grids take the dense Newton route; the pins were recorded on one
+    # BLAS thread, like the 1-D ones
     r = two_solution_experiment(build_spec(cfg), seed=0)
     assert r.success, r.failed_stage
     assert r.mountain_pass.energy == saddle
@@ -340,20 +354,22 @@ def test_assess_levels_verdicts(well_result):
 # Newton direction
 
 
-def test_dense_newton_direction_2d():
-    # 16 x 16 = 256 points takes the dense branch; J is rebuilt here column
-    # by column so the check does not go through the grid's cached matrix
-    spec = build_spec(RunConfig(dim=2, n=16, box_length=10.0))
+@pytest.mark.parametrize("n,box_length,dense", [(16, 10.0, True), (64, 15.0, False)],
+                         ids=["dense", "krylov"])
+def test_newton_direction_2d(n, box_length, dense):
+    # 16 x 16 points take the dense branch, 64 x 64 the Krylov one.  J is
+    # applied as the multiplier plus the pointwise Hessian part, so the
+    # check goes through neither the grid's cached matrix nor the solver.
+    spec = build_spec(RunConfig(dim=2, n=n, box_length=box_length))
     g = spec.grid
+    assert (g.total_points <= DENSE_MAX_POINTS) == dense
     u = 2.0 * np.exp(-g.radius_sq)
     r = residual(spec, Field(g, u)).values
     delta = _newton_direction(spec, u, r)
     assert delta is not None
-    cols = [apply_multiplier(Field(g, e.reshape(g.shape)), spec.alpha).values.ravel()
-            for e in np.eye(g.total_points)]
-    J = np.stack(cols, axis=1) + np.diag(_hessian_diag(spec, u).ravel())
-    rv = r.ravel()
-    assert np.linalg.norm(J @ delta.ravel() + rv) <= 1e-8 * np.linalg.norm(rv)
+    j_delta = apply_multiplier(Field(g, delta), spec.alpha).values \
+        + _hessian_diag(spec, u) * delta
+    assert np.linalg.norm(j_delta + r) <= 1e-8 * np.linalg.norm(r)
 
 
 # ---------------------------------------------------------------------------
