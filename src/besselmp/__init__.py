@@ -49,7 +49,6 @@ from .problem import (
 from .solvers import (
     GeometryError,
     GeometryProbe,
-    PathCollapseError,
     PSDiagnostics,
     SolveOptions,
     SolveReport,

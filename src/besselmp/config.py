@@ -10,7 +10,9 @@ them and reports what they reject, so a config that parses also builds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import types
+from dataclasses import dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from .problem import (
     CoerciveQuadraticPotential,
@@ -60,33 +62,30 @@ class RunConfig:
     tol: float = 1e-8
     max_iter: int = 5000
     path_nodes: int = 41
-    rho_grid: tuple | None = None
+    rho_grid: tuple[float, ...] | None = None
     samples_per_rho: int = 64
     distinct_tol: float = 1e-3
     # "auto" resolves at run time to the checkers that make sense for the
     # configured potential family (coercivity needs strict positivity, the
     # sublevel checks need a well)
-    checks: tuple = ("auto",)
+    checks: tuple[str, ...] = ("auto",)
     b: float = 10.0
     trials: int = 100
     tau: float = 1.5
     beta: float | None = None
-    separations: tuple = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 15.0)
-    s_list: tuple = (2.0, 3.0, 4.0)
-    kernel_radii: tuple = (0.25, 0.5, 1.0, 2.0, 4.0)
-    kernel_alphas: tuple = (0.5, 1.0, 1.5, 2.0)
+    separations: tuple[float, ...] = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 15.0)
+    s_list: tuple[float, ...] = (2.0, 3.0, 4.0)
+    kernel_radii: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
+    kernel_alphas: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
     seed: int = 0
     out_dir: str = "out"
 
 
-_INT_KEYS = {"dim", "n", "max_iter", "path_nodes", "samples_per_rho", "trials", "seed"}
-_FLOAT_KEYS = {"box_length", "alpha", "lam", "mu", "p", "q", "well_radius",
-               "well_height", "well_ramp", "tol", "distinct_tol", "b", "tau", "beta"}
-_LIST_KEYS = {"rho_grid", "separations", "s_list", "kernel_radii", "kernel_alphas"}
-_STR_KEYS = {"mode", "potential", "xi", "out_dir"}
-_STR_LIST_KEYS = {"checks"}
+# each key parses as its RunConfig annotation says (X | None as X): int,
+# float, str, or a tuple of floats or of strings
+_FIELD_TYPES = {name: get_args(tp)[0] if get_origin(tp) is types.UnionType else tp
+                for name, tp in get_type_hints(RunConfig).items()}
 _ALIASES = {"lambda": "lam"}
-_KNOWN = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS | _STR_LIST_KEYS
 
 
 def _raw_pairs(text, errors):
@@ -118,24 +117,11 @@ def _raw_pairs(text, errors):
 
 
 def _coerce(key, value, errors):
-    if key in _INT_KEYS:
-        try:
-            if isinstance(value, bool):
-                raise ValueError
-            out = int(str(value))
-        except ValueError:
-            errors.append(f"{key}: expected an integer, got {value!r}")
-            return None
-        return out
-    if key in _FLOAT_KEYS:
-        try:
-            out = float(str(value))
-        except ValueError:
-            errors.append(f"{key}: expected a number, got {value!r}")
-            return None
-        return out
-    if key in _LIST_KEYS:
+    tp = _FIELD_TYPES[key]
+    if get_origin(tp) is tuple:
         items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+        if get_args(tp)[0] is str:
+            return tuple(str(item).strip() for item in items)
         out = []
         for item in items:
             try:
@@ -144,10 +130,14 @@ def _coerce(key, value, errors):
                 errors.append(f"{key}: expected numbers, got {item!r}")
                 return None
         return tuple(out)
-    if key in _STR_LIST_KEYS:
-        items = value if isinstance(value, (list, tuple)) else str(value).split(",")
-        return tuple(str(item).strip() for item in items)
-    return str(value)
+    if tp is str:
+        return str(value)
+    try:
+        # str() first: int(2.5) would truncate, int("2.5") and int("True") refuse
+        return tp(str(value))
+    except ValueError:
+        errors.append(f"{key}: expected {'an integer' if tp is int else 'a number'}, got {value!r}")
+        return None
 
 
 def _validate(cfg: RunConfig, errors) -> None:
@@ -168,12 +158,22 @@ def _validate(cfg: RunConfig, errors) -> None:
     for name in cfg.checks:
         if name != "auto" and name not in CHECK_NAMES:
             errors.append(f"checks: unknown checker {name!r}; choose from {', '.join(CHECK_NAMES)}")
-    for build in (build_spec, build_options):
-        try:
-            build(cfg)
-        except ValueError as err:
-            # the constructors join their problems with "; " (grid._require)
-            errors.extend(str(err).split("; "))
+    grid = _collect(errors, lambda: Grid(dim=cfg.dim, n=cfg.n, box_length=cfg.box_length))
+    if cfg.dim in (1, 2, 3):
+        # the problem's own rules need only the dimension: a small grid of it
+        # stands in for one refused for its size or its box
+        _collect(errors, lambda: _problem_on(grid or Grid(cfg.dim, 8, 1.0), cfg))
+    _collect(errors, lambda: build_options(cfg))
+
+
+def _collect(errors, build):
+    """build(), or None after adding the problems of the ValueError it raised."""
+    try:
+        return build()
+    except ValueError as err:
+        # the constructors join their problems with "; " (grid._require)
+        errors.extend(str(err).split("; "))
+        return None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -184,7 +184,7 @@ def parse_config(text: str) -> RunConfig:
     values: dict = {}
     for key, value in pairs:
         key = _ALIASES.get(key, key)
-        if key not in _KNOWN:
+        if key not in _FIELD_TYPES:
             errors.append(f"unknown key {key!r}")
             continue
         if key in seen:
@@ -195,8 +195,7 @@ def parse_config(text: str) -> RunConfig:
         if coerced is not None:
             values[key] = coerced
 
-    known_fields = {f.name for f in fields(RunConfig)}
-    cfg = RunConfig(**{k: v for k, v in values.items() if k in known_fields})
+    cfg = RunConfig(**values)
     _validate(cfg, errors)
     if errors:
         raise ConfigError(errors)
@@ -204,7 +203,10 @@ def parse_config(text: str) -> RunConfig:
 
 
 def build_spec(cfg: RunConfig) -> ProblemSpec:
-    grid = Grid(dim=cfg.dim, n=cfg.n, box_length=cfg.box_length)
+    return _problem_on(Grid(dim=cfg.dim, n=cfg.n, box_length=cfg.box_length), cfg)
+
+
+def _problem_on(grid: Grid, cfg: RunConfig) -> ProblemSpec:
     if cfg.potential == "well":
         potential = WellPotential(radius=cfg.well_radius, height=cfg.well_height,
                                   ramp=cfg.well_ramp)

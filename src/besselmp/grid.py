@@ -35,6 +35,10 @@ __all__ = [
 # matrix (32 MB at this size); larger grids go through a Krylov solver.
 DENSE_MAX_POINTS = 2048
 
+# Most points a Grid may have: 8 MB per real field, of which a solve holds
+# dozens (n = 256 in 3-D would be 16.8M points, 134 MB per field).
+GRID_MAX_POINTS = 2**20
+
 # Most points in one stack of fields that a row kernel transforms at once:
 # a stack holds ``Grid.batch_rows`` = max(1, BATCH_MAX_POINTS // total_points)
 # fields (64 at n=256 in 1-D, 7 at 48 x 48), which bounds the temporaries.
@@ -62,10 +66,14 @@ class Grid:
     box_length: float
 
     def __post_init__(self):
+        points = int(self.n) ** self.dim if self.dim in (1, 2, 3) else 0
         _require((self.dim in (1, 2, 3), f"dim must be 1, 2 or 3, got {self.dim}"),
                  (int(self.n) == self.n and self.n > 0, f"n must be a positive integer, got {self.n}"),
                  (0.0 < self.box_length < np.inf,
-                  f"box_length must be positive and finite, got {self.box_length}"))
+                  f"box_length must be positive and finite, got {self.box_length}"),
+                 (points <= GRID_MAX_POINTS,
+                  f"n={self.n} in dim {self.dim} gives {points:,} points, "
+                  f"above the grid point limit of {GRID_MAX_POINTS:,}"))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "box_length", float(self.box_length))
         if self.n < 8:

@@ -127,30 +127,31 @@ def check_sublevel_l2_bound(spec: ProblemSpec, b: float, trials: int = 100,
     )
 
 
-def _effective_radius(values, axis_coords, cut=1e-8):
+def _effective_radius(values, radius_sq, cut=1e-8):
     peak = np.max(np.abs(values))
     if peak == 0:
         return 0.0
     hit = np.abs(values) > cut * peak
-    return float(np.max(np.abs(axis_coords[hit])))
+    return float(np.sqrt(np.max(radius_sq[hit])))
 
 
 def check_splitting(spec: ProblemSpec, u0: Field, w: Field, separations,
                     threshold: float = 1e-3) -> CheckRecord:
     """Energy additivity under separation: Phi(u0 + w(.-s)) vs Phi(u0) + Phi(w(.-s)).
 
-    Shifts snap to whole grid cells (exact periodic roll).  Deviations must
-    shrink as the parts separate and fall below the threshold at the
-    largest separation; a shifted part leaking into the box edge raises.
+    Shifts move w along the first axis and snap to whole grid cells (exact
+    periodic roll).  Deviations must shrink as the parts separate and fall
+    below the threshold at the largest separation; a part leaking into the
+    band max_i |x_i| >= 0.45 box_length raises.
     """
     g = spec.grid
     h = g.spacing
+    edge = np.max(np.abs(g.coords()), axis=0) >= 0.45 * g.box_length
     rows = []
     for s in separations:
         cells = int(round(s / h))
         s_actual = cells * h
         shifted = Field(g, np.roll(w.values, cells, axis=0))
-        edge = np.abs(g.axis_coords) >= 0.45 * g.box_length
         for f_ in (u0, shifted):
             band_peak = np.max(np.abs(f_.values[edge]))
             # 1e-4 relative edge mass perturbs the deviations well below the
@@ -167,11 +168,15 @@ def check_splitting(spec: ProblemSpec, u0: Field, w: Field, separations,
             "xi_term": abs(e_c.xi_term - e_0.xi_term - e_s.xi_term),
         })
 
-    overlap = _effective_radius(u0.values, g.axis_coords) + _effective_radius(w.values, g.axis_coords)
+    overlap = _effective_radius(u0.values, g.radius_sq) + _effective_radius(w.values, g.radius_sq)
     devs = [r["total"] for r in rows]
     seps = [r["separation"] for r in rows]
     beyond = [d for s, d in zip(seps, devs) if s > overlap]
-    monotone = all(b <= a * 1.05 + 1e-15 for a, b in zip(beyond, beyond[1:]))
+    # a deviation below threshold / 100 has settled: its wiggle is at the
+    # discretization level (about 1e-6 on a 2-D n=64 grid) and cannot carry
+    # the final deviation across the threshold, so it cannot move the verdict
+    settled = threshold / 100.0
+    monotone = all(b <= a * 1.05 + 1e-15 or b < settled for a, b in zip(beyond, beyond[1:]))
     final_ok = devs[-1] < threshold
     return CheckRecord(
         "splitting", {"separations": [float(s) for s in seps], "threshold": threshold},

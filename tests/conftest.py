@@ -43,7 +43,7 @@ def coercive_probe(coercive_spec):
 @pytest.fixture(scope="session")
 def coercive_mp(coercive_spec, coercive_probe):
     return mountain_pass_solve(coercive_spec, coercive_probe.e,
-                               probe=coercive_probe, seed=0)
+                               probe=coercive_probe)
 
 
 @pytest.fixture(scope="session")

@@ -96,7 +96,7 @@ def test_05_saddle_above_sphere_floor(coercive_spec):
     probe = probe_geometry(coercive_spec, seed=0)
     assert probe.eta > 0.0
     assert energy(coercive_spec, probe.e).total < 0.0
-    mp = mountain_pass_solve(coercive_spec, probe.e, probe=probe, seed=0)
+    mp = mountain_pass_solve(coercive_spec, probe.e, probe=probe)
     assert mp.ok
     assert lp_norm(residual(coercive_spec, mp.solution), 2) <= 1e-8
     assert mp.energy >= probe.eta
@@ -151,7 +151,7 @@ def test_10_holder_quotient_stable_under_refinement(coercive_mp):
 
     spec = canonical_coercive_spec(n=512)
     probe = probe_geometry(spec, seed=0)
-    fine_mp = mountain_pass_solve(spec, probe.e, probe=probe, seed=0)
+    fine_mp = mountain_pass_solve(spec, probe.e, probe=probe)
     assert fine_mp.ok
     fine = holder_estimate(fine_mp.solution, beta)
     assert abs(fine - coarse) <= 0.05 * coarse

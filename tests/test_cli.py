@@ -102,6 +102,23 @@ def test_two_solutions_failure_marks_report(tmp_path):
     assert (out / "mountain_pass.bmpf").exists()
 
 
+def test_failed_probe_reports_its_error(tmp_path, capsys):
+    # mu = 50 leaves every sampled sphere minimum negative
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(_write(tmp_path, "mu = 50\n")), "--out", str(out)])
+    assert rc == 1
+
+    rep = _report(out)
+    assert rep["status"] == "FAILED"
+    (stage,) = rep["stages"]
+    assert stage["name"] == "probe_geometry" and not stage["passed"]
+    assert list(stage["summary"]) == ["error"]
+    assert stage["summary"]["error"].startswith(
+        "GeometryError: no sampled sphere minimum is positive")
+    assert "[FAIL] probe_geometry" in capsys.readouterr().out
+    assert not (out / "mountain_pass.bmpf").exists()
+
+
 def test_verify_mode_coercive(tmp_path):
     out = tmp_path / "out"
     rc = main(["verify", "--config", str(_write(tmp_path, "trials = 40\n")),
@@ -186,6 +203,20 @@ def test_supercritical_growth_is_a_config_error(tmp_path, capsys, mode, text, li
 
     err = capsys.readouterr().err
     assert f"config error: q: growth exponent must lie in (2, {limit})" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_grid_too_large_is_a_config_error(tmp_path, capsys):
+    # dim = 3 with the default n = 256 asks for 16.8M points
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(_write(tmp_path, "dim = 3\nq = 3\n")),
+               "--out", str(out)])
+    assert rc == 2
+
+    err = capsys.readouterr().err
+    assert "config error: n=256 in dim 3 gives 16,777,216 points, " \
+           "above the grid point limit of 1,048,576" in err
     assert "Traceback" not in err
     assert not (out / "report.json").exists()
 

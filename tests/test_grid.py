@@ -25,6 +25,7 @@ from besselmp import (
 )
 from besselmp.grid import (
     BATCH_MAX_POINTS,
+    GRID_MAX_POINTS,
     _band_limit,
     _bessel_norm_sq_rows,
     _multiply,
@@ -74,6 +75,14 @@ class TestGrid:
             Grid(1, 32, 0.0)
         with pytest.raises(ValueError, match="box_length"):
             Grid(1, 32, math.inf)
+
+    def test_point_count_validation(self):
+        with pytest.raises(ValueError, match=r"n=256 in dim 3 gives 16,777,216 points, "
+                                             r"above the grid point limit of 1,048,576"):
+            Grid(3, 256, 10.0)
+        with pytest.raises(ValueError, match="grid point limit"):
+            Grid(1, 2 * GRID_MAX_POINTS, 10.0)
+        assert Grid(2, 1024, 10.0).total_points == GRID_MAX_POINTS
 
     def test_coarse_grid_warns(self):
         with pytest.warns(UserWarning, match="coarse"):

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module's body."""
+"""Every name a package module imports is used in that module's body, and
+every name it exports in ``__all__`` is bound in it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,11 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    name = "besselmp" if path.name == "__init__.py" else f"besselmp.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{path.name}: __all__ lists unbound names: " + ", ".join(missing)

@@ -22,6 +22,7 @@ from besselmp import (
     ps_diagnostics,
     residual,
     two_solution_experiment,
+    two_solution_stages,
     weighted_norm_sq,
 )
 from besselmp.config import RunConfig, build_spec
@@ -213,7 +214,7 @@ class TestMountainPass:
 
     def test_deterministic(self, coercive_spec, coercive_probe, coercive_mp):
         again = mountain_pass_solve(coercive_spec, coercive_probe.e,
-                                    probe=coercive_probe, seed=0)
+                                    probe=coercive_probe)
         assert again.energy == coercive_mp.energy
         np.testing.assert_array_equal(again.solution.values,
                                       coercive_mp.solution.values)
@@ -261,6 +262,13 @@ class TestBallMin:
         es = [t.energy for t in coercive_ball.trace]
         for a, b in zip(es, es[1:]):
             assert b <= a + 1e-12 * (1.0 + abs(a))
+
+    def test_no_step_raises_energy_beyond_tie_tolerance(self, well_result):
+        # Newton steps are accepted at Phi(trial) <= Phi(u) + 1e-12; on the
+        # steep well's flat floor (Phi near -4e-9) a run of them climbs by
+        # roundoff-sized amounts, and no step may climb by more
+        es = [t.energy for t in well_result.local_min.trace]
+        assert max(b - a for a, b in zip(es, es[1:])) <= 1e-12
 
     def test_mu_zero_reports_failure(self, coercive_probe):
         flat = canonical_coercive_spec()
@@ -318,6 +326,35 @@ class TestTwoSolutions:
         assert r.failed_stage.startswith("local_min")
         assert r.mountain_pass is not None and r.mountain_pass.ok
         assert r.levels["local_min_energy"] is not None
+
+
+    def test_probe_failure_stops_the_pipeline(self):
+        # a concave term this strong leaves every sampled sphere minimum negative
+        spec = replace(canonical_coercive_spec(), mu=50.0)
+        ((name, ok, error),) = two_solution_stages(spec, seed=0)
+        assert name == "probe_geometry" and not ok
+        assert error.startswith("GeometryError: no sampled sphere minimum is positive")
+
+        r = two_solution_experiment(spec, seed=0)
+        assert not r.success
+        assert r.failed_stage == f"probe: {error}"
+        assert r.probe is None and r.mountain_pass is None and r.local_min is None
+        assert r.levels == {}
+        assert r.distinctness == 0.0
+
+    def test_rejected_saddle_stops_the_pipeline(self, well_spec):
+        # this seed's sampled ridge height lands above the true saddle level
+        stages = list(two_solution_stages(well_spec, seed=344180982))
+        assert [(name, ok) for name, ok, _ in stages] == [
+            ("probe_geometry", True), ("mountain_pass", False)]
+
+        r = two_solution_experiment(well_spec, seed=344180982)
+        assert not r.success
+        assert r.failed_stage == ("mountain_pass: converged at energy 1.49315 "
+                                  "below the probed ridge height 1.65984")
+        assert r.mountain_pass.converged and not r.mountain_pass.ok
+        assert r.local_min is None
+        assert r.levels["local_min_energy"] is None
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [

@@ -22,6 +22,7 @@ from besselmp import (
     sublevel_measure,
     weighted_norm_sq,
 )
+from besselmp.config import RunConfig, build_spec
 from besselmp.grid import make_grid
 from besselmp.problem import ProblemSpec
 
@@ -160,6 +161,56 @@ def test_splitting_rejects_edge_mass(coercive_spec):
     wide = Field(g, np.ones(g.shape))
     with pytest.raises(ValueError, match="box edge"):
         check_splitting(coercive_spec, u0, wide, separations=(2,))
+
+
+def _verify_splitting(dim, n, family, q=4.0, threshold=1e-3):
+    """check_splitting on the pair and separations that ``bessel-mp verify`` uses."""
+    cfg = RunConfig(mode="verify", dim=dim, n=n, box_length=40.0, potential=family, q=q)
+    spec = build_spec(cfg)
+    g = spec.grid
+    bump = Field(g, np.exp(-g.radius_sq))
+    partner = Field(g, 0.8 * np.exp(-1.3 * g.radius_sq))
+    return check_splitting(spec, bump, partner, cfg.separations, threshold=threshold)
+
+
+@pytest.mark.parametrize("family", ["coercive_quadratic", "well"])
+@pytest.mark.parametrize("dim,n,q,passed", [
+    (1, 256, 4.0, True),
+    (2, 64, 4.0, True),
+    # a mesh width of 1.25 leaves a deviation of 4.5e-3 at separation 15
+    (3, 32, 3.0, False),
+])
+def test_splitting_in_every_dim(dim, n, q, passed, family):
+    rec = _verify_splitting(dim, n, family, q)
+    assert rec.passed is passed
+    (witness,) = rec.witnesses
+    assert witness["monotone_beyond_overlap"]
+    assert (witness["final_deviation"] < 1e-3) is passed
+    # the bump reaches 1e-8 of its peak near |x| = 4.3, the partner near 3.8
+    assert 7.5 < witness["overlap_radius"] < 8.5
+
+
+def test_splitting_settled_deviations_keep_monotonicity():
+    # in 2-D at n=64 the deviations beyond the overlap level off near 1e-6
+    # and wiggle (1.07e-6 -> 1.31e-6): settled below 1e-3 / 100, but a rise
+    # above the floor of a 1e-4 threshold
+    rec = _verify_splitting(2, 64, "coercive_quadratic")
+    assert rec.passed
+    strict = _verify_splitting(2, 64, "coercive_quadratic", threshold=1e-4)
+    (witness,) = strict.witnesses
+    assert witness["final_deviation"] < 1e-4
+    assert not witness["monotone_beyond_overlap"]
+    assert not strict.passed
+
+
+def test_splitting_edge_band_covers_every_axis():
+    # mass at the edge of the second axis, which a shift along the first never moves
+    spec = build_spec(RunConfig(dim=2, n=64, box_length=40.0))
+    x, y = spec.grid.coords()
+    u0 = Field(spec.grid, np.exp(-(x**2 + y**2)))
+    high = Field(spec.grid, np.exp(-(x**2 + (y - 18.5) ** 2)))
+    with pytest.raises(ValueError, match="box edge"):
+        check_splitting(spec, u0, high, separations=(2,))
 
 
 # ---------------------------------------------------------------------------
