@@ -15,13 +15,21 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import MODES, ConfigError, RunConfig, build_options, build_spec, parse_config
+from .config import (
+    MODES,
+    ConfigError,
+    RunConfig,
+    build_options,
+    build_spec,
+    parse_config,
+    resolve_checks,
+)
 from .fieldio import save_field
 from .grid import Field
 from .kernels import bessel_kernel
@@ -162,16 +170,6 @@ def _run_pipeline(cfg, out, stages):
         t0 = time.perf_counter()
 
 
-def _resolve_checks(cfg, spec):
-    if tuple(cfg.checks) != ("auto",):
-        return tuple(cfg.checks)
-    common = ("assumptions", "superquadratic-tail", "splitting", "holder",
-              "embedding", "norm-domination")
-    if spec.potential.family == "well":
-        return common + ("sublevel-bound", "sublevel-measure")
-    return common + ("coercivity",)
-
-
 def _run_verify(cfg, out, stages):
     spec = build_spec(cfg)
     g = spec.grid
@@ -205,7 +203,7 @@ def _run_verify(cfg, out, stages):
         "norm-domination": lambda: record_stage(
             verify_mod.check_norm_domination(spec, trials=cfg.trials, seed=cfg.seed)),
     }
-    for name in _resolve_checks(cfg, spec):
+    for name in resolve_checks(cfg):
         _timed(stages, f"verify:{name}", runners[name])
 
 
@@ -284,20 +282,20 @@ def main(argv=None) -> int:
                         help="override the output directory")
     args = parser.parse_args(argv)
 
+    # the command line wins over the file; validation sees the merged config,
+    # so checks that only the mode selects are validated too
+    overrides = {"mode": args.mode}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.out is not None:
+        overrides["out_dir"] = str(args.out)
     try:
-        if args.config is not None:
-            cfg = parse_config(Path(args.config).read_text())
-        else:
-            cfg = RunConfig()
+        text = Path(args.config).read_text() if args.config is not None else ""
+        cfg = parse_config(text, **overrides)
     except ConfigError as err:
         for line in err.errors:
             print(f"config error: {line}", file=sys.stderr)
         return 2
-    cfg = replace(cfg, mode=args.mode)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=str(args.out))
 
     report = run(cfg)
     for stage in report.stages:

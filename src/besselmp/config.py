@@ -23,9 +23,10 @@ from .problem import (
 )
 from .grid import Grid
 from .solvers import SolveOptions
+from .verify import require_s_in_window, require_tau_in_window
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "build_spec", "build_options",
-           "MODES", "CHECK_NAMES"]
+           "resolve_checks", "MODES", "CHECK_NAMES"]
 
 MODES = ("solve", "two-solutions", "verify", "probe-geometry", "kernel-table")
 POTENTIALS = ("coercive_quadratic", "well")
@@ -159,11 +160,30 @@ def _validate(cfg: RunConfig, errors) -> None:
         if name != "auto" and name not in CHECK_NAMES:
             errors.append(f"checks: unknown checker {name!r}; choose from {', '.join(CHECK_NAMES)}")
     grid = _collect(errors, lambda: Grid(dim=cfg.dim, n=cfg.n, box_length=cfg.box_length))
+    problem = None
     if cfg.dim in (1, 2, 3):
         # the problem's own rules need only the dimension: a small grid of it
         # stands in for one refused for its size or its box
-        _collect(errors, lambda: _problem_on(grid or Grid(cfg.dim, 8, 1.0), cfg))
+        problem = _collect(errors, lambda: _problem_on(grid or Grid(cfg.dim, 8, 1.0), cfg))
     _collect(errors, lambda: build_options(cfg))
+    if cfg.mode == "verify" and problem is not None:
+        # the exponent windows of the selected checks, as the checks apply them
+        checks = resolve_checks(cfg)
+        if "superquadratic-tail" in checks:
+            _collect(errors, lambda: require_tau_in_window(cfg.tau, cfg.dim, cfg.alpha, cfg.q))
+        if "embedding" in checks:
+            _collect(errors, lambda: require_s_in_window(cfg.s_list, cfg.dim, cfg.alpha))
+
+
+def resolve_checks(cfg: RunConfig) -> tuple:
+    """The checkers a verify run executes; "auto" picks those that fit the potential family."""
+    if tuple(cfg.checks) != ("auto",):
+        return tuple(cfg.checks)
+    common = ("assumptions", "superquadratic-tail", "splitting", "holder",
+              "embedding", "norm-domination")
+    if cfg.potential == "well":
+        return common + ("sublevel-bound", "sublevel-measure")
+    return common + ("coercivity",)
 
 
 def _collect(errors, build):
@@ -176,7 +196,8 @@ def _collect(errors, build):
         return None
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, **overrides) -> RunConfig:
+    """Parse and validate a config; ``overrides`` (already typed) replace parsed keys."""
     errors: list[str] = []
     pairs = _raw_pairs(text, errors)
 
@@ -195,7 +216,7 @@ def parse_config(text: str) -> RunConfig:
         if coerced is not None:
             values[key] = coerced
 
-    cfg = RunConfig(**values)
+    cfg = RunConfig(**{**values, **overrides})
     _validate(cfg, errors)
     if errors:
         raise ConfigError(errors)

@@ -8,6 +8,7 @@ grid frequencies xi_k = 2*pi*k / box_length.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -149,11 +150,27 @@ class Grid:
         return ws[key]
 
     def symbol(self, s: float) -> np.ndarray:
-        """The multiplier (1 + |xi|^2)^s on the frequency lattice, FFT layout."""
+        """The multiplier (1 + |xi|^2)^s on the half lattice, ``rfftn`` layout."""
         if not np.isfinite(s):
             raise ValueError(f"multiplier order must be finite, got {s}")
         s = float(s)
-        return self._cached(("symbol", s), lambda: _read_only((1.0 + self.freq_sq) ** s))
+        # the first n//2 + 1 columns of the full layout hold k = 0 .. n//2
+        return self._cached(("symbol", s), lambda: _read_only(
+            (1.0 + self.freq_sq[..., : self.n // 2 + 1]) ** s))
+
+    def parseval_weight(self, alpha: float) -> np.ndarray:
+        """Half-lattice weights w with sum w |rfftn(u)|^2 = ||(I - Laplacian)^{alpha/2} u||^2.
+
+        The symbol (1 + |xi|^2)^alpha times vol/N, doubled on every column
+        of the last axis whose mirror -k is left out of the half lattice:
+        all but k = 0 and, for even n, k = n/2.
+        """
+        def build():
+            w = self.symbol(alpha) * (self.cell_volume / self.total_points)
+            w[..., 1 : (self.n + 1) // 2] *= 2.0
+            return _read_only(w)
+
+        return self._cached(("parseval", float(alpha)), build)
 
     def multiplier_matrix(self, s: float) -> np.ndarray:
         """Dense matrix of ``apply_multiplier(., s)`` on raveled fields.
@@ -277,29 +294,36 @@ def inverse_transform(spectrum: Spectrum) -> Field:
 
 
 def _fft_axes(grid: Grid) -> dict:
-    """fftn/ifftn keywords for the trailing grid axes.
+    """rfftn/irfftn keywords for the trailing grid axes.
 
     Passing ``s`` along with ``axes`` spares numpy a per-call shape lookup
-    (about 5 us a call with NumPy 2.4, some 40% of a 256-point transform).
+    (about 5 us a call with NumPy 2.4, some 40% of a 256-point transform),
+    and tells ``irfftn`` the length of the last axis, which an odd n needs.
     """
     return {"s": grid.shape, "axes": tuple(range(-grid.dim, 0))}
 
 
 def _multiply(grid: Grid, values: np.ndarray, s: float) -> np.ndarray:
     """(I - Laplacian)^s on every row of ``values``."""
-    u_hat = np.fft.fftn(values, **_fft_axes(grid))
+    u_hat = np.fft.rfftn(values, **_fft_axes(grid))
     u_hat *= grid.symbol(s)
-    return np.fft.ifftn(u_hat, **_fft_axes(grid)).real
+    return np.fft.irfftn(u_hat, **_fft_axes(grid))
 
 
 def _row_sum(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Sum over the trailing grid axes, one value per row."""
-    return values.reshape(values.shape[:values.ndim - grid.dim] + (grid.total_points,)).sum(axis=-1)
+    """Sum over the trailing grid axes (full or half lattice), one value per row."""
+    lead = values.ndim - grid.dim
+    # an explicit length: reshape cannot infer -1 when a stack has no rows
+    return values.reshape(values.shape[:lead] + (math.prod(values.shape[lead:]),)).sum(axis=-1)
 
 
 def _bessel_norm_sq_rows(grid: Grid, values: np.ndarray, alpha: float) -> np.ndarray:
-    half = _multiply(grid, values, 0.5 * alpha)
-    return _row_sum(grid, half**2) * grid.cell_volume
+    """Squared bessel norm of every row, by Parseval from the forward half spectrum."""
+    u_hat = np.fft.rfftn(values, **_fft_axes(grid))
+    power = u_hat.real**2
+    power += u_hat.imag**2
+    power *= grid.parseval_weight(alpha)
+    return _row_sum(grid, power)
 
 
 def _weighted_norm_sq_rows(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float,
@@ -316,13 +340,14 @@ def _band_limit(grid: Grid, noise: np.ndarray, band_fraction: float,
     ``envelope_sigma`` (one value, or one per row) damps each row by
     exp(-|x|^2 / 2 sigma^2).
     """
-    w_hat = np.fft.fftn(noise, **_fft_axes(grid))
+    w_hat = np.fft.rfftn(noise, **_fft_axes(grid))
     cutoff = max(1, int(band_fraction * grid.n))
     idx = np.abs(np.fft.fftfreq(grid.n) * grid.n)
     keep = np.ones(grid.shape, dtype=bool)
     for ax in range(grid.dim):
         keep &= idx.reshape((-1,) + (1,) * (grid.dim - 1 - ax)) <= cutoff
-    vals = np.fft.ifftn(np.where(keep, w_hat, 0.0), **_fft_axes(grid)).real
+    keep = keep[..., : grid.n // 2 + 1]  # the half lattice's columns k = 0 .. n//2
+    vals = np.fft.irfftn(np.where(keep, w_hat, 0.0), **_fft_axes(grid))
     if envelope_sigma is not None:
         sigma = np.reshape(envelope_sigma, np.shape(envelope_sigma) + (1,) * grid.dim)
         vals = vals * np.exp(-grid.radius_sq / (2.0 * sigma**2))

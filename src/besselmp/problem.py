@@ -64,6 +64,27 @@ def critical_exponent(dim: int, alpha: float) -> float:
     return 2.0 * dim / (dim - 2.0 * alpha)
 
 
+def _abs_power(u: np.ndarray, k: float) -> np.ndarray:
+    """|u|^k; a whole k >= 1 by square-and-multiply, any other k through ``**``.
+
+    libm's pow costs about five multiplies per point, and some thirty times
+    more again where the result overflows, as it does at the trial points of
+    a diverging line search; a product overflows to inf at full speed.
+    """
+    a = np.abs(u)
+    if not (k >= 1.0 and float(k).is_integer()):
+        return a**k
+    k = int(k)
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else out * a
+        k >>= 1
+        if not k:
+            return out
+        a = a * a
+
+
 @dataclass(frozen=True)
 class PowerNonlinearity:
     """f(u) = |u|^{q-2} u with primitive F(u) = |u|^q / q; theta = q."""
@@ -76,15 +97,15 @@ class PowerNonlinearity:
 
     def f(self, x, u):
         u = np.asarray(u, dtype=np.float64)
-        return np.sign(u) * np.abs(u) ** (self.q - 1.0)
+        return np.sign(u) * _abs_power(u, self.q - 1.0)
 
     def F(self, x, u):
         u = np.asarray(u, dtype=np.float64)
-        return np.abs(u) ** self.q / self.q
+        return _abs_power(u, self.q) / self.q
 
     def f_prime(self, x, u):
         u = np.asarray(u, dtype=np.float64)
-        return (self.q - 1.0) * np.abs(u) ** (self.q - 2.0)
+        return (self.q - 1.0) * _abs_power(u, self.q - 2.0)
 
 
 @dataclass(frozen=True)

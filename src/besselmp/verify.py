@@ -15,6 +15,7 @@ import numpy as np
 
 from .grid import (
     Field,
+    _require,
     bessel_norm_sq,
     lp_norm,
     random_field,
@@ -35,7 +36,26 @@ __all__ = [
     "holder_estimate",
     "estimate_embedding_constants",
     "check_norm_domination",
+    "require_tau_in_window",
+    "require_s_in_window",
 ]
+
+
+def require_tau_in_window(tau: float, dim: int, alpha: float, q: float) -> None:
+    """Refuse a tail exponent outside the open window (max(1, dim/(2 alpha)), q/(q-2))."""
+    lo = max(1.0, dim / (2.0 * alpha))
+    hi = q / (q - 2.0)
+    if not lo < tau < hi:
+        raise ValueError(f"tau: {tau} outside the admissible window ({lo}, {hi}) "
+                         "of the superquadratic-tail check")
+
+
+def require_s_in_window(s_list, dim: int, alpha: float) -> None:
+    """Refuse every embedding exponent outside [2, 2 dim/(dim - 2 alpha)), one message each."""
+    s_crit = critical_exponent(dim, alpha)
+    _require(*((2.0 <= s < s_crit,
+                f"s_list: exponent {s} outside the embedding window [2, {s_crit})")
+               for s in s_list))
 
 
 @dataclass(frozen=True)
@@ -64,13 +84,10 @@ def check_superquadratic_tail(spec: ProblemSpec, tau: float, u_max: float = 20.0
 
     tau must sit strictly inside (max(1, dim/(2 alpha)), q/(q-2)); outside
     that window the inequality has no subcritical meaning and the call is
-    rejected.  For the quartic model with tau = 1.5 the threshold is 4.
+    rejected (``require_tau_in_window``).  For the quartic model with
+    tau = 1.5 the threshold is 4.
     """
-    q = spec.nonlinearity.q
-    lo = max(1.0, spec.grid.dim / (2.0 * spec.alpha))
-    hi = q / (q - 2.0)
-    if not lo < tau < hi:
-        raise ValueError(f"tau={tau} outside the admissible window ({lo}, {hi})")
+    require_tau_in_window(tau, spec.grid.dim, spec.alpha, spec.nonlinearity.q)
 
     u = np.linspace(u_max / points, u_max, points)
     lhs = np.abs(eval_f(spec, u)) ** tau / u**tau
@@ -277,10 +294,7 @@ def estimate_embedding_constants(alpha: float, grid, s_list, trials: int = 1000,
     least 1; the tests pin that.
     """
     s_list = [float(s) for s in s_list]
-    s_crit = critical_exponent(grid.dim, alpha)
-    for s in s_list:
-        if not 2.0 <= s < s_crit:
-            raise ValueError(f"exponent s={s} outside [2, {s_crit})")
+    require_s_in_window(s_list, grid.dim, alpha)
     rng = np.random.Generator(np.random.Philox(seed))
     table = {s: 0.0 for s in s_list}
     # deterministic anchors: the constant field attains the s=2 supremum

@@ -207,6 +207,28 @@ def test_supercritical_growth_is_a_config_error(tmp_path, capsys, mode, text, li
     assert not (out / "report.json").exists()
 
 
+def test_verify_exponent_windows_are_config_errors(tmp_path, capsys):
+    cfg = _write(tmp_path, "dim = 3\nn = 16\nq = 3\n")
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "config error: tau: 1.5 outside the admissible window (2.0, 3.0) "
+        "of the superquadratic-tail check",
+        "config error: s_list: exponent 4.0 outside the embedding window [2, 4.0)",
+    ]
+    assert not (out / "report.json").exists()
+
+    # inside the windows both checks run, and on the quadratic f = u|u| pass
+    cfg = _write(tmp_path, "dim = 3\nn = 16\nq = 3\ntau = 2.2\ns_list = 2, 3\n"
+                           "trials = 20\nchecks = superquadratic-tail, embedding\n")
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [s["name"] for s in _report(out)["stages"]] == [
+        "verify:superquadratic-tail", "verify:embedding"]
+
+
 def test_grid_too_large_is_a_config_error(tmp_path, capsys):
     # dim = 3 with the default n = 256 asks for 16.8M points
     out = tmp_path / "out"

@@ -158,3 +158,29 @@ def test_parsed_config_always_builds(**values):
         return
     build_spec(cfg)
     build_options(cfg)
+
+
+VERIFY_3D = "mode = verify\ndim = 3\nn = 16\nq = 3\n"
+
+
+def test_verify_exponent_windows_are_checked_for_selected_checks():
+    # 3-D, alpha 0.75, q 3: tau in (2, 3) and s in [2, 4); the defaults
+    # tau = 1.5 and s_list = 2, 3, 4 suit dims 1 and 2 only
+    with pytest.raises(ConfigError) as err:
+        parse_config(VERIFY_3D)
+    assert err.value.errors == [
+        "tau: 1.5 outside the admissible window (2.0, 3.0) of the superquadratic-tail check",
+        "s_list: exponent 4.0 outside the embedding window [2, 4.0)",
+    ]
+    # one line per bad exponent
+    with pytest.raises(ConfigError) as err:
+        parse_config(VERIFY_3D + "tau = 2.2\ns_list = 1.5, 3, 4")
+    assert err.value.errors == ["s_list: exponent 1.5 outside the embedding window [2, 4.0)",
+                                "s_list: exponent 4.0 outside the embedding window [2, 4.0)"]
+    assert parse_config(VERIFY_3D + "tau = 2.2\ns_list = 2, 3").tau == 2.2
+    # a window binds only when its check runs
+    parse_config(VERIFY_3D + "checks = holder, splitting")
+    parse_config(VERIFY_3D.replace("verify", "solve"))
+    # the command line's mode is validated with the file's keys
+    with pytest.raises(ConfigError):
+        parse_config(VERIFY_3D.replace("verify", "solve"), mode="verify")

@@ -32,6 +32,7 @@ from besselmp.grid import (
     _weighted_norm_sq_rows,
     make_grid,
 )
+from besselmp.problem import _energy_rows, canonical_coercive_spec
 
 
 def _rng(seed):
@@ -269,7 +270,9 @@ def test_multiplier_matrix_matches_columnwise_build(dim, n, s):
 def test_symbol_and_coords_are_cached():
     g = make_grid(2, 16, 20.0)
     sym = g.symbol(0.75)
-    assert np.array_equal(sym, (1.0 + g.freq_sq) ** 0.75)
+    # the half lattice: columns k = 0 .. n/2 of the last axis
+    assert sym.shape == (16, 9)
+    assert np.array_equal(sym, (1.0 + g.freq_sq[:, :9]) ** 0.75)
     assert g.symbol(0.75) is sym
     assert g.symbol(-0.75) is not sym
     assert g.coords() is g.coords()
@@ -320,6 +323,7 @@ def test_multiplier_rows_match_field_api(dim, n, box, s):
         assert np.array_equal(got, apply_multiplier(Field(g, row), s).values)
     # extra leading axes are rows too
     assert np.array_equal(_multiply(g, u.reshape((5, 1) + g.shape), s)[:, 0], out)
+    assert _multiply(g, np.empty((0,) + g.shape), s).shape == (0,) + g.shape
 
 
 @pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
@@ -334,6 +338,9 @@ def test_norm_rows_match_field_api(dim, n, box):
         f = Field(g, row)
         assert bessel[i] == bessel_norm_sq(f, 0.75)
         assert weighted[i] == weighted_norm_sq(f, V, 2.5, 0.75)
+    empty = np.empty((0,) + g.shape)
+    assert _bessel_norm_sq_rows(g, empty, 0.75).shape == (0,)
+    assert _weighted_norm_sq_rows(g, empty, V.values, 2.5, 0.75).shape == (0,)
 
 
 @pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
@@ -346,6 +353,42 @@ def test_band_limit_rows_match_random_field(dim, n, box):
     again = _rng(dim)
     for row, sigma in zip(out, sigmas):
         assert np.array_equal(row, random_field(g, again, envelope_sigma=float(sigma)).values)
+    assert _band_limit(g, noise[:0], 0.25, sigmas[:0]).shape == (0,) + g.shape
+
+
+FFT_NAMES = ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Calls of each np.fft function made through besselmp.grid."""
+    import besselmp.grid
+
+    calls = dict.fromkeys(FFT_NAMES, 0)
+    for name in FFT_NAMES:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(besselmp.grid.np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
+def test_row_kernels_transform_a_stack_once(dim, n, box, fft_calls):
+    g = make_grid(dim, n, box)
+    u = _rng(dim).standard_normal((3,) + g.shape)
+    _bessel_norm_sq_rows(g, u, 0.75)
+    assert fft_calls == dict.fromkeys(FFT_NAMES, 0) | {"rfftn": 1}
+    _multiply(g, u, 0.75)
+    assert fft_calls == dict.fromkeys(FFT_NAMES, 0) | {"rfftn": 2, "irfftn": 1}
+
+
+def test_energy_rows_need_one_forward_transform(fft_calls):
+    spec = canonical_coercive_spec(n=64)
+    u = 0.1 * np.stack([spec.xi_field.values, -spec.xi_field.values, spec.V_field.values])
+    rows = _energy_rows(spec, u)
+    assert rows.total.shape == (3,)
+    assert fft_calls == dict.fromkeys(FFT_NAMES, 0) | {"rfftn": 1}
 
 
 def test_multiplier_matrix_refuses_large_grids():
@@ -389,15 +432,19 @@ def test_bessel_norm_single_mode():
     assert bessel_norm_sq(u, 0.75) == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:n=")  # non-power-of-two grids
 @settings(deadline=None, max_examples=20)
 @given(seed=st.integers(0, 2**31 - 1), alpha=st.floats(0.1, 0.95))
 def test_bessel_norm_matches_spectral_sum(seed, alpha):
-    g = make_grid(1, 64, 20.0)
-    u = random_field(g, _rng(seed))
-    coeffs = np.fft.fftn(u.values)
-    oracle = float(np.sum((1.0 + g.freq_sq) ** alpha * np.abs(coeffs) ** 2))
-    oracle *= g.cell_volume / g.total_points
-    assert bessel_norm_sq(u, alpha) == pytest.approx(oracle, rel=1e-10)
+    # odd n has no Nyquist column on the half lattice: every k > 0 there is doubled
+    for dim, n in [(1, 64), (1, 63), (2, 16), (2, 15), (3, 8), (3, 9)]:
+        g = make_grid(dim, n, 20.0)
+        # every mode filled, up to the last column of the half lattice
+        u = random_field(g, _rng(seed), band_fraction=1.0)
+        coeffs = np.fft.fftn(u.values)
+        oracle = float(np.sum((1.0 + g.freq_sq) ** alpha * np.abs(coeffs) ** 2))
+        oracle *= g.cell_volume / g.total_points
+        assert bessel_norm_sq(u, alpha) == pytest.approx(oracle, rel=1e-10), (dim, n)
 
 
 def test_weighted_norm_pieces():

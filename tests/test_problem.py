@@ -64,7 +64,8 @@ class TestPowerNonlinearity:
         assert nl.f_prime(None, -2.0) == pytest.approx(12.0)
 
     @settings(deadline=None, max_examples=50)
-    @given(q=st.floats(2.1, 6.0), u=st.floats(-50.0, 50.0))
+    @given(q=st.one_of(st.floats(2.1, 6.0), st.sampled_from([3.0, 4.0, 5.0, 6.0])),
+           u=st.floats(-50.0, 50.0))
     def test_superquadratic_identity(self, q, u):
         # theta = q makes theta*F = u*f exactly; the excess scrF is
         # (1/2 - 1/q)|u|^q >= 0
@@ -73,6 +74,28 @@ class TestPowerNonlinearity:
         uf = u * float(nl.f(None, u))
         assert F >= 0.0
         assert uf == pytest.approx(q * F, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("q", [3.0, 4.0, 5.0, 6.0])
+    def test_whole_powers_match_pow(self, q):
+        # whole powers are multiplied out; they agree with ** to a few ulps
+        nl = PowerNonlinearity(q)
+        u = np.concatenate([[0.0, -0.0], np.geomspace(1e-30, 1e30, 301)])
+        u = np.concatenate([u, -u])
+        a = np.abs(u)
+        for got, want in ((nl.F(None, u), a**q / q),
+                          (nl.f(None, u), np.sign(u) * a ** (q - 1.0)),
+                          (nl.f_prime(None, u), (q - 1.0) * a ** (q - 2.0))):
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        assert nl.f(None, 0.0) == nl.F(None, 0.0) == 0.0
+        assert nl.f(None, -2.0) == -(2.0 ** (q - 1.0))
+
+    def test_overflowing_row_reads_infinite_energy(self):
+        spec = canonical_coercive_spec(n=64)
+        u = np.stack([np.full(spec.grid.shape, 1e90), 0.1 * spec.xi_field.values])
+        with np.errstate(over="ignore"):
+            total = _energy_rows(spec, u).total
+        assert total[0] == math.inf
+        assert total[1] == energy(spec, Field(spec.grid, u[1])).total
 
     def test_scrF_closed_form(self):
         spec = canonical_coercive_spec()

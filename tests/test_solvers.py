@@ -84,29 +84,29 @@ class TestProbe:
         with pytest.raises(GeometryError, match="no sampled sphere minimum"):
             probe_geometry(greedy, seed=0)
 
-    # Exact values recorded from the probe that scored one sample at a
-    # time; scoring and polishing the samples as stacks must not move a bit.
+    # Exact values recorded with the half-spectrum row kernels; scoring and
+    # polishing the samples as stacks gives them to the bit as well.
 
     def test_exact_regression(self, coercive_probe):
         p = coercive_probe
         assert p.rho == 3.8448366189930585
-        assert p.eta == 3.174790056554434
-        assert p.mu0_estimate == 1.561162634447685
+        assert p.eta == 3.1747900565544374
+        assert p.mu0_estimate == 1.5611626344476792
         assert p.rho_table == (
-            (0.12816122063310195, 0.008077617992462554),
+            (0.12816122063310195, 0.008077617992462557),
             (0.2083406223638835, 0.02139940457945801),
             (0.3386813477005797, 0.056563305026672867),
             (0.5505650025367566, 0.14874159909970192),
             (0.8950059519849372, 0.3863553409471094),
-            (1.4549338414131858, 0.9696763748904729),
+            (1.4549338414131858, 0.9696763748904732),
             (2.3651602295991823, 2.210330518889604),
-            (3.8448366189930585, 3.174790056554434),
+            (3.8448366189930585, 3.1747900565544374),
         )
 
     def test_mu_zero_budget_uses_raw_xi_integrals(self):
         p = probe_geometry(replace(canonical_coercive_spec(), mu=0.0), seed=0)
-        assert p.eta == 3.194711737509179
-        assert p.mu0_estimate == 1.561379285137786
+        assert p.eta == 3.194711737509186
+        assert p.mu0_estimate == 1.561379285137785
 
 
 def _probe_key(p):
@@ -131,8 +131,8 @@ def test_sphere_polish_rows_move_independently(coercive_spec):
 
 
 @pytest.mark.parametrize("cfg,eta", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.674763245966698),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 40.317244176602486),
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.674763245966703),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 40.31724417660251),
 ], ids=["2d", "3d"])
 def test_probe_in_higher_dims(cfg, eta):
     spec = build_spec(cfg)
@@ -160,10 +160,11 @@ def test_probe_with_x_dependent_custom_nonlinearity():
     # a larger primitive lowers every sampled energy, so the ridge drops
     assert p.eta < plain.eta
     assert _probe_key(probe_geometry(replace(spec, nonlinearity=heavier), seed=0)) == _probe_key(p)
-    # reading x without depending on it reproduces the power law exactly
+    # reading x without depending on it reproduces the power law exactly,
+    # spelled as PowerNonlinearity multiplies out its whole powers
     flat = CustomNonlinearity(
-        f_fn=lambda x, u: np.sign(u) * np.abs(u) ** 3.0 + 0.0 * x[0],
-        F_fn=lambda x, u: np.abs(u) ** 4.0 / 4.0 + 0.0 * x[0], q=4.0, theta=4.0)
+        f_fn=lambda x, u: np.sign(u) * (np.abs(u) * (u * u)) + 0.0 * x[0],
+        F_fn=lambda x, u: (u * u) * (u * u) / 4.0 + 0.0 * x[0], q=4.0, theta=4.0)
     assert _probe_key(probe_geometry(replace(spec, nonlinearity=flat), seed=0)) == _probe_key(plain)
 
 
@@ -182,13 +183,13 @@ class TestMountainPass:
     def test_energy_regression(self, coercive_mp):
         assert coercive_mp.energy == pytest.approx(3.22418890, rel=1e-6)
 
-    # Exact values from the Field-by-Field solvers; running them on arrays
-    # must not move a bit.  The dense Newton solve's last bits follow the
-    # BLAS thread count: these were recorded on one thread, which conftest
-    # pins (on two OpenBLAS threads the saddle reads 3.2241889043092673).
+    # Exact values recorded with the half-spectrum row kernels.  The dense
+    # Newton solve's last bits follow the BLAS thread count: these were
+    # recorded on one thread, which conftest pins (on two OpenBLAS threads
+    # the saddle reads 3.2241889043092664).
 
     def test_exact_regression(self, coercive_mp):
-        assert coercive_mp.energy == 3.224188904309268
+        assert coercive_mp.energy == 3.224188904309266
 
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
@@ -256,7 +257,7 @@ class TestBallMin:
         assert -1e-9 < coercive_ball.energy < 0.0
 
     def test_exact_regression(self, coercive_ball):
-        assert coercive_ball.energy == -5.63467669466981e-11
+        assert coercive_ball.energy == -5.6346766946698154e-11
 
     def test_descent_monotone(self, coercive_ball):
         es = [t.energy for t in coercive_ball.trace]
@@ -303,9 +304,9 @@ class TestTwoSolutions:
 
     def test_well_exact_regression(self, well_result):
         # recorded as the coercive pins above, on one BLAS thread
-        assert well_result.mountain_pass.energy == 1.4931505176211715
-        assert well_result.local_min.energy == -9.819309641087934e-08
-        assert well_result.distinctness == 1.6740738068969343
+        assert well_result.mountain_pass.energy == 1.4931505176211706
+        assert well_result.local_min.energy == -9.819309641087939e-08
+        assert well_result.distinctness == 1.674073806896936
 
     def test_levels_echo_reports(self, well_result):
         lv = well_result.levels
@@ -358,8 +359,8 @@ class TestTwoSolutions:
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945194, -2.484581077199908e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124027, -3.083582225587135e-11),
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945194, -2.4845810771999066e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124029, -3.083582225587138e-11),
 ], ids=["2d", "3d"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     # both grids take the dense Newton route; the pins were recorded on one
