@@ -46,7 +46,7 @@ def run_one(name, spec, seed):
         # vanishing gradients.  The far rungs of the descended path are NOT such a
         # sequence (they slide downhill without bound), so they make a poor demo.
         pair = [done["local_min"].solution, done["mountain_pass"].solution]
-        diag = ps_diagnostics(spec, pair, seed=seed)
+        diag = ps_diagnostics(spec, pair)
         print(f"bounded-sequence check: all_ok={diag.all_ok}  "
               f"max ||u||_lam={diag.max_norm:.3f}  bound={diag.norm_bound:.3f}")
     print()

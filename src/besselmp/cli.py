@@ -210,7 +210,7 @@ def _run_verify(cfg, out, stages):
 def _assumptions_record(spec, b):
     report = validate_assumptions(spec, b=b)
     checks = [{"name": c.name, "pass": c.passed, "required": c.required,
-               "advisory": c.advisory, "detail": c.detail} for c in report.checks]
+               "detail": c.detail} for c in report.checks]
     return report.passed, {"checker": "assumptions", "checks": checks}
 
 

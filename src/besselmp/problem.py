@@ -248,14 +248,6 @@ class ProblemSpec:
         return Field(self.grid, vals)
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    quad: float
-    f_term: float
-    xi_term: float
-    total: float
-
-
 def eval_f(spec: ProblemSpec, u_value, x=None):
     return spec.nonlinearity.f(x, u_value)
 
@@ -270,21 +262,21 @@ def eval_scrF(spec: ProblemSpec, u_value, x=None):
     return 0.5 * u * spec.nonlinearity.f(x, u) - spec.nonlinearity.F(x, u)
 
 
-class _EnergyRows(NamedTuple):
-    """Energy pieces of a stack of fields, one entry per row.
+class EnergyBreakdown(NamedTuple):
+    """Phi and its pieces: floats from ``energy``, one entry per row from ``_energy_rows``.
 
     ``xi_integral`` is int xi |u|^p and ``xi_term`` is mu/p times it; a row
     whose total is not finite has total +inf.
     """
 
-    quad: np.ndarray
-    f_term: np.ndarray
-    xi_integral: np.ndarray
-    xi_term: np.ndarray
-    total: np.ndarray
+    quad: float
+    f_term: float
+    xi_integral: float
+    xi_term: float
+    total: float
 
 
-def _energy_rows(spec: ProblemSpec, u: np.ndarray) -> _EnergyRows:
+def _energy_rows(spec: ProblemSpec, u: np.ndarray) -> EnergyBreakdown:
     """Phi and its pieces for every row of ``u`` (trailing axes on the grid)."""
     g = spec.grid
     vol = g.cell_volume
@@ -294,7 +286,7 @@ def _energy_rows(spec: ProblemSpec, u: np.ndarray) -> _EnergyRows:
     xi_term = (spec.mu / spec.p) * xi_integral
     total = quad - f_term - xi_term
     total = np.where(np.isfinite(total), total, np.inf)
-    return _EnergyRows(quad, f_term, xi_integral, xi_term, total)
+    return EnergyBreakdown(quad, f_term, xi_integral, xi_term, total)
 
 
 def _require_finite_energy(total) -> None:
@@ -310,13 +302,12 @@ def _residual_rows(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
 
 
 def energy(spec: ProblemSpec, u: Field) -> EnergyBreakdown:
-    """Evaluate Phi(u) and its three pieces."""
+    """Evaluate Phi(u), its three pieces and the bare integral int xi |u|^p."""
     if u.grid != spec.grid:
         raise ValueError("field grid does not match problem grid")
     rows = _energy_rows(spec, u.values)
     _require_finite_energy(rows.total)
-    return EnergyBreakdown(quad=float(rows.quad), f_term=float(rows.f_term),
-                           xi_term=float(rows.xi_term), total=float(rows.total))
+    return EnergyBreakdown(*map(float, rows))
 
 
 def residual(spec: ProblemSpec, u: Field) -> Field:
@@ -346,7 +337,6 @@ class AssumptionCheck:
     required: bool
     detail: str
     witness: dict
-    advisory: bool = False
 
 
 @dataclass(frozen=True)
@@ -355,7 +345,7 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.required and not c.advisory)
+        return all(c.passed for c in self.checks if c.required)
 
     def by_name(self, name: str) -> AssumptionCheck:
         for c in self.checks:

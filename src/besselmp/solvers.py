@@ -1,5 +1,10 @@
 """Two-solution machinery: geometry probe, path deformation, ball descent.
 
+The geometry probe samples spheres ||u||_lam = rho and reports the radius
+whose sampled minimum eta is highest.  Its mu budget needs no search:
+Phi is linear in mu on each sampled field, so the largest mu that keeps
+that radius's minimum positive is one division per field.
+
 The saddle search runs in two phases.  A deformation phase flows every
 interior node of a discrete path from 0 to e downhill along the
 preconditioned gradient, which brackets the crossing of the energy ridge;
@@ -41,9 +46,9 @@ from .grid import (
     lp_norm,
 )
 from .problem import (
+    EnergyBreakdown,
     ProblemSpec,
     _energy_rows,
-    _EnergyRows,
     _require_finite_energy,
     _residual_rows,
     energy,
@@ -53,7 +58,6 @@ __all__ = [
     "SolveOptions",
     "GeometryProbe",
     "GeometryError",
-    "PathState",
     "TraceEntry",
     "SolveReport",
     "TwoSolutionResult",
@@ -115,13 +119,6 @@ class GeometryProbe:
     rho_table: tuple
 
 
-@dataclass
-class PathState:
-    """Ordered path nodes; first and last stay pinned for the whole solve."""
-
-    nodes: list
-
-
 @dataclass(frozen=True)
 class TraceEntry:
     iteration: int
@@ -143,7 +140,7 @@ class SolveReport:
     ok: bool
     message: str
     trace: tuple
-    path: PathState | None = None
+    path: tuple | None = None  # the deformed path's Fields, from 0 to e
 
 
 # Array helpers: u, r and search directions are ndarrays whose trailing axes
@@ -237,7 +234,7 @@ def _sphere_samples(spec, rho, count, rng):
 
 
 def _concat_terms(parts):
-    return _EnergyRows(*map(np.concatenate, zip(*parts)))
+    return EnergyBreakdown(*map(np.concatenate, zip(*parts)))
 
 
 def _sphere_polish(spec, u, rho, e_u):
@@ -346,54 +343,40 @@ def probe_geometry(spec: ProblemSpec, rho_grid=None, samples_per_rho: int = 64,
         for i in range(0, len(start_u), cap)])
 
     table = []
-    best = None
     offset = 0
-    for rho, terms in zip(rho_grid, scored):
+    for i, (rho, terms) in enumerate(zip(rho_grid, scored)):
         k = min(4, len(terms.total))
-        terms = _concat_terms([terms, _EnergyRows(*(a[offset:offset + k] for a in polished))])
+        scored[i] = terms = _concat_terms(
+            [terms, EnergyBreakdown(*(a[offset:offset + k] for a in polished))])
         offset += k
         table.append((rho, float(np.min(terms.total))))
-        if best is None or table[-1][1] > best[1]:
-            # keep the mu-independent pieces for the mu budget bisection
-            base = terms.total + terms.xi_term
-            xi_ints = terms.xi_term * spec.p / spec.mu if spec.mu > 0 else terms.xi_integral
-            best = (rho, table[-1][1], base, xi_ints)
 
-    rho_star, eta, base, xi_ints = best
+    best = int(np.argmax([m for _, m in table]))
+    rho_star, eta = table[best]
     if eta <= 0.0:
         lines = ", ".join(f"rho={r:.4g}: min={m:.4g}" for r, m in table)
         raise GeometryError(f"no sampled sphere minimum is positive ({lines})")
 
-    def eta_at(mu):
-        return float(np.min(base - (mu / spec.p) * xi_ints))
-
-    mu0 = _bisect_mu(eta_at, start=max(spec.mu, 1e-3))
-
     return GeometryProbe(
-        rho=rho_star, eta=eta, mu0_estimate=mu0, e=Field(spec.grid, e),
+        rho=rho_star, eta=eta, mu0_estimate=_mu_budget(spec, scored[best]),
+        e=Field(spec.grid, e),
         sample_count=samples_per_rho * len(rho_grid), seed=seed,
         rho_table=tuple(table),
     )
 
 
-def _bisect_mu(eta_at, start):
-    if eta_at(0.0) <= 0.0:
-        return 0.0
-    hi = start
-    for _ in range(60):
-        if eta_at(hi) <= 0.0:
-            break
-        hi *= 2.0
-    else:
-        return hi  # positive even at an absurd mu; report the bound reached
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if eta_at(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _mu_budget(spec, rows):
+    """The mu at which the lowest of these sphere rows reaches energy 0.
+
+    On a row Phi = base - (mu/p) int xi |u|^p with base = total + xi_term,
+    so each row with a positive xi-integral crosses zero at
+    p base / xi_integral; inf when no row has one.
+    """
+    weighted = rows.xi_integral > 0.0
+    if not weighted.any():
+        return math.inf
+    base = rows.total + rows.xi_term
+    return float(spec.p * np.min(base[weighted] / rows.xi_integral[weighted]))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +504,8 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
 
     trace: list[TraceEntry] = []
     it = 0
-    recent: list[float] = []
+    # an accepted Armijo step never raises a node's energy, so no later
+    # sweep's maximum exceeds the straight path's
     ridge_high = max(energies)
     best = None  # (residual_norm, node values, node index) near the ridge
 
@@ -536,7 +520,6 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
         rn = _lp_norm(g, _residual(spec, nodes[k]), 2)
         trace.append(TraceEntry(it, energies[k], rn, float(steps[k]), k, "path"))
         it += 1
-        ridge_high = max(ridge_high, e_max)
 
         # remember the most nearly critical max node seen while the path
         # still brackets the ridge; nodes are evolved independently, so the
@@ -550,20 +533,16 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
             break
         if e_max < 0.5 * ridge_high:
             break  # torn through the ridge; refine from the best bracketing seed
-        if it >= 20 and rn <= POLISH_THRESHOLD * (1.0 + abs(energies[k])):
+        nearly_critical = it >= 20 and rn <= POLISH_THRESHOLD * (1.0 + abs(energies[k]))
+        # path entries are the whole trace while the path deforms
+        stalled = it > STALL_WINDOW and (trace[-STALL_WINDOW].energy - trace[-1].energy
+                                         <= STALL_TOL * (1.0 + abs(trace[-1].energy)))
+        if nearly_critical or stalled:
             best = (rn, nodes[k], k)
             break
-        recent.append(energies[k])
-        if len(recent) > STALL_WINDOW:
-            recent.pop(0)
-            if recent[0] - recent[-1] <= STALL_TOL * (1.0 + abs(recent[-1])):
-                best = (rn, nodes[k], k)
-                break
 
-    if best is None:
-        k = max(range(m), key=lambda i: energies[i])
-        best = (_lp_norm(g, _residual(spec, nodes[k]), 2), nodes[k], k)
-    rn, u, candidate_idx = best
+    # no bracketing seed was kept: the last sweep's max node is the seed
+    rn, u, candidate_idx = best or (rn, nodes[k], k)
     if rn > opts.tol:
         u, rn, it = _polish(spec, u, opts, trace, it, candidate_idx)
 
@@ -572,14 +551,13 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
     converged = rn <= opts.tol
     ok = converged
     message = "converged" if converged else "residual tolerance not reached"
-    if converged and probe is not None and \
-            e_u < probe.eta - LEVEL_SLACK * (1.0 + abs(probe.eta)):
+    if converged and probe is not None and _below_ridge(probe, e_u):
         ok = False
         message = f"converged at energy {e_u:.6g} below the probed ridge height {probe.eta:.6g}"
     return SolveReport(
         solution=solution, energy=e_u, residual_norm=rn, iterations=it,
         classification="mountain_pass", converged=converged, ok=ok,
-        message=message, trace=tuple(trace), path=PathState(nodes=[Field(g, v) for v in nodes]),
+        message=message, trace=tuple(trace), path=tuple(Field(g, v) for v in nodes),
     )
 
 
@@ -660,12 +638,11 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
         projected = False
         for _ in range(40):
             trial = u - s * d
-            e_t = _energy(spec, trial)
             t_norm = _norm_lam(spec, trial)
             projected = t_norm > rho
             if projected:
                 trial = trial * (rho / t_norm)
-                e_t = _energy(spec, trial)
+            e_t = _energy(spec, trial)
             target = e_u - ARMIJO_SLOPE * s * slope if not projected else e_u - 1e-14
             if e_t <= target:
                 u, e_u, accepted = trial, e_t, True
@@ -710,6 +687,11 @@ class TwoSolutionResult:
     failed_stage: str | None
 
 
+def _below_ridge(probe, level) -> bool:
+    """level lies below the probed ridge height by more than the level slack."""
+    return level < probe.eta - LEVEL_SLACK * (1.0 + abs(probe.eta))
+
+
 def assess_levels(probe, mp, ball, distinct_tol: float):
     """Final verdict over the two converged solves.
 
@@ -718,8 +700,7 @@ def assess_levels(probe, mp, ball, distinct_tol: float):
     sampled upper bound, not an exact level.
     """
     distinctness = lp_norm(mp.solution - ball.solution, 2)
-    slack = LEVEL_SLACK * (1.0 + abs(probe.eta))
-    if not ball.energy < 0.0 < probe.eta <= mp.energy + slack:
+    if not ball.energy < 0.0 < probe.eta or _below_ridge(probe, mp.energy):
         return False, distinctness, "levels: ordering m < 0 < eta <= c failed"
     if distinctness <= distinct_tol:
         return False, distinctness, "solutions are not distinct"
@@ -858,33 +839,28 @@ def two_solution_sweep(spec_factory, pairs=DEFAULT_WELL_SWEEP, opts=None, seed=0
 class PSDiagnostics:
     entries: tuple
     level: float
-    embedding_constant: float
     xi_norm: float
     norm_bound: float
     max_norm: float
     all_ok: bool
 
 
-def ps_diagnostics(spec: ProblemSpec, iterates, embedding_trials: int = 200,
-                   seed: int = 0) -> PSDiagnostics:
+def ps_diagnostics(spec: ProblemSpec, iterates) -> PSDiagnostics:
     """Check the norm-boundedness chain on a sequence of iterates.
 
     Per iterate the test is
         (1/2 - 1/theta) ||u||_lam^2 <= 1 + c + ||u||_lam
-                                       + C (1/p - 1/theta) mu ||xi||_{2/(2-p)} ||u||_lam^p
-    with c the highest energy seen along the sequence and C the p-th power
-    of the empirically estimated L^2 embedding constant.  A sequence built
-    to break the premise (energies or slopes out of scale) gets flagged.
+                                       + (1/p - 1/theta) mu ||xi||_{2/(2-p)} ||u||_lam^p
+    with c the highest energy seen along the sequence.  The Holder step
+    carries the p-th power of the L^2 embedding constant, which is exactly
+    1: the symbol (1 + |xi|^2)^alpha is at least 1 and V >= 0, so
+    ||u||_2 <= ||u||_lam.  A sequence built to break the premise (energies
+    or slopes out of scale) gets flagged.
     """
-    from .verify import estimate_embedding_constants
-
     theta = spec.nonlinearity.theta
-    gamma = estimate_embedding_constants(spec.alpha, spec.grid, (2.0,),
-                                         trials=embedding_trials, seed=seed)
-    C = gamma.table[2.0] ** spec.p
     xi_norm = lp_norm(spec.xi_field, 2.0 / (2.0 - spec.p))
     half = 0.5 - 1.0 / theta
-    slack = (1.0 / spec.p - 1.0 / theta) * spec.mu * xi_norm * C
+    slack = (1.0 / spec.p - 1.0 / theta) * spec.mu * xi_norm
 
     totals = [energy(spec, u).total for u in iterates]
     c_level = max(totals) if totals else 0.0
@@ -913,7 +889,6 @@ def ps_diagnostics(spec: ProblemSpec, iterates, embedding_trials: int = 200,
         norm_bound = float(optimize.brentq(h, 0.0, hi)) if h(hi) > 0 else math.inf
 
     return PSDiagnostics(
-        entries=tuple(entries), level=c_level, embedding_constant=C,
-        xi_norm=xi_norm, norm_bound=norm_bound, max_norm=max_norm,
+        entries=tuple(entries), level=c_level, xi_norm=xi_norm, norm_bound=norm_bound, max_norm=max_norm,
         all_ok=bool(all_ok),
     )

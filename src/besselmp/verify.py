@@ -78,21 +78,34 @@ class CheckRecord:
         }
 
 
-def check_superquadratic_tail(spec: ProblemSpec, tau: float, u_max: float = 20.0,
+def _tail_holds(spec, tau, u):
+    """Where |f(u)|^tau / |u|^tau <= u f(u)/2 - F(u), up to roundoff."""
+    lhs = np.abs(eval_f(spec, u)) ** tau / u**tau
+    return lhs <= eval_scrF(spec, u) * (1.0 + 1e-12) + 1e-300
+
+
+def check_superquadratic_tail(spec: ProblemSpec, tau: float, u_max: float | None = None,
                               points: int = 20001) -> CheckRecord:
     """Find the threshold beyond which |f(u)|^tau / |u|^tau <= u f(u)/2 - F(u).
 
     tau must sit strictly inside (max(1, dim/(2 alpha)), q/(q-2)); outside
     that window the inequality has no subcritical meaning and the call is
     rejected (``require_tau_in_window``).  For the quartic model with
-    tau = 1.5 the threshold is 4.
+    tau = 1.5 the threshold is 4; for q = 3 it is 6^(1/(3 - tau)), 36 at
+    tau = 2.5.  Without ``u_max`` the scan's top starts at 20 and doubles,
+    at most 10 times, until the inequality holds there; a given ``u_max``
+    is scanned as it is.  ``params`` records the top scanned.
     """
     require_tau_in_window(tau, spec.grid.dim, spec.alpha, spec.nonlinearity.q)
+    if u_max is None:
+        u_max = 20.0
+        for _ in range(10):
+            if _tail_holds(spec, tau, np.array([u_max]))[0]:
+                break
+            u_max *= 2.0
 
     u = np.linspace(u_max / points, u_max, points)
-    lhs = np.abs(eval_f(spec, u)) ** tau / u**tau
-    rhs = eval_scrF(spec, u)
-    holds = lhs <= rhs * (1.0 + 1e-12) + 1e-300
+    holds = _tail_holds(spec, tau, u)
     tail_ok = np.logical_and.accumulate(holds[::-1])[::-1]
     if not tail_ok[-1]:
         return CheckRecord(
@@ -122,17 +135,14 @@ def check_sublevel_l2_bound(spec: ProblemSpec, b: float, trials: int = 100,
     rng = np.random.Generator(np.random.Philox(seed))
     g = spec.grid
     mask = spec.V_field.values < b
-    fields = [random_field(g, rng) for _ in range(trials)]
-
-    def margin(u):
+    # each field is scored as it is drawn, so only one is held at a time
+    margins, scales = np.empty(trials), np.empty(trials)
+    for i in range(trials):
+        u = random_field(g, rng)
         lhs = lp_norm(u, 2) ** 2
         rhs = weighted_norm_sq(u, spec.V_field, spec.lam, spec.alpha) / (spec.lam * b)
         rhs += float(np.sum(u.values[mask] ** 2) * g.cell_volume)
-        return rhs - lhs, lhs + abs(rhs)
-
-    results = [margin(u) for u in fields]
-    margins = np.array([m for m, _ in results])
-    scales = np.array([s for _, s in results])
+        margins[i], scales[i] = rhs - lhs, lhs + abs(rhs)
     violations = int(np.count_nonzero(margins < -1e-12 * scales))
     worst = float(np.min(margins / np.maximum(scales, 1e-300)))
     return CheckRecord(
@@ -164,6 +174,7 @@ def check_splitting(spec: ProblemSpec, u0: Field, w: Field, separations,
     g = spec.grid
     h = g.spacing
     edge = np.max(np.abs(g.coords()), axis=0) >= 0.45 * g.box_length
+    e_0 = energy(spec, u0)
     rows = []
     for s in separations:
         cells = int(round(s / h))
@@ -176,7 +187,7 @@ def check_splitting(spec: ProblemSpec, u0: Field, w: Field, separations,
             if band_peak > 1e-4 * max(np.max(np.abs(f_.values)), 1e-300):
                 raise ValueError(f"field mass reaches the box edge at separation {s}")
         combined = u0 + shifted
-        e_c, e_0, e_s = energy(spec, combined), energy(spec, u0), energy(spec, shifted)
+        e_c, e_s = energy(spec, combined), energy(spec, shifted)
         rows.append({
             "separation": s_actual,
             "total": abs(e_c.total - e_0.total - e_s.total),

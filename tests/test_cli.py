@@ -229,6 +229,18 @@ def test_verify_exponent_windows_are_config_errors(tmp_path, capsys):
         "verify:superquadratic-tail", "verify:embedding"]
 
 
+def test_verify_tail_scan_reaches_a_threshold_past_twenty(tmp_path):
+    # q = 3, tau = 2.5: the tail inequality holds from 6^(1/(3 - tau)) = 36 on
+    cfg = _write(tmp_path, "dim = 3\nn = 16\nq = 3\ntau = 2.5\nchecks = superquadratic-tail\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+
+    (stage,) = _report(out)["stages"]
+    rec = stage["summary"]
+    assert stage["passed"] and rec["params"]["u_max"] == 40.0
+    assert abs(rec["data"]["threshold"] - 36.0) <= rec["witnesses"][0]["scan_step"]
+
+
 def test_grid_too_large_is_a_config_error(tmp_path, capsys):
     # dim = 3 with the default n = 256 asks for 16.8M points
     out = tmp_path / "out"

@@ -8,6 +8,7 @@ import pytest
 
 from besselmp import (
     CustomNonlinearity,
+    CustomWeight,
     Field,
     GeometryError,
     SolveOptions,
@@ -27,7 +28,14 @@ from besselmp import (
 )
 from besselmp.config import RunConfig, build_spec
 from besselmp.grid import DENSE_MAX_POINTS
-from besselmp.solvers import _hessian_diag, _newton_direction, _sphere_polish
+from besselmp.problem import _energy_rows
+from besselmp.solvers import (
+    _hessian_diag,
+    _mu_budget,
+    _newton_direction,
+    _sphere_polish,
+    _sphere_samples,
+)
 
 
 def _norm_lam(spec, u):
@@ -91,7 +99,7 @@ class TestProbe:
         p = coercive_probe
         assert p.rho == 3.8448366189930585
         assert p.eta == 3.1747900565544374
-        assert p.mu0_estimate == 1.5611626344476792
+        assert p.mu0_estimate == 1.561162634447679
         assert p.rho_table == (
             (0.12816122063310195, 0.008077617992462557),
             (0.2083406223638835, 0.02139940457945801),
@@ -106,7 +114,27 @@ class TestProbe:
     def test_mu_zero_budget_uses_raw_xi_integrals(self):
         p = probe_geometry(replace(canonical_coercive_spec(), mu=0.0), seed=0)
         assert p.eta == 3.194711737509186
-        assert p.mu0_estimate == 1.561379285137785
+        assert p.mu0_estimate == 1.5613792851377855
+
+    def test_budget_zeroes_the_lowest_row(self, coercive_spec, coercive_probe):
+        # Phi is linear in mu on each row, so at the budget the lowest row
+        # sits at energy 0: in the budget's own algebra and when Phi is
+        # evaluated afresh with mu set to the budget
+        rng = np.random.Generator(np.random.Philox(0))
+        u, rows = _sphere_samples(coercive_spec, coercive_probe.rho, 64, rng)
+        mu0 = _mu_budget(coercive_spec, rows)
+        base = rows.total + rows.xi_term
+        assert 0.0 < mu0 < math.inf
+        assert abs(np.min(base - (mu0 / coercive_spec.p) * rows.xi_integral)) <= 1e-14
+        at_budget = _energy_rows(replace(coercive_spec, mu=mu0), u).total
+        assert abs(np.min(at_budget)) <= 1e-12 * np.max(base)
+
+    def test_budget_without_weight_is_infinite(self, coercive_spec):
+        # xi = 0 on every row: no mu can pull a sphere minimum down
+        flat = replace(coercive_spec, weight=CustomWeight(lambda x: np.zeros_like(x)))
+        p = probe_geometry(flat, seed=0)
+        assert p.eta > 0.0
+        assert p.mu0_estimate == math.inf
 
 
 def _probe_key(p):
@@ -195,7 +223,7 @@ class TestMountainPass:
         assert coercive_mp.energy >= coercive_probe.eta
 
     def test_endpoints_pinned(self, coercive_probe, coercive_mp):
-        nodes = coercive_mp.path.nodes
+        nodes = coercive_mp.path
         assert np.all(nodes[0].values == 0.0)
         np.testing.assert_array_equal(nodes[-1].values, coercive_probe.e.values)
 
@@ -427,7 +455,6 @@ class TestPSDiagnostics:
                               [coercive_ball.solution, coercive_mp.solution])
         assert diag.all_ok
         assert diag.max_norm < diag.norm_bound < math.inf
-        assert 0.0 < diag.embedding_constant
 
     def test_blown_up_iterate_flagged(self, coercive_spec, coercive_mp):
         diag = ps_diagnostics(coercive_spec, [1e6 * coercive_mp.solution])

@@ -53,10 +53,21 @@ def test_tail_rejects_window_edges(coercive_spec):
         check_superquadratic_tail(coercive_spec, tau=2.5)
 
 
+def test_tail_scan_top_doubles_past_the_threshold():
+    # f = u|u| in 3-D: u^tau <= u^3/6 from 6^(1/(3 - tau)) = 36 on, past the first top 20
+    spec = build_spec(RunConfig(mode="verify", dim=3, n=8, box_length=10.0, q=3.0, tau=2.5))
+    rec = check_superquadratic_tail(spec, tau=2.5)
+    assert rec.passed
+    assert rec.params["u_max"] == 40.0
+    assert abs(rec.data["threshold"] - 36.0) <= rec.witnesses[0]["scan_step"]
+
+
 def test_tail_scan_below_threshold_fails(coercive_spec):
     rec = check_superquadratic_tail(coercive_spec, tau=1.5, u_max=3.0)
     assert not rec.passed
     assert rec.data["threshold"] is None
+    # a given top is scanned as it is, never doubled
+    assert rec.params["u_max"] == 3.0
 
 
 def test_tail_record_shape(coercive_spec):
