@@ -1,8 +1,8 @@
-"""Calibrate the pointwise singular-integral operator and tabulate the kernel.
+"""Check the pointwise singular-integral operator and tabulate the kernel.
 
-Prints the fitted scale constant per order, then compares the pointwise
-evaluation against the spectral multiplier on a Gaussian to show the
-agreement the calibration buys.
+Prints the closed-form scale constant per order, then compares the
+pointwise evaluation against the spectral multiplier on a Gaussian to show
+how closely the two independent routes agree.
 
 Usage: python scripts/operator_calibration.py
 """
@@ -20,7 +20,7 @@ from besselmp import (
 
 
 def main():
-    print("fitted scale constants (d=1):")
+    print("closed-form scale constants (d=1):")
     for alpha in (0.25, 0.5, 0.75):
         c = calibrate_pointwise_constant(alpha)
         print(f"  alpha={alpha:4.2f}  c={c:.6f}")

@@ -21,7 +21,7 @@ def main():
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    pair, result, attempts = two_solution_sweep(canonical_well_spec,
+    pair, result, attempts = two_solution_sweep(canonical_well_spec(),
                                                 pairs=DEFAULT_WELL_SWEEP,
                                                 seed=args.seed)
     dt = time.perf_counter() - t0

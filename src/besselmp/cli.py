@@ -15,7 +15,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .fieldio import save_field
 from .grid import Field
 from .kernels import bessel_kernel
 from .problem import validate_assumptions
-from .solvers import _attempt, two_solution_stages
+from .solvers import TraceEntry, _attempt, two_solution_stages
 from . import verify as verify_mod
 
 __all__ = ["StageResult", "RunReport", "run", "main"]
@@ -105,11 +105,9 @@ def _probe_summary(probe) -> dict:
 def _write_trace(path: Path, entries) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "energy", "residual_norm", "step_size",
-                         "max_node_index", "phase"])
-        for t in entries:
-            writer.writerow([t.iteration, t.energy, t.residual_norm, t.step_size,
-                             t.max_node_index, t.phase])
+        names = [f.name for f in fields(TraceEntry)]
+        writer.writerow(names)
+        writer.writerows([getattr(t, name) for name in names] for t in entries)
 
 
 def _write_profile(path: Path, grid, columns: dict) -> None:

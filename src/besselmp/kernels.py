@@ -13,10 +13,12 @@ transform of the symbol and by convolution against the spectral operator.
 
 The real-space route writes (I - Laplacian)^alpha, 0 < alpha < 1, as
 identity plus a principal-value integral against the weight
-K_nu(|z|) / |z|^nu, nu = (dim + 2 alpha)/2, scaled by a constant depending
-only on (dim, alpha).  That constant is calibrated once per (dim, alpha) by
-least squares against the spectral operator on a reference Gaussian and
-cached for the life of the process.
+K_nu(|z|) / |z|^nu, nu = (dim + 2 alpha)/2, scaled by the constant
+
+    c = 2^(1 - nu) pi^(-dim/2) 4^alpha alpha / Gamma(1 - alpha),
+
+which is known in closed form, so the route stays independent of the
+spectral operator it is checked against.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .grid import Field, apply_multiplier, make_grid, spectral_derivative
+from .grid import Field, spectral_derivative
 
 __all__ = [
     "KernelEval",
@@ -102,7 +104,6 @@ def bessel_kernel(radius: float, order: float, dim: int) -> KernelEval:
 # real-space (singular integral) route, dim 1 only
 
 _weight_cache: dict = {}
-_calibration_cache: dict = {}
 
 
 def _pv_weights(alpha, h_fine, count):
@@ -165,32 +166,17 @@ def _edge_variation_ok(field: Field) -> bool:
     return np.ptp(edge) <= 1e-6 * spread + 1e-13 * (1.0 + np.max(np.abs(field.values)))
 
 
-def calibrate_pointwise_constant(alpha: float, dim: int = 1, refine_factor: int = 8) -> float:
-    """Scale constant for the singular-integral route, fixed per (dim, alpha).
+def calibrate_pointwise_constant(alpha: float, dim: int = 1) -> float:
+    """Scale constant of the singular-integral route, in closed form.
 
-    Least-squares match of the uncalibrated integral against the spectral
-    operator on a reference Gaussian; the value is cached and reused by
-    every later pointwise_apply call.
+    c = 2^(alpha + 1/2) alpha / (sqrt(pi) Gamma(1 - alpha)), the 1-D case
+    (nu = alpha + 1/2) of the module's constant; alpha = 1/2 gives 1/pi.
     """
     if dim != 1:
         raise NotImplementedError("real-space route is implemented for dim 1 only")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"pointwise route needs 0 < alpha < 1, got {alpha}")
-    key = (dim, round(alpha, 12), refine_factor)
-    if key in _calibration_cache:
-        return _calibration_cache[key]
-
-    grid = make_grid(1, 512, 40.0)
-    u = Field(grid, np.exp(-grid.axis_coords**2))
-    target = apply_multiplier(u, alpha).values
-    pts = np.nonzero(np.abs(u.values) > 1e-3 * np.max(np.abs(u.values)))[0]
-    s_vals = np.array([_singular_integral(u, int(i), alpha, refine_factor) for i in pts])
-    rhs = target[pts] - u.values[pts]
-    c = float(np.dot(s_vals, rhs) / np.dot(s_vals, s_vals))
-    if not (np.isfinite(c) and c > 0):
-        raise RuntimeError(f"calibration produced a bad constant {c} for alpha={alpha}")
-    _calibration_cache[key] = c
-    return c
+    return 2.0 ** (alpha + 0.5) * alpha / (math.sqrt(math.pi) * math.gamma(1.0 - alpha))
 
 
 def pointwise_apply(field: Field, x: float, alpha: float, refine_factor: int = 8) -> float:
@@ -211,5 +197,5 @@ def pointwise_apply(field: Field, x: float, alpha: float, refine_factor: int = 8
         raise ValueError(f"x={x} is not a grid point of {g}")
     if not _edge_variation_ok(field):
         raise ValueError("field varies near the box edge; wraparound would contaminate the integral")
-    c = calibrate_pointwise_constant(alpha, dim=1, refine_factor=refine_factor)
+    c = calibrate_pointwise_constant(alpha)
     return c * _singular_integral(field, index, alpha, refine_factor) + field.values[index]

@@ -20,6 +20,10 @@ the Newton steps that finish the descent are accepted while Phi rises by
 at most 1e-12, so on a flat floor a run of them can creep upward by
 roundoff-sized amounts.
 
+One Armijo step serves the path nodes and the ball descent, and one
+generator of damped Newton trials serves the polish and the ball; every
+backtracking search walks the steps s, s/2, s/4, ... and only its count differs.
+
 The solvers take and return Fields but work on plain arrays inside,
 through the row kernels of ``grid`` and ``problem``: a trial point that
 overflows reads +inf energy, or a residual norm that fails every
@@ -29,7 +33,7 @@ acceptance test, instead of being refused by the Field constructor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
@@ -84,6 +88,8 @@ STEP_INIT = 1.0
 STEP_MAX = 10.0
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
+BACKTRACK_TRIES = 40  # gradient steps tried per search; from 1 they stay above 1e-12
+NEWTON_TRIES = 34  # damped Newton steps 1, 1/2, ... above 1e-10
 STALL_WINDOW = 25  # path sweeps over which the max-node energy must still fall
 STALL_TOL = 1e-9
 POLISH_THRESHOLD = 5e-2  # relative residual at which the path hands over to Newton
@@ -158,6 +164,11 @@ def _residual(spec, u):
     if not np.all(np.isfinite(r)):
         raise ValueError("field values must be finite")
     return r
+
+
+def _residual_norm(spec, u) -> float:
+    """L^2 norm of the residual at u; a trial that overflows reads inf or nan."""
+    return _lp_norm(spec.grid, _residual_rows(spec, u), 2)
 
 
 def _inner(spec, a, b) -> float:
@@ -383,22 +394,37 @@ def _mu_budget(spec, rows):
 # mountain pass
 
 
-def _armijo_step(spec, u, e_u, step):
-    """One monotone descent step from u; returns (new_u, new_energy, step_used)."""
-    r = _residual(spec, u)
-    g = _multiply(spec.grid, r, -spec.alpha)
-    slope = _inner(spec, r, g)
+def _steps(s, tries):
+    """The backtracking steps s, s * BACKTRACK_FACTOR, ..., ``tries`` of them."""
+    for _ in range(tries):
+        yield s
+        s *= BACKTRACK_FACTOR
+
+
+def _armijo_step(spec, u, e_u, r, step, rho=math.inf):
+    """One monotone preconditioned-gradient step from u, whose residual is r.
+
+    Returns (new_u, new_energy, step_used, projected), step_used 0.0 when no
+    step was accepted.  A trial outside ||.||_lam <= rho is projected onto that
+    sphere and accepted at any decrease beyond 1e-14, not the Armijo decrease.
+    """
+    d = _multiply(spec.grid, r, -spec.alpha)
+    slope = _inner(spec, r, d)
     if not 0.0 < slope < math.inf:
         # an overflowed slope makes the decrease test unpassable for every step
-        return u, e_u, 0.0
-    s = step
-    for _ in range(40):
-        trial = u - s * g
+        return u, e_u, 0.0, False
+    for s in _steps(step, BACKTRACK_TRIES):
+        trial = u - s * d
+        target = e_u - ARMIJO_SLOPE * s * slope
+        t_norm = _norm_lam(spec, trial) if rho < math.inf else 0.0
+        projected = t_norm > rho
+        if projected:
+            trial = trial * (rho / t_norm)
+            target = e_u - 1e-14
         e_t = _energy(spec, trial)
-        if e_t <= e_u - ARMIJO_SLOPE * s * slope:
-            return trial, e_t, s
-        s *= BACKTRACK_FACTOR
-    return u, e_u, 0.0
+        if e_t <= target:
+            return trial, e_t, s, projected
+    return u, e_u, 0.0, False
 
 
 def _hessian_diag(spec, u):
@@ -445,6 +471,11 @@ def _newton_direction(spec, u, r):
     return delta.reshape(g.shape)
 
 
+def _newton_trials(u, delta):
+    """The damped Newton trials (s, u + s delta), s = 1, 1/2, ... above 1e-10; none without delta."""
+    return () if delta is None else ((s, u + s * delta) for s in _steps(1.0, NEWTON_TRIES))
+
+
 def _polish(spec, u, opts, trace, it0, node_index):
     """Damped Newton on the residual; returns (u, residual_norm, iterations_used)."""
     it = it0
@@ -455,28 +486,16 @@ def _polish(spec, u, opts, trace, it0, node_index):
         it += 1
         if rn <= opts.tol:
             return u, rn, it
-        delta = _newton_direction(spec, u, r)
-        moved = False
-        if delta is not None:
-            s = 1.0
-            while s > 1e-10:
-                trial = u + s * delta
-                if _lp_norm(spec.grid, _residual_rows(spec, trial), 2) <= (1.0 - 1e-4 * s) * rn:
-                    u, moved = trial, True
-                    break
-                s *= 0.5
-        if not moved:
+        trials = _newton_trials(u, _newton_direction(spec, u, r))
+        moved = next((t for s, t in trials if _residual_norm(spec, t) <= (1.0 - 1e-4 * s) * rn), None)
+        if moved is None:
             # fall back to preconditioned descent on the residual norm
-            g = _multiply(spec.grid, r, -spec.alpha)
-            s = 1.0
-            while s > 1e-12:
-                trial = u - s * g
-                if _lp_norm(spec.grid, _residual_rows(spec, trial), 2) < rn:
-                    u, moved = trial, True
-                    break
-                s *= 0.5
-        if not moved:
+            d = _multiply(spec.grid, r, -spec.alpha)
+            trials = (u - s * d for s in _steps(1.0, BACKTRACK_TRIES))
+            moved = next((t for t in trials if _residual_norm(spec, t) < rn), None)
+        if moved is None:
             return u, max(rn, 1e-30), it
+        u = moved
     return u, _lp_norm(spec.grid, _residual(spec, u), 2), it
 
 
@@ -512,7 +531,8 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
     # nodes are replaced, never changed in place: best keeps a reference
     while it < opts.max_iter:
         for i in range(1, m - 1):
-            nodes[i], energies[i], used = _armijo_step(spec, nodes[i], energies[i], steps[i])
+            nodes[i], energies[i], used, _ = _armijo_step(
+                spec, nodes[i], energies[i], _residual(spec, nodes[i]), steps[i])
             steps[i] = min(max(used, 1e-6) * 2.0, STEP_MAX) if used > 0 else max(steps[i] * 0.5, 1e-6)
 
         e_max = max(energies)
@@ -615,42 +635,19 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
             break
 
         # Newton acceleration once the iterate is interior and nearly critical
-        nrm = _norm_lam(spec, u)
-        if rn <= 1e-3 * (1.0 + abs(e_u)) and nrm <= 0.95 * rho:
-            delta = _newton_direction(spec, u, r)
-            if delta is not None:
-                s, accepted = 1.0, False
-                while s > 1e-10:
-                    trial = u + s * delta
-                    e_t = _energy(spec, trial)
-                    # most trials fail the energy test, so the norm comes second
-                    if e_t <= e_u + 1e-12 and _norm_lam(spec, trial) <= rho:
-                        u, e_u, accepted = trial, e_t, True
-                        break
-                    s *= 0.5
-                if accepted:
-                    continue
+        if rn <= 1e-3 * (1.0 + abs(e_u)) and _norm_lam(spec, u) <= 0.95 * rho:
+            trials = _newton_trials(u, _newton_direction(spec, u, r))
+            # most trials fail the energy test, so the norm comes second
+            found = next(((t, e_t) for t, e_t in ((t, _energy(spec, t)) for _, t in trials)
+                          if e_t <= e_u + 1e-12 and _norm_lam(spec, t) <= rho), None)
+            if found is not None:
+                u, e_u = found
+                continue
 
-        d = _multiply(g, r, -spec.alpha)
-        slope = _inner(spec, r, d)
-        s = step
-        accepted = False
-        projected = False
-        for _ in range(40):
-            trial = u - s * d
-            t_norm = _norm_lam(spec, trial)
-            projected = t_norm > rho
-            if projected:
-                trial = trial * (rho / t_norm)
-            e_t = _energy(spec, trial)
-            target = e_u - ARMIJO_SLOPE * s * slope if not projected else e_u - 1e-14
-            if e_t <= target:
-                u, e_u, accepted = trial, e_t, True
-                step = min(s * 2.0, STEP_MAX)
-                break
-            s *= BACKTRACK_FACTOR
-        if not accepted:
+        u, e_u, used, projected = _armijo_step(spec, u, e_u, r, step, rho)
+        if used == 0.0:
             break
+        step = min(used * 2.0, STEP_MAX)
         pinned_run = pinned_run + 1 if projected else 0
         if pinned_run > 50:
             break
@@ -814,16 +811,17 @@ DEFAULT_WELL_SWEEP = (
 )
 
 
-def two_solution_sweep(spec_factory, pairs=DEFAULT_WELL_SWEEP, opts=None, seed=0,
+def two_solution_sweep(spec: ProblemSpec, pairs=DEFAULT_WELL_SWEEP, opts=None, seed=0,
                        distinct_tol=1e-3):
-    """Try (lam, mu) pairs until the experiment succeeds.
+    """Try (lam, mu) pairs on spec until the experiment succeeds.
 
+    Every pair's spec shares spec's Grid, so the cached symbols and matrix too.
     Returns (pair, result, attempts) where attempts records every pair
     tried with its failure reason; raises if the whole sweep fails.
     """
     attempts = []
     for lam, mu in pairs:
-        result = two_solution_experiment(spec_factory(lam=lam, mu=mu), opts=opts,
+        result = two_solution_experiment(replace(spec, lam=lam, mu=mu), opts=opts,
                                          seed=seed, distinct_tol=distinct_tol)
         attempts.append(((lam, mu), result.failed_stage))
         if result.success:

@@ -105,9 +105,11 @@ def test_05_saddle_above_sphere_floor(coercive_spec):
 
 def test_06_steep_well_yields_two_distinct_solutions():
     t0 = time.perf_counter()
-    pair, result, attempts = two_solution_sweep(canonical_well_spec, seed=0)
+    spec = canonical_well_spec()
+    pair, result, attempts = two_solution_sweep(spec, seed=0)
     assert pair == (100.0, 0.05)
     assert result.success
+    assert result.mountain_pass.solution.grid is spec.grid
     assert result.local_min.energy < 0.0 < result.mountain_pass.energy
     assert result.distinctness > 1e-3
     _stamp(6, 300.0, t0, "steep-well sweep finds a negative/positive pair")

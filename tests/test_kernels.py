@@ -139,6 +139,11 @@ def test_calibrated_constants_regression():
         assert calibrate_pointwise_constant(alpha) == pytest.approx(value, rel=0.02)
 
 
+def test_constant_at_one_half_is_one_over_pi():
+    # the closed form 2^(alpha + 1/2) alpha / (sqrt(pi) Gamma(1 - alpha)) at alpha = 1/2
+    assert calibrate_pointwise_constant(0.5) == pytest.approx(1.0 / math.pi, rel=1e-15)
+
+
 def test_calibration_rejects_bad_alpha():
     with pytest.raises(ValueError, match="0 < alpha < 1"):
         calibrate_pointwise_constant(1.5)
@@ -160,7 +165,7 @@ def test_pointwise_matches_spectral_on_gaussian():
     idx = np.nonzero(np.abs(g.axis_coords) <= 3.0)[0][::8]
     for i in idx:
         got = pointwise_apply(u, float(g.axis_coords[i]), 0.5)
-        assert abs(got - target[i]) <= 1e-3 * scale
+        assert abs(got - target[i]) <= 1e-6 * scale
 
 
 def test_pointwise_even_symmetry():

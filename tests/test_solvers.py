@@ -26,6 +26,7 @@ from besselmp import (
     two_solution_stages,
     weighted_norm_sq,
 )
+from besselmp import solvers
 from besselmp.config import RunConfig, build_spec
 from besselmp.grid import DENSE_MAX_POINTS
 from besselmp.problem import _energy_rows
@@ -264,6 +265,21 @@ class TestMountainPass:
         with pytest.raises(ValueError, match="negative energy"):
             mountain_pass_solve(coercive_spec, small)
 
+    def test_polish_falls_back_to_residual_descent(self, monkeypatch):
+        # with every Newton solve refused, each polish step is a descent
+        # step on the residual norm; the run stops when one finds no decrease
+        spec = build_spec(RunConfig(dim=3, n=8, box_length=10.0, q=3.0))
+        probe = probe_geometry(spec, seed=0)
+        monkeypatch.setattr(solvers, "_newton_direction", lambda spec, u, r: None)
+        report = mountain_pass_solve(spec, probe.e, probe=probe)
+        norms = [t.residual_norm for t in report.trace if t.phase == "polish"]
+        assert len(norms) == 17
+        assert norms[0] == 1.344407586921846
+        assert norms[-1] == 0.5508110348512013
+        assert all(b < a for a, b in zip(norms, norms[1:]))
+        assert not report.converged
+        assert report.message == "residual tolerance not reached"
+
 
 # ---------------------------------------------------------------------------
 # ball minimization
@@ -298,6 +314,25 @@ class TestBallMin:
         # roundoff-sized amounts, and no step may climb by more
         es = [t.energy for t in well_result.local_min.trace]
         assert max(b - a for a, b in zip(es, es[1:])) <= 1e-12
+
+    def test_small_ball_takes_projected_steps(self, coercive_spec, coercive_ball):
+        # a ball smaller than the minimizer's norm pins every step to the
+        # sphere; the run ends when no backtracked projected step lowers Phi
+        rho = 0.9 * _norm_lam(coercive_spec, coercive_ball.solution)
+        assert rho == 0.9 * 1.838701330837615e-05
+        report = ball_min_solve(coercive_spec, rho)
+        assert report.iterations == 4
+        assert [t.energy for t in report.trace] == [
+            -5.5370329305259154e-11, -5.5452297784779465e-11,
+            -5.546555010759675e-11, -5.548409884025896e-11]
+        assert not report.converged and not report.ok
+        assert report.message == "residual tolerance not reached"
+        assert _norm_lam(coercive_spec, report.solution) / rho == 1.0
+        # each of the three accepted steps ends on the sphere
+        for k in (1, 2, 3):
+            early = ball_min_solve(coercive_spec, rho, SolveOptions(max_iter=k))
+            assert early.energy == report.trace[k].energy
+            assert _norm_lam(coercive_spec, early.solution) / rho == pytest.approx(1.0, abs=1e-15)
 
     def test_mu_zero_reports_failure(self, coercive_probe):
         flat = canonical_coercive_spec()

@@ -174,6 +174,13 @@ def test_splitting_rejects_edge_mass(coercive_spec):
         check_splitting(coercive_spec, u0, wide, separations=(2,))
 
 
+def test_splitting_rejects_edge_mass_in_u0(coercive_spec):
+    g = coercive_spec.grid
+    wide = Field(g, np.ones(g.shape))
+    with pytest.raises(ValueError, match="box edge"):
+        check_splitting(coercive_spec, wide, _gaussian(g), separations=(2,))
+
+
 def _verify_splitting(dim, n, family, q=4.0, threshold=1e-3):
     """check_splitting on the pair and separations that ``bessel-mp verify`` uses."""
     cfg = RunConfig(mode="verify", dim=dim, n=n, box_length=40.0, potential=family, q=q)
