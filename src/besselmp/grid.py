@@ -326,11 +326,21 @@ def _bessel_norm_sq_rows(grid: Grid, values: np.ndarray, alpha: float) -> np.nda
     return _row_sum(grid, power)
 
 
+def _potential_rows(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float) -> np.ndarray:
+    """lam * integral of V u^2 for every row; ``V`` holds the potential's values."""
+    return lam * (_row_sum(grid, V * values**2) * grid.cell_volume)
+
+
 def _weighted_norm_sq_rows(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float,
                            alpha: float) -> np.ndarray:
     """Squared solver norm of every row; ``V`` holds the potential's values."""
-    pot = lam * (_row_sum(grid, V * values**2) * grid.cell_volume)
-    return _bessel_norm_sq_rows(grid, values, alpha) + pot
+    return _bessel_norm_sq_rows(grid, values, alpha) + _potential_rows(grid, values, V, lam)
+
+
+def _require_weight(V: np.ndarray, lam: float) -> None:
+    """The solver norm's rules: lam positive and finite, the potential values ``V`` nonnegative."""
+    _require((lam > 0 and np.isfinite(lam), f"lam must be positive, got {lam}"),
+             (np.min(V) >= 0, "potential must be nonnegative"))
 
 
 def _band_limit(grid: Grid, noise: np.ndarray, band_fraction: float,
@@ -340,13 +350,18 @@ def _band_limit(grid: Grid, noise: np.ndarray, band_fraction: float,
     ``envelope_sigma`` (one value, or one per row) damps each row by
     exp(-|x|^2 / 2 sigma^2).
     """
-    w_hat = np.fft.rfftn(noise, **_fft_axes(grid))
     cutoff = max(1, int(band_fraction * grid.n))
-    idx = np.abs(np.fft.fftfreq(grid.n) * grid.n)
-    keep = np.ones(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        keep &= idx.reshape((-1,) + (1,) * (grid.dim - 1 - ax)) <= cutoff
-    keep = keep[..., : grid.n // 2 + 1]  # the half lattice's columns k = 0 .. n//2
+
+    def build():
+        idx = np.abs(np.fft.fftfreq(grid.n) * grid.n)
+        keep = np.ones(grid.shape, dtype=bool)
+        for ax in range(grid.dim):
+            keep &= idx.reshape((-1,) + (1,) * (grid.dim - 1 - ax)) <= cutoff
+        # the half lattice's columns k = 0 .. n//2
+        return _read_only(np.ascontiguousarray(keep[..., : grid.n // 2 + 1]))
+
+    keep = grid._cached(("band", cutoff), build)
+    w_hat = np.fft.rfftn(noise, **_fft_axes(grid))
     vals = np.fft.irfftn(np.where(keep, w_hat, 0.0), **_fft_axes(grid))
     if envelope_sigma is not None:
         sigma = np.reshape(envelope_sigma, np.shape(envelope_sigma) + (1,) * grid.dim)
@@ -354,9 +369,39 @@ def _band_limit(grid: Grid, noise: np.ndarray, band_fraction: float,
     return vals
 
 
+def _random_stacks(grid: Grid, rng: np.random.Generator, count: int):
+    """``count`` fields as ``random_field(grid, rng)`` draws them, in stacks of ``grid.batch_rows``.
+
+    One ``standard_normal`` call for k fields draws the numbers that k calls
+    of one field each would, and leaves ``rng`` in the same state, so the
+    rows equal successive ``random_field`` values to the bit.  ``count`` is
+    checked on the call, before anything is drawn.
+    """
+    _require((count >= 1, f"trials must be at least 1, got {count}"))
+
+    def stacks():
+        for start in range(0, count, grid.batch_rows):
+            noise = rng.standard_normal((min(grid.batch_rows, count - start),) + grid.shape)
+            rows = _band_limit(grid, noise, 0.25)  # random_field's default band
+            _require((np.all(np.isfinite(rows)), "field values must be finite"))
+            yield rows
+
+    return stacks()
+
+
+def _lp_norm_rows(grid: Grid, values: np.ndarray, r: float) -> np.ndarray:
+    """L^r norm of every row over the box; r is not checked.
+
+    The root is taken row by row as a scalar power: NumPy's array power
+    (SIMD) can differ from it in the last bit.
+    """
+    sums = _row_sum(grid, np.abs(values) ** r) * grid.cell_volume
+    return np.array([total ** (1.0 / r) for total in sums.tolist()])
+
+
 def _lp_norm(grid: Grid, values: np.ndarray, r: float) -> float:
     """L^r norm of one field's values over the box; r is not checked."""
-    return float((np.sum(np.abs(values) ** r) * grid.cell_volume) ** (1.0 / r))
+    return float(_lp_norm_rows(grid, values[np.newaxis], r)[0])
 
 
 def apply_multiplier(field: Field, s: float) -> Field:
@@ -391,10 +436,7 @@ def weighted_norm_sq(field: Field, V: Field, lam: float, alpha: float) -> float:
     controls the same embeddings with constants no worse.
     """
     _require_same_grid(field, V)
-    if not (lam > 0 and np.isfinite(lam)):
-        raise ValueError(f"lam must be positive, got {lam}")
-    if np.min(V.values) < 0:
-        raise ValueError("potential must be nonnegative")
+    _require_weight(V.values, lam)
     return float(_weighted_norm_sq_rows(field.grid, field.values, V.values, lam, alpha))
 
 

@@ -4,6 +4,12 @@ Each checker evaluates one inequality or estimate on concrete fields and
 returns a CheckRecord: name, parameters, seed, verdict, and witnesses.
 Thresholds are artifact conventions (documented per checker), chosen so
 that honest numerics pass and genuine violations fail loudly.
+
+The Monte Carlo checks (sublevel bound, norm domination, embedding
+constants) need ``trials >= 1``.  Each seeds its own Philox generator and
+draws its fields in stacks of ``grid.batch_rows`` through the grid's row
+kernels; the rows equal successive ``random_field`` draws to the bit, so a
+seed gives the same record whatever the stack size.
 """
 
 from __future__ import annotations
@@ -15,12 +21,14 @@ import numpy as np
 
 from .grid import (
     Field,
+    _bessel_norm_sq_rows,
+    _lp_norm_rows,
+    _potential_rows,
+    _random_stacks,
     _require,
-    bessel_norm_sq,
-    lp_norm,
-    random_field,
+    _require_weight,
+    _weighted_norm_sq_rows,
     spectral_derivative,
-    weighted_norm_sq,
 )
 from .problem import ProblemSpec, critical_exponent, energy, eval_f, eval_scrF
 from .problem import _ball_integrals, _ladder_verdict, _unit_ball
@@ -132,17 +140,21 @@ def check_sublevel_l2_bound(spec: ProblemSpec, b: float, trials: int = 100,
     """
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
-    rng = np.random.Generator(np.random.Philox(seed))
     g = spec.grid
-    mask = spec.V_field.values < b
-    # each field is scored as it is drawn, so only one is held at a time
-    margins, scales = np.empty(trials), np.empty(trials)
-    for i in range(trials):
-        u = random_field(g, rng)
-        lhs = lp_norm(u, 2) ** 2
-        rhs = weighted_norm_sq(u, spec.V_field, spec.lam, spec.alpha) / (spec.lam * b)
-        rhs += float(np.sum(u.values[mask] ** 2) * g.cell_volume)
-        margins[i], scales[i] = rhs - lhs, lhs + abs(rhs)
+    V = spec.V_field.values
+    draws = _random_stacks(g, np.random.Generator(np.random.Philox(seed)), trials)
+    _require_weight(V, spec.lam)
+    mask = V < b
+    # each stack is scored as it is drawn, so only one is held at a time
+    margins, scales = [], []
+    for u in draws:
+        # squared row by row: NumPy's array power can differ from the scalar one in the last bit
+        lhs = np.array([nrm ** 2 for nrm in _lp_norm_rows(g, u, 2).tolist()])
+        rhs = _weighted_norm_sq_rows(g, u, V, spec.lam, spec.alpha) / (spec.lam * b)
+        rhs += np.sum(u[:, mask] ** 2, axis=-1) * g.cell_volume
+        margins.append(rhs - lhs)
+        scales.append(lhs + abs(rhs))
+    margins, scales = np.concatenate(margins), np.concatenate(scales)
     violations = int(np.count_nonzero(margins < -1e-12 * scales))
     worst = float(np.min(margins / np.maximum(scales, 1e-300)))
     return CheckRecord(
@@ -310,26 +322,24 @@ def estimate_embedding_constants(alpha: float, grid, s_list, trials: int = 1000,
     """
     s_list = [float(s) for s in s_list]
     require_s_in_window(s_list, grid.dim, alpha)
-    rng = np.random.Generator(np.random.Philox(seed))
+    draws = _random_stacks(grid, np.random.Generator(np.random.Philox(seed)), trials)
     table = {s: 0.0 for s in s_list}
     # deterministic anchors: the constant field attains the s=2 supremum
     # (the symbol's minimum is 1, at frequency zero), and smooth bumps
     # cover the concentrated profiles random noise misses
-    anchors = [Field(grid, np.ones(grid.shape))]
-    for sigma in (0.5, 1.0, 2.0, 4.0, 8.0):
-        anchors.append(Field(grid, np.exp(-grid.radius_sq / sigma**2)))
+    anchors = np.stack([np.ones(grid.shape)] + [np.exp(-grid.radius_sq / sigma**2)
+                                                for sigma in (0.5, 1.0, 2.0, 4.0, 8.0)])
 
     def account(u):
-        nrm = math.sqrt(bessel_norm_sq(u, alpha))
-        if nrm < 1e-14:
-            return
+        nrm = np.sqrt(_bessel_norm_sq_rows(grid, u, alpha))
+        ok = nrm >= 1e-14
         for s in s_list:
-            table[s] = max(table[s], lp_norm(u, s) / nrm)
+            table[s] = float(np.max(_lp_norm_rows(grid, u[ok], s) / nrm[ok], initial=table[s]))
 
-    for u in anchors:
+    for start in range(0, len(anchors), grid.batch_rows):
+        account(anchors[start : start + grid.batch_rows])
+    for u in draws:
         account(u)
-    for _ in range(trials):
-        account(random_field(grid, rng))
     return EmbeddingEstimate(alpha=alpha, table=table, trials=trials, seed=seed)
 
 
@@ -339,14 +349,17 @@ def check_norm_domination(spec: ProblemSpec, trials: int = 200, seed: int = 0) -
     Reports the empirical sup of the ratio bessel/weighted over random
     fields together with its gap below the literal bound 1.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
+    g = spec.grid
+    V = spec.V_field.values
+    draws = _random_stacks(g, np.random.Generator(np.random.Philox(seed)), trials)
+    _require_weight(V, spec.lam)
     worst = 0.0
-    for _ in range(trials):
-        u = random_field(spec.grid, rng)
-        wn = weighted_norm_sq(u, spec.V_field, spec.lam, spec.alpha)
-        bn = bessel_norm_sq(u, spec.alpha)
-        if wn > 0:
-            worst = max(worst, math.sqrt(bn / wn))
+    for u in draws:
+        # one transform per stack: the weighted norm adds lam * int V u^2 to the bessel norm
+        bn = _bessel_norm_sq_rows(g, u, spec.alpha)
+        wn = bn + _potential_rows(g, u, V, spec.lam)
+        pos = wn > 0
+        worst = float(np.max(np.sqrt(bn[pos] / wn[pos]), initial=worst))
     ok = worst <= 1.0 + 1e-10
     return CheckRecord(
         "norm_domination", {"lam": spec.lam, "trials": trials}, seed, bool(ok),

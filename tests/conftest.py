@@ -1,4 +1,4 @@
-"""Shared fixtures: the canonical problems and their (slow) solved states.
+"""Shared fixtures: the canonical problems, their (slow) solved states, and an FFT call counter.
 
 The solve fixtures are session-scoped because several files assert against
 the same converged run; everything downstream treats them as read-only.
@@ -13,6 +13,9 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+from collections import Counter  # noqa: E402
+
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from besselmp import (
@@ -54,3 +57,17 @@ def coercive_ball(coercive_spec, coercive_probe):
 @pytest.fixture(scope="session")
 def well_result(well_spec):
     return two_solution_experiment(well_spec, seed=0)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Calls of each np.fft function made through besselmp.grid; uncalled names are absent."""
+    import besselmp.grid
+
+    calls = Counter()
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(besselmp.grid.np.fft, name, counted)
+    return calls

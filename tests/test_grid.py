@@ -28,7 +28,9 @@ from besselmp.grid import (
     GRID_MAX_POINTS,
     _band_limit,
     _bessel_norm_sq_rows,
+    _lp_norm_rows,
     _multiply,
+    _random_stacks,
     _weighted_norm_sq_rows,
     make_grid,
 )
@@ -343,6 +345,18 @@ def test_norm_rows_match_field_api(dim, n, box):
     assert _weighted_norm_sq_rows(g, empty, V.values, 2.5, 0.75).shape == (0,)
 
 
+def test_lp_norm_root_is_a_scalar_power():
+    # NumPy's array power (SIMD) differs from the scalar pow in the last bit
+    # for a few percent of inputs; every row's root is the scalar one
+    g = make_grid(2, 16, 12.0)
+    u = _stack(g, 200, 5)
+    for r in (2.0, 3.0, 4.0):
+        expect = [float((np.sum(np.abs(row) ** r) * g.cell_volume) ** (1.0 / r)) for row in u]
+        assert _lp_norm_rows(g, u, r).tolist() == expect
+        assert lp_norm(Field(g, u[0]), r) == expect[0]
+    assert _lp_norm_rows(g, u[:0], 2.0).shape == (0,)
+
+
 @pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
 def test_band_limit_rows_match_random_field(dim, n, box):
     g = make_grid(dim, n, box)
@@ -354,23 +368,25 @@ def test_band_limit_rows_match_random_field(dim, n, box):
     for row, sigma in zip(out, sigmas):
         assert np.array_equal(row, random_field(g, again, envelope_sigma=float(sigma)).values)
     assert _band_limit(g, noise[:0], 0.25, sigmas[:0]).shape == (0,) + g.shape
+    # the mode mask is built once per cutoff and shared, read-only
+    (mask,) = (v for k, v in g._workspace.items() if k[0] == "band")
+    assert not mask.flags.writeable
 
 
-FFT_NAMES = ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft")
-
-
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """Calls of each np.fft function made through besselmp.grid."""
-    import besselmp.grid
-
-    calls = dict.fromkeys(FFT_NAMES, 0)
-    for name in FFT_NAMES:
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kw):
-            calls[_name] += 1
-            return _fn(*args, **kw)
-        monkeypatch.setattr(besselmp.grid.np.fft, name, counted)
-    return calls
+@pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
+def test_random_stacks_are_successive_random_fields(dim, n, box):
+    g = make_grid(dim, n, box)
+    b = g.batch_rows
+    for count, sizes in ((1, [1]), (b, [b]), (b + 1, [b, 1])):
+        stacks = list(_random_stacks(g, _rng(count), count))
+        assert [len(u) for u in stacks] == sizes
+        single = _rng(count)
+        for row in np.concatenate(stacks):
+            assert np.array_equal(row, random_field(g, single).values)
+        # the generator is left where the per-field draws leave it
+        rng = _rng(count)
+        list(_random_stacks(g, rng, count))
+        assert rng.standard_normal() == single.standard_normal()
 
 
 @pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
@@ -378,9 +394,9 @@ def test_row_kernels_transform_a_stack_once(dim, n, box, fft_calls):
     g = make_grid(dim, n, box)
     u = _rng(dim).standard_normal((3,) + g.shape)
     _bessel_norm_sq_rows(g, u, 0.75)
-    assert fft_calls == dict.fromkeys(FFT_NAMES, 0) | {"rfftn": 1}
+    assert fft_calls == {"rfftn": 1}
     _multiply(g, u, 0.75)
-    assert fft_calls == dict.fromkeys(FFT_NAMES, 0) | {"rfftn": 2, "irfftn": 1}
+    assert fft_calls == {"rfftn": 2, "irfftn": 1}
 
 
 def test_energy_rows_need_one_forward_transform(fft_calls):
@@ -388,7 +404,7 @@ def test_energy_rows_need_one_forward_transform(fft_calls):
     u = 0.1 * np.stack([spec.xi_field.values, -spec.xi_field.values, spec.V_field.values])
     rows = _energy_rows(spec, u)
     assert rows.total.shape == (3,)
-    assert fft_calls == dict.fromkeys(FFT_NAMES, 0) | {"rfftn": 1}
+    assert fft_calls == {"rfftn": 1}
 
 
 def test_multiplier_matrix_refuses_large_grids():

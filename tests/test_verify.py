@@ -387,3 +387,58 @@ def test_norm_domination(coercive_spec):
     assert rec.passed
     assert rec.data["empirical_ratio"] <= 1.0 + 1e-10
     assert rec.seed == 0
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo records, pinned to the bit
+#
+# The sublevel bound, norm domination and embedding estimate draw and score
+# their fields in stacks of ``grid.batch_rows``; a record must not depend on
+# that.  The 2-D spec holds 4 fields a stack, so 10 trials end in a short
+# stack of 2; the 1-D well holds 64, so 70 trials end in a stack of 6.
+
+
+@pytest.fixture(scope="module")
+def well_2d_spec():
+    return build_spec(RunConfig(mode="verify", dim=2, n=64, box_length=40.0, potential="well"))
+
+
+@pytest.mark.parametrize("spec_name,trials,margin,ratio,gamma_3,gamma_4", [
+    ("well_2d_spec", 10, 0.6831037276373438, 0.2595040449809325,
+     "0x1.1c130b256f9a5p-1", "0x1.0390aeddeb0a1p-1"),
+    ("well_spec", 70, 0.5992166173357724, 0.06257272396498216,
+     "0x1.7ac720bb7748ep-1", "0x1.5bf2f3d3d8b46p-1"),
+])
+def test_monte_carlo_records_are_pinned(spec_name, trials, margin, ratio, gamma_3, gamma_4,
+                                        request):
+    spec = request.getfixturevalue(spec_name)
+    sub = check_sublevel_l2_bound(spec, b=10.0, trials=trials, seed=0)
+    assert sub.data["worst_relative_margin"] == margin
+    dom = check_norm_domination(spec, trials=trials, seed=0)
+    assert dom.data["empirical_ratio"] == ratio
+    est = estimate_embedding_constants(spec.alpha, spec.grid, [2.0, 3.0, 4.0],
+                                       trials=trials, seed=0)
+    assert all(type(v) is float for v in est.table.values())
+    assert (est.table[3.0].hex(), est.table[4.0].hex()) == (gamma_3, gamma_4)
+
+
+def test_norm_domination_transforms_each_stack_twice(well_2d_spec, fft_calls):
+    # 10 fields in stacks of 4, 4 and 2: per stack one forward and one inverse
+    # transform to band-limit the noise, and one forward for the bessel norm
+    check_norm_domination(well_2d_spec, trials=10, seed=0)
+    assert fft_calls == {"rfftn": 6, "irfftn": 3}
+
+
+def test_sublevel_bound_needs_a_trial(well_spec):
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        check_sublevel_l2_bound(well_spec, b=10.0, trials=0)
+
+
+def test_norm_domination_needs_a_trial(well_spec):
+    with pytest.raises(ValueError, match="trials must be at least 1, got -3"):
+        check_norm_domination(well_spec, trials=-3)
+
+
+def test_embedding_needs_a_trial(well_spec):
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        estimate_embedding_constants(0.75, well_spec.grid, [2.0], trials=0)
