@@ -12,7 +12,17 @@ the maximal node then seeds a damped Newton iteration on the strong-form
 residual that pushes the candidate to solver tolerance.  Every node only
 moves downhill, so the highest node energy never rises; the trace records
 the first node within 1e-12 of that maximum, so its energies are
-non-increasing up to that tie tolerance.
+non-increasing up to that tie tolerance.  The nodes move independently,
+so once the path tears through the ridge the nodes past it slide downhill
+without bound, to values near 1e77.
+
+A sweep searches all interior nodes as rows of one line search, each with
+its own step.  A node that has not moved keeps the residual, direction and
+slope of its last search, and the next search there skips every step that
+one refused: after a refusal from s, the search from s/2 tries only the
+new step s 2^-40, and at the 1e-6 step floor it tries nothing.  The same
+point and step give the same trial energy, so the rule saves work and
+changes no result.
 
 The negative-energy solution comes from projected preconditioned descent
 inside the ball ||u||_lam <= rho.  Gradient and projected steps lower Phi;
@@ -20,7 +30,7 @@ the Newton steps that finish the descent are accepted while Phi rises by
 at most 1e-12, so on a flat floor a run of them can creep upward by
 roundoff-sized amounts.
 
-One Armijo step serves the path nodes and the ball descent, and one
+One row-wise Armijo step serves the path nodes and the ball descent, and one
 generator of damped Newton trials serves the polish and the ball; every
 backtracking search walks the steps s, s/2, s/4, ... and only its count differs.
 
@@ -46,6 +56,7 @@ from .grid import (
     _lp_norm,
     _multiply,
     _require,
+    _row_sum,
     _weighted_norm_sq_rows,
     lp_norm,
 )
@@ -133,6 +144,10 @@ class TraceEntry:
     step_size: float
     max_node_index: int
     phase: str
+    # trial points scored: on a path entry by the sweep that ended there, on
+    # a ball or polish entry by the step taken from there (energies on the
+    # path and the ball, residual norms in the polish)
+    trials: int
 
 
 @dataclass(frozen=True)
@@ -169,10 +184,6 @@ def _residual(spec, u):
 def _residual_norm(spec, u) -> float:
     """L^2 norm of the residual at u; a trial that overflows reads inf or nan."""
     return _lp_norm(spec.grid, _residual_rows(spec, u), 2)
-
-
-def _inner(spec, a, b) -> float:
-    return float(np.sum(a * b) * spec.grid.cell_volume)
 
 
 def _norm_lam(spec, u):
@@ -221,6 +232,11 @@ def _sphere_draws(spec, rng, count):
 def _per_row(values, grid):
     """Per-row scalars shaped to broadcast against a stack of fields."""
     return values.reshape(values.shape + (1,) * grid.dim)
+
+
+def _stacks(count, cap):
+    """Slices that cut ``count`` rows into stacks of at most ``cap``."""
+    return (slice(i, i + cap) for i in range(0, count, cap))
 
 
 def _sphere_samples(spec, rho, count, rng):
@@ -347,11 +363,9 @@ def probe_geometry(spec: ProblemSpec, rho_grid=None, samples_per_rho: int = 64,
         scored.append(terms)
         starts.append((samples[lowest], np.full(lowest.size, rho), terms.total[lowest]))
     start_u, start_rho, start_e = (np.concatenate(a) for a in zip(*starts))
-    cap = spec.grid.batch_rows
     polished = _concat_terms([
-        _energy_rows(spec, _sphere_polish(spec, start_u[i:i + cap], start_rho[i:i + cap],
-                                          start_e[i:i + cap]))
-        for i in range(0, len(start_u), cap)])
+        _energy_rows(spec, _sphere_polish(spec, start_u[rows], start_rho[rows], start_e[rows]))
+        for rows in _stacks(len(start_u), spec.grid.batch_rows)])
 
     table = []
     offset = 0
@@ -401,30 +415,72 @@ def _steps(s, tries):
         s *= BACKTRACK_FACTOR
 
 
-def _armijo_step(spec, u, e_u, r, step, rho=math.inf):
-    """One monotone preconditioned-gradient step from u, whose residual is r.
+def _first(candidates, accept):
+    """(the first candidate that accept passes, or None; the number of candidates tested)."""
+    tested = 0
+    for c in candidates:
+        tested += 1
+        if accept(c):
+            return c, tested
+    return None, tested
 
-    Returns (new_u, new_energy, step_used, projected), step_used 0.0 when no
-    step was accepted.  A trial outside ||.||_lam <= rho is projected onto that
-    sphere and accepted at any decrease beyond 1e-14, not the Armijo decrease.
-    """
+
+def _energy_stack(spec, u):
+    """Phi of every row of u, scored in stacks of ``grid.batch_rows``."""
+    return np.concatenate([_energy_rows(spec, u[rows]).total
+                           for rows in _stacks(len(u), spec.grid.batch_rows)])
+
+
+def _descent(spec, r):
+    """Directions d = (I - Laplacian)^{-alpha} r of the rows of r, and their slopes <r, d>."""
     d = _multiply(spec.grid, r, -spec.alpha)
-    slope = _inner(spec, r, d)
-    if not 0.0 < slope < math.inf:
-        # an overflowed slope makes the decrease test unpassable for every step
-        return u, e_u, 0.0, False
-    for s in _steps(step, BACKTRACK_TRIES):
-        trial = u - s * d
-        target = e_u - ARMIJO_SLOPE * s * slope
-        t_norm = _norm_lam(spec, trial) if rho < math.inf else 0.0
-        projected = t_norm > rho
-        if projected:
-            trial = trial * (rho / t_norm)
-            target = e_u - 1e-14
-        e_t = _energy(spec, trial)
-        if e_t <= target:
-            return trial, e_t, s, projected
-    return u, e_u, 0.0, False
+    return d, _row_sum(spec.grid, r * d) * spec.grid.cell_volume
+
+
+def _armijo_step(spec, u, e_u, d, slope, step, skip=0, rho=math.inf):
+    """One monotone preconditioned-gradient step from every row of u along its direction d.
+
+    Row i walks the steps step_i, step_i/2, ..., BACKTRACK_TRIES of them,
+    past the first skip_i, and takes the first whose energy is at most
+    e_u_i - ARMIJO_SLOPE s slope_i.  A row whose slope is not positive and
+    finite tries nothing: its decrease test is unpassable.  A trial outside
+    ||.||_lam <= rho is projected onto that sphere and accepted at any
+    decrease beyond 1e-14 instead.  The rows search independently; each
+    round's trials are scored together in stacks of ``grid.batch_rows``.
+
+    Returns per row (u, energy, step_used, projected, trials): step_used is
+    0.0 where no step was accepted, trials the energies evaluated.
+    """
+    g = spec.grid
+    count = len(u)
+    u, e_u = u.copy(), np.array(e_u, dtype=np.float64)
+    s = np.array(np.broadcast_to(step, count), dtype=np.float64)
+    skip = np.broadcast_to(skip, count)
+    for j in range(int(skip.max(initial=0))):
+        s[skip > j] *= BACKTRACK_FACTOR
+    left = np.where((slope > 0.0) & (slope < math.inf), BACKTRACK_TRIES - skip, 0)
+    used = np.zeros(count)
+    projected = np.zeros(count, dtype=bool)
+    trials = np.zeros(count, dtype=int)
+    while (idx := np.flatnonzero(left > 0)).size:
+        left[idx] -= 1
+        trials[idx] += 1
+        for rows in (idx[c] for c in _stacks(idx.size, g.batch_rows)):
+            trial = u[rows] - d[rows] * _per_row(s[rows], g)
+            target = e_u[rows] - ARMIJO_SLOPE * s[rows] * slope[rows]
+            out = np.zeros(rows.size, dtype=bool)
+            if rho < math.inf:
+                t_norm = _norm_lam(spec, trial)
+                out = t_norm > rho
+                trial[out] *= _per_row(rho / t_norm[out], g)
+                target[out] = e_u[rows[out]] - 1e-14
+            e_t = _energy_rows(spec, trial).total
+            won = e_t <= target
+            w = rows[won]
+            u[w], e_u[w], used[w], projected[w] = trial[won], e_t[won], s[w], out[won]
+            left[w] = 0
+        s[idx] *= BACKTRACK_FACTOR
+    return u, e_u, used, projected, trials
 
 
 def _hessian_diag(spec, u):
@@ -482,20 +538,23 @@ def _polish(spec, u, opts, trace, it0, node_index):
     for _ in range(NEWTON_MAX):
         r = _residual(spec, u)
         rn = _lp_norm(spec.grid, r, 2)
-        trace.append(TraceEntry(it, _energy(spec, u), rn, 0.0, node_index, "polish"))
+        entry = TraceEntry(it, _energy(spec, u), rn, 0.0, node_index, "polish", 0)
         it += 1
         if rn <= opts.tol:
+            trace.append(entry)
             return u, rn, it
-        trials = _newton_trials(u, _newton_direction(spec, u, r))
-        moved = next((t for s, t in trials if _residual_norm(spec, t) <= (1.0 - 1e-4 * s) * rn), None)
-        if moved is None:
+        found, tried = _first(_newton_trials(u, _newton_direction(spec, u, r)),
+                              lambda st: _residual_norm(spec, st[1]) <= (1.0 - 1e-4 * st[0]) * rn)
+        if found is None:
             # fall back to preconditioned descent on the residual norm
             d = _multiply(spec.grid, r, -spec.alpha)
-            trials = (u - s * d for s in _steps(1.0, BACKTRACK_TRIES))
-            moved = next((t for t in trials if _residual_norm(spec, t) < rn), None)
-        if moved is None:
+            found, more = _first(((s, u - s * d) for s in _steps(1.0, BACKTRACK_TRIES)),
+                                 lambda st: _residual_norm(spec, st[1]) < rn)
+            tried += more
+        trace.append(replace(entry, trials=tried))
+        if found is None:
             return u, max(rn, 1e-30), it
-        u = moved
+        u = found[1]
     return u, _lp_norm(spec.grid, _residual(spec, u), 2), it
 
 
@@ -516,29 +575,56 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
         raise ValueError("endpoint e must have negative energy")
     g = spec.grid
     m = opts.path_nodes
-    nodes = [(i / (m - 1)) * e.values for i in range(m)]
-    nodes[0] = np.zeros(g.shape)
-    energies = [_energy(spec, u) for u in nodes]
+    nodes = np.stack([(i / (m - 1)) * e.values for i in range(m)])
+    nodes[0] = 0.0
+    energies = _energy_stack(spec, nodes)
     steps = np.full(m, STEP_INIT)
+    inner = np.arange(1, m - 1)
+    # each node's residual, direction and slope, kept while the node stays
+    # put, and the first step of its last search there if that search
+    # refused every step (0 when none did)
+    r, d = np.empty_like(nodes), np.empty_like(nodes)
+    slope = np.empty(m)
+    known = np.zeros(m, dtype=bool)
+    refused = np.zeros(m)
+
+    def refresh(idx):
+        """Residual, direction and slope at those nodes of idx that moved."""
+        idx = idx[~known[idx]]
+        for rows in (idx[c] for c in _stacks(idx.size, g.batch_rows)):
+            r[rows] = _residual(spec, nodes[rows])
+            d[rows], slope[rows] = _descent(spec, r[rows])
+        known[idx] = True
 
     trace: list[TraceEntry] = []
     it = 0
     # an accepted Armijo step never raises a node's energy, so no later
     # sweep's maximum exceeds the straight path's
-    ridge_high = max(energies)
+    ridge_high = float(energies.max())
     best = None  # (residual_norm, node values, node index) near the ridge
 
-    # nodes are replaced, never changed in place: best keeps a reference
     while it < opts.max_iter:
-        for i in range(1, m - 1):
-            nodes[i], energies[i], used, _ = _armijo_step(
-                spec, nodes[i], energies[i], _residual(spec, nodes[i]), steps[i])
-            steps[i] = min(max(used, 1e-6) * 2.0, STEP_MAX) if used > 0 else max(steps[i] * 0.5, 1e-6)
+        refresh(inner)
+        # a search at an unchanged point repeats the refused one's steps
+        # except the last when it starts at half its step, and all of them
+        # when it starts at the same step (the 1e-6 floor)
+        skip = np.select([steps == refused, steps == refused * BACKTRACK_FACTOR],
+                         [BACKTRACK_TRIES, BACKTRACK_TRIES - 1], 0)[inner]
+        u_new, e_new, used, _, tried = _armijo_step(spec, nodes[inner], energies[inner], d[inner],
+                                                    slope[inner], steps[inner], skip)
+        moved = used > 0
+        nodes[inner[moved]], energies[inner[moved]] = u_new[moved], e_new[moved]
+        known[inner[moved]] = False
+        refused[inner] = np.where(moved, 0.0, steps[inner])
+        steps[inner] = np.where(moved, np.minimum(np.maximum(used, 1e-6) * 2.0, STEP_MAX),
+                                np.maximum(steps[inner] * 0.5, 1e-6))
 
-        e_max = max(energies)
-        k = next(i for i, v in enumerate(energies) if v >= e_max - 1e-12)
-        rn = _lp_norm(g, _residual(spec, nodes[k]), 2)
-        trace.append(TraceEntry(it, energies[k], rn, float(steps[k]), k, "path"))
+        e_max = float(energies.max())
+        k = int(np.argmax(energies >= e_max - 1e-12))
+        e_k = float(energies[k])
+        refresh(np.array([k]))
+        rn = _lp_norm(g, r[k], 2)
+        trace.append(TraceEntry(it, e_k, rn, float(steps[k]), k, "path", int(tried.sum())))
         it += 1
 
         # remember the most nearly critical max node seen while the path
@@ -546,19 +632,19 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
         # polygon eventually tears through the saddle and later max nodes
         # slide into a basin and stop being useful seeds
         if e_max >= 0.5 * ridge_high and (best is None or rn < best[0]):
-            best = (rn, nodes[k], k)
+            best = (rn, nodes[k].copy(), k)
 
         if rn <= opts.tol:
-            best = (rn, nodes[k], k)
+            best = (rn, nodes[k].copy(), k)
             break
         if e_max < 0.5 * ridge_high:
             break  # torn through the ridge; refine from the best bracketing seed
-        nearly_critical = it >= 20 and rn <= POLISH_THRESHOLD * (1.0 + abs(energies[k]))
+        nearly_critical = it >= 20 and rn <= POLISH_THRESHOLD * (1.0 + abs(e_k))
         # path entries are the whole trace while the path deforms
         stalled = it > STALL_WINDOW and (trace[-STALL_WINDOW].energy - trace[-1].energy
                                          <= STALL_TOL * (1.0 + abs(trace[-1].energy)))
         if nearly_critical or stalled:
-            best = (rn, nodes[k], k)
+            best = (rn, nodes[k].copy(), k)
             break
 
     # no bracketing seed was kept: the last sweep's max node is the seed
@@ -605,8 +691,9 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
     # the negative dip near zero sits at amplitudes of order mu^{1/(2-p)},
     # which can be minuscule; the scan floor has to reach well below it
     ts = t_max * np.geomspace(1e-8, 1.0, 80)
-    scan = [(t, _energy(spec, t * phi0)) for t in ts]
-    t_best, e_best = min(scan, key=lambda te: te[1])
+    scan = _energy_stack(spec, _per_row(ts, g) * phi0)
+    best = int(np.argmin(scan))  # the first of equal minima
+    t_best, e_best = ts[best], float(scan[best])
     if e_best >= 0.0:
         zero = np.zeros(g.shape)
         return SolveReport(
@@ -628,23 +715,31 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
     while it < opts.max_iter:
         r = _residual(spec, u)
         rn = _lp_norm(g, r, 2)
-        trace.append(TraceEntry(it, e_u, rn, step, -1, "ball"))
+        entry = TraceEntry(it, e_u, rn, step, -1, "ball", 0)
         it += 1
         if rn <= opts.tol:
+            trace.append(entry)
             converged = True
             break
 
         # Newton acceleration once the iterate is interior and nearly critical
+        newton = 0
         if rn <= 1e-3 * (1.0 + abs(e_u)) and _norm_lam(spec, u) <= 0.95 * rho:
             trials = _newton_trials(u, _newton_direction(spec, u, r))
             # most trials fail the energy test, so the norm comes second
-            found = next(((t, e_t) for t, e_t in ((t, _energy(spec, t)) for _, t in trials)
-                          if e_t <= e_u + 1e-12 and _norm_lam(spec, t) <= rho), None)
+            found, newton = _first(
+                ((t, _energy(spec, t)) for _, t in trials),
+                lambda te: te[1] <= e_u + 1e-12 and _norm_lam(spec, te[0]) <= rho)
             if found is not None:
+                trace.append(replace(entry, trials=newton))
                 u, e_u = found
                 continue
 
-        u, e_u, used, projected = _armijo_step(spec, u, e_u, r, step, rho)
+        d, slope = _descent(spec, r[np.newaxis])
+        u, e_u, used, projected, armijo = (
+            a[0] for a in _armijo_step(spec, u[np.newaxis], [e_u], d, slope, [step], rho=rho))
+        trace.append(replace(entry, trials=newton + int(armijo)))
+        e_u, used = float(e_u), float(used)
         if used == 0.0:
             break
         step = min(used * 2.0, STEP_MAX)

@@ -70,7 +70,10 @@ def test_two_solutions_mode(tmp_path, well_result):
     for trace in ("trace.csv", "trace_ball.csv"):
         header = (out / trace).read_text().splitlines()[0].split(",")
         assert header == ["iteration", "energy", "residual_norm", "step_size",
-                          "max_node_index", "phase"], trace
+                          "max_node_index", "phase", "trials"], trace
+        # trial points behind each entry: a whole count, 0 on the final one
+        trials = [int(row.split(",")[-1]) for row in (out / trace).read_text().splitlines()[1:]]
+        assert min(trials) >= 0 and trials[-1] == 0, trace
 
     summary = rep["stages"][-1]["summary"]
     levels = summary["levels"]

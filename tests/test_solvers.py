@@ -29,8 +29,10 @@ from besselmp import (
 from besselmp import solvers
 from besselmp.config import RunConfig, build_spec
 from besselmp.grid import DENSE_MAX_POINTS
-from besselmp.problem import _energy_rows
+from besselmp.problem import _energy_rows, _residual_rows
 from besselmp.solvers import (
+    _armijo_step,
+    _descent,
     _hessian_diag,
     _mu_budget,
     _newton_direction,
@@ -159,6 +161,39 @@ def test_sphere_polish_rows_move_independently(coercive_spec):
     assert np.array_equal(both[1], huge)
 
 
+def test_armijo_step_rows_move_independently(coercive_spec):
+    g = coercive_spec.grid
+    rows = np.stack([a * np.exp(-g.radius_sq / w) for a, w in ((3.0, 4.0), (1.0, 1.0), (0.5, 9.0))])
+    e = _energy_rows(coercive_spec, rows).total
+    d, slope = _descent(coercive_spec, _residual_rows(coercive_spec, rows))
+    steps, skip = np.array([1.0, 10.0, 0.25]), np.array([0, 3, 39])
+    # unconstrained the three rows move; inside rho = 2 the first refuses
+    # all 40 steps and the last is projected onto the sphere
+    for rho, trials in ((math.inf, [1, 2, 1]), (2.0, [40, 2, 1])):
+        both = _armijo_step(coercive_spec, rows, e, d, slope, steps, skip, rho=rho)
+        assert both[4].tolist() == trials
+        for i in range(len(rows)):
+            one = slice(i, i + 1)
+            alone = _armijo_step(coercive_spec, rows[one], e[one], d[one], slope[one], steps[one],
+                                 skip[one], rho=rho)
+            for a, b in zip(both, alone):
+                assert np.array_equal(a[i], b[0])
+    # a row whose every trial overflows keeps its point after 40 trials, a
+    # row with an overflowed slope tries nothing, and neither changes a bit
+    # of its neighbour
+    alone = _armijo_step(coercive_spec, rows[:1], e[:1], d[:1], slope[:1], 1.0)
+    huge = np.full(g.shape, 1e100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        three = _armijo_step(coercive_spec, np.stack([rows[0], huge, huge]), [e[0], 0.0, 0.0],
+                             d[[0, 0, 0]], np.array([slope[0], slope[0], math.inf]), 1.0)
+    assert np.array_equal(three[0][0], alone[0][0])
+    assert [a[0] for a in three[1:]] == [a[0] for a in alone[1:]]
+    assert np.array_equal(three[0][1:], np.stack([huge, huge]))
+    assert three[1][1:].tolist() == [0.0, 0.0]
+    assert three[2][1:].tolist() == [0.0, 0.0]
+    assert three[4][1:].tolist() == [40, 0]
+
+
 @pytest.mark.parametrize("cfg,eta", [
     (RunConfig(dim=2, n=16, box_length=15.0), 5.674763245966703),
     (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 40.31724417660251),
@@ -279,6 +314,137 @@ class TestMountainPass:
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert not report.converged
         assert report.message == "residual tolerance not reached"
+
+
+# The Tier-1 2-D n=16 saddle search, run with each search of a path sweep
+# split into one-row calls so that every trial row is charged to its node.
+# (energy, residual_norm, step_size, max_node_index) of the path entries were
+# recorded before the sweep was stacked; trials with the refused-step rule.
+PATH_2D_TRACE = (
+    (7.51200040753721, 5.0806099938364175, 2.0, 18, 44),
+    (6.849551009079564, 7.0145778372439835, 0.5, 18, 90),
+    (6.610552470970718, 9.38245143715551, 0.125, 18, 91),
+    (6.210217609676446, 8.231238278730304, 0.0625, 18, 75),
+    (5.7926946719674355, 2.714207253950324, 0.03125, 18, 488),
+    (5.753620902883513, 2.6430290925719735, 0.0625, 18, 148),
+    (5.728636287533826, 2.85965104847449, 0.0625, 18, 44),
+    (5.712739363512706, 3.2681316870213495, 0.0625, 18, 60),
+    (5.707434308017579, 3.8851728752043826, 0.0625, 18, 47),
+    (5.635668610600906, 2.1925027209146037, 0.03125, 18, 36),
+    (5.606400203134616, 2.2826395898242975, 0.0625, 18, 50),
+    (5.56857509520805, 3.263624025495759, 0.125, 18, 58),
+    (5.5521936185236616, 3.8318832708755384, 0.0625, 18, 39),
+    (5.546495788569895, 4.611628418081987, 0.0625, 18, 40),
+    (5.444374298590566, 2.6223817896902153, 0.03125, 18, 66),
+    (5.400655765391051, 2.7640287592529096, 0.0625, 18, 39),
+    (5.338097481447626, 3.9554359627704265, 0.125, 18, 35),
+    (5.308255425965792, 4.629655216464409, 0.0625, 18, 61),
+    (5.292897905956481, 5.550622159145881, 0.0625, 18, 48),
+    (5.144337804626027, 3.226335523922942, 0.03125, 18, 38),
+    (5.074722510396455, 3.3876296398256294, 0.0625, 18, 45),
+    (4.971333477008491, 4.762317312742415, 0.125, 18, 59),
+    (4.922903868289517, 5.543769439122866, 0.0625, 18, 46),
+    (4.896347223449706, 6.619156277713638, 0.0625, 18, 34),
+    (4.684126202451516, 3.8431929165566983, 0.03125, 18, 57),
+    (4.583506973592243, 3.9987658185475916, 0.0625, 18, 48),
+    (4.439317343158281, 5.581095318050502, 0.125, 18, 38),
+    (4.377185429904699, 6.488690010676639, 0.0625, 18, 50),
+)
+
+
+@pytest.fixture(scope="module")
+def path_2d_searches():
+    """(report, per sweep its searches, polish residual norms).
+
+    A search is (node bytes, start step, energy rows, step used, trials).
+    """
+    spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
+    probe = probe_geometry(spec, seed=0)
+    step, rows, norm = solvers._armijo_step, solvers._energy_rows, solvers._residual_norm
+    scored, norms, sweeps = [0], [0], []
+
+    def counted_rows(spec, u):
+        scored[0] += u.size // spec.grid.total_points
+        return rows(spec, u)
+
+    def counted_norm(spec, u):
+        norms[0] += 1
+        return norm(spec, u)
+
+    def one_row_at_a_time(spec, u, e_u, d, slope, steps, skip=0, rho=math.inf):
+        skip = np.broadcast_to(skip, len(u))
+        outs, searches = [], []
+        for i in range(len(u)):
+            one, before = slice(i, i + 1), scored[0]
+            out = step(spec, u[one], e_u[one], d[one], slope[one], steps[one], skip[one], rho)
+            searches.append((u[i].tobytes(), float(steps[i]), scored[0] - before,
+                             float(out[2][0]), int(out[4][0])))
+            outs.append(out)
+        sweeps.append(searches)
+        return tuple(np.concatenate(parts) for parts in zip(*outs))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_energy_rows", counted_rows)
+        mp.setattr(solvers, "_residual_norm", counted_norm)
+        mp.setattr(solvers, "_armijo_step", one_row_at_a_time)
+        report = mountain_pass_solve(spec, probe.e, probe=probe)
+    return report, sweeps, norms[0]
+
+
+def test_path_trace_2d_pinned(path_2d_searches):
+    report, _, _ = path_2d_searches
+    path = [(t.energy, t.residual_norm, t.step_size, t.max_node_index, t.trials)
+            for t in report.trace if t.phase == "path"]
+    assert path == list(PATH_2D_TRACE)
+    assert report.energy == 5.733592449945194
+
+
+def test_path_never_retries_a_refused_step(path_2d_searches):
+    # a node that refused every step from s and has not moved since would
+    # repeat all of them from s (the 1e-6 floor) and all but the last from s/2
+    _, sweeps, _ = path_2d_searches
+    refused_at = {}  # node bytes -> start step of the search that refused there
+    full, halved, retried, floor = 0, 0, 0, 0
+    for searches in sweeps:
+        for node, start, rows, used, trials in searches:
+            assert rows == trials
+            before = refused_at.get(node)
+            if start == before:
+                floor += 1
+                assert rows == 0
+            elif before is not None and start == before / 2:
+                halved += 1
+                assert rows <= 1
+                retried += rows == 1 and used == 0.0
+            else:
+                full += rows == 40 and used == 0.0
+            if used == 0.0:
+                refused_at[node] = start
+    # the 12 full refusals and 253 one-step retries that refuse again ran
+    # 40 trials each before this rule; the floor searches sit at nodes
+    # whose slope overflowed, and those never tried a step
+    assert (full, halved, retried, floor) == (12, 409, 253, 57)
+
+
+def test_trials_count_the_trial_points(path_2d_searches, coercive_spec, coercive_probe,
+                                       coercive_ball, monkeypatch):
+    report, sweeps, norms = path_2d_searches
+    path = [t.trials for t in report.trace if t.phase == "path"]
+    assert path == [sum(rows for _, _, rows, _, _ in searches) for searches in sweeps]
+    polish = [t.trials for t in report.trace if t.phase == "polish"]
+    assert sum(polish) == norms and polish[-1] == 0
+    # the ball scores 80 scan amplitudes, then its Newton and Armijo trials
+    scored = [0]
+    rows = solvers._energy_rows
+
+    def counted_rows(spec, u):
+        scored[0] += u.size // spec.grid.total_points
+        return rows(spec, u)
+
+    monkeypatch.setattr(solvers, "_energy_rows", counted_rows)
+    ball = ball_min_solve(coercive_spec, coercive_probe.rho)
+    assert ball.energy == coercive_ball.energy
+    assert 80 + sum(t.trials for t in ball.trace) == scored[0]
 
 
 # ---------------------------------------------------------------------------
