@@ -43,8 +43,7 @@ def run_one(name, spec, seed):
 
     if "levels" in done:
         # Diagnose the pair of converged iterates as a bounded sequence with
-        # vanishing gradients.  The far rungs of the descended path are NOT such a
-        # sequence (they slide downhill without bound), so they make a poor demo.
+        # vanishing gradients.
         pair = [done["local_min"].solution, done["mountain_pass"].solution]
         diag = ps_diagnostics(spec, pair)
         print(f"bounded-sequence check: all_ok={diag.all_ok}  "

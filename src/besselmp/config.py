@@ -62,7 +62,6 @@ class RunConfig:
     xi: str = "gaussian"
     tol: float = 1e-8
     max_iter: int = 5000
-    path_nodes: int = 41
     rho_grid: tuple[float, ...] | None = None
     samples_per_rho: int = 64
     distinct_tol: float = 1e-3
@@ -241,4 +240,4 @@ def _problem_on(grid: Grid, cfg: RunConfig) -> ProblemSpec:
 
 
 def build_options(cfg: RunConfig) -> SolveOptions:
-    return SolveOptions(tol=cfg.tol, max_iter=cfg.max_iter, path_nodes=cfg.path_nodes)
+    return SolveOptions(tol=cfg.tol, max_iter=cfg.max_iter)

@@ -1,28 +1,20 @@
-"""Two-solution machinery: geometry probe, path deformation, ball descent.
+"""Two-solution machinery: geometry probe, Nehari descent, ball descent.
 
 The geometry probe samples spheres ||u||_lam = rho and reports the radius
 whose sampled minimum eta is highest.  Its mu budget needs no search:
 Phi is linear in mu on each sampled field, so the largest mu that keeps
 that radius's minimum positive is one division per field.
 
-The saddle search runs in two phases.  A deformation phase flows every
-interior node of a discrete path from 0 to e downhill along the
-preconditioned gradient, which brackets the crossing of the energy ridge;
-the maximal node then seeds a damped Newton iteration on the strong-form
-residual that pushes the candidate to solver tolerance.  Every node only
-moves downhill, so the highest node energy never rises; the trace records
-the first node within 1e-12 of that maximum, so its energies are
-non-increasing up to that tie tolerance.  The nodes move independently,
-so once the path tears through the ridge the nodes past it slide downhill
-without bound, to values near 1e77.
-
-A sweep searches all interior nodes as rows of one line search, each with
-its own step.  A node that has not moved keeps the residual, direction and
-slope of its last search, and the next search there skips every step that
-one refused: after a refusal from s, the search from s/2 tries only the
-new step s 2^-40, and at the 1e-6 step floor it tries nothing.  The same
-point and step give the same trial energy, so the rule saves work and
-changes no result.
+The saddle search is the local-minimax descent of Choi & McKenna (1993)
+in the form of Li & Zhou (2001).  For a direction w let t+(w) be the top
+of the fibering map t -> Phi(t w), its larger critical point; the search
+descends J(w) = Phi(t+(w) w) from the far endpoint e, so its iterate
+always sits on such a top (the Nehari manifold <r(u), u> = 0), and J never
+rises over accepted steps.  The descent direction is the gradient in the
+lam-norm, K^{-1} r with K = (I - Laplacian)^alpha + lam V, solved by
+preconditioned CG; once its dual norm <r, K^{-1} r>^(1/2) is small next to
+||u||_lam a damped Newton iteration on the strong-form residual pushes the
+iterate to solver tolerance.
 
 The negative-energy solution comes from projected preconditioned descent
 inside the ball ||u||_lam <= rho.  Gradient and projected steps lower Phi;
@@ -30,7 +22,7 @@ the Newton steps that finish the descent are accepted while Phi rises by
 at most 1e-12, so on a flat floor a run of them can creep upward by
 roundoff-sized amounts.
 
-One row-wise Armijo step serves the path nodes and the ball descent, and one
+One Armijo step serves the Nehari descent and the ball descent, and one
 generator of damped Newton trials serves the polish and the ball; every
 backtracking search walks the steps s, s/2, s/4, ... and only its count differs.
 
@@ -44,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy import optimize
@@ -93,7 +86,7 @@ class GeometryError(RuntimeError):
     """The sampled landscape does not show the required ridge/valley shape."""
 
 
-# Line-search and stopping constants of the path deformation, the Newton
+# Line-search and stopping constants of the Nehari descent, the Newton
 # polish and the ball descent.
 STEP_INIT = 1.0
 STEP_MAX = 10.0
@@ -101,9 +94,8 @@ ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 BACKTRACK_TRIES = 40  # gradient steps tried per search; from 1 they stay above 1e-12
 NEWTON_TRIES = 34  # damped Newton steps 1, 1/2, ... above 1e-10
-STALL_WINDOW = 25  # path sweeps over which the max-node energy must still fall
-STALL_TOL = 1e-9
-POLISH_THRESHOLD = 5e-2  # relative residual at which the path hands over to Newton
+RIESZ_RTOL = 1e-2  # the gradient solve stops at this relative preconditioned residual
+HANDOVER_RATIO = 0.1  # the descent hands over to Newton at <r, K^-1 r>^(1/2) <= this ||u||_lam
 NEWTON_MAX = 80
 INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
 # the probed ridge height is a sampled upper bound whose bias peaks when
@@ -117,12 +109,14 @@ LEVEL_SLACK = 0.01
 class SolveOptions:
     tol: float = 1e-8
     max_iter: int = 5000
-    path_nodes: int = 41
+    # not an option: the benchmark's trace mode (perfbench/run.py) divides
+    # its Armijo span count by path_nodes - 2, so the old path's node count
+    # stays readable until the benchmark counts descent entries instead
+    path_nodes: ClassVar[int] = 41
 
     def __post_init__(self):
         _require((self.tol > 0, f"tol: must be positive, got {self.tol}"),
-                 (self.max_iter >= 1, f"max_iter: must be at least 1, got {self.max_iter}"),
-                 (self.path_nodes >= 3, f"path_nodes: needs at least 3 nodes, got {self.path_nodes}"))
+                 (self.max_iter >= 1, f"max_iter: must be at least 1, got {self.max_iter}"))
 
 
 @dataclass(frozen=True)
@@ -142,11 +136,9 @@ class TraceEntry:
     energy: float
     residual_norm: float
     step_size: float
-    max_node_index: int
     phase: str
-    # trial points scored: on a path entry by the sweep that ended there, on
-    # a ball or polish entry by the step taken from there (energies on the
-    # path and the ball, residual norms in the polish)
+    # trial points scored by the step taken from this entry: energies in
+    # the Nehari descent and the ball, residual norms in the polish
     trials: int
 
 
@@ -161,7 +153,6 @@ class SolveReport:
     ok: bool
     message: str
     trace: tuple
-    path: tuple | None = None  # the deformed path's Fields, from 0 to e
 
 
 # Array helpers: u, r and search directions are ndarrays whose trailing axes
@@ -432,55 +423,100 @@ def _energy_stack(spec, u):
 
 
 def _descent(spec, r):
-    """Directions d = (I - Laplacian)^{-alpha} r of the rows of r, and their slopes <r, d>."""
+    """Direction d = (I - Laplacian)^{-alpha} r and its slope <r, d>."""
     d = _multiply(spec.grid, r, -spec.alpha)
-    return d, _row_sum(spec.grid, r * d) * spec.grid.cell_volume
+    return d, float(_row_sum(spec.grid, r * d)) * spec.grid.cell_volume
 
 
-def _armijo_step(spec, u, e_u, d, slope, step, skip=0, rho=math.inf):
-    """One monotone preconditioned-gradient step from every row of u along its direction d.
+def _riesz_gradient(spec, r):
+    """d ~ K^{-1} r, the gradient in the lam-norm, and its slope <r, d>.
 
-    Row i walks the steps step_i, step_i/2, ..., BACKTRACK_TRIES of them,
-    past the first skip_i, and takes the first whose energy is at most
-    e_u_i - ARMIJO_SLOPE s slope_i.  A row whose slope is not positive and
-    finite tries nothing: its decrease test is unpassable.  A trial outside
-    ||.||_lam <= rho is projected onto that sphere and accepted at any
-    decrease beyond 1e-14 instead.  The rows search independently; each
-    round's trials are scored together in stacks of ``grid.batch_rows``.
-
-    Returns per row (u, energy, step_used, projected, trials): step_used is
-    0.0 where no step was accepted, trials the energies evaluated.
+    K = (I - Laplacian)^alpha + lam V is solved by conjugate gradients
+    preconditioned with (I - Laplacian)^{-alpha}, from d = 0 until the
+    residual's preconditioned norm falls below RIESZ_RTOL of its start.
+    CG from 0 keeps <r, d> = ||d||_lam^2 > 0 for r != 0, so -d is a
+    descent direction and <r, d>^(1/2) estimates the dual norm of r.
+    The preconditioner inverts the operator's first part, so that part of
+    each search direction p = z + beta p' follows from the residual as
+    res + beta (its value on p'): one transform pair per iteration.
     """
     g = spec.grid
-    count = len(u)
-    u, e_u = u.copy(), np.array(e_u, dtype=np.float64)
-    s = np.array(np.broadcast_to(step, count), dtype=np.float64)
-    skip = np.broadcast_to(skip, count)
-    for j in range(int(skip.max(initial=0))):
-        s[skip > j] *= BACKTRACK_FACTOR
-    left = np.where((slope > 0.0) & (slope < math.inf), BACKTRACK_TRIES - skip, 0)
-    used = np.zeros(count)
-    projected = np.zeros(count, dtype=bool)
-    trials = np.zeros(count, dtype=int)
-    while (idx := np.flatnonzero(left > 0)).size:
-        left[idx] -= 1
-        trials[idx] += 1
-        for rows in (idx[c] for c in _stacks(idx.size, g.batch_rows)):
-            trial = u[rows] - d[rows] * _per_row(s[rows], g)
-            target = e_u[rows] - ARMIJO_SLOPE * s[rows] * slope[rows]
-            out = np.zeros(rows.size, dtype=bool)
-            if rho < math.inf:
-                t_norm = _norm_lam(spec, trial)
-                out = t_norm > rho
-                trial[out] *= _per_row(rho / t_norm[out], g)
-                target[out] = e_u[rows[out]] - 1e-14
-            e_t = _energy_rows(spec, trial).total
-            won = e_t <= target
-            w = rows[won]
-            u[w], e_u[w], used[w], projected[w] = trial[won], e_t[won], s[w], out[won]
-            left[w] = 0
-        s[idx] *= BACKTRACK_FACTOR
-    return u, e_u, used, projected, trials
+    weight = spec.lam * spec.V_field.values
+    d = np.zeros_like(r)
+    res, z = r, _multiply(g, r, -spec.alpha)
+    rz = rz0 = float(np.sum(res * z))
+    p, ap = z, r  # ap = (I - Laplacian)^alpha p
+    for _ in range(g.total_points):
+        if not rz > RIESZ_RTOL**2 * rz0:
+            break
+        kp = ap + weight * p
+        a = rz / float(np.sum(p * kp))
+        d = d + a * p
+        res = res - a * kp
+        z = _multiply(g, res, -spec.alpha)
+        rz, prev = float(np.sum(res * z)), rz
+        p, ap = z + (rz / prev) * p, res + (rz / prev) * ap
+    return d, float(np.sum(r * d)) * g.cell_volume
+
+
+def _fibering_top(spec, w):
+    """(t, Phi(t w)) at the top of the fibering map t -> Phi(t w): its larger critical point.
+
+    Phi(t w) = t^2 quad - int F(x, t w) - t^p xi_term with the pieces of
+    one ``_energy_rows(w)`` call; only int F and int f(x, t w) w depend on
+    t, and both are pointwise, so no t costs a transform.  From t = 1 the
+    walk doubles t while dPhi/dt > 0 or halves it while dPhi/dt <= 0, until
+    the sign changes, and brentq refines that bracket.  (nan, inf) when
+    Phi(w) is not finite or the walk finds no top within
+    BACKTRACK_TRIES doublings or halvings.
+    """
+    pieces = _energy_rows(spec, w)
+    if not np.isfinite(pieces.total):
+        return math.nan, math.inf
+    coords, vol = spec.grid.coords(), spec.grid.cell_volume
+    quad, xi_term, p = float(pieces.quad), float(pieces.xi_term), spec.p
+
+    def slope(t):
+        pull = float(np.sum(spec.nonlinearity.f(coords, t * w) * w)) * vol
+        return 2.0 * t * quad - pull - p * t ** (p - 1.0) * xi_term
+
+    rising = slope(1.0) > 0.0
+    t = 1.0
+    for _ in range(BACKTRACK_TRIES):
+        nxt = t * 2.0 if rising else t * BACKTRACK_FACTOR
+        if (slope(nxt) <= 0.0) if rising else (slope(nxt) > 0.0):
+            break
+        t = nxt
+    else:
+        return math.nan, math.inf
+    top = optimize.brentq(slope, min(t, nxt), max(t, nxt), xtol=1e-300,
+                          rtol=4 * np.finfo(float).eps)  # brentq's finest
+    push = float(np.sum(spec.nonlinearity.F(coords, top * w))) * vol
+    return top, top**2 * quad - push - top**p * xi_term
+
+
+def _armijo_step(spec, u, e_u, d, slope, step, place):
+    """One monotone descent step from u along -d, backtracking from ``step``.
+
+    Walks the steps step, step/2, ..., BACKTRACK_TRIES of them.  ``place``
+    maps each trial u - s d to (point, energy, projected); the first point
+    whose energy is at most e_u - ARMIJO_SLOPE s slope is taken, or, when
+    ``place`` projected it onto the ball's sphere, the first below e_u by
+    more than 1e-14.  A slope that is not positive and finite tries
+    nothing: its decrease test is unpassable.
+
+    Returns (u, energy, step_used, projected, trials): step_used is 0.0
+    where no step was accepted, trials the energies evaluated.
+    """
+    if not 0.0 < slope < math.inf:
+        return u, e_u, 0.0, False, 0
+    found, tried = _first(
+        ((s, *place(u - s * d)) for s in _steps(step, BACKTRACK_TRIES)),
+        lambda c: c[2] <= (e_u - 1e-14 if c[3] else e_u - ARMIJO_SLOPE * c[0] * slope))
+    if found is None:
+        return u, e_u, 0.0, False, tried
+    s, point, e_t, projected = found
+    return point, e_t, s, projected, tried
 
 
 def _hessian_diag(spec, u):
@@ -532,13 +568,13 @@ def _newton_trials(u, delta):
     return () if delta is None else ((s, u + s * delta) for s in _steps(1.0, NEWTON_TRIES))
 
 
-def _polish(spec, u, opts, trace, it0, node_index):
+def _polish(spec, u, opts, trace, it0):
     """Damped Newton on the residual; returns (u, residual_norm, iterations_used)."""
     it = it0
     for _ in range(NEWTON_MAX):
         r = _residual(spec, u)
         rn = _lp_norm(spec.grid, r, 2)
-        entry = TraceEntry(it, _energy(spec, u), rn, 0.0, node_index, "polish", 0)
+        entry = TraceEntry(it, _energy(spec, u), rn, 0.0, "polish", 0)
         it += 1
         if rn <= opts.tol:
             trace.append(entry)
@@ -561,96 +597,47 @@ def _polish(spec, u, opts, trace, it0, node_index):
 @_quiet_overflow
 def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None = None,
                         probe: GeometryProbe | None = None) -> SolveReport:
-    """Saddle-point search along a deforming path from 0 to e.
+    """Saddle-point search by descent on the Nehari manifold, started from e.
 
-    Needs Phi(e) < 0.  One deterministic attempt: the straight path is
-    deformed, then its best seed is polished by Newton.  When the geometry
-    probe is supplied its eta gates the result: a converged iterate below
-    eta by more than the level slack is reported with ok=False.  That gate
-    also rejects a path that collapsed to 0 or slid to the ball minimizer:
-    both end at Phi <= 0, below eta minus the slack once eta exceeds 0.0101.
+    Needs Phi(e) < 0.  One deterministic attempt: the iterate starts at the
+    top of the ray through e and descends J(w) = Phi(t+(w) w) along the
+    lam-norm gradient, each trial scaled onto the top of its own ray before
+    it is scored, so J never rises over accepted steps.  Once the
+    gradient's dual norm is at most HANDOVER_RATIO ||u||_lam, or a line
+    search refuses every step, Newton polishes the iterate.  A ray through
+    e with no top raises ValueError.  When the geometry probe is supplied
+    its eta gates the result: a converged iterate below eta by more than
+    the level slack is reported with ok=False.
     """
     opts = opts or SolveOptions()
     if energy(spec, e).total >= 0.0:
         raise ValueError("endpoint e must have negative energy")
     g = spec.grid
-    m = opts.path_nodes
-    nodes = np.stack([(i / (m - 1)) * e.values for i in range(m)])
-    nodes[0] = 0.0
-    energies = _energy_stack(spec, nodes)
-    steps = np.full(m, STEP_INIT)
-    inner = np.arange(1, m - 1)
-    # each node's residual, direction and slope, kept while the node stays
-    # put, and the first step of its last search there if that search
-    # refused every step (0 when none did)
-    r, d = np.empty_like(nodes), np.empty_like(nodes)
-    slope = np.empty(m)
-    known = np.zeros(m, dtype=bool)
-    refused = np.zeros(m)
 
-    def refresh(idx):
-        """Residual, direction and slope at those nodes of idx that moved."""
-        idx = idx[~known[idx]]
-        for rows in (idx[c] for c in _stacks(idx.size, g.batch_rows)):
-            r[rows] = _residual(spec, nodes[rows])
-            d[rows], slope[rows] = _descent(spec, r[rows])
-        known[idx] = True
+    def on_top(w):
+        t, level = _fibering_top(spec, w)
+        return t * w, level, False
 
+    u, level, _ = on_top(e.values)
+    if not math.isfinite(level):
+        raise ValueError("the fibering map along e has no local maximum")
+    step = STEP_INIT
     trace: list[TraceEntry] = []
     it = 0
-    # an accepted Armijo step never raises a node's energy, so no later
-    # sweep's maximum exceeds the straight path's
-    ridge_high = float(energies.max())
-    best = None  # (residual_norm, node values, node index) near the ridge
-
     while it < opts.max_iter:
-        refresh(inner)
-        # a search at an unchanged point repeats the refused one's steps
-        # except the last when it starts at half its step, and all of them
-        # when it starts at the same step (the 1e-6 floor)
-        skip = np.select([steps == refused, steps == refused * BACKTRACK_FACTOR],
-                         [BACKTRACK_TRIES, BACKTRACK_TRIES - 1], 0)[inner]
-        u_new, e_new, used, _, tried = _armijo_step(spec, nodes[inner], energies[inner], d[inner],
-                                                    slope[inner], steps[inner], skip)
-        moved = used > 0
-        nodes[inner[moved]], energies[inner[moved]] = u_new[moved], e_new[moved]
-        known[inner[moved]] = False
-        refused[inner] = np.where(moved, 0.0, steps[inner])
-        steps[inner] = np.where(moved, np.minimum(np.maximum(used, 1e-6) * 2.0, STEP_MAX),
-                                np.maximum(steps[inner] * 0.5, 1e-6))
-
-        e_max = float(energies.max())
-        k = int(np.argmax(energies >= e_max - 1e-12))
-        e_k = float(energies[k])
-        refresh(np.array([k]))
-        rn = _lp_norm(g, r[k], 2)
-        trace.append(TraceEntry(it, e_k, rn, float(steps[k]), k, "path", int(tried.sum())))
+        r = _residual(spec, u)
+        d, slope = _riesz_gradient(spec, r)
+        entry = TraceEntry(it, level, _lp_norm(g, r, 2), step, "nehari", 0)
         it += 1
-
-        # remember the most nearly critical max node seen while the path
-        # still brackets the ridge; nodes are evolved independently, so the
-        # polygon eventually tears through the saddle and later max nodes
-        # slide into a basin and stop being useful seeds
-        if e_max >= 0.5 * ridge_high and (best is None or rn < best[0]):
-            best = (rn, nodes[k].copy(), k)
-
-        if rn <= opts.tol:
-            best = (rn, nodes[k].copy(), k)
+        if slope <= (HANDOVER_RATIO * float(_norm_lam(spec, u))) ** 2:
+            trace.append(entry)
             break
-        if e_max < 0.5 * ridge_high:
-            break  # torn through the ridge; refine from the best bracketing seed
-        nearly_critical = it >= 20 and rn <= POLISH_THRESHOLD * (1.0 + abs(e_k))
-        # path entries are the whole trace while the path deforms
-        stalled = it > STALL_WINDOW and (trace[-STALL_WINDOW].energy - trace[-1].energy
-                                         <= STALL_TOL * (1.0 + abs(trace[-1].energy)))
-        if nearly_critical or stalled:
-            best = (rn, nodes[k].copy(), k)
+        u, level, used, _, tried = _armijo_step(spec, u, level, d, slope, step, on_top)
+        trace.append(replace(entry, trials=tried))
+        if used == 0.0:
             break
-
-    # no bracketing seed was kept: the last sweep's max node is the seed
-    rn, u, candidate_idx = best or (rn, nodes[k], k)
-    if rn > opts.tol:
-        u, rn, it = _polish(spec, u, opts, trace, it, candidate_idx)
+        step = min(used * 2.0, STEP_MAX)
+    u, rn, it = _polish(spec, u, opts, trace, it)
 
     solution = Field(g, u)
     e_u = energy(spec, solution).total
@@ -663,7 +650,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
     return SolveReport(
         solution=solution, energy=e_u, residual_norm=rn, iterations=it,
         classification="mountain_pass", converged=converged, ok=ok,
-        message=message, trace=tuple(trace), path=tuple(Field(g, v) for v in nodes),
+        message=message, trace=tuple(trace),
     )
 
 
@@ -701,8 +688,15 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
             residual_norm=_lp_norm(g, _residual(spec, zero), 2),
             iterations=0, classification="local_min", converged=False, ok=False,
             message="no negative energy found inside the ball (is mu positive?)",
-            trace=(), path=None,
+            trace=(),
         )
+
+    def into_ball(trial):
+        """The trial, scaled back onto the sphere when it left the ball, and its energy."""
+        t_norm = float(_norm_lam(spec, trial))
+        if t_norm > rho:
+            trial = trial * (rho / t_norm)
+        return trial, _energy(spec, trial), t_norm > rho
 
     u = t_best * phi0
     e_u = e_best
@@ -715,7 +709,7 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
     while it < opts.max_iter:
         r = _residual(spec, u)
         rn = _lp_norm(g, r, 2)
-        entry = TraceEntry(it, e_u, rn, step, -1, "ball", 0)
+        entry = TraceEntry(it, e_u, rn, step, "ball", 0)
         it += 1
         if rn <= opts.tol:
             trace.append(entry)
@@ -735,11 +729,9 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
                 u, e_u = found
                 continue
 
-        d, slope = _descent(spec, r[np.newaxis])
-        u, e_u, used, projected, armijo = (
-            a[0] for a in _armijo_step(spec, u[np.newaxis], [e_u], d, slope, [step], rho=rho))
-        trace.append(replace(entry, trials=newton + int(armijo)))
-        e_u, used = float(e_u), float(used)
+        d, slope = _descent(spec, r)
+        u, e_u, used, projected, armijo = _armijo_step(spec, u, e_u, d, slope, step, into_ball)
+        trace.append(replace(entry, trials=newton + armijo))
         if used == 0.0:
             break
         step = min(used * 2.0, STEP_MAX)
@@ -760,7 +752,7 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
     return SolveReport(
         solution=Field(g, u), energy=e_u, residual_norm=_lp_norm(g, _residual(spec, u), 2),
         iterations=it, classification="local_min", converged=converged, ok=ok,
-        message=message, trace=tuple(trace), path=None,
+        message=message, trace=tuple(trace),
     )
 
 

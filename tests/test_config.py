@@ -133,10 +133,9 @@ def test_build_spec_well():
 
 
 def test_build_options_maps_solver_keys():
-    opts = build_options(parse_config("tol = 1e-6\nmax_iter = 99\npath_nodes = 11"))
+    opts = build_options(parse_config("tol = 1e-6\nmax_iter = 99"))
     assert opts.tol == 1e-6
     assert opts.max_iter == 99
-    assert opts.path_nodes == 11
 
 
 @pytest.mark.filterwarnings("ignore:n=")  # coarse or non-power-of-two grids
@@ -146,7 +145,7 @@ def test_build_options_maps_solver_keys():
        q=st.floats(2.0, 12.0), lam=st.floats(0.0, 100.0), mu=st.floats(-0.01, 1.0),
        potential=st.sampled_from(["coercive_quadratic", "well"]),
        well_radius=st.floats(0.0, 5.0), well_height=st.floats(0.0, 100.0),
-       well_ramp=st.floats(0.0, 5.0), path_nodes=st.integers(2, 60),
+       well_ramp=st.floats(0.0, 5.0),
        tol=st.floats(0.0, 1e-3), max_iter=st.integers(0, 10000))
 def test_parsed_config_always_builds(**values):
     # ranges reach each rule's boundary, so both verdicts come up often

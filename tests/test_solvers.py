@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from besselmp import (
     CustomNonlinearity,
@@ -32,7 +33,7 @@ from besselmp.grid import DENSE_MAX_POINTS
 from besselmp.problem import _energy_rows, _residual_rows
 from besselmp.solvers import (
     _armijo_step,
-    _descent,
+    _fibering_top,
     _hessian_diag,
     _mu_budget,
     _newton_direction,
@@ -46,8 +47,6 @@ def _norm_lam(spec, u):
 
 
 def test_solve_options_validation():
-    with pytest.raises(ValueError, match="3 nodes"):
-        SolveOptions(path_nodes=2)
     with pytest.raises(ValueError, match="tol: must be positive"):
         SolveOptions(tol=0.0)
     with pytest.raises(ValueError, match="max_iter: must be at least 1"):
@@ -161,37 +160,34 @@ def test_sphere_polish_rows_move_independently(coercive_spec):
     assert np.array_equal(both[1], huge)
 
 
-def test_armijo_step_rows_move_independently(coercive_spec):
+def test_armijo_step_accepts_projects_and_refuses(coercive_spec):
     g = coercive_spec.grid
-    rows = np.stack([a * np.exp(-g.radius_sq / w) for a, w in ((3.0, 4.0), (1.0, 1.0), (0.5, 9.0))])
-    e = _energy_rows(coercive_spec, rows).total
-    d, slope = _descent(coercive_spec, _residual_rows(coercive_spec, rows))
-    steps, skip = np.array([1.0, 10.0, 0.25]), np.array([0, 3, 39])
-    # unconstrained the three rows move; inside rho = 2 the first refuses
-    # all 40 steps and the last is projected onto the sphere
-    for rho, trials in ((math.inf, [1, 2, 1]), (2.0, [40, 2, 1])):
-        both = _armijo_step(coercive_spec, rows, e, d, slope, steps, skip, rho=rho)
-        assert both[4].tolist() == trials
-        for i in range(len(rows)):
-            one = slice(i, i + 1)
-            alone = _armijo_step(coercive_spec, rows[one], e[one], d[one], slope[one], steps[one],
-                                 skip[one], rho=rho)
-            for a, b in zip(both, alone):
-                assert np.array_equal(a[i], b[0])
-    # a row whose every trial overflows keeps its point after 40 trials, a
-    # row with an overflowed slope tries nothing, and neither changes a bit
-    # of its neighbour
-    alone = _armijo_step(coercive_spec, rows[:1], e[:1], d[:1], slope[:1], 1.0)
-    huge = np.full(g.shape, 1e100)
-    with np.errstate(over="ignore", invalid="ignore"):
-        three = _armijo_step(coercive_spec, np.stack([rows[0], huge, huge]), [e[0], 0.0, 0.0],
-                             d[[0, 0, 0]], np.array([slope[0], slope[0], math.inf]), 1.0)
-    assert np.array_equal(three[0][0], alone[0][0])
-    assert [a[0] for a in three[1:]] == [a[0] for a in alone[1:]]
-    assert np.array_equal(three[0][1:], np.stack([huge, huge]))
-    assert three[1][1:].tolist() == [0.0, 0.0]
-    assert three[2][1:].tolist() == [0.0, 0.0]
-    assert three[4][1:].tolist() == [40, 0]
+    u = 3.0 * np.exp(-g.radius_sq / 4.0)
+    e_u = float(_energy_rows(coercive_spec, u).total)
+    d, slope = np.ones(g.shape), 1.0
+
+    def scored(levels, projected=False):
+        """A place that scores the k-th trial at levels[k], flagged projected or not."""
+        calls = iter(levels)
+        return lambda trial: (trial, next(calls), projected)
+
+    # the first trial meeting e_u - ARMIJO_SLOPE s slope wins: this level
+    # misses the target at s = 1/2 and meets it at s = 1/4
+    short = e_u - solvers.ARMIJO_SLOPE * 0.25
+    point, level, used, projected, trials = _armijo_step(
+        coercive_spec, u, e_u, d, slope, 1.0, scored([e_u, short, short]))
+    assert (level, used, projected, trials) == (short, 0.25, False, 3)
+    assert np.array_equal(point, u - 0.25 * d)
+    # a projected trial needs only a decrease beyond 1e-14
+    out = _armijo_step(coercive_spec, u, e_u, d, slope, 1.0, scored([e_u - 2e-14], True))
+    assert out[1:] == (e_u - 2e-14, 1.0, True, 1)
+    # refusing every step keeps the point after BACKTRACK_TRIES trials; a
+    # slope that is not positive and finite tries nothing
+    out = _armijo_step(coercive_spec, u, e_u, d, slope, 1.0, scored([math.inf] * 40))
+    assert out[0] is u and out[1:] == (e_u, 0.0, False, 40)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        out = _armijo_step(coercive_spec, u, e_u, d, bad, 1.0, scored([]))
+        assert out[0] is u and out[1:] == (e_u, 0.0, False, 0)
 
 
 @pytest.mark.parametrize("cfg,eta", [
@@ -209,27 +205,31 @@ def test_probe_in_higher_dims(cfg, eta):
     assert probe_geometry(spec, seed=1).eta != first.eta
 
 
+def _heavier_weight(x):
+    return 1.0 + 0.5 * np.exp(-x[0] ** 2)
+
+
+# an x-dependent quartic, heavier than |u|^4/4 near x_1 = 0
+HEAVIER = CustomNonlinearity(
+    f_fn=lambda x, u: _heavier_weight(x) * np.sign(u) * np.abs(u) ** 3.0,
+    F_fn=lambda x, u: _heavier_weight(x) * np.abs(u) ** 4.0 / 4.0, q=4.0, theta=4.0)
+# reads x without depending on it, and spells the power law as
+# PowerNonlinearity multiplies out its whole powers
+FLAT = CustomNonlinearity(
+    f_fn=lambda x, u: np.sign(u) * (np.abs(u) * (u * u)) + 0.0 * x[0],
+    F_fn=lambda x, u: (u * u) * (u * u) / 4.0 + 0.0 * x[0], q=4.0, theta=4.0)
+
+
 def test_probe_with_x_dependent_custom_nonlinearity():
     spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
     plain = probe_geometry(spec, seed=0)
-
-    def weight(x):
-        return 1.0 + 0.5 * np.exp(-x[0] ** 2)
-
-    heavier = CustomNonlinearity(
-        f_fn=lambda x, u: weight(x) * np.sign(u) * np.abs(u) ** 3.0,
-        F_fn=lambda x, u: weight(x) * np.abs(u) ** 4.0 / 4.0, q=4.0, theta=4.0)
-    p = probe_geometry(replace(spec, nonlinearity=heavier), seed=0)
+    p = probe_geometry(replace(spec, nonlinearity=HEAVIER), seed=0)
     assert p.eta > 0.0
     # a larger primitive lowers every sampled energy, so the ridge drops
     assert p.eta < plain.eta
-    assert _probe_key(probe_geometry(replace(spec, nonlinearity=heavier), seed=0)) == _probe_key(p)
-    # reading x without depending on it reproduces the power law exactly,
-    # spelled as PowerNonlinearity multiplies out its whole powers
-    flat = CustomNonlinearity(
-        f_fn=lambda x, u: np.sign(u) * (np.abs(u) * (u * u)) + 0.0 * x[0],
-        F_fn=lambda x, u: (u * u) * (u * u) / 4.0 + 0.0 * x[0], q=4.0, theta=4.0)
-    assert _probe_key(probe_geometry(replace(spec, nonlinearity=flat), seed=0)) == _probe_key(plain)
+    assert _probe_key(probe_geometry(replace(spec, nonlinearity=HEAVIER), seed=0)) == _probe_key(p)
+    # the flat spelling reproduces the power law exactly
+    assert _probe_key(probe_geometry(replace(spec, nonlinearity=FLAT), seed=0)) == _probe_key(plain)
 
 
 # ---------------------------------------------------------------------------
@@ -248,34 +248,23 @@ class TestMountainPass:
         assert coercive_mp.energy == pytest.approx(3.22418890, rel=1e-6)
 
     # Exact values recorded with the half-spectrum row kernels.  The dense
-    # Newton solve's last bits follow the BLAS thread count: these were
+    # Newton solve's last bits can follow the BLAS thread count: these were
     # recorded on one thread, which conftest pins (on two OpenBLAS threads
-    # the saddle reads 3.2241889043092664).
+    # this saddle reads the same, the canonical well's 1.4931505176211706).
 
     def test_exact_regression(self, coercive_mp):
-        assert coercive_mp.energy == 3.224188904309266
+        assert coercive_mp.energy == 3.2241889043092677
 
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
 
-    def test_endpoints_pinned(self, coercive_probe, coercive_mp):
-        nodes = coercive_mp.path
-        assert np.all(nodes[0].values == 0.0)
-        np.testing.assert_array_equal(nodes[-1].values, coercive_probe.e.values)
-
-    def test_path_trace_monotone(self, coercive_mp):
-        # max-node energy can only go down while the path deforms, up to
-        # line-search roundoff
-        path = [t for t in coercive_mp.trace if t.phase == "path"]
-        assert path, "no path-phase entries recorded"
-        for a, b in zip(path, path[1:]):
-            assert b.energy <= a.energy + 1e-12 * (1.0 + abs(a.energy))
-
-    def test_trace_has_max_node_indices(self, coercive_mp):
-        m = 41  # default path_nodes
-        for t in coercive_mp.trace:
-            if t.phase == "path":
-                assert 0 < t.max_node_index < m - 1
+    def test_descent_trace_monotone(self, coercive_mp):
+        # every accepted step lowers J, so the descent entries never rise
+        levels = [t.energy for t in coercive_mp.trace if t.phase == "nehari"]
+        assert levels, "no descent entries recorded"
+        assert all(b <= a for a, b in zip(levels, levels[1:]))
+        phases = [t.phase for t in coercive_mp.trace]
+        assert phases == sorted(phases)  # the descent, then the polish
 
     def test_deterministic(self, coercive_spec, coercive_probe, coercive_mp):
         again = mountain_pass_solve(coercive_spec, coercive_probe.e,
@@ -300,6 +289,11 @@ class TestMountainPass:
         with pytest.raises(ValueError, match="negative energy"):
             mountain_pass_solve(coercive_spec, small)
 
+    def test_ray_without_top_raises(self, coercive_spec, coercive_probe):
+        # a concave term this strong keeps Phi falling along the whole ray
+        with pytest.raises(ValueError, match="no local maximum"):
+            mountain_pass_solve(replace(coercive_spec, mu=50.0), coercive_probe.e)
+
     def test_polish_falls_back_to_residual_descent(self, monkeypatch):
         # with every Newton solve refused, each polish step is a descent
         # step on the residual norm; the run stops when one finds no decrease
@@ -309,59 +303,106 @@ class TestMountainPass:
         report = mountain_pass_solve(spec, probe.e, probe=probe)
         norms = [t.residual_norm for t in report.trace if t.phase == "polish"]
         assert len(norms) == 17
-        assert norms[0] == 1.344407586921846
-        assert norms[-1] == 0.5508110348512013
+        assert norms[0] == 2.485761781871886
+        assert norms[-1] == 0.38203309348840603
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert not report.converged
         assert report.message == "residual tolerance not reached"
 
 
-# The Tier-1 2-D n=16 saddle search, run with each search of a path sweep
-# split into one-row calls so that every trial row is charged to its node.
-# (energy, residual_norm, step_size, max_node_index) of the path entries were
-# recorded before the sweep was stacked; trials with the refused-step rule.
-PATH_2D_TRACE = (
-    (7.51200040753721, 5.0806099938364175, 2.0, 18, 44),
-    (6.849551009079564, 7.0145778372439835, 0.5, 18, 90),
-    (6.610552470970718, 9.38245143715551, 0.125, 18, 91),
-    (6.210217609676446, 8.231238278730304, 0.0625, 18, 75),
-    (5.7926946719674355, 2.714207253950324, 0.03125, 18, 488),
-    (5.753620902883513, 2.6430290925719735, 0.0625, 18, 148),
-    (5.728636287533826, 2.85965104847449, 0.0625, 18, 44),
-    (5.712739363512706, 3.2681316870213495, 0.0625, 18, 60),
-    (5.707434308017579, 3.8851728752043826, 0.0625, 18, 47),
-    (5.635668610600906, 2.1925027209146037, 0.03125, 18, 36),
-    (5.606400203134616, 2.2826395898242975, 0.0625, 18, 50),
-    (5.56857509520805, 3.263624025495759, 0.125, 18, 58),
-    (5.5521936185236616, 3.8318832708755384, 0.0625, 18, 39),
-    (5.546495788569895, 4.611628418081987, 0.0625, 18, 40),
-    (5.444374298590566, 2.6223817896902153, 0.03125, 18, 66),
-    (5.400655765391051, 2.7640287592529096, 0.0625, 18, 39),
-    (5.338097481447626, 3.9554359627704265, 0.125, 18, 35),
-    (5.308255425965792, 4.629655216464409, 0.0625, 18, 61),
-    (5.292897905956481, 5.550622159145881, 0.0625, 18, 48),
-    (5.144337804626027, 3.226335523922942, 0.03125, 18, 38),
-    (5.074722510396455, 3.3876296398256294, 0.0625, 18, 45),
-    (4.971333477008491, 4.762317312742415, 0.125, 18, 59),
-    (4.922903868289517, 5.543769439122866, 0.0625, 18, 46),
-    (4.896347223449706, 6.619156277713638, 0.0625, 18, 34),
-    (4.684126202451516, 3.8431929165566983, 0.03125, 18, 57),
-    (4.583506973592243, 3.9987658185475916, 0.0625, 18, 48),
-    (4.439317343158281, 5.581095318050502, 0.125, 18, 38),
-    (4.377185429904699, 6.488690010676639, 0.0625, 18, 50),
+def _closed_form_top(spec, w):
+    """The larger root of 2 quad = q F t^(q-2) + p X t^(p-2) for PowerNonlinearity.
+
+    F and X are the f_term and xi_term of w.  The right side is convex in
+    t with its minimum where q (q-2) F t^(q-p) = p (2-p) X, and at
+    t = (2 quad / (q F))^(1/(q-2)) it exceeds 2 quad by p X t^(p-2), so the
+    larger root lies between those two points.
+    """
+    quad, f_term, _, xi_term, _ = map(float, _energy_rows(spec, w))
+    q, p = spec.nonlinearity.q, spec.p
+
+    def gap(t):
+        return 2.0 * quad - q * f_term * t ** (q - 2.0) - p * xi_term * t ** (p - 2.0)
+
+    hi = (2.0 * quad / (q * f_term)) ** (1.0 / (q - 2.0))
+    if xi_term == 0.0:
+        return hi
+    lo = (p * (2.0 - p) * xi_term / (q * (q - 2.0) * f_term)) ** (1.0 / (q - p))
+    return optimize.brentq(gap, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(), RunConfig(mu=0.0), RunConfig(q=6.0),
+    RunConfig(dim=2, n=16, box_length=15.0),
+    RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
+], ids=["coercive", "mu0", "q6", "2d", "well-2d"])
+def test_fibering_top_matches_closed_form(cfg):
+    spec = build_spec(cfg)
+    g = spec.grid
+    # far rays (tops below t = 1, reached by halving) and near ones (doubling)
+    for w in (probe_geometry(spec, seed=0).e.values, 0.01 * np.exp(-g.radius_sq),
+              0.3 * np.exp(-g.radius_sq / 3.0) * (1.0 + 0.2 * g.coords()[0])):
+        t, level = _fibering_top(spec, w)
+        assert t == pytest.approx(_closed_form_top(spec, w), rel=1e-12, abs=0.0)
+        assert level == pytest.approx(energy(spec, Field(g, t * w)).total, rel=1e-12)
+
+
+def test_descent_iterates_sit_on_the_nehari_manifold(monkeypatch):
+    # every accepted iterate is the top of its ray, where <r(u), u> = 0
+    spec = build_spec(RunConfig(dim=2, n=32, box_length=20.0, potential="well",
+                                lam=100.0, mu=0.05))
+    probe = probe_geometry(spec, seed=0)
+    step, accepted = solvers._armijo_step, []
+
+    def recorded(*args):
+        out = step(*args)
+        if out[2] > 0.0:
+            accepted.append(out[0])
+        return out
+
+    monkeypatch.setattr(solvers, "_armijo_step", recorded)
+    report = mountain_pass_solve(spec, probe.e, probe=probe)
+    assert report.ok and len(accepted) >= 2
+    for u in accepted:
+        pull = float(np.sum(_residual_rows(spec, u) * u)) * spec.grid.cell_volume
+        assert abs(pull) <= 1e-12 * _norm_lam(spec, Field(spec.grid, u)) ** 2
+
+
+def test_custom_nonlinearity_saddle():
+    spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
+    reports = {}
+    for name, nonlinearity in (("power", spec.nonlinearity), ("flat", FLAT), ("heavier", HEAVIER)):
+        s = replace(spec, nonlinearity=nonlinearity)
+        probe = probe_geometry(s, seed=0)
+        reports[name] = mountain_pass_solve(s, probe.e, probe=probe)
+        assert reports[name].ok, name
+    assert reports["flat"].energy == pytest.approx(reports["power"].energy, rel=1e-12)
+    # a larger primitive lowers the mountain-pass level
+    assert reports["heavier"].energy < reports["power"].energy
+
+
+# The Tier-1 2-D n=16 saddle search: (energy, residual_norm, step_size,
+# trials) of its descent entries, recorded with the lam-norm gradient.
+DESCENT_2D_TRACE = (
+    (8.791369490887908, 6.465500060614259, 1.0, 1),
+    (5.880558126584607, 1.366319918997802, 2.0, 1),
+    (5.824959752793254, 1.044399541804895, 4.0, 0),
 )
 
 
-@pytest.fixture(scope="module")
-def path_2d_searches():
-    """(report, per sweep its searches, polish residual norms).
-
-    A search is (node bytes, start step, energy rows, step used, trials).
-    """
+def test_descent_trace_2d_pinned():
     spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
-    probe = probe_geometry(spec, seed=0)
-    step, rows, norm = solvers._armijo_step, solvers._energy_rows, solvers._residual_norm
-    scored, norms, sweeps = [0], [0], []
+    report = mountain_pass_solve(spec, probe_geometry(spec, seed=0).e)
+    descent = [(t.energy, t.residual_norm, t.step_size, t.trials)
+               for t in report.trace if t.phase == "nehari"]
+    assert descent == list(DESCENT_2D_TRACE)
+    assert report.energy == 5.7335924499451965
+
+
+def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_ball,
+                                       monkeypatch):
+    scored, norms = [0], [0]
+    rows, norm = solvers._energy_rows, solvers._residual_norm
 
     def counted_rows(spec, u):
         scored[0] += u.size // spec.grid.total_points
@@ -371,77 +412,17 @@ def path_2d_searches():
         norms[0] += 1
         return norm(spec, u)
 
-    def one_row_at_a_time(spec, u, e_u, d, slope, steps, skip=0, rho=math.inf):
-        skip = np.broadcast_to(skip, len(u))
-        outs, searches = [], []
-        for i in range(len(u)):
-            one, before = slice(i, i + 1), scored[0]
-            out = step(spec, u[one], e_u[one], d[one], slope[one], steps[one], skip[one], rho)
-            searches.append((u[i].tobytes(), float(steps[i]), scored[0] - before,
-                             float(out[2][0]), int(out[4][0])))
-            outs.append(out)
-        sweeps.append(searches)
-        return tuple(np.concatenate(parts) for parts in zip(*outs))
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_energy_rows", counted_rows)
-        mp.setattr(solvers, "_residual_norm", counted_norm)
-        mp.setattr(solvers, "_armijo_step", one_row_at_a_time)
-        report = mountain_pass_solve(spec, probe.e, probe=probe)
-    return report, sweeps, norms[0]
-
-
-def test_path_trace_2d_pinned(path_2d_searches):
-    report, _, _ = path_2d_searches
-    path = [(t.energy, t.residual_norm, t.step_size, t.max_node_index, t.trials)
-            for t in report.trace if t.phase == "path"]
-    assert path == list(PATH_2D_TRACE)
-    assert report.energy == 5.733592449945194
-
-
-def test_path_never_retries_a_refused_step(path_2d_searches):
-    # a node that refused every step from s and has not moved since would
-    # repeat all of them from s (the 1e-6 floor) and all but the last from s/2
-    _, sweeps, _ = path_2d_searches
-    refused_at = {}  # node bytes -> start step of the search that refused there
-    full, halved, retried, floor = 0, 0, 0, 0
-    for searches in sweeps:
-        for node, start, rows, used, trials in searches:
-            assert rows == trials
-            before = refused_at.get(node)
-            if start == before:
-                floor += 1
-                assert rows == 0
-            elif before is not None and start == before / 2:
-                halved += 1
-                assert rows <= 1
-                retried += rows == 1 and used == 0.0
-            else:
-                full += rows == 40 and used == 0.0
-            if used == 0.0:
-                refused_at[node] = start
-    # the 12 full refusals and 253 one-step retries that refuse again ran
-    # 40 trials each before this rule; the floor searches sit at nodes
-    # whose slope overflowed, and those never tried a step
-    assert (full, halved, retried, floor) == (12, 409, 253, 57)
-
-
-def test_trials_count_the_trial_points(path_2d_searches, coercive_spec, coercive_probe,
-                                       coercive_ball, monkeypatch):
-    report, sweeps, norms = path_2d_searches
-    path = [t.trials for t in report.trace if t.phase == "path"]
-    assert path == [sum(rows for _, _, rows, _, _ in searches) for searches in sweeps]
-    polish = [t.trials for t in report.trace if t.phase == "polish"]
-    assert sum(polish) == norms and polish[-1] == 0
-    # the ball scores 80 scan amplitudes, then its Newton and Armijo trials
-    scored = [0]
-    rows = solvers._energy_rows
-
-    def counted_rows(spec, u):
-        scored[0] += u.size // spec.grid.total_points
-        return rows(spec, u)
-
     monkeypatch.setattr(solvers, "_energy_rows", counted_rows)
+    monkeypatch.setattr(solvers, "_residual_norm", counted_norm)
+    report = mountain_pass_solve(coercive_spec, coercive_probe.e, probe=coercive_probe)
+    descent = [t.trials for t in report.trace if t.phase == "nehari"]
+    polish = [t.trials for t in report.trace if t.phase == "polish"]
+    # the top of the ray through e, one energy per descent trial, and the
+    # energy each polish entry reports
+    assert 1 + sum(descent) + len(polish) == scored[0]
+    assert sum(polish) == norms[0] and polish[-1] == 0
+    # the ball scores 80 scan amplitudes, then its Newton and Armijo trials
+    scored[0] = 0
     ball = ball_min_solve(coercive_spec, coercive_probe.rho)
     assert ball.energy == coercive_ball.energy
     assert 80 + sum(t.trials for t in ball.trace) == scored[0]
@@ -533,9 +514,9 @@ class TestTwoSolutions:
 
     def test_well_exact_regression(self, well_result):
         # recorded as the coercive pins above, on one BLAS thread
-        assert well_result.mountain_pass.energy == 1.4931505176211706
+        assert well_result.mountain_pass.energy == 1.4931505176211703
         assert well_result.local_min.energy == -9.819309641087939e-08
-        assert well_result.distinctness == 1.674073806896936
+        assert well_result.distinctness == 1.6740738073597174
 
     def test_levels_echo_reports(self, well_result):
         lv = well_result.levels
@@ -588,11 +569,13 @@ class TestTwoSolutions:
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945194, -2.4845810771999066e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124029, -3.083582225587138e-11),
-], ids=["2d", "3d"])
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.7335924499451965, -2.4845810771999066e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124028, -3.083582225587138e-11),
+    (RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
+     3.3570136804097417, -6.895796808778539e-10),
+], ids=["2d", "3d", "2d-steep-well"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
-    # both grids take the dense Newton route; the pins were recorded on one
+    # every grid takes the dense Newton route; the pins were recorded on one
     # BLAS thread, like the 1-D ones
     r = two_solution_experiment(build_spec(cfg), seed=0)
     assert r.success, r.failed_stage
