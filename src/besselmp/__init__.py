@@ -3,8 +3,8 @@
 The package computes critical points of the energy
 Phi(u) = 1/2 ||u||_lam^2 - int F(u) - (mu/p) int xi |u|^p
 for the operator (I - Laplacian)^alpha on a periodic box: a saddle point
-at positive energy found by descent on the Nehari manifold, and a local
-minimizer at negative energy found by descent inside a ball, together
+at positive energy and a local minimizer at negative energy, both found
+by descent on the Nehari manifold (its top and bottom branches), together
 with numerical checks of the quantitative estimates the two-solution
 argument rests on.
 """

@@ -1,8 +1,8 @@
 """Command-line front end: orchestrates runs and writes the output files.
 
 Every mode produces report.json in the output directory; the solve modes
-add convergence traces (trace.csv, and trace_ball.csv when a ball descent
-ran), a plot-ready profile.csv, and the solution fields as .bmpf.  Exit
+add convergence traces (trace.csv, and trace_ball.csv when the ball
+minimizer was searched), a plot-ready profile.csv, and the solution fields as .bmpf.  Exit
 status is 0 exactly when every executed stage passed.
 """
 

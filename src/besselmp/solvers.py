@@ -1,30 +1,28 @@
-"""Two-solution machinery: geometry probe, Nehari descent, ball descent.
+"""Two-solution machinery: geometry probe and two descents on the Nehari manifold.
 
 The geometry probe samples spheres ||u||_lam = rho and reports the radius
 whose sampled minimum eta is highest.  Its mu budget needs no search:
 Phi is linear in mu on each sampled field, so the largest mu that keeps
 that radius's minimum positive is one division per field.
 
-The saddle search is the local-minimax descent of Choi & McKenna (1993)
-in the form of Li & Zhou (2001).  For a direction w let t+(w) be the top
-of the fibering map t -> Phi(t w), its larger critical point; the search
-descends J(w) = Phi(t+(w) w) from the far endpoint e, so its iterate
-always sits on such a top (the Nehari manifold <r(u), u> = 0), and J never
-rises over accepted steps.  The descent direction is the gradient in the
-lam-norm, K^{-1} r with K = (I - Laplacian)^alpha + lam V, solved by
-preconditioned CG; once its dual norm <r, K^{-1} r>^(1/2) is small next to
-||u||_lam a damped Newton iteration on the strong-form residual pushes the
-iterate to solver tolerance.
+Both solutions come from one descent on the Nehari manifold
+<r(u), u> = 0, the local-minimax method of Choi & McKenna (1993) in the
+form of Li & Zhou (2001).  For a direction w the fibering map
+t -> Phi(t w) of this concave-convex energy has a bottom t-(w), a local
+minimum, and above it a top t+(w), its larger critical point.  The
+saddle search descends J+(w) = Phi(t+(w) w) from the far endpoint e; the
+negative-energy minimizer is the minimum of J-(w) = Phi(t-(w) w), the
+N+ branch of Brown & Zhang (2003), descended from a Gaussian bump.  The
+iterate always sits on its ray's critical point and J never rises over
+accepted steps.  The descent direction is the gradient in the lam-norm,
+K^{-1} r with K = (I - Laplacian)^alpha + lam V, solved by
+preconditioned CG; once its dual norm <r, K^{-1} r>^(1/2) is small next
+to ||u||_lam a damped Newton iteration on the strong-form residual pushes
+the iterate to solver tolerance.  The ball radius rho only checks the
+minimizer: it must sit inside the ball, with a margin.
 
-The negative-energy solution comes from projected preconditioned descent
-inside the ball ||u||_lam <= rho.  Gradient and projected steps lower Phi;
-the Newton steps that finish the descent are accepted while Phi rises by
-at most 1e-12, so on a flat floor a run of them can creep upward by
-roundoff-sized amounts.
-
-One Armijo step serves the Nehari descent and the ball descent, and one
-generator of damped Newton trials serves the polish and the ball; every
-backtracking search walks the steps s, s/2, s/4, ... and only its count differs.
+Every backtracking search walks the steps s, s/2, s/4, ... and only its
+count differs.
 
 The solvers take and return Fields but work on plain arrays inside,
 through the row kernels of ``grid`` and ``problem``: a trial point that
@@ -49,7 +47,6 @@ from .grid import (
     _lp_norm,
     _multiply,
     _require,
-    _row_sum,
     _weighted_norm_sq_rows,
     lp_norm,
 )
@@ -86,8 +83,8 @@ class GeometryError(RuntimeError):
     """The sampled landscape does not show the required ridge/valley shape."""
 
 
-# Line-search and stopping constants of the Nehari descent, the Newton
-# polish and the ball descent.
+# Line-search and stopping constants of the Nehari descent and the Newton
+# polish.
 STEP_INIT = 1.0
 STEP_MAX = 10.0
 ARMIJO_SLOPE = 1e-4
@@ -416,18 +413,6 @@ def _first(candidates, accept):
     return None, tested
 
 
-def _energy_stack(spec, u):
-    """Phi of every row of u, scored in stacks of ``grid.batch_rows``."""
-    return np.concatenate([_energy_rows(spec, u[rows]).total
-                           for rows in _stacks(len(u), spec.grid.batch_rows)])
-
-
-def _descent(spec, r):
-    """Direction d = (I - Laplacian)^{-alpha} r and its slope <r, d>."""
-    d = _multiply(spec.grid, r, -spec.alpha)
-    return d, float(_row_sum(spec.grid, r * d)) * spec.grid.cell_volume
-
-
 def _riesz_gradient(spec, r):
     """d ~ K^{-1} r, the gradient in the lam-norm, and its slope <r, d>.
 
@@ -459,16 +444,22 @@ def _riesz_gradient(spec, r):
     return d, float(np.sum(r * d)) * g.cell_volume
 
 
-def _fibering_top(spec, w):
-    """(t, Phi(t w)) at the top of the fibering map t -> Phi(t w): its larger critical point.
+def _fibering(spec, w, bottom=False):
+    """(t, Phi(t w)) at the top of the fibering map t -> Phi(t w), or with ``bottom`` at its bottom.
 
-    Phi(t w) = t^2 quad - int F(x, t w) - t^p xi_term with the pieces of
-    one ``_energy_rows(w)`` call; only int F and int f(x, t w) w depend on
-    t, and both are pointwise, so no t costs a transform.  From t = 1 the
-    walk doubles t while dPhi/dt > 0 or halves it while dPhi/dt <= 0, until
-    the sign changes, and brentq refines that bracket.  (nan, inf) when
-    Phi(w) is not finite or the walk finds no top within
-    BACKTRACK_TRIES doublings or halvings.
+    The top t+(w) is the larger critical point, where dPhi/dt turns from
+    positive to negative; the bottom t-(w) is the local minimum below it,
+    where dPhi/dt turns from negative to positive.  Phi(t w) = t^2 quad -
+    int F(x, t w) - t^p xi_term with the pieces of one ``_energy_rows(w)``
+    call; only int F and int f(x, t w) w depend on t, and both are
+    pointwise, so no t costs a transform.  From t = 1 the walk doubles or
+    halves t until dPhi/dt changes sign, and brentq refines that bracket:
+    toward a top it doubles while dPhi/dt > 0 and halves while dPhi/dt <=
+    0, toward a bottom the other way round.  So it finds the requested
+    point only from its own side of the other one: a ray scaled past its
+    top has no bottom found, and one below its bottom no top.  (nan, inf)
+    when Phi(w) is not finite or the walk finds no sign change within
+    BACKTRACK_TRIES doublings or halvings; a descent refuses such a trial.
     """
     pieces = _energy_rows(spec, w)
     if not np.isfinite(pieces.total):
@@ -481,42 +472,42 @@ def _fibering_top(spec, w):
         return 2.0 * t * quad - pull - p * t ** (p - 1.0) * xi_term
 
     rising = slope(1.0) > 0.0
+    up = rising != bottom  # a top lies above a rising t, a bottom below it
     t = 1.0
     for _ in range(BACKTRACK_TRIES):
-        nxt = t * 2.0 if rising else t * BACKTRACK_FACTOR
+        nxt = t * 2.0 if up else t * BACKTRACK_FACTOR
         if (slope(nxt) <= 0.0) if rising else (slope(nxt) > 0.0):
             break
         t = nxt
     else:
         return math.nan, math.inf
-    top = optimize.brentq(slope, min(t, nxt), max(t, nxt), xtol=1e-300,
-                          rtol=4 * np.finfo(float).eps)  # brentq's finest
-    push = float(np.sum(spec.nonlinearity.F(coords, top * w))) * vol
-    return top, top**2 * quad - push - top**p * xi_term
+    crit = optimize.brentq(slope, min(t, nxt), max(t, nxt), xtol=1e-300,
+                           rtol=4 * np.finfo(float).eps)  # brentq's finest
+    push = float(np.sum(spec.nonlinearity.F(coords, crit * w))) * vol
+    return crit, crit**2 * quad - push - crit**p * xi_term
 
 
 def _armijo_step(spec, u, e_u, d, slope, step, place):
     """One monotone descent step from u along -d, backtracking from ``step``.
 
     Walks the steps step, step/2, ..., BACKTRACK_TRIES of them.  ``place``
-    maps each trial u - s d to (point, energy, projected); the first point
-    whose energy is at most e_u - ARMIJO_SLOPE s slope is taken, or, when
-    ``place`` projected it onto the ball's sphere, the first below e_u by
-    more than 1e-14.  A slope that is not positive and finite tries
-    nothing: its decrease test is unpassable.
+    maps each trial u - s d to (point, energy); the first point whose
+    energy is at most e_u - ARMIJO_SLOPE s slope is taken.  A slope that
+    is not positive and finite tries nothing: its decrease test is
+    unpassable.
 
-    Returns (u, energy, step_used, projected, trials): step_used is 0.0
-    where no step was accepted, trials the energies evaluated.
+    Returns (u, energy, step_used, trials): step_used is 0.0 where no step
+    was accepted, trials the energies evaluated.
     """
     if not 0.0 < slope < math.inf:
-        return u, e_u, 0.0, False, 0
+        return u, e_u, 0.0, 0
     found, tried = _first(
         ((s, *place(u - s * d)) for s in _steps(step, BACKTRACK_TRIES)),
-        lambda c: c[2] <= (e_u - 1e-14 if c[3] else e_u - ARMIJO_SLOPE * c[0] * slope))
+        lambda c: c[2] <= e_u - ARMIJO_SLOPE * c[0] * slope)
     if found is None:
-        return u, e_u, 0.0, False, tried
-    s, point, e_t, projected = found
-    return point, e_t, s, projected, tried
+        return u, e_u, 0.0, tried
+    s, point, e_t = found
+    return point, e_t, s, tried
 
 
 def _hessian_diag(spec, u):
@@ -563,11 +554,6 @@ def _newton_direction(spec, u, r):
     return delta.reshape(g.shape)
 
 
-def _newton_trials(u, delta):
-    """The damped Newton trials (s, u + s delta), s = 1, 1/2, ... above 1e-10; none without delta."""
-    return () if delta is None else ((s, u + s * delta) for s in _steps(1.0, NEWTON_TRIES))
-
-
 def _polish(spec, u, opts, trace, it0):
     """Damped Newton on the residual; returns (u, residual_norm, iterations_used)."""
     it = it0
@@ -579,7 +565,10 @@ def _polish(spec, u, opts, trace, it0):
         if rn <= opts.tol:
             trace.append(entry)
             return u, rn, it
-        found, tried = _first(_newton_trials(u, _newton_direction(spec, u, r)),
+        delta = _newton_direction(spec, u, r)
+        # the damped Newton trials u + s delta, s = 1, 1/2, ... above 1e-10
+        trials = () if delta is None else ((s, u + s * delta) for s in _steps(1.0, NEWTON_TRIES))
+        found, tried = _first(trials,
                               lambda st: _residual_norm(spec, st[1]) <= (1.0 - 1e-4 * st[0]) * rn)
         if found is None:
             # fall back to preconditioned descent on the residual norm
@@ -594,52 +583,66 @@ def _polish(spec, u, opts, trace, it0):
     return u, _lp_norm(spec.grid, _residual(spec, u), 2), it
 
 
-@_quiet_overflow
-def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None = None,
-                        probe: GeometryProbe | None = None) -> SolveReport:
-    """Saddle-point search by descent on the Nehari manifold, started from e.
+def _nehari_solve(spec, u, level, bottom, opts):
+    """Descend J(w) = Phi(t(w) w) from u, then polish; returns (u, residual_norm, iterations, trace).
 
-    Needs Phi(e) < 0.  One deterministic attempt: the iterate starts at the
-    top of the ray through e and descends J(w) = Phi(t+(w) w) along the
-    lam-norm gradient, each trial scaled onto the top of its own ray before
-    it is scored, so J never rises over accepted steps.  Once the
-    gradient's dual norm is at most HANDOVER_RATIO ||u||_lam, or a line
-    search refuses every step, Newton polishes the iterate.  A ray through
-    e with no top raises ValueError.  When the geometry probe is supplied
-    its eta gates the result: a converged iterate below eta by more than
-    the level slack is reported with ok=False.
+    t(w) is the top of the fibering map, or with ``bottom`` its bottom;
+    u must sit on that critical point of its own ray, at energy ``level``.
+    The descent follows the lam-norm gradient, each trial placed on its
+    own ray's critical point before it is scored, so J never rises over
+    accepted steps.  Once the gradient's dual norm is at most
+    HANDOVER_RATIO ||u||_lam, or a line search refuses every step, Newton
+    polishes the iterate.  Descent entries have phase "ball" on the
+    bottoms and "nehari" on the tops.
     """
-    opts = opts or SolveOptions()
-    if energy(spec, e).total >= 0.0:
-        raise ValueError("endpoint e must have negative energy")
     g = spec.grid
+    phase = "ball" if bottom else "nehari"
 
-    def on_top(w):
-        t, level = _fibering_top(spec, w)
-        return t * w, level, False
+    def place(w):
+        t, j = _fibering(spec, w, bottom)
+        return t * w, j
 
-    u, level, _ = on_top(e.values)
-    if not math.isfinite(level):
-        raise ValueError("the fibering map along e has no local maximum")
     step = STEP_INIT
     trace: list[TraceEntry] = []
     it = 0
     while it < opts.max_iter:
         r = _residual(spec, u)
         d, slope = _riesz_gradient(spec, r)
-        entry = TraceEntry(it, level, _lp_norm(g, r, 2), step, "nehari", 0)
+        entry = TraceEntry(it, level, _lp_norm(g, r, 2), step, phase, 0)
         it += 1
         if slope <= (HANDOVER_RATIO * float(_norm_lam(spec, u))) ** 2:
             trace.append(entry)
             break
-        u, level, used, _, tried = _armijo_step(spec, u, level, d, slope, step, on_top)
+        u, level, used, tried = _armijo_step(spec, u, level, d, slope, step, place)
         trace.append(replace(entry, trials=tried))
         if used == 0.0:
             break
         step = min(used * 2.0, STEP_MAX)
     u, rn, it = _polish(spec, u, opts, trace, it)
+    return u, rn, it, tuple(trace)
 
-    solution = Field(g, u)
+
+@_quiet_overflow
+def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None = None,
+                        probe: GeometryProbe | None = None) -> SolveReport:
+    """Saddle-point search by descent on the Nehari manifold, started from e.
+
+    Needs Phi(e) < 0.  One deterministic attempt: the iterate starts at the
+    top of the ray through e and descends J(w) = Phi(t+(w) w) on the
+    tops of the rays (``_nehari_solve``).  A ray through e with no top
+    raises ValueError.  When the geometry probe is supplied its eta gates
+    the result: a converged iterate below eta by more than the level slack
+    is reported with ok=False.
+    """
+    opts = opts or SolveOptions()
+    if energy(spec, e).total >= 0.0:
+        raise ValueError("endpoint e must have negative energy")
+    t, level = _fibering(spec, e.values)
+    if not math.isfinite(level):
+        raise ValueError("the fibering map along e has no local maximum")
+    u, rn, it, trace = _nehari_solve(spec, t * e.values, level, False, opts)
+
+    solution = Field(spec.grid, u)
     e_u = energy(spec, solution).total
     converged = rn <= opts.tol
     ok = converged
@@ -650,7 +653,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
     return SolveReport(
         solution=solution, energy=e_u, residual_norm=rn, iterations=it,
         classification="mountain_pass", converged=converged, ok=ok,
-        message=message, trace=tuple(trace),
+        message=message, trace=trace,
     )
 
 
@@ -660,13 +663,14 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
 
 @_quiet_overflow
 def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = None) -> SolveReport:
-    """Minimize Phi over the ball ||u||_lam <= rho by projected descent.
+    """The negative-energy local minimizer, by descent on the N+ branch of the Nehari manifold.
 
-    The starting point is the best of a scan of scaled bumps with negative
-    energy; failure to find one (the mu = 0 situation) is reported, not
-    raised.  Gradient and projected steps decrease Phi, a Newton step may
-    raise it by at most 1e-12, and the final iterate must sit strictly
-    inside the ball.
+    The iterate starts at the bottom of the ray through a Gaussian bump and
+    descends J(w) = Phi(t-(w) w) on the bottoms of the rays
+    (``_nehari_solve``).  A bump ray with no negative bottom (the mu = 0
+    situation) is reported, not raised.  rho does not steer the search; it
+    only checks the result, which must have negative energy and sit at
+    most (1 - INTERIOR_MARGIN) rho from the origin in the lam-norm.
     """
     opts = opts or SolveOptions()
     if not (rho > 0 and np.isfinite(rho)):
@@ -674,14 +678,8 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
 
     g = spec.grid
     phi0 = _bump(spec)
-    t_max = rho / _norm_lam(spec, phi0)
-    # the negative dip near zero sits at amplitudes of order mu^{1/(2-p)},
-    # which can be minuscule; the scan floor has to reach well below it
-    ts = t_max * np.geomspace(1e-8, 1.0, 80)
-    scan = _energy_stack(spec, _per_row(ts, g) * phi0)
-    best = int(np.argmin(scan))  # the first of equal minima
-    t_best, e_best = ts[best], float(scan[best])
-    if e_best >= 0.0:
+    t, level = _fibering(spec, phi0, bottom=True)
+    if not level < 0.0:
         zero = np.zeros(g.shape)
         return SolveReport(
             solution=Field(g, zero), energy=0.0,
@@ -690,69 +688,27 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
             message="no negative energy found inside the ball (is mu positive?)",
             trace=(),
         )
+    u, rn, it, trace = _nehari_solve(spec, t * phi0, level, True, opts)
 
-    def into_ball(trial):
-        """The trial, scaled back onto the sphere when it left the ball, and its energy."""
-        t_norm = float(_norm_lam(spec, trial))
-        if t_norm > rho:
-            trial = trial * (rho / t_norm)
-        return trial, _energy(spec, trial), t_norm > rho
-
-    u = t_best * phi0
-    e_u = e_best
-    step = STEP_INIT
-    trace: list[TraceEntry] = []
-    pinned_run = 0
-    converged = False
-    it = 0
-
-    while it < opts.max_iter:
-        r = _residual(spec, u)
-        rn = _lp_norm(g, r, 2)
-        entry = TraceEntry(it, e_u, rn, step, "ball", 0)
-        it += 1
-        if rn <= opts.tol:
-            trace.append(entry)
-            converged = True
-            break
-
-        # Newton acceleration once the iterate is interior and nearly critical
-        newton = 0
-        if rn <= 1e-3 * (1.0 + abs(e_u)) and _norm_lam(spec, u) <= 0.95 * rho:
-            trials = _newton_trials(u, _newton_direction(spec, u, r))
-            # most trials fail the energy test, so the norm comes second
-            found, newton = _first(
-                ((t, _energy(spec, t)) for _, t in trials),
-                lambda te: te[1] <= e_u + 1e-12 and _norm_lam(spec, te[0]) <= rho)
-            if found is not None:
-                trace.append(replace(entry, trials=newton))
-                u, e_u = found
-                continue
-
-        d, slope = _descent(spec, r)
-        u, e_u, used, projected, armijo = _armijo_step(spec, u, e_u, d, slope, step, into_ball)
-        trace.append(replace(entry, trials=newton + armijo))
-        if used == 0.0:
-            break
-        step = min(used * 2.0, STEP_MAX)
-        pinned_run = pinned_run + 1 if projected else 0
-        if pinned_run > 50:
-            break
-
-    margin = rho - float(_norm_lam(spec, u))
-    ok = converged and e_u < 0.0 and margin >= INTERIOR_MARGIN * rho
+    solution = Field(g, u)
+    e_u = energy(spec, solution).total
+    norm = float(_norm_lam(spec, u))
+    converged = rn <= opts.tol
+    bound = (1.0 - INTERIOR_MARGIN) * rho
+    ok = converged and e_u < 0.0 and norm <= bound
     if not converged:
-        message = "pinned to the sphere" if pinned_run > 50 else "residual tolerance not reached"
+        message = "residual tolerance not reached"
     elif e_u >= 0.0:
         message = "converged but the energy is not negative"
-    elif margin < INTERIOR_MARGIN * rho:
-        message = f"converged on the boundary shell (margin {margin:.3g})"
+    elif not ok:
+        message = (f"converged at ||u||_lam = {norm:.6g}, beyond {bound:.6g} inside "
+                   f"the ball radius rho = {rho:.6g}")
     else:
         message = "converged"
     return SolveReport(
-        solution=Field(g, u), energy=e_u, residual_norm=_lp_norm(g, _residual(spec, u), 2),
-        iterations=it, classification="local_min", converged=converged, ok=ok,
-        message=message, trace=tuple(trace),
+        solution=solution, energy=e_u, residual_norm=rn, iterations=it,
+        classification="local_min", converged=converged, ok=ok,
+        message=message, trace=trace,
     )
 
 

@@ -32,8 +32,9 @@ from besselmp.config import RunConfig, build_spec
 from besselmp.grid import DENSE_MAX_POINTS
 from besselmp.problem import _energy_rows, _residual_rows
 from besselmp.solvers import (
+    DEFAULT_WELL_SWEEP,
     _armijo_step,
-    _fibering_top,
+    _fibering,
     _hessian_diag,
     _mu_budget,
     _newton_direction,
@@ -44,6 +45,18 @@ from besselmp.solvers import (
 
 def _norm_lam(spec, u):
     return math.sqrt(weighted_norm_sq(u, spec.V_field, spec.lam, spec.alpha))
+
+
+def _morse_index(spec, u):
+    """The number of negative eigenvalues of the Hessian of Phi at u (dense grids only).
+
+    This is the Hessian that Newton solves, with the concave term's
+    |u|^(p-2) clamped off where |u| is tiny (``_hessian_diag``); the
+    unclamped curvature is unbounded at the zeros of u.
+    """
+    g = spec.grid
+    hessian = g.multiplier_matrix(spec.alpha) + np.diag(_hessian_diag(spec, u.values).ravel())
+    return int(np.count_nonzero(np.linalg.eigvalsh(hessian) < 0.0))
 
 
 def test_solve_options_validation():
@@ -160,34 +173,31 @@ def test_sphere_polish_rows_move_independently(coercive_spec):
     assert np.array_equal(both[1], huge)
 
 
-def test_armijo_step_accepts_projects_and_refuses(coercive_spec):
+def test_armijo_step_accepts_and_refuses(coercive_spec):
     g = coercive_spec.grid
     u = 3.0 * np.exp(-g.radius_sq / 4.0)
     e_u = float(_energy_rows(coercive_spec, u).total)
     d, slope = np.ones(g.shape), 1.0
 
-    def scored(levels, projected=False):
-        """A place that scores the k-th trial at levels[k], flagged projected or not."""
+    def scored(levels):
+        """A place that scores the k-th trial at levels[k]."""
         calls = iter(levels)
-        return lambda trial: (trial, next(calls), projected)
+        return lambda trial: (trial, next(calls))
 
     # the first trial meeting e_u - ARMIJO_SLOPE s slope wins: this level
     # misses the target at s = 1/2 and meets it at s = 1/4
     short = e_u - solvers.ARMIJO_SLOPE * 0.25
-    point, level, used, projected, trials = _armijo_step(
+    point, level, used, trials = _armijo_step(
         coercive_spec, u, e_u, d, slope, 1.0, scored([e_u, short, short]))
-    assert (level, used, projected, trials) == (short, 0.25, False, 3)
+    assert (level, used, trials) == (short, 0.25, 3)
     assert np.array_equal(point, u - 0.25 * d)
-    # a projected trial needs only a decrease beyond 1e-14
-    out = _armijo_step(coercive_spec, u, e_u, d, slope, 1.0, scored([e_u - 2e-14], True))
-    assert out[1:] == (e_u - 2e-14, 1.0, True, 1)
     # refusing every step keeps the point after BACKTRACK_TRIES trials; a
     # slope that is not positive and finite tries nothing
     out = _armijo_step(coercive_spec, u, e_u, d, slope, 1.0, scored([math.inf] * 40))
-    assert out[0] is u and out[1:] == (e_u, 0.0, False, 40)
+    assert out[0] is u and out[1:] == (e_u, 0.0, 40)
     for bad in (0.0, -1.0, math.inf, math.nan):
         out = _armijo_step(coercive_spec, u, e_u, d, bad, 1.0, scored([]))
-        assert out[0] is u and out[1:] == (e_u, 0.0, False, 0)
+        assert out[0] is u and out[1:] == (e_u, 0.0, 0)
 
 
 @pytest.mark.parametrize("cfg,eta", [
@@ -243,6 +253,7 @@ class TestMountainPass:
         assert mp.classification == "mountain_pass"
         # recompute the residual independently of the report
         assert lp_norm(residual(coercive_spec, mp.solution), 2) <= 1e-8
+        assert _morse_index(coercive_spec, mp.solution) == 1
 
     def test_energy_regression(self, coercive_mp):
         assert coercive_mp.energy == pytest.approx(3.22418890, rel=1e-6)
@@ -310,13 +321,14 @@ class TestMountainPass:
         assert report.message == "residual tolerance not reached"
 
 
-def _closed_form_top(spec, w):
-    """The larger root of 2 quad = q F t^(q-2) + p X t^(p-2) for PowerNonlinearity.
+def _closed_form_gap(spec, w):
+    """The roots of 2 quad = q F t^(q-2) + p X t^(p-2) are the critical points of t -> Phi(t w).
 
-    F and X are the f_term and xi_term of w.  The right side is convex in
-    t with its minimum where q (q-2) F t^(q-p) = p (2-p) X, and at
-    t = (2 quad / (q F))^(1/(q-2)) it exceeds 2 quad by p X t^(p-2), so the
-    larger root lies between those two points.
+    For PowerNonlinearity, with F and X the f_term and xi_term of w.
+    Returns (gap, lo, hi): the right side is convex in t with its minimum
+    at lo, where q (q-2) F t^(q-p) = p (2-p) X; at hi = (2 quad / (q
+    F))^(1/(q-2)) it exceeds 2 quad by p X hi^(p-2), so the larger root,
+    the top, lies between lo and hi, and the smaller, the bottom, below lo.
     """
     quad, f_term, _, xi_term, _ = map(float, _energy_rows(spec, w))
     q, p = spec.nonlinearity.q, spec.p
@@ -325,10 +337,23 @@ def _closed_form_top(spec, w):
         return 2.0 * quad - q * f_term * t ** (q - 2.0) - p * xi_term * t ** (p - 2.0)
 
     hi = (2.0 * quad / (q * f_term)) ** (1.0 / (q - 2.0))
-    if xi_term == 0.0:
-        return hi
     lo = (p * (2.0 - p) * xi_term / (q * (q - 2.0) * f_term)) ** (1.0 / (q - p))
+    return gap, lo, hi
+
+
+def _closed_form_top(spec, w):
+    gap, lo, hi = _closed_form_gap(spec, w)
+    if lo == 0.0:  # no concave term
+        return hi
     return optimize.brentq(gap, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+def _closed_form_bottom(spec, w):
+    """The smaller root: below (p X / (2 quad))^(1/(2-p)) the concave term alone outweighs 2 quad."""
+    gap, lo, _ = _closed_form_gap(spec, w)
+    quad, _, _, xi_term, _ = map(float, _energy_rows(spec, w))
+    floor = (spec.p * xi_term / (2.0 * quad)) ** (1.0 / (2.0 - spec.p))
+    return optimize.brentq(gap, floor, lo, xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -342,9 +367,35 @@ def test_fibering_top_matches_closed_form(cfg):
     # far rays (tops below t = 1, reached by halving) and near ones (doubling)
     for w in (probe_geometry(spec, seed=0).e.values, 0.01 * np.exp(-g.radius_sq),
               0.3 * np.exp(-g.radius_sq / 3.0) * (1.0 + 0.2 * g.coords()[0])):
-        t, level = _fibering_top(spec, w)
+        t, level = _fibering(spec, w)
         assert t == pytest.approx(_closed_form_top(spec, w), rel=1e-12, abs=0.0)
         assert level == pytest.approx(energy(spec, Field(g, t * w)).total, rel=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(), RunConfig(q=6.0), RunConfig(dim=2, n=16, box_length=15.0),
+    RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
+], ids=["coercive", "q6", "2d", "well-2d"])
+def test_fibering_bottom_matches_closed_form(cfg):
+    spec = build_spec(cfg)
+    g = spec.grid
+    # rays between the critical points (a bottom reached by halving) and
+    # below the bottom (by doubling)
+    for w in (np.exp(-g.radius_sq), 1e-8 * np.exp(-g.radius_sq / 3.0) * (1.0 + 0.2 * g.coords()[0])):
+        t, level = _fibering(spec, w, bottom=True)
+        assert t == pytest.approx(_closed_form_bottom(spec, w), rel=1e-12, abs=0.0)
+        assert level == pytest.approx(energy(spec, Field(g, t * w)).total, rel=1e-12)
+        assert level < 0.0
+
+
+def test_fibering_without_a_bottom(coercive_spec, coercive_probe):
+    # with mu = 0 the ray rises from the origin, so no halving finds a
+    # bottom; from past the top the walk doubles away from the bottom
+    flat = replace(coercive_spec, mu=0.0)
+    for spec, w in ((flat, np.exp(-coercive_spec.grid.radius_sq)),
+                    (coercive_spec, coercive_probe.e.values)):
+        t, level = _fibering(spec, w, bottom=True)
+        assert math.isnan(t) and level == math.inf
 
 
 def test_descent_iterates_sit_on_the_nehari_manifold(monkeypatch):
@@ -414,18 +465,19 @@ def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_b
 
     monkeypatch.setattr(solvers, "_energy_rows", counted_rows)
     monkeypatch.setattr(solvers, "_residual_norm", counted_norm)
-    report = mountain_pass_solve(coercive_spec, coercive_probe.e, probe=coercive_probe)
-    descent = [t.trials for t in report.trace if t.phase == "nehari"]
-    polish = [t.trials for t in report.trace if t.phase == "polish"]
-    # the top of the ray through e, one energy per descent trial, and the
-    # energy each polish entry reports
-    assert 1 + sum(descent) + len(polish) == scored[0]
-    assert sum(polish) == norms[0] and polish[-1] == 0
-    # the ball scores 80 scan amplitudes, then its Newton and Armijo trials
-    scored[0] = 0
-    ball = ball_min_solve(coercive_spec, coercive_probe.rho)
-    assert ball.energy == coercive_ball.energy
-    assert 80 + sum(t.trials for t in ball.trace) == scored[0]
+    # each solver scores the critical point of its first ray, one energy
+    # per descent trial, and the energy each polish entry reports
+    for solve, phase, again in (
+            (lambda: mountain_pass_solve(coercive_spec, coercive_probe.e, probe=coercive_probe),
+             "nehari", None),
+            (lambda: ball_min_solve(coercive_spec, coercive_probe.rho), "ball", coercive_ball)):
+        scored[0] = norms[0] = 0
+        report = solve()
+        descent = [t.trials for t in report.trace if t.phase == phase]
+        polish = [t.trials for t in report.trace if t.phase == "polish"]
+        assert 1 + sum(descent) + len(polish) == scored[0]
+        assert sum(polish) == norms[0] and polish[-1] == 0
+        assert again is None or report.energy == again.energy
 
 
 # ---------------------------------------------------------------------------
@@ -442,44 +494,40 @@ class TestBallMin:
         assert lp_norm(residual(coercive_spec, ball.solution), 2) <= 1e-8
         # strictly inside the ball, not pinned to its boundary
         assert _norm_lam(coercive_spec, ball.solution) <= 0.98 * coercive_probe.rho
+        assert _morse_index(coercive_spec, ball.solution) == 0
 
     def test_energy_scale(self, coercive_ball):
         # the concave term is tiny at mu = 0.01, so the dip is shallow
         assert -1e-9 < coercive_ball.energy < 0.0
 
     def test_exact_regression(self, coercive_ball):
-        assert coercive_ball.energy == -5.6346766946698154e-11
+        assert coercive_ball.energy == -5.634676482952537e-11
 
-    def test_descent_monotone(self, coercive_ball):
-        es = [t.energy for t in coercive_ball.trace]
-        for a, b in zip(es, es[1:]):
-            assert b <= a + 1e-12 * (1.0 + abs(a))
+    def test_descent_monotone(self, coercive_ball, well_result):
+        # every accepted step lowers J-, so the descent entries never rise
+        for ball in (coercive_ball, well_result.local_min):
+            levels = [t.energy for t in ball.trace if t.phase == "ball"]
+            assert levels, "no descent entries recorded"
+            assert all(b <= a for a, b in zip(levels, levels[1:]))
+            phases = [t.phase for t in ball.trace]
+            assert phases == sorted(phases)  # the descent, then the polish
 
-    def test_no_step_raises_energy_beyond_tie_tolerance(self, well_result):
-        # Newton steps are accepted at Phi(trial) <= Phi(u) + 1e-12; on the
-        # steep well's flat floor (Phi near -4e-9) a run of them climbs by
-        # roundoff-sized amounts, and no step may climb by more
-        es = [t.energy for t in well_result.local_min.trace]
-        assert max(b - a for a, b in zip(es, es[1:])) <= 1e-12
+    def test_result_does_not_depend_on_rho(self, well_spec, well_result):
+        # rho only checks the minimizer: a ball of 0.01 rho still holds it
+        small = ball_min_solve(well_spec, 0.01 * well_result.probe.rho)
+        assert small.ok
+        np.testing.assert_array_equal(small.solution.values, well_result.local_min.solution.values)
+        assert small.energy == well_result.local_min.energy
 
-    def test_small_ball_takes_projected_steps(self, coercive_spec, coercive_ball):
-        # a ball smaller than the minimizer's norm pins every step to the
-        # sphere; the run ends when no backtracked projected step lowers Phi
+    def test_small_ball_rejects_the_minimizer(self, coercive_spec, coercive_ball):
+        # a ball smaller than the minimizer's norm reports the same
+        # minimizer as outside, naming the radius
         rho = 0.9 * _norm_lam(coercive_spec, coercive_ball.solution)
-        assert rho == 0.9 * 1.838701330837615e-05
         report = ball_min_solve(coercive_spec, rho)
-        assert report.iterations == 4
-        assert [t.energy for t in report.trace] == [
-            -5.5370329305259154e-11, -5.5452297784779465e-11,
-            -5.546555010759675e-11, -5.548409884025896e-11]
-        assert not report.converged and not report.ok
-        assert report.message == "residual tolerance not reached"
-        assert _norm_lam(coercive_spec, report.solution) / rho == 1.0
-        # each of the three accepted steps ends on the sphere
-        for k in (1, 2, 3):
-            early = ball_min_solve(coercive_spec, rho, SolveOptions(max_iter=k))
-            assert early.energy == report.trace[k].energy
-            assert _norm_lam(coercive_spec, early.solution) / rho == pytest.approx(1.0, abs=1e-15)
+        assert report.converged and not report.ok
+        assert report.energy == coercive_ball.energy
+        assert report.message == (f"converged at ||u||_lam = {rho / 0.9:.6g}, beyond "
+                                  f"{0.98 * rho:.6g} inside the ball radius rho = {rho:.6g}")
 
     def test_mu_zero_reports_failure(self, coercive_probe):
         flat = canonical_coercive_spec()
@@ -499,13 +547,15 @@ class TestBallMin:
 
 
 class TestTwoSolutions:
-    def test_well_succeeds(self, well_result):
+    def test_well_succeeds(self, well_spec, well_result):
         r = well_result
         assert r.success
         assert r.failed_stage is None
         assert r.local_min.energy < 0.0 < r.mountain_pass.energy
         assert r.mountain_pass.residual_norm <= 1e-8
         assert r.local_min.residual_norm <= 1e-8
+        assert _morse_index(well_spec, r.mountain_pass.solution) == 1
+        assert _morse_index(well_spec, r.local_min.solution) == 0
 
     def test_well_regression_pins(self, well_result):
         assert well_result.mountain_pass.energy == pytest.approx(1.49315052, rel=1e-6)
@@ -515,8 +565,8 @@ class TestTwoSolutions:
     def test_well_exact_regression(self, well_result):
         # recorded as the coercive pins above, on one BLAS thread
         assert well_result.mountain_pass.energy == 1.4931505176211703
-        assert well_result.local_min.energy == -9.819309641087939e-08
-        assert well_result.distinctness == 1.6740738073597174
+        assert well_result.local_min.energy == -9.819309641123356e-08
+        assert well_result.distinctness == 1.6740738081785755
 
     def test_levels_echo_reports(self, well_result):
         lv = well_result.levels
@@ -569,18 +619,43 @@ class TestTwoSolutions:
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.7335924499451965, -2.4845810771999066e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124028, -3.083582225587138e-11),
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.7335924499451965, -2.4845810771997024e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124028, -3.08358216831792e-11),
     (RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
-     3.3570136804097417, -6.895796808778539e-10),
+     3.3570136804097417, -2.847165929010149e-08),
 ], ids=["2d", "3d", "2d-steep-well"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     # every grid takes the dense Newton route; the pins were recorded on one
     # BLAS thread, like the 1-D ones
-    r = two_solution_experiment(build_spec(cfg), seed=0)
+    spec = build_spec(cfg)
+    r = two_solution_experiment(spec, seed=0)
     assert r.success, r.failed_stage
     assert r.mountain_pass.energy == saddle
     assert r.local_min.energy == minimizer
+    assert _morse_index(spec, r.mountain_pass.solution) == 1
+    assert _morse_index(spec, r.local_min.solution) == 0
+
+
+# each pair's failed_stage at seed 0: the two that fail are stopped by the
+# probe's eta gate
+SWEEP_OUTCOMES = {
+    (100.0, 0.05): None,
+    (100.0, 0.02): None,
+    (200.0, 0.05): "mountain_pass: converged at energy 1.51821 below the probed ridge height 1.60632",
+    (50.0, 0.05): "mountain_pass: converged at energy 1.46028 below the probed ridge height 1.53495",
+    (100.0, 0.1): None,
+    (150.0, 0.02): None,
+}
+
+
+@pytest.mark.parametrize("pair", DEFAULT_WELL_SWEEP, ids=str)
+def test_well_sweep_outcomes(well_spec, pair):
+    lam, mu = pair
+    spec = replace(well_spec, lam=lam, mu=mu)
+    r = two_solution_experiment(spec, seed=0)
+    assert r.failed_stage == SWEEP_OUTCOMES[pair]
+    if r.success:
+        assert _morse_index(spec, r.local_min.solution) == 0
 
 
 def test_assess_levels_verdicts(well_result):
