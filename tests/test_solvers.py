@@ -512,6 +512,13 @@ class TestBallMin:
             phases = [t.phase for t in ball.trace]
             assert phases == sorted(phases)  # the descent, then the polish
 
+    def test_no_step_raises_energy_beyond_tie_tolerance(self, well_result):
+        # the Newton polish accepts steps on the residual, not on Phi; at the
+        # steep well's minimizer (Phi near -1e-7) it may climb by roundoff-sized
+        # amounts, and no step of the descent or the polish may climb by more
+        es = [t.energy for t in well_result.local_min.trace]
+        assert max(b - a for a, b in zip(es, es[1:])) <= 1e-12
+
     def test_result_does_not_depend_on_rho(self, well_spec, well_result):
         # rho only checks the minimizer: a ball of 0.01 rho still holds it
         small = ball_min_solve(well_spec, 0.01 * well_result.probe.rho)
