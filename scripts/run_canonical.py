@@ -1,9 +1,8 @@
 """Run both canonical problems end to end and print the level tables.
 
-Usage: python scripts/run_canonical.py [--seed N]
+Usage: python scripts/run_canonical.py
 """
 
-import argparse
 import time
 
 from besselmp import (
@@ -14,24 +13,23 @@ from besselmp import (
 )
 
 
-def run_one(name, spec, seed):
+def run_one(name, spec):
     print(f"=== {name} ===")
     done = {}
     t0 = time.perf_counter()
-    for stage, ok, result in two_solution_stages(spec, seed=seed):
+    for stage, ok, result in two_solution_stages(spec):
         took = f"({time.perf_counter() - t0:.1f}s)"
         if isinstance(result, str):
             print(f"{stage} failed: {result}  {took}")
         elif stage == "probe_geometry":
             print(f"probe   rho={result.rho:.4f}  eta={result.eta:.6f}  "
-                  f"mu0~{result.mu0_estimate:.4f}  {took}")
-            for rho, emin in result.rho_table:
-                print(f"        rho={rho:8.4f}  sphere min={emin:12.6f}")
+                  f"mu_budget={result.mu_budget:.4f}  C_inf={result.c_inf:.4f}  "
+                  f"C_2={result.c_2:.4f}  {took}")
         elif stage == "levels":
             lv = result["levels"]
             print(f"levels  min={lv['local_min_energy']:.3e} < 0 < "
                   f"saddle={lv['mountain_pass_energy']:.4f}  "
-                  f"(sphere floor estimate eta={lv['ridge_height']:.4f})  "
+                  f"(certified ridge eta={lv['ridge_height']:.4f})  "
                   f"distance={result['distinctness']:.3f}  ok={ok}")
         else:
             label, energy = ("saddle ", f"{result.energy:.8f}") if stage == "mountain_pass" \
@@ -52,11 +50,8 @@ def run_one(name, spec, seed):
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-    run_one("coercive potential (1 + x^2)", canonical_coercive_spec(), args.seed)
-    run_one("potential well (lambda=100, mu=0.05)", canonical_well_spec(), args.seed)
+    run_one("coercive potential (1 + x^2)", canonical_coercive_spec())
+    run_one("potential well (lambda=100, mu=0.05)", canonical_well_spec())
 
 
 if __name__ == "__main__":

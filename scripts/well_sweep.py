@@ -5,10 +5,9 @@ large and mu small without usable constants, so the workable region is
 established empirically and the first succeeding pair is the regression
 baseline.
 
-Usage: python scripts/well_sweep.py [--seed N]
+Usage: python scripts/well_sweep.py
 """
 
-import argparse
 import time
 
 from besselmp import canonical_well_spec
@@ -16,14 +15,9 @@ from besselmp.solvers import DEFAULT_WELL_SWEEP, two_solution_sweep
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-
     t0 = time.perf_counter()
     pair, result, attempts = two_solution_sweep(canonical_well_spec(),
-                                                pairs=DEFAULT_WELL_SWEEP,
-                                                seed=args.seed)
+                                                pairs=DEFAULT_WELL_SWEEP)
     dt = time.perf_counter() - t0
 
     for (lam, mu), failure in attempts:
@@ -35,7 +29,7 @@ def main():
     lv = result.levels
     print(f"levels: min={lv['local_min_energy']:.3e} < 0 "
           f"< saddle={lv['mountain_pass_energy']:.4f}  "
-          f"(sphere floor estimate {lv['ridge_height']:.4f})")
+          f"(certified ridge {lv['ridge_height']:.4f})")
     print(f"L2 distance between solutions: {result.distinctness:.4f}")
 
 

@@ -95,10 +95,9 @@ def _probe_summary(probe) -> dict:
     return {
         "rho": probe.rho,
         "eta": probe.eta,
-        "mu0_estimate": probe.mu0_estimate,
-        "sample_count": probe.sample_count,
-        "seed": probe.seed,
-        "rho_table": [[r, m] for r, m in probe.rho_table],
+        "mu_budget": probe.mu_budget,
+        "c_inf": probe.c_inf,
+        "c_2": probe.c_2,
     }
 
 
@@ -141,8 +140,7 @@ _TRACE_FILES = {"mountain_pass": "trace.csv", "local_min": "trace_ball.csv"}
 def _run_pipeline(cfg, out, stages):
     """Time each pipeline stage and write its artifacts and summary."""
     spec = build_spec(cfg)
-    pipeline = two_solution_stages(spec, build_options(cfg), cfg.seed, cfg.distinct_tol,
-                                   rho_grid=cfg.rho_grid, samples_per_rho=cfg.samples_per_rho)
+    pipeline = two_solution_stages(spec, build_options(cfg), cfg.distinct_tol)
     solutions = {}
     t0 = time.perf_counter()
     for name, ok, result in itertools.islice(pipeline, _PIPELINE_STAGES[cfg.mode]):

@@ -62,8 +62,6 @@ class RunConfig:
     xi: str = "gaussian"
     tol: float = 1e-8
     max_iter: int = 5000
-    rho_grid: tuple[float, ...] | None = None
-    samples_per_rho: int = 64
     distinct_tol: float = 1e-3
     # "auto" resolves at run time to the checkers that make sense for the
     # configured potential family (coercivity needs strict positivity, the
@@ -148,13 +146,11 @@ def _validate(cfg: RunConfig, errors) -> None:
         errors.append(f"potential: unknown choice {cfg.potential!r}; choose from {', '.join(POTENTIALS)}")
     if cfg.xi not in WEIGHTS:
         errors.append(f"xi: unknown choice {cfg.xi!r}; choose from {', '.join(WEIGHTS)}")
-    for name in ("distinct_tol", "b", "samples_per_rho", "trials"):
+    for name in ("distinct_tol", "b", "trials"):
         if getattr(cfg, name) <= 0:
             errors.append(f"{name}: must be positive, got {getattr(cfg, name)}")
     if cfg.beta is not None and not 0.0 < cfg.beta < 2.0:
         errors.append(f"beta: must lie in (0, 2), got {cfg.beta}")
-    if cfg.rho_grid is not None and any(r <= 0 for r in cfg.rho_grid):
-        errors.append("rho_grid: radii must be positive")
     for name in cfg.checks:
         if name != "auto" and name not in CHECK_NAMES:
             errors.append(f"checks: unknown checker {name!r}; choose from {', '.join(CHECK_NAMES)}")

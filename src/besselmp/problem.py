@@ -116,7 +116,8 @@ class CustomNonlinearity:
     (or None for x-independent evaluation) and must vectorize over u.  u
     may arrive as one field or as a stack of fields with leading axes, so
     expressions in x must broadcast against it (plain elementwise numpy
-    does).  Only sampled validation is possible for these.
+    does).  Only sampled validation is possible for these, and the geometry
+    probe refuses them: they declare no bound F(x, u) <= a |u|^q / q.
     """
 
     f_fn: object
@@ -289,11 +290,6 @@ def _energy_rows(spec: ProblemSpec, u: np.ndarray) -> EnergyBreakdown:
     return EnergyBreakdown(quad, f_term, xi_integral, xi_term, total)
 
 
-def _require_finite_energy(total) -> None:
-    if not np.all(np.isfinite(total)):
-        raise ValueError("energy evaluated non-finite; field is out of range for the nonlinearity")
-
-
 def _residual_rows(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
     """Strong-form residual of every row of ``u``; rows are not checked for finiteness."""
     vals = _multiply(spec.grid, u, spec.alpha) + spec.lam * spec.V_field.values * u
@@ -306,7 +302,8 @@ def energy(spec: ProblemSpec, u: Field) -> EnergyBreakdown:
     if u.grid != spec.grid:
         raise ValueError("field grid does not match problem grid")
     rows = _energy_rows(spec, u.values)
-    _require_finite_energy(rows.total)
+    if not np.isfinite(rows.total):
+        raise ValueError("energy evaluated non-finite; field is out of range for the nonlinearity")
     return EnergyBreakdown(*map(float, rows))
 
 

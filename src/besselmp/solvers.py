@@ -1,9 +1,10 @@
-"""Two-solution machinery: geometry probe and two descents on the Nehari manifold.
+"""Two-solution machinery: the certified ridge and two descents on the Nehari manifold.
 
-The geometry probe samples spheres ||u||_lam = rho and reports the radius
-whose sampled minimum eta is highest.  Its mu budget needs no search:
-Phi is linear in mu on each sampled field, so the largest mu that keeps
-that radius's minimum positive is one division per field.
+The geometry probe bounds Phi from below on every sphere ||u||_lam = rho
+in closed form, from the grid's exact L-infinity and L^2 embedding
+constants (one symbol sum), and reports the radius where that bound is
+highest, its height eta > 0 and the mu budget, the mu at which the
+bound's maximum reaches 0.
 
 Both solutions come from one descent on the Nehari manifold
 <r(u), u> = 0, the local-minimax method of Choi & McKenna (1993) in the
@@ -43,7 +44,6 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from .grid import (
     DENSE_MAX_POINTS,
     Field,
-    _band_limit,
     _lp_norm,
     _multiply,
     _require,
@@ -51,10 +51,9 @@ from .grid import (
     lp_norm,
 )
 from .problem import (
-    EnergyBreakdown,
+    PowerNonlinearity,
     ProblemSpec,
     _energy_rows,
-    _require_finite_energy,
     _residual_rows,
     energy,
 )
@@ -80,7 +79,7 @@ __all__ = [
 
 
 class GeometryError(RuntimeError):
-    """The sampled landscape does not show the required ridge/valley shape."""
+    """The mountain-pass geometry cannot be certified for this problem."""
 
 
 # Line-search and stopping constants of the Nehari descent and the Newton
@@ -95,11 +94,6 @@ RIESZ_RTOL = 1e-2  # the gradient solve stops at this relative preconditioned re
 HANDOVER_RATIO = 0.1  # the descent hands over to Newton at <r, K^-1 r>^(1/2) <= this ||u||_lam
 NEWTON_MAX = 80
 INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
-# the probed ridge height is a sampled upper bound whose bias peaks when
-# a rung lands on the saddle sphere (the sampled minimum then approaches
-# the saddle level from above); level comparisons against it use this
-# relative slack, while residual certificates stay at tol
-LEVEL_SLACK = 0.01
 
 
 @dataclass(frozen=True)
@@ -120,11 +114,10 @@ class SolveOptions:
 class GeometryProbe:
     rho: float
     eta: float
-    mu0_estimate: float
+    mu_budget: float
+    c_inf: float
+    c_2: float
     e: Field
-    sample_count: int
-    seed: int
-    rho_table: tuple
 
 
 @dataclass(frozen=True)
@@ -153,7 +146,7 @@ class SolveReport:
 
 
 # Array helpers: u, r and search directions are ndarrays whose trailing axes
-# are the grid's; only _residual and _norm_lam also meet stacks of fields.
+# are the grid's.
 
 
 def _energy(spec, u) -> float:
@@ -162,7 +155,7 @@ def _energy(spec, u) -> float:
 
 
 def _residual(spec, u):
-    """Residual at the iterate u (or at each row of a stack); it must be finite."""
+    """Residual at the iterate u; it must be finite."""
     r = _residual_rows(spec, u)
     if not np.all(np.isfinite(r)):
         raise ValueError("field values must be finite")
@@ -182,220 +175,6 @@ def _bump(spec):
     return np.exp(-spec.grid.radius_sq)
 
 
-# ---------------------------------------------------------------------------
-# geometry probe
-
-
-def _sphere_draws(spec, rng, count):
-    """``count`` raw sphere candidates as a stack, drawn in RNG order.
-
-    Two families with equal odds: band-limited noise under a random
-    Gaussian envelope (broad oscillatory profiles), and width-randomized
-    Gaussian bumps with multiplicative jitter (smooth concentrated
-    profiles).  The bump family tracks the low-energy corners of the
-    sphere; without it the sampled minimum overshoots the true infimum
-    so badly that the reported ridge height can land above the saddle.
-    Each draw takes a family, a width and a noise field from ``rng``.
-    """
-    g = spec.grid
-    hi = g.box_length / 4.0
-    bump = np.empty(count, dtype=bool)
-    sigma = np.empty(count)
-    noise = np.empty((count,) + g.shape)
-    for i in range(count):
-        bump[i] = rng.uniform() >= 0.5
-        lo = 0.3 if bump[i] else 0.6
-        sigma[i] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        noise[i] = rng.standard_normal(g.shape)
-    rows = _band_limit(g, noise, 0.25, sigma)
-    if bump.any():
-        jitter = rows[bump]
-        peak = np.max(np.abs(jitter), axis=tuple(range(1, jitter.ndim)), keepdims=True)
-        peak[peak == 0.0] = 1.0
-        width = _per_row(sigma[bump], g)
-        rows[bump] = np.exp(-g.radius_sq / width**2) * (1.0 + 0.05 * jitter / peak)
-    return rows
-
-
-def _per_row(values, grid):
-    """Per-row scalars shaped to broadcast against a stack of fields."""
-    return values.reshape(values.shape + (1,) * grid.dim)
-
-
-def _stacks(count, cap):
-    """Slices that cut ``count`` rows into stacks of at most ``cap``."""
-    return (slice(i, i + cap) for i in range(0, count, cap))
-
-
-def _sphere_samples(spec, rho, count, rng):
-    """``count`` random fields scaled onto ||u||_lam = rho, with their energy pieces.
-
-    Drawn and scored in stacks of ``grid.batch_rows``; a draw whose norm
-    vanishes is replaced by the next one, so the samples do not depend on
-    the stack size.
-    """
-    rows, terms = [], []
-    while count > 0:
-        raw = _sphere_draws(spec, rng, min(count, spec.grid.batch_rows))
-        nrm = _norm_lam(spec, raw)
-        ok = nrm >= 1e-14
-        u = raw[ok] * _per_row(rho / nrm[ok], spec.grid)
-        t = _energy_rows(spec, u)
-        _require_finite_energy(t.total)
-        rows.append(u)
-        terms.append(t)
-        count -= len(u)
-    return np.concatenate(rows), _concat_terms(terms)
-
-
-def _concat_terms(parts):
-    return EnergyBreakdown(*map(np.concatenate, zip(*parts)))
-
-
-def _sphere_polish(spec, u, rho, e_u):
-    """Descend Phi along the spheres ||u_i||_lam = rho_i from each row of u; returns the endpoints.
-
-    Plain sampling overestimates the sphere minimum, and near the saddle
-    radius the bias is large enough to push the recorded ridge height above
-    the saddle level itself.  A few projected-gradient steps per promising
-    sample close most of that gap while keeping every evaluation a genuine
-    feasible point, so the recorded minimum stays an upper bound.
-
-    The rows move in lockstep but independently: each keeps its own step,
-    backtracks on its own and stops when a backtracking run finds no
-    decrease.  A trial row that is not finite, or whose norm is not, halves
-    that row's step; a residual that is not finite raises ValueError.
-    """
-    g = spec.grid
-    u, e_u = u.copy(), e_u.copy()
-    step = np.full(len(u), 0.5)
-    active = np.arange(len(u))
-    for _ in range(25):
-        if active.size == 0:
-            break
-        ua, ea, ra = u[active], e_u[active], rho[active]
-        r = _residual(spec, ua)
-        grad = _multiply(g, r, -spec.alpha)
-        va = _weighted_norm_sq_rows(g, grad + ua, spec.V_field.values, spec.lam, spec.alpha)
-        vb = _weighted_norm_sq_rows(g, grad - ua, spec.V_field.values, spec.lam, spec.alpha)
-        tang = grad - ua * _per_row(0.25 * (va - vb) / ra**2, g)
-        s = step[active]
-        trying = np.ones(active.size, dtype=bool)
-        for _ in range(30):
-            idx = np.flatnonzero(trying)
-            if idx.size == 0:
-                break
-            trial = ua[idx] - tang[idx] * _per_row(s[idx], g)
-            nrm = np.full(idx.size, np.nan)
-            finite = np.all(np.isfinite(trial), axis=tuple(range(1, trial.ndim)))
-            nrm[finite] = _norm_lam(spec, trial[finite])
-            ok = np.isfinite(nrm) & (nrm > 1e-14)
-            idx = idx[ok]
-            trial = trial[ok] * _per_row(ra[idx] / nrm[ok], g)
-            e_t = _energy_rows(spec, trial).total
-            won = e_t < ea[idx] - 1e-14
-            ua[idx[won]], ea[idx[won]] = trial[won], e_t[won]
-            trying[idx[won]] = False
-            s[trying] *= 0.5
-        moved = ~trying
-        u[active], e_u[active] = ua, ea
-        step[active[moved]] = np.minimum(s[moved] * 2.0, 4.0)
-        active = active[moved]
-    return u
-
-
-# Overflow in a trial point is an expected outcome of a line search (the
-# trial reads +inf energy and is rejected), so the three solver entry
-# points silence overflow and invalid-value warnings for their whole run.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
-
-
-@_quiet_overflow
-def probe_geometry(spec: ProblemSpec, rho_grid=None, samples_per_rho: int = 64,
-                   seed: int = 0) -> GeometryProbe:
-    """Estimate the ridge radius rho, its height eta, a mu budget, and a far endpoint e.
-
-    Each radius's samples are drawn and scored as stacks; the four lowest
-    per radius are then polished along their spheres, all radii together,
-    in stacks of ``grid.batch_rows``.  Raises GeometryError with the
-    sampled table when no radius keeps the sphere minimum positive (mu too
-    large, or no ridge at all).
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-
-    # far endpoint: scale a bump until the energy goes negative
-    phi0 = _bump(spec)
-    t = 1.0
-    e = None
-    for _ in range(60):
-        cand = t * phi0
-        if _energy(spec, cand) < 0.0:
-            e = cand
-            break
-        t *= 1.5
-    if e is None:
-        raise GeometryError("could not drive the energy negative by scaling a bump")
-    e_norm = _norm_lam(spec, e)
-
-    if rho_grid is None:
-        rho_grid = e_norm * np.geomspace(0.02, 0.6, 8)
-    rho_grid = [float(r) for r in rho_grid if 0.0 < r < e_norm]
-    if not rho_grid:
-        raise GeometryError("no admissible rho below ||e||")
-
-    # one radius's samples at a time; its four lowest are polished after the last radius
-    scored, starts = [], []
-    for rho in rho_grid:
-        samples, terms = _sphere_samples(spec, rho, samples_per_rho, rng)
-        lowest = np.argsort(terms.total)[:4]
-        scored.append(terms)
-        starts.append((samples[lowest], np.full(lowest.size, rho), terms.total[lowest]))
-    start_u, start_rho, start_e = (np.concatenate(a) for a in zip(*starts))
-    polished = _concat_terms([
-        _energy_rows(spec, _sphere_polish(spec, start_u[rows], start_rho[rows], start_e[rows]))
-        for rows in _stacks(len(start_u), spec.grid.batch_rows)])
-
-    table = []
-    offset = 0
-    for i, (rho, terms) in enumerate(zip(rho_grid, scored)):
-        k = min(4, len(terms.total))
-        scored[i] = terms = _concat_terms(
-            [terms, EnergyBreakdown(*(a[offset:offset + k] for a in polished))])
-        offset += k
-        table.append((rho, float(np.min(terms.total))))
-
-    best = int(np.argmax([m for _, m in table]))
-    rho_star, eta = table[best]
-    if eta <= 0.0:
-        lines = ", ".join(f"rho={r:.4g}: min={m:.4g}" for r, m in table)
-        raise GeometryError(f"no sampled sphere minimum is positive ({lines})")
-
-    return GeometryProbe(
-        rho=rho_star, eta=eta, mu0_estimate=_mu_budget(spec, scored[best]),
-        e=Field(spec.grid, e),
-        sample_count=samples_per_rho * len(rho_grid), seed=seed,
-        rho_table=tuple(table),
-    )
-
-
-def _mu_budget(spec, rows):
-    """The mu at which the lowest of these sphere rows reaches energy 0.
-
-    On a row Phi = base - (mu/p) int xi |u|^p with base = total + xi_term,
-    so each row with a positive xi-integral crosses zero at
-    p base / xi_integral; inf when no row has one.
-    """
-    weighted = rows.xi_integral > 0.0
-    if not weighted.any():
-        return math.inf
-    base = rows.total + rows.xi_term
-    return float(spec.p * np.min(base[weighted] / rows.xi_integral[weighted]))
-
-
-# ---------------------------------------------------------------------------
-# mountain pass
-
-
 def _steps(s, tries):
     """The backtracking steps s, s * BACKTRACK_FACTOR, ..., ``tries`` of them."""
     for _ in range(tries):
@@ -411,6 +190,91 @@ def _first(candidates, accept):
         if accept(c):
             return c, tested
     return None, tested
+
+
+# ---------------------------------------------------------------------------
+# geometry probe
+
+
+def _embedding_constants(spec):
+    """(C_inf, C_2) with sup |u| <= C_inf ||u||_lam and ||u||_2 <= C_2 ||u||_lam on the grid.
+
+    With m = lam min V the lam-norm dominates (vol/N) sum_k (s_k + m) |u_k|^2
+    for the DFT coefficients u_k and the symbol s_k = (1 + |k|^2)^alpha.
+    Cauchy-Schwarz on u(x) = (1/N) sum_k u_k e^{ikx} then gives
+    C_inf^2 = L^-d sum_k 1/(s_k + m), the grid Green's function of
+    (I - Laplacian)^alpha + m at the origin, which that function attains;
+    s_k >= 1 gives C_2^2 = 1/(1 + m).
+    """
+    g = spec.grid
+    shift = spec.lam * float(np.min(spec.V_field.values))
+    green_0 = float(np.sum(1.0 / ((1.0 + g.freq_sq) ** spec.alpha + shift)))
+    return math.sqrt(green_0 / g.box_length**g.dim), 1.0 / math.sqrt(1.0 + shift)
+
+
+def _ridge_bound(spec, c_inf, c_2):
+    """(rho, eta, mu_budget) of l(rho) = rho^2/2 - a rho^q - mu b rho^p, a lower bound of Phi.
+
+    F = |u|^q / q <= sup|u|^(q-2) u^2 / q and Hoelder on the concave term give
+    Phi(u) >= l(||u||_lam) with a = C_inf^(q-2) C_2^2 / q, b = ||xi||_{2/(2-p)} C_2^p / p.
+    The budget is the largest mu with max l >= 0: the maximum over rho of
+    (rho^(2-p)/2 - a rho^(q-p)) / b, taken at rho^(q-2) = (2-p) / (2 a (q-p)).
+    Below it rho = argmax l is the root of rho^(1-p) l'(rho) = h(rho) - p mu b,
+    h = rho^(2-p) - q a rho^(q-p), past the peak lo of h and before hi, where h = 0.
+    """
+    q, p, mu = spec.nonlinearity.q, spec.p, spec.mu
+    a = c_inf ** (q - 2.0) * c_2**2 / q
+    b = lp_norm(spec.xi_field, 2.0 / (2.0 - p)) * c_2**p / p
+    peak = ((2.0 - p) / (2.0 * a * (q - p))) ** (1.0 / (q - 2.0))
+    budget = peak ** (2.0 - p) * (q - 2.0) / (2.0 * (q - p)) / b if b > 0.0 else math.inf
+    if not mu < budget:
+        raise GeometryError(f"mu = {mu:.6g} is not below the certified budget {budget:.6g} "
+                            f"(C_inf = {c_inf:.6g}, C_2 = {c_2:.6g})")
+
+    def slope(t):
+        return t ** (2.0 - p) - q * a * t ** (q - p) - p * mu * b
+
+    lo = ((2.0 - p) / (q * a * (q - p))) ** (1.0 / (q - 2.0))
+    hi = (q * a) ** (-1.0 / (q - 2.0))
+    rho = optimize.brentq(slope, lo, hi) if slope(hi) < 0.0 else hi
+    return rho, 0.5 * rho**2 - a * rho**q - mu * b * rho**p, budget
+
+
+# Overflow in a trial point is an expected outcome of a line search (the
+# trial reads +inf energy and is rejected), so the three solver entry
+# points silence overflow and invalid-value warnings for their whole run.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
+def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
+    """Certify Phi >= eta > 0 on the sphere ||u||_lam = rho and find a far endpoint e beyond it.
+
+    Raises GeometryError, with the numbers, when mu is not below the
+    budget, when the nonlinearity declares no bound F <= |u|^q / q (a
+    CustomNonlinearity), or when ||e||_lam <= rho.
+    """
+    if not isinstance(spec.nonlinearity, PowerNonlinearity):
+        raise GeometryError(f"{type(spec.nonlinearity).__name__} declares no bound "
+                            f"F(x, u) <= a |u|^q / q, so the ridge cannot be certified")
+    c_inf, c_2 = _embedding_constants(spec)
+    rho, eta, budget = _ridge_bound(spec, c_inf, c_2)
+
+    # far endpoint: the first of the bumps 1.5^k exp(-|x|^2) with negative energy
+    phi0 = _bump(spec)
+    e, _ = _first((1.5**k * phi0 for k in range(60)), lambda u: _energy(spec, u) < 0.0)
+    if e is None:
+        raise GeometryError("could not drive the energy negative by scaling a bump")
+    e_norm = float(_norm_lam(spec, e))
+    if not e_norm > rho:
+        raise GeometryError(f"the far endpoint has ||e||_lam = {e_norm:.6g}, "
+                            f"not beyond the certified ridge radius rho = {rho:.6g}")
+    return GeometryProbe(rho=rho, eta=eta, mu_budget=budget, c_inf=c_inf, c_2=c_2,
+                         e=Field(spec.grid, e))
+
+
+# ---------------------------------------------------------------------------
+# mountain pass
 
 
 def _riesz_gradient(spec, r):
@@ -631,8 +495,8 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
     top of the ray through e and descends J(w) = Phi(t+(w) w) on the
     tops of the rays (``_nehari_solve``).  A ray through e with no top
     raises ValueError.  When the geometry probe is supplied its eta gates
-    the result: a converged iterate below eta by more than the level slack
-    is reported with ok=False.
+    the result: a converged iterate whose energy is not above eta is
+    reported with ok=False.
     """
     opts = opts or SolveOptions()
     if energy(spec, e).total >= 0.0:
@@ -647,9 +511,9 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
     converged = rn <= opts.tol
     ok = converged
     message = "converged" if converged else "residual tolerance not reached"
-    if converged and probe is not None and _below_ridge(probe, e_u):
+    if converged and probe is not None and not e_u > probe.eta:
         ok = False
-        message = f"converged at energy {e_u:.6g} below the probed ridge height {probe.eta:.6g}"
+        message = f"converged at energy {e_u:.6g}, not above the ridge height {probe.eta:.6g}"
     return SolveReport(
         solution=solution, energy=e_u, residual_norm=rn, iterations=it,
         classification="mountain_pass", converged=converged, ok=ok,
@@ -727,21 +591,16 @@ class TwoSolutionResult:
     failed_stage: str | None
 
 
-def _below_ridge(probe, level) -> bool:
-    """level lies below the probed ridge height by more than the level slack."""
-    return level < probe.eta - LEVEL_SLACK * (1.0 + abs(probe.eta))
-
-
 def assess_levels(probe, mp, ball, distinct_tol: float):
     """Final verdict over the two converged solves.
 
     Returns (success, distinctness, failure message or None).  The ridge
-    height enters the ordering with the level slack because it is a
-    sampled upper bound, not an exact level.
+    height eta is a certified lower bound of Phi on its sphere, so the
+    ordering m < 0 < eta < c is checked as it stands.
     """
     distinctness = lp_norm(mp.solution - ball.solution, 2)
-    if not ball.energy < 0.0 < probe.eta or _below_ridge(probe, mp.energy):
-        return False, distinctness, "levels: ordering m < 0 < eta <= c failed"
+    if not ball.energy < 0.0 < probe.eta < mp.energy:
+        return False, distinctness, "levels: ordering m < 0 < eta < c failed"
     if distinctness <= distinct_tol:
         return False, distinctness, "solutions are not distinct"
     return True, distinctness, None
@@ -767,8 +626,8 @@ def _stage(name, fn, passed):
     return result if ok else None
 
 
-def two_solution_stages(spec: ProblemSpec, opts: SolveOptions | None = None, seed: int = 0,
-                        distinct_tol: float = 1e-3, rho_grid=None, samples_per_rho: int = 64):
+def two_solution_stages(spec: ProblemSpec, opts: SolveOptions | None = None,
+                        distinct_tol: float = 1e-3):
     """Run the two-solution argument one stage at a time.
 
     Yields (stage, ok, result) for "probe_geometry" (a GeometryProbe),
@@ -778,11 +637,8 @@ def two_solution_stages(spec: ProblemSpec, opts: SolveOptions | None = None, see
     that raised yields its error as the text "Type: message" instead.
     """
     opts = opts or SolveOptions()
-    probe = yield from _stage(
-        "probe_geometry",
-        lambda: probe_geometry(spec, rho_grid=rho_grid, samples_per_rho=samples_per_rho,
-                               seed=seed),
-        lambda p: p.eta > 0)
+    probe = yield from _stage("probe_geometry", lambda: probe_geometry(spec),
+                              lambda p: p.eta > 0)
     if probe is None:
         return
     mp = yield from _stage(
@@ -822,11 +678,13 @@ def two_solution_experiment(spec: ProblemSpec, opts: SolveOptions | None = None,
     """Probe the geometry, then find both the saddle and the ball minimizer.
 
     Success means: both solves converged and passed their own checks, the
-    level ordering m < 0 < eta <= c holds, and the two solutions are at
-    least distinct_tol apart in L^2.
+    level ordering m < 0 < eta < c holds, and the two solutions are at
+    least distinct_tol apart in L^2.  Nothing in the experiment is random,
+    so the result does not depend on ``seed``; the keyword stays for
+    callers that pass it.
     """
     results, failure = {}, None
-    for name, ok, result in two_solution_stages(spec, opts, seed, distinct_tol):
+    for name, ok, result in two_solution_stages(spec, opts, distinct_tol):
         if isinstance(result, str):  # the stage raised
             failure = f"{_FAILURE_PREFIX.get(name, name)}: {result}"
         else:
@@ -854,7 +712,7 @@ DEFAULT_WELL_SWEEP = (
 )
 
 
-def two_solution_sweep(spec: ProblemSpec, pairs=DEFAULT_WELL_SWEEP, opts=None, seed=0,
+def two_solution_sweep(spec: ProblemSpec, pairs=DEFAULT_WELL_SWEEP, opts=None,
                        distinct_tol=1e-3):
     """Try (lam, mu) pairs on spec until the experiment succeeds.
 
@@ -865,7 +723,7 @@ def two_solution_sweep(spec: ProblemSpec, pairs=DEFAULT_WELL_SWEEP, opts=None, s
     attempts = []
     for lam, mu in pairs:
         result = two_solution_experiment(replace(spec, lam=lam, mu=mu), opts=opts,
-                                         seed=seed, distinct_tol=distinct_tol)
+                                         distinct_tol=distinct_tol)
         attempts.append(((lam, mu), result.failed_stage))
         if result.success:
             return (lam, mu), result, attempts

@@ -40,7 +40,7 @@ def well_spec():
 
 @pytest.fixture(scope="session")
 def coercive_probe(coercive_spec):
-    return probe_geometry(coercive_spec, seed=0)
+    return probe_geometry(coercive_spec)
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +56,7 @@ def coercive_ball(coercive_spec, coercive_probe):
 
 @pytest.fixture(scope="session")
 def well_result(well_spec):
-    return two_solution_experiment(well_spec, seed=0)
+    return two_solution_experiment(well_spec)
 
 
 @pytest.fixture

@@ -93,20 +93,20 @@ def test_04_residual_is_the_energy_gradient(coercive_spec):
 
 def test_05_saddle_above_sphere_floor(coercive_spec):
     t0 = time.perf_counter()
-    probe = probe_geometry(coercive_spec, seed=0)
+    probe = probe_geometry(coercive_spec)
     assert probe.eta > 0.0
     assert energy(coercive_spec, probe.e).total < 0.0
     mp = mountain_pass_solve(coercive_spec, probe.e, probe=probe)
     assert mp.ok
     assert lp_norm(residual(coercive_spec, mp.solution), 2) <= 1e-8
-    assert mp.energy >= probe.eta
-    _stamp(5, 60.0, t0, "saddle converges at or above the sampled sphere floor")
+    assert mp.energy > probe.eta
+    _stamp(5, 60.0, t0, "saddle converges above the certified sphere floor")
 
 
 def test_06_steep_well_yields_two_distinct_solutions():
     t0 = time.perf_counter()
     spec = canonical_well_spec()
-    pair, result, attempts = two_solution_sweep(spec, seed=0)
+    pair, result, attempts = two_solution_sweep(spec)
     assert pair == (100.0, 0.05)
     assert result.success
     assert result.mountain_pass.solution.grid is spec.grid
@@ -152,7 +152,7 @@ def test_10_holder_quotient_stable_under_refinement(coercive_mp):
     assert np.isfinite(coarse) and coarse > 0.0
 
     spec = canonical_coercive_spec(n=512)
-    probe = probe_geometry(spec, seed=0)
+    probe = probe_geometry(spec)
     fine_mp = mountain_pass_solve(spec, probe.e, probe=probe)
     assert fine_mp.ok
     fine = holder_estimate(fine_mp.solution, beta)

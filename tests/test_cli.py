@@ -78,7 +78,7 @@ def test_two_solutions_mode(tmp_path, well_result):
     summary = rep["stages"][-1]["summary"]
     levels = summary["levels"]
     assert levels["local_min_energy"] < 0.0 < levels["mountain_pass_energy"]
-    # the CLI runs the library's pipeline: same config and seed, same numbers
+    # the CLI runs the library's pipeline: same config, same numbers
     assert levels == well_result.levels
     assert summary["distinctness"] == well_result.distinctness
 
@@ -106,7 +106,7 @@ def test_two_solutions_failure_marks_report(tmp_path):
 
 
 def test_failed_probe_reports_its_error(tmp_path, capsys):
-    # mu = 50 leaves every sampled sphere minimum negative
+    # mu = 50 is far beyond the certified budget
     out = tmp_path / "out"
     rc = main(["solve", "--config", str(_write(tmp_path, "mu = 50\n")), "--out", str(out)])
     assert rc == 1
@@ -116,8 +116,9 @@ def test_failed_probe_reports_its_error(tmp_path, capsys):
     (stage,) = rep["stages"]
     assert stage["name"] == "probe_geometry" and not stage["passed"]
     assert list(stage["summary"]) == ["error"]
-    assert stage["summary"]["error"].startswith(
-        "GeometryError: no sampled sphere minimum is positive")
+    assert stage["summary"]["error"] == (
+        "GeometryError: mu = 50 is not below the certified budget 1.1683 "
+        "(C_inf = 0.708777, C_2 = 0.707107)")
     assert "[FAIL] probe_geometry" in capsys.readouterr().out
     assert not (out / "mountain_pass.bmpf").exists()
 
@@ -281,7 +282,8 @@ def test_seed_override_echoed(tmp_path):
     assert rc == 0
     rep = _report(out)
     assert rep["config"]["seed"] == 7
-    assert rep["stages"][0]["summary"]["seed"] == 7
+    # the probe draws nothing, so its summary carries no seed
+    assert list(rep["stages"][0]["summary"]) == ["rho", "eta", "mu_budget", "c_inf", "c_2"]
 
 
 def test_report_json_round_trip(tmp_path):

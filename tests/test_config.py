@@ -110,10 +110,11 @@ def test_unknown_mode_and_checker_rejected():
     assert any("unknown checker 'nope'" in line for line in err.value.errors)
 
 
-def test_rho_grid_positivity():
-    with pytest.raises(ConfigError) as err:
-        parse_config("rho_grid = 1.0, -2.0")
-    assert any("rho_grid" in line for line in err.value.errors)
+def test_removed_probe_keys_are_unknown():
+    for key in ("rho_grid = 1.0, 2.0", "samples_per_rho = 64"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(key)
+        assert err.value.errors == [f"unknown key {key.split(' =')[0]!r}"]
 
 
 def test_build_spec_coercive_default():

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from besselmp import (
@@ -16,12 +18,16 @@ from besselmp import (
     apply_multiplier,
     assess_levels,
     ball_min_solve,
+    bessel_norm_sq,
     canonical_coercive_spec,
+    canonical_well_spec,
+    constant_field,
     energy,
     lp_norm,
     mountain_pass_solve,
     probe_geometry,
     ps_diagnostics,
+    random_field,
     residual,
     two_solution_experiment,
     two_solution_stages,
@@ -36,10 +42,7 @@ from besselmp.solvers import (
     _armijo_step,
     _fibering,
     _hessian_diag,
-    _mu_budget,
     _newton_direction,
-    _sphere_polish,
-    _sphere_samples,
 )
 
 
@@ -76,101 +79,147 @@ class TestProbe:
         assert p.eta > 0.0
         assert energy(coercive_spec, p.e).total < 0.0
         assert p.rho < _norm_lam(coercive_spec, p.e)
-        assert p.sample_count > 0
-        radii = [r for r, _ in p.rho_table]
-        assert radii == sorted(radii)
-        # the chosen radius carries the best sampled minimum
-        assert p.eta == max(m for _, m in p.rho_table)
+        # eta is the bound's value at its own argmax
+        a, b = _bound_coefficients(coercive_spec, p)
+        assert p.eta == pytest.approx(_ridge(coercive_spec, a, b, p.rho), rel=1e-14)
+        for r in (0.9 * p.rho, 1.1 * p.rho):
+            assert _ridge(coercive_spec, a, b, r) < p.eta
 
     def test_regression_pins(self, coercive_probe):
-        assert coercive_probe.rho == pytest.approx(3.8448, rel=1e-3)
-        assert coercive_probe.eta == pytest.approx(3.174790, rel=1e-4)
-        assert coercive_probe.mu0_estimate == pytest.approx(1.5612, rel=1e-3)
+        assert coercive_probe.rho == pytest.approx(1.9912, rel=1e-3)
+        assert coercive_probe.eta == pytest.approx(0.984470, rel=1e-4)
+        assert coercive_probe.mu_budget == pytest.approx(1.1683, rel=1e-3)
 
     def test_deterministic(self, coercive_spec, coercive_probe):
-        again = probe_geometry(coercive_spec, seed=0)
-        assert again.rho == coercive_probe.rho
-        assert again.eta == coercive_probe.eta
+        again = probe_geometry(coercive_spec)
+        assert _probe_key(again) == _probe_key(coercive_probe)
         np.testing.assert_array_equal(again.e.values, coercive_probe.e.values)
 
-    def test_seed_changes_samples(self, coercive_spec, coercive_probe):
-        other = probe_geometry(coercive_spec, seed=1)
-        # different draws, same landscape: eta moves a little, never a lot
-        assert other.eta != coercive_probe.eta
-        assert other.eta == pytest.approx(coercive_probe.eta, rel=0.05)
-
     def test_mu_budget_exceeds_configured_mu(self, coercive_spec, coercive_probe):
-        assert coercive_probe.mu0_estimate > coercive_spec.mu
+        assert coercive_probe.mu_budget > coercive_spec.mu
 
     def test_inflated_mu_fails_with_table(self, coercive_spec):
+        # the refusal names mu, the budget and both embedding constants
         greedy = replace(coercive_spec, mu=1000.0 * coercive_spec.mu)
-        with pytest.raises(GeometryError, match="no sampled sphere minimum"):
-            probe_geometry(greedy, seed=0)
+        with pytest.raises(GeometryError) as err:
+            probe_geometry(greedy)
+        assert str(err.value) == ("mu = 10 is not below the certified budget 1.1683 "
+                                  "(C_inf = 0.708777, C_2 = 0.707107)")
 
-    # Exact values recorded with the half-spectrum row kernels; scoring and
-    # polishing the samples as stacks gives them to the bit as well.
+    # Exact values of the closed-form bound on the canonical coercive problem.
 
     def test_exact_regression(self, coercive_probe):
-        p = coercive_probe
-        assert p.rho == 3.8448366189930585
-        assert p.eta == 3.1747900565544374
-        assert p.mu0_estimate == 1.561162634447679
-        assert p.rho_table == (
-            (0.12816122063310195, 0.008077617992462557),
-            (0.2083406223638835, 0.02139940457945801),
-            (0.3386813477005797, 0.056563305026672867),
-            (0.5505650025367566, 0.14874159909970192),
-            (0.8950059519849372, 0.3863553409471094),
-            (1.4549338414131858, 0.9696763748904732),
-            (2.3651602295991823, 2.210330518889604),
-            (3.8448366189930585, 3.1747900565544374),
-        )
+        assert _probe_key(coercive_probe) == (
+            1.9912045894197035, 0.9844696917956949, 1.1683023676942248,
+            0.7087768165603514, 0.7071067811865475)
 
-    def test_mu_zero_budget_uses_raw_xi_integrals(self):
-        p = probe_geometry(replace(canonical_coercive_spec(), mu=0.0), seed=0)
-        assert p.eta == 3.194711737509186
-        assert p.mu0_estimate == 1.5613792851377855
+    def test_mu_zero_budget_uses_raw_xi_integrals(self, coercive_probe):
+        # the budget is a property of the weight, not of mu; at mu = 0 the
+        # bound peaks at rho^(q-2) = 1/(q a) with height (1/2 - 1/q) rho^2
+        p = probe_geometry(replace(canonical_coercive_spec(), mu=0.0))
+        assert p.mu_budget == coercive_probe.mu_budget
+        assert p.rho == 1.9952875564358654
+        assert p.eta == 0.9952931082169516
+        assert p.eta == pytest.approx(0.25 * p.rho**2, rel=1e-15)
 
-    def test_budget_zeroes_the_lowest_row(self, coercive_spec, coercive_probe):
-        # Phi is linear in mu on each row, so at the budget the lowest row
-        # sits at energy 0: in the budget's own algebra and when Phi is
-        # evaluated afresh with mu set to the budget
-        rng = np.random.Generator(np.random.Philox(0))
-        u, rows = _sphere_samples(coercive_spec, coercive_probe.rho, 64, rng)
-        mu0 = _mu_budget(coercive_spec, rows)
-        base = rows.total + rows.xi_term
-        assert 0.0 < mu0 < math.inf
-        assert abs(np.min(base - (mu0 / coercive_spec.p) * rows.xi_integral)) <= 1e-14
-        at_budget = _energy_rows(replace(coercive_spec, mu=mu0), u).total
-        assert abs(np.min(at_budget)) <= 1e-12 * np.max(base)
+    def test_budget_zeroes_the_bound(self, coercive_spec, coercive_probe):
+        # just below the budget the bound's peak is barely positive; at the
+        # budget it is refused
+        budget = coercive_probe.mu_budget
+        near = probe_geometry(replace(coercive_spec, mu=budget * (1.0 - 1e-9)))
+        assert 0.0 < near.eta < 1e-8
+        with pytest.raises(GeometryError, match="not below the certified budget"):
+            probe_geometry(replace(coercive_spec, mu=budget))
 
     def test_budget_without_weight_is_infinite(self, coercive_spec):
-        # xi = 0 on every row: no mu can pull a sphere minimum down
+        # xi = 0: no mu can pull the bound down
         flat = replace(coercive_spec, weight=CustomWeight(lambda x: np.zeros_like(x)))
-        p = probe_geometry(flat, seed=0)
+        p = probe_geometry(flat)
         assert p.eta > 0.0
-        assert p.mu0_estimate == math.inf
+        assert p.mu_budget == math.inf
 
 
 def _probe_key(p):
-    return (p.rho, p.eta, p.mu0_estimate, p.rho_table)
+    return (p.rho, p.eta, p.mu_budget, p.c_inf, p.c_2)
 
 
-def test_sphere_polish_rows_move_independently(coercive_spec):
-    g = coercive_spec.grid
-    good = np.exp(-g.radius_sq / 4.0) * (1.0 + 0.1 * np.sin(g.axis_coords))
-    rho = _norm_lam(coercive_spec, Field(g, good))
-    e_good = energy(coercive_spec, Field(g, good)).total
-    alone = _sphere_polish(coercive_spec, good[None], np.array([rho]), np.array([e_good]))
-    assert energy(coercive_spec, Field(g, alone[0])).total < e_good
-    # a row whose trials are never finite keeps halving its own step and
-    # stops where it started, without changing a bit of its neighbour
-    huge = np.full(g.shape, 1e100)
-    with np.errstate(over="ignore", invalid="ignore"):
-        both = _sphere_polish(coercive_spec, np.stack([good, huge]), np.array([rho, rho]),
-                              np.array([e_good, math.inf]))
-    assert np.array_equal(both[0], alone[0])
-    assert np.array_equal(both[1], huge)
+def _bound_coefficients(spec, probe):
+    """(a, b) of l(rho) = rho^2/2 - a rho^q - mu b rho^p, from the probe's constants."""
+    q, p = spec.nonlinearity.q, spec.p
+    a = probe.c_inf ** (q - 2.0) * probe.c_2**2 / q
+    b = lp_norm(spec.xi_field, 2.0 / (2.0 - p)) * probe.c_2**p / p
+    return a, b
+
+
+def _ridge(spec, a, b, r):
+    return 0.5 * r**2 - a * r**spec.nonlinearity.q - spec.mu * b * r**spec.p
+
+
+def _green(spec):
+    """The grid Green's function of (I - Laplacian)^alpha + lam min V, peaked at the origin."""
+    g = spec.grid
+    shift = spec.lam * float(np.min(spec.V_field.values))
+    values = np.fft.ifftn(1.0 / ((1.0 + g.freq_sq) ** spec.alpha + shift)).real
+    return np.roll(values, (g.n // 2,) * g.dim, axis=tuple(range(g.dim))), shift
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(), RunConfig(potential="well", lam=100.0, mu=0.05),
+    RunConfig(dim=2, n=16, box_length=15.0),
+    RunConfig(dim=3, n=8, box_length=10.0, q=3.0),
+], ids=["coercive", "well", "2d", "3d"])
+def test_green_function_attains_c_inf(cfg):
+    # in the norm of (I - Laplacian)^alpha + m, m = lam min V, the Green's
+    # function G reads |G(0)|^2 / ||G||^2 = C_inf^2, and no point reads more
+    spec = build_spec(cfg)
+    g = spec.grid
+    values, shift = _green(spec)
+    green = Field(g, values)
+    norm_sq = weighted_norm_sq(green, constant_field(g, 1.0), shift, spec.alpha) if shift > 0 \
+        else bessel_norm_sq(green, spec.alpha)
+    peak = float(np.max(np.abs(values)))
+    assert peak == abs(values[(g.n // 2,) * g.dim])
+    assert peak**2 / norm_sq == pytest.approx(probe_geometry(spec).c_inf ** 2, rel=1e-12, abs=0.0)
+
+
+_BOUND_SPECS = {
+    1: (canonical_coercive_spec(n=64, box_length=20.0),
+        build_spec(RunConfig(n=64, box_length=20.0, potential="well", lam=100.0, mu=0.05))),
+    2: (build_spec(RunConfig(dim=2, n=16, box_length=15.0)),),
+    3: (build_spec(RunConfig(dim=3, n=8, box_length=10.0, q=3.0)),),
+}
+
+
+@settings(deadline=None, max_examples=40)
+@given(dim=st.sampled_from([1, 2, 3]), which=st.integers(0, 1), seed=st.integers(0, 2**31 - 1),
+       band=st.floats(0.05, 1.0), mix=st.floats(0.0, 1.0), scale=st.floats(0.02, 3.0))
+def test_energy_dominates_the_ridge_bound(dim, which, seed, band, mix, scale):
+    # Phi(u) >= l(||u||_lam) at random radii around the certified ridge
+    # radius, on random band-limited fields mixed with the Green's function
+    # that comes within a few percent of sup |u| = C_inf ||u||_lam on the
+    # coercive grids
+    specs = _BOUND_SPECS[dim]
+    spec = specs[which % len(specs)]
+    probe = probe_geometry(spec)
+    a, b = _bound_coefficients(spec, probe)
+    g = spec.grid
+    noise = random_field(g, np.random.Generator(np.random.Philox(seed)), band_fraction=band,
+                         envelope_sigma=0.1 * g.box_length)
+    green = Field(g, _green(spec)[0])
+    u = noise * ((1.0 - mix) / _norm_lam(spec, noise)) + green * (mix / _norm_lam(spec, green))
+    r = scale * probe.rho
+    u = u * (r / _norm_lam(spec, u))
+    assert float(np.max(np.abs(u.values))) <= probe.c_inf * r * (1.0 + 1e-12)
+    assert energy(spec, u).total >= _ridge(spec, a, b, r) - 1e-12 * (1.0 + r**2)
+
+
+def test_far_endpoint_inside_the_ridge_is_refused(coercive_spec, coercive_probe, monkeypatch):
+    # a bump this small already has negative energy, inside the sphere
+    monkeypatch.setattr(solvers, "_bump", lambda spec: 1e-6 * np.exp(-spec.grid.radius_sq))
+    with pytest.raises(GeometryError) as err:
+        probe_geometry(coercive_spec)
+    assert str(err.value) == ("the far endpoint has ||e||_lam = 1.89868e-06, not beyond "
+                              f"the certified ridge radius rho = {coercive_probe.rho:.6g}")
 
 
 def test_armijo_step_accepts_and_refuses(coercive_spec):
@@ -201,18 +250,16 @@ def test_armijo_step_accepts_and_refuses(coercive_spec):
 
 
 @pytest.mark.parametrize("cfg,eta", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.674763245966703),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 40.31724417660251),
+    (RunConfig(dim=2, n=16, box_length=15.0), 2.1639282353112126),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 6.353238459565309),
 ], ids=["2d", "3d"])
 def test_probe_in_higher_dims(cfg, eta):
     spec = build_spec(cfg)
-    first = probe_geometry(spec, seed=0)
-    again = probe_geometry(spec, seed=0)
-    assert first.eta > 0.0
+    first = probe_geometry(spec)
+    again = probe_geometry(spec)
     assert first.eta == eta
     assert _probe_key(again) == _probe_key(first)
     np.testing.assert_array_equal(again.e.values, first.e.values)
-    assert probe_geometry(spec, seed=1).eta != first.eta
 
 
 def _heavier_weight(x):
@@ -230,16 +277,18 @@ FLAT = CustomNonlinearity(
     F_fn=lambda x, u: (u * u) * (u * u) / 4.0 + 0.0 * x[0], q=4.0, theta=4.0)
 
 
-def test_probe_with_x_dependent_custom_nonlinearity():
+def test_probe_refuses_custom_nonlinearity():
+    # a CustomNonlinearity declares no bound F <= a |u|^q / q, so the
+    # ridge cannot be certified, even for a spelling of the power law
     spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
-    plain = probe_geometry(spec, seed=0)
-    p = probe_geometry(replace(spec, nonlinearity=HEAVIER), seed=0)
-    assert p.eta > 0.0
-    # a larger primitive lowers every sampled energy, so the ridge drops
-    assert p.eta < plain.eta
-    assert _probe_key(probe_geometry(replace(spec, nonlinearity=HEAVIER), seed=0)) == _probe_key(p)
-    # the flat spelling reproduces the power law exactly
-    assert _probe_key(probe_geometry(replace(spec, nonlinearity=FLAT), seed=0)) == _probe_key(plain)
+    for nonlinearity in (HEAVIER, FLAT):
+        with pytest.raises(GeometryError) as err:
+            probe_geometry(replace(spec, nonlinearity=nonlinearity))
+        assert str(err.value) == ("CustomNonlinearity declares no bound "
+                                  "F(x, u) <= a |u|^q / q, so the ridge cannot be certified")
+    ((name, ok, error),) = two_solution_stages(replace(spec, nonlinearity=FLAT))
+    assert name == "probe_geometry" and not ok
+    assert error.startswith("GeometryError: CustomNonlinearity declares no bound")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +339,7 @@ class TestMountainPass:
         report = mountain_pass_solve(coercive_spec, coercive_probe.e, probe=high)
         assert report.converged and not report.ok
         assert report.message.startswith("converged at energy")
-        assert "below the probed ridge height" in report.message
+        assert "not above the ridge height" in report.message
         assert report.energy == coercive_mp.energy
 
     def test_rejects_positive_energy_endpoint(self, coercive_spec):
@@ -309,7 +358,7 @@ class TestMountainPass:
         # with every Newton solve refused, each polish step is a descent
         # step on the residual norm; the run stops when one finds no decrease
         spec = build_spec(RunConfig(dim=3, n=8, box_length=10.0, q=3.0))
-        probe = probe_geometry(spec, seed=0)
+        probe = probe_geometry(spec)
         monkeypatch.setattr(solvers, "_newton_direction", lambda spec, u, r: None)
         report = mountain_pass_solve(spec, probe.e, probe=probe)
         norms = [t.residual_norm for t in report.trace if t.phase == "polish"]
@@ -365,7 +414,7 @@ def test_fibering_top_matches_closed_form(cfg):
     spec = build_spec(cfg)
     g = spec.grid
     # far rays (tops below t = 1, reached by halving) and near ones (doubling)
-    for w in (probe_geometry(spec, seed=0).e.values, 0.01 * np.exp(-g.radius_sq),
+    for w in (probe_geometry(spec).e.values, 0.01 * np.exp(-g.radius_sq),
               0.3 * np.exp(-g.radius_sq / 3.0) * (1.0 + 0.2 * g.coords()[0])):
         t, level = _fibering(spec, w)
         assert t == pytest.approx(_closed_form_top(spec, w), rel=1e-12, abs=0.0)
@@ -402,7 +451,7 @@ def test_descent_iterates_sit_on_the_nehari_manifold(monkeypatch):
     # every accepted iterate is the top of its ray, where <r(u), u> = 0
     spec = build_spec(RunConfig(dim=2, n=32, box_length=20.0, potential="well",
                                 lam=100.0, mu=0.05))
-    probe = probe_geometry(spec, seed=0)
+    probe = probe_geometry(spec)
     step, accepted = solvers._armijo_step, []
 
     def recorded(*args):
@@ -422,10 +471,12 @@ def test_descent_iterates_sit_on_the_nehari_manifold(monkeypatch):
 def test_custom_nonlinearity_saddle():
     spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
     reports = {}
+    # the probe refuses a CustomNonlinearity, so every saddle starts from
+    # the power law's endpoint; a primitive at least |u|^4/4 keeps it negative
+    e = probe_geometry(spec).e
     for name, nonlinearity in (("power", spec.nonlinearity), ("flat", FLAT), ("heavier", HEAVIER)):
         s = replace(spec, nonlinearity=nonlinearity)
-        probe = probe_geometry(s, seed=0)
-        reports[name] = mountain_pass_solve(s, probe.e, probe=probe)
+        reports[name] = mountain_pass_solve(s, e)
         assert reports[name].ok, name
     assert reports["flat"].energy == pytest.approx(reports["power"].energy, rel=1e-12)
     # a larger primitive lowers the mountain-pass level
@@ -443,7 +494,7 @@ DESCENT_2D_TRACE = (
 
 def test_descent_trace_2d_pinned():
     spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
-    report = mountain_pass_solve(spec, probe_geometry(spec, seed=0).e)
+    report = mountain_pass_solve(spec, probe_geometry(spec).e)
     descent = [(t.energy, t.residual_norm, t.step_size, t.trials)
                for t in report.trace if t.phase == "nehari"]
     assert descent == list(DESCENT_2D_TRACE)
@@ -589,7 +640,7 @@ class TestTwoSolutions:
 
     def test_mu_zero_fails_at_ball_stage(self):
         spec = replace(canonical_coercive_spec(), mu=0.0)
-        r = two_solution_experiment(spec, seed=0)
+        r = two_solution_experiment(spec)
         assert not r.success
         assert r.failed_stage.startswith("local_min")
         assert r.mountain_pass is not None and r.mountain_pass.ok
@@ -597,29 +648,32 @@ class TestTwoSolutions:
 
 
     def test_probe_failure_stops_the_pipeline(self):
-        # a concave term this strong leaves every sampled sphere minimum negative
+        # a concave term this strong is far beyond the certified budget
         spec = replace(canonical_coercive_spec(), mu=50.0)
-        ((name, ok, error),) = two_solution_stages(spec, seed=0)
+        ((name, ok, error),) = two_solution_stages(spec)
         assert name == "probe_geometry" and not ok
-        assert error.startswith("GeometryError: no sampled sphere minimum is positive")
+        assert error.startswith("GeometryError: mu = 50 is not below the certified budget")
 
-        r = two_solution_experiment(spec, seed=0)
+        r = two_solution_experiment(spec)
         assert not r.success
         assert r.failed_stage == f"probe: {error}"
         assert r.probe is None and r.mountain_pass is None and r.local_min is None
         assert r.levels == {}
         assert r.distinctness == 0.0
 
-    def test_rejected_saddle_stops_the_pipeline(self, well_spec):
-        # this seed's sampled ridge height lands above the true saddle level
-        stages = list(two_solution_stages(well_spec, seed=344180982))
+    def test_rejected_saddle_stops_the_pipeline(self, well_spec, monkeypatch):
+        # a ridge height above the saddle level rejects the saddle
+        probe = probe_geometry(well_spec)
+        high = replace(probe, eta=1.6)
+        monkeypatch.setattr(solvers, "probe_geometry", lambda spec: high)
+        stages = list(two_solution_stages(well_spec))
         assert [(name, ok) for name, ok, _ in stages] == [
             ("probe_geometry", True), ("mountain_pass", False)]
 
-        r = two_solution_experiment(well_spec, seed=344180982)
+        r = two_solution_experiment(well_spec)
         assert not r.success
-        assert r.failed_stage == ("mountain_pass: converged at energy 1.49315 "
-                                  "below the probed ridge height 1.65984")
+        assert r.failed_stage == ("mountain_pass: converged at energy 1.49315, "
+                                  "not above the ridge height 1.6")
         assert r.mountain_pass.converged and not r.mountain_pass.ok
         assert r.local_min is None
         assert r.levels["local_min_energy"] is None
@@ -635,7 +689,7 @@ def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     # every grid takes the dense Newton route; the pins were recorded on one
     # BLAS thread, like the 1-D ones
     spec = build_spec(cfg)
-    r = two_solution_experiment(spec, seed=0)
+    r = two_solution_experiment(spec)
     assert r.success, r.failed_stage
     assert r.mountain_pass.energy == saddle
     assert r.local_min.energy == minimizer
@@ -643,15 +697,10 @@ def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     assert _morse_index(spec, r.local_min.solution) == 0
 
 
-# each pair's failed_stage at seed 0: the two that fail are stopped by the
-# probe's eta gate
-SWEEP_OUTCOMES = {
-    (100.0, 0.05): None,
-    (100.0, 0.02): None,
-    (200.0, 0.05): "mountain_pass: converged at energy 1.51821 below the probed ridge height 1.60632",
-    (50.0, 0.05): "mountain_pass: converged at energy 1.46028 below the probed ridge height 1.53495",
-    (100.0, 0.1): None,
-    (150.0, 0.02): None,
+# every pair certifies with c > eta; two saddles pinned on one BLAS thread
+SWEEP_SADDLES = {
+    (200.0, 0.05): 1.5182109252113702,
+    (50.0, 0.05): 1.4602836700350943,
 }
 
 
@@ -659,10 +708,22 @@ SWEEP_OUTCOMES = {
 def test_well_sweep_outcomes(well_spec, pair):
     lam, mu = pair
     spec = replace(well_spec, lam=lam, mu=mu)
-    r = two_solution_experiment(spec, seed=0)
-    assert r.failed_stage == SWEEP_OUTCOMES[pair]
-    if r.success:
-        assert _morse_index(spec, r.local_min.solution) == 0
+    r = two_solution_experiment(spec)
+    assert r.success, r.failed_stage
+    assert r.failed_stage is None
+    assert r.local_min.energy < 0.0 < r.probe.eta < r.mountain_pass.energy
+    if pair in SWEEP_SADDLES:
+        assert r.mountain_pass.energy == SWEEP_SADDLES[pair]
+    assert _morse_index(spec, r.local_min.solution) == 0
+
+
+def test_canonical_well_certifies_for_every_seed(well_result):
+    # nothing in the experiment is random: every seed certifies the same pair
+    for seed in range(12):
+        r = two_solution_experiment(canonical_well_spec(), seed=seed)
+        assert r.success, (seed, r.failed_stage)
+        assert r.mountain_pass.energy == well_result.mountain_pass.energy
+        assert r.local_min.energy == well_result.local_min.energy
 
 
 def test_assess_levels_verdicts(well_result):
