@@ -181,8 +181,7 @@ def _run_verify(cfg, out, stages):
         "superquadratic-tail": lambda: record_stage(
             verify_mod.check_superquadratic_tail(spec, tau=cfg.tau)),
         "sublevel-bound": lambda: record_stage(
-            verify_mod.check_sublevel_l2_bound(spec, b=cfg.b, trials=cfg.trials,
-                                               seed=cfg.seed)),
+            verify_mod.check_sublevel_l2_bound(spec, b=cfg.b)),
         "splitting": lambda: record_stage(
             verify_mod.check_splitting(spec, bump, partner, cfg.separations)),
         "coercivity": lambda: record_stage(
@@ -197,7 +196,7 @@ def _run_verify(cfg, out, stages):
             "value": verify_mod.holder_estimate(bump, beta)}),
         "embedding": lambda: _embedding_record(cfg, spec),
         "norm-domination": lambda: record_stage(
-            verify_mod.check_norm_domination(spec, trials=cfg.trials, seed=cfg.seed)),
+            verify_mod.check_norm_domination(spec)),
     }
     for name in resolve_checks(cfg):
         _timed(stages, f"verify:{name}", runners[name])
@@ -211,13 +210,13 @@ def _assumptions_record(spec, b):
 
 
 def _embedding_record(cfg, spec):
-    est = verify_mod.estimate_embedding_constants(
-        cfg.alpha, spec.grid, cfg.s_list, trials=cfg.trials, seed=cfg.seed)
-    ok = all(np.isfinite(v) for v in est.table.values())
+    est = verify_mod.estimate_embedding_constants(cfg.alpha, spec.grid, cfg.s_list)
+    ok = all(np.isfinite(v) and v <= est.upper[s] * (1.0 + 1e-12) for s, v in est.table.items())
     if 2.0 in est.table:
         ok = ok and est.table[2.0] <= 1.0 + 1e-9
-    return ok, {"checker": "embedding", "seed": est.seed, "trials": est.trials,
-                "table": {str(s): v for s, v in est.table.items()}}
+    return ok, {"checker": "embedding",
+                "table": {str(s): v for s, v in est.table.items()},
+                "upper": {str(s): v for s, v in est.upper.items()}}
 
 
 def _run_kernel_table(cfg, out, stages):
@@ -273,7 +272,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", type=Path, default=None,
                         help="key=value or JSON config file")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", type=Path, default=None,
                         help="override the output directory")
     args = parser.parse_args(argv)
@@ -281,8 +279,6 @@ def main(argv=None) -> int:
     # the command line wins over the file; validation sees the merged config,
     # so checks that only the mode selects are validated too
     overrides = {"mode": args.mode}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = str(args.out)
     try:

@@ -68,6 +68,7 @@ class RunConfig:
     # sublevel checks need a well)
     checks: tuple[str, ...] = ("auto",)
     b: float = 10.0
+    # ignored: kept for callers that still pass it
     trials: int = 100
     tau: float = 1.5
     beta: float | None = None
@@ -75,7 +76,6 @@ class RunConfig:
     s_list: tuple[float, ...] = (2.0, 3.0, 4.0)
     kernel_radii: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
     kernel_alphas: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
-    seed: int = 0
     out_dir: str = "out"
 
 
@@ -146,7 +146,7 @@ def _validate(cfg: RunConfig, errors) -> None:
         errors.append(f"potential: unknown choice {cfg.potential!r}; choose from {', '.join(POTENTIALS)}")
     if cfg.xi not in WEIGHTS:
         errors.append(f"xi: unknown choice {cfg.xi!r}; choose from {', '.join(WEIGHTS)}")
-    for name in ("distinct_tol", "b", "trials"):
+    for name in ("distinct_tol", "b"):
         if getattr(cfg, name) <= 0:
             errors.append(f"{name}: must be positive, got {getattr(cfg, name)}")
     if cfg.beta is not None and not 0.0 < cfg.beta < 2.0:

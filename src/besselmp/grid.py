@@ -343,50 +343,16 @@ def _require_weight(V: np.ndarray, lam: float) -> None:
              (np.min(V) >= 0, "potential must be nonnegative"))
 
 
-def _band_limit(grid: Grid, noise: np.ndarray, band_fraction: float,
-                envelope_sigma=None) -> np.ndarray:
-    """Rows of white noise filtered to the lowest ``band_fraction`` of modes per axis.
+def _sup_constant(grid: Grid, alpha: float, shift: float = 0.0) -> float:
+    """C with sup |u|^2 <= C^2 (||u||_bessel^2 + shift ||u||_2^2) for every field on the grid.
 
-    ``envelope_sigma`` (one value, or one per row) damps each row by
-    exp(-|x|^2 / 2 sigma^2).
+    For the DFT coefficients u_k and the full-lattice symbol
+    s_k = (1 + |xi_k|^2)^alpha, Cauchy-Schwarz on u(x) = (1/N) sum_k u_k e^{ikx}
+    gives C^2 = L^-d sum_k 1/(s_k + shift): the grid Green's function of
+    (I - Laplacian)^alpha + shift at the origin, which attains it.
     """
-    cutoff = max(1, int(band_fraction * grid.n))
-
-    def build():
-        idx = np.abs(np.fft.fftfreq(grid.n) * grid.n)
-        keep = np.ones(grid.shape, dtype=bool)
-        for ax in range(grid.dim):
-            keep &= idx.reshape((-1,) + (1,) * (grid.dim - 1 - ax)) <= cutoff
-        # the half lattice's columns k = 0 .. n//2
-        return _read_only(np.ascontiguousarray(keep[..., : grid.n // 2 + 1]))
-
-    keep = grid._cached(("band", cutoff), build)
-    w_hat = np.fft.rfftn(noise, **_fft_axes(grid))
-    vals = np.fft.irfftn(np.where(keep, w_hat, 0.0), **_fft_axes(grid))
-    if envelope_sigma is not None:
-        sigma = np.reshape(envelope_sigma, np.shape(envelope_sigma) + (1,) * grid.dim)
-        vals = vals * np.exp(-grid.radius_sq / (2.0 * sigma**2))
-    return vals
-
-
-def _random_stacks(grid: Grid, rng: np.random.Generator, count: int):
-    """``count`` fields as ``random_field(grid, rng)`` draws them, in stacks of ``grid.batch_rows``.
-
-    One ``standard_normal`` call for k fields draws the numbers that k calls
-    of one field each would, and leaves ``rng`` in the same state, so the
-    rows equal successive ``random_field`` values to the bit.  ``count`` is
-    checked on the call, before anything is drawn.
-    """
-    _require((count >= 1, f"trials must be at least 1, got {count}"))
-
-    def stacks():
-        for start in range(0, count, grid.batch_rows):
-            noise = rng.standard_normal((min(grid.batch_rows, count - start),) + grid.shape)
-            rows = _band_limit(grid, noise, 0.25)  # random_field's default band
-            _require((np.all(np.isfinite(rows)), "field values must be finite"))
-            yield rows
-
-    return stacks()
+    green_0 = float(np.sum(1.0 / ((1.0 + grid.freq_sq) ** alpha + shift)))
+    return math.sqrt(green_0 / grid.box_length**grid.dim)
 
 
 def _lp_norm_rows(grid: Grid, values: np.ndarray, r: float) -> np.ndarray:
@@ -457,5 +423,14 @@ def random_field(grid: Grid, rng: np.random.Generator, band_fraction: float = 0.
     """
     if not 0 < band_fraction <= 1:
         raise ValueError(f"band_fraction must lie in (0, 1], got {band_fraction}")
-    return Field(grid, _band_limit(grid, rng.standard_normal(grid.shape), band_fraction,
-                                   envelope_sigma))
+    cutoff = max(1, int(band_fraction * grid.n))
+    idx = np.abs(np.fft.fftfreq(grid.n) * grid.n)
+    keep = np.ones(grid.shape, dtype=bool)
+    for ax in range(grid.dim):
+        keep &= idx.reshape((-1,) + (1,) * (grid.dim - 1 - ax)) <= cutoff
+    w_hat = np.fft.rfftn(rng.standard_normal(grid.shape), **_fft_axes(grid))
+    # the half lattice's columns k = 0 .. n//2
+    vals = np.fft.irfftn(np.where(keep[..., : grid.n // 2 + 1], w_hat, 0.0), **_fft_axes(grid))
+    if envelope_sigma is not None:
+        vals = vals * np.exp(-grid.radius_sq / (2.0 * envelope_sigma**2))
+    return Field(grid, vals)

@@ -47,6 +47,7 @@ from .grid import (
     _lp_norm,
     _multiply,
     _require,
+    _sup_constant,
     _weighted_norm_sq_rows,
     lp_norm,
 )
@@ -196,22 +197,6 @@ def _first(candidates, accept):
 # geometry probe
 
 
-def _embedding_constants(spec):
-    """(C_inf, C_2) with sup |u| <= C_inf ||u||_lam and ||u||_2 <= C_2 ||u||_lam on the grid.
-
-    With m = lam min V the lam-norm dominates (vol/N) sum_k (s_k + m) |u_k|^2
-    for the DFT coefficients u_k and the symbol s_k = (1 + |k|^2)^alpha.
-    Cauchy-Schwarz on u(x) = (1/N) sum_k u_k e^{ikx} then gives
-    C_inf^2 = L^-d sum_k 1/(s_k + m), the grid Green's function of
-    (I - Laplacian)^alpha + m at the origin, which that function attains;
-    s_k >= 1 gives C_2^2 = 1/(1 + m).
-    """
-    g = spec.grid
-    shift = spec.lam * float(np.min(spec.V_field.values))
-    green_0 = float(np.sum(1.0 / ((1.0 + g.freq_sq) ** spec.alpha + shift)))
-    return math.sqrt(green_0 / g.box_length**g.dim), 1.0 / math.sqrt(1.0 + shift)
-
-
 def _ridge_bound(spec, c_inf, c_2):
     """(rho, eta, mu_budget) of l(rho) = rho^2/2 - a rho^q - mu b rho^p, a lower bound of Phi.
 
@@ -257,7 +242,10 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
     if not isinstance(spec.nonlinearity, PowerNonlinearity):
         raise GeometryError(f"{type(spec.nonlinearity).__name__} declares no bound "
                             f"F(x, u) <= a |u|^q / q, so the ridge cannot be certified")
-    c_inf, c_2 = _embedding_constants(spec)
+    # with m = lam min V, ||u||_lam^2 >= ||u||_bessel^2 + m ||u||_2^2 and the symbol is at
+    # least 1: sup |u| <= C_inf ||u||_lam and ||u||_2 <= C_2 ||u||_lam, C_2^2 = 1/(1 + m)
+    shift = spec.lam * float(np.min(spec.V_field.values))
+    c_inf, c_2 = _sup_constant(spec.grid, spec.alpha, shift), 1.0 / math.sqrt(1.0 + shift)
     rho, eta, budget = _ridge_bound(spec, c_inf, c_2)
 
     # far endpoint: the first of the bumps 1.5^k exp(-|x|^2) with negative energy

@@ -78,7 +78,7 @@ def test_04_residual_is_the_energy_gradient(coercive_spec):
     g = coercive_spec.grid
     h = 1e-4
     for seed in range(20):
-        rng = np.random.Generator(np.random.Philox(seed))
+        rng = np.random.default_rng(seed)
         u = random_field(g, rng, envelope_sigma=3.0)
         v = random_field(g, rng, envelope_sigma=3.0)
         u = u * (1.0 / lp_norm(u, 2))
@@ -125,10 +125,10 @@ def test_07_superquadratic_tail_threshold(coercive_spec):
 
 def test_08_sublevel_l2_bound_holds(well_spec):
     t0 = time.perf_counter()
-    rec = check_sublevel_l2_bound(well_spec, b=10.0, trials=100, seed=0)
+    rec = check_sublevel_l2_bound(well_spec, b=10.0)
     assert rec.passed
-    assert rec.data["violations"] == 0
-    _stamp(8, 10.0, t0, "sublevel L2 mass bound holds on 100 random fields")
+    assert rec.data["sharp_lower"] <= rec.data["sharp_upper"] < rec.data["constant"]
+    _stamp(8, 10.0, t0, "sublevel L2 mass bound brackets its sharp constant below 1/(lam b)")
 
 
 def test_09_far_translates_decouple(coercive_spec):

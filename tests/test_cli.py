@@ -276,13 +276,19 @@ def test_runs_are_deterministic(tmp_path):
     assert blob_a == blob_b
 
 
-def test_seed_override_echoed(tmp_path):
+def test_seed_override_echoed(tmp_path, capsys):
+    # nothing in the package is random: there is no seed to override or echo
     out = tmp_path / "out"
-    rc = main(["probe-geometry", "--seed", "7", "--out", str(out)])
-    assert rc == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["probe-geometry", "--seed", "7", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert main(["probe-geometry", "--config", str(_write(tmp_path, "seed = 7\n")),
+                 "--out", str(out)]) == 2
+    assert "config error: unknown key 'seed'" in capsys.readouterr().err
+    assert main(["probe-geometry", "--out", str(out)]) == 0
     rep = _report(out)
-    assert rep["config"]["seed"] == 7
-    # the probe draws nothing, so its summary carries no seed
+    assert "seed" not in rep["config"]
     assert list(rep["stages"][0]["summary"]) == ["rho", "eta", "mu_budget", "c_inf", "c_2"]
 
 

@@ -11,7 +11,7 @@ from besselmp.grid import make_grid
 
 
 def _rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.default_rng(seed)
 
 
 def _saved(tmp_path, field, name="f.bmpf"):

@@ -26,11 +26,9 @@ from besselmp import (
 from besselmp.grid import (
     BATCH_MAX_POINTS,
     GRID_MAX_POINTS,
-    _band_limit,
     _bessel_norm_sq_rows,
     _lp_norm_rows,
     _multiply,
-    _random_stacks,
     _weighted_norm_sq_rows,
     make_grid,
 )
@@ -38,7 +36,7 @@ from besselmp.problem import _energy_rows, canonical_coercive_spec
 
 
 def _rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -355,38 +353,6 @@ def test_lp_norm_root_is_a_scalar_power():
         assert _lp_norm_rows(g, u, r).tolist() == expect
         assert lp_norm(Field(g, u[0]), r) == expect[0]
     assert _lp_norm_rows(g, u[:0], 2.0).shape == (0,)
-
-
-@pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
-def test_band_limit_rows_match_random_field(dim, n, box):
-    g = make_grid(dim, n, box)
-    sigmas = np.array([0.7, 1.9, 3.3])
-    draws = _rng(dim)
-    noise = np.stack([draws.standard_normal(g.shape) for _ in sigmas])
-    out = _band_limit(g, noise, 0.25, sigmas)
-    again = _rng(dim)
-    for row, sigma in zip(out, sigmas):
-        assert np.array_equal(row, random_field(g, again, envelope_sigma=float(sigma)).values)
-    assert _band_limit(g, noise[:0], 0.25, sigmas[:0]).shape == (0,) + g.shape
-    # the mode mask is built once per cutoff and shared, read-only
-    (mask,) = (v for k, v in g._workspace.items() if k[0] == "band")
-    assert not mask.flags.writeable
-
-
-@pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
-def test_random_stacks_are_successive_random_fields(dim, n, box):
-    g = make_grid(dim, n, box)
-    b = g.batch_rows
-    for count, sizes in ((1, [1]), (b, [b]), (b + 1, [b, 1])):
-        stacks = list(_random_stacks(g, _rng(count), count))
-        assert [len(u) for u in stacks] == sizes
-        single = _rng(count)
-        for row in np.concatenate(stacks):
-            assert np.array_equal(row, random_field(g, single).values)
-        # the generator is left where the per-field draws leave it
-        rng = _rng(count)
-        list(_random_stacks(g, rng, count))
-        assert rng.standard_normal() == single.standard_normal()
 
 
 @pytest.mark.parametrize("dim,n,box", ROW_GRIDS)

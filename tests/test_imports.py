@@ -52,3 +52,36 @@ def test_all_names_are_bound(path):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{path.name}: __all__ lists unbound names: " + ", ".join(missing)
+
+
+def _private_functions(tree):
+    """Module-level functions whose names start with one underscore."""
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _referenced_names(tree, skip=()):
+    """Every name and attribute the tree mentions, outside the nodes in ``skip``."""
+    skipped = {id(n) for node in skip for n in ast.walk(node)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_private_functions_are_referenced():
+    # a helper that only the tests call is dead package code
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    unused = []
+    for name, tree in sorted(trees.items()):
+        for fn in _private_functions(tree):
+            referenced = set().union(*(_referenced_names(other, skip=[fn] if other is tree else [])
+                                       for other in trees.values()))
+            if fn.name not in referenced:
+                unused.append(f"{name}:{fn.lineno} {fn.name}")
+    assert not unused, "private functions no module references: " + ", ".join(unused)

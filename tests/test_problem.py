@@ -32,7 +32,7 @@ from besselmp.problem import _energy_rows, _residual_rows, eval_F, eval_f, eval_
 
 
 def _rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.default_rng(seed)
 
 
 def test_critical_exponent():

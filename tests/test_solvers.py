@@ -203,7 +203,7 @@ def test_energy_dominates_the_ridge_bound(dim, which, seed, band, mix, scale):
     probe = probe_geometry(spec)
     a, b = _bound_coefficients(spec, probe)
     g = spec.grid
-    noise = random_field(g, np.random.Generator(np.random.Philox(seed)), band_fraction=band,
+    noise = random_field(g, np.random.default_rng(seed), band_fraction=band,
                          envelope_sigma=0.1 * g.box_length)
     green = Field(g, _green(spec)[0])
     u = noise * ((1.0 - mix) / _norm_lam(spec, noise)) + green * (mix / _norm_lam(spec, green))

@@ -1,10 +1,14 @@
 """Quantitative checkers: tail inequality, sublevel bound, splitting,
-coercivity ladder, Holder quotients, and embedding constants."""
+coercivity ladder, Holder quotients, embedding constants and norm domination."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg
 
 from besselmp import (
     CustomPotential,
@@ -18,7 +22,9 @@ from besselmp import (
     energy,
     estimate_embedding_constants,
     holder_estimate,
+    bessel_norm_sq,
     lp_norm,
+    random_field,
     sublevel_measure,
     weighted_norm_sq,
 )
@@ -74,7 +80,8 @@ def test_tail_record_shape(coercive_spec):
     rec = check_superquadratic_tail(coercive_spec, tau=1.5)
     d = rec.as_json_dict()
     assert d["checker"] == "superquadratic_tail"
-    assert set(d) == {"checker", "params", "seed", "pass", "witnesses", "data"}
+    # nothing is random, so a record carries no seed
+    assert set(d) == {"checker", "params", "pass", "witnesses", "data"}
     assert d["pass"] is True
 
 
@@ -83,13 +90,18 @@ def test_tail_record_shape(coercive_spec):
 
 
 def test_sublevel_bound_holds_on_well(well_spec):
-    rec = check_sublevel_l2_bound(well_spec, b=10.0, trials=50, seed=0)
+    rec = check_sublevel_l2_bound(well_spec, b=10.0)
     assert rec.passed
-    assert rec.data["violations"] == 0
+    data = rec.data
+    assert 0.0 < data["sharp_lower"] <= data["sharp_upper"] < data["constant"] == 1e-3
+    (witness,) = rec.witnesses
+    assert witness["spike_quotient"] == pytest.approx(data["sharp_lower"], rel=1e-9)
+    # the spike sits on the ramp, where V first reaches b on the grid
+    assert witness["V_at_spike"] >= 10.0
 
 
 def test_sublevel_bound_holds_on_coercive(coercive_spec):
-    rec = check_sublevel_l2_bound(coercive_spec, b=0.5, trials=20, seed=0)
+    rec = check_sublevel_l2_bound(coercive_spec, b=0.5)
     # V >= 1 makes the sublevel set empty; the weighted-norm term alone
     # must carry the bound
     assert rec.data["sublevel_measure"] == 0.0
@@ -97,9 +109,18 @@ def test_sublevel_bound_holds_on_coercive(coercive_spec):
 
 
 def test_sublevel_bound_deterministic(well_spec):
-    a = check_sublevel_l2_bound(well_spec, b=10.0, trials=20, seed=7)
-    b = check_sublevel_l2_bound(well_spec, b=10.0, trials=20, seed=7)
-    assert a.data["worst_relative_margin"] == b.data["worst_relative_margin"]
+    a = check_sublevel_l2_bound(well_spec, b=10.0)
+    b = check_sublevel_l2_bound(well_spec, b=10.0)
+    assert a.as_json_dict() == b.as_json_dict()
+
+
+def test_sublevel_bound_with_empty_set_has_zero_lower_end(well_spec):
+    # the well tops out at 50, so {V >= 100} is empty and no field has mass there
+    rec = check_sublevel_l2_bound(well_spec, b=100.0)
+    assert rec.passed
+    assert rec.data["sharp_lower"] == 0.0
+    assert rec.witnesses == ()
+    assert rec.data["sharp_upper"] == 1.0 / 10001.0
 
 
 def test_sublevel_bound_rejects_nonpositive_b(well_spec):
@@ -347,33 +368,25 @@ def test_holder_rejects_out_of_range_beta():
 def test_embedding_gamma2_is_one():
     # the constant field attains the supremum: the symbol's minimum is 1
     g = make_grid(1, 128, 20.0)
-    est = estimate_embedding_constants(0.75, g, [2.0], trials=50, seed=0)
+    est = estimate_embedding_constants(0.75, g, [2.0])
     assert est.table[2.0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_embedding_running_max_monotone():
-    g = make_grid(1, 128, 20.0)
-    small = estimate_embedding_constants(0.75, g, [2.0, 4.0], trials=10, seed=3)
-    large = estimate_embedding_constants(0.75, g, [2.0, 4.0], trials=50, seed=3)
-    for s in (2.0, 4.0):
-        assert large.table[s] >= small.table[s]
+    # and the interpolation bound closes the bracket: C_inf^0
+    assert est.upper[2.0] == 1.0
 
 
 def test_embedding_rejects_out_of_range_exponents():
     g = make_grid(1, 64, 20.0)
     with pytest.raises(ValueError, match="outside"):
-        estimate_embedding_constants(0.75, g, [1.9], trials=1)
+        estimate_embedding_constants(0.75, g, [1.9])
     # alpha = 0.25 in d=1 has critical exponent 4, an excluded endpoint
     with pytest.raises(ValueError, match="outside"):
-        estimate_embedding_constants(0.25, g, [4.0], trials=1)
-    estimate_embedding_constants(0.25, g, [3.9], trials=1)
+        estimate_embedding_constants(0.25, g, [4.0])
+    estimate_embedding_constants(0.25, g, [3.9])
 
 
 def test_embedding_stable_under_refinement():
-    coarse = estimate_embedding_constants(
-        0.75, make_grid(1, 128, 40.0), [4.0], trials=300, seed=0)
-    fine = estimate_embedding_constants(
-        0.75, make_grid(1, 256, 40.0), [4.0], trials=300, seed=0)
+    coarse = estimate_embedding_constants(0.75, make_grid(1, 128, 40.0), [4.0])
+    fine = estimate_embedding_constants(0.75, make_grid(1, 256, 40.0), [4.0])
     drift = abs(fine.table[4.0] - coarse.table[4.0]) / coarse.table[4.0]
     assert drift < 0.10
 
@@ -383,19 +396,34 @@ def test_embedding_stable_under_refinement():
 
 
 def test_norm_domination(coercive_spec):
-    rec = check_norm_domination(coercive_spec, trials=50, seed=0)
+    rec = check_norm_domination(coercive_spec)
     assert rec.passed
-    assert rec.data["empirical_ratio"] <= 1.0 + 1e-10
-    assert rec.seed == 0
+    lower, upper = rec.data["ratio_lower"], rec.data["ratio_upper"]
+    assert 0.98 < lower < upper < 1.0
+    (witness,) = rec.witnesses
+    assert witness["spike_ratio"] == pytest.approx(lower, rel=1e-9)
+    assert witness["gap_below_one"] == 1.0 - upper
+
+
+def test_norm_domination_transforms_one_spike(well_spec, fft_calls):
+    # the bracket is closed form; only the spike witness is transformed
+    check_norm_domination(well_spec)
+    assert fft_calls == {"rfftn": 1}
+
+
+def test_trials_and_seed_are_ignored(well_spec):
+    def records(**kw):
+        return (check_sublevel_l2_bound(well_spec, b=10.0, **kw).as_json_dict(),
+                check_norm_domination(well_spec, **kw).as_json_dict(),
+                estimate_embedding_constants(0.75, well_spec.grid, [2.0, 4.0], **kw))
+    assert records() == records(trials=0, seed=7) == records(trials=1000, seed=0)
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo records, pinned to the bit
+# brackets, pinned to the bit
 #
-# The sublevel bound, norm domination and embedding estimate draw and score
-# their fields in stacks of ``grid.batch_rows``; a record must not depend on
-# that.  The 2-D spec holds 4 fields a stack, so 10 trials end in a short
-# stack of 2; the 1-D well holds 64, so 70 trials end in a stack of 6.
+# The embedding tables equal, to the bit, the ones the earlier Monte Carlo
+# estimate returned from 1,000 random fields: no draw ever beat the anchors.
 
 
 @pytest.fixture(scope="module")
@@ -403,42 +431,105 @@ def well_2d_spec():
     return build_spec(RunConfig(mode="verify", dim=2, n=64, box_length=40.0, potential="well"))
 
 
-@pytest.mark.parametrize("spec_name,trials,margin,ratio,gamma_3,gamma_4", [
-    ("well_2d_spec", 10, 0.6831037276373438, 0.2595040449809325,
-     "0x1.1c130b256f9a5p-1", "0x1.0390aeddeb0a1p-1"),
-    ("well_spec", 70, 0.5992166173357724, 0.06257272396498216,
-     "0x1.7ac720bb7748ep-1", "0x1.5bf2f3d3d8b46p-1"),
-])
-def test_monte_carlo_records_are_pinned(spec_name, trials, margin, ratio, gamma_3, gamma_4,
-                                        request):
+@pytest.mark.parametrize("spec_name,sharp_lower,gamma_3,gamma_4,upper_3,upper_4", [
+    ("well_2d_spec", 0.026430153333135715, "0x1.1c130b256f9a5p-1", "0x1.0390aeddeb0a1p-1",
+     0.8729838015888353, 0.8156602122516972),
+    ("well_spec", 0.0006178968310400068, "0x1.7ac720bb7748ep-1", "0x1.5bf2f3d3d8b46p-1",
+     0.9406422766804865, 0.9122980382496216),
+], ids=["well_2d", "well_1d"])
+def test_bracket_records_are_pinned(spec_name, sharp_lower, gamma_3, gamma_4, upper_3, upper_4,
+                                    request):
     spec = request.getfixturevalue(spec_name)
-    sub = check_sublevel_l2_bound(spec, b=10.0, trials=trials, seed=0)
-    assert sub.data["worst_relative_margin"] == margin
-    dom = check_norm_domination(spec, trials=trials, seed=0)
-    assert dom.data["empirical_ratio"] == ratio
-    est = estimate_embedding_constants(spec.alpha, spec.grid, [2.0, 3.0, 4.0],
-                                       trials=trials, seed=0)
+    sub = check_sublevel_l2_bound(spec, b=10.0)
+    assert sub.data["sharp_lower"] == pytest.approx(sharp_lower, rel=1e-12)
+    assert sub.data["sharp_upper"] == 1.0 / (1.0 + 10.0 * spec.lam)
+    # V vanishes in the well, so no field beats the bessel norm's own ratio 1
+    dom = check_norm_domination(spec)
+    assert dom.passed and dom.data == {"ratio_lower": 1.0, "ratio_upper": 1.0}
+    est = estimate_embedding_constants(spec.alpha, spec.grid, [2.0, 3.0, 4.0])
     assert all(type(v) is float for v in est.table.values())
     assert (est.table[3.0].hex(), est.table[4.0].hex()) == (gamma_3, gamma_4)
+    assert est.table[2.0] == est.upper[2.0] == 1.0
+    assert est.upper[3.0] == pytest.approx(upper_3, rel=1e-12)
+    assert est.upper[4.0] == pytest.approx(upper_4, rel=1e-12)
 
 
-def test_norm_domination_transforms_each_stack_twice(well_2d_spec, fft_calls):
-    # 10 fields in stacks of 4, 4 and 2: per stack one forward and one inverse
-    # transform to band-limit the noise, and one forward for the bessel norm
-    check_norm_domination(well_2d_spec, trials=10, seed=0)
-    assert fft_calls == {"rfftn": 6, "irfftn": 3}
+# ---------------------------------------------------------------------------
+# the brackets against exact suprema and random fields
 
 
-def test_sublevel_bound_needs_a_trial(well_spec):
-    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
-        check_sublevel_l2_bound(well_spec, b=10.0, trials=0)
+def _dense_suprema(spec, b):
+    """Exact sup ||u||_bessel / ||u||_lam and sup int_{V>=b} u^2 / ||u||_lam^2 on the grid.
+
+    Both are top generalized eigenvalues of the dense quadratic forms; the
+    bessel form is the multiplier matrix, the lam-norm adds lam diag(V).
+    """
+    g = spec.grid
+    M = g.multiplier_matrix(spec.alpha)
+    M = 0.5 * (M + M.T)
+    V = spec.V_field.values.ravel()
+    K = M + spec.lam * np.diag(V)
+    top = [g.total_points - 1] * 2
+    ratio_sq = linalg.eigh(M, K, eigvals_only=True, subset_by_index=top)[0]
+    sharp = linalg.eigh(np.diag((V >= b) * 1.0), K, eigvals_only=True, subset_by_index=top)[0]
+    return math.sqrt(ratio_sq), sharp
 
 
-def test_norm_domination_needs_a_trial(well_spec):
-    with pytest.raises(ValueError, match="trials must be at least 1, got -3"):
-        check_norm_domination(well_spec, trials=-3)
+_SQUARE_20 = dict(mode="verify", dim=2, n=32, box_length=20.0)
 
 
-def test_embedding_needs_a_trial(well_spec):
-    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
-        estimate_embedding_constants(0.75, well_spec.grid, [2.0], trials=0)
+@pytest.mark.parametrize("spec_name,ratio,sharp", [
+    ("coercive_spec", 0.99343, 0.06022),
+    ("well_spec", 1.0, 6.1822e-4),
+    ("coercive_2d", 0.95801, 0.06576),
+    ("well_2d", 1.0, 0.02714),
+], ids=["coercive_1d", "well_1d", "coercive_2d", "well_2d"])
+def test_brackets_hold_the_exact_suprema(spec_name, ratio, sharp, request):
+    specs = {"coercive_2d": lambda: build_spec(RunConfig(**_SQUARE_20)),
+             "well_2d": lambda: build_spec(RunConfig(**_SQUARE_20, potential="well"))}
+    spec = specs[spec_name]() if spec_name in specs else request.getfixturevalue(spec_name)
+    exact_ratio, exact_sharp = _dense_suprema(spec, 10.0)
+    assert exact_ratio == pytest.approx(ratio, abs=1e-5)
+    assert exact_sharp == pytest.approx(sharp, rel=1e-4)
+    dom = check_norm_domination(spec).data
+    assert dom["ratio_lower"] <= exact_ratio * (1 + 1e-12)
+    assert exact_ratio <= dom["ratio_upper"] * (1 + 1e-12)
+    sub = check_sublevel_l2_bound(spec, b=10.0).data
+    assert sub["sharp_lower"] <= exact_sharp * (1 + 1e-9) <= sub["sharp_upper"] * (1 + 1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_spec(dim, family):
+    # 3-D needs q below the critical exponent 4 at alpha = 0.75
+    n, box, q = {1: (64, 20.0, 4.0), 2: (16, 12.0, 4.0), 3: (8, 10.0, 3.0)}[dim]
+    return build_spec(RunConfig(dim=dim, n=n, box_length=box, potential=family, q=q))
+
+
+def _checkerboard_bump(spec):
+    """The highest grid frequency under a unit-width Gaussian at argmin V: near the ratio's extremal."""
+    g = spec.grid
+    at = np.unravel_index(np.argmin(spec.V_field.values), g.shape)
+    index = np.indices(g.shape)
+    dist_sq = sum((c - c[i]) ** 2 for c, i in zip(g.coords(), at))
+    return Field(g, (-1.0) ** index.sum(axis=0) * np.exp(-0.5 * dist_sq))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), family=st.sampled_from(["coercive_quadratic", "well"]),
+       band=st.sampled_from([0.25, 0.5, 1.0]), sigma=st.sampled_from([None, 0.5, 2.0]),
+       checker=st.sampled_from([0.0, 1.0, 100.0]), seed=st.integers(0, 2**32 - 1))
+def test_random_fields_respect_the_upper_ends(dim, family, band, sigma, checker, seed):
+    spec = _small_spec(dim, family)
+    g, b = spec.grid, 10.0
+    u = random_field(g, np.random.default_rng(seed), band_fraction=band, envelope_sigma=sigma)
+    u = u + checker * _checkerboard_bump(spec)
+    bessel = bessel_norm_sq(u, spec.alpha)
+    lam_sq = weighted_norm_sq(u, spec.V_field, spec.lam, spec.alpha)
+    slack = 1.0 + 1e-12
+    assert math.sqrt(bessel / lam_sq) <= check_norm_domination(spec).data["ratio_upper"] * slack
+    mass = float(np.sum(u.values[spec.V_field.values >= b] ** 2)) * g.cell_volume
+    assert mass <= check_sublevel_l2_bound(spec, b).data["sharp_upper"] * lam_sq * slack
+    s_list = [2.0, 3.0, 3.5]
+    upper = estimate_embedding_constants(spec.alpha, g, s_list).upper
+    for s in s_list:
+        assert lp_norm(u, s) <= upper[s] * math.sqrt(bessel) * slack
