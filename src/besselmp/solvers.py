@@ -39,7 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 from scipy import optimize
-from scipy.sparse.linalg import LinearOperator, lgmres
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .grid import (
     DENSE_MAX_POINTS,
@@ -94,6 +94,8 @@ NEWTON_TRIES = 34  # damped Newton steps 1, 1/2, ... above 1e-10
 RIESZ_RTOL = 1e-2  # the gradient solve stops at this relative preconditioned residual
 HANDOVER_RATIO = 0.1  # the descent hands over to Newton at <r, K^-1 r>^(1/2) <= this ||u||_lam
 NEWTON_MAX = 80
+MINRES_RTOL = 1e-12  # MINRES stops on a backward error; 1e-10 leaves plain residuals near 3e-8
+MINRES_MAXITER = 400
 INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
 
 
@@ -131,6 +133,9 @@ class TraceEntry:
     # trial points scored by the step taken from this entry: energies in
     # the Nehari descent and the ball, residual norms in the polish
     trials: int
+    # MINRES iterations behind a polish entry's Newton direction; 0 on the
+    # dense route, on descent entries and where the solve failed
+    krylov_iters: int = 0
 
 
 @dataclass(frozen=True)
@@ -376,34 +381,64 @@ def _hessian_diag(spec, u):
     return vals
 
 
-def _newton_direction(spec, u, r):
-    """Solve (D^2 Phi)(u) delta = -r; dense up to DENSE_MAX_POINTS unknowns, Krylov above."""
+def _hessian_operator(spec, u):
+    """(H, M): the Hessian of Phi at u and its preconditioner, as LinearOperators on raveled fields.
+
+    H = (I - Laplacian)^alpha + diag(``_hessian_diag``) is symmetric, and
+    indefinite at a saddle; M = (I - Laplacian)^(-alpha) is symmetric
+    positive definite.  Each apply is one transform pair.
+    """
     g = spec.grid
     diag = _hessian_diag(spec, u)
-    rhs = -r.ravel()
     npts = g.total_points
-    if npts <= DENSE_MAX_POINTS:
-        J = g.multiplier_matrix(spec.alpha) + np.diag(diag.ravel())
+
+    def matvec(v):
+        v = v.reshape(g.shape)
+        return (_multiply(g, v, spec.alpha) + diag * v).ravel()
+
+    def precond(v):
+        return _multiply(g, v.reshape(g.shape), -spec.alpha).ravel()
+
+    return (LinearOperator((npts, npts), matvec=matvec, dtype=float),
+            LinearOperator((npts, npts), matvec=precond, dtype=float))
+
+
+def _newton_direction(spec, u, r):
+    """Solve (D^2 Phi)(u) delta = -r; (delta, MINRES iterations), or None if the solve fails.
+
+    Up to DENSE_MAX_POINTS unknowns the Hessian is built and solved
+    densely (0 iterations).  Above, it is applied matrix-free
+    (``_hessian_operator``) and solved by MINRES preconditioned with
+    (I - Laplacian)^(-alpha): the Hessian is symmetric but indefinite at
+    a saddle, where CG has no guarantee and GMRES keeps a long
+    recurrence that symmetry makes short, while MINRES needs only
+    symmetry and an SPD preconditioner.  It stops at a backward error of
+    MINRES_RTOL = 1e-12, which leaves a plain relative residual near
+    1e-10, or fails after MINRES_MAXITER iterations.
+    """
+    g = spec.grid
+    rhs = -r.ravel()
+    iters = 0
+    if g.total_points <= DENSE_MAX_POINTS:
+        J = g.multiplier_matrix(spec.alpha) + np.diag(_hessian_diag(spec, u).ravel())
         try:
             delta = np.linalg.solve(J, rhs)
         except np.linalg.LinAlgError:
             return None
     else:
-        def matvec(v):
-            v = v.reshape(g.shape)
-            return (_multiply(g, v, spec.alpha) + diag * v).ravel()
+        H, M = _hessian_operator(spec, u)
 
-        def precond(v):
-            return _multiply(g, v.reshape(g.shape), -spec.alpha).ravel()
+        def count(_):
+            nonlocal iters
+            iters += 1
 
-        op = LinearOperator((npts, npts), matvec=matvec)
-        M = LinearOperator((npts, npts), matvec=precond)
-        delta, info = lgmres(op, rhs, M=M, rtol=1e-10, atol=0.0, maxiter=400)
+        delta, info = minres(H, rhs, M=M, rtol=MINRES_RTOL, maxiter=MINRES_MAXITER,
+                             callback=count)
         if info != 0:
             return None
     if not np.all(np.isfinite(delta)):
         return None
-    return delta.reshape(g.shape)
+    return delta.reshape(g.shape), iters
 
 
 def _polish(spec, u, opts, trace, it0):
@@ -417,7 +452,8 @@ def _polish(spec, u, opts, trace, it0):
         if rn <= opts.tol:
             trace.append(entry)
             return u, rn, it
-        delta = _newton_direction(spec, u, r)
+        newton = _newton_direction(spec, u, r)
+        delta, iters = (None, 0) if newton is None else newton
         # the damped Newton trials u + s delta, s = 1, 1/2, ... above 1e-10
         trials = () if delta is None else ((s, u + s * delta) for s in _steps(1.0, NEWTON_TRIES))
         found, tried = _first(trials,
@@ -428,7 +464,7 @@ def _polish(spec, u, opts, trace, it0):
             found, more = _first(((s, u - s * d) for s in _steps(1.0, BACKTRACK_TRIES)),
                                  lambda st: _residual_norm(spec, st[1]) < rn)
             tried += more
-        trace.append(replace(entry, trials=tried))
+        trace.append(replace(entry, trials=tried, krylov_iters=iters))
         if found is None:
             return u, max(rn, 1e-30), it
         u = found[1]

@@ -39,9 +39,11 @@ from besselmp.grid import DENSE_MAX_POINTS
 from besselmp.problem import _energy_rows, _residual_rows
 from besselmp.solvers import (
     DEFAULT_WELL_SWEEP,
+    MINRES_MAXITER,
     _armijo_step,
     _fibering,
     _hessian_diag,
+    _hessian_operator,
     _newton_direction,
 )
 
@@ -697,6 +699,23 @@ def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     assert _morse_index(spec, r.local_min.solution) == 0
 
 
+def test_steep_well_on_the_krylov_route():
+    # 4096 points take the MINRES route in every Newton step; the pins were
+    # recorded on one BLAS thread.  The Morse index is not checked: the
+    # dense Hessian at this size is a 4096 x 4096 eigenproblem.
+    spec = build_spec(RunConfig(dim=2, n=64, box_length=20.0, potential="well",
+                                lam=100.0, mu=0.05))
+    assert spec.grid.total_points > DENSE_MAX_POINTS
+    r = two_solution_experiment(spec)
+    assert r.success, r.failed_stage
+    assert r.mountain_pass.energy == 3.954640855291907
+    assert r.local_min.energy == -2.338150707851388e-08
+    for report in (r.mountain_pass, r.local_min):
+        polish = [t.krylov_iters for t in report.trace if t.phase == "polish"]
+        assert all(0 < k < MINRES_MAXITER for k in polish[:-1]) and polish[-1] == 0
+        assert all(t.krylov_iters == 0 for t in report.trace if t.phase != "polish")
+
+
 # every pair certifies with c > eta; two saddles pinned on one BLAS thread
 SWEEP_SADDLES = {
     (200.0, 0.05): 1.5182109252113702,
@@ -756,13 +775,35 @@ def test_newton_direction_2d(n, box_length, dense):
     spec = build_spec(RunConfig(dim=2, n=n, box_length=box_length))
     g = spec.grid
     assert (g.total_points <= DENSE_MAX_POINTS) == dense
+
+    def apply_j(u, v):
+        return apply_multiplier(Field(g, v), spec.alpha).values + _hessian_diag(spec, u) * v
+
     u = 2.0 * np.exp(-g.radius_sq)
+    # J is indefinite at u, so on the Krylov grid MINRES meets an indefinite system
+    assert np.sum(apply_j(u, u) * u) < 0.0
     r = residual(spec, Field(g, u)).values
-    delta = _newton_direction(spec, u, r)
-    assert delta is not None
-    j_delta = apply_multiplier(Field(g, delta), spec.alpha).values \
-        + _hessian_diag(spec, u) * delta
-    assert np.linalg.norm(j_delta + r) <= 1e-8 * np.linalg.norm(r)
+    delta, iters = _newton_direction(spec, u, r)
+    assert (iters == 0) if dense else (0 < iters < MINRES_MAXITER)
+    assert np.linalg.norm(apply_j(u, delta) + r) <= 1e-8 * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(dim=1, n=64, box_length=20.0, potential="well"),
+    RunConfig(dim=2, n=16, box_length=15.0),
+    RunConfig(dim=3, n=8, box_length=10.0, q=3.0),
+], ids=["1d", "2d", "3d"])
+def test_hessian_operator_is_symmetric_with_positive_preconditioner(cfg):
+    # MINRES needs a symmetric operator and a positive definite preconditioner
+    spec = build_spec(cfg)
+    g = spec.grid
+    u = 2.0 * np.exp(-g.radius_sq)
+    H, M = _hessian_operator(spec, u)
+    rng = np.random.default_rng(cfg.dim)
+    for _ in range(5):
+        x, y = rng.standard_normal((2, g.total_points))
+        assert np.dot(H @ x, y) == pytest.approx(np.dot(x, H @ y), rel=1e-12)
+        assert np.dot(M @ x, x) > 0.0
 
 
 # ---------------------------------------------------------------------------
