@@ -18,8 +18,6 @@ import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import (
     MODES,
@@ -31,11 +29,9 @@ from .config import (
     resolve_checks,
 )
 from .fieldio import save_field
-from .grid import Field
 from .kernels import bessel_kernel
-from .problem import validate_assumptions
 from .solvers import TraceEntry, _attempt, two_solution_stages
-from . import verify as verify_mod
+from .verify import CHECKS
 
 __all__ = ["StageResult", "RunReport", "run", "main"]
 
@@ -72,33 +68,18 @@ class RunReport:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    echo = asdict(cfg)
-    for key, value in echo.items():
-        if isinstance(value, tuple):
-            echo[key] = list(value)
-    return echo
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(cfg).items()}
 
 
-def _solve_summary(report) -> dict:
-    return {
-        "classification": report.classification,
-        "energy": report.energy,
-        "residual_norm": report.residual_norm,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "ok": report.ok,
-        "message": report.message,
-    }
+# the attributes of a GeometryProbe and of a SolveReport that a stage summary carries
+_PROBE_KEYS = ("rho", "eta", "mu_budget", "c_inf", "c_2")
+_SOLVE_KEYS = ("classification", "energy", "residual_norm", "iterations", "converged", "ok",
+               "message")
 
 
-def _probe_summary(probe) -> dict:
-    return {
-        "rho": probe.rho,
-        "eta": probe.eta,
-        "mu_budget": probe.mu_budget,
-        "c_inf": probe.c_inf,
-        "c_2": probe.c_2,
-    }
+def _summary(result, keys) -> dict:
+    return {key: getattr(result, key) for key in keys}
 
 
 def _write_trace(path: Path, entries) -> None:
@@ -112,24 +93,12 @@ def _write_trace(path: Path, entries) -> None:
 def _write_profile(path: Path, grid, columns: dict) -> None:
     """Plot-ready profile: x plus one column per named field (axis-0 line
     through the box center for dim > 1)."""
-    series = {}
-    for name, field in columns.items():
-        vals = field.values
-        while vals.ndim > 1:
-            vals = vals[:, vals.shape[1] // 2]
-        series[name] = vals
+    line = (slice(None),) + (grid.n // 2,) * (grid.dim - 1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x"] + list(series))
-        for i, x in enumerate(grid.axis_coords):
-            writer.writerow([float(x)] + [float(series[name][i]) for name in series])
-
-
-def _timed(stages, name, fn):
-    t0 = time.perf_counter()
-    outcome, error = _attempt(fn)
-    passed, summary = outcome if error is None else (False, {"error": error})
-    stages.append(StageResult(name, bool(passed), time.perf_counter() - t0, summary))
+        writer.writerow(["x"] + list(columns))
+        writer.writerows(zip(grid.axis_coords.tolist(),
+                             *(field.values[line].tolist() for field in columns.values())))
 
 
 # how many stages of the two-solution pipeline each solve mode runs
@@ -137,24 +106,22 @@ _PIPELINE_STAGES = {"probe-geometry": 1, "solve": 2, "two-solutions": 4}
 _TRACE_FILES = {"mountain_pass": "trace.csv", "local_min": "trace_ball.csv"}
 
 
-def _run_pipeline(cfg, out, stages):
-    """Time each pipeline stage and write its artifacts and summary."""
+def _pipeline_stages(cfg, out):
+    """Each pipeline stage's (name, ok, summary), its artifacts written first."""
     spec = build_spec(cfg)
     pipeline = two_solution_stages(spec, build_options(cfg), cfg.distinct_tol)
     solutions = {}
-    t0 = time.perf_counter()
     for name, ok, result in itertools.islice(pipeline, _PIPELINE_STAGES[cfg.mode]):
-        wall = time.perf_counter() - t0
         if isinstance(result, str):
             summary = {"error": result}
         elif name == "probe_geometry":
-            summary = _probe_summary(result)
+            summary = _summary(result, _PROBE_KEYS)
             if cfg.mode == "probe-geometry":
                 save_field(result.e, out / "endpoint.bmpf")
         elif name == "levels":
             summary = result
         else:
-            summary = _solve_summary(result)
+            summary = _summary(result, _SOLVE_KEYS)
             _write_trace(out / _TRACE_FILES[name], result.trace)
             save_field(result.solution, out / f"{name}.bmpf")
             solutions[f"u_{name}"] = result.solution
@@ -162,65 +129,27 @@ def _run_pipeline(cfg, out, stages):
                 _write_profile(out / "profile.csv", spec.grid, {"u": result.solution})
             elif name == "local_min":
                 _write_profile(out / "profile.csv", spec.grid, solutions)
-        stages.append(StageResult(name, bool(ok), wall, summary))
-        t0 = time.perf_counter()
+        yield name, ok, summary
 
 
-def _run_verify(cfg, out, stages):
+def _outcome(name, fn):
+    """(name, ok, summary) for fn() -> (ok, summary); a stage that raised fails with its error."""
+    outcome, error = _attempt(fn)
+    return (name, *outcome) if error is None else (name, False, {"error": error})
+
+
+def _verify_stages(cfg, out):
     spec = build_spec(cfg)
-    g = spec.grid
-    beta = cfg.beta if cfg.beta is not None else 0.9 * 2.0 * cfg.alpha
-    bump = Field(g, np.exp(-g.radius_sq))
-    partner = Field(g, 0.8 * np.exp(-1.3 * g.radius_sq))
-
-    def record_stage(record):
-        return record.passed, record.as_json_dict()
-
-    runners = {
-        "assumptions": lambda: _assumptions_record(spec, cfg.b),
-        "superquadratic-tail": lambda: record_stage(
-            verify_mod.check_superquadratic_tail(spec, tau=cfg.tau)),
-        "sublevel-bound": lambda: record_stage(
-            verify_mod.check_sublevel_l2_bound(spec, b=cfg.b)),
-        "splitting": lambda: record_stage(
-            verify_mod.check_splitting(spec, bump, partner, cfg.separations)),
-        "coercivity": lambda: record_stage(
-            verify_mod.coercivity_probe(spec.V_field,
-                                        np.linspace(0.0, 0.5 * g.box_length - 1.5, 8),
-                                        b=cfg.b)),
-        "sublevel-measure": lambda: (True, {
-            "checker": "sublevel_measure", "b": cfg.b,
-            "measure": verify_mod.sublevel_measure(spec.V_field, cfg.b)}),
-        "holder": lambda: (True, {
-            "checker": "holder_estimate", "beta": beta,
-            "value": verify_mod.holder_estimate(bump, beta)}),
-        "embedding": lambda: _embedding_record(cfg, spec),
-        "norm-domination": lambda: record_stage(
-            verify_mod.check_norm_domination(spec)),
-    }
     for name in resolve_checks(cfg):
-        _timed(stages, f"verify:{name}", runners[name])
+        def check():
+            record = CHECKS[name].run(spec, cfg)
+            return record.passed, record.as_json_dict()
+
+        yield _outcome(f"verify:{name}", check)
 
 
-def _assumptions_record(spec, b):
-    report = validate_assumptions(spec, b=b)
-    checks = [{"name": c.name, "pass": c.passed, "required": c.required,
-               "detail": c.detail} for c in report.checks]
-    return report.passed, {"checker": "assumptions", "checks": checks}
-
-
-def _embedding_record(cfg, spec):
-    est = verify_mod.estimate_embedding_constants(cfg.alpha, spec.grid, cfg.s_list)
-    ok = all(np.isfinite(v) and v <= est.upper[s] * (1.0 + 1e-12) for s, v in est.table.items())
-    if 2.0 in est.table:
-        ok = ok and est.table[2.0] <= 1.0 + 1e-9
-    return ok, {"checker": "embedding",
-                "table": {str(s): v for s, v in est.table.items()},
-                "upper": {str(s): v for s, v in est.upper.items()}}
-
-
-def _run_kernel_table(cfg, out, stages):
-    def table_stage():
+def _kernel_table_stages(cfg, out):
+    def table():
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["radius", "alpha", "dim", "G_value", "est_error"])
@@ -229,28 +158,30 @@ def _run_kernel_table(cfg, out, stages):
             for radius in cfg.kernel_radii:
                 k = bessel_kernel(radius, order, cfg.dim)
                 rows.append([radius, order, cfg.dim, k.value, k.est_error])
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         text = buf.getvalue()
         sys.stdout.write(text)
         (out / "kernel_table.csv").write_text(text)
         return True, {"rows": len(rows), "file": "kernel_table.csv"}
 
-    _timed(stages, "kernel_table", table_stage)
+    yield _outcome("kernel_table", table)
+
+
+_MODE_STAGES = {**dict.fromkeys(_PIPELINE_STAGES, _pipeline_stages),
+                "verify": _verify_stages, "kernel-table": _kernel_table_stages}
 
 
 def run(cfg: RunConfig) -> RunReport:
+    if cfg.mode not in _MODE_STAGES:
+        raise ConfigError([f"mode: unknown mode {cfg.mode!r}"])
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stages: list[StageResult] = []
-    if cfg.mode in _PIPELINE_STAGES:
-        _run_pipeline(cfg, out, stages)
-    elif cfg.mode == "verify":
-        _run_verify(cfg, out, stages)
-    elif cfg.mode == "kernel-table":
-        _run_kernel_table(cfg, out, stages)
-    else:
-        raise ConfigError([f"mode: unknown mode {cfg.mode!r}"])
+    t0 = time.perf_counter()
+    for name, ok, summary in _MODE_STAGES[cfg.mode](cfg, out):
+        now = time.perf_counter()
+        stages.append(StageResult(name, bool(ok), now - t0, summary))
+        t0 = now
 
     report = RunReport(
         version=__version__, config=_config_echo(cfg), stages=tuple(stages),

@@ -23,7 +23,7 @@ from .problem import (
 )
 from .grid import Grid
 from .solvers import SolveOptions
-from .verify import require_s_in_window, require_tau_in_window
+from .verify import CHECKS
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "build_spec", "build_options",
            "resolve_checks", "MODES", "CHECK_NAMES"]
@@ -31,9 +31,7 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "build_spec", "build_opti
 MODES = ("solve", "two-solutions", "verify", "probe-geometry", "kernel-table")
 POTENTIALS = ("coercive_quadratic", "well")
 WEIGHTS = ("gaussian",)
-CHECK_NAMES = ("assumptions", "superquadratic-tail", "sublevel-bound", "splitting",
-               "coercivity", "sublevel-measure", "holder", "embedding",
-               "norm-domination")
+CHECK_NAMES = tuple(CHECKS)
 
 
 class ConfigError(ValueError):
@@ -163,22 +161,18 @@ def _validate(cfg: RunConfig, errors) -> None:
     _collect(errors, lambda: build_options(cfg))
     if cfg.mode == "verify" and problem is not None:
         # the exponent windows of the selected checks, as the checks apply them
-        checks = resolve_checks(cfg)
-        if "superquadratic-tail" in checks:
-            _collect(errors, lambda: require_tau_in_window(cfg.tau, cfg.dim, cfg.alpha, cfg.q))
-        if "embedding" in checks:
-            _collect(errors, lambda: require_s_in_window(cfg.s_list, cfg.dim, cfg.alpha))
+        selected = resolve_checks(cfg)
+        for name, check in CHECKS.items():
+            if name in selected and check.require is not None:
+                _collect(errors, lambda: check.require(cfg))
 
 
 def resolve_checks(cfg: RunConfig) -> tuple:
     """The checkers a verify run executes; "auto" picks those that fit the potential family."""
     if tuple(cfg.checks) != ("auto",):
         return tuple(cfg.checks)
-    common = ("assumptions", "superquadratic-tail", "splitting", "holder",
-              "embedding", "norm-domination")
-    if cfg.potential == "well":
-        return common + ("sublevel-bound", "sublevel-measure")
-    return common + ("coercivity",)
+    family = _potential(cfg).family
+    return tuple(name for name, check in CHECKS.items() if check.family in (None, family))
 
 
 def _collect(errors, build):
@@ -222,15 +216,16 @@ def build_spec(cfg: RunConfig) -> ProblemSpec:
     return _problem_on(Grid(dim=cfg.dim, n=cfg.n, box_length=cfg.box_length), cfg)
 
 
-def _problem_on(grid: Grid, cfg: RunConfig) -> ProblemSpec:
+def _potential(cfg: RunConfig):
     if cfg.potential == "well":
-        potential = WellPotential(radius=cfg.well_radius, height=cfg.well_height,
-                                  ramp=cfg.well_ramp)
-    else:
-        potential = CoerciveQuadraticPotential()
+        return WellPotential(radius=cfg.well_radius, height=cfg.well_height, ramp=cfg.well_ramp)
+    return CoerciveQuadraticPotential()
+
+
+def _problem_on(grid: Grid, cfg: RunConfig) -> ProblemSpec:
     return ProblemSpec(
         grid=grid, alpha=cfg.alpha, lam=cfg.lam, mu=cfg.mu, p=cfg.p,
-        nonlinearity=PowerNonlinearity(cfg.q), potential=potential,
+        nonlinearity=PowerNonlinearity(cfg.q), potential=_potential(cfg),
         weight=GaussianWeight(),
     )
 

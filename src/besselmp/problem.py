@@ -428,10 +428,13 @@ def _ladder_verdict(ladder):
     return finite, monotone, decayed
 
 
+def _ball_radii(grid: Grid) -> np.ndarray:
+    """Eight centers from 0 to L/2 - 1.5 along the first axis, the last at least 1."""
+    return np.linspace(0.0, max(0.5 * grid.box_length - 1.5, 1.0), 8)
+
+
 def _check_ball_decay(spec):
-    g = spec.grid
-    top = 0.5 * g.box_length - 1.5
-    radii = np.linspace(0.0, max(top, 1.0), 8)
+    radii = _ball_radii(spec.grid)
     ladder = _ball_integrals(spec.V_field, radii)
     ok = all(_ladder_verdict(ladder))
     return AssumptionCheck(

@@ -133,8 +133,9 @@ class TraceEntry:
     # trial points scored by the step taken from this entry: energies in
     # the Nehari descent and the ball, residual norms in the polish
     trials: int
-    # MINRES iterations behind a polish entry's Newton direction; 0 on the
-    # dense route, on descent entries and where the solve failed
+    # MINRES iterations behind a polish entry's Newton direction, also when
+    # the solve failed (MINRES_MAXITER if it hit the cap); 0 on the dense
+    # route and on descent entries
     krylov_iters: int = 0
 
 
@@ -404,7 +405,7 @@ def _hessian_operator(spec, u):
 
 
 def _newton_direction(spec, u, r):
-    """Solve (D^2 Phi)(u) delta = -r; (delta, MINRES iterations), or None if the solve fails.
+    """Solve (D^2 Phi)(u) delta = -r; (delta, MINRES iterations), delta None if the solve fails.
 
     Up to DENSE_MAX_POINTS unknowns the Hessian is built and solved
     densely (0 iterations).  Above, it is applied matrix-free
@@ -414,7 +415,7 @@ def _newton_direction(spec, u, r):
     recurrence that symmetry makes short, while MINRES needs only
     symmetry and an SPD preconditioner.  It stops at a backward error of
     MINRES_RTOL = 1e-12, which leaves a plain relative residual near
-    1e-10, or fails after MINRES_MAXITER iterations.
+    1e-10, or fails after MINRES_MAXITER iterations, which it then reports.
     """
     g = spec.grid
     rhs = -r.ravel()
@@ -424,7 +425,7 @@ def _newton_direction(spec, u, r):
         try:
             delta = np.linalg.solve(J, rhs)
         except np.linalg.LinAlgError:
-            return None
+            delta = None
     else:
         H, M = _hessian_operator(spec, u)
 
@@ -435,9 +436,9 @@ def _newton_direction(spec, u, r):
         delta, info = minres(H, rhs, M=M, rtol=MINRES_RTOL, maxiter=MINRES_MAXITER,
                              callback=count)
         if info != 0:
-            return None
-    if not np.all(np.isfinite(delta)):
-        return None
+            delta = None
+    if delta is None or not np.all(np.isfinite(delta)):
+        return None, iters
     return delta.reshape(g.shape), iters
 
 
@@ -452,8 +453,7 @@ def _polish(spec, u, opts, trace, it0):
         if rn <= opts.tol:
             trace.append(entry)
             return u, rn, it
-        newton = _newton_direction(spec, u, r)
-        delta, iters = (None, 0) if newton is None else newton
+        delta, iters = _newton_direction(spec, u, r)
         # the damped Newton trials u + s delta, s = 1, 1/2, ... above 1e-10
         trials = () if delta is None else ((s, u + s * delta) for s in _steps(1.0, NEWTON_TRIES))
         found, tried = _first(trials,

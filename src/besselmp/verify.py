@@ -11,11 +11,16 @@ the full-lattice symbol s_k = (1 + |xi_k|^2)^alpha: the upper end holds
 for every field, and a grid field attains the lower end (a unit spike,
 also scored through the row kernels as a witness, or six smooth anchors).
 Their ``trials`` and ``seed`` keywords are accepted and ignored.
+
+``CHECKS`` is the table verify mode runs: per check name, the potential
+family it needs (None: any), its runner ``(spec, cfg) -> CheckRecord`` and
+the exponent window it imposes on the config, if any.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +31,22 @@ from .grid import (
     _lp_norm_rows,
     _potential_rows,
     _require,
-    _require_weight,
     _sup_constant,
     spectral_derivative,
 )
-from .problem import ProblemSpec, critical_exponent, energy, eval_f, eval_scrF
-from .problem import _ball_integrals, _ladder_verdict, _unit_ball
+from .problem import (
+    ProblemSpec,
+    critical_exponent,
+    energy,
+    eval_f,
+    eval_scrF,
+    validate_assumptions,
+)
+from .problem import _ball_integrals, _ball_radii, _ladder_verdict, _unit_ball
 
 __all__ = [
+    "CHECKS",
+    "Check",
     "CheckRecord",
     "EmbeddingEstimate",
     "check_superquadratic_tail",
@@ -159,7 +172,6 @@ def check_sublevel_l2_bound(spec: ProblemSpec, b: float, trials=None, seed=None)
         raise ValueError(f"b must be positive, got {b}")
     g = spec.grid
     V = spec.V_field.values
-    _require_weight(V, spec.lam)
     constant = 1.0 / (spec.lam * b)
     upper = 1.0 / (1.0 + spec.lam * b)
     lower, witnesses, spike_ok = 0.0, (), True
@@ -363,7 +375,6 @@ def check_norm_domination(spec: ProblemSpec, trials=None, seed=None) -> CheckRec
     """
     g = spec.grid
     V = spec.V_field.values
-    _require_weight(V, spec.lam)
     shift = spec.lam * float(np.min(V))
     lower = (1.0 + shift / _mean_symbol(g, spec.alpha)) ** -0.5
     upper = (1.0 + shift / float(np.max(g.symbol(spec.alpha)))) ** -0.5
@@ -375,3 +386,62 @@ def check_norm_domination(spec: ProblemSpec, trials=None, seed=None) -> CheckRec
         ({"spike_ratio": spike, "gap_below_one": 1.0 - upper},),
         {"ratio_lower": lower, "ratio_upper": upper},
     )
+
+
+# ---------------------------------------------------------------------------
+# the checks verify mode runs, in the order "auto" runs them
+
+
+def _assumptions(spec, cfg) -> CheckRecord:
+    report = validate_assumptions(spec, b=cfg.b)
+    checks = [{"name": c.name, "pass": c.passed, "required": c.required, "detail": c.detail}
+              for c in report.checks]
+    return CheckRecord("assumptions", {"b": cfg.b}, report.passed, (), {"checks": checks})
+
+
+def _splitting(spec, cfg) -> CheckRecord:
+    g = spec.grid
+    bump, partner = Field(g, np.exp(-g.radius_sq)), Field(g, 0.8 * np.exp(-1.3 * g.radius_sq))
+    return check_splitting(spec, bump, partner, cfg.separations)
+
+
+def _holder(spec, cfg) -> CheckRecord:
+    beta = cfg.beta if cfg.beta is not None else 0.9 * 2.0 * spec.alpha
+    value = holder_estimate(Field(spec.grid, np.exp(-spec.grid.radius_sq)), beta)
+    return CheckRecord("holder_estimate", {"beta": beta}, True, (), {"value": value})
+
+
+def _embedding(spec, cfg) -> CheckRecord:
+    """Passes when every entry is finite and at most its upper end, and gamma_2 <= 1."""
+    est = estimate_embedding_constants(spec.alpha, spec.grid, cfg.s_list)
+    ok = all(np.isfinite(v) and v <= est.upper[s] * (1.0 + 1e-12) for s, v in est.table.items())
+    ok = ok and est.table.get(2.0, 1.0) <= 1.0 + 1e-9
+    return CheckRecord("embedding", {"alpha": est.alpha, "s_list": list(est.table)}, bool(ok), (),
+                       {"table": {str(s): v for s, v in est.table.items()},
+                        "upper": {str(s): v for s, v in est.upper.items()}})
+
+
+@dataclass(frozen=True)
+class Check:
+    family: str | None
+    run: Callable
+    require: Callable | None = None
+
+
+CHECKS = {
+    "assumptions": Check(None, _assumptions),
+    "superquadratic-tail": Check(
+        None, lambda spec, cfg: check_superquadratic_tail(spec, tau=cfg.tau),
+        lambda cfg: require_tau_in_window(cfg.tau, cfg.dim, cfg.alpha, cfg.q)),
+    "splitting": Check(None, _splitting),
+    "holder": Check(None, _holder),
+    "embedding": Check(None, _embedding,
+                       lambda cfg: require_s_in_window(cfg.s_list, cfg.dim, cfg.alpha)),
+    "norm-domination": Check(None, lambda spec, cfg: check_norm_domination(spec)),
+    "sublevel-bound": Check("well", lambda spec, cfg: check_sublevel_l2_bound(spec, b=cfg.b)),
+    "sublevel-measure": Check("well", lambda spec, cfg: CheckRecord(
+        "sublevel_measure", {"b": cfg.b}, True, (),
+        {"measure": sublevel_measure(spec.V_field, cfg.b)})),
+    "coercivity": Check("coercive", lambda spec, cfg: coercivity_probe(
+        spec.V_field, _ball_radii(spec.grid), b=cfg.b)),
+}

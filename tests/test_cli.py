@@ -133,12 +133,12 @@ def test_verify_mode_coercive(tmp_path):
     assert rc == 0
 
     rep = _report(out)
-    names = {s["name"] for s in rep["stages"]}
-    assert names == {
+    names = [s["name"] for s in rep["stages"]]
+    assert names == [
         "verify:assumptions", "verify:superquadratic-tail", "verify:splitting",
         "verify:holder", "verify:embedding", "verify:norm-domination",
         "verify:coercivity",
-    }
+    ]
     assert all(s["passed"] for s in rep["stages"])
 
 
@@ -149,13 +149,35 @@ def test_verify_mode_well(tmp_path):
     assert rc == 0
 
     rep = _report(out)
-    names = {s["name"] for s in rep["stages"]}
-    assert names == {
+    names = [s["name"] for s in rep["stages"]]
+    assert names == [
         "verify:assumptions", "verify:superquadratic-tail", "verify:splitting",
         "verify:holder", "verify:embedding", "verify:norm-domination",
         "verify:sublevel-bound", "verify:sublevel-measure",
-    }
+    ]
     assert all(s["passed"] for s in rep["stages"])
+
+
+ALL_CHECKS = ("norm-domination, embedding, holder, sublevel-measure, coercivity, splitting, "
+              "sublevel-bound, superquadratic-tail, assumptions")
+
+
+@pytest.mark.parametrize("family", ["coercive", "well"])
+def test_verify_every_check_writes_a_check_record(tmp_path, family):
+    # all nine checks on either family, in the order listed: every summary
+    # is a CheckRecord, and only coercivity fails, on the well's flat zero
+    text = (WELL_CFG if family == "well" else "") + f"checks = {ALL_CHECKS}\n"
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", str(_write(tmp_path, text)), "--out", str(out)])
+
+    stages = _report(out)["stages"]
+    assert [s["name"] for s in stages] == [f"verify:{n}" for n in ALL_CHECKS.split(", ")]
+    for stage in stages:
+        assert list(stage["summary"]) == ["checker", "params", "pass", "witnesses", "data"]
+        assert stage["summary"]["pass"] == stage["passed"]
+    failed = [s["name"] for s in stages if not s["passed"]]
+    assert failed == (["verify:coercivity"] if family == "well" else [])
+    assert rc == (1 if failed else 0)
 
 
 def test_probe_geometry_mode(tmp_path):

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module's body, and
-every name it exports in ``__all__`` is bound in it."""
+every name it exports in ``__all__`` is bound in it; every script imports."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "besselmp"
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((PACKAGE.parent.parent / "scripts").glob("*.py"))
 
 
 def _imported_names(tree):
@@ -85,3 +87,17 @@ def test_private_functions_are_referenced():
             if fn.name not in referenced:
                 unused.append(f"{name}:{fn.lineno} {fn.name}")
     assert not unused, "private functions no module references: " + ", ".join(unused)
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path):
+    # loaded under its own name, not "__main__", so main() does not run; a
+    # library rename that breaks a script's imports fails here
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
+
+
+def test_scripts_found():
+    assert len(SCRIPTS) >= 3

@@ -361,7 +361,7 @@ class TestMountainPass:
         # step on the residual norm; the run stops when one finds no decrease
         spec = build_spec(RunConfig(dim=3, n=8, box_length=10.0, q=3.0))
         probe = probe_geometry(spec)
-        monkeypatch.setattr(solvers, "_newton_direction", lambda spec, u, r: None)
+        monkeypatch.setattr(solvers, "_newton_direction", lambda spec, u, r: (None, 0))
         report = mountain_pass_solve(spec, probe.e, probe=probe)
         norms = [t.residual_norm for t in report.trace if t.phase == "polish"]
         assert len(norms) == 17
@@ -786,6 +786,20 @@ def test_newton_direction_2d(n, box_length, dense):
     delta, iters = _newton_direction(spec, u, r)
     assert (iters == 0) if dense else (0 < iters < MINRES_MAXITER)
     assert np.linalg.norm(apply_j(u, delta) + r) <= 1e-8 * np.linalg.norm(r)
+
+
+def test_capped_minres_solve_shows_in_the_trace(monkeypatch):
+    # a MINRES solve stopped at the cap refuses the Newton step, and the
+    # polish entry still reads the iterations it spent (uncapped: 76-78)
+    with pytest.warns(UserWarning, match="power of two"):
+        spec = build_spec(RunConfig(dim=2, n=48, box_length=15.0))
+    assert spec.grid.total_points > DENSE_MAX_POINTS
+    monkeypatch.setattr(solvers, "MINRES_MAXITER", 3)
+    probe = probe_geometry(spec)
+    report = mountain_pass_solve(spec, probe.e, probe=probe)
+    polish = [t.krylov_iters for t in report.trace if t.phase == "polish"]
+    assert polish and all(k == 3 for k in polish)
+    assert not report.converged
 
 
 @pytest.mark.parametrize("cfg", [

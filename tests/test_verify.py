@@ -26,11 +26,13 @@ from besselmp import (
     lp_norm,
     random_field,
     sublevel_measure,
+    validate_assumptions,
     weighted_norm_sq,
 )
 from besselmp.config import RunConfig, build_spec
 from besselmp.grid import make_grid
 from besselmp.problem import ProblemSpec
+from besselmp.verify import CHECKS
 
 
 def _gaussian(grid, center=0.0, sigma=1.0, amp=1.0):
@@ -291,6 +293,18 @@ def test_coercivity_reports_sublevel_intersections():
     inter = rec.data["sublevel_intersections"]
     assert inter[0] > 0.0  # {V < 10} = {|x| < 3} meets B(0,1)
     assert inter[-1] == 0.0  # and misses B(10,1)
+
+
+@pytest.mark.parametrize("box_length", [2.0, 4.0, 40.0])
+def test_coercivity_stage_walks_the_assumption_radii(box_length):
+    # verify's coercivity stage and the ball_integrals_decay assumption walk
+    # the same eight centers; below a box of 5 they end at 1, not at
+    # L/2 - 1.5 (negative for a box of 2)
+    cfg = RunConfig(box_length=box_length, n=64)
+    spec = build_spec(cfg)
+    radii = CHECKS["coercivity"].run(spec, cfg).params["radii"]
+    assert radii == validate_assumptions(spec).by_name("ball_integrals_decay").witness["radii"]
+    assert radii[0] == 0.0 and radii[-1] == max(0.5 * box_length - 1.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
