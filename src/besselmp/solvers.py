@@ -39,7 +39,6 @@ from typing import ClassVar
 
 import numpy as np
 from scipy import optimize
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .grid import (
     DENSE_MAX_POINTS,
@@ -137,6 +136,9 @@ class TraceEntry:
     # the solve failed (MINRES_MAXITER if it hit the cap); 0 on the dense
     # route and on descent entries
     krylov_iters: int = 0
+    # why that solve stopped: "rtol", "forcing", "cap" or "breakdown"
+    # (see ``_minres``); "" on the dense route and on descent entries
+    krylov_stop: str = ""
 
 
 @dataclass(frozen=True)
@@ -382,68 +384,113 @@ def _hessian_diag(spec, u):
     return vals
 
 
-def _hessian_operator(spec, u):
-    """(H, M): the Hessian of Phi at u and its preconditioner, as LinearOperators on raveled fields.
+def _minres(g, alpha, h, b, forcing=0.0):
+    """Solve H x = b, H = (I - Laplacian)^alpha + diag(h), by MINRES; (x, iterations, stop).
 
-    H = (I - Laplacian)^alpha + diag(``_hessian_diag``) is symmetric, and
-    indefinite at a saddle; M = (I - Laplacian)^(-alpha) is symmetric
-    positive definite.  Each apply is one transform pair.
+    The recurrence is Paige & Saunders' (SIAM J. Numer. Anal. 12, 1975),
+    as in scipy.sparse.linalg.minres, preconditioned with the symmetric
+    positive definite M = (I - Laplacian)^(-alpha).  Each Lanczos vector
+    is v = M r2 / beta, so its multiplier part is (I - Laplacian)^alpha v
+    = r2 / beta and H v = r2 / beta + h v: the preconditioner is the one
+    transform pair of an iteration.  ``stop`` says why the solve ended:
+    "rtol" at a backward error ||H x - b|| / (||H|| ||x||), or a relative
+    ||H r|| / (||H|| ||r||), of MINRES_RTOL (or an exact solution);
+    "forcing" once the recurrence's ||H x - b||_M is at most ``forcing``
+    ||b||_M; "cap" after MINRES_MAXITER iterations; "breakdown" when
+    beta^2 = <r2, M r2> < 0, which a symmetric H and SPD M rule out
+    except by rounding.  x is None on "cap" and "breakdown".
     """
-    g = spec.grid
-    diag = _hessian_diag(spec, u)
-    npts = g.total_points
+    x = np.zeros_like(b)
+    y = _multiply(g, b, -alpha)
+    beta1 = float(np.vdot(b, y))
+    if not beta1 > 0.0:
+        return (x, 0, "rtol") if beta1 == 0.0 else (None, 0, "breakdown")
+    beta1 = math.sqrt(beta1)
+    eps = np.finfo(float).eps
+    oldb, beta, dbar, epsln, phibar, tnorm2 = 0.0, beta1, 0.0, 0.0, beta1, 0.0
+    cs, sn = -1.0, 0.0
+    w = w2 = np.zeros_like(b)
+    r1 = r2 = b
+    for itn in range(1, MINRES_MAXITER + 1):
+        # Lanczos step: v = M r2 / beta, then y = H v - alfa/beta r2 - beta/oldb r1
+        s = 1.0 / beta
+        v = s * y
+        y = s * r2 + h * v
+        if itn >= 2:
+            y -= (beta / oldb) * r1
+        alfa = float(np.vdot(v, y))
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = _multiply(g, r2, -alpha)
+        oldb, beta = beta, float(np.vdot(r2, y))
+        if beta < 0.0:
+            return None, itn, "breakdown"
+        beta = math.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        # apply the previous plane rotation, then make the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar  # phibar = ||H x - b||_M after this update
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x += phi * w
+        anorm = math.sqrt(tnorm2)
+        ynorm = float(np.linalg.norm(x))
+        # beta = 0 at the first step: b is an eigenvector of M H, and x solves exactly
+        exact = itn == 1 and beta / beta1 <= 10.0 * eps
+        if exact or phibar <= MINRES_RTOL * anorm * ynorm or root <= MINRES_RTOL * anorm:
+            return x, itn, "rtol"
+        if phibar <= forcing * beta1:
+            return x, itn, "forcing"
+    return None, MINRES_MAXITER, "cap"
 
-    def matvec(v):
-        v = v.reshape(g.shape)
-        return (_multiply(g, v, spec.alpha) + diag * v).ravel()
 
-    def precond(v):
-        return _multiply(g, v.reshape(g.shape), -spec.alpha).ravel()
-
-    return (LinearOperator((npts, npts), matvec=matvec, dtype=float),
-            LinearOperator((npts, npts), matvec=precond, dtype=float))
-
-
-def _newton_direction(spec, u, r):
-    """Solve (D^2 Phi)(u) delta = -r; (delta, MINRES iterations), delta None if the solve fails.
+def _newton_direction(spec, u, r, forcing=0.0):
+    """Solve (D^2 Phi)(u) delta = -r; (delta, MINRES iterations, stop), delta None if the solve fails.
 
     Up to DENSE_MAX_POINTS unknowns the Hessian is built and solved
-    densely (0 iterations).  Above, it is applied matrix-free
-    (``_hessian_operator``) and solved by MINRES preconditioned with
-    (I - Laplacian)^(-alpha): the Hessian is symmetric but indefinite at
-    a saddle, where CG has no guarantee and GMRES keeps a long
-    recurrence that symmetry makes short, while MINRES needs only
-    symmetry and an SPD preconditioner.  It stops at a backward error of
-    MINRES_RTOL = 1e-12, which leaves a plain relative residual near
-    1e-10, or fails after MINRES_MAXITER iterations, which it then reports.
+    densely (0 iterations, stop "", no forcing term).  Above, ``_minres``
+    applies it matrix-free and solves it preconditioned with
+    (I - Laplacian)^(-alpha): the Hessian is symmetric but indefinite at a
+    saddle, where CG has no guarantee and GMRES keeps a long recurrence
+    that symmetry makes short, while MINRES needs only symmetry and an SPD
+    preconditioner.  It stops at a backward error of MINRES_RTOL = 1e-12,
+    which leaves a plain relative residual near 1e-10, or once
+    ||H delta + r||_M <= forcing ||r||_M, or fails after MINRES_MAXITER
+    iterations, which it then reports; ``stop`` names the test that ended it.
     """
     g = spec.grid
-    rhs = -r.ravel()
-    iters = 0
-    if g.total_points <= DENSE_MAX_POINTS:
-        J = g.multiplier_matrix(spec.alpha) + np.diag(_hessian_diag(spec, u).ravel())
-        try:
-            delta = np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError:
-            delta = None
+    h = _hessian_diag(spec, u)
+    if g.total_points > DENSE_MAX_POINTS:
+        delta, iters, stop = _minres(g, spec.alpha, h, -r, forcing)
     else:
-        H, M = _hessian_operator(spec, u)
-
-        def count(_):
-            nonlocal iters
-            iters += 1
-
-        delta, info = minres(H, rhs, M=M, rtol=MINRES_RTOL, maxiter=MINRES_MAXITER,
-                             callback=count)
-        if info != 0:
-            delta = None
+        J = g.multiplier_matrix(spec.alpha) + np.diag(h.ravel())
+        try:
+            delta, iters, stop = np.linalg.solve(J, -r.ravel()).reshape(g.shape), 0, ""
+        except np.linalg.LinAlgError:
+            delta, iters, stop = None, 0, ""
     if delta is None or not np.all(np.isfinite(delta)):
-        return None, iters
-    return delta.reshape(g.shape), iters
+        return None, iters, stop
+    return delta, iters, stop
 
 
 def _polish(spec, u, opts, trace, it0):
-    """Damped Newton on the residual; returns (u, residual_norm, iterations_used)."""
+    """Damped Newton on the residual; returns (u, residual_norm, iterations_used).
+
+    A Krylov solve stops at the inexact-Newton forcing term
+    min(0.1, 0.1 ||r||_2), which keeps Newton's local quadratic rate
+    (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982) without
+    solving far past what the current residual can use.  It is never
+    below 0.5 tol / ||r||_2 (Kelley, Iterative Methods for Linear and
+    Nonlinear Equations, 1995): near the end a step only has to take the
+    residual to tol, and solving past that can cost more than the cap.
+    """
     it = it0
     for _ in range(NEWTON_MAX):
         r = _residual(spec, u)
@@ -453,7 +500,8 @@ def _polish(spec, u, opts, trace, it0):
         if rn <= opts.tol:
             trace.append(entry)
             return u, rn, it
-        delta, iters = _newton_direction(spec, u, r)
+        forcing = min(0.1, max(0.1 * rn, 0.5 * opts.tol / rn))
+        delta, iters, stop = _newton_direction(spec, u, r, forcing)
         # the damped Newton trials u + s delta, s = 1, 1/2, ... above 1e-10
         trials = () if delta is None else ((s, u + s * delta) for s in _steps(1.0, NEWTON_TRIES))
         found, tried = _first(trials,
@@ -464,7 +512,7 @@ def _polish(spec, u, opts, trace, it0):
             found, more = _first(((s, u - s * d) for s in _steps(1.0, BACKTRACK_TRIES)),
                                  lambda st: _residual_norm(spec, st[1]) < rn)
             tried += more
-        trace.append(replace(entry, trials=tried, krylov_iters=iters))
+        trace.append(replace(entry, trials=tried, krylov_iters=iters, krylov_stop=stop))
         if found is None:
             return u, max(rn, 1e-30), it
         u = found[1]

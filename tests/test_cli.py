@@ -70,13 +70,14 @@ def test_two_solutions_mode(tmp_path, well_result):
     for trace in ("trace.csv", "trace_ball.csv"):
         header = (out / trace).read_text().splitlines()[0].split(",")
         assert header == ["iteration", "energy", "residual_norm", "step_size",
-                          "phase", "trials", "krylov_iters"], trace
+                          "phase", "trials", "krylov_iters", "krylov_stop"], trace
         rows = [row.split(",") for row in (out / trace).read_text().splitlines()[1:]]
         # trial points behind each entry: a whole count, 0 on the final one
         trials = [int(row[header.index("trials")]) for row in rows]
         assert min(trials) >= 0 and trials[-1] == 0, trace
         # the 1-D well takes the dense Newton route: no MINRES iterations
         assert all(row[header.index("krylov_iters")] == "0" for row in rows), trace
+        assert all(row[header.index("krylov_stop")] == "" for row in rows), trace
 
     summary = rep["stages"][-1]["summary"]
     levels = summary["levels"]

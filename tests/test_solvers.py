@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
+from scipy.sparse.linalg import LinearOperator, minres
 
 from besselmp import (
     CustomNonlinearity,
@@ -35,7 +36,7 @@ from besselmp import (
 )
 from besselmp import solvers
 from besselmp.config import RunConfig, build_spec
-from besselmp.grid import DENSE_MAX_POINTS
+from besselmp.grid import DENSE_MAX_POINTS, _multiply
 from besselmp.problem import _energy_rows, _residual_rows
 from besselmp.solvers import (
     DEFAULT_WELL_SWEEP,
@@ -43,7 +44,7 @@ from besselmp.solvers import (
     _armijo_step,
     _fibering,
     _hessian_diag,
-    _hessian_operator,
+    _minres,
     _newton_direction,
 )
 
@@ -361,7 +362,8 @@ class TestMountainPass:
         # step on the residual norm; the run stops when one finds no decrease
         spec = build_spec(RunConfig(dim=3, n=8, box_length=10.0, q=3.0))
         probe = probe_geometry(spec)
-        monkeypatch.setattr(solvers, "_newton_direction", lambda spec, u, r: (None, 0))
+        monkeypatch.setattr(solvers, "_newton_direction",
+                            lambda spec, u, r, forcing: (None, 0, ""))
         report = mountain_pass_solve(spec, probe.e, probe=probe)
         norms = [t.residual_norm for t in report.trace if t.phase == "polish"]
         assert len(norms) == 17
@@ -700,20 +702,24 @@ def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
 
 
 def test_steep_well_on_the_krylov_route():
-    # 4096 points take the MINRES route in every Newton step; the pins were
-    # recorded on one BLAS thread.  The Morse index is not checked: the
-    # dense Hessian at this size is a 4096 x 4096 eigenproblem.
+    # 4096 points take the MINRES route in every Newton step, each solve
+    # stopped by its forcing term; the pins were recorded on one BLAS
+    # thread.  The Morse index is not checked: the dense Hessian at this
+    # size is a 4096 x 4096 eigenproblem.
     spec = build_spec(RunConfig(dim=2, n=64, box_length=20.0, potential="well",
                                 lam=100.0, mu=0.05))
     assert spec.grid.total_points > DENSE_MAX_POINTS
     r = two_solution_experiment(spec)
     assert r.success, r.failed_stage
     assert r.mountain_pass.energy == 3.954640855291907
-    assert r.local_min.energy == -2.338150707851388e-08
+    assert r.local_min.energy == -2.3381507078488643e-08
     for report in (r.mountain_pass, r.local_min):
-        polish = [t.krylov_iters for t in report.trace if t.phase == "polish"]
-        assert all(0 < k < MINRES_MAXITER for k in polish[:-1]) and polish[-1] == 0
-        assert all(t.krylov_iters == 0 for t in report.trace if t.phase != "polish")
+        polish = [t for t in report.trace if t.phase == "polish"]
+        assert all(0 < t.krylov_iters < MINRES_MAXITER for t in polish[:-1])
+        assert all(t.krylov_stop == "forcing" for t in polish[:-1])
+        assert polish[-1].krylov_iters == 0 and polish[-1].krylov_stop == ""
+        assert all(t.krylov_iters == 0 and t.krylov_stop == ""
+                   for t in report.trace if t.phase != "polish")
 
 
 # every pair certifies with c > eta; two saddles pinned on one BLAS thread
@@ -783,22 +789,23 @@ def test_newton_direction_2d(n, box_length, dense):
     # J is indefinite at u, so on the Krylov grid MINRES meets an indefinite system
     assert np.sum(apply_j(u, u) * u) < 0.0
     r = residual(spec, Field(g, u)).values
-    delta, iters = _newton_direction(spec, u, r)
-    assert (iters == 0) if dense else (0 < iters < MINRES_MAXITER)
+    delta, iters, stop = _newton_direction(spec, u, r)
+    assert (iters, stop) == (0, "") if dense else (0 < iters < MINRES_MAXITER and stop == "rtol")
     assert np.linalg.norm(apply_j(u, delta) + r) <= 1e-8 * np.linalg.norm(r)
 
 
 def test_capped_minres_solve_shows_in_the_trace(monkeypatch):
     # a MINRES solve stopped at the cap refuses the Newton step, and the
-    # polish entry still reads the iterations it spent (uncapped: 76-78)
+    # polish entry still reads the iterations it spent (uncapped: 13-34,
+    # each solve stopped by its forcing term); the cap is read at call time
     with pytest.warns(UserWarning, match="power of two"):
         spec = build_spec(RunConfig(dim=2, n=48, box_length=15.0))
     assert spec.grid.total_points > DENSE_MAX_POINTS
     monkeypatch.setattr(solvers, "MINRES_MAXITER", 3)
     probe = probe_geometry(spec)
     report = mountain_pass_solve(spec, probe.e, probe=probe)
-    polish = [t.krylov_iters for t in report.trace if t.phase == "polish"]
-    assert polish and all(k == 3 for k in polish)
+    polish = [t for t in report.trace if t.phase == "polish"]
+    assert polish and all(t.krylov_iters == 3 and t.krylov_stop == "cap" for t in polish)
     assert not report.converged
 
 
@@ -807,17 +814,78 @@ def test_capped_minres_solve_shows_in_the_trace(monkeypatch):
     RunConfig(dim=2, n=16, box_length=15.0),
     RunConfig(dim=3, n=8, box_length=10.0, q=3.0),
 ], ids=["1d", "2d", "3d"])
-def test_hessian_operator_is_symmetric_with_positive_preconditioner(cfg):
-    # MINRES needs a symmetric operator and a positive definite preconditioner
+def test_minres_pieces_are_symmetric_with_positive_preconditioner(cfg):
+    # _minres takes H v = r2 / beta + h v for v = M r2 / beta, which needs
+    # (I - Laplacian)^alpha M = I; MINRES itself needs H symmetric and M
+    # positive definite
     spec = build_spec(cfg)
-    g = spec.grid
-    u = 2.0 * np.exp(-g.radius_sq)
-    H, M = _hessian_operator(spec, u)
+    g, alpha = spec.grid, spec.alpha
+    h = _hessian_diag(spec, 2.0 * np.exp(-g.radius_sq))
+
+    def H(v):
+        return _multiply(g, v, alpha) + h * v
+
     rng = np.random.default_rng(cfg.dim)
     for _ in range(5):
-        x, y = rng.standard_normal((2, g.total_points))
-        assert np.dot(H @ x, y) == pytest.approx(np.dot(x, H @ y), rel=1e-12)
-        assert np.dot(M @ x, x) > 0.0
+        x, y = rng.standard_normal((2,) + g.shape)
+        back = _multiply(g, _multiply(g, x, -alpha), alpha)
+        assert np.linalg.norm(back - x) <= 1e-13 * np.linalg.norm(x)
+        assert np.vdot(H(x), y) == pytest.approx(np.vdot(x, H(y)), rel=1e-12)
+        assert np.vdot(_multiply(g, x, -alpha), x) > 0.0
+
+
+def _krylov_system(cfg):
+    """(grid, alpha, h, b, H, M): a Newton system at 2 exp(-|x|^2) and its operators on arrays."""
+    spec = build_spec(cfg)
+    g, alpha = spec.grid, spec.alpha
+    assert g.total_points > DENSE_MAX_POINTS
+    u = 2.0 * np.exp(-g.radius_sq)
+    h = _hessian_diag(spec, u)
+    b = -residual(spec, Field(g, u)).values
+    return g, alpha, h, b, (lambda v: _multiply(g, v, alpha) + h * v), (lambda v: _multiply(g, v, -alpha))
+
+
+KRYLOV_GRIDS = [RunConfig(dim=2, n=64, box_length=15.0),
+                RunConfig(dim=3, n=16, box_length=10.0, q=3.0)]
+
+
+@pytest.mark.parametrize("cfg", KRYLOV_GRIDS, ids=["2d", "3d"])
+def test_minres_matches_scipy(cfg):
+    # with no forcing term _minres is SciPy's recurrence at one transform
+    # pair per iteration instead of two
+    g, alpha, h, b, H, M = _krylov_system(cfg)
+    delta, iters, stop = _minres(g, alpha, h, b)
+    assert stop == "rtol"
+
+    npts = g.total_points
+    ops = [LinearOperator((npts, npts), matvec=lambda v, f=f: f(v.reshape(g.shape)).ravel(),
+                          dtype=float) for f in (H, M)]
+    count = []
+    ref, info = minres(ops[0], b.ravel(), M=ops[1], rtol=solvers.MINRES_RTOL,
+                       maxiter=MINRES_MAXITER, callback=count.append)
+    assert info == 0
+    assert abs(iters - len(count)) <= 2
+    assert np.linalg.norm(delta.ravel() - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cfg", KRYLOV_GRIDS, ids=["2d", "3d"])
+@pytest.mark.parametrize("forcing", [0.1, 1e-4])
+def test_minres_forcing_bounds_the_preconditioned_residual(cfg, forcing):
+    g, alpha, h, b, H, M = _krylov_system(cfg)
+    exact_iters = _minres(g, alpha, h, b)[1]
+    delta, iters, stop = _minres(g, alpha, h, b, forcing)
+    assert stop == "forcing" and 0 < iters < exact_iters
+    res = H(delta) - b
+    assert math.sqrt(np.vdot(res, M(res))) <= forcing * math.sqrt(np.vdot(b, M(b)))
+
+
+def test_minres_zero_rhs_and_breakdown(monkeypatch):
+    g, alpha, h, b, _, _ = _krylov_system(KRYLOV_GRIDS[0])
+    x, iters, stop = _minres(g, alpha, h, np.zeros_like(b))
+    assert iters == 0 and stop == "rtol" and not np.any(x)
+    # a preconditioner that is not positive definite breaks the recurrence
+    monkeypatch.setattr(solvers, "_multiply", lambda grid, v, s: -v)
+    assert _minres(g, alpha, h, b) == (None, 0, "breakdown")
 
 
 # ---------------------------------------------------------------------------
