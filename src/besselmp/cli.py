@@ -29,7 +29,6 @@ from .config import (
     resolve_checks,
 )
 from .fieldio import save_field
-from .kernels import bessel_kernel
 from .solvers import TraceEntry, _attempt, two_solution_stages
 from .verify import CHECKS
 
@@ -149,6 +148,8 @@ def _verify_stages(cfg, out):
 
 
 def _kernel_table_stages(cfg, out):
+    from .kernels import bessel_kernel  # SciPy quadrature; only this mode imports it
+
     def table():
         buf = io.StringIO()
         writer = csv.writer(buf)

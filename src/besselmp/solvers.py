@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy import optimize
 
 from .grid import (
     DENSE_MAX_POINTS,
@@ -201,6 +200,62 @@ def _first(candidates, accept):
     return None, tested
 
 
+def _brentq(f, a, b, xtol=2e-12, rtol=4 * float(np.finfo(float).eps), maxiter=100):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign: SciPy's Brent loop.
+
+    A port of the C loop behind scipy.optimize.brentq (``brentq.c``), so it
+    returns the same float under the same contract.  It stops when the
+    bracket's half-width falls below (xtol + rtol |x|) / 2, returns an
+    endpoint where f is exactly 0, raises ValueError on a bracket without
+    a sign change or on a NaN value of f, and raises RuntimeError after
+    ``maxiter`` iterations.  A solve calls it a few times, on scalar
+    functions, so the Python loop costs well under a millisecond.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x:.6g} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 # ---------------------------------------------------------------------------
 # geometry probe
 
@@ -229,7 +284,7 @@ def _ridge_bound(spec, c_inf, c_2):
 
     lo = ((2.0 - p) / (q * a * (q - p))) ** (1.0 / (q - 2.0))
     hi = (q * a) ** (-1.0 / (q - 2.0))
-    rho = optimize.brentq(slope, lo, hi) if slope(hi) < 0.0 else hi
+    rho = _brentq(slope, lo, hi) if slope(hi) < 0.0 else hi
     return rho, 0.5 * rho**2 - a * rho**q - mu * b * rho**p, budget
 
 
@@ -313,11 +368,12 @@ def _fibering(spec, w, bottom=False):
     int F(x, t w) - t^p xi_term with the pieces of one ``_energy_rows(w)``
     call; only int F and int f(x, t w) w depend on t, and both are
     pointwise, so no t costs a transform.  From t = 1 the walk doubles or
-    halves t until dPhi/dt changes sign, and brentq refines that bracket:
-    toward a top it doubles while dPhi/dt > 0 and halves while dPhi/dt <=
-    0, toward a bottom the other way round.  So it finds the requested
-    point only from its own side of the other one: a ray scaled past its
-    top has no bottom found, and one below its bottom no top.  (nan, inf)
+    halves t until dPhi/dt changes sign, and ``_brentq``, an in-house port
+    of SciPy's Brent loop, refines that bracket: toward a top it doubles
+    while dPhi/dt > 0 and halves while dPhi/dt <= 0, toward a bottom the
+    other way round.  So it finds the requested point only from its own
+    side of the other one: a ray scaled past its top has no bottom found,
+    and one below its bottom no top.  (nan, inf)
     when Phi(w) is not finite or the walk finds no sign change within
     BACKTRACK_TRIES doublings or halvings; a descent refuses such a trial.
     """
@@ -341,8 +397,7 @@ def _fibering(spec, w, bottom=False):
         t = nxt
     else:
         return math.nan, math.inf
-    crit = optimize.brentq(slope, min(t, nxt), max(t, nxt), xtol=1e-300,
-                           rtol=4 * np.finfo(float).eps)  # brentq's finest
+    crit = _brentq(slope, min(t, nxt), max(t, nxt), xtol=1e-300)  # the finest tolerances
     push = float(np.sum(spec.nonlinearity.F(coords, crit * w))) * vol
     return crit, crit**2 * quad - push - crit**p * xi_term
 
@@ -857,7 +912,7 @@ def ps_diagnostics(spec: ProblemSpec, iterates) -> PSDiagnostics:
             if h(hi) > 0.0:
                 break
             hi *= 2.0
-        norm_bound = float(optimize.brentq(h, 0.0, hi)) if h(hi) > 0 else math.inf
+        norm_bound = _brentq(h, 0.0, hi) if h(hi) > 0 else math.inf
 
     return PSDiagnostics(
         entries=tuple(entries), level=c_level, xi_norm=xi_norm, norm_bound=norm_bound, max_norm=max_norm,

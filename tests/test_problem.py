@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from besselmp import (
     CoerciveQuadraticPotential,
@@ -27,8 +28,17 @@ from besselmp import (
     validate_assumptions,
     weighted_norm_sq,
 )
+from besselmp.config import RunConfig, build_spec
 from besselmp.grid import apply_multiplier, make_grid
-from besselmp.problem import _energy_rows, _residual_rows, eval_F, eval_f, eval_scrF
+from besselmp.problem import (
+    _component_count,
+    _energy_rows,
+    _erode,
+    _residual_rows,
+    eval_F,
+    eval_f,
+    eval_scrF,
+)
 
 
 def _rng(seed):
@@ -340,6 +350,41 @@ def test_canonical_well_assumptions_pass(well_spec):
     # coercive family only
     assert not report.by_name("positive_infimum").passed
     assert not report.by_name("positive_infimum").required
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.integers(1, 3).flatmap(lambda dim: st.tuples(*[st.integers(1, 12)] * dim)),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1))
+def test_erosion_and_component_count_match_ndimage(shape, density, seed):
+    # face connectivity, no wrap-around, the box edge erodes; random masks
+    # touch the edge in most draws
+    mask = _rng(seed).random(shape) < density
+    np.testing.assert_array_equal(_erode(mask), ndimage.binary_erosion(mask))
+    assert _component_count(mask) == ndimage.label(mask)[1]
+
+
+# the flat_zero_region checks as scipy.ndimage computed them
+_FLAT_ZERO = {
+    "coercive": (False, "zero set has measure 0 in 0 component(s)", 0.0, 0),
+    "well": (True, "zero set has measure 2.031 in 1 component(s)", 2.03125, 1),
+    "verify-2d-coercive": (False, "zero set has measure 0 in 0 component(s)", 0.0, 0),
+    "verify-2d-well": (True, "zero set has measure 3.516 in 1 component(s)", 3.515625, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLAT_ZERO))
+def test_flat_zero_region_pins(name):
+    if name.startswith("verify-2d"):
+        family = "well" if name.endswith("well") else "coercive_quadratic"
+        spec = build_spec(RunConfig(mode="verify", dim=2, n=64, box_length=40.0,
+                                    potential=family, trials=1000))
+    else:
+        spec = canonical_well_spec() if name == "well" else canonical_coercive_spec()
+    check = validate_assumptions(spec).by_name("flat_zero_region")
+    passed, detail, measure, components = _FLAT_ZERO[name]
+    assert check.passed is passed
+    assert check.detail == detail + "; boundary smoothness is not machine-checkable"
+    assert check.witness == {"measure": measure, "components": components}
 
 
 def test_flat_potential_fails_ball_decay():

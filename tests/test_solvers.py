@@ -42,6 +42,7 @@ from besselmp.solvers import (
     DEFAULT_WELL_SWEEP,
     MINRES_MAXITER,
     _armijo_step,
+    _brentq,
     _fibering,
     _hessian_diag,
     _minres,
@@ -451,6 +452,51 @@ def test_fibering_without_a_bottom(coercive_spec, coercive_probe):
         assert math.isnan(t) and level == math.inf
 
 
+FINEST = {"xtol": 1e-300, "rtol": 4 * np.finfo(float).eps}  # _fibering's tolerances
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=st.floats(-50.0, 50.0), left=st.floats(1e-6, 30.0), right=st.floats(1e-6, 30.0),
+       power=st.sampled_from([1, 3, 5]), bend=st.floats(0.0, 5.0), centre=st.floats(-5.0, 5.0),
+       wiggle=st.floats(-0.5, 0.5), flip=st.booleans(), tol=st.sampled_from([{}, FINEST]))
+def test_brentq_matches_scipy(root, left, right, power, bend, centre, wiggle, flip, tol):
+    # (x - root)^power times a positive factor, plus a bounded wiggle that
+    # moves the root: the interpolation, extrapolation and bisection branches
+    def f(x):
+        value = (x - root) ** power * (1.0 + bend * (x - centre) ** 2) + wiggle * math.sin(3.0 * x)
+        return -value if flip else value
+
+    a, b = root - left, root + right
+    try:
+        expected = optimize.brentq(f, a, b, **tol)
+    except (ValueError, RuntimeError) as err:  # a same-sign bracket, or maxiter reached
+        with pytest.raises(type(err)):
+            _brentq(f, a, b, **tol)
+        return
+    assert _brentq(f, a, b, **tol) == expected
+
+
+def test_brentq_endpoints_and_failures():
+    def line(x):
+        return x - 1.0
+
+    assert _brentq(line, 1.0, 2.0) == 1.0 and _brentq(line, 0.0, 1.0) == 1.0
+    assert type(_brentq(line, 0.0, 3.0)) is float
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+
+    def steep(x):
+        return math.tanh(40.0 * (x - 0.3)) + 1e-3 * x
+
+    with pytest.raises(RuntimeError):
+        optimize.brentq(steep, -10.0, 10.0, maxiter=3)
+    with pytest.raises(RuntimeError, match="3 iterations"):
+        _brentq(steep, -10.0, 10.0, maxiter=3)
+    assert _brentq(steep, -10.0, 10.0, **FINEST) == optimize.brentq(steep, -10.0, 10.0, **FINEST)
+
+
 def test_descent_iterates_sit_on_the_nehari_manifold(monkeypatch):
     # every accepted iterate is the top of its ray, where <r(u), u> = 0
     spec = build_spec(RunConfig(dim=2, n=32, box_length=20.0, potential="well",
@@ -798,8 +844,7 @@ def test_capped_minres_solve_shows_in_the_trace(monkeypatch):
     # a MINRES solve stopped at the cap refuses the Newton step, and the
     # polish entry still reads the iterations it spent (uncapped: 13-34,
     # each solve stopped by its forcing term); the cap is read at call time
-    with pytest.warns(UserWarning, match="power of two"):
-        spec = build_spec(RunConfig(dim=2, n=48, box_length=15.0))
+    spec = build_spec(RunConfig(dim=2, n=48, box_length=15.0))
     assert spec.grid.total_points > DENSE_MAX_POINTS
     monkeypatch.setattr(solvers, "MINRES_MAXITER", 3)
     probe = probe_geometry(spec)
