@@ -45,12 +45,14 @@ GRID_MAX_POINTS = 2**20
 # fields (64 at n=256 in 1-D, 7 at 48 x 48), which bounds the temporaries.
 BATCH_MAX_POINTS = 16384
 
-# Radices with a fast pass in numpy's FFT.  A size with a larger prime factor
-# goes through a generic pass whose cost per point grows with that prime.  A
-# 2-D rfftn/irfftn pair on one core of a 2-core x86 box (NumPy 2.4) costs
-# about 32 ns per point at n=64, 45 at 48, 33 at 104 = 8 x 13, 62 at
-# 188 = 4 x 47 and 177 at the prime 97.
-FFT_FAST_RADICES = (2, 3, 5, 7, 11)
+# Largest prime factor of n that keeps numpy's FFT fast.  Past its fast
+# radices numpy runs a generic pass whose cost per point grows with the
+# prime.  2-D rfftn/irfftn pairs on one core of a 2-core x86 box (NumPy 2.4,
+# best of 12 interleaved timings) cost, relative to n=64: 1.34 at 48,
+# 0.88-1.30 for n with a largest prime factor of 13 to 29 (104, 117, 68,
+# 76, 92, 116), 1.33-1.88 at 31 (124, 62), 1.8-2.0 at 37 and 41, 2.1-2.5
+# from 43 to 53 (94, 188, 106) and 5.4 at the prime 97.
+FFT_MAX_PRIME = 29
 
 
 def _require(*rules) -> None:
@@ -60,12 +62,14 @@ def _require(*rules) -> None:
         raise ValueError("; ".join(problems))
 
 
-def _slow_part(n: int) -> int:
-    """n with every factor in FFT_FAST_RADICES divided out."""
-    for radix in FFT_FAST_RADICES:
-        while n % radix == 0:
-            n //= radix
-    return n
+def _largest_prime_factor(n: int) -> int:
+    """The largest prime factor of n >= 2."""
+    largest, factor = 1, 2
+    while factor * factor <= n:
+        while n % factor == 0:
+            largest, n = factor, n // factor
+        factor += 1
+    return max(largest, n)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -94,10 +98,10 @@ class Grid:
         object.__setattr__(self, "box_length", float(self.box_length))
         if self.n < 8:
             warnings.warn(f"n={self.n} is very coarse; results will be poorly resolved")
-        elif _slow_part(self.n) > 1:
+        elif _largest_prime_factor(self.n) > FFT_MAX_PRIME:
             # numpy's mixed-radix FFT stays exact, only speed suffers
-            warnings.warn(f"n={self.n} has a prime factor above 11, which numpy's FFT has no "
-                          "fast pass for; transforms may be slower")
+            warnings.warn(f"n={self.n} has a prime factor above {FFT_MAX_PRIME}; numpy's FFT "
+                          "runs about twice as slow per point or slower at such sizes")
 
     @property
     def spacing(self) -> float:

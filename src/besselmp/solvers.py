@@ -131,12 +131,14 @@ class TraceEntry:
     # trial points scored by the step taken from this entry: energies in
     # the Nehari descent and the ball, residual norms in the polish
     trials: int
-    # MINRES iterations behind a polish entry's Newton direction, also when
-    # the solve failed (MINRES_MAXITER if it hit the cap); 0 on the dense
-    # route and on descent entries
+    # Krylov iterations behind the entry: CG iterations of a descent entry's
+    # gradient solve, MINRES iterations of a polish entry's Newton direction,
+    # also when the solve failed (MINRES_MAXITER if it hit the cap); 0 on
+    # the dense route
     krylov_iters: int = 0
-    # why that solve stopped: "rtol", "forcing", "cap" or "breakdown"
-    # (see ``_minres``); "" on the dense route and on descent entries
+    # why a polish entry's MINRES solve stopped: "rtol", "forcing", "cap" or
+    # "breakdown" (see ``_minres``); "" on the dense route and on descent
+    # entries
     krylov_stop: str = ""
 
 
@@ -328,35 +330,46 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
 # mountain pass
 
 
+def _scaled_inverse(g, alpha, scale, v):
+    """M v for M = D (I - Laplacian)^(-alpha) D, D = diag(scale): one transform pair.
+
+    M is symmetric positive definite for any positive ``scale``.  With
+    D = (1 + |pointwise part|)^(-1/2) it is a diagonal stand-in for the
+    absolute-value preconditioner |H|^(-1) of Vecharynski & Knyazev
+    (SIAM J. Sci. Comput. 35, 2013): (I - Laplacian)^(-alpha) alone does
+    not see a potential wall thousands of times higher than the symbol.
+    """
+    return scale * _multiply(g, scale * v, -alpha)
+
+
 def _riesz_gradient(spec, r):
-    """d ~ K^{-1} r, the gradient in the lam-norm, and its slope <r, d>.
+    """d ~ K^{-1} r, the gradient in the lam-norm; (d, its slope <r, d>, CG iterations).
 
     K = (I - Laplacian)^alpha + lam V is solved by conjugate gradients
-    preconditioned with (I - Laplacian)^{-alpha}, from d = 0 until the
-    residual's preconditioned norm falls below RIESZ_RTOL of its start.
-    CG from 0 keeps <r, d> = ||d||_lam^2 > 0 for r != 0, so -d is a
-    descent direction and <r, d>^(1/2) estimates the dual norm of r.
-    The preconditioner inverts the operator's first part, so that part of
-    each search direction p = z + beta p' follows from the residual as
-    res + beta (its value on p'): one transform pair per iteration.
+    preconditioned with M = D (I - Laplacian)^{-alpha} D, D = (1 + lam V)^(-1/2)
+    (``_scaled_inverse``), from d = 0 until the residual's M-norm falls
+    below RIESZ_RTOL of its start.  CG from 0 keeps <r, d> = ||d||_lam^2 > 0
+    for r != 0, so -d is a descent direction and <r, d>^(1/2) estimates the
+    dual norm of r.  An iteration costs two transform pairs, K p and M res.
     """
-    g = spec.grid
+    g, alpha = spec.grid, spec.alpha
     weight = spec.lam * spec.V_field.values
+    scale = 1.0 / np.sqrt(1.0 + weight)
     d = np.zeros_like(r)
-    res, z = r, _multiply(g, r, -spec.alpha)
+    res, z = r, _scaled_inverse(g, alpha, scale, r)
     rz = rz0 = float(np.sum(res * z))
-    p, ap = z, r  # ap = (I - Laplacian)^alpha p
-    for _ in range(g.total_points):
-        if not rz > RIESZ_RTOL**2 * rz0:
-            break
-        kp = ap + weight * p
+    p = z
+    iters = 0
+    while iters < g.total_points and rz > RIESZ_RTOL**2 * rz0:
+        iters += 1
+        kp = _multiply(g, p, alpha) + weight * p
         a = rz / float(np.sum(p * kp))
         d = d + a * p
         res = res - a * kp
-        z = _multiply(g, res, -spec.alpha)
+        z = _scaled_inverse(g, alpha, scale, res)
         rz, prev = float(np.sum(res * z)), rz
-        p, ap = z + (rz / prev) * p, res + (rz / prev) * ap
-    return d, float(np.sum(r * d)) * g.cell_volume
+        p = z + (rz / prev) * p
+    return d, float(np.sum(r * d)) * g.cell_volume, iters
 
 
 def _fibering(spec, w, bottom=False):
@@ -434,7 +447,7 @@ def _hessian_diag(spec, u):
         # meaningless there, so it is clamped off below a floor
         au = np.abs(u)
         floor = 1e-12 * max(1.0, float(np.max(au)))
-        curv = np.where(au > floor, au ** (spec.p - 2.0), 0.0)
+        curv = np.power(au, spec.p - 2.0, out=np.zeros_like(au), where=au > floor)
         vals = vals - spec.mu * (spec.p - 1.0) * spec.xi_field.values * curv
     return vals
 
@@ -444,10 +457,9 @@ def _minres(g, alpha, h, b, forcing=0.0):
 
     The recurrence is Paige & Saunders' (SIAM J. Numer. Anal. 12, 1975),
     as in scipy.sparse.linalg.minres, preconditioned with the symmetric
-    positive definite M = (I - Laplacian)^(-alpha).  Each Lanczos vector
-    is v = M r2 / beta, so its multiplier part is (I - Laplacian)^alpha v
-    = r2 / beta and H v = r2 / beta + h v: the preconditioner is the one
-    transform pair of an iteration.  ``stop`` says why the solve ended:
+    positive definite M = D (I - Laplacian)^(-alpha) D, D = (1 + |h|)^(-1/2)
+    (``_scaled_inverse``).  An iteration costs two transform pairs, H v and
+    M r2.  ``stop`` says why the solve ended:
     "rtol" at a backward error ||H x - b|| / (||H|| ||x||), or a relative
     ||H r|| / (||H|| ||r||), of MINRES_RTOL (or an exact solution);
     "forcing" once the recurrence's ||H x - b||_M is at most ``forcing``
@@ -455,8 +467,9 @@ def _minres(g, alpha, h, b, forcing=0.0):
     beta^2 = <r2, M r2> < 0, which a symmetric H and SPD M rule out
     except by rounding.  x is None on "cap" and "breakdown".
     """
+    scale = 1.0 / np.sqrt(1.0 + np.abs(h))
     x = np.zeros_like(b)
-    y = _multiply(g, b, -alpha)
+    y = _scaled_inverse(g, alpha, scale, b)
     beta1 = float(np.vdot(b, y))
     if not beta1 > 0.0:
         return (x, 0, "rtol") if beta1 == 0.0 else (None, 0, "breakdown")
@@ -470,13 +483,14 @@ def _minres(g, alpha, h, b, forcing=0.0):
         # Lanczos step: v = M r2 / beta, then y = H v - alfa/beta r2 - beta/oldb r1
         s = 1.0 / beta
         v = s * y
-        y = s * r2 + h * v
+        y = _multiply(g, v, alpha)
+        y += h * v
         if itn >= 2:
             y -= (beta / oldb) * r1
         alfa = float(np.vdot(v, y))
         y -= (alfa / beta) * r2
         r1, r2 = r2, y
-        y = _multiply(g, r2, -alpha)
+        y = _scaled_inverse(g, alpha, scale, r2)
         oldb, beta = beta, float(np.vdot(r2, y))
         if beta < 0.0:
             return None, itn, "breakdown"
@@ -493,7 +507,9 @@ def _minres(g, alpha, h, b, forcing=0.0):
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar  # phibar = ||H x - b||_M after this update
         w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) / gamma
+        w = v - oldeps * w1
+        w -= delta * w2
+        w /= gamma
         x += phi * w
         anorm = math.sqrt(tnorm2)
         ynorm = float(np.linalg.norm(x))
@@ -512,13 +528,14 @@ def _newton_direction(spec, u, r, forcing=0.0):
     Up to DENSE_MAX_POINTS unknowns the Hessian is built and solved
     densely (0 iterations, stop "", no forcing term).  Above, ``_minres``
     applies it matrix-free and solves it preconditioned with
-    (I - Laplacian)^(-alpha): the Hessian is symmetric but indefinite at a
-    saddle, where CG has no guarantee and GMRES keeps a long recurrence
-    that symmetry makes short, while MINRES needs only symmetry and an SPD
-    preconditioner.  It stops at a backward error of MINRES_RTOL = 1e-12,
-    which leaves a plain relative residual near 1e-10, or once
-    ||H delta + r||_M <= forcing ||r||_M, or fails after MINRES_MAXITER
-    iterations, which it then reports; ``stop`` names the test that ended it.
+    D (I - Laplacian)^(-alpha) D, D = (1 + |h|)^(-1/2): the Hessian is
+    symmetric but indefinite at a saddle, where CG has no guarantee and
+    GMRES keeps a long recurrence that symmetry makes short, while MINRES
+    needs only symmetry and an SPD preconditioner.  It stops at a backward
+    error of MINRES_RTOL = 1e-12, which leaves a plain relative residual
+    near 1e-10, or once ||H delta + r||_M <= forcing ||r||_M, or fails
+    after MINRES_MAXITER iterations, which it then reports; ``stop`` names
+    the test that ended it.
     """
     g = spec.grid
     h = _hessian_diag(spec, u)
@@ -598,8 +615,8 @@ def _nehari_solve(spec, u, level, bottom, opts):
     it = 0
     while it < opts.max_iter:
         r = _residual(spec, u)
-        d, slope = _riesz_gradient(spec, r)
-        entry = TraceEntry(it, level, _lp_norm(g, r, 2), step, phase, 0)
+        d, slope, cg_iters = _riesz_gradient(spec, r)
+        entry = TraceEntry(it, level, _lp_norm(g, r, 2), step, phase, 0, krylov_iters=cg_iters)
         it += 1
         if slope <= (HANDOVER_RATIO * float(_norm_lam(spec, u))) ** 2:
             trace.append(entry)

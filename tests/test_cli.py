@@ -75,8 +75,12 @@ def test_two_solutions_mode(tmp_path, well_result):
         # trial points behind each entry: a whole count, 0 on the final one
         trials = [int(row[header.index("trials")]) for row in rows]
         assert min(trials) >= 0 and trials[-1] == 0, trace
-        # the 1-D well takes the dense Newton route: no MINRES iterations
-        assert all(row[header.index("krylov_iters")] == "0" for row in rows), trace
+        # descent rows count their gradient solve's CG iterations; the 1-D
+        # well takes the dense Newton route, so polish rows count none
+        phase, iters = header.index("phase"), header.index("krylov_iters")
+        descent = "nehari" if trace == "trace.csv" else "ball"
+        assert {row[phase] for row in rows} == {descent, "polish"}, trace
+        assert all((int(row[iters]) > 0) == (row[phase] == descent) for row in rows), trace
         assert all(row[header.index("krylov_stop")] == "" for row in rows), trace
 
     summary = rep["stages"][-1]["summary"]

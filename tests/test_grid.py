@@ -27,6 +27,7 @@ from besselmp.grid import (
     BATCH_MAX_POINTS,
     GRID_MAX_POINTS,
     _bessel_norm_sq_rows,
+    _largest_prime_factor,
     _lp_norm_rows,
     _multiply,
     _weighted_norm_sq_rows,
@@ -90,12 +91,22 @@ class TestGrid:
             Grid(1, 4, 10.0)
 
     def test_non_power_of_two_warns(self):
-        # only a prime factor above numpy's FFT radices 2, 3, 5, 7, 11 warns
-        with pytest.warns(UserWarning, match="prime factor above 11"):
-            Grid(1, 97, 10.0)
+        # only a largest prime factor above FFT_MAX_PRIME = 29 warns: the
+        # transforms at 97, 188 = 4 x 47 and 62 = 2 x 31 are slow per point,
+        # those at 104 = 8 x 13, 117 = 9 x 13 and 116 = 4 x 29 are not
+        for n in (97, 188, 62):
+            with pytest.warns(UserWarning, match="prime factor above 29"):
+                Grid(1, n, 10.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            Grid(1, 48, 10.0)
+            for n in (48, 104, 116, 117):
+                Grid(1, n, 10.0)
+
+    def test_largest_prime_factor(self):
+        for n in range(2, 600):
+            primes = [k for k in range(2, n + 1)
+                      if n % k == 0 and all(k % j for j in range(2, k))]
+            assert _largest_prime_factor(n) == max(primes), n
 
     def test_power_of_two_silent(self):
         with warnings.catch_warnings():

@@ -314,10 +314,11 @@ class TestMountainPass:
     # Exact values recorded with the half-spectrum row kernels.  The dense
     # Newton solve's last bits can follow the BLAS thread count: these were
     # recorded on one thread, which conftest pins (on two OpenBLAS threads
-    # this saddle reads the same, the canonical well's 1.4931505176211706).
+    # this saddle reads 3.2241889043092664, the canonical well's
+    # 1.4931505176211703).
 
     def test_exact_regression(self, coercive_mp):
-        assert coercive_mp.energy == 3.2241889043092677
+        assert coercive_mp.energy == 3.2241889043092673
 
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
@@ -367,9 +368,9 @@ class TestMountainPass:
                             lambda spec, u, r, forcing: (None, 0, ""))
         report = mountain_pass_solve(spec, probe.e, probe=probe)
         norms = [t.residual_norm for t in report.trace if t.phase == "polish"]
-        assert len(norms) == 17
-        assert norms[0] == 2.485761781871886
-        assert norms[-1] == 0.38203309348840603
+        assert len(norms) == 19
+        assert norms[0] == 2.491105095441781
+        assert norms[-1] == 0.3862667726586593
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert not report.converged
         assert report.message == "residual tolerance not reached"
@@ -537,8 +538,8 @@ def test_custom_nonlinearity_saddle():
 # trials) of its descent entries, recorded with the lam-norm gradient.
 DESCENT_2D_TRACE = (
     (8.791369490887908, 6.465500060614259, 1.0, 1),
-    (5.880558126584607, 1.366319918997802, 2.0, 1),
-    (5.824959752793254, 1.044399541804895, 4.0, 0),
+    (5.879464991507143, 1.3587831658411305, 2.0, 1),
+    (5.82429911326088, 1.0362231308920686, 4.0, 0),
 )
 
 
@@ -548,7 +549,7 @@ def test_descent_trace_2d_pinned():
     descent = [(t.energy, t.residual_norm, t.step_size, t.trials)
                for t in report.trace if t.phase == "nehari"]
     assert descent == list(DESCENT_2D_TRACE)
-    assert report.energy == 5.7335924499451965
+    assert report.energy == 5.733592449945194
 
 
 def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_ball,
@@ -672,9 +673,9 @@ class TestTwoSolutions:
 
     def test_well_exact_regression(self, well_result):
         # recorded as the coercive pins above, on one BLAS thread
-        assert well_result.mountain_pass.energy == 1.4931505176211703
+        assert well_result.mountain_pass.energy == 1.49315051762117
         assert well_result.local_min.energy == -9.819309641123356e-08
-        assert well_result.distinctness == 1.6740738081785755
+        assert well_result.distinctness == 1.6740738080977509
 
     def test_levels_echo_reports(self, well_result):
         lv = well_result.levels
@@ -730,10 +731,10 @@ class TestTwoSolutions:
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.7335924499451965, -2.4845810771997024e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124028, -3.08358216831792e-11),
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945194, -2.4845810771997024e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124028, -3.0835821693895596e-11),
     (RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
-     3.3570136804097417, -2.847165929010149e-08),
+     3.357013680409742, -2.8471659290101478e-08),
 ], ids=["2d", "3d", "2d-steep-well"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     # every grid takes the dense Newton route; the pins were recorded on one
@@ -747,31 +748,46 @@ def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     assert _morse_index(spec, r.local_min.solution) == 0
 
 
-def test_steep_well_on_the_krylov_route():
-    # 4096 points take the MINRES route in every Newton step, each solve
-    # stopped by its forcing term; the pins were recorded on one BLAS
-    # thread.  The Morse index is not checked: the dense Hessian at this
-    # size is a 4096 x 4096 eigenproblem.
-    spec = build_spec(RunConfig(dim=2, n=64, box_length=20.0, potential="well",
+def _steep_well_on_the_krylov_route(n, saddle, minimizer):
+    """The 2-D steep well (box 20, lam = 100, mu = 0.05) at n x n points, pinned.
+
+    Every Newton step takes the MINRES route, each solve stopped by its
+    forcing term and none at the cap, and every descent entry records the
+    CG iterations of its gradient solve.  The Morse index is not checked:
+    the dense Hessian at these sizes is a 4096 x 4096 eigenproblem or larger.
+    """
+    spec = build_spec(RunConfig(dim=2, n=n, box_length=20.0, potential="well",
                                 lam=100.0, mu=0.05))
     assert spec.grid.total_points > DENSE_MAX_POINTS
     r = two_solution_experiment(spec)
     assert r.success, r.failed_stage
-    assert r.mountain_pass.energy == 3.954640855291907
-    assert r.local_min.energy == -2.3381507078488643e-08
+    assert r.mountain_pass.energy == saddle
+    assert r.local_min.energy == minimizer
     for report in (r.mountain_pass, r.local_min):
         polish = [t for t in report.trace if t.phase == "polish"]
         assert all(0 < t.krylov_iters < MINRES_MAXITER for t in polish[:-1])
         assert all(t.krylov_stop == "forcing" for t in polish[:-1])
         assert polish[-1].krylov_iters == 0 and polish[-1].krylov_stop == ""
-        assert all(t.krylov_iters == 0 and t.krylov_stop == ""
+        assert all(t.krylov_iters > 0 and t.krylov_stop == ""
                    for t in report.trace if t.phase != "polish")
+
+
+def test_steep_well_on_the_krylov_route():
+    # the pins were recorded on one BLAS thread
+    _steep_well_on_the_krylov_route(64, 3.954640855291908, -2.3381507078512545e-08)
+
+
+def test_steep_well_certifies_at_n128():
+    # lam V = 5,000 on the wall: the preconditioner must see the potential
+    # for MINRES to stop short of the cap here; the n=256 saddle is
+    # 4.13223520
+    _steep_well_on_the_krylov_route(128, 4.131516190837433, -2.125687791956989e-08)
 
 
 # every pair certifies with c > eta; two saddles pinned on one BLAS thread
 SWEEP_SADDLES = {
-    (200.0, 0.05): 1.5182109252113702,
-    (50.0, 0.05): 1.4602836700350943,
+    (200.0, 0.05): 1.518210925211372,
+    (50.0, 0.05): 1.460283670035095,
 }
 
 
@@ -815,6 +831,50 @@ def test_assess_levels_verdicts(well_result):
 
 
 # ---------------------------------------------------------------------------
+# gradient solve
+
+
+@pytest.mark.parametrize("make_spec", [
+    canonical_well_spec,
+    lambda: build_spec(RunConfig(dim=2, n=16, box_length=15.0)),
+    lambda: build_spec(RunConfig(dim=3, n=8, box_length=10.0, q=3.0)),
+], ids=["1d-well", "2d", "3d"])
+def test_riesz_gradient_meets_its_tolerance(make_spec):
+    # CG on K = (I - Laplacian)^alpha + lam V stops once the M-norm of
+    # K d - r is RIESZ_RTOL of its start, M = D (I - Laplacian)^(-alpha) D
+    # with D = (1 + lam V)^(-1/2); from d = 0 its slope <r, d> is ||d||_lam^2
+    spec = make_spec()
+    g, alpha = spec.grid, spec.alpha
+    weight = spec.lam * spec.V_field.values
+    M = _scaled_preconditioner(g, alpha, weight)
+    r = residual(spec, Field(g, 2.0 * np.exp(-g.radius_sq))).values
+    d, slope, iters = solvers._riesz_gradient(spec, r)
+    res = _multiply(g, d, alpha) + weight * d - r
+    assert math.sqrt(np.vdot(res, M(res))) <= solvers.RIESZ_RTOL * math.sqrt(np.vdot(r, M(r)))
+    assert 0 < iters <= 20
+    assert slope > 0.0
+    assert slope == pytest.approx(_norm_lam(spec, Field(g, d)) ** 2, rel=1e-10)
+
+
+def test_descent_entries_count_their_gradient_solve(well_result):
+    # every descent entry of the canonical well records the CG iterations
+    # of its gradient solve; a preconditioner that sees lam V = 5,000 keeps
+    # them at 20 or fewer
+    for report in (well_result.mountain_pass, well_result.local_min):
+        descent = [t.krylov_iters for t in report.trace if t.phase != "polish"]
+        assert descent and all(0 < k <= 20 for k in descent), descent
+
+
+def test_coarse_3d_run_on_the_default_box_raises_no_runtime_warning():
+    # on the 40-wide box the iterates underflow to exactly 0 far from the
+    # origin, where the concave term's curvature |u|^(p-2) is clamped off
+    # without being evaluated; the suite turns every RuntimeWarning into an
+    # error
+    r = two_solution_experiment(build_spec(RunConfig(dim=3, n=8, q=3.0)))
+    assert r.success, r.failed_stage
+
+
+# ---------------------------------------------------------------------------
 # Newton direction
 
 
@@ -842,15 +902,16 @@ def test_newton_direction_2d(n, box_length, dense):
 
 def test_capped_minres_solve_shows_in_the_trace(monkeypatch):
     # a MINRES solve stopped at the cap refuses the Newton step, and the
-    # polish entry still reads the iterations it spent (uncapped: 13-34,
-    # each solve stopped by its forcing term); the cap is read at call time
+    # polish entry still reads the iterations it spent (uncapped: 2-22,
+    # each solve stopped by its forcing term, the first after 2, so only a
+    # cap of 1 caps them all); the cap is read at call time
     spec = build_spec(RunConfig(dim=2, n=48, box_length=15.0))
     assert spec.grid.total_points > DENSE_MAX_POINTS
-    monkeypatch.setattr(solvers, "MINRES_MAXITER", 3)
+    monkeypatch.setattr(solvers, "MINRES_MAXITER", 1)
     probe = probe_geometry(spec)
     report = mountain_pass_solve(spec, probe.e, probe=probe)
     polish = [t for t in report.trace if t.phase == "polish"]
-    assert polish and all(t.krylov_iters == 3 and t.krylov_stop == "cap" for t in polish)
+    assert polish and all(t.krylov_iters == 1 and t.krylov_stop == "cap" for t in polish)
     assert not report.converged
 
 
@@ -860,15 +921,18 @@ def test_capped_minres_solve_shows_in_the_trace(monkeypatch):
     RunConfig(dim=3, n=8, box_length=10.0, q=3.0),
 ], ids=["1d", "2d", "3d"])
 def test_minres_pieces_are_symmetric_with_positive_preconditioner(cfg):
-    # _minres takes H v = r2 / beta + h v for v = M r2 / beta, which needs
-    # (I - Laplacian)^alpha M = I; MINRES itself needs H symmetric and M
-    # positive definite
+    # MINRES needs H symmetric and M = D (I - Laplacian)^(-alpha) D symmetric
+    # positive definite, and the multiplier pair must invert
     spec = build_spec(cfg)
     g, alpha = spec.grid, spec.alpha
     h = _hessian_diag(spec, 2.0 * np.exp(-g.radius_sq))
+    scale = 1.0 / np.sqrt(1.0 + np.abs(h))
 
     def H(v):
         return _multiply(g, v, alpha) + h * v
+
+    def M(v):
+        return solvers._scaled_inverse(g, alpha, scale, v)
 
     rng = np.random.default_rng(cfg.dim)
     for _ in range(5):
@@ -876,7 +940,14 @@ def test_minres_pieces_are_symmetric_with_positive_preconditioner(cfg):
         back = _multiply(g, _multiply(g, x, -alpha), alpha)
         assert np.linalg.norm(back - x) <= 1e-13 * np.linalg.norm(x)
         assert np.vdot(H(x), y) == pytest.approx(np.vdot(x, H(y)), rel=1e-12)
-        assert np.vdot(_multiply(g, x, -alpha), x) > 0.0
+        assert np.vdot(M(x), y) == pytest.approx(np.vdot(x, M(y)), rel=1e-12)
+        assert np.vdot(M(x), x) > 0.0
+
+
+def _scaled_preconditioner(g, alpha, pointwise):
+    """v -> D (I - Laplacian)^(-alpha) D v with D = (1 + |pointwise|)^(-1/2), on arrays."""
+    scale = 1.0 / np.sqrt(1.0 + np.abs(pointwise))
+    return lambda v: scale * _multiply(g, scale * v, -alpha)
 
 
 def _krylov_system(cfg):
@@ -887,7 +958,8 @@ def _krylov_system(cfg):
     u = 2.0 * np.exp(-g.radius_sq)
     h = _hessian_diag(spec, u)
     b = -residual(spec, Field(g, u)).values
-    return g, alpha, h, b, (lambda v: _multiply(g, v, alpha) + h * v), (lambda v: _multiply(g, v, -alpha))
+    return (g, alpha, h, b, (lambda v: _multiply(g, v, alpha) + h * v),
+            _scaled_preconditioner(g, alpha, h))
 
 
 KRYLOV_GRIDS = [RunConfig(dim=2, n=64, box_length=15.0),
@@ -896,8 +968,8 @@ KRYLOV_GRIDS = [RunConfig(dim=2, n=64, box_length=15.0),
 
 @pytest.mark.parametrize("cfg", KRYLOV_GRIDS, ids=["2d", "3d"])
 def test_minres_matches_scipy(cfg):
-    # with no forcing term _minres is SciPy's recurrence at one transform
-    # pair per iteration instead of two
+    # with no forcing term _minres is SciPy's recurrence with the same
+    # preconditioner
     g, alpha, h, b, H, M = _krylov_system(cfg)
     delta, iters, stop = _minres(g, alpha, h, b)
     assert stop == "rtol"
