@@ -42,7 +42,6 @@ from .problem import (
     canonical_well_spec,
     critical_exponent,
     energy,
-    precond_gradient,
     residual,
     validate_assumptions,
 )

@@ -28,7 +28,6 @@ from .grid import (
     _require,
     _row_sum,
     _weighted_norm_sq_rows,
-    apply_multiplier,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "eval_scrF",
     "energy",
     "residual",
-    "precond_gradient",
     "validate_assumptions",
     "critical_exponent",
     "canonical_coercive_spec",
@@ -315,11 +313,6 @@ def residual(spec: ProblemSpec, u: Field) -> Field:
     if u.grid != spec.grid:
         raise ValueError("field grid does not match problem grid")
     return Field(spec.grid, _residual_rows(spec, u.values))
-
-
-def precond_gradient(spec: ProblemSpec, u: Field) -> Field:
-    """Residual smoothed by (I - Laplacian)^{-alpha}; a descent direction for Phi when negated."""
-    return apply_multiplier(residual(spec, u), -spec.alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ N+ branch of Brown & Zhang (2003), descended from a Gaussian bump.  The
 iterate always sits on its ray's critical point and J never rises over
 accepted steps.  The descent direction is the gradient in the lam-norm,
 K^{-1} r with K = (I - Laplacian)^alpha + lam V, solved by
-preconditioned CG; once its dual norm <r, K^{-1} r>^(1/2) is small next
+preconditioned MINRES; once its dual norm <r, K^{-1} r>^(1/2) is small next
 to ||u||_lam a damped Newton iteration on the strong-form residual pushes
 the iterate to solver tolerance.  The ball radius rho only checks the
 minimizer: it must sit inside the ball, with a margin.
@@ -126,19 +126,21 @@ class TraceEntry:
     iteration: int
     energy: float
     residual_norm: float
+    # a descent entry: the step its line search starts from; a polish
+    # entry: the damped Newton step s it accepted, 1.0 a full step, below 1
+    # a damped one, 0.0 a refused step (no trial passed, or the solve
+    # failed) and on the entry that stops at tol
     step_size: float
     phase: str
     # trial points scored by the step taken from this entry: energies in
     # the Nehari descent and the ball, residual norms in the polish
     trials: int
-    # Krylov iterations behind the entry: CG iterations of a descent entry's
-    # gradient solve, MINRES iterations of a polish entry's Newton direction,
-    # also when the solve failed (MINRES_MAXITER if it hit the cap); 0 on
-    # the dense route
+    # MINRES iterations behind the entry: of a descent entry's gradient
+    # solve or a polish entry's Newton direction, also when the solve failed
+    # (MINRES_MAXITER if it hit the cap); 0 on the dense route
     krylov_iters: int = 0
-    # why a polish entry's MINRES solve stopped: "rtol", "forcing", "cap" or
-    # "breakdown" (see ``_minres``); "" on the dense route and on descent
-    # entries
+    # why that MINRES solve stopped: "rtol", "forcing", "cap" or
+    # "breakdown" (see ``_minres``); "" on the dense route
     krylov_stop: str = ""
 
 
@@ -211,7 +213,9 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4 * float(np.finfo(float).eps), maxiter=10
     endpoint where f is exactly 0, raises ValueError on a bracket without
     a sign change or on a NaN value of f, and raises RuntimeError after
     ``maxiter`` iterations.  A solve calls it a few times, on scalar
-    functions, so the Python loop costs well under a millisecond.
+    functions, so the Python loop costs well under a millisecond.  Where
+    the extrapolation divides by zero, C's step is inf or nan, which fails
+    the step test and bisects; the port bisects there too.
     """
     def value(x):
         fx = float(f(x))
@@ -219,6 +223,7 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4 * float(np.finfo(float).eps), maxiter=10
             raise ValueError(f"the function value at x={x:.6g} is NaN")
         return fx
 
+    xtol, rtol = float(xtol), float(rtol)
     xpre, xcur = float(a), float(b)
     fpre, fcur = value(xpre), value(xcur)
     if fpre == 0.0:
@@ -243,9 +248,12 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4 * float(np.finfo(float).eps), maxiter=10
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:
+                    stry = math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # a good short step
             else:
@@ -343,33 +351,22 @@ def _scaled_inverse(g, alpha, scale, v):
 
 
 def _riesz_gradient(spec, r):
-    """d ~ K^{-1} r, the gradient in the lam-norm; (d, its slope <r, d>, CG iterations).
+    """d ~ K^{-1} r, the gradient in the lam-norm; (d, its slope <r, d>, iterations, stop).
 
-    K = (I - Laplacian)^alpha + lam V is solved by conjugate gradients
-    preconditioned with M = D (I - Laplacian)^{-alpha} D, D = (1 + lam V)^(-1/2)
-    (``_scaled_inverse``), from d = 0 until the residual's M-norm falls
-    below RIESZ_RTOL of its start.  CG from 0 keeps <r, d> = ||d||_lam^2 > 0
-    for r != 0, so -d is a descent direction and <r, d>^(1/2) estimates the
-    dual norm of r.  An iteration costs two transform pairs, K p and M res.
+    K = (I - Laplacian)^alpha + lam V is ``_minres``'s H with h = lam V, and
+    the solve stops once ||K d - r||_M <= RIESZ_RTOL ||r||_M ("forcing").
+    K is symmetric positive definite, where the K-norm error of MINRES from
+    d = 0 falls monotonically (Fong & Saunders, SQU J. Sci. 17, 2012): so
+    ||K^{-1} r - d||_K < ||K^{-1} r||_K, which reads <r, d> > ||d||_lam^2 / 2
+    > 0 for r != 0, -d is a descent direction and <r, d>^(1/2) estimates
+    the dual norm of r.  A failed solve returns d = 0 with slope 0, which
+    hands the descent over to the polish.
     """
-    g, alpha = spec.grid, spec.alpha
-    weight = spec.lam * spec.V_field.values
-    scale = 1.0 / np.sqrt(1.0 + weight)
-    d = np.zeros_like(r)
-    res, z = r, _scaled_inverse(g, alpha, scale, r)
-    rz = rz0 = float(np.sum(res * z))
-    p = z
-    iters = 0
-    while iters < g.total_points and rz > RIESZ_RTOL**2 * rz0:
-        iters += 1
-        kp = _multiply(g, p, alpha) + weight * p
-        a = rz / float(np.sum(p * kp))
-        d = d + a * p
-        res = res - a * kp
-        z = _scaled_inverse(g, alpha, scale, res)
-        rz, prev = float(np.sum(res * z)), rz
-        p = z + (rz / prev) * p
-    return d, float(np.sum(r * d)) * g.cell_volume, iters
+    d, iters, stop = _minres(spec.grid, spec.alpha, spec.lam * spec.V_field.values, r,
+                             RIESZ_RTOL)
+    if d is None:
+        return np.zeros_like(r), 0.0, iters, stop
+    return d, float(np.sum(r * d)) * spec.grid.cell_volume, iters, stop
 
 
 def _fibering(spec, w, bottom=False):
@@ -555,8 +552,12 @@ def _newton_direction(spec, u, r, forcing=0.0):
 def _polish(spec, u, opts, trace, it0):
     """Damped Newton on the residual; returns (u, residual_norm, iterations_used).
 
-    A Krylov solve stops at the inexact-Newton forcing term
-    min(0.1, 0.1 ||r||_2), which keeps Newton's local quadratic rate
+    Each step tries u + s delta for s = 1, 1/2, ... and takes the first
+    that lowers the residual norm by the factor 1 - 1e-4 s.  When no trial
+    passes, or the Newton solve fails, the polish ends where it stands; a
+    run that ends above tol reports it.  A Krylov solve stops at the
+    inexact-Newton forcing term min(0.1, 0.1 ||r||_2), which keeps Newton's
+    local quadratic rate
     (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982) without
     solving far past what the current residual can use.  It is never
     below 0.5 tol / ||r||_2 (Kelley, Iterative Methods for Linear and
@@ -578,15 +579,10 @@ def _polish(spec, u, opts, trace, it0):
         trials = () if delta is None else ((s, u + s * delta) for s in _steps(1.0, NEWTON_TRIES))
         found, tried = _first(trials,
                               lambda st: _residual_norm(spec, st[1]) <= (1.0 - 1e-4 * st[0]) * rn)
+        trace.append(replace(entry, step_size=0.0 if found is None else found[0],
+                             trials=tried, krylov_iters=iters, krylov_stop=stop))
         if found is None:
-            # fall back to preconditioned descent on the residual norm
-            d = _multiply(spec.grid, r, -spec.alpha)
-            found, more = _first(((s, u - s * d) for s in _steps(1.0, BACKTRACK_TRIES)),
-                                 lambda st: _residual_norm(spec, st[1]) < rn)
-            tried += more
-        trace.append(replace(entry, trials=tried, krylov_iters=iters, krylov_stop=stop))
-        if found is None:
-            return u, max(rn, 1e-30), it
+            return u, rn, it
         u = found[1]
     return u, _lp_norm(spec.grid, _residual(spec, u), 2), it
 
@@ -615,8 +611,9 @@ def _nehari_solve(spec, u, level, bottom, opts):
     it = 0
     while it < opts.max_iter:
         r = _residual(spec, u)
-        d, slope, cg_iters = _riesz_gradient(spec, r)
-        entry = TraceEntry(it, level, _lp_norm(g, r, 2), step, phase, 0, krylov_iters=cg_iters)
+        d, slope, iters, stop = _riesz_gradient(spec, r)
+        entry = TraceEntry(it, level, _lp_norm(g, r, 2), step, phase, 0,
+                           krylov_iters=iters, krylov_stop=stop)
         it += 1
         if slope <= (HANDOVER_RATIO * float(_norm_lam(spec, u))) ** 2:
             trace.append(entry)

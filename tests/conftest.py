@@ -3,20 +3,30 @@
 The solve fixtures are session-scoped because several files assert against
 the same converged run; everything downstream treats them as read-only.
 
-The dense Newton solve's last bits follow the BLAS thread count, so the
-suite pins BLAS to one thread before NumPy loads (pytest imports this file
-first); the exact solver pins hold whatever the environment sets.
+The solvers' last bits follow the BLAS thread count (the dense Newton
+solve, and the np.vdot and np.linalg.norm reductions in every MINRES
+solve), and the exact solver pins were recorded on one thread.  BLAS reads
+its thread count once, when NumPy loads, so this file pins it before that
+and stops the session if NumPy is already loaded (a -p plugin that imports
+it first, say): the pins would then fail on their last bits for a reason
+that is not in the code under test.
 """
 
 import os
+import sys
 
+import pytest
+
+if "numpy" in sys.modules:
+    pytest.exit("numpy was imported before tests/conftest.py could pin BLAS to one thread, "
+                "so the exact solver pins would not hold; run without the plugin or option "
+                "that imports it first", returncode=4)
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 from collections import Counter  # noqa: E402
 
 import numpy as np  # noqa: E402
-import pytest  # noqa: E402
 
 from besselmp import (
     ball_min_solve,

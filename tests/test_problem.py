@@ -22,14 +22,13 @@ from besselmp import (
     critical_exponent,
     energy,
     lp_norm,
-    precond_gradient,
     random_field,
     residual,
     validate_assumptions,
     weighted_norm_sq,
 )
 from besselmp.config import RunConfig, build_spec
-from besselmp.grid import apply_multiplier, make_grid
+from besselmp.grid import make_grid
 from besselmp.problem import (
     _component_count,
     _energy_rows,
@@ -316,14 +315,6 @@ def test_residual_is_the_gradient(coercive_spec):
         fd = (energy(coercive_spec, u + h * v).total
               - energy(coercive_spec, u - h * v).total) / (2.0 * h)
         assert fd == pytest.approx(pair, rel=1e-6)
-
-
-def test_precond_gradient_inverts_to_residual(coercive_spec):
-    u = random_field(coercive_spec.grid, _rng(9), envelope_sigma=3.0)
-    r = residual(coercive_spec, u)
-    back = apply_multiplier(precond_gradient(coercive_spec, u), coercive_spec.alpha)
-    scale = float(np.max(np.abs(r.values)))
-    assert np.max(np.abs(back.values - r.values)) <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
