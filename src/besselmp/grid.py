@@ -40,11 +40,6 @@ DENSE_MAX_POINTS = 2048
 # dozens (n = 256 in 3-D would be 16.8M points, 134 MB per field).
 GRID_MAX_POINTS = 2**20
 
-# Most points in one stack of fields that a row kernel transforms at once:
-# a stack holds ``Grid.batch_rows`` = max(1, BATCH_MAX_POINTS // total_points)
-# fields (64 at n=256 in 1-D, 7 at 48 x 48), which bounds the temporaries.
-BATCH_MAX_POINTS = 16384
-
 # Largest prime factor of n that keeps numpy's FFT fast.  Past its fast
 # radices numpy runs a generic pass whose cost per point grows with the
 # prime.  2-D rfftn/irfftn pairs on one core of a 2-core x86 box (NumPy 2.4,
@@ -119,11 +114,6 @@ class Grid:
     def total_points(self) -> int:
         return self.n**self.dim
 
-    @property
-    def batch_rows(self) -> int:
-        """Most fields in one stack handed to a row kernel."""
-        return max(1, BATCH_MAX_POINTS // self.total_points)
-
     @cached_property
     def axis_coords(self) -> np.ndarray:
         """Sample positions along one axis, origin at index n//2."""
@@ -197,9 +187,10 @@ class Grid:
 
         Column j is the multiplier applied to the j-th unit field, so the
         matrix is exactly the operator that ``apply_multiplier`` evaluates;
-        the unit fields go through the multiplier kernel in stacks of
-        ``batch_rows``.  Grids above ``DENSE_MAX_POINTS`` points are
-        refused: the matrix grows with the square of the point count.
+        the unit fields go through the multiplier kernel one grid line (n
+        columns) per call, which keeps the temporaries to n fields.  Grids
+        above ``DENSE_MAX_POINTS`` points are refused: the matrix grows
+        with the square of the point count.
         """
         npts = self.total_points
         if npts > DENSE_MAX_POINTS:
@@ -208,12 +199,12 @@ class Grid:
 
         def build():
             out = np.empty((npts, npts))
-            for start in range(0, npts, self.batch_rows):
-                cols = np.arange(start, min(start + self.batch_rows, npts))
-                units = np.zeros((cols.size, npts))
-                units[np.arange(cols.size), cols] = 1.0
-                images = _multiply(self, units.reshape((-1,) + self.shape), s)
-                out[:, cols] = images.reshape(cols.size, npts).T
+            line = np.arange(self.n)
+            for start in range(0, npts, self.n):
+                units = np.zeros((self.n, npts))
+                units[line, start + line] = 1.0
+                images = _multiply(self, units.reshape((self.n,) + self.shape), s)
+                out[:, start : start + self.n] = images.reshape(self.n, npts).T
             return _read_only(out)
 
         return self._cached(("matrix", float(s)), build)
@@ -307,9 +298,10 @@ def inverse_transform(spectrum: Spectrum) -> Field:
     return Field(spectrum.grid, v.real)
 
 
-# Row kernels: they act on the trailing ``grid.dim`` axes of an array whose
-# leading axes, if any, index a stack of fields.  Each row's result is the
-# same, to the bit, as the kernel applied to that row alone, so the Field
+# Array kernels: each takes one field's values, an ndarray of ``grid.shape``,
+# and returns a float; ``_multiply`` returns the image and acts on the
+# trailing grid axes, so ``Grid.multiplier_matrix`` can hand it a grid line
+# of unit fields.  The solvers call the kernels on raw iterates; the Field
 # functions below are thin wrappers over them.
 
 
@@ -324,37 +316,30 @@ def _fft_axes(grid: Grid) -> dict:
 
 
 def _multiply(grid: Grid, values: np.ndarray, s: float) -> np.ndarray:
-    """(I - Laplacian)^s on every row of ``values``."""
+    """(I - Laplacian)^s on the trailing grid axes of ``values``."""
     u_hat = np.fft.rfftn(values, **_fft_axes(grid))
     u_hat *= grid.symbol(s)
     return np.fft.irfftn(u_hat, **_fft_axes(grid))
 
 
-def _row_sum(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Sum over the trailing grid axes (full or half lattice), one value per row."""
-    lead = values.ndim - grid.dim
-    # an explicit length: reshape cannot infer -1 when a stack has no rows
-    return values.reshape(values.shape[:lead] + (math.prod(values.shape[lead:]),)).sum(axis=-1)
-
-
-def _bessel_norm_sq_rows(grid: Grid, values: np.ndarray, alpha: float) -> np.ndarray:
-    """Squared bessel norm of every row, by Parseval from the forward half spectrum."""
+def _bessel_norm_sq(grid: Grid, values: np.ndarray, alpha: float) -> float:
+    """Squared bessel norm, by Parseval from the forward half spectrum."""
     u_hat = np.fft.rfftn(values, **_fft_axes(grid))
     power = u_hat.real**2
     power += u_hat.imag**2
     power *= grid.parseval_weight(alpha)
-    return _row_sum(grid, power)
+    return float(power.sum())
 
 
-def _potential_rows(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float) -> np.ndarray:
-    """lam * integral of V u^2 for every row; ``V`` holds the potential's values."""
-    return lam * (_row_sum(grid, V * values**2) * grid.cell_volume)
+def _potential(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float) -> float:
+    """lam * integral of V u^2; ``V`` holds the potential's values."""
+    return lam * (float((V * values**2).sum()) * grid.cell_volume)
 
 
-def _weighted_norm_sq_rows(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float,
-                           alpha: float) -> np.ndarray:
-    """Squared solver norm of every row; ``V`` holds the potential's values."""
-    return _bessel_norm_sq_rows(grid, values, alpha) + _potential_rows(grid, values, V, lam)
+def _weighted_norm_sq(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float,
+                      alpha: float) -> float:
+    """Squared solver norm; ``V`` holds the potential's values."""
+    return _bessel_norm_sq(grid, values, alpha) + _potential(grid, values, V, lam)
 
 
 def _require_weight(V: np.ndarray, lam: float) -> None:
@@ -375,19 +360,14 @@ def _sup_constant(grid: Grid, alpha: float, shift: float = 0.0) -> float:
     return math.sqrt(green_0 / grid.box_length**grid.dim)
 
 
-def _lp_norm_rows(grid: Grid, values: np.ndarray, r: float) -> np.ndarray:
-    """L^r norm of every row over the box; r is not checked.
-
-    The root is taken row by row as a scalar power: NumPy's array power
-    (SIMD) can differ from it in the last bit.
-    """
-    sums = _row_sum(grid, np.abs(values) ** r) * grid.cell_volume
-    return np.array([total ** (1.0 / r) for total in sums.tolist()])
-
-
 def _lp_norm(grid: Grid, values: np.ndarray, r: float) -> float:
-    """L^r norm of one field's values over the box; r is not checked."""
-    return float(_lp_norm_rows(grid, values[np.newaxis], r)[0])
+    """L^r norm over the box; r is not checked, and an overflowing sum reads inf.
+
+    The root is a scalar power: NumPy's array power (SIMD) can differ from
+    it in the last bit.
+    """
+    total = float((np.abs(values) ** r).sum()) * grid.cell_volume
+    return total ** (1.0 / r)
 
 
 def apply_multiplier(field: Field, s: float) -> Field:
@@ -412,7 +392,7 @@ def spectral_derivative(field: Field, axis: int = 0, order: int = 1) -> Field:
 
 def bessel_norm_sq(field: Field, alpha: float) -> float:
     """Squared norm ||(I - Laplacian)^{alpha/2} u||_{L^2}^2 over the box."""
-    return float(_bessel_norm_sq_rows(field.grid, field.values, alpha))
+    return _bessel_norm_sq(field.grid, field.values, alpha)
 
 
 def weighted_norm_sq(field: Field, V: Field, lam: float, alpha: float) -> float:
@@ -423,14 +403,24 @@ def weighted_norm_sq(field: Field, V: Field, lam: float, alpha: float) -> float:
     """
     _require_same_grid(field, V)
     _require_weight(V.values, lam)
-    return float(_weighted_norm_sq_rows(field.grid, field.values, V.values, lam, alpha))
+    return _weighted_norm_sq(field.grid, field.values, V.values, lam, alpha)
 
 
 def lp_norm(field: Field, r: float) -> float:
-    """L^r norm over the box, huge-r values are fine (no overflow guard needed at desk scale)."""
+    """L^r norm over the box.
+
+    Where the sum of |u|^r overflows, or underflows to zero, as it can at
+    large r, the norm is m ||u / m||_r with m = max |u|: that sum lies
+    between the cell volume and the box volume.
+    """
     if not (r >= 1 and np.isfinite(r)):
         raise ValueError(f"lp_norm needs r >= 1, got {r}")
-    return _lp_norm(field.grid, field.values, r)
+    with np.errstate(over="ignore"):
+        norm = _lp_norm(field.grid, field.values, r)
+    if 0.0 < norm < math.inf:
+        return norm
+    peak = float(np.max(np.abs(field.values)))
+    return peak * _lp_norm(field.grid, field.values / peak, r) if peak > 0.0 else 0.0
 
 
 def random_field(grid: Grid, rng: np.random.Generator, band_fraction: float = 0.25,

@@ -21,14 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (
-    Field,
-    Grid,
-    _multiply,
-    _require,
-    _row_sum,
-    _weighted_norm_sq_rows,
-)
+from .grid import Field, Grid, _multiply, _require, _weighted_norm_sq
 
 __all__ = [
     "PowerNonlinearity",
@@ -110,11 +103,9 @@ class CustomNonlinearity:
     """User-supplied f(x, u), F(x, u) with declared growth q and superquadraticity theta.
 
     Callables receive x as the tuple of ``grid.shape`` coordinate arrays
-    (or None for x-independent evaluation) and must vectorize over u.  u
-    may arrive as one field or as a stack of fields with leading axes, so
-    expressions in x must broadcast against it (plain elementwise numpy
-    does).  Only sampled validation is possible for these, and the geometry
-    probe refuses them: they declare no bound F(x, u) <= a |u|^q / q.
+    (or None for x-independent evaluation) and must vectorize over u.
+    Only sampled validation is possible for these, and the geometry probe
+    refuses them: they declare no bound F(x, u) <= a |u|^q / q.
     """
 
     f_fn: object
@@ -169,9 +160,7 @@ class WellPotential:
 class CustomPotential:
     """V(x) = fn(*coords), with coords the tuple of ``grid.shape`` coordinate arrays.
 
-    fn must return an array of ``grid.shape``; the energy and the residual
-    multiply it into fields that may arrive stacked with leading axes,
-    against which it broadcasts.
+    fn must return an array of ``grid.shape``.
     """
 
     fn: object
@@ -193,8 +182,7 @@ class GaussianWeight:
 class CustomWeight:
     """xi(x) = fn(*coords), with coords the tuple of ``grid.shape`` coordinate arrays.
 
-    As for ``CustomPotential``, the values broadcast against fields that
-    may arrive stacked with leading axes.
+    fn must return an array of ``grid.shape``.
     """
 
     fn: object
@@ -261,10 +249,11 @@ def eval_scrF(spec: ProblemSpec, u_value, x=None):
 
 
 class EnergyBreakdown(NamedTuple):
-    """Phi and its pieces: floats from ``energy``, one entry per row from ``_energy_rows``.
+    """Phi and its pieces.
 
-    ``xi_integral`` is int xi |u|^p and ``xi_term`` is mu/p times it; a row
-    whose total is not finite has total +inf.
+    ``xi_integral`` is int xi |u|^p and ``xi_term`` is mu/p times it.  A
+    total that is not finite reads +inf from ``_energy_parts``; ``energy``
+    refuses it.
     """
 
     quad: float
@@ -274,21 +263,21 @@ class EnergyBreakdown(NamedTuple):
     total: float
 
 
-def _energy_rows(spec: ProblemSpec, u: np.ndarray) -> EnergyBreakdown:
-    """Phi and its pieces for every row of ``u`` (trailing axes on the grid)."""
+def _energy_parts(spec: ProblemSpec, u: np.ndarray) -> EnergyBreakdown:
+    """Phi and its pieces at the field values ``u``."""
     g = spec.grid
     vol = g.cell_volume
-    quad = 0.5 * _weighted_norm_sq_rows(g, u, spec.V_field.values, spec.lam, spec.alpha)
-    f_term = _row_sum(g, spec.nonlinearity.F(g.coords(), u)) * vol
-    xi_integral = _row_sum(g, spec.xi_field.values * np.abs(u) ** spec.p) * vol
+    quad = 0.5 * _weighted_norm_sq(g, u, spec.V_field.values, spec.lam, spec.alpha)
+    f_term = float(spec.nonlinearity.F(g.coords(), u).sum()) * vol
+    xi_integral = float((spec.xi_field.values * np.abs(u) ** spec.p).sum()) * vol
     xi_term = (spec.mu / spec.p) * xi_integral
     total = quad - f_term - xi_term
-    total = np.where(np.isfinite(total), total, np.inf)
-    return EnergyBreakdown(quad, f_term, xi_integral, xi_term, total)
+    return EnergyBreakdown(quad, f_term, xi_integral, xi_term,
+                           total if math.isfinite(total) else math.inf)
 
 
-def _residual_rows(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    """Strong-form residual of every row of ``u``; rows are not checked for finiteness."""
+def _residual_values(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
+    """Strong-form residual at the field values ``u``; they are not checked for finiteness."""
     vals = _multiply(spec.grid, u, spec.alpha) + spec.lam * spec.V_field.values * u
     vals = vals - spec.nonlinearity.f(spec.grid.coords(), u)
     return vals - spec.mu * spec.xi_field.values * np.sign(u) * np.abs(u) ** (spec.p - 1.0)
@@ -298,10 +287,10 @@ def energy(spec: ProblemSpec, u: Field) -> EnergyBreakdown:
     """Evaluate Phi(u), its three pieces and the bare integral int xi |u|^p."""
     if u.grid != spec.grid:
         raise ValueError("field grid does not match problem grid")
-    rows = _energy_rows(spec, u.values)
-    if not np.isfinite(rows.total):
+    parts = _energy_parts(spec, u.values)
+    if parts.total == math.inf:
         raise ValueError("energy evaluated non-finite; field is out of range for the nonlinearity")
-    return EnergyBreakdown(*map(float, rows))
+    return parts
 
 
 def residual(spec: ProblemSpec, u: Field) -> Field:
@@ -312,7 +301,7 @@ def residual(spec: ProblemSpec, u: Field) -> Field:
     """
     if u.grid != spec.grid:
         raise ValueError("field grid does not match problem grid")
-    return Field(spec.grid, _residual_rows(spec, u.values))
+    return Field(spec.grid, _residual_values(spec, u.values))
 
 
 # ---------------------------------------------------------------------------

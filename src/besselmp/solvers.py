@@ -26,7 +26,7 @@ Every backtracking search walks the steps s, s/2, s/4, ... and only its
 count differs.
 
 The solvers take and return Fields but work on plain arrays inside,
-through the row kernels of ``grid`` and ``problem``: a trial point that
+through the array kernels of ``grid`` and ``problem``: a trial point that
 overflows reads +inf energy, or a residual norm that fails every
 acceptance test, instead of being refused by the Field constructor.
 """
@@ -46,14 +46,14 @@ from .grid import (
     _multiply,
     _require,
     _sup_constant,
-    _weighted_norm_sq_rows,
+    _weighted_norm_sq,
     lp_norm,
 )
 from .problem import (
     PowerNonlinearity,
     ProblemSpec,
-    _energy_rows,
-    _residual_rows,
+    _energy_parts,
+    _residual_values,
     energy,
 )
 
@@ -157,18 +157,17 @@ class SolveReport:
     trace: tuple
 
 
-# Array helpers: u, r and search directions are ndarrays whose trailing axes
-# are the grid's.
+# Array helpers: u, r and search directions are ndarrays of the grid's shape.
 
 
 def _energy(spec, u) -> float:
     """Phi(u); +inf when u is out of range for the nonlinearity."""
-    return float(_energy_rows(spec, u).total)
+    return _energy_parts(spec, u).total
 
 
 def _residual(spec, u):
     """Residual at the iterate u; it must be finite."""
-    r = _residual_rows(spec, u)
+    r = _residual_values(spec, u)
     if not np.all(np.isfinite(r)):
         raise ValueError("field values must be finite")
     return r
@@ -176,11 +175,11 @@ def _residual(spec, u):
 
 def _residual_norm(spec, u) -> float:
     """L^2 norm of the residual at u; a trial that overflows reads inf or nan."""
-    return _lp_norm(spec.grid, _residual_rows(spec, u), 2)
+    return _lp_norm(spec.grid, _residual_values(spec, u), 2)
 
 
-def _norm_lam(spec, u):
-    return np.sqrt(_weighted_norm_sq_rows(spec.grid, u, spec.V_field.values, spec.lam, spec.alpha))
+def _norm_lam(spec, u) -> float:
+    return math.sqrt(_weighted_norm_sq(spec.grid, u, spec.V_field.values, spec.lam, spec.alpha))
 
 
 def _bump(spec):
@@ -326,7 +325,7 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
     e, _ = _first((1.5**k * phi0 for k in range(60)), lambda u: _energy(spec, u) < 0.0)
     if e is None:
         raise GeometryError("could not drive the energy negative by scaling a bump")
-    e_norm = float(_norm_lam(spec, e))
+    e_norm = _norm_lam(spec, e)
     if not e_norm > rho:
         raise GeometryError(f"the far endpoint has ||e||_lam = {e_norm:.6g}, "
                             f"not beyond the certified ridge radius rho = {rho:.6g}")
@@ -375,7 +374,7 @@ def _fibering(spec, w, bottom=False):
     The top t+(w) is the larger critical point, where dPhi/dt turns from
     positive to negative; the bottom t-(w) is the local minimum below it,
     where dPhi/dt turns from negative to positive.  Phi(t w) = t^2 quad -
-    int F(x, t w) - t^p xi_term with the pieces of one ``_energy_rows(w)``
+    int F(x, t w) - t^p xi_term with the pieces of one ``_energy_parts(w)``
     call; only int F and int f(x, t w) w depend on t, and both are
     pointwise, so no t costs a transform.  From t = 1 the walk doubles or
     halves t until dPhi/dt changes sign, and ``_brentq``, an in-house port
@@ -387,11 +386,11 @@ def _fibering(spec, w, bottom=False):
     when Phi(w) is not finite or the walk finds no sign change within
     BACKTRACK_TRIES doublings or halvings; a descent refuses such a trial.
     """
-    pieces = _energy_rows(spec, w)
-    if not np.isfinite(pieces.total):
+    pieces = _energy_parts(spec, w)
+    if pieces.total == math.inf:
         return math.nan, math.inf
     coords, vol = spec.grid.coords(), spec.grid.cell_volume
-    quad, xi_term, p = float(pieces.quad), float(pieces.xi_term), spec.p
+    quad, xi_term, p = pieces.quad, pieces.xi_term, spec.p
 
     def slope(t):
         pull = float(np.sum(spec.nonlinearity.f(coords, t * w) * w)) * vol
@@ -615,7 +614,7 @@ def _nehari_solve(spec, u, level, bottom, opts):
         entry = TraceEntry(it, level, _lp_norm(g, r, 2), step, phase, 0,
                            krylov_iters=iters, krylov_stop=stop)
         it += 1
-        if slope <= (HANDOVER_RATIO * float(_norm_lam(spec, u))) ** 2:
+        if slope <= (HANDOVER_RATIO * _norm_lam(spec, u)) ** 2:
             trace.append(entry)
             break
         u, level, used, tried = _armijo_step(spec, u, level, d, slope, step, place)
@@ -697,7 +696,7 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
 
     solution = Field(g, u)
     e_u = energy(spec, solution).total
-    norm = float(_norm_lam(spec, u))
+    norm = _norm_lam(spec, u)
     converged = rn <= opts.tol
     bound = (1.0 - INTERIOR_MARGIN) * rho
     ok = converged and e_u < 0.0 and norm <= bound
@@ -908,7 +907,7 @@ def ps_diagnostics(spec: ProblemSpec, iterates) -> PSDiagnostics:
     all_ok = True
     max_norm = 0.0
     for u, e_u in zip(iterates, totals):
-        t = float(_norm_lam(spec, u.values))
+        t = _norm_lam(spec, u.values)
         max_norm = max(max_norm, t)
         lhs = half * t * t
         rhs = 1.0 + c_level + t + slack * t**spec.p

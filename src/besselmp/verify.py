@@ -9,7 +9,7 @@ Nothing here is random.  Norm domination, the sublevel bound and the
 embedding constants bracket their sharp grid constant in closed form from
 the full-lattice symbol s_k = (1 + |xi_k|^2)^alpha: the upper end holds
 for every field, and a grid field attains the lower end (a unit spike,
-also scored through the row kernels as a witness, or six smooth anchors).
+also scored through the norm kernels as a witness, or six smooth anchors).
 Their ``trials`` and ``seed`` keywords are accepted and ignored.
 
 ``CHECKS`` is the table verify mode runs: per check name, the potential
@@ -27,9 +27,9 @@ import numpy as np
 
 from .grid import (
     Field,
-    _bessel_norm_sq_rows,
-    _lp_norm_rows,
-    _potential_rows,
+    _bessel_norm_sq,
+    _lp_norm,
+    _potential,
     _require,
     _sup_constant,
     spectral_derivative,
@@ -149,13 +149,12 @@ def _mean_symbol(grid, alpha: float) -> float:
 def _spike_norms(spec: ProblemSpec, index: int) -> tuple:
     """(||d||_bessel^2, lam int V d^2) of the unit spike d at flat grid index ``index``.
 
-    Both go through the row kernels; ||d||_2^2 is the cell volume.
+    Both go through the norm kernels; ||d||_2^2 is the cell volume.
     """
     g = spec.grid
-    d = np.zeros((1,) + g.shape)
+    d = np.zeros(g.shape)
     d.flat[index] = 1.0
-    return (float(_bessel_norm_sq_rows(g, d, spec.alpha)[0]),
-            float(_potential_rows(g, d, spec.V_field.values, spec.lam)[0]))
+    return _bessel_norm_sq(g, d, spec.alpha), _potential(g, d, spec.V_field.values, spec.lam)
 
 
 def check_sublevel_l2_bound(spec: ProblemSpec, b: float, trials=None, seed=None) -> CheckRecord:
@@ -351,13 +350,12 @@ def estimate_embedding_constants(alpha: float, grid, s_list, trials=None,
     s_list = [float(s) for s in s_list]
     require_s_in_window(s_list, grid.dim, alpha)
     table = {s: 0.0 for s in s_list}
-    anchors = np.stack([np.ones(grid.shape)] + [np.exp(-grid.radius_sq / sigma**2)
-                                                for sigma in (0.5, 1.0, 2.0, 4.0, 8.0)])
-    for start in range(0, len(anchors), grid.batch_rows):
-        u = anchors[start : start + grid.batch_rows]
-        nrm = np.sqrt(_bessel_norm_sq_rows(grid, u, alpha))
+    anchors = [np.ones(grid.shape)] + [np.exp(-grid.radius_sq / sigma**2)
+                                       for sigma in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    for u in anchors:
+        nrm = math.sqrt(_bessel_norm_sq(grid, u, alpha))
         for s in s_list:
-            table[s] = float(np.max(_lp_norm_rows(grid, u, s) / nrm, initial=table[s]))
+            table[s] = max(table[s], _lp_norm(grid, u, s) / nrm)
     c_inf = _sup_constant(grid, alpha)
     return EmbeddingEstimate(alpha=alpha, table=table,
                              upper={s: c_inf ** (1.0 - 2.0 / s) for s in s_list})

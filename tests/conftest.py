@@ -1,4 +1,4 @@
-"""Shared fixtures: the canonical problems, their (slow) solved states, and an FFT call counter.
+"""Shared fixtures (the canonical problems, their slow solved states, an FFT call counter) and the Hypothesis profile.
 
 The solve fixtures are session-scoped because several files assert against
 the same converged run; everything downstream treats them as read-only.
@@ -27,6 +27,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from collections import Counter  # noqa: E402
 
 import numpy as np  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+# Every property test draws the same examples on every run and machine, so a
+# failure reproduces and a pass does not hinge on a lucky draw; the per-test
+# @settings decorators inherit this profile.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 from besselmp import (
     ball_min_solve,

@@ -1,6 +1,7 @@
 """Grid construction, field semantics, and the Fourier-side operators."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,16 +25,14 @@ from besselmp import (
     weighted_norm_sq,
 )
 from besselmp.grid import (
-    BATCH_MAX_POINTS,
     GRID_MAX_POINTS,
-    _bessel_norm_sq_rows,
+    _bessel_norm_sq,
     _largest_prime_factor,
-    _lp_norm_rows,
+    _lp_norm,
     _multiply,
-    _weighted_norm_sq_rows,
     make_grid,
 )
-from besselmp.problem import _energy_rows, canonical_coercive_spec
+from besselmp.problem import _energy_parts, canonical_coercive_spec
 
 
 def _rng(seed):
@@ -272,7 +271,7 @@ def _columnwise_matrix(g, s):
     return np.stack(cols, axis=1)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
 @pytest.mark.parametrize("s", [0.75, -0.75])
 def test_multiplier_matrix_matches_columnwise_build(dim, n, s):
     g = make_grid(dim, n, 20.0)
@@ -306,74 +305,60 @@ def test_workspace_is_per_grid_instance():
     assert a.symbol(0.5) is not b.symbol(0.5)
 
 
+def test_multiplier_matrix_build_peaks_near_the_matrix_size():
+    # one grid line of unit fields per transform: the temporaries stay a
+    # small fraction of the N^2 matrix (a one-shot identity build would
+    # hold several N x N arrays at once)
+    g = make_grid(2, 45, 20.0)
+    matrix_bytes = g.total_points**2 * 8
+    tracemalloc.start()
+    try:
+        g.multiplier_matrix(0.75)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * matrix_bytes
+
+
 # ---------------------------------------------------------------------------
-# row kernels
+# array kernels
 
 
-ROW_GRIDS = [(1, 64, 20.0), (2, 16, 12.0), (3, 8, 10.0)]
+KERNEL_GRIDS = [(1, 64, 20.0), (2, 16, 12.0), (3, 8, 10.0)]
 
 
-def _stack(g, rows, seed):
-    rng = _rng(seed)
-    return np.stack([random_field(g, rng, envelope_sigma=2.0).values for _ in range(rows)])
-
-
-def test_batch_rows_follow_from_the_point_count():
-    assert BATCH_MAX_POINTS == 16384
-    assert make_grid(1, 256, 40.0).batch_rows == 64
-    assert make_grid(2, 48, 15.0).batch_rows == 7
-    assert make_grid(3, 32, 10.0).batch_rows == 1
-    assert make_grid(3, 64, 10.0).batch_rows == 1
-
-
-@pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
+@pytest.mark.parametrize("dim,n,box", KERNEL_GRIDS)
 @pytest.mark.parametrize("s", [0.75, -0.375])
 def test_multiplier_rows_match_field_api(dim, n, box, s):
+    # multiplier_matrix hands _multiply a stack of unit fields; each row of
+    # the result is the multiplier applied to that row alone, to the bit
     g = make_grid(dim, n, box)
-    u = _stack(g, 5, dim)
+    rng = _rng(dim)
+    u = np.stack([random_field(g, rng, envelope_sigma=2.0).values for _ in range(5)])
     out = _multiply(g, u, s)
     assert out.shape == u.shape
     for row, got in zip(u, out):
         assert np.array_equal(got, apply_multiplier(Field(g, row), s).values)
-    # extra leading axes are rows too
-    assert np.array_equal(_multiply(g, u.reshape((5, 1) + g.shape), s)[:, 0], out)
-    assert _multiply(g, np.empty((0,) + g.shape), s).shape == (0,) + g.shape
-
-
-@pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
-def test_norm_rows_match_field_api(dim, n, box):
-    g = make_grid(dim, n, box)
-    u = _stack(g, 5, 10 + dim)
-    V = Field(g, 1.0 + g.radius_sq)
-    bessel = _bessel_norm_sq_rows(g, u, 0.75)
-    weighted = _weighted_norm_sq_rows(g, u, V.values, 2.5, 0.75)
-    assert bessel.shape == weighted.shape == (5,)
-    for i, row in enumerate(u):
-        f = Field(g, row)
-        assert bessel[i] == bessel_norm_sq(f, 0.75)
-        assert weighted[i] == weighted_norm_sq(f, V, 2.5, 0.75)
-    empty = np.empty((0,) + g.shape)
-    assert _bessel_norm_sq_rows(g, empty, 0.75).shape == (0,)
-    assert _weighted_norm_sq_rows(g, empty, V.values, 2.5, 0.75).shape == (0,)
 
 
 def test_lp_norm_root_is_a_scalar_power():
     # NumPy's array power (SIMD) differs from the scalar pow in the last bit
-    # for a few percent of inputs; every row's root is the scalar one
+    # for a few percent of inputs; the root is the scalar one
     g = make_grid(2, 16, 12.0)
-    u = _stack(g, 200, 5)
+    rng = _rng(5)
+    fields = [random_field(g, rng, envelope_sigma=2.0).values for _ in range(200)]
     for r in (2.0, 3.0, 4.0):
-        expect = [float((np.sum(np.abs(row) ** r) * g.cell_volume) ** (1.0 / r)) for row in u]
-        assert _lp_norm_rows(g, u, r).tolist() == expect
-        assert lp_norm(Field(g, u[0]), r) == expect[0]
-    assert _lp_norm_rows(g, u[:0], 2.0).shape == (0,)
+        for u in fields:
+            expect = float((np.sum(np.abs(u) ** r) * g.cell_volume) ** (1.0 / r))
+            assert _lp_norm(g, u, r) == expect
+        assert lp_norm(Field(g, fields[0]), r) == _lp_norm(g, fields[0], r)
 
 
-@pytest.mark.parametrize("dim,n,box", ROW_GRIDS)
+@pytest.mark.parametrize("dim,n,box", KERNEL_GRIDS)
 def test_row_kernels_transform_a_stack_once(dim, n, box, fft_calls):
     g = make_grid(dim, n, box)
-    u = _rng(dim).standard_normal((3,) + g.shape)
-    _bessel_norm_sq_rows(g, u, 0.75)
+    u = _rng(dim).standard_normal(g.shape)
+    assert type(_bessel_norm_sq(g, u, 0.75)) is float
     assert fft_calls == {"rfftn": 1}
     _multiply(g, u, 0.75)
     assert fft_calls == {"rfftn": 2, "irfftn": 1}
@@ -381,10 +366,10 @@ def test_row_kernels_transform_a_stack_once(dim, n, box, fft_calls):
 
 def test_energy_rows_need_one_forward_transform(fft_calls):
     spec = canonical_coercive_spec(n=64)
-    u = 0.1 * np.stack([spec.xi_field.values, -spec.xi_field.values, spec.V_field.values])
-    rows = _energy_rows(spec, u)
-    assert rows.total.shape == (3,)
-    assert fft_calls == {"rfftn": 1}
+    for u in (0.1 * spec.xi_field.values, -0.1 * spec.xi_field.values, 0.1 * spec.V_field.values):
+        parts = _energy_parts(spec, u)
+        assert type(parts.total) is float
+    assert fft_calls == {"rfftn": 3}
 
 
 def test_multiplier_matrix_refuses_large_grids():
@@ -497,6 +482,21 @@ def test_lp_norm_gaussian_anchor():
     g = make_grid(1, 256, 40.0)
     u = Field(g, np.exp(-g.axis_coords**2))
     assert lp_norm(u, 2) == pytest.approx((math.pi / 2.0) ** 0.25, abs=1e-8)
+
+
+def test_lp_norm_survives_overflowing_powers():
+    # 10^400 overflows: the norm is rescaled by the peak, 10 * (16 * 0.5)^(1/400)
+    g = make_grid(1, 16, 8.0)
+    assert lp_norm(constant_field(g, 10.0), 400.0) == pytest.approx(10.0 * 8.0 ** (1 / 400),
+                                                                    rel=1e-15)
+    u = Field(g, np.exp(-g.axis_coords**2) * 1e3)
+    assert lp_norm(u, 150.0) == pytest.approx(1e3 * lp_norm(u * 1e-3, 150.0), rel=1e-14)
+    # 1e-500 underflows to zero: the same rescaling recovers the norm
+    assert lp_norm(constant_field(g, 1e-5), 100.0) == pytest.approx(1e-5 * 8.0 ** (1 / 100),
+                                                                    rel=1e-15)
+    # the solvers' kernel keeps reading inf on an overflowing trial
+    with np.errstate(over="ignore"):
+        assert _lp_norm(g, np.full(g.shape, 10.0), 400.0) == math.inf
 
 
 def test_lp_norm_rejects_r_below_one():

@@ -31,9 +31,9 @@ from besselmp.config import RunConfig, build_spec
 from besselmp.grid import make_grid
 from besselmp.problem import (
     _component_count,
-    _energy_rows,
+    _energy_parts,
     _erode,
-    _residual_rows,
+    _residual_values,
     eval_F,
     eval_f,
     eval_scrF,
@@ -100,11 +100,10 @@ class TestPowerNonlinearity:
 
     def test_overflowing_row_reads_infinite_energy(self):
         spec = canonical_coercive_spec(n=64)
-        u = np.stack([np.full(spec.grid.shape, 1e90), 0.1 * spec.xi_field.values])
         with np.errstate(over="ignore"):
-            total = _energy_rows(spec, u).total
-        assert total[0] == math.inf
-        assert total[1] == energy(spec, Field(spec.grid, u[1])).total
+            assert _energy_parts(spec, np.full(spec.grid.shape, 1e90)).total == math.inf
+        u = 0.1 * spec.xi_field.values
+        assert _energy_parts(spec, u) == energy(spec, Field(spec.grid, u))
 
     def test_scrF_closed_form(self):
         spec = canonical_coercive_spec()
@@ -251,7 +250,7 @@ def test_energy_overflow_reported(coercive_spec):
             energy(coercive_spec, big)
 
 
-def _row_specs():
+def _one_spec_per_dim():
     """One spec per dim; the 2-D one uses a nonlinearity that depends on x."""
 
     def weight(x):
@@ -268,32 +267,28 @@ def _row_specs():
     ]
 
 
-@pytest.mark.parametrize("spec", _row_specs(), ids=["1d", "2d-custom", "3d-well"])
+@pytest.mark.parametrize("spec", _one_spec_per_dim(), ids=["1d", "2d-custom", "3d-well"])
 def test_energy_and_residual_rows_match_field_api(spec):
     g = spec.grid
     rng = _rng(g.dim)
-    u = np.stack([random_field(g, rng, envelope_sigma=2.0).values * 3.0 for _ in range(4)])
-    rows = _energy_rows(spec, u)
-    res = _residual_rows(spec, u)
-    assert rows.total.shape == (4,) and res.shape == u.shape
-    for i, row in enumerate(u):
-        f = Field(g, row)
-        bd = energy(spec, f)
-        assert (rows.quad[i], rows.f_term[i], rows.xi_term[i], rows.total[i]) == \
-            (bd.quad, bd.f_term, bd.xi_term, bd.total)
-        assert rows.xi_integral[i] == float(
-            np.sum(spec.xi_field.values * np.abs(row) ** spec.p) * g.cell_volume)
-        assert np.array_equal(res[i], residual(spec, f).values)
+    for _ in range(4):
+        u = random_field(g, rng, envelope_sigma=2.0).values * 3.0
+        parts = _energy_parts(spec, u)
+        assert all(type(x) is float for x in parts)
+        f = Field(g, u)
+        assert parts == energy(spec, f)
+        assert parts.xi_integral == float(
+            np.sum(spec.xi_field.values * np.abs(u) ** spec.p) * g.cell_volume)
+        assert np.array_equal(_residual_values(spec, u), residual(spec, f).values)
 
 
 def test_energy_rows_overflow_is_per_row(coercive_spec):
     g = coercive_spec.grid
-    u = np.stack([np.exp(-g.radius_sq), np.full(g.shape, 1e100), 2.0 * np.exp(-g.radius_sq)])
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _energy_rows(coercive_spec, u).total
-    assert total[1] == math.inf
-    assert total[0] == energy(coercive_spec, Field(g, u[0])).total
-    assert total[2] == energy(coercive_spec, Field(g, u[2])).total
+        assert _energy_parts(coercive_spec, np.full(g.shape, 1e100)).total == math.inf
+    for scale in (1.0, 2.0):
+        u = scale * np.exp(-g.radius_sq)
+        assert _energy_parts(coercive_spec, u).total == energy(coercive_spec, Field(g, u)).total
 
 
 def test_residual_zero_at_zero(coercive_spec):

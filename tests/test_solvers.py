@@ -37,7 +37,7 @@ from besselmp import (
 from besselmp import solvers
 from besselmp.config import RunConfig, build_spec
 from besselmp.grid import DENSE_MAX_POINTS, _multiply
-from besselmp.problem import _energy_rows, _residual_rows
+from besselmp.problem import _energy_parts, _residual_values
 from besselmp.solvers import (
     DEFAULT_WELL_SWEEP,
     MINRES_MAXITER,
@@ -229,7 +229,7 @@ def test_far_endpoint_inside_the_ridge_is_refused(coercive_spec, coercive_probe,
 def test_armijo_step_accepts_and_refuses(coercive_spec):
     g = coercive_spec.grid
     u = 3.0 * np.exp(-g.radius_sq / 4.0)
-    e_u = float(_energy_rows(coercive_spec, u).total)
+    e_u = _energy_parts(coercive_spec, u).total
     d, slope = np.ones(g.shape), 1.0
 
     def scored(levels):
@@ -311,7 +311,7 @@ class TestMountainPass:
     def test_energy_regression(self, coercive_mp):
         assert coercive_mp.energy == pytest.approx(3.22418890, rel=1e-6)
 
-    # Exact values recorded with the half-spectrum row kernels.  The dense
+    # Exact values recorded with the half-spectrum kernels.  The dense
     # Newton solve's last bits can follow the BLAS thread count: these were
     # recorded on one thread, which conftest pins (on two OpenBLAS threads
     # this saddle reads 3.2241889043092677).
@@ -383,7 +383,7 @@ def _closed_form_gap(spec, w):
     F))^(1/(q-2)) it exceeds 2 quad by p X hi^(p-2), so the larger root,
     the top, lies between lo and hi, and the smaller, the bottom, below lo.
     """
-    quad, f_term, _, xi_term, _ = map(float, _energy_rows(spec, w))
+    quad, f_term, _, xi_term, _ = _energy_parts(spec, w)
     q, p = spec.nonlinearity.q, spec.p
 
     def gap(t):
@@ -404,7 +404,7 @@ def _closed_form_top(spec, w):
 def _closed_form_bottom(spec, w):
     """The smaller root: below (p X / (2 quad))^(1/(2-p)) the concave term alone outweighs 2 quad."""
     gap, lo, _ = _closed_form_gap(spec, w)
-    quad, _, _, xi_term, _ = map(float, _energy_rows(spec, w))
+    quad, _, _, xi_term, _ = _energy_parts(spec, w)
     floor = (spec.p * xi_term / (2.0 * quad)) ** (1.0 / (2.0 - spec.p))
     return optimize.brentq(gap, floor, lo, xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
@@ -516,7 +516,7 @@ def test_descent_iterates_sit_on_the_nehari_manifold(monkeypatch):
     report = mountain_pass_solve(spec, probe.e, probe=probe)
     assert report.ok and len(accepted) >= 2
     for u in accepted:
-        pull = float(np.sum(_residual_rows(spec, u) * u)) * spec.grid.cell_volume
+        pull = float(np.sum(_residual_values(spec, u) * u)) * spec.grid.cell_volume
         assert abs(pull) <= 1e-12 * _norm_lam(spec, Field(spec.grid, u)) ** 2
 
 
@@ -556,17 +556,17 @@ def test_descent_trace_2d_pinned():
 def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_ball,
                                        monkeypatch):
     scored, norms = [0], [0]
-    rows, norm = solvers._energy_rows, solvers._residual_norm
+    parts, norm = solvers._energy_parts, solvers._residual_norm
 
-    def counted_rows(spec, u):
-        scored[0] += u.size // spec.grid.total_points
-        return rows(spec, u)
+    def counted_parts(spec, u):
+        scored[0] += 1
+        return parts(spec, u)
 
     def counted_norm(spec, u):
         norms[0] += 1
         return norm(spec, u)
 
-    monkeypatch.setattr(solvers, "_energy_rows", counted_rows)
+    monkeypatch.setattr(solvers, "_energy_parts", counted_parts)
     monkeypatch.setattr(solvers, "_residual_norm", counted_norm)
     # each solver scores the critical point of its first ray, one energy
     # per descent trial, and the energy each polish entry reports
