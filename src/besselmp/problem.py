@@ -75,6 +75,14 @@ def _abs_power(u: np.ndarray, k: float) -> np.ndarray:
         a = a * a
 
 
+def _scalar_power(t: float, k: float) -> float:
+    """t^k for a float t > 0; inf where a Python float power raises OverflowError."""
+    try:
+        return t**k
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PowerNonlinearity:
     """f(u) = |u|^{q-2} u with primitive F(u) = |u|^q / q; theta = q."""
@@ -97,6 +105,16 @@ class PowerNonlinearity:
         u = np.asarray(u, dtype=np.float64)
         return (self.q - 1.0) * _abs_power(u, self.q - 2.0)
 
+    def ray_integrals(self, x, w, vol, f_term):
+        """(pull, push): t -> int f(x, t w) w and t -> int F(x, t w), t > 0, given int F(x, w).
+
+        F is homogeneous of degree q: with f_term = int F(x, w) they are
+        q f_term t^(q-1) and f_term t^q.
+        """
+        q = self.q
+        return (lambda t: q * f_term * _scalar_power(t, q - 1.0),
+                lambda t: f_term * _scalar_power(t, q))
+
 
 @dataclass(frozen=True)
 class CustomNonlinearity:
@@ -118,6 +136,11 @@ class CustomNonlinearity:
 
     def F(self, x, u):
         return np.asarray(self.F_fn(x, np.asarray(u, dtype=np.float64)), dtype=np.float64)
+
+    def ray_integrals(self, x, w, vol, f_term):
+        """(pull, push) as for the power law, summed over the grid: no homogeneity is declared."""
+        return (lambda t: float(np.sum(self.f(x, t * w) * w)) * vol,
+                lambda t: float(np.sum(self.F(x, t * w))) * vol)
 
     def f_prime(self, x, u, h=1e-6):
         u = np.asarray(u, dtype=np.float64)

@@ -42,8 +42,8 @@ import numpy as np
 from .grid import (
     DENSE_MAX_POINTS,
     Field,
+    _filter,
     _lp_norm,
-    _multiply,
     _require,
     _sup_constant,
     _weighted_norm_sq,
@@ -173,9 +173,10 @@ def _residual(spec, u):
     return r
 
 
-def _residual_norm(spec, u) -> float:
-    """L^2 norm of the residual at u; a trial that overflows reads inf or nan."""
-    return _lp_norm(spec.grid, _residual_values(spec, u), 2)
+def _trial_residual(spec, u):
+    """(residual at u, its L^2 norm); a trial that overflows reads an inf or nan norm."""
+    r = _residual_values(spec, u)
+    return r, _lp_norm(spec.grid, r, 2)
 
 
 def _norm_lam(spec, u) -> float:
@@ -337,16 +338,17 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
 # mountain pass
 
 
-def _scaled_inverse(g, alpha, scale, v):
-    """M v for M = D (I - Laplacian)^(-alpha) D, D = diag(scale): one transform pair.
+def _scaled_inverse(g, inverse, scale, v):
+    """M v for M = D (I - Laplacian)^(-alpha) D, D = diag(scale), ``inverse`` = g.symbol(-alpha).
 
-    M is symmetric positive definite for any positive ``scale``.  With
-    D = (1 + |pointwise part|)^(-1/2) it is a diagonal stand-in for the
-    absolute-value preconditioner |H|^(-1) of Vecharynski & Knyazev
-    (SIAM J. Sci. Comput. 35, 2013): (I - Laplacian)^(-alpha) alone does
-    not see a potential wall thousands of times higher than the symbol.
+    One transform pair.  M is symmetric positive definite for any positive
+    ``scale``.  With D = (1 + |pointwise part|)^(-1/2) it is a diagonal
+    stand-in for the absolute-value preconditioner |H|^(-1) of Vecharynski
+    & Knyazev (SIAM J. Sci. Comput. 35, 2013): (I - Laplacian)^(-alpha)
+    alone does not see a potential wall thousands of times higher than the
+    symbol.
     """
-    return scale * _multiply(g, scale * v, -alpha)
+    return scale * _filter(g, scale * v, inverse)
 
 
 def _riesz_gradient(spec, r):
@@ -375,26 +377,28 @@ def _fibering(spec, w, bottom=False):
     positive to negative; the bottom t-(w) is the local minimum below it,
     where dPhi/dt turns from negative to positive.  Phi(t w) = t^2 quad -
     int F(x, t w) - t^p xi_term with the pieces of one ``_energy_parts(w)``
-    call; only int F and int f(x, t w) w depend on t, and both are
-    pointwise, so no t costs a transform.  From t = 1 the walk doubles or
-    halves t until dPhi/dt changes sign, and ``_brentq``, an in-house port
-    of SciPy's Brent loop, refines that bracket: toward a top it doubles
-    while dPhi/dt > 0 and halves while dPhi/dt <= 0, toward a bottom the
-    other way round.  So it finds the requested point only from its own
-    side of the other one: a ray scaled past its top has no bottom found,
-    and one below its bottom no top.  (nan, inf)
-    when Phi(w) is not finite or the walk finds no sign change within
-    BACKTRACK_TRIES doublings or halvings; a descent refuses such a trial.
+    call; only int F and int f(x, t w) w depend on t, and the nonlinearity's
+    ``ray_integrals`` gives both: scalar closed forms for the power law
+    (Brown & Zhang, 2003), sums over the grid for a CustomNonlinearity.  No
+    t costs a transform.  From t = 1 the walk doubles or halves t until
+    dPhi/dt changes sign, and ``_brentq``, an in-house port of SciPy's Brent
+    loop, refines that bracket: toward a top it doubles while dPhi/dt > 0
+    and halves while dPhi/dt <= 0, toward a bottom the other way round.  So
+    it finds the requested point only from its own side of the other one: a
+    ray scaled past its top has no bottom found, and one below its bottom
+    no top.  (nan, inf) when Phi(w) is not finite or the walk finds no sign
+    change within BACKTRACK_TRIES doublings or halvings (an int f(x, t w) w
+    that overflows reads inf); a descent refuses such a trial.
     """
     pieces = _energy_parts(spec, w)
     if pieces.total == math.inf:
         return math.nan, math.inf
-    coords, vol = spec.grid.coords(), spec.grid.cell_volume
+    g = spec.grid
+    pull, push = spec.nonlinearity.ray_integrals(g.coords(), w, g.cell_volume, pieces.f_term)
     quad, xi_term, p = pieces.quad, pieces.xi_term, spec.p
 
     def slope(t):
-        pull = float(np.sum(spec.nonlinearity.f(coords, t * w) * w)) * vol
-        return 2.0 * t * quad - pull - p * t ** (p - 1.0) * xi_term
+        return 2.0 * t * quad - pull(t) - p * t ** (p - 1.0) * xi_term
 
     rising = slope(1.0) > 0.0
     up = rising != bottom  # a top lies above a rising t, a bottom below it
@@ -407,8 +411,7 @@ def _fibering(spec, w, bottom=False):
     else:
         return math.nan, math.inf
     crit = _brentq(slope, min(t, nxt), max(t, nxt), xtol=1e-300)  # the finest tolerances
-    push = float(np.sum(spec.nonlinearity.F(coords, crit * w))) * vol
-    return crit, crit**2 * quad - push - crit**p * xi_term
+    return crit, crit**2 * quad - push(crit) - crit**p * xi_term
 
 
 def _armijo_step(spec, u, e_u, d, slope, step, place):
@@ -455,7 +458,7 @@ def _minres(g, alpha, h, b, forcing=0.0):
     as in scipy.sparse.linalg.minres, preconditioned with the symmetric
     positive definite M = D (I - Laplacian)^(-alpha) D, D = (1 + |h|)^(-1/2)
     (``_scaled_inverse``).  An iteration costs two transform pairs, H v and
-    M r2.  ``stop`` says why the solve ended:
+    M r2, with both symbols read once.  ``stop`` says why the solve ended:
     "rtol" at a backward error ||H x - b|| / (||H|| ||x||), or a relative
     ||H r|| / (||H|| ||r||), of MINRES_RTOL (or an exact solution);
     "forcing" once the recurrence's ||H x - b||_M is at most ``forcing``
@@ -463,9 +466,10 @@ def _minres(g, alpha, h, b, forcing=0.0):
     beta^2 = <r2, M r2> < 0, which a symmetric H and SPD M rule out
     except by rounding.  x is None on "cap" and "breakdown".
     """
+    symbol, inverse = g.symbol(alpha), g.symbol(-alpha)
     scale = 1.0 / np.sqrt(1.0 + np.abs(h))
     x = np.zeros_like(b)
-    y = _scaled_inverse(g, alpha, scale, b)
+    y = _scaled_inverse(g, inverse, scale, b)
     beta1 = float(np.vdot(b, y))
     if not beta1 > 0.0:
         return (x, 0, "rtol") if beta1 == 0.0 else (None, 0, "breakdown")
@@ -479,14 +483,14 @@ def _minres(g, alpha, h, b, forcing=0.0):
         # Lanczos step: v = M r2 / beta, then y = H v - alfa/beta r2 - beta/oldb r1
         s = 1.0 / beta
         v = s * y
-        y = _multiply(g, v, alpha)
+        y = _filter(g, v, symbol)
         y += h * v
         if itn >= 2:
             y -= (beta / oldb) * r1
         alfa = float(np.vdot(v, y))
         y -= (alfa / beta) * r2
         r1, r2 = r2, y
-        y = _scaled_inverse(g, alpha, scale, r2)
+        y = _scaled_inverse(g, inverse, scale, r2)
         oldb, beta = beta, float(np.vdot(r2, y))
         if beta < 0.0:
             return None, itn, "breakdown"
@@ -556,17 +560,18 @@ def _polish(spec, u, opts, trace, it0):
     passes, or the Newton solve fails, the polish ends where it stands; a
     run that ends above tol reports it.  A Krylov solve stops at the
     inexact-Newton forcing term min(0.1, 0.1 ||r||_2), which keeps Newton's
-    local quadratic rate
-    (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982) without
-    solving far past what the current residual can use.  It is never
-    below 0.5 tol / ||r||_2 (Kelley, Iterative Methods for Linear and
-    Nonlinear Equations, 1995): near the end a step only has to take the
-    residual to tol, and solving past that can cost more than the cap.
+    local quadratic rate (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+    Anal. 19, 1982) without solving far past what the current residual can
+    use.  It is never below 0.5 tol / ||r||_2 (Kelley, Iterative Methods
+    for Linear and Nonlinear Equations, 1995): near the end a step only has
+    to take the residual to tol, and solving past that can cost more than
+    the cap.  The floor bounds the solve's relative M-norm residual, not
+    the L^2 residual that the polish stops on.
     """
     it = it0
+    r = _residual(spec, u)
+    rn = _lp_norm(spec.grid, r, 2)
     for _ in range(NEWTON_MAX):
-        r = _residual(spec, u)
-        rn = _lp_norm(spec.grid, r, 2)
         entry = TraceEntry(it, _energy(spec, u), rn, 0.0, "polish", 0)
         it += 1
         if rn <= opts.tol:
@@ -574,16 +579,17 @@ def _polish(spec, u, opts, trace, it0):
             return u, rn, it
         forcing = min(0.1, max(0.1 * rn, 0.5 * opts.tol / rn))
         delta, iters, stop = _newton_direction(spec, u, r, forcing)
-        # the damped Newton trials u + s delta, s = 1, 1/2, ... above 1e-10
+        # the damped Newton trials u + s delta, s = 1, 1/2, ... above 1e-10, scored by
+        # their residuals; the accepted one's (finite) is the next row's
         trials = () if delta is None else ((s, u + s * delta) for s in _steps(1.0, NEWTON_TRIES))
-        found, tried = _first(trials,
-                              lambda st: _residual_norm(spec, st[1]) <= (1.0 - 1e-4 * st[0]) * rn)
+        found, tried = _first(((s, v, *_trial_residual(spec, v)) for s, v in trials),
+                              lambda c: c[3] <= (1.0 - 1e-4 * c[0]) * rn)
         trace.append(replace(entry, step_size=0.0 if found is None else found[0],
                              trials=tried, krylov_iters=iters, krylov_stop=stop))
         if found is None:
             return u, rn, it
-        u = found[1]
-    return u, _lp_norm(spec.grid, _residual(spec, u), 2), it
+        _, u, r, rn = found
+    return u, rn, it
 
 
 def _nehari_solve(spec, u, level, bottom, opts):

@@ -26,7 +26,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from collections import Counter  # noqa: E402
 
-import numpy as np  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
 # Every property test draws the same examples on every run and machine, so a
@@ -78,13 +77,17 @@ def well_result(well_spec):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Calls of each np.fft function made through besselmp.grid; uncalled names are absent."""
+    """Calls of grid's transform entry points, forward ``_rfft`` and inverse ``_irfft``.
+
+    Every array kernel transforms through them (``test_no_kernel_calls_the_nd_wrappers``);
+    uncalled names are absent.
+    """
     import besselmp.grid
 
     calls = Counter()
-    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kw):
+    for name in ("_rfft", "_irfft"):
+        def counted(*args, _name=name, _fn=getattr(besselmp.grid, name)):
             calls[_name] += 1
-            return _fn(*args, **kw)
-        monkeypatch.setattr(besselmp.grid.np.fft, name, counted)
+            return _fn(*args)
+        monkeypatch.setattr(besselmp.grid, name, counted)
     return calls

@@ -1,6 +1,7 @@
 """Geometry probe, saddle search, ball descent, and the combined experiment."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from besselmp import (
     CustomWeight,
     Field,
     GeometryError,
+    PowerNonlinearity,
     SolveOptions,
     apply_multiplier,
     assess_levels,
@@ -311,13 +313,13 @@ class TestMountainPass:
     def test_energy_regression(self, coercive_mp):
         assert coercive_mp.energy == pytest.approx(3.22418890, rel=1e-6)
 
-    # Exact values recorded with the half-spectrum kernels.  The dense
-    # Newton solve's last bits can follow the BLAS thread count: these were
-    # recorded on one thread, which conftest pins (on two OpenBLAS threads
-    # this saddle reads 3.2241889043092677).
+    # Exact values recorded with the half-spectrum kernels and the closed-form
+    # fibering.  The dense Newton solve's last bits can follow the BLAS
+    # thread count: these were recorded on one thread, which conftest pins
+    # (on two OpenBLAS threads this saddle reads 3.224188904309267).
 
     def test_exact_regression(self, coercive_mp):
-        assert coercive_mp.energy == 3.2241889043092686
+        assert coercive_mp.energy == 3.2241889043092673
 
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
@@ -451,6 +453,62 @@ def test_fibering_without_a_bottom(coercive_spec, coercive_probe):
         assert math.isnan(t) and level == math.inf
 
 
+@pytest.mark.parametrize("cfg", [
+    RunConfig(), RunConfig(dim=2, n=16, box_length=15.0),
+    RunConfig(dim=3, n=8, box_length=10.0, alpha=0.9),  # q = 4 is subcritical at alpha 0.9
+], ids=["1d", "2d", "3d"])
+def test_fibering_closed_form_matches_pointwise_sums(cfg):
+    # the power law's closed form in t against FLAT, the same law spelled as
+    # a CustomNonlinearity, whose f and F are summed over the grid at each t
+    spec = build_spec(cfg)
+    flat = replace(spec, nonlinearity=FLAT)
+    bump = np.exp(-spec.grid.radius_sq)
+    tilted = bump * (1.0 + 0.2 * spec.grid.coords()[0])
+    for w, bottom in ((probe_geometry(spec).e.values, False), (0.01 * bump, False),
+                      (bump, True), (1e-8 * tilted, True)):
+        t, level = _fibering(spec, w, bottom)
+        t_sum, level_sum = _fibering(flat, w, bottom)
+        assert math.isfinite(level)
+        assert t == pytest.approx(t_sum, rel=1e-13, abs=0.0)
+        assert level == pytest.approx(level_sum, rel=1e-13, abs=0.0)
+
+
+def test_power_law_fibering_makes_no_pass_of_its_own(coercive_spec, coercive_probe, fft_calls,
+                                                     monkeypatch):
+    # f and F are called only by the one energy evaluation of w: its F
+    # pass and its forward transform, whatever the walk and Brent try
+    calls = Counter()
+    for name in ("f", "F"):
+        def counted(self, x, u, _name=name, _fn=getattr(PowerNonlinearity, name)):
+            calls[_name] += 1
+            return _fn(self, x, u)
+        monkeypatch.setattr(PowerNonlinearity, name, counted)
+    for w, bottom in ((coercive_probe.e.values, False),
+                      (np.exp(-coercive_spec.grid.radius_sq), True)):
+        calls.clear()
+        fft_calls.clear()
+        assert math.isfinite(_fibering(coercive_spec, w, bottom)[1])
+        assert calls == {"F": 1} and fft_calls == {"_rfft": 1}
+
+
+# |u|^40 / 40 summed over the grid, to compare with PowerNonlinearity(40.0)
+POWER_40 = CustomNonlinearity(f_fn=lambda x, u: np.sign(u) * np.abs(u) ** 39.0,
+                              F_fn=lambda x, u: np.abs(u) ** 40.0 / 40.0, q=40.0, theta=40.0)
+
+
+def test_fibering_overflow_reads_no_bottom(coercive_spec, coercive_probe):
+    # past its top a bottom is sought by doubling t; int f(x, t w) w
+    # overflows to inf on the way (for q = 40, t^39 itself does), dPhi/dt
+    # reads -inf, and no doubling changes its sign: both paths read (nan, inf)
+    steep = replace(coercive_spec, nonlinearity=PowerNonlinearity(40.0))
+    for spec, custom, w in ((coercive_spec, FLAT, 1e70 * coercive_probe.e.values),
+                            (steep, POWER_40, 3.0 * np.exp(-coercive_spec.grid.radius_sq))):
+        for s in (spec, replace(spec, nonlinearity=custom)):
+            with np.errstate(over="ignore"):  # as in the solver entry points
+                t, level = _fibering(s, w, bottom=True)
+            assert math.isnan(t) and level == math.inf
+
+
 FINEST = {"xtol": 1e-300, "rtol": 4 * np.finfo(float).eps}  # _fibering's tolerances
 
 
@@ -538,9 +596,9 @@ def test_custom_nonlinearity_saddle():
 # The Tier-1 2-D n=16 saddle search: (energy, residual_norm, step_size,
 # trials) of its descent entries, recorded with the lam-norm gradient.
 DESCENT_2D_TRACE = (
-    (8.791369490887908, 6.465500060614259, 1.0, 1),
-    (5.879688270372663, 1.3599421854826896, 2.0, 1),
-    (5.824345087000548, 1.0361210338881892, 4.0, 0),
+    (8.791369490887908, 6.4655000606142625, 1.0, 1),
+    (5.879688270372664, 1.359942185482689, 2.0, 1),
+    (5.824345087000549, 1.0361210338881932, 4.0, 0),
 )
 
 
@@ -550,13 +608,13 @@ def test_descent_trace_2d_pinned():
     descent = [(t.energy, t.residual_norm, t.step_size, t.trials)
                for t in report.trace if t.phase == "nehari"]
     assert descent == list(DESCENT_2D_TRACE)
-    assert report.energy == 5.733592449945196
+    assert report.energy == 5.733592449945194
 
 
 def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_ball,
                                        monkeypatch):
     scored, norms = [0], [0]
-    parts, norm = solvers._energy_parts, solvers._residual_norm
+    parts, norm = solvers._energy_parts, solvers._trial_residual
 
     def counted_parts(spec, u):
         scored[0] += 1
@@ -567,7 +625,7 @@ def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_b
         return norm(spec, u)
 
     monkeypatch.setattr(solvers, "_energy_parts", counted_parts)
-    monkeypatch.setattr(solvers, "_residual_norm", counted_norm)
+    monkeypatch.setattr(solvers, "_trial_residual", counted_norm)
     # each solver scores the critical point of its first ray, one energy
     # per descent trial, and the energy each polish entry reports
     for solve, phase, again in (
@@ -732,11 +790,11 @@ class TestTwoSolutions:
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945196, -2.4845810771997024e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124028, -3.0835821691526616e-11),
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945194, -2.4845810771997024e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.044612061240265, -3.0835821691526616e-11),
     (RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
      3.3570136804097412, -2.847165929010149e-08),
-    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.07007919114883, -9.833296708918816e-12),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.07007919114882, -9.833296708918816e-12),
 ], ids=["2d", "3d", "2d-steep-well", "3d-n32"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     # every grid but 3-D n=32 takes the dense Newton route; the pins were
@@ -781,20 +839,20 @@ def _steep_well_on_the_krylov_route(n, saddle, minimizer):
 
 def test_steep_well_on_the_krylov_route():
     # the pins were recorded on one BLAS thread
-    _steep_well_on_the_krylov_route(64, 3.954640855291909, -2.3381507078513114e-08)
+    _steep_well_on_the_krylov_route(64, 3.954640855291908, -2.3381507078513114e-08)
 
 
 def test_steep_well_certifies_at_n128():
     # lam V = 5,000 on the wall: the preconditioner must see the potential
     # for MINRES to stop short of the cap here; the n=256 saddle is
     # 4.13223520
-    _steep_well_on_the_krylov_route(128, 4.131516190837431, -2.1256877919568197e-08)
+    _steep_well_on_the_krylov_route(128, 4.1315161908374325, -2.1256877919568197e-08)
 
 
 # every pair certifies with c > eta; two saddles pinned on one BLAS thread
 SWEEP_SADDLES = {
     (200.0, 0.05): 1.5182109252113711,
-    (50.0, 0.05): 1.4602836700350952,
+    (50.0, 0.05): 1.460283670035095,
 }
 
 
@@ -949,7 +1007,7 @@ def test_minres_pieces_are_symmetric_with_positive_preconditioner(cfg):
         return _multiply(g, v, alpha) + h * v
 
     def M(v):
-        return solvers._scaled_inverse(g, alpha, scale, v)
+        return solvers._scaled_inverse(g, g.symbol(-alpha), scale, v)
 
     rng = np.random.default_rng(cfg.dim)
     for _ in range(5):
@@ -1018,7 +1076,7 @@ def test_minres_zero_rhs_and_breakdown(monkeypatch):
     x, iters, stop = _minres(g, alpha, h, np.zeros_like(b))
     assert iters == 0 and stop == "rtol" and not np.any(x)
     # a preconditioner that is not positive definite breaks the recurrence
-    monkeypatch.setattr(solvers, "_multiply", lambda grid, v, s: -v)
+    monkeypatch.setattr(solvers, "_filter", lambda grid, v, symbol: -v)
     assert _minres(g, alpha, h, b) == (None, 0, "breakdown")
 
 
