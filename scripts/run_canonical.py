@@ -1,5 +1,8 @@
 """Run both canonical problems end to end and print the level tables.
 
+Each solver stage also prints the MINRES iterations that its trace
+records, the descent's and the polish's apart.
+
 Usage: python scripts/run_canonical.py
 """
 
@@ -34,8 +37,14 @@ def run_one(name, spec):
         else:
             label, energy = ("saddle ", f"{result.energy:.8f}") if stage == "mountain_pass" \
                 else ("minimum", f"{result.energy:.3e}")
+            # MINRES iterations from the trace: the descent's gradient solves
+            # and the polish's Newton solves
+            minres = {"descent": 0, "polish": 0}
+            for entry in result.trace:
+                minres["polish" if entry.phase == "polish" else "descent"] += entry.krylov_iters
             print(f"{label} E={energy}  |r|={result.residual_norm:.2e}  "
-                  f"iters={result.iterations}  ok={ok}  {took}")
+                  f"iters={result.iterations}  minres descent={minres['descent']} "
+                  f"polish={minres['polish']}  ok={ok}  {took}")
         done[stage] = result
         t0 = time.perf_counter()
 

@@ -32,10 +32,6 @@ __all__ = [
     "random_field",
 ]
 
-# Largest grid, in points, on which Newton solves use the dense multiplier
-# matrix (32 MB at this size); larger grids go through a Krylov solver.
-DENSE_MAX_POINTS = 2048
-
 # Most points a Grid may have: 8 MB per real field, of which a solve holds
 # dozens (n = 256 in 3-D would be 16.8M points, 134 MB per field).
 GRID_MAX_POINTS = 2**20
@@ -182,33 +178,6 @@ class Grid:
 
         return self._cached(("parseval", float(alpha)), build)
 
-    def multiplier_matrix(self, s: float) -> np.ndarray:
-        """Dense matrix of ``apply_multiplier(., s)`` on raveled fields.
-
-        Column j is the multiplier applied to the j-th unit field, so the
-        matrix is exactly the operator that ``apply_multiplier`` evaluates;
-        the unit fields go through the multiplier kernel one grid line (n
-        columns) per call, which keeps the temporaries to n fields.  Grids
-        above ``DENSE_MAX_POINTS`` points are refused: the matrix grows
-        with the square of the point count.
-        """
-        npts = self.total_points
-        if npts > DENSE_MAX_POINTS:
-            raise ValueError(f"dense multiplier matrix needs at most {DENSE_MAX_POINTS} points, "
-                             f"grid has {npts}")
-
-        def build():
-            out = np.empty((npts, npts))
-            line = np.arange(self.n)
-            for start in range(0, npts, self.n):
-                units = np.zeros((self.n, npts))
-                units[line, start + line] = 1.0
-                images = _multiply(self, units.reshape((self.n,) + self.shape), s)
-                out[:, start : start + self.n] = images.reshape(self.n, npts).T
-            return _read_only(out)
-
-        return self._cached(("matrix", float(s)), build)
-
 
 @dataclass(frozen=True, eq=False)
 class Field:
@@ -299,11 +268,10 @@ def inverse_transform(spectrum: Spectrum) -> Field:
 
 
 # Array kernels: each takes one field's values, an ndarray of ``grid.shape``,
-# and returns a float; ``_multiply`` returns the image and acts on the
-# trailing grid axes, so ``Grid.multiplier_matrix`` can hand it a grid line
-# of unit fields.  The solvers call the kernels on raw iterates; the Field
-# functions below are thin wrappers over them.  All transform through
-# ``_rfft`` and ``_irfft``.
+# and returns a float; ``_multiply`` and ``_filter`` return the image and act
+# on the trailing grid axes, so they also take a stack of fields.  The
+# solvers call the kernels on raw iterates; the Field functions below are
+# thin wrappers over them.  All transform through ``_rfft`` and ``_irfft``.
 
 
 def _rfft(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -40,7 +40,6 @@ from typing import ClassVar
 import numpy as np
 
 from .grid import (
-    DENSE_MAX_POINTS,
     Field,
     _filter,
     _lp_norm,
@@ -137,10 +136,11 @@ class TraceEntry:
     trials: int
     # MINRES iterations behind the entry: of a descent entry's gradient
     # solve or a polish entry's Newton direction, also when the solve failed
-    # (MINRES_MAXITER if it hit the cap); 0 on the dense route
+    # (MINRES_MAXITER if it hit the cap); 0 on the polish entry that stops
+    # at tol, which solves nothing
     krylov_iters: int = 0
     # why that MINRES solve stopped: "rtol", "forcing", "cap" or
-    # "breakdown" (see ``_minres``); "" on the dense route
+    # "breakdown" (see ``_minres``); "" where no solve ran
     krylov_stop: str = ""
 
 
@@ -451,25 +451,41 @@ def _hessian_diag(spec, u):
     return vals
 
 
-def _minres(g, alpha, h, b, forcing=0.0):
+def _minres(g, alpha, h, b, forcing=0.0, shifted=False):
     """Solve H x = b, H = (I - Laplacian)^alpha + diag(h), by MINRES; (x, iterations, stop).
 
     The recurrence is Paige & Saunders' (SIAM J. Numer. Anal. 12, 1975),
-    as in scipy.sparse.linalg.minres, preconditioned with the symmetric
-    positive definite M = D (I - Laplacian)^(-alpha) D, D = (1 + |h|)^(-1/2)
-    (``_scaled_inverse``).  An iteration costs two transform pairs, H v and
-    M r2, with both symbols read once.  ``stop`` says why the solve ended:
-    "rtol" at a backward error ||H x - b|| / (||H|| ||x||), or a relative
-    ||H r|| / (||H|| ||r||), of MINRES_RTOL (or an exact solution);
-    "forcing" once the recurrence's ||H x - b||_M is at most ``forcing``
-    ||b||_M; "cap" after MINRES_MAXITER iterations; "breakdown" when
-    beta^2 = <r2, M r2> < 0, which a symmetric H and SPD M rule out
-    except by rounding.  x is None on "cap" and "breakdown".
+    as in scipy.sparse.linalg.minres, with one of two symmetric positive
+    definite preconditioners.  By default M = D (I - Laplacian)^(-alpha) D,
+    D = (1 + |h|)^(-1/2) (``_scaled_inverse``), and an iteration costs two
+    transform pairs, H v and M r2.  With ``shifted``,
+    M = ((I - Laplacian)^alpha + sigma)^(-1), sigma = mean |h|: then
+    (I - Laplacian)^alpha M r2 = r2 - sigma M r2, so for v = M r2 / beta the
+    Lanczos product H v = r2 / beta + (h - sigma) v needs no transform and
+    an iteration costs the one pair of M r2.  A solve pays one more pair,
+    for M b.  ``stop`` says why the solve ended: "rtol" at a backward error
+    ||H x - b|| / (||H|| ||x||), or a relative ||H r|| / (||H|| ||r||), of
+    MINRES_RTOL (or an exact solution); "forcing" once the recurrence's
+    ||H x - b||_M is at most ``forcing`` ||b||_M; "cap" after
+    MINRES_MAXITER iterations; "breakdown" when beta^2 = <r2, M r2> < 0,
+    which a symmetric H and SPD M rule out except by rounding.  x is None
+    on "cap" and "breakdown".
     """
-    symbol, inverse = g.symbol(alpha), g.symbol(-alpha)
-    scale = 1.0 / np.sqrt(1.0 + np.abs(h))
+    if shifted:
+        sigma = float(np.mean(np.abs(h)))
+        inverse = 1.0 / (g.symbol(alpha) + sigma)
+        offset = h - sigma
+
+        def precondition(r):
+            return _filter(g, r, inverse)
+    else:
+        symbol, inverse = g.symbol(alpha), g.symbol(-alpha)
+        scale = 1.0 / np.sqrt(1.0 + np.abs(h))
+
+        def precondition(r):
+            return _scaled_inverse(g, inverse, scale, r)
     x = np.zeros_like(b)
-    y = _scaled_inverse(g, inverse, scale, b)
+    y = precondition(b)
     beta1 = float(np.vdot(b, y))
     if not beta1 > 0.0:
         return (x, 0, "rtol") if beta1 == 0.0 else (None, 0, "breakdown")
@@ -483,14 +499,18 @@ def _minres(g, alpha, h, b, forcing=0.0):
         # Lanczos step: v = M r2 / beta, then y = H v - alfa/beta r2 - beta/oldb r1
         s = 1.0 / beta
         v = s * y
-        y = _filter(g, v, symbol)
-        y += h * v
+        if shifted:
+            y = s * r2
+            y += offset * v
+        else:
+            y = _filter(g, v, symbol)
+            y += h * v
         if itn >= 2:
             y -= (beta / oldb) * r1
         alfa = float(np.vdot(v, y))
         y -= (alfa / beta) * r2
         r1, r2 = r2, y
-        y = _scaled_inverse(g, inverse, scale, r2)
+        y = precondition(r2)
         oldb, beta = beta, float(np.vdot(r2, y))
         if beta < 0.0:
             return None, itn, "breakdown"
@@ -525,28 +545,19 @@ def _minres(g, alpha, h, b, forcing=0.0):
 def _newton_direction(spec, u, r, forcing=0.0):
     """Solve (D^2 Phi)(u) delta = -r; (delta, MINRES iterations, stop), delta None if the solve fails.
 
-    Up to DENSE_MAX_POINTS unknowns the Hessian is built and solved
-    densely (0 iterations, stop "", no forcing term).  Above, ``_minres``
-    applies it matrix-free and solves it preconditioned with
-    D (I - Laplacian)^(-alpha) D, D = (1 + |h|)^(-1/2): the Hessian is
-    symmetric but indefinite at a saddle, where CG has no guarantee and
-    GMRES keeps a long recurrence that symmetry makes short, while MINRES
-    needs only symmetry and an SPD preconditioner.  It stops at a backward
-    error of MINRES_RTOL = 1e-12, which leaves a plain relative residual
-    near 1e-10, or once ||H delta + r||_M <= forcing ||r||_M, or fails
-    after MINRES_MAXITER iterations, which it then reports; ``stop`` names
-    the test that ended it.
+    ``_minres`` applies the Hessian matrix-free, preconditioned with the
+    shifted ((I - Laplacian)^alpha + mean |h|)^(-1), one transform pair per
+    iteration: the Hessian is symmetric but indefinite at a saddle, where
+    CG has no guarantee and GMRES keeps a long recurrence that symmetry
+    makes short, while MINRES needs only symmetry and an SPD
+    preconditioner.  It stops at a backward error of MINRES_RTOL = 1e-12,
+    which leaves a plain relative residual near 1e-10, or once
+    ||H delta + r||_M <= forcing ||r||_M, or fails after MINRES_MAXITER
+    iterations, which it then reports; ``stop`` names the test that ended
+    it.  A delta that is not finite also fails.
     """
-    g = spec.grid
-    h = _hessian_diag(spec, u)
-    if g.total_points > DENSE_MAX_POINTS:
-        delta, iters, stop = _minres(g, spec.alpha, h, -r, forcing)
-    else:
-        J = g.multiplier_matrix(spec.alpha) + np.diag(h.ravel())
-        try:
-            delta, iters, stop = np.linalg.solve(J, -r.ravel()).reshape(g.shape), 0, ""
-        except np.linalg.LinAlgError:
-            delta, iters, stop = None, 0, ""
+    delta, iters, stop = _minres(spec.grid, spec.alpha, _hessian_diag(spec, u), -r, forcing,
+                                 shifted=True)
     if delta is None or not np.all(np.isfinite(delta)):
         return None, iters, stop
     return delta, iters, stop
@@ -558,7 +569,7 @@ def _polish(spec, u, opts, trace, it0):
     Each step tries u + s delta for s = 1, 1/2, ... and takes the first
     that lowers the residual norm by the factor 1 - 1e-4 s.  When no trial
     passes, or the Newton solve fails, the polish ends where it stands; a
-    run that ends above tol reports it.  A Krylov solve stops at the
+    run that ends above tol reports it.  Each Newton solve stops at the
     inexact-Newton forcing term min(0.1, 0.1 ||r||_2), which keeps Newton's
     local quadratic rate (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
     Anal. 19, 1982) without solving far past what the current residual can
@@ -862,7 +873,7 @@ def two_solution_sweep(spec: ProblemSpec, pairs=DEFAULT_WELL_SWEEP, opts=None,
                        distinct_tol=1e-3):
     """Try (lam, mu) pairs on spec until the experiment succeeds.
 
-    Every pair's spec shares spec's Grid, so the cached symbols and matrix too.
+    Every pair's spec shares spec's Grid, so the cached symbols too.
     Returns (pair, result, attempts) where attempts records every pair
     tried with its failure reason; raises if the whole sweep fails.
     """

@@ -1,15 +1,15 @@
-"""Shared fixtures (the canonical problems, their slow solved states, an FFT call counter) and the Hypothesis profile.
+"""Shared fixtures (the canonical problems, their slow solved states, an FFT call counter), the Hypothesis profile and a dense multiplier matrix.
 
 The solve fixtures are session-scoped because several files assert against
 the same converged run; everything downstream treats them as read-only.
 
-The solvers' last bits follow the BLAS thread count (the dense Newton
-solve, and the np.vdot and np.linalg.norm reductions in every MINRES
-solve), and the exact solver pins were recorded on one thread.  BLAS reads
-its thread count once, when NumPy loads, so this file pins it before that
-and stops the session if NumPy is already loaded (a -p plugin that imports
-it first, say): the pins would then fail on their last bits for a reason
-that is not in the code under test.
+The solvers' last bits follow the BLAS thread count (the np.vdot and
+np.linalg.norm reductions in every MINRES solve), and the exact solver pins
+were recorded on one thread.  BLAS reads its thread count once, when NumPy
+loads, so this file pins it before that and stops the session if NumPy is
+already loaded (a -p plugin that imports it first, say): the pins would
+then fail on their last bits for a reason that is not in the code under
+test.
 """
 
 import os
@@ -34,6 +34,8 @@ from hypothesis import settings  # noqa: E402
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
 
+import numpy as np  # noqa: E402
+
 from besselmp import (
     ball_min_solve,
     canonical_coercive_spec,
@@ -42,6 +44,17 @@ from besselmp import (
     probe_geometry,
     two_solution_experiment,
 )
+from besselmp.grid import _multiply  # noqa: E402
+
+
+def multiplier_matrix(g, s):
+    """The dense matrix of ``_multiply(g, ., s)`` on raveled fields: column j is unit field j's image.
+
+    All unit fields go through the kernel as one stack, so the temporaries
+    hold a few matrices; the tests call it on grids of at most 1,024 points.
+    """
+    units = np.eye(g.total_points).reshape((g.total_points,) + g.shape)
+    return _multiply(g, units, s).reshape(g.total_points, g.total_points).T
 
 
 @pytest.fixture(scope="session")

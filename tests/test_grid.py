@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from besselmp.grid import (
     make_grid,
 )
 from besselmp.problem import _energy_parts, canonical_coercive_spec
+from conftest import multiplier_matrix
 
 
 def _rng(seed):
@@ -279,11 +279,12 @@ def _columnwise_matrix(g, s):
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
 @pytest.mark.parametrize("s", [0.75, -0.75])
 def test_multiplier_matrix_matches_columnwise_build(dim, n, s):
+    # the tests' dense operator, built from one stack of unit fields, is
+    # the multiplier applied to each unit field alone
     g = make_grid(dim, n, 20.0)
-    M = g.multiplier_matrix(s)
+    M = multiplier_matrix(g, s)
     assert M.shape == (g.total_points, g.total_points)
     assert np.array_equal(M, _columnwise_matrix(g, s))
-    assert g.multiplier_matrix(s) is M
 
 
 def test_symbol_and_coords_are_cached():
@@ -299,7 +300,7 @@ def test_symbol_and_coords_are_cached():
 
 def test_workspace_arrays_are_read_only():
     g = make_grid(2, 16, 20.0)
-    for arr in (g.symbol(0.75), g.multiplier_matrix(0.75), *g.coords()):
+    for arr in (g.symbol(0.75), g.parseval_weight(0.75), *g.coords()):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
 
@@ -308,21 +309,6 @@ def test_workspace_is_per_grid_instance():
     a, b = make_grid(1, 16, 8.0), make_grid(1, 16, 8.0)
     assert a == b
     assert a.symbol(0.5) is not b.symbol(0.5)
-
-
-def test_multiplier_matrix_build_peaks_near_the_matrix_size():
-    # one grid line of unit fields per transform: the temporaries stay a
-    # small fraction of the N^2 matrix (a one-shot identity build would
-    # hold several N x N arrays at once)
-    g = make_grid(2, 45, 20.0)
-    matrix_bytes = g.total_points**2 * 8
-    tracemalloc.start()
-    try:
-        g.multiplier_matrix(0.75)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.2 * matrix_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +321,8 @@ KERNEL_GRIDS = [(1, 64, 20.0), (2, 16, 12.0), (3, 8, 10.0)]
 @pytest.mark.parametrize("dim,n,box", KERNEL_GRIDS)
 @pytest.mark.parametrize("s", [0.75, -0.375])
 def test_multiplier_rows_match_field_api(dim, n, box, s):
-    # multiplier_matrix hands _multiply a stack of unit fields; each row of
-    # the result is the multiplier applied to that row alone, to the bit
+    # _multiply takes a stack of fields; each row of the result is the
+    # multiplier applied to that row alone, to the bit
     g = make_grid(dim, n, box)
     rng = _rng(dim)
     u = np.stack([random_field(g, rng, envelope_sigma=2.0).values for _ in range(5)])
@@ -363,7 +349,7 @@ def test_lp_norm_root_is_a_scalar_power():
                                    (3, 15), (3, 8)])
 def test_transform_entry_points_match_rfftn_to_the_bit(dim, n):
     # one numpy call per axis, in rfftn's and irfftn's own order, on the
-    # trailing grid axes: with leading axes too, as multiplier_matrix passes
+    # trailing grid axes: with leading axes too, as a stack of fields has
     g = make_grid(dim, n, 10.0)
     axes = tuple(range(-dim, 0))
     rng = _rng(n)
@@ -397,12 +383,6 @@ def test_energy_rows_need_one_forward_transform(fft_calls):
         parts = _energy_parts(spec, u)
         assert type(parts.total) is float
     assert fft_calls == {"_rfft": 3}
-
-
-def test_multiplier_matrix_refuses_large_grids():
-    g = make_grid(2, 64, 20.0)
-    with pytest.raises(ValueError, match="at most 2048 points"):
-        g.multiplier_matrix(0.75)
 
 
 def test_spectral_derivative_on_sine():

@@ -33,6 +33,7 @@ from besselmp.config import RunConfig, build_spec
 from besselmp.grid import make_grid
 from besselmp.problem import ProblemSpec
 from besselmp.verify import CHECKS
+from conftest import multiplier_matrix
 
 
 def _gaussian(grid, center=0.0, sigma=1.0, amp=1.0):
@@ -479,7 +480,7 @@ def _dense_suprema(spec, b):
     bessel form is the multiplier matrix, the lam-norm adds lam diag(V).
     """
     g = spec.grid
-    M = g.multiplier_matrix(spec.alpha)
+    M = multiplier_matrix(g, spec.alpha)
     M = 0.5 * (M + M.T)
     V = spec.V_field.values.ravel()
     K = M + spec.lam * np.diag(V)
