@@ -59,7 +59,6 @@ from .solvers import (
     ps_diagnostics,
     two_solution_experiment,
     two_solution_stages,
-    two_solution_sweep,
 )
 from .verify import (
     CheckRecord,

@@ -152,6 +152,8 @@ def _validate(cfg: RunConfig, errors) -> None:
     for name in cfg.checks:
         if name != "auto" and name not in CHECK_NAMES:
             errors.append(f"checks: unknown checker {name!r}; choose from {', '.join(CHECK_NAMES)}")
+    if "auto" in cfg.checks and len(cfg.checks) > 1:
+        errors.append(f"checks: 'auto' stands alone, got {', '.join(cfg.checks)}")
     grid = _collect(errors, lambda: Grid(dim=cfg.dim, n=cfg.n, box_length=cfg.box_length))
     problem = None
     if cfg.dim in (1, 2, 3):
@@ -160,7 +162,7 @@ def _validate(cfg: RunConfig, errors) -> None:
         problem = _collect(errors, lambda: _problem_on(grid or Grid(cfg.dim, 8, 1.0), cfg))
     _collect(errors, lambda: build_options(cfg))
     if cfg.mode == "verify" and problem is not None:
-        # the exponent windows of the selected checks, as the checks apply them
+        # the config rules of the selected checks, as the checks apply them
         selected = resolve_checks(cfg)
         for name, check in CHECKS.items():
             if name in selected and check.require is not None:

@@ -44,6 +44,8 @@ def load_field(path) -> Field:
     off += 13
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version} (this build reads {FORMAT_VERSION})")
+    if not 1 <= dim <= 3:
+        raise ValueError(f"unsupported dim {dim} in header (expected 1, 2 or 3)")
     if len(blob) < off + 8 * dim:
         raise ValueError(f"truncated header: file ends at byte {len(blob)}")
     lengths = struct.unpack_from(f"<{dim}d", blob, off)

@@ -364,8 +364,8 @@ def apply_multiplier(field: Field, s: float) -> Field:
 
 def spectral_derivative(field: Field, axis: int = 0, order: int = 1) -> Field:
     """Differentiate along one axis via the (i xi)^order symbol."""
-    if not 0 <= axis < field.grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim {field.grid.dim}")
+    _require((0 <= axis < field.grid.dim, f"axis {axis} out of range for dim {field.grid.dim}"),
+             (order >= 0, f"order {order} must be nonnegative"))
     g = field.grid
     shape = [1] * g.dim
     shape[axis] = g.n

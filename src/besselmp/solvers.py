@@ -70,9 +70,7 @@ __all__ = [
     "assess_levels",
     "two_solution_stages",
     "two_solution_experiment",
-    "two_solution_sweep",
     "ps_diagnostics",
-    "DEFAULT_WELL_SWEEP",
 ]
 
 
@@ -837,8 +835,8 @@ def two_solution_experiment(spec: ProblemSpec, opts: SolveOptions | None = None,
     Success means: both solves converged and passed their own checks, the
     level ordering m < 0 < eta < c holds, and the two solutions are at
     least distinct_tol apart in L^2.  Nothing in the experiment is random,
-    so the result does not depend on ``seed``; the keyword stays for
-    callers that pass it.
+    so the result does not depend on ``seed``; the keyword stays for the
+    benchmark harness (perfbench), which passes its unit seed.
     """
     results, failure = {}, None
     for name, ok, result in two_solution_stages(spec, opts, distinct_tol):
@@ -857,34 +855,6 @@ def two_solution_experiment(spec: ProblemSpec, opts: SolveOptions | None = None,
                                  verdict["failure"] is None, verdict["failure"])
     levels = _levels(probe, mp, ball) if probe is not None else {}
     return TwoSolutionResult(probe, mp, ball, 0.0, levels, False, failure)
-
-
-DEFAULT_WELL_SWEEP = (
-    (100.0, 0.05),
-    (100.0, 0.02),
-    (200.0, 0.05),
-    (50.0, 0.05),
-    (100.0, 0.1),
-    (150.0, 0.02),
-)
-
-
-def two_solution_sweep(spec: ProblemSpec, pairs=DEFAULT_WELL_SWEEP, opts=None,
-                       distinct_tol=1e-3):
-    """Try (lam, mu) pairs on spec until the experiment succeeds.
-
-    Every pair's spec shares spec's Grid, so the cached symbols too.
-    Returns (pair, result, attempts) where attempts records every pair
-    tried with its failure reason; raises if the whole sweep fails.
-    """
-    attempts = []
-    for lam, mu in pairs:
-        result = two_solution_experiment(replace(spec, lam=lam, mu=mu), opts=opts,
-                                         distinct_tol=distinct_tol)
-        attempts.append(((lam, mu), result.failed_stage))
-        if result.success:
-            return (lam, mu), result, attempts
-    raise GeometryError(f"no (lam, mu) pair in the sweep produced two solutions: {attempts}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ Their ``trials`` and ``seed`` keywords are accepted and ignored.
 
 ``CHECKS`` is the table verify mode runs: per check name, the potential
 family it needs (None: any), its runner ``(spec, cfg) -> CheckRecord`` and
-the exponent window it imposes on the config, if any.
+the rule it imposes on the config (an exponent window, a nonempty
+separation list), if any.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
     "check_norm_domination",
     "require_tau_in_window",
     "require_s_in_window",
+    "require_separations",
 ]
 
 
@@ -77,6 +79,12 @@ def require_s_in_window(s_list, dim: int, alpha: float) -> None:
     _require(*((2.0 <= s < s_crit,
                 f"s_list: exponent {s} outside the embedding window [2, {s_crit})")
                for s in s_list))
+
+
+def require_separations(separations) -> None:
+    """Refuse an empty separation list: the splitting verdict reads the largest separation."""
+    if len(separations) == 0:
+        raise ValueError("separations: the splitting check needs at least one separation")
 
 
 @dataclass(frozen=True)
@@ -204,8 +212,10 @@ def check_splitting(spec: ProblemSpec, u0: Field, w: Field, separations,
     Shifts move w along the first axis and snap to whole grid cells (exact
     periodic roll).  Deviations must shrink as the parts separate and fall
     below the threshold at the largest separation; a part leaking into the
-    band max_i |x_i| >= 0.45 box_length raises.
+    band max_i |x_i| >= 0.45 box_length raises, and so does an empty
+    separation list.
     """
+    require_separations(separations)
     g = spec.grid
     h = g.spacing
     edge = np.max(np.abs(g.coords()), axis=0) >= 0.45 * g.box_length
@@ -431,7 +441,7 @@ CHECKS = {
     "superquadratic-tail": Check(
         None, lambda spec, cfg: check_superquadratic_tail(spec, tau=cfg.tau),
         lambda cfg: require_tau_in_window(cfg.tau, cfg.dim, cfg.alpha, cfg.q)),
-    "splitting": Check(None, _splitting),
+    "splitting": Check(None, _splitting, lambda cfg: require_separations(cfg.separations)),
     "holder": Check(None, _holder),
     "embedding": Check(None, _embedding,
                        lambda cfg: require_s_in_window(cfg.s_list, cfg.dim, cfg.alpha)),

@@ -25,7 +25,7 @@ from besselmp import (
     probe_geometry,
     random_field,
     residual,
-    two_solution_sweep,
+    two_solution_experiment,
 )
 from besselmp.grid import make_grid
 from besselmp.problem import canonical_well_spec
@@ -106,13 +106,12 @@ def test_05_saddle_above_sphere_floor(coercive_spec):
 def test_06_steep_well_yields_two_distinct_solutions():
     t0 = time.perf_counter()
     spec = canonical_well_spec()
-    pair, result, attempts = two_solution_sweep(spec)
-    assert pair == (100.0, 0.05)
+    result = two_solution_experiment(spec)
     assert result.success
     assert result.mountain_pass.solution.grid is spec.grid
     assert result.local_min.energy < 0.0 < result.mountain_pass.energy
     assert result.distinctness > 1e-3
-    _stamp(6, 300.0, t0, "steep-well sweep finds a negative/positive pair")
+    _stamp(6, 300.0, t0, "steep well yields a negative/positive pair")
 
 
 def test_07_superquadratic_tail_threshold(coercive_spec):

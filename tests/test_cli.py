@@ -248,6 +248,17 @@ def test_supercritical_growth_is_a_config_error(tmp_path, capsys, mode, text, li
     assert not (out / "report.json").exists()
 
 
+def test_verify_empty_separations_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, json.dumps({"separations": []}), name="run.json")
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: separations: the splitting check needs at least one separation"]
+    assert not (out / "report.json").exists()
+
+
 def test_verify_exponent_windows_are_config_errors(tmp_path, capsys):
     cfg = _write(tmp_path, "dim = 3\nn = 16\nq = 3\n")
     out = tmp_path / "out"

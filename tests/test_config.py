@@ -110,6 +110,22 @@ def test_unknown_mode_and_checker_rejected():
     assert any("unknown checker 'nope'" in line for line in err.value.errors)
 
 
+def test_auto_does_not_mix_with_named_checks():
+    with pytest.raises(ConfigError) as err:
+        parse_config("mode = verify\nchecks = auto, embedding")
+    assert err.value.errors == ["checks: 'auto' stands alone, got auto, embedding"]
+    assert parse_config("mode = verify\nchecks = auto").checks == ("auto",)
+
+
+def test_empty_separations_refused_when_splitting_runs():
+    text = json.dumps({"mode": "verify", "separations": []})
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == ["separations: the splitting check needs at least one separation"]
+    # the rule binds only when the splitting check runs
+    parse_config(json.dumps({"mode": "verify", "separations": [], "checks": ["holder"]}))
+
+
 def test_removed_probe_keys_are_unknown():
     for key in ("rho_grid = 1.0, 2.0", "samples_per_rho = 64"):
         with pytest.raises(ConfigError) as err:

@@ -98,6 +98,15 @@ def test_version_bump_rejected(tmp_path):
         load_field(path)
 
 
+@pytest.mark.parametrize("dim", [0, 4])
+def test_header_dim_outside_1_to_3_rejected(tmp_path, dim):
+    header = b"BMPF" + struct.pack("<IBQ", FORMAT_VERSION, dim, 4)
+    path = tmp_path / "dim.bmpf"
+    path.write_bytes(header + struct.pack(f"<{dim}d", *[8.0] * dim))
+    with pytest.raises(ValueError, match=f"unsupported dim {dim} in header"):
+        load_field(path)
+
+
 def test_non_finite_payload_rejected(tmp_path):
     g = make_grid(1, 32, 10.0)
     blob = bytearray(_saved(tmp_path, Field(g, np.zeros(32))).read_bytes())

@@ -402,6 +402,13 @@ def test_spectral_derivative_axis_range():
         spectral_derivative(constant_field(g, 1.0), axis=1)
 
 
+def test_spectral_derivative_refuses_negative_order():
+    # 1/(i xi)^1 is infinite at xi = 0: refused before any transform
+    g = make_grid(1, 16, 8.0)
+    with pytest.raises(ValueError, match="order -1 must be nonnegative"):
+        spectral_derivative(constant_field(g, 1.0), order=-1)
+
+
 # ---------------------------------------------------------------------------
 # norms
 

@@ -4,6 +4,7 @@ every name it exports in ``__all__`` is bound in it; every script imports."""
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -100,4 +101,7 @@ def test_script_imports(path):
 
 
 def test_scripts_found():
-    assert len(SCRIPTS) >= 3
+    # README's "Scripts" section lists every script, and only those
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    section = readme.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"`scripts/([\w.]+\.py)`", section)) == {p.name for p in SCRIPTS}

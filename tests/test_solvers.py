@@ -41,7 +41,6 @@ from besselmp.config import RunConfig, build_spec
 from besselmp.grid import _filter, _multiply
 from besselmp.problem import _energy_parts, _residual_values
 from besselmp.solvers import (
-    DEFAULT_WELL_SWEEP,
     MINRES_MAXITER,
     _armijo_step,
     _brentq,
@@ -854,14 +853,16 @@ def test_steep_well_certifies_at_n128():
     _steep_well_on_the_krylov_route(128, 4.1315161908374325, -2.1256877918203984e-08)
 
 
-# every pair certifies with c > eta; two saddles pinned on one BLAS thread
+# every (lam, mu) pair certifies with c > eta; two saddles pinned on one
+# BLAS thread
 SWEEP_SADDLES = {
     (200.0, 0.05): 1.5182109252113718,
     (50.0, 0.05): 1.4602836700350954,
 }
 
 
-@pytest.mark.parametrize("pair", DEFAULT_WELL_SWEEP, ids=str)
+@pytest.mark.parametrize("pair", [(100.0, 0.05), (100.0, 0.02), (200.0, 0.05), (50.0, 0.05),
+                                  (100.0, 0.1), (150.0, 0.02)], ids=str)
 def test_well_sweep_outcomes(well_spec, pair):
     lam, mu = pair
     spec = replace(well_spec, lam=lam, mu=mu)

@@ -190,6 +190,12 @@ def test_splitting_snaps_separations_to_cells(coercive_spec):
     assert snapped == pytest.approx(round(3.01 / h) * h, abs=1e-12)
 
 
+def test_splitting_refuses_empty_separations(coercive_spec):
+    u0 = _gaussian(coercive_spec.grid)
+    with pytest.raises(ValueError, match="at least one separation"):
+        check_splitting(coercive_spec, u0, u0, separations=())
+
+
 def test_splitting_rejects_edge_mass(coercive_spec):
     g = coercive_spec.grid
     u0 = _gaussian(g)
