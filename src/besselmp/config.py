@@ -149,6 +149,8 @@ def _validate(cfg: RunConfig, errors) -> None:
             errors.append(f"{name}: must be positive, got {getattr(cfg, name)}")
     if cfg.beta is not None and not 0.0 < cfg.beta < 2.0:
         errors.append(f"beta: must lie in (0, 2), got {cfg.beta}")
+    if not cfg.checks:
+        errors.append("checks: select at least one check")
     for name in cfg.checks:
         if name != "auto" and name not in CHECK_NAMES:
             errors.append(f"checks: unknown checker {name!r}; choose from {', '.join(CHECK_NAMES)}")

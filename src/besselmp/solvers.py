@@ -15,12 +15,16 @@ saddle search descends J+(w) = Phi(t+(w) w) from the far endpoint e; the
 negative-energy minimizer is the minimum of J-(w) = Phi(t-(w) w), the
 N+ branch of Brown & Zhang (2003), descended from a Gaussian bump.  The
 iterate always sits on its ray's critical point and J never rises over
-accepted steps.  The descent direction is the gradient in the lam-norm,
-K^{-1} r with K = (I - Laplacian)^alpha + lam V, solved by
-preconditioned MINRES; once its dual norm <r, K^{-1} r>^(1/2) is small next
-to ||u||_lam a damped Newton iteration on the strong-form residual pushes
-the iterate to solver tolerance.  The ball radius rho only checks the
-minimizer: it must sit inside the ball, with a margin.
+accepted steps.  The gradient in the lam-norm, g = K^{-1} r with
+K = (I - Laplacian)^alpha + lam V, is solved by preconditioned MINRES, and
+each step goes along the Polak-Ribiere+ direction d = g + beta d_prev,
+beta >= 0 (Gilbert & Nocedal, SIAM J. Optim. 2, 1992).  A d that is no
+descent direction restarts along g, and a line search that refuses every
+step along a conjugate d is retried along g.  Once the dual norm
+<r, K^{-1} r>^(1/2) is small next to ||u||_lam, or a search along g
+refuses every step, a damped Newton iteration on the strong-form
+residual pushes the iterate to solver tolerance.  The ball radius rho
+only checks the minimizer: it must sit inside the ball, with a margin.
 
 Every backtracking search walks the steps s, s/2, s/4, ... and only its
 count differs.
@@ -140,6 +144,10 @@ class TraceEntry:
     # why that MINRES solve stopped: "rtol", "forcing", "cap" or
     # "breakdown" (see ``_minres``); "" where no solve ran
     krylov_stop: str = ""
+    # a descent entry: the Polak-Ribiere+ weight of the previous direction
+    # in the step it took, 0.0 on a gradient step (the first row, a restart
+    # or a gradient retry) and on every polish entry
+    beta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -491,22 +499,26 @@ def _minres(g, alpha, h, b, forcing=0.0, shifted=False):
     eps = np.finfo(float).eps
     oldb, beta, dbar, epsln, phibar, tnorm2 = 0.0, beta1, 0.0, 0.0, beta1, 0.0
     cs, sn = -1.0, 0.0
-    w = w2 = np.zeros_like(b)
+    # work vectors, allocated once and updated in place; each new w goes
+    # into the buffer of the w1 it retires, and y is fresh from each
+    # preconditioner call, so b itself is never written
+    v, tmp, w1 = (np.empty_like(b) for _ in range(3))
+    w, w2 = np.zeros_like(b), np.zeros_like(b)
     r1 = r2 = b
     for itn in range(1, MINRES_MAXITER + 1):
         # Lanczos step: v = M r2 / beta, then y = H v - alfa/beta r2 - beta/oldb r1
         s = 1.0 / beta
-        v = s * y
+        np.multiply(s, y, out=v)
         if shifted:
-            y = s * r2
-            y += offset * v
+            np.multiply(s, r2, out=y)
+            y += np.multiply(offset, v, out=tmp)
         else:
             y = _filter(g, v, symbol)
-            y += h * v
+            y += np.multiply(h, v, out=tmp)
         if itn >= 2:
-            y -= (beta / oldb) * r1
+            y -= np.multiply(beta / oldb, r1, out=tmp)
         alfa = float(np.vdot(v, y))
-        y -= (alfa / beta) * r2
+        y -= np.multiply(alfa / beta, r2, out=tmp)
         r1, r2 = r2, y
         y = precondition(r2)
         oldb, beta = beta, float(np.vdot(r2, y))
@@ -524,11 +536,11 @@ def _minres(g, alpha, h, b, forcing=0.0, shifted=False):
         gamma = max(math.hypot(gbar, beta), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar  # phibar = ||H x - b||_M after this update
-        w1, w2 = w2, w
-        w = v - oldeps * w1
-        w -= delta * w2
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(oldeps, w1, out=w), out=w)
+        w -= np.multiply(delta, w2, out=tmp)
         w /= gamma
-        x += phi * w
+        x += np.multiply(phi, w, out=tmp)
         anorm = math.sqrt(tnorm2)
         ynorm = float(np.linalg.norm(x))
         # beta = 0 at the first step: b is an eigenvector of M H, and x solves exactly
@@ -601,17 +613,43 @@ def _polish(spec, u, opts, trace, it0):
     return u, rn, it
 
 
+def _conjugate(spec, r, grad, slope, prev):
+    """The Polak-Ribiere+ direction at residual r; (d, its slope <r, d>, beta).
+
+    ``grad`` ~ K^{-1} r is this row's lam-norm gradient and ``slope`` its
+    <r, grad>; ``prev`` holds the previous row's (gradient, slope,
+    direction), or is None on the first row.  d = grad + beta d_prev with
+    beta = max(0, <r, grad - g_prev> / <r_prev, g_prev>) (Gilbert & Nocedal,
+    SIAM J. Optim. 2, 1992): since K grad ~ r, these are lam-inner products
+    of gradients, and beta costs two sums and no solve.  The denominator is
+    the previous slope, positive or the descent would have handed over.  A
+    d whose slope is not positive is no descent direction: the row
+    restarts along grad with beta = 0.
+    """
+    if prev is None:
+        return grad, slope, 0.0
+    g_prev, slope_prev, d_prev = prev
+    vol = spec.grid.cell_volume
+    beta = max(0.0, (slope - float(np.sum(r * g_prev)) * vol) / slope_prev)
+    d_slope = slope + beta * float(np.sum(r * d_prev)) * vol
+    if not (beta > 0.0 and d_slope > 0.0):
+        return grad, slope, 0.0
+    return grad + beta * d_prev, d_slope, beta
+
+
 def _nehari_solve(spec, u, level, bottom, opts):
     """Descend J(w) = Phi(t(w) w) from u, then polish; returns (u, residual_norm, iterations, trace).
 
     t(w) is the top of the fibering map, or with ``bottom`` its bottom;
     u must sit on that critical point of its own ray, at energy ``level``.
-    The descent follows the lam-norm gradient, each trial placed on its
-    own ray's critical point before it is scored, so J never rises over
-    accepted steps.  Once the gradient's dual norm is at most
-    HANDOVER_RATIO ||u||_lam, or a line search refuses every step, Newton
-    polishes the iterate.  Descent entries have phase "ball" on the
-    bottoms and "nehari" on the tops.
+    Each row steps along the Polak-Ribiere+ direction of ``_conjugate``,
+    built on the lam-norm gradient, each trial placed on its own ray's
+    critical point before it is scored, so J never rises over accepted
+    steps.  When the line search refuses every step along a conjugate
+    direction, the row retries along the gradient.  Once the gradient's
+    dual norm is at most HANDOVER_RATIO ||u||_lam, or a line search along
+    the gradient refuses every step, Newton polishes the iterate.  Descent
+    entries have phase "ball" on the bottoms and "nehari" on the tops.
     """
     g = spec.grid
     phase = "ball" if bottom else "nehari"
@@ -623,19 +661,26 @@ def _nehari_solve(spec, u, level, bottom, opts):
     step = STEP_INIT
     trace: list[TraceEntry] = []
     it = 0
+    prev = None  # the previous row's (gradient, slope, direction)
     while it < opts.max_iter:
         r = _residual(spec, u)
-        d, slope, iters, stop = _riesz_gradient(spec, r)
+        grad, slope, iters, stop = _riesz_gradient(spec, r)
         entry = TraceEntry(it, level, _lp_norm(g, r, 2), step, phase, 0,
                            krylov_iters=iters, krylov_stop=stop)
         it += 1
         if slope <= (HANDOVER_RATIO * _norm_lam(spec, u)) ** 2:
             trace.append(entry)
             break
-        u, level, used, tried = _armijo_step(spec, u, level, d, slope, step, place)
-        trace.append(replace(entry, trials=tried))
+        d, d_slope, beta = _conjugate(spec, r, grad, slope, prev)
+        u, level, used, tried = _armijo_step(spec, u, level, d, d_slope, step, place)
+        if used == 0.0 and beta > 0.0:
+            d, beta = grad, 0.0
+            u, level, used, more = _armijo_step(spec, u, level, d, slope, step, place)
+            tried += more
+        trace.append(replace(entry, trials=tried, beta=beta))
         if used == 0.0:
             break
+        prev = grad, slope, d
         step = min(used * 2.0, STEP_MAX)
     u, rn, it = _polish(spec, u, opts, trace, it)
     return u, rn, it, tuple(trace)

@@ -70,7 +70,7 @@ def test_two_solutions_mode(tmp_path, well_result):
     for trace in ("trace.csv", "trace_ball.csv"):
         header = (out / trace).read_text().splitlines()[0].split(",")
         assert header == ["iteration", "energy", "residual_norm", "step_size",
-                          "phase", "trials", "krylov_iters", "krylov_stop"], trace
+                          "phase", "trials", "krylov_iters", "krylov_stop", "beta"], trace
         rows = [row.split(",") for row in (out / trace).read_text().splitlines()[1:]]
         # trial points behind each entry: a whole count, 0 on the final one
         trials = [int(row[header.index("trials")]) for row in rows]
@@ -89,6 +89,20 @@ def test_two_solutions_mode(tmp_path, well_result):
         # polish rows: the Newton step each accepted, 0 on the row that stops
         steps = [float(row[header.index("step_size")]) for row in rows if row[phase] == "polish"]
         assert all(0.0 < s <= 1.0 for s in steps[:-1]) and steps[-1] == 0.0, trace
+        # the Polak-Ribiere+ weight of each descent row, never negative; 0 on the polish
+        betas = [float(row[header.index("beta")]) for row in rows]
+        assert all(b >= 0.0 for b in betas), trace
+        assert all(b == 0.0 for b, row in zip(betas, rows) if row[phase] == "polish"), trace
+        # the stage summary's counts are sums over its trace file
+        counts = {s["name"]: s["summary"] for s in rep["stages"]}[
+            "mountain_pass" if trace == "trace.csv" else "local_min"]
+        steps_taken = [(b, int(row[iters])) for b, row in zip(betas, rows)
+                       if row[phase] == descent]
+        assert counts["descent_rows"] == len(steps_taken) > 0, trace
+        assert counts["conjugate_rows"] == sum(b > 0.0 for b, _ in steps_taken), trace
+        assert counts["gradient_krylov_iters"] == sum(n for _, n in steps_taken), trace
+        assert counts["newton_krylov_iters"] == sum(
+            int(row[iters]) for row in rows if row[phase] == "polish"), trace
 
     summary = rep["stages"][-1]["summary"]
     levels = summary["levels"]
@@ -229,6 +243,18 @@ def test_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err
     assert "unknown key" in err
+
+
+def test_empty_check_list_is_a_config_error(tmp_path, capsys):
+    # an empty selection would run no check and fail the report for no reason
+    cfg = _write(tmp_path, json.dumps({"checks": []}), name="run.json")
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: checks: select at least one check"]
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("mode", ["solve", "verify"])

@@ -44,6 +44,7 @@ from besselmp.solvers import (
     MINRES_MAXITER,
     _armijo_step,
     _brentq,
+    _conjugate,
     _fibering,
     _hessian_diag,
     _minres,
@@ -305,6 +306,16 @@ def test_probe_refuses_custom_nonlinearity():
 # mountain pass
 
 
+PLANE_2D = RunConfig(dim=2, n=48, box_length=15.0)
+
+
+@pytest.fixture(scope="module")
+def plane_mp():
+    spec = build_spec(PLANE_2D)
+    probe = probe_geometry(spec)
+    return mountain_pass_solve(spec, probe.e, probe=probe)
+
+
 class TestMountainPass:
     def test_converged_with_certificate(self, coercive_spec, coercive_mp):
         mp = coercive_mp
@@ -328,13 +339,16 @@ class TestMountainPass:
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
 
-    def test_descent_trace_monotone(self, coercive_mp):
-        # every accepted step lowers J, so the descent entries never rise
-        levels = [t.energy for t in coercive_mp.trace if t.phase == "nehari"]
-        assert levels, "no descent entries recorded"
-        assert all(b <= a for a, b in zip(levels, levels[1:]))
-        phases = [t.phase for t in coercive_mp.trace]
-        assert phases == sorted(phases)  # the descent, then the polish
+    def test_descent_trace_monotone(self, coercive_mp, plane_mp):
+        # every accepted step lowers J, so the descent entries never rise;
+        # the 2-D plane's descent steps along conjugate directions too
+        for report in (coercive_mp, plane_mp):
+            levels = [t.energy for t in report.trace if t.phase == "nehari"]
+            assert levels, "no descent entries recorded"
+            assert all(b <= a for a, b in zip(levels, levels[1:]))
+            phases = [t.phase for t in report.trace]
+            assert phases == sorted(phases)  # the descent, then the polish
+        assert any(t.beta > 0.0 for t in plane_mp.trace)
 
     def test_deterministic(self, coercive_spec, coercive_probe, coercive_mp):
         again = mountain_pass_solve(coercive_spec, coercive_probe.e,
@@ -595,6 +609,76 @@ def test_custom_nonlinearity_saddle():
     assert reports["flat"].energy == pytest.approx(reports["power"].energy, rel=1e-12)
     # a larger primitive lowers the mountain-pass level
     assert reports["heavier"].energy < reports["power"].energy
+
+
+def test_plane_2d_descent_counts(fft_calls):
+    # the Polak-Ribiere+ directions take the 2-D plane's saddle descent in
+    # 5 rows (8 along the plain gradient) and a whole run in 161 forward
+    # transforms (206); counts, not time, so they hold on any machine
+    spec = build_spec(PLANE_2D)
+    r = two_solution_experiment(spec)
+    assert r.success, r.failed_stage
+    assert sum(t.phase == "nehari" for t in r.mountain_pass.trace) <= 5
+    assert fft_calls["_rfft"] <= 165
+
+
+def test_conjugate_direction_and_its_restart(coercive_spec):
+    g = coercive_spec.grid
+    vol = g.cell_volume
+    r = np.exp(-g.radius_sq)
+    grad = 2.0 * r
+    slope = float(np.sum(r * grad)) * vol
+    # no previous row: the gradient, as it stands
+    d, d_slope, beta = _conjugate(coercive_spec, r, grad, slope, None)
+    assert d is grad and (d_slope, beta) == (slope, 0.0)
+    # beta = <r, grad - g_prev> / slope_prev with g_prev = grad / 2: 1/2 here
+    g_prev, d_prev = 0.5 * grad, 0.25 * grad
+    d, d_slope, beta = _conjugate(coercive_spec, r, grad, slope, (g_prev, slope, d_prev))
+    assert beta == pytest.approx(0.5, rel=1e-12)
+    np.testing.assert_allclose(d, grad + beta * d_prev, rtol=1e-15)
+    assert d_slope == pytest.approx(float(np.sum(r * d)) * vol, rel=1e-12)
+    # a previous direction that turns d uphill, <r, d> <= 0: restart along the gradient
+    d, d_slope, beta = _conjugate(coercive_spec, r, grad, slope, (g_prev, slope, -4.0 * grad))
+    assert d is grad and (d_slope, beta) == (slope, 0.0)
+    # a negative Polak-Ribiere weight is clamped to 0 (PR+)
+    d, d_slope, beta = _conjugate(coercive_spec, r, grad, slope, (2.0 * grad, slope, d_prev))
+    assert d is grad and (d_slope, beta) == (slope, 0.0)
+
+
+def test_refused_conjugate_search_retries_the_gradient(monkeypatch):
+    # with every line search along a conjugate direction refused, each row
+    # retries along its gradient from the same point and step: the run
+    # takes gradient steps only, records beta 0 on every row, and certifies
+    spec = build_spec(PLANE_2D)
+    probe = probe_geometry(spec)
+    gradients, calls = [], []
+    riesz, step = solvers._riesz_gradient, solvers._armijo_step
+
+    def recorded_riesz(spec, r):
+        out = riesz(spec, r)
+        gradients.append(out[0])
+        return out
+
+    def refuse_conjugate(spec, u, e_u, d, slope, s, place):
+        conjugate = d is not gradients[-1]
+        out = (u, e_u, 0.0, 1) if conjugate else step(spec, u, e_u, d, slope, s, place)
+        calls.append((conjugate, u, s, out[3]))
+        return out
+
+    monkeypatch.setattr(solvers, "_riesz_gradient", recorded_riesz)
+    monkeypatch.setattr(solvers, "_armijo_step", refuse_conjugate)
+    report = mountain_pass_solve(spec, probe.e, probe=probe)
+    assert report.ok
+    refused = [i for i, c in enumerate(calls) if c[0]]
+    assert refused, "no conjugate direction was tried"
+    for i in refused:
+        conjugate, u, s, _ = calls[i + 1]
+        assert not conjugate and u is calls[i][1] and s == calls[i][2]
+    assert all(t.beta == 0.0 for t in report.trace)
+    # a retried row counts the refused trial and the gradient search's
+    descent = [t for t in report.trace if t.phase == "nehari"]
+    assert sum(t.trials for t in descent) == sum(c[3] for c in calls)
+    assert len(descent) == len(calls) - len(refused) + 1  # and the handover row
 
 
 # The Tier-1 2-D n=16 saddle search: (energy, residual_norm, step_size,
