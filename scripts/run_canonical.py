@@ -39,12 +39,10 @@ def run_one(name, spec):
                 else ("minimum", f"{result.energy:.3e}")
             # MINRES iterations from the trace: the descent's gradient solves
             # and the polish's Newton solves
-            minres = {"descent": 0, "polish": 0}
-            for entry in result.trace:
-                minres["polish" if entry.phase == "polish" else "descent"] += entry.krylov_iters
+            counts = result.counts
             print(f"{label} E={energy}  |r|={result.residual_norm:.2e}  "
-                  f"iters={result.iterations}  minres descent={minres['descent']} "
-                  f"polish={minres['polish']}  ok={ok}  {took}")
+                  f"iters={result.iterations}  minres descent={counts['gradient_krylov_iters']} "
+                  f"polish={counts['newton_krylov_iters']}  ok={ok}  {took}")
         done[stage] = result
         t0 = time.perf_counter()
 

@@ -27,7 +27,6 @@ from .grid import (
     weighted_norm_sq,
 )
 from .problem import (
-    AssumptionCheck,
     CoerciveQuadraticPotential,
     CustomNonlinearity,
     CustomPotential,
@@ -36,14 +35,12 @@ from .problem import (
     GaussianWeight,
     PowerNonlinearity,
     ProblemSpec,
-    ValidationReport,
     WellPotential,
     canonical_coercive_spec,
     canonical_well_spec,
     critical_exponent,
     energy,
     residual,
-    validate_assumptions,
 )
 from .solvers import (
     GeometryError,
@@ -61,8 +58,10 @@ from .solvers import (
     two_solution_stages,
 )
 from .verify import (
+    AssumptionCheck,
     CheckRecord,
     EmbeddingEstimate,
+    ValidationReport,
     check_norm_domination,
     check_splitting,
     check_sublevel_l2_bound,
@@ -71,6 +70,7 @@ from .verify import (
     estimate_embedding_constants,
     holder_estimate,
     sublevel_measure,
+    validate_assumptions,
 )
 from .fieldio import load_field, save_field
 from .config import ConfigError, RunConfig, parse_config

@@ -81,16 +81,6 @@ def _summary(result, keys) -> dict:
     return {key: getattr(result, key) for key in keys}
 
 
-def _trace_counts(trace) -> dict:
-    """A solve's work summed from its trace: descent rows, the conjugate ones among them
-    (beta > 0), and the MINRES iterations of its gradient and of its Newton solves."""
-    descent = [t for t in trace if t.phase != "polish"]
-    return {"descent_rows": len(descent),
-            "conjugate_rows": sum(t.beta > 0.0 for t in descent),
-            "gradient_krylov_iters": sum(t.krylov_iters for t in descent),
-            "newton_krylov_iters": sum(t.krylov_iters for t in trace if t.phase == "polish")}
-
-
 def _write_trace(path: Path, entries) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -130,7 +120,7 @@ def _pipeline_stages(cfg, out):
         elif name == "levels":
             summary = result
         else:
-            summary = {**_summary(result, _SOLVE_KEYS), **_trace_counts(result.trace)}
+            summary = {**_summary(result, _SOLVE_KEYS), **result.counts}
             _write_trace(out / _TRACE_FILES[name], result.trace)
             save_field(result.solution, out / f"{name}.bmpf")
             solutions[f"u_{name}"] = result.solution

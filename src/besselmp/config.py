@@ -10,6 +10,7 @@ them and reports what they reject, so a config that parses also builds.
 from __future__ import annotations
 
 import json
+import math
 import types
 from dataclasses import dataclass
 from typing import get_args, get_origin, get_type_hints
@@ -23,7 +24,7 @@ from .problem import (
 )
 from .grid import Grid
 from .solvers import SolveOptions
-from .verify import CHECKS
+from .verify import CHECKS, applies_to
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "build_spec", "build_options",
            "resolve_checks", "MODES", "CHECK_NAMES"]
@@ -62,8 +63,7 @@ class RunConfig:
     max_iter: int = 5000
     distinct_tol: float = 1e-3
     # "auto" resolves at run time to the checkers that make sense for the
-    # configured potential family (coercivity needs strict positivity, the
-    # sublevel checks need a well)
+    # configured potential family (the sublevel bound needs a well)
     checks: tuple[str, ...] = ("auto",)
     b: float = 10.0
     # ignored: kept for callers that still pass it
@@ -145,8 +145,8 @@ def _validate(cfg: RunConfig, errors) -> None:
     if cfg.xi not in WEIGHTS:
         errors.append(f"xi: unknown choice {cfg.xi!r}; choose from {', '.join(WEIGHTS)}")
     for name in ("distinct_tol", "b"):
-        if getattr(cfg, name) <= 0:
-            errors.append(f"{name}: must be positive, got {getattr(cfg, name)}")
+        if not 0 < getattr(cfg, name) < math.inf:
+            errors.append(f"{name}: must be positive and finite, got {getattr(cfg, name)}")
     if cfg.beta is not None and not 0.0 < cfg.beta < 2.0:
         errors.append(f"beta: must lie in (0, 2), got {cfg.beta}")
     if not cfg.checks:
@@ -175,8 +175,8 @@ def resolve_checks(cfg: RunConfig) -> tuple:
     """The checkers a verify run executes; "auto" picks those that fit the potential family."""
     if tuple(cfg.checks) != ("auto",):
         return tuple(cfg.checks)
-    family = _potential(cfg).family
-    return tuple(name for name, check in CHECKS.items() if check.family in (None, family))
+    potential = _potential(cfg)
+    return tuple(name for name, check in CHECKS.items() if applies_to(check.family, potential))
 
 
 def _collect(errors, build):

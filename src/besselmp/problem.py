@@ -33,8 +33,6 @@ __all__ = [
     "CustomWeight",
     "ProblemSpec",
     "EnergyBreakdown",
-    "AssumptionCheck",
-    "ValidationReport",
     "eval_f",
     "eval_F",
     "eval_scrF",
@@ -328,277 +326,14 @@ def residual(spec: ProblemSpec, u: Field) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# assumption validation
+# the hypotheses on V, f and xi are checked in ``verify``
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    passed: bool
-    required: bool
-    detail: str
-    witness: dict
+def validate_assumptions(spec: ProblemSpec, b: float | None = None):
+    """``besselmp.verify.validate_assumptions``, kept under this module's name for old callers."""
+    from .verify import validate_assumptions as validate  # verify imports this module
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.required)
-
-    def by_name(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def _median(a):
-    """The median of a 1-D array, as np.median computes it.
-
-    np.median imports numpy.ma on its first call, about 15 ms that would
-    land inside the first validation run of a process.
-    """
-    s = np.sort(a)
-    half = s.size // 2
-    return s[half] if s.size % 2 else (s[half - 1] + s[half]) / 2
-
-
-def _check_growth_bound(spec):
-    q = getattr(spec.nonlinearity, "q", None)
-    if q is None:
-        return AssumptionCheck("growth_bound", False, True, "no declared growth exponent", {})
-    u = np.concatenate([-np.geomspace(1e-4, 1e3, 200)[::-1], np.geomspace(1e-4, 1e3, 200)])
-    ratio = np.abs(eval_f(spec, u)) / (1.0 + np.abs(u) ** (q - 1.0))
-    top = ratio[np.abs(u) >= 1e2]
-    quotient = float(np.max(top) / max(_median(top), 1e-300))
-    ok = bool(np.all(np.isfinite(ratio)) and quotient <= 1.2)
-    return AssumptionCheck(
-        "growth_bound", ok, True,
-        f"sup |f(u)|/(1+|u|^(q-1)) ~ {np.max(ratio):.4g}, top-decade spread {quotient:.3g}",
-        {"c_estimate": float(np.max(ratio)), "top_decade_spread": quotient},
-    )
-
-
-def _check_vanishing_at_zero(spec):
-    u = np.geomspace(1e-8, 1e-1, 120)
-    ratio = np.abs(eval_f(spec, u) / u)
-    ok = bool(ratio[0] <= 1e-4 * (1.0 + ratio[-1]))
-    return AssumptionCheck(
-        "vanishing_at_zero", ok, True,
-        f"|f(u)/u| falls from {ratio[-1]:.3g} at |u|=0.1 to {ratio[0]:.3g} at |u|=1e-8",
-        {"ratio_small": float(ratio[0]), "ratio_large": float(ratio[-1])},
-    )
-
-
-def _check_superquadratic(spec):
-    theta = getattr(spec.nonlinearity, "theta", None)
-    if theta is None:
-        return AssumptionCheck("superquadratic", False, True, "no declared theta", {})
-    u = np.concatenate([-np.geomspace(1e-6, 1e3, 250)[::-1], np.geomspace(1e-6, 1e3, 250)])
-    F = eval_F(spec, u)
-    uf = u * eval_f(spec, u)
-    margin = uf - theta * F
-    ok = bool(np.all(F > 0) and np.all(margin >= -1e-12 * (1.0 + np.abs(uf))))
-    worst = int(np.argmin(margin / (1.0 + np.abs(uf))))
-    return AssumptionCheck(
-        "superquadratic", ok, True,
-        f"0 < theta*F <= u*f checked at {u.size} values, worst margin {margin[worst]:.3g} at u={u[worst]:.3g}",
-        {"theta": float(theta), "worst_margin": float(margin[worst]), "worst_u": float(u[worst])},
-    )
-
-
-def _unit_ball(grid: Grid, y: float) -> np.ndarray:
-    """Mask of the grid points inside the unit ball B(y e_1, 1)."""
-    coords = grid.coords()
-    d2 = (coords[0] - y) ** 2
-    for c in coords[1:]:
-        d2 = d2 + c**2
-    return d2 < 1.0
-
-
-def _ball_integrals(V: Field, radii):
-    """Integral of 1/V over the unit balls B(y e_1, 1); inf where V vanishes inside."""
-    g = V.grid
-    out = []
-    for y in radii:
-        vals = V.values[_unit_ball(g, y)]
-        if vals.size == 0:
-            out.append(0.0)
-        elif np.min(vals) <= 0.0:
-            out.append(math.inf)
-        else:
-            out.append(float(np.sum(1.0 / vals) * g.cell_volume))
-    return np.asarray(out)
-
-
-def _ladder_verdict(ladder):
-    """(finite, monotone, decayed) for a ladder of ball integrals; all three mean decay."""
-    finite = bool(np.all(np.isfinite(ladder)))
-    # grid jitter moves individual rungs by a few percent, hence the slack
-    monotone = finite and bool(np.all(ladder[1:] <= ladder[:-1] * 1.05 + 1e-12))
-    decayed = finite and bool(ladder[-1] <= 0.1 * ladder[0] + 1e-12)
-    return finite, monotone, decayed
-
-
-def _ball_radii(grid: Grid) -> np.ndarray:
-    """Eight centers from 0 to L/2 - 1.5 along the first axis, the last at least 1."""
-    return np.linspace(0.0, max(0.5 * grid.box_length - 1.5, 1.0), 8)
-
-
-def _check_ball_decay(spec):
-    radii = _ball_radii(spec.grid)
-    ladder = _ball_integrals(spec.V_field, radii)
-    ok = all(_ladder_verdict(ladder))
-    return AssumptionCheck(
-        "ball_integrals_decay", ok, spec.potential.family == "coercive",
-        f"int_(B(y,1)) dx/V along |y| in [0, {radii[-1]:.3g}]: "
-        f"{ladder[0]:.4g} -> {ladder[-1]:.4g}",
-        {"radii": [float(r) for r in radii], "ladder": [float(v) for v in ladder]},
-    )
-
-
-def _check_positive_infimum(spec):
-    vmin = float(np.min(spec.V_field.values))
-    idx = np.unravel_index(int(np.argmin(spec.V_field.values)), spec.grid.shape)
-    where = [float(spec.grid.axis_coords[i]) for i in idx]
-    ok = vmin > 0.0
-    return AssumptionCheck(
-        "positive_infimum", ok, spec.potential.family == "coercive",
-        f"min V = {vmin:.4g} at x = {where}",
-        {"min": vmin, "argmin": where},
-    )
-
-
-def _check_nonnegative(spec):
-    vmin = float(np.min(spec.V_field.values))
-    return AssumptionCheck(
-        "nonnegative", vmin >= 0.0, spec.potential.family == "well",
-        f"min V = {vmin:.4g}", {"min": vmin},
-    )
-
-
-def _check_finite_sublevel(spec, b):
-    g = spec.grid
-    if b is None:
-        b = 0.5 * float(np.max(spec.V_field.values))
-    mask = spec.V_field.values < b
-    measure = float(np.count_nonzero(mask) * g.cell_volume)
-    if not mask.any():
-        return AssumptionCheck(
-            "finite_sublevel", True, spec.potential.family == "well",
-            f"sublevel set {{V < {b:.4g}}} is empty", {"b": b, "measure": 0.0},
-        )
-    margin = math.inf
-    for ax in range(g.dim):
-        hit = np.any(mask, axis=tuple(a for a in range(g.dim) if a != ax))
-        lo = float(g.axis_coords[np.argmax(hit)])
-        hi = float(g.axis_coords[g.n - 1 - np.argmax(hit[::-1])])
-        margin = min(margin, lo + 0.5 * g.box_length, 0.5 * g.box_length - hi)
-    ok = margin >= 1.0
-    return AssumptionCheck(
-        "finite_sublevel", bool(ok), spec.potential.family == "well",
-        f"measure({{V < {b:.4g}}}) = {measure:.4g}, distance to box edge {margin:.3g}",
-        {"b": b, "measure": measure, "edge_margin": float(margin)},
-    )
-
-
-def _face_pairs(mask):
-    """Flat indices (a, b) of each pair of face neighbours that both lie in a boolean array.
-
-    Neighbours do not wrap around the box.
-    """
-    index = np.arange(mask.size).reshape(mask.shape)
-    pairs = []
-    for ax in range(mask.ndim):
-        lo = tuple(slice(None, -1) if i == ax else slice(None) for i in range(mask.ndim))
-        hi = tuple(slice(1, None) if i == ax else slice(None) for i in range(mask.ndim))
-        both = mask[lo] & mask[hi]
-        pairs.append((index[lo][both], index[hi][both]))
-    return tuple(np.concatenate(side) for side in zip(*pairs))
-
-
-def _erode(mask):
-    """The points of a boolean array whose 2 * ndim face neighbours all lie in it.
-
-    scipy.ndimage.binary_erosion's default: face connectivity, no
-    wrap-around, and the outside of the box counts as not in the array.
-    """
-    degree = np.bincount(np.concatenate(_face_pairs(mask)), minlength=mask.size)
-    return (degree == 2 * mask.ndim).reshape(mask.shape)
-
-
-def _component_count(mask):
-    """The number of face-connected components of a boolean array, as ndimage.label(mask)[1].
-
-    Every point starts as its own root; each round hangs the larger root
-    of every face-neighbour pair that joins two roots under the smaller
-    one, then jumps every point to its root.  Roots only fall, so it ends
-    with one root per component.
-    """
-    a, b = _face_pairs(mask)
-    parent = np.arange(mask.size)
-    while True:
-        ra, rb = parent[a], parent[b]
-        split = ra != rb
-        if not split.any():
-            points = np.flatnonzero(mask)
-            return int(np.count_nonzero(parent[points] == points))
-        np.minimum.at(parent, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
-        jumped = parent[parent]
-        while not np.array_equal(jumped, parent):
-            parent, jumped = jumped, jumped[jumped]
-
-
-def _check_flat_zero_region(spec):
-    mask = spec.V_field.values <= 1e-12 * max(float(np.max(spec.V_field.values)), 1e-300)
-    interior = _erode(mask)
-    n_comp = _component_count(mask)
-    ok = bool(interior.any())
-    measure = float(np.count_nonzero(mask) * spec.grid.cell_volume)
-    return AssumptionCheck(
-        "flat_zero_region", ok, spec.potential.family == "well",
-        f"zero set has measure {measure:.4g} in {n_comp} component(s); "
-        "boundary smoothness is not machine-checkable",
-        {"measure": measure, "components": n_comp},
-    )
-
-
-def _check_weight_integrable(spec):
-    g = spec.grid
-    power = 2.0 / (2.0 - spec.p)
-    w = spec.xi_field.values**power
-    integral = float(np.sum(w) * g.cell_volume)
-    edge = g.radius_sq >= (0.45 * g.box_length) ** 2
-    decayed = bool(np.max(w[edge]) <= 1e-10 * max(np.max(w), 1e-300))
-    ok = np.isfinite(integral) and decayed
-    return AssumptionCheck(
-        "weight_integrable", bool(ok), True,
-        f"int xi^(2/(2-p)) = {integral:.4g}, edge max {np.max(w[edge]):.3g}",
-        {"integral": integral, "power": power},
-    )
-
-
-def validate_assumptions(spec: ProblemSpec, b: float | None = None) -> ValidationReport:
-    """Run every machine-checkable hypothesis on the supplied problem data.
-
-    Checks not applicable to the declared potential family are still run
-    and reported, but only the applicable ones gate ``report.passed``.
-    """
-    checks = (
-        _check_growth_bound(spec),
-        _check_vanishing_at_zero(spec),
-        _check_superquadratic(spec),
-        _check_positive_infimum(spec),
-        _check_ball_decay(spec),
-        _check_nonnegative(spec),
-        _check_finite_sublevel(spec, b),
-        _check_flat_zero_region(spec),
-        _check_weight_integrable(spec),
-    )
-    return ValidationReport(checks=checks)
+    return validate(spec, b)
 
 
 # ---------------------------------------------------------------------------

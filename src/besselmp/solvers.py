@@ -162,6 +162,17 @@ class SolveReport:
     message: str
     trace: tuple
 
+    @property
+    def counts(self) -> dict:
+        """The work summed from the trace: descent rows, the conjugate ones among them
+        (beta > 0), and the MINRES iterations of the gradient and of the Newton solves."""
+        descent = [t for t in self.trace if t.phase != "polish"]
+        return {"descent_rows": len(descent),
+                "conjugate_rows": sum(t.beta > 0.0 for t in descent),
+                "gradient_krylov_iters": sum(t.krylov_iters for t in descent),
+                "newton_krylov_iters": sum(t.krylov_iters for t in self.trace
+                                           if t.phase == "polish")}
+
 
 # Array helpers: u, r and search directions are ndarrays of the grid's shape.
 
@@ -327,11 +338,14 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
     c_inf, c_2 = _sup_constant(spec.grid, spec.alpha, shift), 1.0 / math.sqrt(1.0 + shift)
     rho, eta, budget = _ridge_bound(spec, c_inf, c_2)
 
-    # far endpoint: the first of the bumps 1.5^k exp(-|x|^2) with negative energy
+    # far endpoint: the first of the bumps 1.5^k exp(-|x|^2) with negative (and
+    # finite) energy, each scored in closed form along the bump's ray
     phi0 = _bump(spec)
-    e, _ = _first((1.5**k * phi0 for k in range(60)), lambda u: _energy(spec, u) < 0.0)
-    if e is None:
+    along, _ = _ray(spec, phi0)
+    k, _ = _first(range(60), lambda k: -math.inf < along(1.5**k) < 0.0)
+    if k is None:
         raise GeometryError("could not drive the energy negative by scaling a bump")
+    e = 1.5**k * phi0
     e_norm = _norm_lam(spec, e)
     if not e_norm > rho:
         raise GeometryError(f"the far endpoint has ||e||_lam = {e_norm:.6g}, "
@@ -376,17 +390,38 @@ def _riesz_gradient(spec, r):
     return d, float(np.sum(r * d)) * spec.grid.cell_volume, iters, stop
 
 
+def _ray(spec, w):
+    """(t -> Phi(t w), t -> dPhi(t w)/dt) for t > 0, or (None, None) where Phi(w) is not finite.
+
+    Phi(t w) = t^2 quad - int F(x, t w) - t^p xi_term with the pieces of one
+    ``_energy_parts(w)`` call; only int F and int f(x, t w) w depend on t,
+    and the nonlinearity's ``ray_integrals`` gives both: scalar closed forms
+    for the power law (Brown & Zhang, 2003), sums over the grid for a
+    CustomNonlinearity.  No t costs a transform.
+    """
+    pieces = _energy_parts(spec, w)
+    if pieces.total == math.inf:
+        return None, None
+    g = spec.grid
+    pull, push = spec.nonlinearity.ray_integrals(g.coords(), w, g.cell_volume, pieces.f_term)
+    quad, xi_term, p = pieces.quad, pieces.xi_term, spec.p
+
+    def along(t):
+        return t**2 * quad - push(t) - t**p * xi_term
+
+    def slope(t):
+        return 2.0 * t * quad - pull(t) - p * t ** (p - 1.0) * xi_term
+
+    return along, slope
+
+
 def _fibering(spec, w, bottom=False):
     """(t, Phi(t w)) at the top of the fibering map t -> Phi(t w), or with ``bottom`` at its bottom.
 
     The top t+(w) is the larger critical point, where dPhi/dt turns from
     positive to negative; the bottom t-(w) is the local minimum below it,
-    where dPhi/dt turns from negative to positive.  Phi(t w) = t^2 quad -
-    int F(x, t w) - t^p xi_term with the pieces of one ``_energy_parts(w)``
-    call; only int F and int f(x, t w) w depend on t, and the nonlinearity's
-    ``ray_integrals`` gives both: scalar closed forms for the power law
-    (Brown & Zhang, 2003), sums over the grid for a CustomNonlinearity.  No
-    t costs a transform.  From t = 1 the walk doubles or halves t until
+    where dPhi/dt turns from negative to positive.  Both come from ``_ray``,
+    so no t costs a transform.  From t = 1 the walk doubles or halves t until
     dPhi/dt changes sign, and ``_brentq``, an in-house port of SciPy's Brent
     loop, refines that bracket: toward a top it doubles while dPhi/dt > 0
     and halves while dPhi/dt <= 0, toward a bottom the other way round.  So
@@ -396,16 +431,9 @@ def _fibering(spec, w, bottom=False):
     change within BACKTRACK_TRIES doublings or halvings (an int f(x, t w) w
     that overflows reads inf); a descent refuses such a trial.
     """
-    pieces = _energy_parts(spec, w)
-    if pieces.total == math.inf:
+    along, slope = _ray(spec, w)
+    if along is None:
         return math.nan, math.inf
-    g = spec.grid
-    pull, push = spec.nonlinearity.ray_integrals(g.coords(), w, g.cell_volume, pieces.f_term)
-    quad, xi_term, p = pieces.quad, pieces.xi_term, spec.p
-
-    def slope(t):
-        return 2.0 * t * quad - pull(t) - p * t ** (p - 1.0) * xi_term
-
     rising = slope(1.0) > 0.0
     up = rising != bottom  # a top lies above a rising t, a bottom below it
     t = 1.0
@@ -417,7 +445,7 @@ def _fibering(spec, w, bottom=False):
     else:
         return math.nan, math.inf
     crit = _brentq(slope, min(t, nxt), max(t, nxt), xtol=1e-300)  # the finest tolerances
-    return crit, crit**2 * quad - push(crit) - crit**p * xi_term
+    return crit, along(crit)
 
 
 def _armijo_step(spec, u, e_u, d, slope, step, place):
@@ -573,8 +601,8 @@ def _newton_direction(spec, u, r, forcing=0.0):
     return delta, iters, stop
 
 
-def _polish(spec, u, opts, trace, it0):
-    """Damped Newton on the residual; returns (u, residual_norm, iterations_used).
+def _polish(spec, u, r, rn, opts, trace, it0):
+    """Damped Newton on the residual r at u, of L^2 norm rn; returns (u, energy, rn, iterations).
 
     Each step tries u + s delta for s = 1, 1/2, ... and takes the first
     that lowers the residual norm by the factor 1 - 1e-4 s.  When no trial
@@ -587,17 +615,18 @@ def _polish(spec, u, opts, trace, it0):
     for Linear and Nonlinear Equations, 1995): near the end a step only has
     to take the residual to tol, and solving past that can cost more than
     the cap.  The floor bounds the solve's relative M-norm residual, not
-    the L^2 residual that the polish stops on.
+    the L^2 residual that the polish stops on.  The energy returned is the
+    one its last entry records at the returned u; a run that ends on the
+    NEWTON_MAX-th step scores its new point once more.
     """
     it = it0
-    r = _residual(spec, u)
-    rn = _lp_norm(spec.grid, r, 2)
     for _ in range(NEWTON_MAX):
-        entry = TraceEntry(it, _energy(spec, u), rn, 0.0, "polish", 0)
+        e_u = _energy(spec, u)
+        entry = TraceEntry(it, e_u, rn, 0.0, "polish", 0)
         it += 1
         if rn <= opts.tol:
             trace.append(entry)
-            return u, rn, it
+            return u, e_u, rn, it
         forcing = min(0.1, max(0.1 * rn, 0.5 * opts.tol / rn))
         delta, iters, stop = _newton_direction(spec, u, r, forcing)
         # the damped Newton trials u + s delta, s = 1, 1/2, ... above 1e-10, scored by
@@ -608,9 +637,9 @@ def _polish(spec, u, opts, trace, it0):
         trace.append(replace(entry, step_size=0.0 if found is None else found[0],
                              trials=tried, krylov_iters=iters, krylov_stop=stop))
         if found is None:
-            return u, rn, it
+            return u, e_u, rn, it
         _, u, r, rn = found
-    return u, rn, it
+    return u, _energy(spec, u), rn, it
 
 
 def _conjugate(spec, r, grad, slope, prev):
@@ -638,7 +667,7 @@ def _conjugate(spec, r, grad, slope, prev):
 
 
 def _nehari_solve(spec, u, level, bottom, opts):
-    """Descend J(w) = Phi(t(w) w) from u, then polish; returns (u, residual_norm, iterations, trace).
+    """Descend J(w) = Phi(t(w) w) from u, then polish; returns (u, energy, rn, iterations, trace).
 
     t(w) is the top of the fibering map, or with ``bottom`` its bottom;
     u must sit on that critical point of its own ray, at energy ``level``.
@@ -648,8 +677,9 @@ def _nehari_solve(spec, u, level, bottom, opts):
     steps.  When the line search refuses every step along a conjugate
     direction, the row retries along the gradient.  Once the gradient's
     dual norm is at most HANDOVER_RATIO ||u||_lam, or a line search along
-    the gradient refuses every step, Newton polishes the iterate.  Descent
-    entries have phase "ball" on the bottoms and "nehari" on the tops.
+    the gradient refuses every step, Newton polishes the iterate, starting
+    from the residual that the last row computed.  Descent entries have
+    phase "ball" on the bottoms and "nehari" on the tops.
     """
     g = spec.grid
     phase = "ball" if bottom else "nehari"
@@ -662,11 +692,11 @@ def _nehari_solve(spec, u, level, bottom, opts):
     trace: list[TraceEntry] = []
     it = 0
     prev = None  # the previous row's (gradient, slope, direction)
+    r = _residual(spec, u)
+    rn = _lp_norm(g, r, 2)
     while it < opts.max_iter:
-        r = _residual(spec, u)
         grad, slope, iters, stop = _riesz_gradient(spec, r)
-        entry = TraceEntry(it, level, _lp_norm(g, r, 2), step, phase, 0,
-                           krylov_iters=iters, krylov_stop=stop)
+        entry = TraceEntry(it, level, rn, step, phase, 0, krylov_iters=iters, krylov_stop=stop)
         it += 1
         if slope <= (HANDOVER_RATIO * _norm_lam(spec, u)) ** 2:
             trace.append(entry)
@@ -682,8 +712,10 @@ def _nehari_solve(spec, u, level, bottom, opts):
             break
         prev = grad, slope, d
         step = min(used * 2.0, STEP_MAX)
-    u, rn, it = _polish(spec, u, opts, trace, it)
-    return u, rn, it, tuple(trace)
+        r = _residual(spec, u)
+        rn = _lp_norm(g, r, 2)
+    u, e_u, rn, it = _polish(spec, u, r, rn, opts, trace, it)
+    return u, e_u, rn, it, tuple(trace)
 
 
 @_quiet_overflow
@@ -704,10 +736,9 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
     t, level = _fibering(spec, e.values)
     if not math.isfinite(level):
         raise ValueError("the fibering map along e has no local maximum")
-    u, rn, it, trace = _nehari_solve(spec, t * e.values, level, False, opts)
+    u, e_u, rn, it, trace = _nehari_solve(spec, t * e.values, level, False, opts)
 
     solution = Field(spec.grid, u)
-    e_u = energy(spec, solution).total
     converged = rn <= opts.tol
     ok = converged
     message = "converged" if converged else "residual tolerance not reached"
@@ -752,10 +783,9 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
             message="no negative energy found inside the ball (is mu positive?)",
             trace=(),
         )
-    u, rn, it, trace = _nehari_solve(spec, t * phi0, level, True, opts)
+    u, e_u, rn, it, trace = _nehari_solve(spec, t * phi0, level, True, opts)
 
     solution = Field(g, u)
-    e_u = energy(spec, solution).total
     norm = _norm_lam(spec, u)
     converged = rn <= opts.tol
     bound = (1.0 - INTERIOR_MARGIN) * rho

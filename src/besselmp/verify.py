@@ -15,7 +15,9 @@ Their ``trials`` and ``seed`` keywords are accepted and ignored.
 ``CHECKS`` is the table verify mode runs: per check name, the potential
 family it needs (None: any), its runner ``(spec, cfg) -> CheckRecord`` and
 the rule it imposes on the config (an exponent window, a nonempty
-separation list), if any.
+separation list), if any.  ``validate_assumptions`` runs the hypotheses on
+V, f and xi (a coercive V, or a steep well as in Bartsch & Wang, Comm. PDE
+20, 1995), each declaring its family the same way; ``applies_to`` decides.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from .grid import (
     Field,
+    Grid,
     _bessel_norm_sq,
     _lp_norm,
     _potential,
@@ -39,16 +42,19 @@ from .problem import (
     ProblemSpec,
     critical_exponent,
     energy,
+    eval_F,
     eval_f,
     eval_scrF,
-    validate_assumptions,
 )
-from .problem import _ball_integrals, _ball_radii, _ladder_verdict, _unit_ball
 
 __all__ = [
     "CHECKS",
     "Check",
     "CheckRecord",
+    "AssumptionCheck",
+    "ValidationReport",
+    "validate_assumptions",
+    "applies_to",
     "EmbeddingEstimate",
     "check_superquadratic_tail",
     "check_sublevel_l2_bound",
@@ -105,6 +111,18 @@ class CheckRecord:
         }
 
 
+@dataclass(frozen=True)
+class Check:
+    family: str | None
+    run: Callable
+    require: Callable | None = None
+
+
+def applies_to(family: str | None, potential) -> bool:
+    """Whether a check of ``family`` (None: every family) applies to ``potential``'s family."""
+    return family in (None, potential.family)
+
+
 def _tail_holds(spec, tau, u):
     """Where |f(u)|^tau / |u|^tau <= u f(u)/2 - F(u), up to roundoff."""
     lhs = np.abs(eval_f(spec, u)) ** tau / u**tau
@@ -121,9 +139,12 @@ def check_superquadratic_tail(spec: ProblemSpec, tau: float, u_max: float | None
     tau = 1.5 the threshold is 4; for q = 3 it is 6^(1/(3 - tau)), 36 at
     tau = 2.5.  Without ``u_max`` the scan's top starts at 20 and doubles,
     at most 10 times, until the inequality holds there; a given ``u_max``
-    is scanned as it is.  ``params`` records the top scanned.
+    is scanned as it is, and must be positive and finite.  ``params``
+    records the top scanned.
     """
     require_tau_in_window(tau, spec.grid.dim, spec.alpha, spec.nonlinearity.q)
+    if u_max is not None and not 0.0 < u_max < math.inf:
+        raise ValueError(f"u_max: must be positive and finite, got {u_max}")
     if u_max is None:
         u_max = 20.0
         for _ in range(10):
@@ -263,29 +284,53 @@ def check_splitting(spec: ProblemSpec, u0: Field, w: Field, separations,
     )
 
 
+def _unit_ball(grid: Grid, y: float) -> np.ndarray:
+    """Mask of the grid points inside the unit ball B(y e_1, 1)."""
+    coords = grid.coords()
+    d2 = (coords[0] - y) ** 2
+    for c in coords[1:]:
+        d2 = d2 + c**2
+    return d2 < 1.0
+
+
+def _ball_radii(grid: Grid) -> np.ndarray:
+    """Eight centers from 0 to L/2 - 1.5 along the first axis, the last at least 1."""
+    return np.linspace(0.0, max(0.5 * grid.box_length - 1.5, 1.0), 8)
+
+
 def coercivity_probe(V: Field, radii, b: float | None = None) -> CheckRecord:
     """Integrals of 1/V over unit balls marching outward along the first axis.
 
     Coercive potentials drive the ladder to zero; the pass rule asks for a
     non-increasing ladder (5% grid-jitter slack) ending below a tenth of
     its start.  Vanishing V inside a ball shows up as an infinite rung and
-    is reported as a positivity violation.
+    is reported as a positivity violation; a ball that holds no grid point
+    reads 0.  An empty ``radii`` raises.
     """
     radii = [float(r) for r in radii]
-    ladder = _ball_integrals(V, radii)
-    finite, monotone, decayed = _ladder_verdict(ladder)
-    data = {"radii": radii, "ladder": [float(v) for v in ladder]}
+    if not radii:
+        raise ValueError("radii: the coercivity ladder needs at least one ball center")
+    g = V.grid
+    ladder = []
+    for y in radii:
+        vals = V.values[_unit_ball(g, y)]
+        ladder.append(0.0 if vals.size == 0 else math.inf if np.min(vals) <= 0.0
+                      else float(np.sum(1.0 / vals) * g.cell_volume))
+    finite = all(math.isfinite(v) for v in ladder)
+    # grid jitter moves individual rungs by a few percent, hence the slack
+    monotone = finite and all(nxt <= cur * 1.05 + 1e-12 for cur, nxt in zip(ladder, ladder[1:]))
+    decayed = finite and ladder[-1] <= 0.1 * ladder[0] + 1e-12
+    data = {"radii": radii, "ladder": ladder}
     witnesses = [{"finite": finite, "monotone": monotone, "decayed": decayed}]
     if not finite:
         witnesses.append({"positivity_violation": "V vanishes inside a probe ball"})
     if b is not None:
         sub = V.values < b
         data["sublevel_intersections"] = [
-            float(np.count_nonzero(sub & _unit_ball(V.grid, y)) * V.grid.cell_volume)
-            for y in radii]
+            float(np.count_nonzero(sub & _unit_ball(g, y)) * g.cell_volume) for y in radii]
     return CheckRecord(
         "coercivity", {"radii": radii, "b": b},
-        bool(finite and monotone and decayed), tuple(witnesses), data,
+        finite and monotone and decayed, tuple(witnesses), data,
     )
 
 
@@ -397,13 +442,221 @@ def check_norm_domination(spec: ProblemSpec, trials=None, seed=None) -> CheckRec
 
 
 # ---------------------------------------------------------------------------
+# the hypotheses on V, f and xi
+
+
+@dataclass(frozen=True)
+class AssumptionCheck:
+    name: str
+    passed: bool
+    required: bool
+    detail: str
+    witness: dict
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    checks: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks if c.required)
+
+    def by_name(self, name: str) -> AssumptionCheck:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+
+def _median(a):
+    """The median of a 1-D array, as np.median computes it.
+
+    np.median imports numpy.ma on its first call, about 15 ms that would
+    land inside the first validation run of a process.
+    """
+    s = np.sort(a)
+    half = s.size // 2
+    return s[half] if s.size % 2 else (s[half - 1] + s[half]) / 2
+
+
+def _growth_bound(spec, _b):
+    q = getattr(spec.nonlinearity, "q", None)
+    if q is None:
+        return False, "no declared growth exponent", {}
+    u = np.concatenate([-np.geomspace(1e-4, 1e3, 200)[::-1], np.geomspace(1e-4, 1e3, 200)])
+    ratio = np.abs(eval_f(spec, u)) / (1.0 + np.abs(u) ** (q - 1.0))
+    top = ratio[np.abs(u) >= 1e2]
+    quotient = float(np.max(top) / max(_median(top), 1e-300))
+    ok = np.all(np.isfinite(ratio)) and quotient <= 1.2
+    return (ok, f"sup |f(u)|/(1+|u|^(q-1)) ~ {np.max(ratio):.4g}, top-decade spread {quotient:.3g}",
+            {"c_estimate": float(np.max(ratio)), "top_decade_spread": quotient})
+
+
+def _vanishing_at_zero(spec, _b):
+    u = np.geomspace(1e-8, 1e-1, 120)
+    ratio = np.abs(eval_f(spec, u) / u)
+    return (ratio[0] <= 1e-4 * (1.0 + ratio[-1]),
+            f"|f(u)/u| falls from {ratio[-1]:.3g} at |u|=0.1 to {ratio[0]:.3g} at |u|=1e-8",
+            {"ratio_small": float(ratio[0]), "ratio_large": float(ratio[-1])})
+
+
+def _superquadratic(spec, _b):
+    theta = getattr(spec.nonlinearity, "theta", None)
+    if theta is None:
+        return False, "no declared theta", {}
+    u = np.concatenate([-np.geomspace(1e-6, 1e3, 250)[::-1], np.geomspace(1e-6, 1e3, 250)])
+    F = eval_F(spec, u)
+    uf = u * eval_f(spec, u)
+    margin = uf - theta * F
+    ok = np.all(F > 0) and np.all(margin >= -1e-12 * (1.0 + np.abs(uf)))
+    worst = int(np.argmin(margin / (1.0 + np.abs(uf))))
+    return (ok, f"0 < theta*F <= u*f checked at {u.size} values, "
+                f"worst margin {margin[worst]:.3g} at u={u[worst]:.3g}",
+            {"theta": float(theta), "worst_margin": float(margin[worst]),
+             "worst_u": float(u[worst])})
+
+
+def _positive_infimum(spec, _b):
+    vmin = float(np.min(spec.V_field.values))
+    idx = np.unravel_index(int(np.argmin(spec.V_field.values)), spec.grid.shape)
+    where = [float(spec.grid.axis_coords[i]) for i in idx]
+    return vmin > 0.0, f"min V = {vmin:.4g} at x = {where}", {"min": vmin, "argmin": where}
+
+
+def _ball_integrals_decay(spec, _b):
+    rec = coercivity_probe(spec.V_field, _ball_radii(spec.grid))
+    radii, ladder = rec.data["radii"], rec.data["ladder"]
+    return (rec.passed, f"int_(B(y,1)) dx/V along |y| in [0, {radii[-1]:.3g}]: "
+                        f"{ladder[0]:.4g} -> {ladder[-1]:.4g}", rec.data)
+
+
+def _finite_sublevel(spec, b):
+    g = spec.grid
+    measure = sublevel_measure(spec.V_field, b)
+    if measure == 0.0:
+        return True, f"sublevel set {{V < {b:.4g}}} is empty", {"b": b, "measure": 0.0}
+    mask = spec.V_field.values < b
+    margin = math.inf
+    for ax in range(g.dim):
+        hit = np.any(mask, axis=tuple(a for a in range(g.dim) if a != ax))
+        lo = float(g.axis_coords[np.argmax(hit)])
+        hi = float(g.axis_coords[g.n - 1 - np.argmax(hit[::-1])])
+        margin = min(margin, lo + 0.5 * g.box_length, 0.5 * g.box_length - hi)
+    return (margin >= 1.0,
+            f"measure({{V < {b:.4g}}}) = {measure:.4g}, distance to box edge {margin:.3g}",
+            {"b": b, "measure": measure, "edge_margin": float(margin)})
+
+
+def _face_pairs(mask):
+    """Flat indices (a, b) of each pair of face neighbours that both lie in a boolean array.
+
+    Neighbours do not wrap around the box.
+    """
+    index = np.arange(mask.size).reshape(mask.shape)
+    pairs = []
+    for ax in range(mask.ndim):
+        lo = tuple(slice(None, -1) if i == ax else slice(None) for i in range(mask.ndim))
+        hi = tuple(slice(1, None) if i == ax else slice(None) for i in range(mask.ndim))
+        both = mask[lo] & mask[hi]
+        pairs.append((index[lo][both], index[hi][both]))
+    return tuple(np.concatenate(side) for side in zip(*pairs))
+
+
+def _erode(mask):
+    """The points of a boolean array whose 2 * ndim face neighbours all lie in it.
+
+    scipy.ndimage.binary_erosion's default: face connectivity, no
+    wrap-around, and the outside of the box counts as not in the array.
+    """
+    degree = np.bincount(np.concatenate(_face_pairs(mask)), minlength=mask.size)
+    return (degree == 2 * mask.ndim).reshape(mask.shape)
+
+
+def _component_count(mask):
+    """The number of face-connected components of a boolean array, as ndimage.label(mask)[1].
+
+    Every point starts as its own root; each round hangs the larger root
+    of every face-neighbour pair that joins two roots under the smaller
+    one, then jumps every point to its root.  Roots only fall, so it ends
+    with one root per component.
+    """
+    a, b = _face_pairs(mask)
+    parent = np.arange(mask.size)
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            points = np.flatnonzero(mask)
+            return int(np.count_nonzero(parent[points] == points))
+        np.minimum.at(parent, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+
+
+def _flat_zero_region(spec, _b):
+    mask = spec.V_field.values <= 1e-12 * max(float(np.max(spec.V_field.values)), 1e-300)
+    n_comp = _component_count(mask)
+    measure = float(np.count_nonzero(mask) * spec.grid.cell_volume)
+    return (_erode(mask).any(), f"zero set has measure {measure:.4g} in {n_comp} component(s); "
+                                "boundary smoothness is not machine-checkable",
+            {"measure": measure, "components": n_comp})
+
+
+def _weight_integrable(spec, _b):
+    g = spec.grid
+    power = 2.0 / (2.0 - spec.p)
+    w = spec.xi_field.values**power
+    integral = float(np.sum(w) * g.cell_volume)
+    edge = g.radius_sq >= (0.45 * g.box_length) ** 2
+    decayed = np.max(w[edge]) <= 1e-10 * max(np.max(w), 1e-300)
+    return (np.isfinite(integral) and decayed,
+            f"int xi^(2/(2-p)) = {integral:.4g}, edge max {np.max(w[edge]):.3g}",
+            {"integral": integral, "power": power})
+
+
+# per hypothesis, in the order they are reported: the potential family it
+# gates (None: every family) and its runner (spec, b) -> (passed, detail,
+# witness); only finite_sublevel reads the sublevel height b
+_HYPOTHESES = {
+    "growth_bound": Check(None, _growth_bound),
+    "vanishing_at_zero": Check(None, _vanishing_at_zero),
+    "superquadratic": Check(None, _superquadratic),
+    "positive_infimum": Check("coercive", _positive_infimum),
+    "ball_integrals_decay": Check("coercive", _ball_integrals_decay),
+    "finite_sublevel": Check("well", _finite_sublevel),
+    "flat_zero_region": Check("well", _flat_zero_region),
+    "weight_integrable": Check(None, _weight_integrable),
+}
+
+
+def validate_assumptions(spec: ProblemSpec, b: float | None = None) -> ValidationReport:
+    """Run every machine-checkable hypothesis on the supplied problem data.
+
+    Hypotheses of another potential family are still run and reported, but
+    only those that apply to the declared family (``applies_to``) gate
+    ``report.passed``.  ``b`` is the height of finite_sublevel's set
+    {V < b}, half of max V when None.
+    """
+    if b is None:
+        b = 0.5 * float(np.max(spec.V_field.values))
+    checks = []
+    for name, hypothesis in _HYPOTHESES.items():
+        passed, detail, witness = hypothesis.run(spec, b)
+        checks.append(AssumptionCheck(name, bool(passed), applies_to(hypothesis.family, spec.potential),
+                                      detail, witness))
+    return ValidationReport(tuple(checks))
+
+
+# ---------------------------------------------------------------------------
 # the checks verify mode runs, in the order "auto" runs them
 
 
 def _assumptions(spec, cfg) -> CheckRecord:
     report = validate_assumptions(spec, b=cfg.b)
-    checks = [{"name": c.name, "pass": c.passed, "required": c.required, "detail": c.detail}
-              for c in report.checks]
+    checks = [{"name": c.name, "pass": c.passed, "required": c.required, "detail": c.detail,
+               "witness": c.witness} for c in report.checks]
     return CheckRecord("assumptions", {"b": cfg.b}, report.passed, (), {"checks": checks})
 
 
@@ -429,13 +682,6 @@ def _embedding(spec, cfg) -> CheckRecord:
                         "upper": {str(s): v for s, v in est.upper.items()}})
 
 
-@dataclass(frozen=True)
-class Check:
-    family: str | None
-    run: Callable
-    require: Callable | None = None
-
-
 CHECKS = {
     "assumptions": Check(None, _assumptions),
     "superquadratic-tail": Check(
@@ -447,9 +693,4 @@ CHECKS = {
                        lambda cfg: require_s_in_window(cfg.s_list, cfg.dim, cfg.alpha)),
     "norm-domination": Check(None, lambda spec, cfg: check_norm_domination(spec)),
     "sublevel-bound": Check("well", lambda spec, cfg: check_sublevel_l2_bound(spec, b=cfg.b)),
-    "sublevel-measure": Check("well", lambda spec, cfg: CheckRecord(
-        "sublevel_measure", {"b": cfg.b}, True, (),
-        {"measure": sublevel_measure(spec.V_field, cfg.b)})),
-    "coercivity": Check("coercive", lambda spec, cfg: coercivity_probe(
-        spec.V_field, _ball_radii(spec.grid), b=cfg.b)),
 }

@@ -163,9 +163,13 @@ def test_verify_mode_coercive(tmp_path):
     assert names == [
         "verify:assumptions", "verify:superquadratic-tail", "verify:splitting",
         "verify:holder", "verify:embedding", "verify:norm-domination",
-        "verify:coercivity",
     ]
     assert all(s["passed"] for s in rep["stages"])
+    # the coercivity ladder is written with the hypothesis that walks it
+    entries = {c["name"]: c for c in rep["stages"][0]["summary"]["data"]["checks"]}
+    assert all("witness" in c for c in entries.values())
+    ladder = entries["ball_integrals_decay"]["witness"]
+    assert len(ladder["radii"]) == len(ladder["ladder"]) == 8
 
 
 def test_verify_mode_well(tmp_path):
@@ -179,19 +183,24 @@ def test_verify_mode_well(tmp_path):
     assert names == [
         "verify:assumptions", "verify:superquadratic-tail", "verify:splitting",
         "verify:holder", "verify:embedding", "verify:norm-domination",
-        "verify:sublevel-bound", "verify:sublevel-measure",
+        "verify:sublevel-bound",
     ]
     assert all(s["passed"] for s in rep["stages"])
+    # the measure of {V < b} is written by the hypothesis and the bound alike
+    entries = {c["name"]: c for c in rep["stages"][0]["summary"]["data"]["checks"]}
+    assert all("witness" in c for c in entries.values())
+    assert (entries["finite_sublevel"]["witness"]["measure"]
+            == rep["stages"][-1]["summary"]["data"]["sublevel_measure"])
 
 
-ALL_CHECKS = ("norm-domination, embedding, holder, sublevel-measure, coercivity, splitting, "
-              "sublevel-bound, superquadratic-tail, assumptions")
+ALL_CHECKS = ("norm-domination, embedding, holder, splitting, sublevel-bound, "
+              "superquadratic-tail, assumptions")
 
 
 @pytest.mark.parametrize("family", ["coercive", "well"])
 def test_verify_every_check_writes_a_check_record(tmp_path, family):
-    # all nine checks on either family, in the order listed: every summary
-    # is a CheckRecord, and only coercivity fails, on the well's flat zero
+    # all seven checks on either family, in the order listed: every summary
+    # is a CheckRecord, and none fails
     text = (WELL_CFG if family == "well" else "") + f"checks = {ALL_CHECKS}\n"
     out = tmp_path / "out"
     rc = main(["verify", "--config", str(_write(tmp_path, text)), "--out", str(out)])
@@ -201,9 +210,17 @@ def test_verify_every_check_writes_a_check_record(tmp_path, family):
     for stage in stages:
         assert list(stage["summary"]) == ["checker", "params", "pass", "witnesses", "data"]
         assert stage["summary"]["pass"] == stage["passed"]
-    failed = [s["name"] for s in stages if not s["passed"]]
-    assert failed == (["verify:coercivity"] if family == "well" else [])
-    assert rc == (1 if failed else 0)
+    assert all(s["passed"] for s in stages)
+    assert rc == 0
+
+
+@pytest.mark.parametrize("name", ["coercivity", "sublevel-measure"])
+def test_retired_checks_are_config_errors(tmp_path, capsys, name):
+    # the ladder runs inside assumptions, the measure inside sublevel-bound
+    rc = main(["verify", "--config", str(_write(tmp_path, f"checks = {name}\n")),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"checks: unknown checker {name!r}" in capsys.readouterr().err
 
 
 def test_probe_geometry_mode(tmp_path):

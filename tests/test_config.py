@@ -126,6 +126,14 @@ def test_empty_separations_refused_when_splitting_runs():
     parse_config(json.dumps({"mode": "verify", "separations": [], "checks": ["holder"]}))
 
 
+@pytest.mark.parametrize("value", ["0", "inf", "nan"])
+def test_sublevel_height_must_be_positive_and_finite(value):
+    # {V < b} needs a finite height: the hypotheses measure it
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"b = {value}")
+    assert err.value.errors == [f"b: must be positive and finite, got {float(value)}"]
+
+
 def test_removed_probe_keys_are_unknown():
     for key in ("rho_grid = 1.0, 2.0", "samples_per_rho = 64"):
         with pytest.raises(ConfigError) as err:

@@ -613,13 +613,37 @@ def test_custom_nonlinearity_saddle():
 
 def test_plane_2d_descent_counts(fft_calls):
     # the Polak-Ribiere+ directions take the 2-D plane's saddle descent in
-    # 5 rows (8 along the plain gradient) and a whole run in 161 forward
-    # transforms (206); counts, not time, so they hold on any machine
+    # 5 rows (8 along the plain gradient), and a run that evaluates each
+    # point once takes 153 forward transforms (206 along the gradient);
+    # counts, not time, so they hold on any machine
     spec = build_spec(PLANE_2D)
     r = two_solution_experiment(spec)
     assert r.success, r.failed_stage
     assert sum(t.phase == "nehari" for t in r.mountain_pass.trace) <= 5
-    assert fft_calls["_rfft"] <= 165
+    assert fft_calls["_rfft"] <= 153
+
+
+def test_each_descent_row_computes_one_residual(coercive_spec, coercive_probe, monkeypatch):
+    # the polish starts from the residual of the descent's last row, and
+    # the report's energy is the one the polish's last row recorded
+    calls = []
+    residual = solvers._residual
+
+    def counted(spec, u):
+        calls.append(u)
+        return residual(spec, u)
+
+    monkeypatch.setattr(solvers, "_residual", counted)
+    for solve, phase in (
+            (lambda: mountain_pass_solve(coercive_spec, coercive_probe.e, probe=coercive_probe),
+             "nehari"),
+            (lambda: ball_min_solve(coercive_spec, coercive_probe.rho), "ball")):
+        calls.clear()
+        report = solve()
+        descent = [t for t in report.trace if t.phase == phase]
+        assert report.ok and len(calls) == len(descent)
+        assert report.energy == report.trace[-1].energy == energy(coercive_spec,
+                                                                  report.solution).total
 
 
 def test_conjugate_direction_and_its_restart(coercive_spec):

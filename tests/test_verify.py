@@ -1,8 +1,11 @@
 """Quantitative checkers: tail inequality, sublevel bound, splitting,
-coercivity ladder, Holder quotients, embedding constants and norm domination."""
+coercivity ladder, Holder quotients, embedding constants, norm domination,
+and the hypotheses on V, f and xi with their one family rule."""
 
+import ast
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+import besselmp
 from besselmp import (
+    CoerciveQuadraticPotential,
     CustomPotential,
     Field,
+    WellPotential,
     canonical_coercive_spec,
+    canonical_well_spec,
     check_norm_domination,
     check_splitting,
     check_sublevel_l2_bound,
@@ -29,10 +36,10 @@ from besselmp import (
     validate_assumptions,
     weighted_norm_sq,
 )
-from besselmp.config import RunConfig, build_spec
+from besselmp.config import RunConfig, build_spec, resolve_checks
 from besselmp.grid import make_grid
 from besselmp.problem import ProblemSpec
-from besselmp.verify import CHECKS
+from besselmp.verify import CHECKS, _ball_radii, applies_to
 from conftest import multiplier_matrix
 
 
@@ -77,6 +84,12 @@ def test_tail_scan_below_threshold_fails(coercive_spec):
     assert rec.data["threshold"] is None
     # a given top is scanned as it is, never doubled
     assert rec.params["u_max"] == 3.0
+
+
+@pytest.mark.parametrize("u_max", [0.0, -5.0, math.inf, math.nan])
+def test_tail_refuses_a_scan_top_out_of_range(coercive_spec, u_max):
+    with pytest.raises(ValueError, match="u_max: must be positive and finite"):
+        check_superquadratic_tail(coercive_spec, tau=1.5, u_max=u_max)
 
 
 def test_tail_record_shape(coercive_spec):
@@ -302,16 +315,10 @@ def test_coercivity_reports_sublevel_intersections():
     assert inter[-1] == 0.0  # and misses B(10,1)
 
 
-@pytest.mark.parametrize("box_length", [2.0, 4.0, 40.0])
-def test_coercivity_stage_walks_the_assumption_radii(box_length):
-    # verify's coercivity stage and the ball_integrals_decay assumption walk
-    # the same eight centers; below a box of 5 they end at 1, not at
-    # L/2 - 1.5 (negative for a box of 2)
-    cfg = RunConfig(box_length=box_length, n=64)
-    spec = build_spec(cfg)
-    radii = CHECKS["coercivity"].run(spec, cfg).params["radii"]
-    assert radii == validate_assumptions(spec).by_name("ball_integrals_decay").witness["radii"]
-    assert radii[0] == 0.0 and radii[-1] == max(0.5 * box_length - 1.5, 1.0)
+def test_coercivity_refuses_an_empty_ladder():
+    g = make_grid(1, 64, 10.0)
+    with pytest.raises(ValueError, match="at least one ball center"):
+        coercivity_probe(Field(g, 1.0 + g.axis_coords**2), [])
 
 
 # ---------------------------------------------------------------------------
@@ -554,3 +561,69 @@ def test_random_fields_respect_the_upper_ends(dim, family, band, sigma, checker,
     upper = estimate_embedding_constants(spec.alpha, g, s_list).upper
     for s in s_list:
         assert lp_norm(u, s) <= upper[s] * math.sqrt(bessel) * slack
+
+
+# ---------------------------------------------------------------------------
+# the hypotheses: one home, one implementation of each quantity
+
+
+def test_problem_defines_no_check_and_verify_takes_no_private_name_from_it():
+    package = Path(besselmp.__file__).parent
+    problem = ast.parse((package / "problem.py").read_text())
+    defined = {n.name for n in problem.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"AssumptionCheck", "ValidationReport"} & defined
+    assert not [name for name in defined if name.startswith("_check")]
+    verify = ast.parse((package / "verify.py").read_text())
+    private = [a.name for n in ast.walk(verify)
+               if isinstance(n, ast.ImportFrom) and n.module == "problem"
+               for a in n.names if a.name.startswith("_")]
+    assert private == []
+
+
+@pytest.mark.parametrize("make_spec", [canonical_coercive_spec, canonical_well_spec],
+                         ids=["coercive", "well"])
+def test_hypotheses_read_the_public_checks(make_spec):
+    spec = make_spec()
+    report = validate_assumptions(spec, b=10.0)
+    # the name problem keeps calls into verify
+    assert besselmp.problem.validate_assumptions(spec, b=10.0) == report
+    ladder = coercivity_probe(spec.V_field, _ball_radii(spec.grid))
+    assert report.by_name("ball_integrals_decay").witness == ladder.data
+    assert report.by_name("ball_integrals_decay").passed is ladder.passed
+    assert (report.by_name("finite_sublevel").witness["measure"]
+            == sublevel_measure(spec.V_field, 10.0))
+    # the last center stays at least 1 on a box too small for L/2 - 1.5
+    assert _ball_radii(make_grid(1, 64, 2.0))[-1] == 1.0
+
+
+_FAMILY_HYPOTHESES = {
+    "coercive": {"growth_bound", "vanishing_at_zero", "superquadratic", "positive_infimum",
+                 "ball_integrals_decay", "weight_integrable"},
+    "well": {"growth_bound", "vanishing_at_zero", "superquadratic", "finite_sublevel",
+             "flat_zero_region", "weight_integrable"},
+}
+_FAMILY_STAGES = {
+    "coercive": ("assumptions", "superquadratic-tail", "splitting", "holder", "embedding",
+                 "norm-domination"),
+    "well": ("assumptions", "superquadratic-tail", "splitting", "holder", "embedding",
+             "norm-domination", "sublevel-bound"),
+}
+
+
+@pytest.mark.parametrize("potential,family", [
+    (CoerciveQuadraticPotential(), "coercive"),
+    (WellPotential(radius=1.0, height=50.0, ramp=1.0), "well"),
+    # a custom V is gated by the family it declares, whatever its values
+    (CustomPotential(lambda x: 1.0 + x**2, family="well"), "well"),
+], ids=["coercive", "well", "custom-well"])
+def test_one_family_rule_gates_hypotheses_and_stages(potential, family):
+    spec = ProblemSpec(make_grid(1, 256, 40.0), alpha=0.75, lam=1.0, mu=0.01, p=1.5,
+                       potential=potential)
+    required = {c.name for c in validate_assumptions(spec).checks if c.required}
+    assert required == _FAMILY_HYPOTHESES[family]
+    assert {name for name, check in CHECKS.items() if applies_to(check.family, potential)} \
+        == set(_FAMILY_STAGES[family])
+    if not isinstance(potential, CustomPotential):  # the config builds only these two
+        cfg = RunConfig(mode="verify",
+                        potential="well" if family == "well" else "coercive_quadratic")
+        assert resolve_checks(cfg) == _FAMILY_STAGES[family]
