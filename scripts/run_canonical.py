@@ -1,7 +1,8 @@
 """Run both canonical problems end to end and print the level tables.
 
 Each solver stage also prints the MINRES iterations that its trace
-records, the descent's and the polish's apart.
+records, the descent's and the polish's apart, and the Palais-Smale norm
+bound checked on its descent rows (``check_bounded_descent``).
 
 Usage: python scripts/run_canonical.py
 """
@@ -11,14 +12,13 @@ import time
 from besselmp import (
     canonical_coercive_spec,
     canonical_well_spec,
-    ps_diagnostics,
+    check_bounded_descent,
     two_solution_stages,
 )
 
 
 def run_one(name, spec):
     print(f"=== {name} ===")
-    done = {}
     t0 = time.perf_counter()
     for stage, ok, result in two_solution_stages(spec):
         took = f"({time.perf_counter() - t0:.1f}s)"
@@ -43,16 +43,13 @@ def run_one(name, spec):
             print(f"{label} E={energy}  |r|={result.residual_norm:.2e}  "
                   f"iters={result.iterations}  minres descent={counts['gradient_krylov_iters']} "
                   f"polish={counts['newton_krylov_iters']}  ok={ok}  {took}")
-        done[stage] = result
+            if result.trace:
+                chain = check_bounded_descent(spec, result.trace)
+                print(f"        bounded descent: pass={chain.passed}  "
+                      f"c={chain.data['level']:.4g}  "
+                      f"max ||u||_lam={chain.data['max_norm']:.4g}  "
+                      f"rows={chain.params['rows']}")
         t0 = time.perf_counter()
-
-    if "levels" in done:
-        # Diagnose the pair of converged iterates as a bounded sequence with
-        # vanishing gradients.
-        pair = [done["local_min"].solution, done["mountain_pass"].solution]
-        diag = ps_diagnostics(spec, pair)
-        print(f"bounded-sequence check: all_ok={diag.all_ok}  "
-              f"max ||u||_lam={diag.max_norm:.3f}  bound={diag.norm_bound:.3f}")
     print()
 
 

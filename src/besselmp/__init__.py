@@ -45,7 +45,6 @@ from .problem import (
 from .solvers import (
     GeometryError,
     GeometryProbe,
-    PSDiagnostics,
     SolveOptions,
     SolveReport,
     TwoSolutionResult,
@@ -53,7 +52,6 @@ from .solvers import (
     ball_min_solve,
     mountain_pass_solve,
     probe_geometry,
-    ps_diagnostics,
     two_solution_experiment,
     two_solution_stages,
 )
@@ -62,6 +60,7 @@ from .verify import (
     CheckRecord,
     EmbeddingEstimate,
     ValidationReport,
+    check_bounded_descent,
     check_norm_domination,
     check_splitting,
     check_sublevel_l2_bound,

@@ -181,11 +181,16 @@ class WellPotential:
 class CustomPotential:
     """V(x) = fn(*coords), with coords the tuple of ``grid.shape`` coordinate arrays.
 
-    fn must return an array of ``grid.shape``.
+    fn must return an array of ``grid.shape``.  ``family`` is "coercive" or
+    "well": it picks the hypotheses that gate the potential.
     """
 
     fn: object
     family: str = "coercive"
+
+    def __post_init__(self):
+        _require((self.family in ("coercive", "well"),
+                  f"family: must be 'coercive' or 'well', got {self.family!r}"))
 
     def values(self, grid: Grid) -> np.ndarray:
         return np.asarray(self.fn(*grid.coords()), dtype=np.float64)

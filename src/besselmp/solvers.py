@@ -67,14 +67,12 @@ __all__ = [
     "TraceEntry",
     "SolveReport",
     "TwoSolutionResult",
-    "PSDiagnostics",
     "probe_geometry",
     "mountain_pass_solve",
     "ball_min_solve",
     "assess_levels",
     "two_solution_stages",
     "two_solution_experiment",
-    "ps_diagnostics",
 ]
 
 
@@ -148,6 +146,9 @@ class TraceEntry:
     # in the step it took, 0.0 on a gradient step (the first row, a restart
     # or a gradient retry) and on every polish entry
     beta: float = 0.0
+    # a descent entry: ||u||_lam of its iterate, the norm its handover test
+    # reads; 0.0 on every polish entry
+    norm_lam: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -601,8 +602,8 @@ def _newton_direction(spec, u, r, forcing=0.0):
     return delta, iters, stop
 
 
-def _polish(spec, u, r, rn, opts, trace, it0):
-    """Damped Newton on the residual r at u, of L^2 norm rn; returns (u, energy, rn, iterations).
+def _polish(spec, u, e_u, r, rn, opts, trace, it0):
+    """Damped Newton from u, of energy e_u and residual r (norm rn); (u, energy, rn, iterations).
 
     Each step tries u + s delta for s = 1, 1/2, ... and takes the first
     that lowers the residual norm by the factor 1 - 1e-4 s.  When no trial
@@ -615,13 +616,13 @@ def _polish(spec, u, r, rn, opts, trace, it0):
     for Linear and Nonlinear Equations, 1995): near the end a step only has
     to take the residual to tol, and solving past that can cost more than
     the cap.  The floor bounds the solve's relative M-norm residual, not
-    the L^2 residual that the polish stops on.  The energy returned is the
-    one its last entry records at the returned u; a run that ends on the
-    NEWTON_MAX-th step scores its new point once more.
+    the L^2 residual that the polish stops on.  Each accepted step scores
+    its new point's energy once, so the first entry records the e_u it was
+    given (the descent's J) and the energy returned is the one at the
+    returned u.
     """
     it = it0
     for _ in range(NEWTON_MAX):
-        e_u = _energy(spec, u)
         entry = TraceEntry(it, e_u, rn, 0.0, "polish", 0)
         it += 1
         if rn <= opts.tol:
@@ -639,7 +640,8 @@ def _polish(spec, u, r, rn, opts, trace, it0):
         if found is None:
             return u, e_u, rn, it
         _, u, r, rn = found
-    return u, _energy(spec, u), rn, it
+        e_u = _energy(spec, u)
+    return u, e_u, rn, it
 
 
 def _conjugate(spec, r, grad, slope, prev):
@@ -696,9 +698,11 @@ def _nehari_solve(spec, u, level, bottom, opts):
     rn = _lp_norm(g, r, 2)
     while it < opts.max_iter:
         grad, slope, iters, stop = _riesz_gradient(spec, r)
-        entry = TraceEntry(it, level, rn, step, phase, 0, krylov_iters=iters, krylov_stop=stop)
+        norm = _norm_lam(spec, u)
+        entry = TraceEntry(it, level, rn, step, phase, 0, krylov_iters=iters, krylov_stop=stop,
+                           norm_lam=norm)
         it += 1
-        if slope <= (HANDOVER_RATIO * _norm_lam(spec, u)) ** 2:
+        if slope <= (HANDOVER_RATIO * norm) ** 2:
             trace.append(entry)
             break
         d, d_slope, beta = _conjugate(spec, r, grad, slope, prev)
@@ -714,7 +718,7 @@ def _nehari_solve(spec, u, level, bottom, opts):
         step = min(used * 2.0, STEP_MAX)
         r = _residual(spec, u)
         rn = _lp_norm(g, r, 2)
-    u, e_u, rn, it = _polish(spec, u, r, rn, opts, trace, it)
+    u, e_u, rn, it = _polish(spec, u, level, r, rn, opts, trace, it)
     return u, e_u, rn, it, tuple(trace)
 
 
@@ -762,10 +766,13 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
 
     The iterate starts at the bottom of the ray through a Gaussian bump and
     descends J(w) = Phi(t-(w) w) on the bottoms of the rays
-    (``_nehari_solve``).  A bump ray with no negative bottom (the mu = 0
-    situation) is reported, not raised.  rho does not steer the search; it
-    only checks the result, which must have negative energy and sit at
-    most (1 - INTERIOR_MARGIN) rho from the origin in the lam-norm.
+    (``_nehari_solve``).  A bump ray with no negative bottom is reported,
+    not raised, with its cause: at mu = 0 no ray has one, and at mu > 0
+    the bump's ray has none once mu is past that ray's extremal value,
+    where its fibering map loses both critical points.  rho does not steer
+    the search; it only checks the result, which must have negative energy
+    and sit at most (1 - INTERIOR_MARGIN) rho from the origin in the
+    lam-norm.
     """
     opts = opts or SolveOptions()
     if not (rho > 0 and np.isfinite(rho)):
@@ -780,7 +787,9 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
             solution=Field(g, zero), energy=0.0,
             residual_norm=_lp_norm(g, _residual(spec, zero), 2),
             iterations=0, classification="local_min", converged=False, ok=False,
-            message="no negative energy found inside the ball (is mu positive?)",
+            message="no negative energy found inside the ball: " + (
+                "mu = 0, so no ray has a negative bottom" if spec.mu == 0.0 else
+                f"the bump's ray has no bottom, mu = {spec.mu:.6g} is past its extremal value"),
             trace=(),
         )
     u, e_u, rn, it, trace = _nehari_solve(spec, t * phi0, level, True, opts)
@@ -930,66 +939,3 @@ def two_solution_experiment(spec: ProblemSpec, opts: SolveOptions | None = None,
                                  verdict["failure"] is None, verdict["failure"])
     levels = _levels(probe, mp, ball) if probe is not None else {}
     return TwoSolutionResult(probe, mp, ball, 0.0, levels, False, failure)
-
-
-# ---------------------------------------------------------------------------
-# bounded Palais-Smale diagnostics
-
-
-@dataclass(frozen=True)
-class PSDiagnostics:
-    entries: tuple
-    level: float
-    xi_norm: float
-    norm_bound: float
-    max_norm: float
-    all_ok: bool
-
-
-def ps_diagnostics(spec: ProblemSpec, iterates) -> PSDiagnostics:
-    """Check the norm-boundedness chain on a sequence of iterates.
-
-    Per iterate the test is
-        (1/2 - 1/theta) ||u||_lam^2 <= 1 + c + ||u||_lam
-                                       + (1/p - 1/theta) mu ||xi||_{2/(2-p)} ||u||_lam^p
-    with c the highest energy seen along the sequence.  The Holder step
-    carries the p-th power of the L^2 embedding constant, which is exactly
-    1: the symbol (1 + |xi|^2)^alpha is at least 1 and V >= 0, so
-    ||u||_2 <= ||u||_lam.  A sequence built to break the premise (energies
-    or slopes out of scale) gets flagged.
-    """
-    theta = spec.nonlinearity.theta
-    xi_norm = lp_norm(spec.xi_field, 2.0 / (2.0 - spec.p))
-    half = 0.5 - 1.0 / theta
-    slack = (1.0 / spec.p - 1.0 / theta) * spec.mu * xi_norm
-
-    totals = [energy(spec, u).total for u in iterates]
-    c_level = max(totals) if totals else 0.0
-    entries = []
-    all_ok = True
-    max_norm = 0.0
-    for u, e_u in zip(iterates, totals):
-        t = _norm_lam(spec, u.values)
-        max_norm = max(max_norm, t)
-        lhs = half * t * t
-        rhs = 1.0 + c_level + t + slack * t**spec.p
-        ok = lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
-        all_ok &= ok
-        entries.append({"norm": t, "energy": e_u, "lhs": lhs, "rhs": rhs, "ok": ok})
-
-    def h(t):
-        return half * t * t - t - slack * t**spec.p - (1.0 + c_level)
-
-    norm_bound = math.nan
-    if 1.0 + c_level >= 0.0:
-        hi = 1.0
-        for _ in range(200):
-            if h(hi) > 0.0:
-                break
-            hi *= 2.0
-        norm_bound = _brentq(h, 0.0, hi) if h(hi) > 0 else math.inf
-
-    return PSDiagnostics(
-        entries=tuple(entries), level=c_level, xi_norm=xi_norm, norm_bound=norm_bound, max_norm=max_norm,
-        all_ok=bool(all_ok),
-    )

@@ -11,6 +11,7 @@ the full-lattice symbol s_k = (1 + |xi_k|^2)^alpha: the upper end holds
 for every field, and a grid field attains the lower end (a unit spike,
 also scored through the norm kernels as a witness, or six smooth anchors).
 Their ``trials`` and ``seed`` keywords are accepted and ignored.
+``check_bounded_descent`` reads a solve's trace instead of a field.
 
 ``CHECKS`` is the table verify mode runs: per check name, the potential
 family it needs (None: any), its runner ``(spec, cfg) -> CheckRecord`` and
@@ -64,6 +65,7 @@ __all__ = [
     "holder_estimate",
     "estimate_embedding_constants",
     "check_norm_domination",
+    "check_bounded_descent",
     "require_tau_in_window",
     "require_s_in_window",
     "require_separations",
@@ -438,6 +440,48 @@ def check_norm_domination(spec: ProblemSpec, trials=None, seed=None) -> CheckRec
         "norm_domination", {"lam": spec.lam}, bool(ok),
         ({"spike_ratio": spike, "gap_below_one": 1.0 - upper},),
         {"ratio_lower": lower, "ratio_upper": upper},
+    )
+
+
+def check_bounded_descent(spec: ProblemSpec, trace) -> CheckRecord:
+    """The Palais-Smale norm bound on the rows of a Nehari descent's trace.
+
+    A row of phase "nehari" or "ball" records t = ||u||_lam of its iterate
+    (``norm_lam``) and its energy; polish rows are not read.  Each row must
+    satisfy
+        (1/2 - 1/theta) t^2 <= 1 + c + t + (1/p - 1/theta) mu ||xi||_{2/(2-p)} t^p
+    up to 1e-9 relative slack, with c the highest energy among the rows:
+    theta F <= u f and Hoelder on the concave term bound Phi(u) - <r(u), u>
+    / theta from below by the left side minus the t^p term, and every row
+    sits on its ray's critical point, where <r(u), u> = 0.  The Hoelder step
+    carries the p-th power of the L^2 embedding constant, which is exactly
+    1: the symbol is at least 1 and V >= 0, so ||u||_2 <= ||u||_lam.  For
+    1 + c > 0 the left side minus the right has one positive root, so the
+    test reads t <= that root and no root is solved for.  The witness is
+    the row that comes closest to failing, or fails by the most.  A trace
+    with no descent rows raises ValueError.
+    """
+    rows = [t for t in trace if t.phase in ("nehari", "ball")]
+    if not rows:
+        raise ValueError("the trace has no descent rows (phase 'nehari' or 'ball') to check")
+    theta, p = spec.nonlinearity.theta, spec.p
+    xi_norm = _lp_norm(spec.grid, spec.xi_field.values, 2.0 / (2.0 - p))
+    half = 0.5 - 1.0 / theta
+    slack = (1.0 / p - 1.0 / theta) * spec.mu * xi_norm
+    level = max(t.energy for t in rows)
+
+    def margin(row):
+        t = row.norm_lam
+        lhs, rhs = half * t * t, 1.0 + level + t + slack * t**p
+        return (lhs - rhs) / (1.0 + abs(rhs)), lhs, rhs
+
+    row = max(rows, key=lambda r: margin(r)[0])
+    worst, lhs, rhs = margin(row)
+    return CheckRecord(
+        "bounded_descent", {"theta": theta, "rows": len(rows)}, bool(worst <= 1e-9),
+        ({"iteration": row.iteration, "phase": row.phase, "norm_lam": row.norm_lam,
+          "energy": row.energy, "lhs": lhs, "rhs": rhs},),
+        {"level": level, "xi_norm": xi_norm, "max_norm": max(t.norm_lam for t in rows)},
     )
 
 

@@ -70,7 +70,8 @@ def test_two_solutions_mode(tmp_path, well_result):
     for trace in ("trace.csv", "trace_ball.csv"):
         header = (out / trace).read_text().splitlines()[0].split(",")
         assert header == ["iteration", "energy", "residual_norm", "step_size",
-                          "phase", "trials", "krylov_iters", "krylov_stop", "beta"], trace
+                          "phase", "trials", "krylov_iters", "krylov_stop", "beta",
+                          "norm_lam"], trace
         rows = [row.split(",") for row in (out / trace).read_text().splitlines()[1:]]
         # trial points behind each entry: a whole count, 0 on the final one
         trials = [int(row[header.index("trials")]) for row in rows]
@@ -93,6 +94,10 @@ def test_two_solutions_mode(tmp_path, well_result):
         betas = [float(row[header.index("beta")]) for row in rows]
         assert all(b >= 0.0 for b in betas), trace
         assert all(b == 0.0 for b, row in zip(betas, rows) if row[phase] == "polish"), trace
+        # ||u||_lam of each descent row's iterate, 0.0 on the polish rows
+        norms = [float(row[header.index("norm_lam")]) for row in rows]
+        assert all((n > 0.0) == (row[phase] == descent) for n, row in zip(norms, rows)), trace
+        assert all(n == 0.0 for n, row in zip(norms, rows) if row[phase] == "polish"), trace
         # the stage summary's counts are sums over its trace file
         counts = {s["name"]: s["summary"] for s in rep["stages"]}[
             "mountain_pass" if trace == "trace.csv" else "local_min"]

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module's body, and
-every name it exports in ``__all__`` is bound in it; every script imports."""
+every name it exports in ``__all__`` is bound in it; every script imports,
+and run_canonical.py's chain lines pass."""
 
 import ast
 import importlib
@@ -98,6 +99,23 @@ def test_script_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_run_canonical_prints_a_passing_chain(capsys):
+    # the script runs both canonical problems and checks the Palais-Smale
+    # bound on each solve's descent rows: two chain lines per problem
+    path = next(p for p in SCRIPTS if p.name == "run_canonical.py")
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    problems = capsys.readouterr().out.split("=== ")[1:]
+    assert len(problems) == 2
+    for text in problems:
+        chains = [line for line in text.splitlines() if "bounded descent:" in line]
+        assert len(chains) == 2 and all("pass=True" in line for line in chains), text
+        (levels,) = [line for line in text.splitlines() if line.startswith("levels")]
+        assert levels.endswith("ok=True")
 
 
 def test_scripts_found():

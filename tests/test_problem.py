@@ -379,6 +379,14 @@ def test_flat_potential_fails_ball_decay():
     assert not report.passed
 
 
+@pytest.mark.parametrize("family", ["coercve", "Well", None])
+def test_custom_potential_refuses_an_unknown_family(family):
+    # a family that no hypothesis gates would leave only the common four
+    # required, so a constant V would pass without its ball-decay check
+    with pytest.raises(ValueError, match=f"family: must be 'coercive' or 'well', got {family!r}"):
+        CustomPotential(lambda x: np.ones_like(x), family=family)
+
+
 def test_by_name_raises_on_unknown(coercive_spec):
     report = validate_assumptions(coercive_spec)
     with pytest.raises(KeyError):

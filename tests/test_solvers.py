@@ -29,7 +29,6 @@ from besselmp import (
     lp_norm,
     mountain_pass_solve,
     probe_geometry,
-    ps_diagnostics,
     random_field,
     residual,
     two_solution_experiment,
@@ -614,18 +613,21 @@ def test_custom_nonlinearity_saddle():
 def test_plane_2d_descent_counts(fft_calls):
     # the Polak-Ribiere+ directions take the 2-D plane's saddle descent in
     # 5 rows (8 along the plain gradient), and a run that evaluates each
-    # point once takes 153 forward transforms (206 along the gradient);
-    # counts, not time, so they hold on any machine
+    # point once takes 151 forward transforms (206 along the gradient, 153
+    # when each polish re-scored its handover point); counts, not time, so
+    # they hold on any machine
     spec = build_spec(PLANE_2D)
     r = two_solution_experiment(spec)
     assert r.success, r.failed_stage
     assert sum(t.phase == "nehari" for t in r.mountain_pass.trace) <= 5
-    assert fft_calls["_rfft"] <= 153
+    assert fft_calls["_rfft"] <= 151
 
 
 def test_each_descent_row_computes_one_residual(coercive_spec, coercive_probe, monkeypatch):
-    # the polish starts from the residual of the descent's last row, and
-    # the report's energy is the one the polish's last row recorded
+    # the polish starts from the residual and the level J of the descent's
+    # last row, and the report's energy is the one the polish's last row
+    # recorded; each descent row records ||u||_lam of the iterate whose
+    # residual it computed, each polish row 0.0
     calls = []
     residual = solvers._residual
 
@@ -641,7 +643,12 @@ def test_each_descent_row_computes_one_residual(coercive_spec, coercive_probe, m
         calls.clear()
         report = solve()
         descent = [t for t in report.trace if t.phase == phase]
+        polish = [t for t in report.trace if t.phase == "polish"]
         assert report.ok and len(calls) == len(descent)
+        assert polish[0].energy == descent[-1].energy
+        assert [t.norm_lam for t in descent] == pytest.approx(
+            [_norm_lam(coercive_spec, Field(coercive_spec.grid, u)) for u in calls], rel=1e-13)
+        assert all(t.norm_lam == 0.0 for t in polish)
         assert report.energy == report.trace[-1].energy == energy(coercive_spec,
                                                                   report.solution).total
 
@@ -739,7 +746,8 @@ def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_b
     monkeypatch.setattr(solvers, "_energy_parts", counted_parts)
     monkeypatch.setattr(solvers, "_trial_residual", counted_norm)
     # each solver scores the critical point of its first ray, one energy
-    # per descent trial, and the energy each polish entry reports
+    # per descent trial, and the point of each accepted Newton step; the
+    # first polish entry reports the descent's level, scored by no one
     for solve, phase, again in (
             (lambda: mountain_pass_solve(coercive_spec, coercive_probe.e, probe=coercive_probe),
              "nehari", None),
@@ -748,7 +756,8 @@ def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_b
         report = solve()
         descent = [t.trials for t in report.trace if t.phase == phase]
         polish = [t.trials for t in report.trace if t.phase == "polish"]
-        assert 1 + sum(descent) + len(polish) == scored[0]
+        accepted = sum(t.step_size > 0.0 for t in report.trace if t.phase == "polish")
+        assert 1 + sum(descent) + accepted == scored[0] and accepted == len(polish) - 1
         assert sum(polish) == norms[0] and polish[-1] == 0
         assert again is None or report.energy == again.energy
 
@@ -809,12 +818,23 @@ class TestBallMin:
         assert report.message == (f"converged at ||u||_lam = {rho / 0.9:.6g}, beyond "
                                   f"{0.98 * rho:.6g} inside the ball radius rho = {rho:.6g}")
 
-    def test_mu_zero_reports_failure(self, coercive_probe):
-        flat = canonical_coercive_spec()
-        flat = replace(flat, mu=0.0)
-        report = ball_min_solve(flat, coercive_probe.rho)
+    def test_mu_zero_reports_failure(self, coercive_spec, coercive_probe):
+        report = ball_min_solve(replace(coercive_spec, mu=0.0), coercive_probe.rho)
         assert not report.ok and not report.converged
-        assert "no negative energy" in report.message
+        assert report.message == ("no negative energy found inside the ball: "
+                                  "mu = 0, so no ray has a negative bottom")
+        assert report.energy == 0.0
+
+    def test_mu_past_the_bump_rays_extremal_value_reports_failure(self, coercive_spec,
+                                                                  coercive_probe):
+        # mu > 0, but past the bump ray's extremal value its fibering map
+        # has no critical point
+        spec = replace(coercive_spec, mu=2.45)
+        assert math.isnan(_fibering(spec, np.exp(-spec.grid.radius_sq), bottom=True)[0])
+        report = ball_min_solve(spec, coercive_probe.rho)
+        assert not report.ok and not report.converged
+        assert report.message == ("no negative energy found inside the ball: the bump's ray "
+                                  "has no bottom, mu = 2.45 is past its extremal value")
         assert report.energy == 0.0
 
     def test_rejects_bad_radius(self, coercive_spec):
@@ -1263,27 +1283,3 @@ def test_minres_zero_rhs_and_breakdown(monkeypatch):
     # a preconditioner that is not positive definite breaks the recurrence
     monkeypatch.setattr(solvers, "_filter", lambda grid, v, symbol: -v)
     assert _minres(g, alpha, h, b) == (None, 0, "breakdown")
-
-
-# ---------------------------------------------------------------------------
-# bounded-sequence diagnostics
-
-
-class TestPSDiagnostics:
-    def test_zero_sequence(self, coercive_spec):
-        zero = Field(coercive_spec.grid, np.zeros(coercive_spec.grid.shape))
-        diag = ps_diagnostics(coercive_spec, [zero, zero])
-        assert diag.all_ok
-        assert diag.max_norm == 0.0
-
-    def test_converged_pair_is_bounded(self, coercive_spec, coercive_mp,
-                                       coercive_ball):
-        diag = ps_diagnostics(coercive_spec,
-                              [coercive_ball.solution, coercive_mp.solution])
-        assert diag.all_ok
-        assert diag.max_norm < diag.norm_bound < math.inf
-
-    def test_blown_up_iterate_flagged(self, coercive_spec, coercive_mp):
-        diag = ps_diagnostics(coercive_spec, [1e6 * coercive_mp.solution])
-        assert not diag.all_ok
-        assert not diag.entries[0]["ok"]

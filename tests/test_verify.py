@@ -1,17 +1,19 @@
 """Quantitative checkers: tail inequality, sublevel bound, splitting,
 coercivity ladder, Holder quotients, embedding constants, norm domination,
-and the hypotheses on V, f and xi with their one family rule."""
+the Palais-Smale bound on a descent's trace, and the hypotheses on V, f and
+xi with their one family rule."""
 
 import ast
 import functools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg
+from scipy import linalg, optimize
 
 import besselmp
 from besselmp import (
@@ -21,6 +23,7 @@ from besselmp import (
     WellPotential,
     canonical_coercive_spec,
     canonical_well_spec,
+    check_bounded_descent,
     check_norm_domination,
     check_splitting,
     check_sublevel_l2_bound,
@@ -39,6 +42,7 @@ from besselmp import (
 from besselmp.config import RunConfig, build_spec, resolve_checks
 from besselmp.grid import make_grid
 from besselmp.problem import ProblemSpec
+from besselmp.solvers import TraceEntry
 from besselmp.verify import CHECKS, _ball_radii, applies_to
 from conftest import multiplier_matrix
 
@@ -448,6 +452,72 @@ def test_trials_and_seed_are_ignored(well_spec):
 
 
 # ---------------------------------------------------------------------------
+# the Palais-Smale norm bound on a descent's rows
+
+
+def _row(iteration, energy, norm_lam, phase="nehari"):
+    return TraceEntry(iteration, energy, 1.0, 1.0, phase, 0, norm_lam=norm_lam)
+
+
+class TestBoundedDescent:
+    def test_canonical_descents_are_bounded(self, coercive_spec, coercive_mp, coercive_ball,
+                                            well_spec, well_result):
+        for spec, report in ((coercive_spec, coercive_mp), (coercive_spec, coercive_ball),
+                             (well_spec, well_result.mountain_pass),
+                             (well_spec, well_result.local_min)):
+            rec = check_bounded_descent(spec, report.trace)
+            descent = [t for t in report.trace if t.phase != "polish"]
+            assert rec.passed, report.classification
+            assert rec.params["rows"] == len(descent)
+            assert rec.data["level"] == max(t.energy for t in descent)
+            assert rec.data["max_norm"] == max(t.norm_lam for t in descent) > 0.0
+            # the witness is the descent row nearest to failing
+            (worst,) = rec.witnesses
+            assert (worst["iteration"], worst["phase"]) in {(t.iteration, t.phase)
+                                                             for t in descent}
+            assert worst["lhs"] < worst["rhs"]
+
+    def test_blown_up_row_fails_naming_it(self, coercive_spec, coercive_mp):
+        trace = list(coercive_mp.trace)
+        assert [t.phase for t in trace[:2]] == ["nehari", "nehari"]
+        trace[1] = replace(trace[1], norm_lam=1e6 * trace[1].norm_lam)
+        rec = check_bounded_descent(coercive_spec, trace)
+        assert not rec.passed
+        (worst,) = rec.witnesses
+        assert (worst["iteration"], worst["phase"]) == (trace[1].iteration, "nehari")
+        assert worst["norm_lam"] == trace[1].norm_lam and worst["lhs"] > worst["rhs"]
+
+    def test_zero_norm_rows_pass(self, coercive_spec):
+        rec = check_bounded_descent(coercive_spec, [_row(0, 0.0, 0.0), _row(1, 0.0, 0.0)])
+        assert rec.passed
+        assert rec.data["max_norm"] == 0.0
+
+    def test_row_test_is_the_positive_root(self, coercive_spec):
+        # the left side minus the right has one positive root, so a row
+        # passes just below it and fails just above it
+        spec, c = coercive_spec, 3.0
+        theta, p = spec.nonlinearity.theta, spec.p
+        slack = (1 / p - 1 / theta) * spec.mu * lp_norm(spec.xi_field, 2 / (2 - p))
+        root = optimize.brentq(
+            lambda t: (0.5 - 1 / theta) * t * t - t - slack * t**p - (1 + c), 0.0, 100.0)
+        for scale, passes in ((1 - 1e-6, True), (1 + 1e-6, False)):
+            rows = [_row(0, c, 0.5 * root), _row(1, c - 1.0, scale * root)]
+            rec = check_bounded_descent(spec, rows)
+            assert rec.passed == passes and rec.data["level"] == c
+            assert rec.witnesses[0]["iteration"] == 1
+
+    def test_polish_rows_are_not_read(self, coercive_spec, coercive_mp):
+        polish = [t for t in coercive_mp.trace if t.phase == "polish"]
+        for trace in ((), polish):
+            with pytest.raises(ValueError, match="no descent rows"):
+                check_bounded_descent(coercive_spec, trace)
+        # a polish row reads norm 0 and its energy would not set the level
+        rec = check_bounded_descent(coercive_spec, [_row(0, 1.0, 1.0),
+                                                    replace(polish[0], energy=50.0)])
+        assert rec.data["level"] == 1.0 and rec.params["rows"] == 1
+
+
+# ---------------------------------------------------------------------------
 # brackets, pinned to the bit
 #
 # The embedding tables equal, to the bit, the ones the earlier Monte Carlo
@@ -565,6 +635,17 @@ def test_random_fields_respect_the_upper_ends(dim, family, band, sigma, checker,
 
 # ---------------------------------------------------------------------------
 # the hypotheses: one home, one implementation of each quantity
+
+
+def test_solvers_defines_no_check_and_verify_imports_no_solver():
+    package = Path(besselmp.__file__).parent
+    solvers = ast.parse((package / "solvers.py").read_text())
+    defined = {n.name for n in solvers.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert not [name for name in defined
+                if "check" in name.lower() or "diagnostic" in name.lower()]
+    verify = ast.parse((package / "verify.py").read_text())
+    assert not [n for n in ast.walk(verify) if isinstance(n, ast.ImportFrom)
+                and n.module == "solvers"]
 
 
 def test_problem_defines_no_check_and_verify_takes_no_private_name_from_it():
