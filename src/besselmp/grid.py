@@ -4,6 +4,13 @@ Everything downstream works on a uniform grid over a cube of side
 ``box_length`` centered at the origin, with the discrete Fourier transform
 supplying exact application of multipliers m(xi) = (1 + |xi|^2)^s at the
 grid frequencies xi_k = 2*pi*k / box_length.
+
+An ``EvenGrid`` is the x_i >= 0 half of an even-n grid and holds the
+fields that are even in each x_i by their (n/2 + 1)^dim samples there;
+on it the multiplier is a DCT-I on each axis.  Every sum over a grid
+goes through ``_sum``, ``_integral`` or ``_dot``, which weigh each
+stored point by the full-grid points it stands for, so a kernel reads the
+same number on either grid for an even field.
 """
 
 from __future__ import annotations
@@ -12,11 +19,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 __all__ = [
     "Grid",
+    "EvenGrid",
     "Field",
     "Spectrum",
     "make_grid",
@@ -76,6 +85,9 @@ class Grid:
     n: int
     box_length: float
 
+    # an EvenGrid stores only the x_i >= 0 half of the even fields
+    even: ClassVar[bool] = False
+
     def __post_init__(self):
         points = int(self.n) ** self.dim if self.dim in (1, 2, 3) else 0
         _require((self.dim in (1, 2, 3), f"dim must be 1, 2 or 3, got {self.dim}"),
@@ -87,7 +99,9 @@ class Grid:
                   f"above the grid point limit of {GRID_MAX_POINTS:,}"))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "box_length", float(self.box_length))
-        if self.n < 8:
+        if self.even:  # its full grid has warned
+            _require((self.n % 2 == 0, f"an even grid needs an even n, got {self.n}"))
+        elif self.n < 8:
             warnings.warn(f"n={self.n} is very coarse; results will be poorly resolved")
         elif _largest_prime_factor(self.n) > FFT_MAX_PRIME:
             # numpy's mixed-radix FFT stays exact, only speed suffers
@@ -108,7 +122,13 @@ class Grid:
 
     @property
     def total_points(self) -> int:
+        """Points of the full grid, also on an EvenGrid."""
         return self.n**self.dim
+
+    @cached_property
+    def half(self) -> EvenGrid:
+        """The x_i >= 0 half of this grid, for its even fields; n must be even."""
+        return EvenGrid(self.dim, self.n, self.box_length)
 
     @cached_property
     def axis_coords(self) -> np.ndarray:
@@ -177,6 +197,45 @@ class Grid:
             return _read_only(w)
 
         return self._cached(("parseval", float(alpha)), build)
+
+
+@dataclass(frozen=True)
+class EvenGrid(Grid):
+    """The x_i >= 0 half of the even-n Grid of the same dim, n and box_length.
+
+    A field even in each x_i is fixed by its (n/2 + 1)^dim samples at
+    x_i = j h, j = 0 .. n/2: the full grid holds their mirror images, and
+    x_i = L/2 is x_i = -L/2 by periodicity.  Its DFT is real and even, so
+    the frequency lattice is the same half, k_i = 0 .. n/2, and ``_rfft``
+    is a DCT-I on each axis.  In every sum a stored point, or coefficient,
+    weighs the full-grid points it stands for: the product over the axes of
+    1 at j = 0 and n/2 and 2 between.
+    """
+
+    even: ClassVar[bool] = True
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n // 2 + 1,) * self.dim
+
+    @cached_property
+    def axis_coords(self) -> np.ndarray:
+        return _read_only(self.spacing * np.arange(self.n // 2 + 1))
+
+    @cached_property
+    def axis_freqs(self) -> np.ndarray:
+        return _read_only((2.0 * np.pi / self.box_length) * np.arange(self.n // 2 + 1))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        axis = np.full(self.n // 2 + 1, 2.0)
+        axis[[0, -1]] = 1.0
+        return _read_only(math.prod(np.ix_(*(axis,) * self.dim)))
+
+    def parseval_weight(self, alpha: float) -> np.ndarray:
+        """Weights w with sum w _rfft(u)^2 = ||(I - Laplacian)^{alpha/2} u||^2 on the full grid."""
+        return self._cached(("parseval", float(alpha)), lambda: _read_only(
+            self.symbol(alpha) * (self.cell_volume / self.total_points) * self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,15 +330,73 @@ def inverse_transform(spectrum: Spectrum) -> Field:
 # and returns a float; ``_multiply`` and ``_filter`` return the image and act
 # on the trailing grid axes, so they also take a stack of fields.  The
 # solvers call the kernels on raw iterates; the Field functions below are
-# thin wrappers over them.  All transform through ``_rfft`` and ``_irfft``.
+# thin wrappers over them.  All transform through ``_rfft`` and ``_irfft``,
+# and all sum through ``_sum``.
+
+
+def _sum(grid: Grid, values: np.ndarray) -> float:
+    """Sum over the grid's points, or its frequency lattice: ``values.sum()`` on a Grid.
+
+    On an EvenGrid each entry weighs the full-grid points it stands for, so
+    an even field's sum reads as on its full grid.
+    """
+    return float(np.vdot(grid.weights, values)) if grid.even else float(values.sum())
+
+
+def _integral(grid: Grid, values: np.ndarray) -> float:
+    """Integral over the box: ``_sum`` times the cell volume."""
+    return _sum(grid, values) * grid.cell_volume
+
+
+def _dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> over the grid's points, weighed as ``_sum``; ``np.vdot`` on a Grid."""
+    return float(np.vdot(grid.weights * a if grid.even else a, b))
+
+
+def _restrict(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """A full-grid field's samples on ``grid.half``, x_i = j h for j = 0 .. n/2 (n even)."""
+    m = grid.n // 2
+    index = (np.arange(m + 1) + m) % grid.n  # x = L/2 is the wrapped x = -L/2
+    return values[np.ix_(*(index,) * grid.dim)]
+
+
+def _extend(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The even full-grid field whose samples on ``grid.half`` are ``values``."""
+    index = np.abs(np.arange(grid.n) - grid.n // 2)
+    return values[np.ix_(*(index,) * grid.dim)]
+
+
+def _is_even(grid: Grid, values: np.ndarray) -> bool:
+    """Whether a field on an even-n Grid is even in each x_i, to 1e-12 of its largest magnitude."""
+    gap = np.abs(values - _extend(grid, _restrict(grid, values)))
+    return bool(np.max(gap) <= 1e-12 * np.max(np.abs(values)))
+
+
+def _dct1(grid: EvenGrid, values: np.ndarray, norm: str) -> np.ndarray:
+    """The DCT-I on each trailing axis: the real FFT of each axis's even extension.
+
+    irfft reads its input as the half of a Hermitian sequence, here the
+    half of the even extension, and returns that extension's real DFT;
+    its first n/2 + 1 entries are the DCT-I, unscaled with norm "forward"
+    and over n with "backward".  NumPy only: ``scipy.fft`` costs more to
+    import than besselmp does.
+    """
+    m = grid.n // 2 + 1
+    for axis in range(-1, -grid.dim - 1, -1):
+        first = (..., slice(m)) + (slice(None),) * (-1 - axis)
+        values = np.fft.irfft(values, grid.n, axis, norm)[first]
+    return values
 
 
 def _rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
     """rfftn over the trailing grid axes, to the bit: its one-axis numpy calls, in its order.
 
     Skipping the n-D wrapper's argument handling saves about a fifth of a
-    1-D n=256 transform pair (NumPy 2.4).
+    1-D n=256 transform pair (NumPy 2.4).  On an EvenGrid: the real DFT on
+    the half lattice, by ``_dct1``.
     """
+    if grid.even:
+        return _dct1(grid, values, "forward")
     u_hat = np.fft.rfft(values, grid.n, -1)
     for axis in range(-2, -grid.dim - 1, -1):
         u_hat = np.fft.fft(u_hat, grid.n, axis)
@@ -288,6 +405,8 @@ def _rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def _irfft(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
     """irfftn over the trailing grid axes, to the bit, as ``_rfft``; an odd n needs n passed."""
+    if grid.even:
+        return _dct1(grid, u_hat, "backward")
     for axis in range(-grid.dim, -1):
         u_hat = np.fft.ifft(u_hat, grid.n, axis)
     return np.fft.irfft(u_hat, grid.n, -1)
@@ -305,18 +424,31 @@ def _filter(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return _irfft(grid, u_hat)
 
 
-def _bessel_norm_sq(grid: Grid, values: np.ndarray, alpha: float) -> float:
-    """Squared bessel norm, by Parseval from the forward half spectrum."""
-    u_hat = _rfft(grid, values)
+def _parseval(grid: Grid, u_hat: np.ndarray, alpha: float) -> float:
+    """Squared bessel norm of the field whose ``_rfft`` is ``u_hat``, which is not written."""
     power = u_hat.real**2
-    power += u_hat.imag**2
+    if np.iscomplexobj(u_hat):  # an EvenGrid's spectrum is real
+        power += u_hat.imag**2
     power *= grid.parseval_weight(alpha)
     return float(power.sum())
 
 
+def _bessel_norm_sq(grid: Grid, values: np.ndarray, alpha: float) -> float:
+    """Squared bessel norm, by Parseval from the forward half spectrum."""
+    return _parseval(grid, _rfft(grid, values), alpha)
+
+
+def _multiply_and_norm(grid: Grid, values: np.ndarray, alpha: float) -> tuple:
+    """(``_multiply``, ``_bessel_norm_sq``) of a field by alpha, to the bit, from one transform."""
+    u_hat = _rfft(grid, values)
+    norm_sq = _parseval(grid, u_hat, alpha)
+    u_hat *= grid.symbol(alpha)
+    return _irfft(grid, u_hat), norm_sq
+
+
 def _potential(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float) -> float:
     """lam * integral of V u^2; ``V`` holds the potential's values."""
-    return lam * (float((V * values**2).sum()) * grid.cell_volume)
+    return lam * _integral(grid, V * values**2)
 
 
 def _weighted_norm_sq(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float,
@@ -339,7 +471,7 @@ def _sup_constant(grid: Grid, alpha: float, shift: float = 0.0) -> float:
     gives C^2 = L^-d sum_k 1/(s_k + shift): the grid Green's function of
     (I - Laplacian)^alpha + shift at the origin, which attains it.
     """
-    green_0 = float(np.sum(1.0 / ((1.0 + grid.freq_sq) ** alpha + shift)))
+    green_0 = _sum(grid, 1.0 / ((1.0 + grid.freq_sq) ** alpha + shift))
     return math.sqrt(green_0 / grid.box_length**grid.dim)
 
 
@@ -349,7 +481,7 @@ def _lp_norm(grid: Grid, values: np.ndarray, r: float) -> float:
     The root is a scalar power: NumPy's array power (SIMD) can differ from
     it in the last bit.
     """
-    total = float((np.abs(values) ** r).sum()) * grid.cell_volume
+    total = _integral(grid, np.abs(values) ** r)
     return total ** (1.0 / r)
 
 

@@ -15,13 +15,13 @@ functional, which the tests verify against finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, Grid, _multiply, _require, _weighted_norm_sq
+from .grid import Field, Grid, _integral, _is_even, _multiply, _require, _weighted_norm_sq
 
 __all__ = [
     "PowerNonlinearity",
@@ -103,7 +103,7 @@ class PowerNonlinearity:
         u = np.asarray(u, dtype=np.float64)
         return (self.q - 1.0) * _abs_power(u, self.q - 2.0)
 
-    def ray_integrals(self, x, w, vol, f_term):
+    def ray_integrals(self, x, w, integral, f_term):
         """(pull, push): t -> int f(x, t w) w and t -> int F(x, t w), t > 0, given int F(x, w).
 
         F is homogeneous of degree q: with f_term = int F(x, w) they are
@@ -135,10 +135,10 @@ class CustomNonlinearity:
     def F(self, x, u):
         return np.asarray(self.F_fn(x, np.asarray(u, dtype=np.float64)), dtype=np.float64)
 
-    def ray_integrals(self, x, w, vol, f_term):
-        """(pull, push) as for the power law, summed over the grid: no homogeneity is declared."""
-        return (lambda t: float(np.sum(self.f(x, t * w) * w)) * vol,
-                lambda t: float(np.sum(self.F(x, t * w))) * vol)
+    def ray_integrals(self, x, w, integral, f_term):
+        """(pull, push) as for the power law, by ``integral`` over the grid: no homogeneity."""
+        return (lambda t: integral(self.f(x, t * w) * w),
+                lambda t: integral(self.F(x, t * w)))
 
     def f_prime(self, x, u, h=1e-6):
         u = np.asarray(u, dtype=np.float64)
@@ -259,6 +259,18 @@ class ProblemSpec:
             raise ValueError("weight evaluates negative on the grid")
         return Field(self.grid, vals)
 
+    @cached_property
+    def even_half(self) -> tuple:
+        """(this problem on ``grid.half``, "") when V and xi are even in each x_i, else (None, why).
+
+        n must be even.  On the half grid V and xi are the potential's and
+        the weight's own values there, built once, with the half problem.
+        """
+        for name, f in (("V", self.V_field), ("xi", self.xi_field)):
+            if not _is_even(self.grid, f.values):
+                return None, f"{name} is not even"
+        return replace(self, grid=self.grid.half), ""
+
 
 def eval_f(spec: ProblemSpec, u_value, x=None):
     return spec.nonlinearity.f(x, u_value)
@@ -292,19 +304,23 @@ class EnergyBreakdown(NamedTuple):
 def _energy_parts(spec: ProblemSpec, u: np.ndarray) -> EnergyBreakdown:
     """Phi and its pieces at the field values ``u``."""
     g = spec.grid
-    vol = g.cell_volume
     quad = 0.5 * _weighted_norm_sq(g, u, spec.V_field.values, spec.lam, spec.alpha)
-    f_term = float(spec.nonlinearity.F(g.coords(), u).sum()) * vol
-    xi_integral = float((spec.xi_field.values * np.abs(u) ** spec.p).sum()) * vol
+    f_term = _integral(g, spec.nonlinearity.F(g.coords(), u))
+    xi_integral = _integral(g, spec.xi_field.values * np.abs(u) ** spec.p)
     xi_term = (spec.mu / spec.p) * xi_integral
     total = quad - f_term - xi_term
     return EnergyBreakdown(quad, f_term, xi_integral, xi_term,
                            total if math.isfinite(total) else math.inf)
 
 
-def _residual_values(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    """Strong-form residual at the field values ``u``; they are not checked for finiteness."""
-    vals = _multiply(spec.grid, u, spec.alpha) + spec.lam * spec.V_field.values * u
+def _residual_values(spec: ProblemSpec, u: np.ndarray, image=None) -> np.ndarray:
+    """Strong-form residual at the field values ``u``; they are not checked for finiteness.
+
+    ``image`` is (I - Laplacian)^alpha u where the caller has it already.
+    """
+    if image is None:
+        image = _multiply(spec.grid, u, spec.alpha)
+    vals = image + spec.lam * spec.V_field.values * u
     vals = vals - spec.nonlinearity.f(spec.grid.coords(), u)
     return vals - spec.mu * spec.xi_field.values * np.sign(u) * np.abs(u) ** (spec.p - 1.0)
 

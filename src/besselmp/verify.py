@@ -33,9 +33,11 @@ from .grid import (
     Field,
     Grid,
     _bessel_norm_sq,
+    _integral,
     _lp_norm,
     _potential,
     _require,
+    _sum,
     _sup_constant,
     spectral_derivative,
 )
@@ -174,7 +176,7 @@ def check_superquadratic_tail(spec: ProblemSpec, tau: float, u_max: float | None
 
 def _mean_symbol(grid, alpha: float) -> float:
     """Mean of s_k over the full lattice: ||d||_bessel^2 / ||d||_2^2 for a unit spike d."""
-    return float(np.mean((1.0 + grid.freq_sq) ** alpha))
+    return _sum(grid, (1.0 + grid.freq_sq) ** alpha) / grid.total_points
 
 
 def _spike_norms(spec: ProblemSpec, index: int) -> tuple:
@@ -329,7 +331,7 @@ def coercivity_probe(V: Field, radii, b: float | None = None) -> CheckRecord:
     if b is not None:
         sub = V.values < b
         data["sublevel_intersections"] = [
-            float(np.count_nonzero(sub & _unit_ball(g, y)) * g.cell_volume) for y in radii]
+            _integral(g, sub & _unit_ball(g, y)) for y in radii]
     return CheckRecord(
         "coercivity", {"radii": radii, "b": b},
         finite and monotone and decayed, tuple(witnesses), data,
@@ -340,7 +342,7 @@ def sublevel_measure(V: Field, b: float) -> float:
     """Grid measure of {V < b}."""
     if not np.isfinite(b):
         raise ValueError(f"b must be finite, got {b}")
-    return float(np.count_nonzero(V.values < b) * V.grid.cell_volume)
+    return _integral(V.grid, V.values < b)
 
 
 def holder_estimate(u: Field, beta: float) -> float:
@@ -642,7 +644,7 @@ def _component_count(mask):
 def _flat_zero_region(spec, _b):
     mask = spec.V_field.values <= 1e-12 * max(float(np.max(spec.V_field.values)), 1e-300)
     n_comp = _component_count(mask)
-    measure = float(np.count_nonzero(mask) * spec.grid.cell_volume)
+    measure = _integral(spec.grid, mask)
     return (_erode(mask).any(), f"zero set has measure {measure:.4g} in {n_comp} component(s); "
                                 "boundary smoothness is not machine-checkable",
             {"measure": measure, "components": n_comp})
@@ -652,7 +654,7 @@ def _weight_integrable(spec, _b):
     g = spec.grid
     power = 2.0 / (2.0 - spec.p)
     w = spec.xi_field.values**power
-    integral = float(np.sum(w) * g.cell_volume)
+    integral = _integral(g, w)
     edge = g.radius_sq >= (0.45 * g.box_length) ** 2
     decayed = np.max(w[edge]) <= 1e-10 * max(np.max(w), 1e-300)
     return (np.isfinite(integral) and decayed,

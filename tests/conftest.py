@@ -3,8 +3,8 @@
 The solve fixtures are session-scoped because several files assert against
 the same converged run; everything downstream treats them as read-only.
 
-The solvers' last bits follow the BLAS thread count (the np.vdot and
-np.linalg.norm reductions in every MINRES solve), and the exact solver pins
+The solvers' last bits follow the BLAS thread count (the np.vdot
+reductions of grid._dot in every MINRES solve), and the exact solver pins
 were recorded on one thread.  BLAS reads its thread count once, when NumPy
 loads, so this file pins it before that and stops the session if NumPy is
 already loaded (a -p plugin that imports it first, say): the pins would

@@ -108,6 +108,8 @@ def test_two_solutions_mode(tmp_path, well_result):
         assert counts["gradient_krylov_iters"] == sum(n for _, n in steps_taken), trace
         assert counts["newton_krylov_iters"] == sum(
             int(row[iters]) for row in rows if row[phase] == "polish"), trace
+        # 1-D solves run on the full grid
+        assert (counts["grid"], counts["grid_reason"]) == ("full", "dim 1"), trace
 
     summary = rep["stages"][-1]["summary"]
     levels = summary["levels"]
@@ -119,6 +121,16 @@ def test_two_solutions_mode(tmp_path, well_result):
     # saved fields round trip through the binary format
     u = load_field(out / "mountain_pass.bmpf")
     assert u.grid.n == rep["config"]["n"]
+
+
+def test_report_names_the_even_grid_of_a_2d_solve(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["two-solutions", "--config",
+               str(_write(tmp_path, "dim = 2\nn = 16\nbox_length = 15\n")), "--out", str(out)])
+    assert rc == 0
+    summaries = {s["name"]: s["summary"] for s in _report(out)["stages"]}
+    for stage in ("mountain_pass", "local_min"):
+        assert (summaries[stage]["grid"], summaries[stage]["grid_reason"]) == ("even", "")
 
 
 def test_two_solutions_failure_marks_report(tmp_path):

@@ -29,11 +29,17 @@ from besselmp import (
 from besselmp.grid import (
     GRID_MAX_POINTS,
     _bessel_norm_sq,
+    _dot,
+    _extend,
+    _integral,
     _irfft,
+    _is_even,
     _largest_prime_factor,
     _lp_norm,
     _multiply,
+    _restrict,
     _rfft,
+    _sum,
     make_grid,
 )
 from besselmp.problem import _energy_parts, canonical_coercive_spec
@@ -383,6 +389,50 @@ def test_energy_rows_need_one_forward_transform(fft_calls):
         parts = _energy_parts(spec, u)
         assert type(parts.total) is float
     assert fft_calls == {"_rfft": 3}
+
+
+def _close(got, want, scale):
+    return abs(got - want) <= 1e-13 * scale
+
+
+@settings(deadline=None, max_examples=60)
+@given(dim=st.sampled_from([1, 2, 3]), half_n=st.sampled_from([4, 5, 6, 8, 12]),
+       box=st.floats(5.0, 40.0), seed=st.integers(0, 2**31 - 1), s=st.floats(-1.0, 1.0),
+       r=st.floats(1.0, 6.0))
+def test_even_grid_kernels_match_the_full_grid(dim, half_n, box, seed, s, r):
+    # on a random even field, the half grid's multiplier, Parseval norm, L^r
+    # norm and weighted sums read the full grid's kernels restricted to x >= 0
+    g = make_grid(dim, 2 * half_n, box)
+    h = g.half
+    u = _rng(seed).standard_normal(h.shape)
+    full = _extend(g, u)
+    assert _is_even(g, full) and np.array_equal(_restrict(g, full), u)
+    image = _restrict(g, _multiply(g, full, s))
+    assert np.max(np.abs(_multiply(h, u, s) - image)) <= 1e-13 * np.max(np.abs(image))
+    assert _close(_bessel_norm_sq(h, u, s), _bessel_norm_sq(g, full, s),
+                  _bessel_norm_sq(g, full, s))
+    assert _close(_lp_norm(h, u, r), _lp_norm(g, full, r), _lp_norm(g, full, r))
+    a, b = np.abs(full).sum(), np.abs(full * full**2).sum()
+    assert _close(_sum(h, u), _sum(g, full), a)
+    assert _close(_integral(h, u), _integral(g, full), a * g.cell_volume)
+    assert _close(_dot(h, u, u**2), _dot(g, full, full**2), b)
+
+
+def test_even_grid_layout():
+    # (n/2 + 1)^dim points at x_i = j h, weighing 1 at the ends of each
+    # axis and 2 between; only an even n has one
+    g = make_grid(2, 8, 4.0)
+    h = g.half
+    assert h.shape == (5, 5) and h.total_points == g.total_points and g.half is h
+    assert np.array_equal(h.axis_coords, 0.5 * np.arange(5))
+    assert np.array_equal(h.weights[0], [1.0, 2.0, 2.0, 2.0, 1.0])
+    assert h.weights.sum() == g.total_points and not g.even and h.even
+    assert h != make_grid(2, 8, 4.0)
+    with pytest.raises(ValueError, match="an even grid needs an even n, got 9"):
+        make_grid(2, 9, 4.0).half
+    # a field that is not even reads so, to roundoff
+    bump = np.exp(-g.radius_sq)
+    assert _is_even(g, bump) and not _is_even(g, np.roll(bump, 1, axis=1))
 
 
 def test_spectral_derivative_on_sine():

@@ -13,6 +13,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from besselmp import (
     CustomNonlinearity,
+    CustomPotential,
     CustomWeight,
     Field,
     GeometryError,
@@ -37,7 +38,7 @@ from besselmp import (
 )
 from besselmp import solvers
 from besselmp.config import RunConfig, build_spec
-from besselmp.grid import _filter, _multiply
+from besselmp.grid import _extend, _filter, _multiply
 from besselmp.problem import _energy_parts, _residual_values
 from besselmp.solvers import (
     MINRES_MAXITER,
@@ -575,7 +576,9 @@ def test_brentq_endpoints_and_failures():
 
 
 def test_descent_iterates_sit_on_the_nehari_manifold(monkeypatch):
-    # every accepted iterate is the top of its ray, where <r(u), u> = 0
+    # every accepted iterate is the top of its ray, where <r(u), u> = 0;
+    # the descent runs on the even half, and its iterates extend to the
+    # full grid's
     spec = build_spec(RunConfig(dim=2, n=32, box_length=20.0, potential="well",
                                 lam=100.0, mu=0.05))
     probe = probe_geometry(spec)
@@ -584,12 +587,12 @@ def test_descent_iterates_sit_on_the_nehari_manifold(monkeypatch):
     def recorded(*args):
         out = step(*args)
         if out[2] > 0.0:
-            accepted.append(out[0])
+            accepted.append(_extend(spec.grid, out[0]))
         return out
 
     monkeypatch.setattr(solvers, "_armijo_step", recorded)
     report = mountain_pass_solve(spec, probe.e, probe=probe)
-    assert report.ok and len(accepted) >= 2
+    assert report.ok and report.grid == "even" and len(accepted) >= 2
     for u in accepted:
         pull = float(np.sum(_residual_values(spec, u) * u)) * spec.grid.cell_volume
         assert abs(pull) <= 1e-12 * _norm_lam(spec, Field(spec.grid, u)) ** 2
@@ -715,9 +718,9 @@ def test_refused_conjugate_search_retries_the_gradient(monkeypatch):
 # The Tier-1 2-D n=16 saddle search: (energy, residual_norm, step_size,
 # trials) of its descent entries, recorded with the lam-norm gradient.
 DESCENT_2D_TRACE = (
-    (8.791369490887908, 6.4655000606142625, 1.0, 1),
-    (5.879688270372664, 1.359942185482689, 2.0, 1),
-    (5.824345087000549, 1.0361210338881932, 4.0, 0),
+    (8.791369490887906, 6.4655000606142625, 1.0, 1),
+    (5.879688270372667, 1.3599421854826899, 2.0, 1),
+    (5.824345087000547, 1.0361210338881899, 4.0, 0),
 )
 
 
@@ -727,7 +730,7 @@ def test_descent_trace_2d_pinned():
     descent = [(t.energy, t.residual_norm, t.step_size, t.trials)
                for t in report.trace if t.phase == "nehari"]
     assert descent == list(DESCENT_2D_TRACE)
-    assert report.energy == 5.733592449945192
+    assert report.energy == 5.733592449945193
 
 
 def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_ball,
@@ -922,16 +925,16 @@ class TestTwoSolutions:
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945192, -2.484581071296183e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.044612061240315, -3.083581953340334e-11),
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945193, -2.4845810712961854e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124026, -3.083581953340334e-11),
     (RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
-     3.3570136804097412, -2.8471659286480782e-08),
-    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.070079191148835, -9.833296806524985e-12),
+     3.3570136804097412, -2.8471659286480796e-08),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.070079191148736, -9.833296806524952e-12),
 ], ids=["2d", "3d", "2d-steep-well", "3d-n32"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
-    # the pins were recorded on one BLAS thread, like the 1-D ones.  The
-    # dense Hessian of the 32,768-point grid is too large for the Morse
-    # index check.
+    # the pins were recorded on one BLAS thread, like the 1-D ones, with
+    # both solves in the even subspace.  The dense Hessian of the
+    # 32,768-point grid is too large for the Morse index check.
     spec = build_spec(cfg)
     r = two_solution_experiment(spec)
     assert r.success, r.failed_stage
@@ -969,8 +972,8 @@ def _steep_well_on_the_krylov_route(n, saddle, minimizer):
 
 
 def test_steep_well_on_the_krylov_route():
-    # the pins were recorded on one BLAS thread
-    _steep_well_on_the_krylov_route(64, 3.954640855291909, -2.3381507077949136e-08)
+    # the pins were recorded on one BLAS thread, in the even subspace
+    _steep_well_on_the_krylov_route(64, 3.9546408552919083, -2.3381507077652317e-08)
 
 
 def test_steep_well_certifies_at_n128():
@@ -978,7 +981,25 @@ def test_steep_well_certifies_at_n128():
     # sees it pointwise, the Newton solves' shift only as the mean of |h|,
     # and every solve still stops short of the cap here; the n=256 saddle is
     # 4.13223520
-    _steep_well_on_the_krylov_route(128, 4.1315161908374325, -2.1256877918203984e-08)
+    _steep_well_on_the_krylov_route(128, 4.131516190837431, -2.1256877918254846e-08)
+
+
+def test_polish_that_leaves_its_basin_is_refused(well_spec):
+    # past the fold, at mu = 1.8 on the canonical well (the probe refuses
+    # it), the ball descent hands over at J- = -0.1203 and the Newton
+    # polish climbs to a sign-changing critical point at -0.00113; the
+    # saddle search from the mu = 0.05 endpoint lands on the same point.
+    # The point either seeks is at most its handover level: both refuse
+    spec = replace(well_spec, mu=1.8)
+    e = probe_geometry(well_spec).e
+    for report in (ball_min_solve(spec, 1e9), mountain_pass_solve(spec, e)):
+        handover = next(t.energy for t in report.trace if t.phase == "polish")
+        assert report.converged and not report.ok
+        assert report.energy == pytest.approx(-0.00113255, rel=1e-5) and report.energy > handover
+        assert report.message == (f"converged at energy {report.energy:.6g}, above the level "
+                                  f"{handover:.6g} at which the descent handed over: the polish "
+                                  "left its basin")
+        assert report.solution.values.min() < 0.0 < report.solution.values.max()
 
 
 # every (lam, mu) pair certifies with c > eta; two saddles pinned on one
@@ -1027,6 +1048,86 @@ def test_assess_levels_verdicts(well_result):
     # feeding the minimizer in as the saddle breaks the ordering
     ok, _, failure = assess_levels(probe, ball, ball, distinct_tol=1e-3)
     assert not ok and "ordering" in failure
+
+
+# ---------------------------------------------------------------------------
+# the even subspace
+
+# full_grid_forward: the forward transforms of a run whose solves all ran
+# on the full grid, each descent row transforming its iterate twice
+@pytest.mark.parametrize("cfg,full_grid_forward", [
+    (RunConfig(dim=2, n=16, box_length=15.0), 138), (PLANE_2D, 151),
+    (RunConfig(dim=2, n=64, box_length=20.0, potential="well", lam=100.0, mu=0.05), 372),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 122),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 154),
+], ids=["2d", "plane-2d", "2d-steep-well", "3d", "3d-n32"])
+def test_even_subspace_agrees_with_the_full_grid(cfg, full_grid_forward, fft_calls, monkeypatch):
+    # c to 1e-12 and m to 1e-9 relative against the same solves kept on the
+    # full grid; each solution's residual re-checked on the full grid is
+    # the reported one, at most tol; and fewer forward transforms
+    spec = build_spec(cfg)
+    even = two_solution_experiment(spec)
+    assert fft_calls["_rfft"] <= full_grid_forward
+    monkeypatch.setattr(solvers, "_subspace", lambda spec, start: (spec, start, "full", "kept"))
+    full = two_solution_experiment(spec)
+    assert even.success and full.success
+    assert even.mountain_pass.energy == pytest.approx(full.mountain_pass.energy, rel=1e-12, abs=0)
+    assert even.local_min.energy == pytest.approx(full.local_min.energy, rel=1e-9, abs=0)
+    for report in (even.mountain_pass, even.local_min):
+        assert (report.grid, report.grid_reason) == ("even", "")
+        rn = lp_norm(residual(spec, report.solution), 2)
+        assert report.residual_norm == rn <= SolveOptions().tol
+
+
+@pytest.mark.parametrize("case,saddle,minimizer", [
+    ("odd n", 14.631529944143429, -1.6902557363020462e-11),
+    ("V is not even", 6.354869823316482, -2.126226662569821e-11),
+    ("xi is not even", 5.73805345866819, -1.8541789223031875e-11),
+    ("start is not even", 8.067966995871565, None),
+    ("custom nonlinearity", 5.733592449945192, -2.484581071296188e-11),
+], ids=["odd-n", "V-not-even", "xi-not-even", "start-not-even", "custom-nonlinearity"])
+def test_full_grid_fallbacks_keep_their_results(case, saddle, minimizer):
+    # each solve the rule keeps on the full grid says why, and gives the
+    # results recorded before the even subspace, to the bit
+    spec = build_spec(RunConfig(dim=2, n=15 if case == "odd n" else 16, box_length=15.0))
+    if case == "V is not even":
+        spec = replace(spec, potential=CustomPotential(lambda x, y: 1.0 + (x - 0.5) ** 2 + y**2))
+    elif case == "xi is not even":
+        spec = replace(spec, weight=CustomWeight(lambda x, y: np.exp(-(x - 0.5) ** 2 - y**2)))
+    elif case == "custom nonlinearity":
+        spec = replace(spec, nonlinearity=FLAT)
+    # the probe refuses a CustomNonlinearity: its solves start from the power law's endpoint
+    probe = probe_geometry(replace(spec, nonlinearity=PowerNonlinearity(4.0)))
+    e = probe.e
+    if case == "start is not even":
+        e = Field(spec.grid, np.roll(e.values, 1, axis=0))
+    reports = [mountain_pass_solve(spec, e)]
+    if minimizer is not None:
+        reports.append(ball_min_solve(spec, probe.rho))
+    for report, level in zip(reports, (saddle, minimizer)):
+        assert report.ok and (report.grid, report.grid_reason) == ("full", case)
+        assert report.energy == level
+
+
+def test_one_dimension_stays_on_the_full_grid(coercive_mp, coercive_ball):
+    for report in (coercive_mp, coercive_ball):
+        assert (report.grid, report.grid_reason) == ("full", "dim 1")
+        assert report.counts["grid"] == "full"
+
+
+def test_full_grid_recheck_refuses_a_residual_above_tol(monkeypatch):
+    # the residual a converged solve reports is recomputed on the full grid;
+    # one that reads above tol there (here a solution scaled by 1 + 1e-6 on
+    # its way back) is not converged
+    spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
+    probe = probe_geometry(spec)
+    extend = solvers._extend
+    monkeypatch.setattr(solvers, "_extend", lambda g, u: (1.0 + 1e-6) * extend(g, u))
+    report = mountain_pass_solve(spec, probe.e, probe=probe)
+    assert report.grid == "even" and not report.converged and not report.ok
+    assert report.residual_norm == lp_norm(residual(spec, report.solution), 2)
+    assert report.trace[-1].residual_norm <= SolveOptions().tol < report.residual_norm
+    assert report.message == "residual tolerance not reached"
 
 
 # ---------------------------------------------------------------------------
