@@ -46,10 +46,14 @@ pair and the array work of a MINRES iteration cost about 2^dim times
 less.  The rule is fixed: a solve runs there exactly when dim >= 2, n is
 even, the nonlinearity is a PowerNonlinearity (which does not depend on
 x), and V, xi and the start are even to roundoff; otherwise on the full
-grid, as it stands.  1-D stays on the full grid, where a transform pair
-costs no less in even form (n=256: 15.3 us full, 17.7 us even).  The
-solution is extended back to the full grid and its residual re-checked
-there once; a report says which grid it ran on, and why not the even one.
+grid, as it stands.  1-D stays on the full grid, although a transform
+pair costs less in even form (n=256: 16 us full, 10 us even) and the warm
+canonical runs would fall from 9.9 to 7.6 ms (coercive) and from 11.7 to
+8.2 ms (well): on the half grid the mu = 1.8 ball solve past the fold
+(test_polish_that_leaves_its_basin_is_refused) stops converging, and
+every 1-D pin moves.  The solution is extended back to the full grid and
+its residual re-checked there once; a report says which grid it ran on,
+and why not the even one.
 """
 
 from __future__ import annotations

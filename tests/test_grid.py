@@ -430,9 +430,61 @@ def test_even_grid_layout():
     assert h != make_grid(2, 8, 4.0)
     with pytest.raises(ValueError, match="an even grid needs an even n, got 9"):
         make_grid(2, 9, 4.0).half
+    # its DCT-I matrix counts against the point limit: only 1-D reaches it
+    with pytest.raises(ValueError, match="n=4096 gives an even grid's DCT-I matrix of 4,198,401"):
+        make_grid(1, 4096, 4.0).half
+    assert make_grid(2, 1024, 4.0).half.shape == (513, 513)
     # a field that is not even reads so, to roundoff
     bump = np.exp(-g.radius_sq)
     assert _is_even(g, bump) and not _is_even(g, np.roll(bump, 1, axis=1))
+
+
+# the largest even grids that the suite solves: 65^2 and 33^3 stored points
+LARGE_EVEN_GRIDS = [(2, 128, 20.0), (3, 64, 10.0)]
+
+
+@pytest.mark.parametrize("dim,n,box", LARGE_EVEN_GRIDS)
+@pytest.mark.parametrize("s", [0.75, -0.75])
+def test_even_grid_multiply_matches_the_full_grid_at_scale(dim, n, box, s):
+    # a dense product adds more roundoff the longer its axis; the FFT multiply
+    # on the full grid, restricted to x >= 0, still agrees to 1e-13
+    g = make_grid(dim, n, box)
+    h = g.half
+    u = _rng(n).standard_normal(h.shape)
+    image = _restrict(g, _multiply(g, _extend(g, u), s))
+    assert np.max(np.abs(_multiply(h, u, s) - image)) <= 1e-13 * np.max(np.abs(image))
+    back = _irfft(h, _rfft(h, u))
+    assert np.max(np.abs(back - u)) <= 1e-13 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("dim,n,box", LARGE_EVEN_GRIDS + [(2, 16, 12.0), (3, 8, 10.0)])
+def test_even_grid_stack_transforms_as_each_field(dim, n, box):
+    h = make_grid(dim, n, box).half
+    u = _rng(dim).standard_normal((3,) + h.shape)
+    out = _multiply(h, u, 0.75)
+    assert out.shape == u.shape
+    for row, got in zip(u, out):
+        assert np.array_equal(got, _multiply(h, row, 0.75))
+
+
+def test_even_grid_dct1_matrix_is_built_once_and_read_only():
+    from scipy.fft import dct
+
+    h = make_grid(2, 48, 15.0).half
+    u = _rng(0).standard_normal(h.shape)
+    _multiply(h, u, 0.75)
+    forward, backward = h._workspace[("dct1", "forward")], h._workspace[("dct1", "backward")]
+    _multiply(h, u, -0.75)
+    assert h._workspace[("dct1", "forward")] is forward
+    assert h._workspace[("dct1", "backward")] is backward
+    assert sum(key[0] == "dct1" for key in h._workspace if isinstance(key, tuple)) == 2
+    for c in (forward, backward):
+        assert c.shape == (25, 25)
+        with pytest.raises(ValueError, match="read-only"):
+            c[0, 0] = 1.0
+    # SciPy's DCT-I of the unit vectors, and the inverse pair over n = 48
+    assert np.allclose(forward, dct(np.eye(25), type=1, axis=0), rtol=0.0, atol=1e-13)
+    assert np.allclose(backward @ forward, np.eye(25), rtol=0.0, atol=1e-13)
 
 
 def test_spectral_derivative_on_sine():

@@ -719,8 +719,8 @@ def test_refused_conjugate_search_retries_the_gradient(monkeypatch):
 # trials) of its descent entries, recorded with the lam-norm gradient.
 DESCENT_2D_TRACE = (
     (8.791369490887906, 6.4655000606142625, 1.0, 1),
-    (5.879688270372667, 1.3599421854826899, 2.0, 1),
-    (5.824345087000547, 1.0361210338881899, 4.0, 0),
+    (5.879688270372664, 1.3599421854826865, 2.0, 1),
+    (5.8243450870005455, 1.0361210338881914, 4.0, 0),
 )
 
 
@@ -925,11 +925,11 @@ class TestTwoSolutions:
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945193, -2.4845810712961854e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124026, -3.083581953340334e-11),
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945193, -2.484581071296183e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124027, -3.0835819533403325e-11),
     (RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
-     3.3570136804097412, -2.8471659286480796e-08),
-    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.070079191148736, -9.833296806524952e-12),
+     3.3570136804097395, -2.847165928648077e-08),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.07007919114868, -9.833296806524952e-12),
 ], ids=["2d", "3d", "2d-steep-well", "3d-n32"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     # the pins were recorded on one BLAS thread, like the 1-D ones, with
@@ -973,7 +973,7 @@ def _steep_well_on_the_krylov_route(n, saddle, minimizer):
 
 def test_steep_well_on_the_krylov_route():
     # the pins were recorded on one BLAS thread, in the even subspace
-    _steep_well_on_the_krylov_route(64, 3.9546408552919083, -2.3381507077652317e-08)
+    _steep_well_on_the_krylov_route(64, 3.95464085529191, -2.33815070775192e-08)
 
 
 def test_steep_well_certifies_at_n128():
@@ -981,7 +981,7 @@ def test_steep_well_certifies_at_n128():
     # sees it pointwise, the Newton solves' shift only as the mean of |h|,
     # and every solve still stops short of the cap here; the n=256 saddle is
     # 4.13223520
-    _steep_well_on_the_krylov_route(128, 4.131516190837431, -2.1256877918254846e-08)
+    _steep_well_on_the_krylov_route(128, 4.1315161908374325, -2.125687791833513e-08)
 
 
 def test_polish_that_leaves_its_basin_is_refused(well_spec):
