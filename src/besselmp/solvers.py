@@ -117,10 +117,9 @@ ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 BACKTRACK_TRIES = 40  # gradient steps tried per search; from 1 they stay above 1e-12
 NEWTON_TRIES = 34  # damped Newton steps 1, 1/2, ... above 1e-10
-RIESZ_RTOL = 1e-2  # the gradient solve stops at this relative preconditioned residual
+RIESZ_FORCING = 1e-2  # the gradient solve's forcing term, a relative preconditioned residual
 HANDOVER_RATIO = 0.1  # the descent hands over to Newton at <r, K^-1 r>^(1/2) <= this ||u||_lam
 NEWTON_MAX = 80
-MINRES_RTOL = 1e-12  # MINRES stops on a backward error; 1e-10 leaves plain residuals near 3e-8
 MINRES_MAXITER = 400
 INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
 BASIN_SLACK = 1e-10  # a polish may end above its handover level by this, relative, and no more
@@ -136,7 +135,7 @@ class SolveOptions:
     path_nodes: ClassVar[int] = 41
 
     def __post_init__(self):
-        _require((self.tol > 0, f"tol: must be positive, got {self.tol}"),
+        _require((0 < self.tol < math.inf, f"tol: must be positive and finite, got {self.tol}"),
                  (self.max_iter >= 1, f"max_iter: must be at least 1, got {self.max_iter}"))
 
 
@@ -169,8 +168,8 @@ class TraceEntry:
     # (MINRES_MAXITER if it hit the cap); 0 on the polish entry that stops
     # at tol, which solves nothing
     krylov_iters: int = 0
-    # why that MINRES solve stopped: "rtol", "forcing", "cap" or
-    # "breakdown" (see ``_minres``); "" where no solve ran
+    # why that MINRES solve stopped: "forcing" (its forcing term was met),
+    # "cap" or "breakdown" (see ``_minres``); "" where no solve ran
     krylov_stop: str = ""
     # a descent entry: the Polak-Ribiere+ weight of the previous direction
     # in the step it took, 0.0 on a gradient step (the first row, a restart
@@ -338,21 +337,29 @@ def _ridge_bound(spec, c_inf, c_2):
     h = rho^(2-p) - q a rho^(q-p), past the peak lo of h and before hi, where h = 0.
     """
     q, p, mu = spec.nonlinearity.q, spec.p, spec.mu
-    a = c_inf ** (q - 2.0) * c_2**2 / q
-    b = lp_norm(spec.xi_field, 2.0 / (2.0 - p)) * c_2**p / p
-    peak = ((2.0 - p) / (2.0 * a * (q - p))) ** (1.0 / (q - 2.0))
-    budget = peak ** (2.0 - p) * (q - 2.0) / (2.0 * (q - p)) / b if b > 0.0 else math.inf
-    if not mu < budget:
-        raise GeometryError(f"mu = {mu:.6g} is not below the certified budget {budget:.6g} "
-                            f"(C_inf = {c_inf:.6g}, C_2 = {c_2:.6g})")
+    numbers = f"C_inf = {c_inf:.6g}, C_2 = {c_2:.6g}"
+    try:
+        a = c_inf ** (q - 2.0) * c_2**2 / q
+        b = lp_norm(spec.xi_field, 2.0 / (2.0 - p)) * c_2**p / p
+        peak = ((2.0 - p) / (2.0 * a * (q - p))) ** (1.0 / (q - 2.0))
+        budget = peak ** (2.0 - p) * (q - 2.0) / (2.0 * (q - p)) / b if b > 0.0 else math.inf
+        if not mu < budget:
+            raise GeometryError(f"mu = {mu:.6g} is not below the certified budget "
+                                f"{budget:.6g} ({numbers})")
 
-    def slope(t):
-        return t ** (2.0 - p) - q * a * t ** (q - p) - p * mu * b
+        def slope(t):
+            return t ** (2.0 - p) - q * a * t ** (q - p) - p * mu * b
 
-    lo = ((2.0 - p) / (q * a * (q - p))) ** (1.0 / (q - 2.0))
-    hi = (q * a) ** (-1.0 / (q - 2.0))
-    rho = _brentq(slope, lo, hi) if slope(hi) < 0.0 else hi
-    return rho, 0.5 * rho**2 - a * rho**q - mu * b * rho**p, budget
+        lo = ((2.0 - p) / (q * a * (q - p))) ** (1.0 / (q - 2.0))
+        hi = (q * a) ** (-1.0 / (q - 2.0))
+        rho = _brentq(slope, lo, hi) if slope(hi) < 0.0 else hi
+        eta = 0.5 * rho**2 - a * rho**q - mu * b * rho**p
+    except (OverflowError, ZeroDivisionError):  # q near 2, an extreme lam: past float range
+        rho = eta = math.inf
+    if not (math.isfinite(rho) and math.isfinite(eta)):
+        raise GeometryError(f"the ridge bound is not a finite float ({numbers}, q = {q!r}, "
+                            f"p = {p!r})")
+    return rho, eta, budget
 
 
 # Overflow in a trial point is an expected outcome of a line search (the
@@ -366,8 +373,9 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
     """Certify Phi >= eta > 0 on the sphere ||u||_lam = rho and find a far endpoint e beyond it.
 
     Raises GeometryError, with the numbers, when mu is not below the
-    budget, when the nonlinearity declares no bound F <= |u|^q / q (a
-    CustomNonlinearity), or when ||e||_lam <= rho.
+    budget, when the ridge bound is not a finite float, when the
+    nonlinearity declares no bound F <= |u|^q / q (a CustomNonlinearity),
+    when the bump's energy is not finite, or when ||e||_lam <= rho.
     """
     if not isinstance(spec.nonlinearity, PowerNonlinearity):
         raise GeometryError(f"{type(spec.nonlinearity).__name__} declares no bound "
@@ -382,6 +390,9 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
     # finite) energy, each scored in closed form along the bump's ray
     phi0 = _bump(spec)
     along, _ = _ray(spec, phi0)
+    if along is None:
+        raise GeometryError(f"the bump exp(-|x|^2) has infinite energy on the grid (n = "
+                            f"{spec.grid.n}, box_length = {spec.grid.box_length:.6g})")
     k, _ = _first(range(60), lambda k: -math.inf < along(1.5**k) < 0.0)
     if k is None:
         raise GeometryError("could not drive the energy negative by scaling a bump")
@@ -415,7 +426,7 @@ def _riesz_gradient(spec, r):
     """d ~ K^{-1} r, the gradient in the lam-norm; (d, its slope <r, d>, iterations, stop).
 
     K = (I - Laplacian)^alpha + lam V is ``_minres``'s H with h = lam V, and
-    the solve stops once ||K d - r||_M <= RIESZ_RTOL ||r||_M ("forcing").
+    the solve stops once ||K d - r||_M <= RIESZ_FORCING ||r||_M.
     K is symmetric positive definite, where the K-norm error of MINRES from
     d = 0 falls monotonically (Fong & Saunders, SQU J. Sci. 17, 2012): so
     ||K^{-1} r - d||_K < ||K^{-1} r||_K, which reads <r, d> > ||d||_lam^2 / 2
@@ -424,7 +435,7 @@ def _riesz_gradient(spec, r):
     hands the descent over to the polish.
     """
     d, iters, stop = _minres(spec.grid, spec.alpha, spec.lam * spec.V_field.values, r,
-                             RIESZ_RTOL)
+                             RIESZ_FORCING)
     if d is None:
         return np.zeros_like(r), 0.0, iters, stop
     return d, _integral(spec.grid, r * d), iters, stop
@@ -526,7 +537,7 @@ def _hessian_diag(spec, u):
     return vals
 
 
-def _minres(g, alpha, h, b, forcing=0.0, shifted=False):
+def _minres(g, alpha, h, b, forcing, shifted=False):
     """Solve H x = b, H = (I - Laplacian)^alpha + diag(h), by MINRES; (x, iterations, stop).
 
     The recurrence is Paige & Saunders' (SIAM J. Numer. Anal. 12, 1975),
@@ -539,15 +550,16 @@ def _minres(g, alpha, h, b, forcing=0.0, shifted=False):
     (I - Laplacian)^alpha M r2 = r2 - sigma M r2, so for v = M r2 / beta the
     Lanczos product H v = r2 / beta + (h - sigma) v needs no transform and
     an iteration costs the one pair of M r2.  A solve pays one more pair,
-    for M b.  ``stop`` says why the solve ended: "rtol" at a backward error
-    ||H x - b|| / (||H|| ||x||), or a relative ||H r|| / (||H|| ||r||), of
-    MINRES_RTOL (or an exact solution); "forcing" once the recurrence's
-    ||H x - b||_M is at most ``forcing`` ||b||_M; "cap" after
+    for M b.  The one convergence test is the inexact-Newton stop of Dembo,
+    Eisenstat & Steihaug (SIAM J. Numer. Anal. 19, 1982): ``stop`` is
+    "forcing" once the recurrence's ||H x - b||_M is at most ``forcing``
+    ||b||_M, and on a zero b, which x = 0 solves; "cap" after
     MINRES_MAXITER iterations; "breakdown" when beta^2 = <r2, M r2> < 0,
-    which a symmetric H and SPD M rule out except by rounding.  x is None
-    on "cap" and "breakdown".  Inner products and norms are ``_dot``'s, so
-    on an EvenGrid MINRES runs in the full grid's inner product, in which
-    H and M stay symmetric.
+    which a symmetric H and SPD M rule out except by rounding.  A beta of
+    0, an invariant subspace, zeroes phibar and so stops on "forcing".  x
+    is None on "cap" and "breakdown".  Inner products and norms are
+    ``_dot``'s, so on an EvenGrid MINRES runs in the full grid's inner
+    product, in which H and M stay symmetric.
     """
     if shifted:
         sigma = _sum(g, np.abs(h)) / g.total_points
@@ -566,10 +578,10 @@ def _minres(g, alpha, h, b, forcing=0.0, shifted=False):
     y = precondition(b)
     beta1 = _dot(g, b, y)
     if not beta1 > 0.0:
-        return (x, 0, "rtol") if beta1 == 0.0 else (None, 0, "breakdown")
+        return (x, 0, "forcing") if beta1 == 0.0 else (None, 0, "breakdown")
     beta1 = math.sqrt(beta1)
     eps = np.finfo(float).eps
-    oldb, beta, dbar, epsln, phibar, tnorm2 = 0.0, beta1, 0.0, 0.0, beta1, 0.0
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
     cs, sn = -1.0, 0.0
     # work vectors, allocated once and updated in place; each new w goes
     # into the buffer of the w1 it retires, and y is fresh from each
@@ -597,14 +609,12 @@ def _minres(g, alpha, h, b, forcing=0.0, shifted=False):
         if beta < 0.0:
             return None, itn, "breakdown"
         beta = math.sqrt(beta)
-        tnorm2 += alfa**2 + oldb**2 + beta**2
         # apply the previous plane rotation, then make the next one
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        root = math.hypot(gbar, dbar)
         gamma = max(math.hypot(gbar, beta), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar  # phibar = ||H x - b||_M after this update
@@ -613,18 +623,12 @@ def _minres(g, alpha, h, b, forcing=0.0, shifted=False):
         w -= np.multiply(delta, w2, out=tmp)
         w /= gamma
         x += np.multiply(phi, w, out=tmp)
-        anorm = math.sqrt(tnorm2)
-        ynorm = math.sqrt(_dot(g, x, x))
-        # beta = 0 at the first step: b is an eigenvector of M H, and x solves exactly
-        exact = itn == 1 and beta / beta1 <= 10.0 * eps
-        if exact or phibar <= MINRES_RTOL * anorm * ynorm or root <= MINRES_RTOL * anorm:
-            return x, itn, "rtol"
         if phibar <= forcing * beta1:
             return x, itn, "forcing"
     return None, MINRES_MAXITER, "cap"
 
 
-def _newton_direction(spec, u, r, forcing=0.0):
+def _newton_direction(spec, u, r, forcing):
     """Solve (D^2 Phi)(u) delta = -r; (delta, MINRES iterations, stop), delta None if the solve fails.
 
     ``_minres`` applies the Hessian matrix-free, preconditioned with the
@@ -632,11 +636,9 @@ def _newton_direction(spec, u, r, forcing=0.0):
     iteration: the Hessian is symmetric but indefinite at a saddle, where
     CG has no guarantee and GMRES keeps a long recurrence that symmetry
     makes short, while MINRES needs only symmetry and an SPD
-    preconditioner.  It stops at a backward error of MINRES_RTOL = 1e-12,
-    which leaves a plain relative residual near 1e-10, or once
-    ||H delta + r||_M <= forcing ||r||_M, or fails after MINRES_MAXITER
-    iterations, which it then reports; ``stop`` names the test that ended
-    it.  A delta that is not finite also fails.
+    preconditioner.  It stops once ||H delta + r||_M <= forcing ||r||_M,
+    or fails after MINRES_MAXITER iterations, which it then reports;
+    ``stop`` says which.  A delta that is not finite also fails.
     """
     delta, iters, stop = _minres(spec.grid, spec.alpha, _hessian_diag(spec, u), -r, forcing,
                                  shifted=True)

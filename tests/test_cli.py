@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from besselmp import load_field
+from besselmp import load_field, two_solution_experiment
 from besselmp.cli import RunReport, main
+from besselmp.config import build_spec, parse_config
 
 WELL_CFG = """
 # canonical steep-well run
@@ -149,6 +150,22 @@ def test_two_solutions_failure_marks_report(tmp_path):
     assert "levels" not in by_name
     # artifacts from the stages that did run are retained
     assert (out / "mountain_pass.bmpf").exists()
+
+
+@pytest.mark.parametrize("text", ["q = 2.0000001", "lam = 1e200", "lam = 1e100",
+                                  "box_length = 1e-300"],
+                         ids=["q-near-2", "lam-1e200", "lam-1e100", "box-1e-300"])
+def test_probe_that_leaves_the_float_range_fails_its_stage(tmp_path, text):
+    # a ridge bound past the float range (the first three) or a bump of
+    # infinite energy (a 1e-300-wide box) is a GeometryError, not a crash
+    result = two_solution_experiment(build_spec(parse_config(text)))
+    assert result.failed_stage.startswith("probe: GeometryError")
+    out = tmp_path / "out"
+    assert main(["two-solutions", "--config", str(_write(tmp_path, text)),
+                 "--out", str(out)]) == 1
+    (stage,) = _report(out)["stages"]
+    assert stage["name"] == "probe_geometry" and not stage["passed"]
+    assert stage["summary"]["error"].startswith("GeometryError: ")
 
 
 def test_failed_probe_reports_its_error(tmp_path, capsys):

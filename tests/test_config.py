@@ -134,6 +134,14 @@ def test_sublevel_height_must_be_positive_and_finite(value):
     assert err.value.errors == [f"b: must be positive and finite, got {float(value)}"]
 
 
+@pytest.mark.parametrize("value", ["0", "inf", "nan"])
+def test_solver_tolerance_must_be_positive_and_finite(value):
+    # at tol = inf every polish would stop at its first row and pass
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"tol = {value}")
+    assert err.value.errors == [f"tol: must be positive and finite, got {float(value)}"]
+
+
 def test_removed_probe_keys_are_unknown():
     for key in ("rho_grid = 1.0, 2.0", "samples_per_rho = 64"):
         with pytest.raises(ConfigError) as err:
