@@ -73,14 +73,6 @@ def _abs_power(u: np.ndarray, k: float) -> np.ndarray:
         a = a * a
 
 
-def _scalar_power(t: float, k: float) -> float:
-    """t^k for a float t > 0; inf where a Python float power raises OverflowError."""
-    try:
-        return t**k
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class PowerNonlinearity:
     """f(u) = |u|^{q-2} u with primitive F(u) = |u|^q / q; theta = q."""
@@ -103,16 +95,6 @@ class PowerNonlinearity:
         u = np.asarray(u, dtype=np.float64)
         return (self.q - 1.0) * _abs_power(u, self.q - 2.0)
 
-    def ray_integrals(self, x, w, integral, f_term):
-        """(pull, push): t -> int f(x, t w) w and t -> int F(x, t w), t > 0, given int F(x, w).
-
-        F is homogeneous of degree q: with f_term = int F(x, w) they are
-        q f_term t^(q-1) and f_term t^q.
-        """
-        q = self.q
-        return (lambda t: q * f_term * _scalar_power(t, q - 1.0),
-                lambda t: f_term * _scalar_power(t, q))
-
 
 @dataclass(frozen=True)
 class CustomNonlinearity:
@@ -120,8 +102,10 @@ class CustomNonlinearity:
 
     Callables receive x as the tuple of ``grid.shape`` coordinate arrays
     (or None for x-independent evaluation) and must vectorize over u.
-    Only sampled validation is possible for these, and the geometry probe
-    refuses them: they declare no bound F(x, u) <= a |u|^q / q.
+    Only sampled validation is possible for these.  The geometry probe
+    refuses them, since they declare no bound F(x, u) <= a |u|^q / q, and
+    so do the solvers, since F need not be homogeneous and the fibering
+    map then has no closed form.
     """
 
     f_fn: object
@@ -134,11 +118,6 @@ class CustomNonlinearity:
 
     def F(self, x, u):
         return np.asarray(self.F_fn(x, np.asarray(u, dtype=np.float64)), dtype=np.float64)
-
-    def ray_integrals(self, x, w, integral, f_term):
-        """(pull, push) as for the power law, by ``integral`` over the grid: no homogeneity."""
-        return (lambda t: integral(self.f(x, t * w) * w),
-                lambda t: integral(self.F(x, t * w)))
 
     def f_prime(self, x, u, h=1e-6):
         u = np.asarray(u, dtype=np.float64)

@@ -9,10 +9,16 @@ bound's maximum reaches 0.
 Both solutions come from one descent on the Nehari manifold
 <r(u), u> = 0, the local-minimax method of Choi & McKenna (1993) in the
 form of Li & Zhou (2001).  For a direction w the fibering map
-t -> Phi(t w) of this concave-convex energy has a bottom t-(w), a local
-minimum, and above it a top t+(w), its larger critical point.  The
-saddle search descends J+(w) = Phi(t+(w) w) from the far endpoint e; the
-negative-energy minimizer is the minimum of J-(w) = Phi(t-(w) w), the
+t -> Phi(t w) = t^2 A - t^q B - mu t^p C of this concave-convex energy
+(Brown & Zhang, 2003) has a bottom t-(w), a local minimum, and above it a
+top t+(w), its larger critical point, exactly when mu is below the ray's
+extremal value mu(w).  Both are the roots of one function, concave in
+log t, that a Newton iteration in log t reaches without crossing them
+(``_root``); the probe's radius is the top root of another.  The solvers
+take the power law only: a CustomNonlinearity's F need not be
+homogeneous, and they raise ValueError.  The saddle search descends
+J+(w) = Phi(t+(w) w) from the far endpoint e; the negative-energy
+minimizer is the minimum of J-(w) = Phi(t-(w) w), the
 N+ branch of Brown & Zhang (2003), descended from a Gaussian bump.  The
 iterate always sits on its ray's critical point and J never rises over
 accepted steps.  The gradient in the lam-norm, g = K^{-1} r with
@@ -44,9 +50,9 @@ critical point of Phi.  On an even-n grid such a field is stored as its
 (n/2 + 1)^dim samples on x_i >= 0 (``grid.EvenGrid``), where a transform
 pair and the array work of a MINRES iteration cost about 2^dim times
 less.  The rule is fixed: a solve runs there exactly when dim >= 2, n is
-even, the nonlinearity is a PowerNonlinearity (which does not depend on
-x), and V, xi and the start are even to roundoff; otherwise on the full
-grid, as it stands.  1-D stays on the full grid, although a transform
+even, and V, xi and the start are even to roundoff (the power law does
+not depend on x); otherwise on the full grid, as it stands.  1-D stays
+on the full grid, although a transform
 pair costs less in even form (n=256: 16 us full, 10 us even) and the warm
 canonical runs would fall from 9.9 to 7.6 ms (coercive) and from 11.7 to
 8.2 ms (well): on the half grid the mu = 1.8 ball solve past the fold
@@ -192,8 +198,8 @@ class SolveReport:
     message: str
     trace: tuple
     # the grid the solve ran on, "even" (the x_i >= 0 half) or "full", and
-    # why not the even one: "dim 1", "odd n", "custom nonlinearity", "V is
-    # not even", "xi is not even" or "start is not even"; "" when even
+    # why not the even one: "dim 1", "odd n", "V is not even", "xi is not
+    # even" or "start is not even"; "" when even
     grid: str = "full"
     grid_reason: str = ""
 
@@ -260,66 +266,51 @@ def _first(candidates, accept):
     return None, tested
 
 
-def _brentq(f, a, b, xtol=2e-12, rtol=4 * float(np.finfo(float).eps), maxiter=100):
-    """A root of f in [a, b], where f(a) and f(b) differ in sign: SciPy's Brent loop.
+def _scalar_power(t: float, k: float) -> float:
+    """t^k for a float t > 0; inf where a Python float power raises OverflowError."""
+    try:
+        return t**k
+    except OverflowError:
+        return math.inf
 
-    A port of the C loop behind scipy.optimize.brentq (``brentq.c``), so it
-    returns the same float under the same contract.  It stops when the
-    bracket's half-width falls below (xtol + rtol |x|) / 2, returns an
-    endpoint where f is exactly 0, raises ValueError on a bracket without
-    a sign change or on a NaN value of f, and raises RuntimeError after
-    ``maxiter`` iterations.  A solve calls it a few times, on scalar
-    functions, so the Python loop costs well under a millisecond.  Where
-    the extrapolation divides by zero, C's step is inf or nan, which fails
-    the step test and bisects; the port bisects there too.
+
+def _root(a, b, c, q, p, bottom=False):
+    """The larger root t > 0 of g(t) = a - b t^(q-2) - c t^(p-2), or with ``bottom`` the smaller.
+
+    q > 2 > p, a and b positive, c >= 0; nan where there is no such root.
+    In s = log t, g is strictly concave, g'' = -b (q-2)^2 t^(q-2) -
+    c (2-p)^2 t^(p-2) < 0, so it has at most two roots, and it has them
+    exactly when g > 0 at its peak, where b (q-2) t^(q-2) = c (2-p) t^(p-2)
+    and so g = a - b t^(q-2) (q-p) / (2-p); that test runs in logs.  With
+    c = 0, g falls from a: its one root is the top, and there is no bottom.
+    Newton's method in s from a point beyond a root, where g < 0, moves
+    toward it and never crosses it, since the tangent of a concave g lies
+    above g.  The top starts at t = (a/b)^(1/(q-2)), where g = -c t^(p-2),
+    the bottom at t = (c/a)^(1/(2-p)), where g = -b t^(q-2); the iteration
+    stops once g is not negative or a step does not move t toward the root.
+    A start past the float range, 0 or inf, is returned as it stands.
     """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x:.6g} is NaN")
-        return fx
-
-    xtol, rtol = float(xtol), float(rtol)
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                try:
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                except ZeroDivisionError:
-                    stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
+    if not (a > 0.0 and b > 0.0) or (bottom and c == 0.0):
+        return math.nan
+    if c > 0.0:
+        log_b = math.log(b)
+        peak = (math.log(c) - log_b + math.log((2.0 - p) / (q - 2.0))) / (q - p)  # s at g's peak
+        if not log_b + (q - 2.0) * peak < math.log(a) + math.log((2.0 - p) / (q - p)):
+            return math.nan
+    if bottom:
+        t = _scalar_power(c / a, 1.0 / (2.0 - p))
+    else:
+        t = _scalar_power(a / b, 1.0 / (q - 2.0))
+    while 0.0 < t < math.inf:
+        convex, concave = b * _scalar_power(t, q - 2.0), c * _scalar_power(t, p - 2.0)
+        g = a - convex - concave
+        if not g < 0.0:
+            break
+        nxt = t * math.exp(-g / ((2.0 - p) * concave - (q - 2.0) * convex))
+        if not (nxt > t if bottom else nxt < t):
+            break
+        t = nxt
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +324,8 @@ def _ridge_bound(spec, c_inf, c_2):
     Phi(u) >= l(||u||_lam) with a = C_inf^(q-2) C_2^2 / q, b = ||xi||_{2/(2-p)} C_2^p / p.
     The budget is the largest mu with max l >= 0: the maximum over rho of
     (rho^(2-p)/2 - a rho^(q-p)) / b, taken at rho^(q-2) = (2-p) / (2 a (q-p)).
-    Below it rho = argmax l is the root of rho^(1-p) l'(rho) = h(rho) - p mu b,
-    h = rho^(2-p) - q a rho^(q-p), past the peak lo of h and before hi, where h = 0.
+    Below it rho = argmax l is the top root of l'(rho) / rho = 1 - q a rho^(q-2)
+    - p mu b rho^(p-2) (``_root``).
     """
     q, p, mu = spec.nonlinearity.q, spec.p, spec.mu
     numbers = f"C_inf = {c_inf:.6g}, C_2 = {c_2:.6g}"
@@ -346,13 +337,7 @@ def _ridge_bound(spec, c_inf, c_2):
         if not mu < budget:
             raise GeometryError(f"mu = {mu:.6g} is not below the certified budget "
                                 f"{budget:.6g} ({numbers})")
-
-        def slope(t):
-            return t ** (2.0 - p) - q * a * t ** (q - p) - p * mu * b
-
-        lo = ((2.0 - p) / (q * a * (q - p))) ** (1.0 / (q - 2.0))
-        hi = (q * a) ** (-1.0 / (q - 2.0))
-        rho = _brentq(slope, lo, hi) if slope(hi) < 0.0 else hi
+        rho = _root(1.0, q * a, p * mu * b, q, p)
         eta = 0.5 * rho**2 - a * rho**q - mu * b * rho**p
     except (OverflowError, ZeroDivisionError):  # q near 2, an extreme lam: past float range
         rho = eta = math.inf
@@ -389,11 +374,11 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
     # far endpoint: the first of the bumps 1.5^k exp(-|x|^2) with negative (and
     # finite) energy, each scored in closed form along the bump's ray
     phi0 = _bump(spec)
-    along, _ = _ray(spec, phi0)
-    if along is None:
+    pieces = _energy_parts(spec, phi0)
+    if pieces.total == math.inf:
         raise GeometryError(f"the bump exp(-|x|^2) has infinite energy on the grid (n = "
                             f"{spec.grid.n}, box_length = {spec.grid.box_length:.6g})")
-    k, _ = _first(range(60), lambda k: -math.inf < along(1.5**k) < 0.0)
+    k, _ = _first(range(60), lambda k: -math.inf < _along(spec, pieces, 1.5**k) < 0.0)
     if k is None:
         raise GeometryError("could not drive the energy negative by scaling a bump")
     e = 1.5**k * phi0
@@ -441,63 +426,52 @@ def _riesz_gradient(spec, r):
     return d, _integral(spec.grid, r * d), iters, stop
 
 
-def _ray(spec, w):
-    """(t -> Phi(t w), t -> dPhi(t w)/dt) for t > 0, or (None, None) where Phi(w) is not finite.
+def _along(spec, pieces, t):
+    """Phi(t w) = t^2 quad - t^q f_term - t^p xi_term, from the ``_energy_parts(w)`` pieces.
 
-    Phi(t w) = t^2 quad - int F(x, t w) - t^p xi_term with the pieces of one
-    ``_energy_parts(w)`` call; only int F and int f(x, t w) w depend on t,
-    and the nonlinearity's ``ray_integrals`` gives both: scalar closed forms
-    for the power law (Brown & Zhang, 2003), sums over the grid for a
-    CustomNonlinearity.  No t costs a transform.
+    The power law's int F is homogeneous of degree q (Brown & Zhang, 2003),
+    so no t costs a transform; a t^q past the float range reads -inf.
     """
-    pieces = _energy_parts(spec, w)
-    if pieces.total == math.inf:
-        return None, None
-    g = spec.grid
-    pull, push = spec.nonlinearity.ray_integrals(g.coords(), w, lambda a: _integral(g, a),
-                                                 pieces.f_term)
-    quad, xi_term, p = pieces.quad, pieces.xi_term, spec.p
-
-    def along(t):
-        return t**2 * quad - push(t) - t**p * xi_term
-
-    def slope(t):
-        return 2.0 * t * quad - pull(t) - p * t ** (p - 1.0) * xi_term
-
-    return along, slope
+    return (t**2 * pieces.quad - pieces.f_term * _scalar_power(t, spec.nonlinearity.q)
+            - t**spec.p * pieces.xi_term)
 
 
 def _fibering(spec, w, bottom=False):
     """(t, Phi(t w)) at the top of the fibering map t -> Phi(t w), or with ``bottom`` at its bottom.
 
-    The top t+(w) is the larger critical point, where dPhi/dt turns from
-    positive to negative; the bottom t-(w) is the local minimum below it,
-    where dPhi/dt turns from negative to positive.  Both come from ``_ray``,
-    so no t costs a transform.  From t = 1 the walk doubles or halves t until
-    dPhi/dt changes sign, and ``_brentq``, an in-house port of SciPy's Brent
-    loop, refines that bracket: toward a top it doubles while dPhi/dt > 0
-    and halves while dPhi/dt <= 0, toward a bottom the other way round.  So
-    it finds the requested point only from its own side of the other one: a
-    ray scaled past its top has no bottom found, and one below its bottom
-    no top.  (nan, inf) when Phi(w) is not finite or the walk finds no sign
-    change within BACKTRACK_TRIES doublings or halvings (an int f(x, t w) w
-    that overflows reads inf); a descent refuses such a trial.
+    dPhi(t w)/dt = t (a - b t^(q-2) - c t^(p-2)) with a = 2 quad,
+    b = q f_term and c = p xi_term from one ``_energy_parts(w)`` call, so
+    the top t+(w), the larger critical point, and the bottom t-(w), the
+    local minimum below it, are the two roots that ``_root`` finds, on any
+    ray that has them, whatever the scale of w.  A ray has both exactly
+    when mu < mu(w), its extremal value (``_extremal_mu``).  (nan, inf)
+    when Phi(w) or Phi(t w) is not finite or the ray has no such point; a
+    descent refuses such a trial.  A bottom that underflows reads (0.0, 0.0).
     """
-    along, slope = _ray(spec, w)
-    if along is None:
+    pieces = _energy_parts(spec, w)
+    if pieces.total == math.inf:
         return math.nan, math.inf
-    rising = slope(1.0) > 0.0
-    up = rising != bottom  # a top lies above a rising t, a bottom below it
-    t = 1.0
-    for _ in range(BACKTRACK_TRIES):
-        nxt = t * 2.0 if up else t * BACKTRACK_FACTOR
-        if (slope(nxt) <= 0.0) if rising else (slope(nxt) > 0.0):
-            break
-        t = nxt
-    else:
-        return math.nan, math.inf
-    crit = _brentq(slope, min(t, nxt), max(t, nxt), xtol=1e-300)  # the finest tolerances
-    return crit, along(crit)
+    q, p = spec.nonlinearity.q, spec.p
+    t = _root(2.0 * pieces.quad, q * pieces.f_term, p * pieces.xi_term, q, p, bottom)
+    level = _along(spec, pieces, t)
+    return (t, level) if math.isfinite(level) else (math.nan, math.inf)
+
+
+def _extremal_mu(spec, w):
+    """mu(w), the mu past which the fibering map t -> Phi(t w) has no critical point.
+
+    For Phi(t w) = t^2 A - t^q B - mu t^p C it is
+    2 (q-2) A t*^(2-p) / ((q-p) p C) with t*^(q-2) = 2 (2-p) A / (q (q-p) B),
+    a 0-homogeneous nonlinear Rayleigh quotient (Il'yasov, Topol. Methods
+    Nonlinear Anal. 49, 2017); inf where C = 0.
+    """
+    parts = _energy_parts(spec, w)
+    q, p = spec.nonlinearity.q, spec.p
+    big_a, big_c = parts.quad, parts.xi_integral / p
+    if not big_c > 0.0:
+        return math.inf
+    peak = (2.0 * (2.0 - p) * big_a / (q * (q - p) * parts.f_term)) ** (1.0 / (q - 2.0))
+    return 2.0 * (q - 2.0) * big_a * peak ** (2.0 - p) / ((q - p) * p * big_c)
 
 
 def _armijo_step(spec, u, e_u, d, slope, step, place):
@@ -771,15 +745,18 @@ def _subspace(spec, start):
 
     The even half (``ProblemSpec.even_half``) when the module docstring's
     rule allows, with grid "even" and why ""; else the full grid as it
-    stands, grid "full" and why the rule refused.
+    stands, grid "full" and why the rule refused.  A nonlinearity other
+    than the power law raises ValueError: the fibering map's critical
+    points are in closed form only for a homogeneous F.
     """
+    if not isinstance(spec.nonlinearity, PowerNonlinearity):
+        raise ValueError(f"{type(spec.nonlinearity).__name__} is not homogeneous, so its "
+                         "fibering map has no closed form: the solvers take a PowerNonlinearity")
     g = spec.grid
     if g.dim == 1:
         why = "dim 1"
     elif g.n % 2:
         why = "odd n"
-    elif not isinstance(spec.nonlinearity, PowerNonlinearity):
-        why = "custom nonlinearity"
     else:
         half, why = spec.even_half
         if not (why or _is_even(g, start)):
@@ -826,19 +803,19 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
                         probe: GeometryProbe | None = None) -> SolveReport:
     """Saddle-point search by descent on the Nehari manifold, started from e.
 
-    Needs Phi(e) < 0.  One deterministic attempt: the iterate starts at the
-    top of the ray through e and descends J(w) = Phi(t+(w) w) on the
-    tops of the rays (``_nehari_solve``).  A ray through e with no top
-    raises ValueError.  When the geometry probe is supplied its eta gates
-    the result: a converged iterate whose energy is not above eta is
-    reported with ok=False.  So is one whose polish left its basin
-    (``_refusal``).  The solve runs on the grid the module docstring's rule
-    picks, which the report names.
+    Needs Phi(e) < 0 and a PowerNonlinearity.  One deterministic attempt:
+    the iterate starts at the top of the ray through e and descends
+    J(w) = Phi(t+(w) w) on the tops of the rays (``_nehari_solve``).  A ray
+    through e with no top raises ValueError.  When the geometry probe is
+    supplied its eta gates the result: a converged iterate whose energy is
+    not above eta is reported with ok=False.  So is one whose polish left
+    its basin (``_refusal``).  The solve runs on the grid the module
+    docstring's rule picks, which the report names.
     """
     opts = opts or SolveOptions()
+    run, start, grid, why = _subspace(spec, e.values)
     if energy(spec, e).total >= 0.0:
         raise ValueError("endpoint e must have negative energy")
-    run, start, grid, why = _subspace(spec, e.values)
     t, level = _fibering(run, start)
     if not math.isfinite(level):
         raise ValueError("the fibering map along e has no local maximum")
@@ -865,9 +842,12 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
     The iterate starts at the bottom of the ray through a Gaussian bump and
     descends J(w) = Phi(t-(w) w) on the bottoms of the rays
     (``_nehari_solve``).  A bump ray with no negative bottom is reported,
-    not raised, with its cause: at mu = 0 no ray has one, and at mu > 0
-    the bump's ray has none once mu is past that ray's extremal value,
-    where its fibering map loses both critical points.  rho does not steer
+    not raised, with its cause: at mu = 0 no ray has one; at mu > 0 the
+    bump's ray has none once mu is at least its extremal value mu(bump)
+    (``_extremal_mu``), where its fibering map loses both critical points;
+    and below mu(bump) its bottom can lie below the float range, as it
+    does when p is near 2.  A nonlinearity other than the power law raises
+    ValueError, as in ``mountain_pass_solve``.  rho does not steer
     the search; it only checks the result, which must have negative energy
     and sit at most (1 - INTERIOR_MARGIN) rho from the origin in the
     lam-norm.  A polish that left its basin, and the grid, are as in
@@ -886,9 +866,7 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
             solution=Field(g, zero), energy=0.0,
             residual_norm=_trial_residual(spec, zero)[1],
             iterations=0, classification="local_min", converged=False, ok=False,
-            message="no negative energy found inside the ball: " + (
-                "mu = 0, so no ray has a negative bottom" if spec.mu == 0.0 else
-                f"the bump's ray has no bottom, mu = {spec.mu:.6g} is past its extremal value"),
+            message="no negative energy found inside the ball: " + _no_bottom(run, phi0, t),
             trace=(), grid=grid, grid_reason=why,
         )
     u, e_u, rn, it, trace, handover = _descend(spec, run, t * phi0, level, True, opts)
@@ -906,6 +884,18 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
         classification="local_min", converged=rn <= opts.tol, ok=message is None,
         message=message or "converged", trace=trace, grid=grid, grid_reason=why,
     )
+
+
+def _no_bottom(spec, phi0, t):
+    """Why the bump phi0's ray gave ``ball_min_solve`` no negative bottom, t its bottom or nan."""
+    if spec.mu == 0.0:
+        return "mu = 0, so no ray has a negative bottom"
+    extremal = f"mu(bump) = {_extremal_mu(spec, phi0):.6g}"
+    if math.isnan(t):
+        return (f"the bump's ray has no bottom, mu = {spec.mu:.6g} is not below its "
+                f"extremal value {extremal}")
+    return (f"mu = {spec.mu:.6g} is below the bump's extremal value {extremal}, but its "
+            "ray's bottom lies below the float range")
 
 
 # ---------------------------------------------------------------------------
