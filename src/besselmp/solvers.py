@@ -49,17 +49,15 @@ MINRES.  By Palais' principle of symmetric criticality (Comm. Math. Phys.
 critical point of Phi.  On an even-n grid such a field is stored as its
 (n/2 + 1)^dim samples on x_i >= 0 (``grid.EvenGrid``), where a transform
 pair and the array work of a MINRES iteration cost about 2^dim times
-less.  The rule is fixed: a solve runs there exactly when dim >= 2, n is
-even, and V, xi and the start are even to roundoff (the power law does
-not depend on x); otherwise on the full grid, as it stands.  1-D stays
-on the full grid, although a transform
-pair costs less in even form (n=256: 16 us full, 10 us even) and the warm
-canonical runs would fall from 9.9 to 7.6 ms (coercive) and from 11.7 to
-8.2 ms (well): on the half grid the mu = 1.8 ball solve past the fold
-(test_polish_that_leaves_its_basin_is_refused) stops converging, and
-every 1-D pin moves.  The solution is extended back to the full grid and
-its residual re-checked there once; a report says which grid it ran on,
-and why not the even one.
+less.  The rule is fixed: a solve runs there exactly when n is even, in
+1-D n is at most EVEN_1D_MAX_N, and V, xi and the start are even to
+roundoff (the power law does not depend on x); otherwise on the full
+grid, as it stands.  The 1-D bound is where the even form stops paying:
+its DCT-I is a product with an (n/2 + 1)-square matrix, O(n^2) per
+transform, and past n = 416 the canonical coercive run is faster on the
+full grid's FFT (README).  The solution is extended back to the full
+grid and its residual re-checked there once; a report says which grid it
+ran on, and why not the even one.
 """
 
 from __future__ import annotations
@@ -129,6 +127,12 @@ NEWTON_MAX = 80
 MINRES_MAXITER = 400
 INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
 BASIN_SLACK = 1e-10  # a polish may end above its handover level by this, relative, and no more
+# Largest n at which a 1-D solve runs on the even half.  There ``_dct1`` is
+# one product with an (n/2 + 1)-square matrix, O(n^2) against the full
+# grid's O(n log n) FFT.  Interleaved warm runs on one thread: both canonical
+# 1-D problems are faster on the half grid up to n = 416, the coercive one
+# slower from 432 (README); from n = 2048 EvenGrid refuses the matrix.
+EVEN_1D_MAX_N = 416
 
 
 @dataclass(frozen=True)
@@ -198,8 +202,8 @@ class SolveReport:
     message: str
     trace: tuple
     # the grid the solve ran on, "even" (the x_i >= 0 half) or "full", and
-    # why not the even one: "dim 1", "odd n", "V is not even", "xi is not
-    # even" or "start is not even"; "" when even
+    # why not the even one: "odd n", "dim 1, n above 416" (EVEN_1D_MAX_N),
+    # "V is not even", "xi is not even" or "start is not even"; "" when even
     grid: str = "full"
     grid_reason: str = ""
 
@@ -753,10 +757,10 @@ def _subspace(spec, start):
         raise ValueError(f"{type(spec.nonlinearity).__name__} is not homogeneous, so its "
                          "fibering map has no closed form: the solvers take a PowerNonlinearity")
     g = spec.grid
-    if g.dim == 1:
-        why = "dim 1"
-    elif g.n % 2:
+    if g.n % 2:
         why = "odd n"
+    elif g.dim == 1 and g.n > EVEN_1D_MAX_N:
+        why = f"dim 1, n above {EVEN_1D_MAX_N}"
     else:
         half, why = spec.even_half
         if not (why or _is_even(g, start)):

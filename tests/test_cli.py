@@ -109,8 +109,8 @@ def test_two_solutions_mode(tmp_path, well_result):
         assert counts["gradient_krylov_iters"] == sum(n for _, n in steps_taken), trace
         assert counts["newton_krylov_iters"] == sum(
             int(row[iters]) for row in rows if row[phase] == "polish"), trace
-        # 1-D solves run on the full grid
-        assert (counts["grid"], counts["grid_reason"]) == ("full", "dim 1"), trace
+        # 1-D solves at n = 256 run on the even half
+        assert (counts["grid"], counts["grid_reason"]) == ("even", ""), trace
 
     summary = rep["stages"][-1]["summary"]
     levels = summary["levels"]

@@ -38,11 +38,12 @@ from besselmp import (
 )
 from besselmp import solvers
 from besselmp.config import RunConfig, build_spec
-from besselmp.grid import _extend, _filter, _multiply
+from besselmp.grid import _extend, _filter, _multiply, _restrict
 from besselmp.problem import _energy_parts, _residual_values
 from besselmp.solvers import (
     MINRES_MAXITER,
     _armijo_step,
+    _bump,
     _conjugate,
     _fibering,
     _hessian_diag,
@@ -335,7 +336,7 @@ class TestMountainPass:
     # which conftest pins.
 
     def test_exact_regression(self, coercive_mp):
-        assert coercive_mp.energy == 3.2241889043092686
+        assert coercive_mp.energy == 3.224188904309266
 
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
@@ -672,15 +673,17 @@ def test_each_descent_row_computes_one_residual(coercive_spec, coercive_probe, m
     # the polish starts from the residual and the level J of the descent's
     # last row, and the report's energy is the one the polish's last row
     # recorded; each descent row records ||u||_lam of the iterate whose
-    # residual it computed, each polish row 0.0
+    # residual it computed, each polish row 0.0; the descent runs on the
+    # even half, and its iterates extend to the full grid's
     calls = []
     residual = solvers._residual
 
     def counted(spec, u):
-        calls.append(u)
+        calls.append(_extend(coercive_spec.grid, u))
         return residual(spec, u)
 
     monkeypatch.setattr(solvers, "_residual", counted)
+    half_spec = coercive_spec.even_half[0]
     for solve, phase in (
             (lambda: mountain_pass_solve(coercive_spec, coercive_probe.e, probe=coercive_probe),
              "nehari"),
@@ -689,13 +692,16 @@ def test_each_descent_row_computes_one_residual(coercive_spec, coercive_probe, m
         report = solve()
         descent = [t for t in report.trace if t.phase == phase]
         polish = [t for t in report.trace if t.phase == "polish"]
-        assert report.ok and len(calls) == len(descent)
+        assert report.ok and report.grid == "even" and len(calls) == len(descent)
         assert polish[0].energy == descent[-1].energy
         assert [t.norm_lam for t in descent] == pytest.approx(
             [_norm_lam(coercive_spec, Field(coercive_spec.grid, u)) for u in calls], rel=1e-13)
         assert all(t.norm_lam == 0.0 for t in polish)
-        assert report.energy == report.trace[-1].energy == energy(coercive_spec,
-                                                                  report.solution).total
+        # the level is scored on the half grid, and the full grid's differs by roundoff
+        half = Field(half_spec.grid, _restrict(coercive_spec.grid, report.solution.values))
+        assert report.energy == report.trace[-1].energy == energy(half_spec, half).total
+        assert report.energy == pytest.approx(energy(coercive_spec, report.solution).total,
+                                              rel=1e-14)
 
 
 def test_conjugate_direction_and_its_restart(coercive_spec):
@@ -792,7 +798,9 @@ def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_b
     monkeypatch.setattr(solvers, "_trial_residual", counted_norm)
     # each solver scores the critical point of its first ray, one energy
     # per descent trial, and the point of each accepted Newton step; the
-    # first polish entry reports the descent's level, scored by no one
+    # first polish entry reports the descent's level, scored by no one; a
+    # solve on the even half re-checks its extended solution's residual
+    # once on the full grid
     for solve, phase, again in (
             (lambda: mountain_pass_solve(coercive_spec, coercive_probe.e, probe=coercive_probe),
              "nehari", None),
@@ -803,7 +811,8 @@ def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_b
         polish = [t.trials for t in report.trace if t.phase == "polish"]
         accepted = sum(t.step_size > 0.0 for t in report.trace if t.phase == "polish")
         assert 1 + sum(descent) + accepted == scored[0] and accepted == len(polish) - 1
-        assert sum(polish) == norms[0] and polish[-1] == 0
+        assert report.grid == "even"
+        assert sum(polish) + 1 == norms[0] and polish[-1] == 0
         assert again is None or report.energy == again.energy
 
 
@@ -828,7 +837,7 @@ class TestBallMin:
         assert -1e-9 < coercive_ball.energy < 0.0
 
     def test_exact_regression(self, coercive_ball):
-        assert coercive_ball.energy == -5.634676467682765e-11
+        assert coercive_ball.energy == -5.6346764676827596e-11
 
     def test_descent_monotone(self, coercive_ball, well_result):
         # every accepted step lowers J-, so the descent entries never rise
@@ -923,9 +932,9 @@ class TestTwoSolutions:
 
     def test_well_exact_regression(self, well_result):
         # recorded as the coercive pins above, on one BLAS thread
-        assert well_result.mountain_pass.energy == 1.4931505176211701
-        assert well_result.local_min.energy == -9.81930964112199e-08
-        assert well_result.distinctness == 1.6740738075964048
+        assert well_result.mountain_pass.energy == 1.493150517621171
+        assert well_result.local_min.energy == -9.81930964023746e-08
+        assert well_result.distinctness == 1.6740738036278857
 
     def test_levels_echo_reports(self, well_result):
         lv = well_result.levels
@@ -1042,9 +1051,10 @@ def test_steep_well_certifies_at_n128():
 
 def test_polish_that_leaves_its_basin_is_refused(well_spec):
     # past the fold, at mu = 1.8 on the canonical well (the probe refuses
-    # it), the ball descent hands over at J- = -0.1203 and the Newton
+    # it), the ball descent hands over at J- = -0.141563 and the Newton
     # polish climbs to a sign-changing critical point at -0.00113; the
-    # saddle search from the mu = 0.05 endpoint lands on the same point.
+    # saddle search from the mu = 0.05 endpoint hands over at J+ = -0.1378
+    # and lands on the same point.
     # The point either seeks is at most its handover level: both refuse
     spec = replace(well_spec, mu=1.8)
     e = probe_geometry(well_spec).e
@@ -1062,14 +1072,14 @@ def test_polish_at_the_fold_stalls_on_forcing_stops(well_spec):
     # at mu = 1.55 on the canonical well, near the fold, neither polish
     # reaches tol; every MINRES solve, gradient or Newton, still ends on its
     # forcing term, the cap or a breakdown, and the 42 solves of both runs
-    # sum to 1188 iterations
+    # sum to 1075 iterations
     spec = replace(well_spec, mu=1.55)
     e = probe_geometry(well_spec).e
     reports = (ball_min_solve(spec, 1e9), mountain_pass_solve(spec, e))
     for report in reports:
         assert report.message == "residual tolerance not reached"
         assert {t.krylov_stop for t in report.trace} <= {"forcing", "cap", "breakdown", ""}
-    assert sum(t.krylov_iters for r in reports for t in r.trace) == 1188
+    assert sum(t.krylov_iters for r in reports for t in r.trace) == 1075
 
 
 # every (lam, mu) pair certifies with c > eta; two saddles pinned on one
@@ -1175,10 +1185,27 @@ def test_full_grid_fallbacks_keep_their_results(case, saddle, minimizer):
         assert report.energy == level
 
 
-def test_one_dimension_stays_on_the_full_grid(coercive_mp, coercive_ball):
-    for report in (coercive_mp, coercive_ball):
-        assert (report.grid, report.grid_reason) == ("full", "dim 1")
-        assert report.counts["grid"] == "full"
+def test_one_dimension_runs_on_the_even_half_up_to_its_bound(coercive_mp, coercive_ball,
+                                                             well_result):
+    # both canonical 1-D problems (n = 256) solve on the even half; above
+    # EVEN_1D_MAX_N a 1-D solve stays on the full grid, where its FFT is
+    # cheaper than the DCT-I matrix, which EvenGrid refuses from n = 2048:
+    # the canonical well there certifies with the results recorded before
+    # any 1-D solve ran on the half grid, to the bit
+    for report in (coercive_mp, coercive_ball, well_result.mountain_pass, well_result.local_min):
+        assert (report.grid, report.grid_reason) == ("even", "")
+        assert report.counts["grid"] == "even"
+    bound = solvers.EVEN_1D_MAX_N
+    above = f"dim 1, n above {bound}"
+    for n, grid, why in ((bound, "even", ""), (bound + 2, "full", above)):
+        spec = canonical_well_spec(n=n)
+        assert solvers._subspace(spec, _bump(spec))[2:] == (grid, why)
+    r = two_solution_experiment(canonical_well_spec(n=2048))
+    assert r.success, r.failed_stage
+    for report in (r.mountain_pass, r.local_min):
+        assert (report.grid, report.grid_reason) == ("full", above)
+    assert r.mountain_pass.energy == 1.4777515661625635
+    assert r.local_min.energy == -1.0098925733263954e-07
 
 
 def test_full_grid_recheck_refuses_a_residual_above_tol(monkeypatch):
