@@ -14,21 +14,17 @@ __version__ = "0.1.0"
 from .grid import (
     Field,
     Grid,
-    Spectrum,
     apply_multiplier,
     bessel_norm_sq,
     constant_field,
     field_from_function,
-    inverse_transform,
     lp_norm,
     random_field,
     spectral_derivative,
-    transform,
     weighted_norm_sq,
 )
 from .problem import (
     CoerciveQuadraticPotential,
-    CustomNonlinearity,
     CustomPotential,
     CustomWeight,
     EnergyBreakdown,

@@ -27,10 +27,7 @@ __all__ = [
     "Grid",
     "EvenGrid",
     "Field",
-    "Spectrum",
     "make_grid",
-    "transform",
-    "inverse_transform",
     "apply_multiplier",
     "spectral_derivative",
     "bessel_norm_sq",
@@ -276,23 +273,6 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Complex Fourier coefficients in numpy FFT layout."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128, order="C", copy=True)
-        if c.shape != self.grid.shape:
-            raise ValueError(f"coeffs shape {c.shape} does not match grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("spectral coefficients must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-
 def _require_same_grid(a, b):
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
@@ -310,25 +290,6 @@ def constant_field(grid: Grid, value: float) -> Field:
 def field_from_function(grid: Grid, fn) -> Field:
     """Sample ``fn(*coords)`` on the grid."""
     return Field(grid, np.asarray(fn(*grid.coords()), dtype=np.float64))
-
-
-def transform(field: Field) -> Spectrum:
-    """Forward DFT (unnormalized): coefficient at k is sum_j u_j e^{-2 pi i j k / n}."""
-    return Spectrum(field.grid, np.fft.fftn(field.values))
-
-
-def inverse_transform(spectrum: Spectrum) -> Field:
-    """Inverse DFT back to a real field.
-
-    The coefficients must be Hermitian-symmetric up to roundoff; a
-    substantial imaginary remainder means the spectrum does not represent
-    a real field and is reported as an error.
-    """
-    v = np.fft.ifftn(spectrum.coeffs)
-    scale = np.max(np.abs(v.real)) if v.size else 0.0
-    if np.max(np.abs(v.imag)) > 1e-9 * max(scale, 1e-300):
-        raise ValueError("spectrum is not Hermitian-symmetric: inverse transform is not real")
-    return Field(spectrum.grid, v.real)
 
 
 # Array kernels: each takes one field's values, an ndarray of ``grid.shape``,
@@ -511,14 +472,25 @@ def apply_multiplier(field: Field, s: float) -> Field:
 
 
 def spectral_derivative(field: Field, axis: int = 0, order: int = 1) -> Field:
-    """Differentiate along one axis via the (i xi)^order symbol."""
-    _require((0 <= axis < field.grid.dim, f"axis {axis} out of range for dim {field.grid.dim}"),
-             (order >= 0, f"order {order} must be nonnegative"))
+    """Differentiate along one axis via the (i xi)^order symbol, on a full Grid.
+
+    An odd order zeroes an even n's Nyquist frequency on that axis: the
+    symbol there has no real part and no conjugate partner, so the real
+    derivative has no component at it.  An odd derivative of an even field
+    is odd, and an EvenGrid cannot hold it.
+    """
     g = field.grid
+    _require((0 <= axis < g.dim, f"axis {axis} out of range for dim {g.dim}"),
+             (order >= 0, f"order {order} must be nonnegative"),
+             (not g.even, "spectral_derivative needs a full Grid: an EvenGrid holds only "
+                          "even fields, and an odd derivative of one is odd"))
+    # the last axis keeps the half lattice's k = 0 .. n//2
+    symbol = (1j * g.axis_freqs[: g.n // 2 + 1 if axis == g.dim - 1 else g.n]) ** order
+    if order % 2 and g.n % 2 == 0:
+        symbol[g.n // 2] = 0.0
     shape = [1] * g.dim
-    shape[axis] = g.n
-    u_hat = np.fft.fftn(field.values) * (1j * g.axis_freqs.reshape(shape)) ** order
-    return Field(g, np.fft.ifftn(u_hat).real)
+    shape[axis] = symbol.size
+    return Field(g, _filter(g, field.values, symbol.reshape(shape)))
 
 
 def bessel_norm_sq(field: Field, alpha: float) -> float:
@@ -561,9 +533,12 @@ def random_field(grid: Grid, rng: np.random.Generator, band_fraction: float = 0.
     White noise is filtered to the lowest ``band_fraction`` of modes per
     axis (i.i.d. normal coefficients there, zero beyond), optionally damped
     by a Gaussian envelope exp(-|x|^2 / 2 sigma^2) to concentrate mass.
+    The noise fills a full Grid; an EvenGrid, which holds only even fields,
+    is refused.
     """
-    if not 0 < band_fraction <= 1:
-        raise ValueError(f"band_fraction must lie in (0, 1], got {band_fraction}")
+    _require((0 < band_fraction <= 1, f"band_fraction must lie in (0, 1], got {band_fraction}"),
+             (not grid.even, "random_field needs a full Grid: white noise is not even, "
+                             "and an EvenGrid holds only even fields"))
     cutoff = max(1, int(band_fraction * grid.n))
     idx = np.abs(np.fft.fftfreq(grid.n) * grid.n)
     keep = np.ones(grid.shape, dtype=bool)

@@ -1,11 +1,11 @@
 """Problem data and the variational functional.
 
 A ProblemSpec bundles the grid, the nonlocal order alpha, the potential
-weight lam, the concave-term size mu with exponent p in (1, 2), the
-superquadratic nonlinearity, the potential, and the positive weight in
-front of the concave term.  The functional is
+weight lam, the concave-term size mu with exponent p in (1, 2), the power
+law F(u) = |u|^q / q (the only nonlinearity it accepts), the potential,
+and the positive weight in front of the concave term.  The functional is
 
-    Phi(u) = 1/2 ||u||_lam^2 - int F(x, u) - (mu/p) int xi |u|^p,
+    Phi(u) = 1/2 ||u||_lam^2 - int F(u) - (mu/p) int xi |u|^p,
 
 with ||u||_lam^2 the bessel seminorm plus lam * int V u^2.  The strong-form
 residual returned by ``residual`` is the exact L^2 gradient of the discrete
@@ -25,7 +25,6 @@ from .grid import Field, Grid, _integral, _is_even, _multiply, _require, _weight
 
 __all__ = [
     "PowerNonlinearity",
-    "CustomNonlinearity",
     "CoerciveQuadraticPotential",
     "WellPotential",
     "CustomPotential",
@@ -33,8 +32,6 @@ __all__ = [
     "CustomWeight",
     "ProblemSpec",
     "EnergyBreakdown",
-    "eval_f",
-    "eval_F",
     "eval_scrF",
     "energy",
     "residual",
@@ -83,46 +80,17 @@ class PowerNonlinearity:
     def theta(self) -> float:
         return self.q
 
-    def f(self, x, u):
+    def f(self, u):
         u = np.asarray(u, dtype=np.float64)
         return np.sign(u) * _abs_power(u, self.q - 1.0)
 
-    def F(self, x, u):
+    def F(self, u):
         u = np.asarray(u, dtype=np.float64)
         return _abs_power(u, self.q) / self.q
 
-    def f_prime(self, x, u):
+    def f_prime(self, u):
         u = np.asarray(u, dtype=np.float64)
         return (self.q - 1.0) * _abs_power(u, self.q - 2.0)
-
-
-@dataclass(frozen=True)
-class CustomNonlinearity:
-    """User-supplied f(x, u), F(x, u) with declared growth q and superquadraticity theta.
-
-    Callables receive x as the tuple of ``grid.shape`` coordinate arrays
-    (or None for x-independent evaluation) and must vectorize over u.
-    Only sampled validation is possible for these.  The geometry probe
-    refuses them, since they declare no bound F(x, u) <= a |u|^q / q, and
-    so do the solvers, since F need not be homogeneous and the fibering
-    map then has no closed form.
-    """
-
-    f_fn: object
-    F_fn: object
-    q: float
-    theta: float
-
-    def f(self, x, u):
-        return np.asarray(self.f_fn(x, np.asarray(u, dtype=np.float64)), dtype=np.float64)
-
-    def F(self, x, u):
-        return np.asarray(self.F_fn(x, np.asarray(u, dtype=np.float64)), dtype=np.float64)
-
-    def f_prime(self, x, u, h=1e-6):
-        u = np.asarray(u, dtype=np.float64)
-        step = h * (1.0 + np.abs(u))
-        return (self.f(x, u + step) - self.f(x, u - step)) / (2.0 * step)
 
 
 @dataclass(frozen=True)
@@ -203,14 +171,14 @@ class ProblemSpec:
     lam: float
     mu: float
     p: float
-    nonlinearity: object = field(default_factory=lambda: PowerNonlinearity(4.0))
+    nonlinearity: PowerNonlinearity = field(default_factory=lambda: PowerNonlinearity(4.0))
     potential: object = field(default_factory=CoerciveQuadraticPotential)
     weight: object = field(default_factory=GaussianWeight)
 
     def __post_init__(self):
         alpha_ok = 0.0 < self.alpha < 1.0
-        q = getattr(self.nonlinearity, "q", None)
-        theta = getattr(self.nonlinearity, "theta", None)
+        power = isinstance(self.nonlinearity, PowerNonlinearity)
+        q = self.nonlinearity.q if power else None
         # without a valid alpha only the lower bound on q can be checked
         qmax = critical_exponent(self.grid.dim, self.alpha) if alpha_ok else math.inf
         _require(
@@ -218,10 +186,11 @@ class ProblemSpec:
             (0.0 < self.lam < math.inf, f"lam: must be positive and finite, got {self.lam}"),
             (0.0 <= self.mu < math.inf, f"mu: must be nonnegative and finite, got {self.mu}"),
             (1.0 < self.p < 2.0, f"p: must lie in the open interval (1, 2), got {self.p}"),
-            (q is None or 2.0 < q < qmax, f"q: growth exponent must lie in (2, {qmax}), got {q}"),
-            # a theta equal to q is checked by the rule on q
-            (theta is None or theta == q or theta > 2.0,
-             f"theta: superquadraticity exponent must exceed 2, got {theta}"),
+            # the probe's ridge bound and the solvers' fibering roots are in closed form
+            # for the homogeneous power law only
+            (power, "nonlinearity: must be a PowerNonlinearity, got "
+                    f"{type(self.nonlinearity).__name__}"),
+            (not power or 2.0 < q < qmax, f"q: growth exponent must lie in (2, {qmax}), got {q}"),
         )
 
     @cached_property
@@ -251,18 +220,10 @@ class ProblemSpec:
         return replace(self, grid=self.grid.half), ""
 
 
-def eval_f(spec: ProblemSpec, u_value, x=None):
-    return spec.nonlinearity.f(x, u_value)
-
-
-def eval_F(spec: ProblemSpec, u_value, x=None):
-    return spec.nonlinearity.F(x, u_value)
-
-
-def eval_scrF(spec: ProblemSpec, u_value, x=None):
+def eval_scrF(spec: ProblemSpec, u_value):
     """Superquadratic excess u*f/2 - F; nonnegative for the power model."""
     u = np.asarray(u_value, dtype=np.float64)
-    return 0.5 * u * spec.nonlinearity.f(x, u) - spec.nonlinearity.F(x, u)
+    return 0.5 * u * spec.nonlinearity.f(u) - spec.nonlinearity.F(u)
 
 
 class EnergyBreakdown(NamedTuple):
@@ -284,7 +245,7 @@ def _energy_parts(spec: ProblemSpec, u: np.ndarray) -> EnergyBreakdown:
     """Phi and its pieces at the field values ``u``."""
     g = spec.grid
     quad = 0.5 * _weighted_norm_sq(g, u, spec.V_field.values, spec.lam, spec.alpha)
-    f_term = _integral(g, spec.nonlinearity.F(g.coords(), u))
+    f_term = _integral(g, spec.nonlinearity.F(u))
     xi_integral = _integral(g, spec.xi_field.values * np.abs(u) ** spec.p)
     xi_term = (spec.mu / spec.p) * xi_integral
     total = quad - f_term - xi_term
@@ -300,7 +261,7 @@ def _residual_values(spec: ProblemSpec, u: np.ndarray, image=None) -> np.ndarray
     if image is None:
         image = _multiply(spec.grid, u, spec.alpha)
     vals = image + spec.lam * spec.V_field.values * u
-    vals = vals - spec.nonlinearity.f(spec.grid.coords(), u)
+    vals = vals - spec.nonlinearity.f(u)
     return vals - spec.mu * spec.xi_field.values * np.sign(u) * np.abs(u) ** (spec.p - 1.0)
 
 
@@ -317,7 +278,7 @@ def energy(spec: ProblemSpec, u: Field) -> EnergyBreakdown:
 def residual(spec: ProblemSpec, u: Field) -> Field:
     """Strong-form residual, the exact L^2 gradient of the discrete Phi.
 
-    r(u) = (I - Laplacian)^alpha u + lam V u - f(x, u) - mu xi |u|^{p-2} u,
+    r(u) = (I - Laplacian)^alpha u + lam V u - f(u) - mu xi |u|^{p-2} u,
     with |u|^{p-2} u read as sign(u) |u|^{p-1} so the value at 0 is 0.
     """
     if u.grid != spec.grid:

@@ -45,8 +45,6 @@ from .problem import (
     ProblemSpec,
     critical_exponent,
     energy,
-    eval_F,
-    eval_f,
     eval_scrF,
 )
 
@@ -129,7 +127,7 @@ def applies_to(family: str | None, potential) -> bool:
 
 def _tail_holds(spec, tau, u):
     """Where |f(u)|^tau / |u|^tau <= u f(u)/2 - F(u), up to roundoff."""
-    lhs = np.abs(eval_f(spec, u)) ** tau / u**tau
+    lhs = np.abs(spec.nonlinearity.f(u)) ** tau / u**tau
     return lhs <= eval_scrF(spec, u) * (1.0 + 1e-12) + 1e-300
 
 
@@ -527,11 +525,9 @@ def _median(a):
 
 
 def _growth_bound(spec, _b):
-    q = getattr(spec.nonlinearity, "q", None)
-    if q is None:
-        return False, "no declared growth exponent", {}
+    q = spec.nonlinearity.q
     u = np.concatenate([-np.geomspace(1e-4, 1e3, 200)[::-1], np.geomspace(1e-4, 1e3, 200)])
-    ratio = np.abs(eval_f(spec, u)) / (1.0 + np.abs(u) ** (q - 1.0))
+    ratio = np.abs(spec.nonlinearity.f(u)) / (1.0 + np.abs(u) ** (q - 1.0))
     top = ratio[np.abs(u) >= 1e2]
     quotient = float(np.max(top) / max(_median(top), 1e-300))
     ok = np.all(np.isfinite(ratio)) and quotient <= 1.2
@@ -541,19 +537,17 @@ def _growth_bound(spec, _b):
 
 def _vanishing_at_zero(spec, _b):
     u = np.geomspace(1e-8, 1e-1, 120)
-    ratio = np.abs(eval_f(spec, u) / u)
+    ratio = np.abs(spec.nonlinearity.f(u) / u)
     return (ratio[0] <= 1e-4 * (1.0 + ratio[-1]),
             f"|f(u)/u| falls from {ratio[-1]:.3g} at |u|=0.1 to {ratio[0]:.3g} at |u|=1e-8",
             {"ratio_small": float(ratio[0]), "ratio_large": float(ratio[-1])})
 
 
 def _superquadratic(spec, _b):
-    theta = getattr(spec.nonlinearity, "theta", None)
-    if theta is None:
-        return False, "no declared theta", {}
+    theta = spec.nonlinearity.theta
     u = np.concatenate([-np.geomspace(1e-6, 1e3, 250)[::-1], np.geomspace(1e-6, 1e3, 250)])
-    F = eval_F(spec, u)
-    uf = u * eval_f(spec, u)
+    F = spec.nonlinearity.F(u)
+    uf = u * spec.nonlinearity.f(u)
     margin = uf - theta * F
     ok = np.all(F > 0) and np.all(margin >= -1e-12 * (1.0 + np.abs(uf)))
     worst = int(np.argmin(margin / (1.0 + np.abs(uf))))

@@ -14,16 +14,13 @@ import besselmp
 from besselmp import (
     Field,
     Grid,
-    Spectrum,
     apply_multiplier,
     bessel_norm_sq,
     constant_field,
     field_from_function,
-    inverse_transform,
     lp_norm,
     random_field,
     spectral_derivative,
-    transform,
     weighted_norm_sq,
 )
 from besselmp.grid import (
@@ -131,7 +128,7 @@ class TestGrid:
 
 
 # ---------------------------------------------------------------------------
-# Field / Spectrum value semantics
+# Field value semantics
 
 
 class TestField:
@@ -175,11 +172,6 @@ class TestField:
         with pytest.raises(ValueError, match="different grids"):
             a + b
 
-    def test_spectrum_validates_shape(self):
-        g = make_grid(1, 32, 10.0)
-        with pytest.raises(ValueError, match="shape"):
-            Spectrum(g, np.zeros(16, dtype=complex))
-
 
 def test_field_from_function_samples_coords():
     g = make_grid(2, 16, 8.0)
@@ -189,22 +181,7 @@ def test_field_from_function_samples_coords():
 
 
 # ---------------------------------------------------------------------------
-# transform pair
-
-
-def test_transform_round_trip():
-    g = make_grid(1, 64, 20.0)
-    u = random_field(g, _rng(3))
-    back = inverse_transform(transform(u))
-    np.testing.assert_allclose(back.values, u.values, atol=1e-13)
-
-
-def test_inverse_transform_rejects_non_hermitian():
-    g = make_grid(1, 16, 8.0)
-    coeffs = np.zeros(16, dtype=complex)
-    coeffs[1] = 1.0 + 0.5j  # no conjugate partner at -1
-    with pytest.raises(ValueError, match="Hermitian"):
-        inverse_transform(Spectrum(g, coeffs))
+# Parseval
 
 
 @settings(deadline=None, max_examples=25)
@@ -511,6 +488,33 @@ def test_spectral_derivative_refuses_negative_order():
         spectral_derivative(constant_field(g, 1.0), order=-1)
 
 
+def _complex_fft_derivative(g, values, axis, order):
+    """The full-lattice formula: the real part of ifftn(fftn(u) (i xi)^order)."""
+    shape = [1] * g.dim
+    shape[axis] = g.n
+    return np.fft.ifftn(np.fft.fftn(values) * (1j * g.axis_freqs.reshape(shape)) ** order).real
+
+
+@pytest.mark.parametrize("dim,n", [(dim, n) for dim in (1, 2, 3) for n in (15, 16, 33, 48)])
+def test_spectral_derivative_matches_the_complex_fft(dim, n):
+    # white noise fills an even n's Nyquist row: the formula's real part drops
+    # an odd order's term there, which a half-spectrum inverse would mirror
+    g = make_grid(dim, n, 10.0)
+    u = Field(g, _rng(n).standard_normal(g.shape))
+    for axis in range(dim):
+        for order in range(4):
+            want = _complex_fft_derivative(g, u.values, axis, order)
+            got = spectral_derivative(u, axis, order).values
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (axis, order)
+
+
+def test_spectral_derivative_refuses_an_even_grid():
+    # an odd derivative of an even field is odd, which the half cannot hold
+    g = make_grid(2, 16, 8.0).half
+    with pytest.raises(ValueError, match="spectral_derivative needs a full Grid"):
+        spectral_derivative(constant_field(g, 1.0), order=2)
+
+
 # ---------------------------------------------------------------------------
 # norms
 
@@ -649,3 +653,9 @@ def test_random_field_band_fraction_validated():
     g = make_grid(1, 32, 10.0)
     with pytest.raises(ValueError, match="band_fraction"):
         random_field(g, _rng(0), band_fraction=0.0)
+
+
+def test_random_field_refuses_an_even_grid():
+    g = make_grid(2, 16, 8.0).half
+    with pytest.raises(ValueError, match="random_field needs a full Grid"):
+        random_field(g, _rng(0))

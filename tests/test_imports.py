@@ -91,6 +91,34 @@ def test_private_functions_are_referenced():
     assert not unused, "private functions no module references: " + ", ".join(unused)
 
 
+FFT_TRANSFORMS = {"fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"}
+
+
+def test_fft_transforms_only_in_the_grid_entry_points():
+    # one transform path: grid._rfft and grid._irfft, plus kernels.py, the
+    # independent oracle; fftfreq is not a transform and may appear anywhere
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        entry_points = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                        and path.name == "grid.py" and node.name in ("_rfft", "_irfft")]
+        skipped = {id(n) for node in entry_points for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr in FFT_TRANSFORMS:
+                # np.fft.rfft, numpy.fft.rfft or a bare fft.rfft
+                owner = node.value
+                if getattr(owner, "attr", getattr(owner, "id", None)) == "fft":
+                    found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fft"):
+                found += [f"{path.name}:{node.lineno} import {a.name}" for a in node.names
+                          if a.name in FFT_TRANSFORMS]
+    assert not found, "numpy FFT calls outside grid._rfft / _irfft: " + ", ".join(found)
+
+
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_imports(path):
     # loaded under its own name, not "__main__", so main() does not run; a

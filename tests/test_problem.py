@@ -1,6 +1,7 @@
 """Problem data: nonlinearities, potentials, energy, residual, validators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy import ndimage
 
 from besselmp import (
     CoerciveQuadraticPotential,
-    CustomNonlinearity,
     CustomPotential,
     Field,
     GaussianWeight,
@@ -29,13 +29,7 @@ from besselmp import (
 )
 from besselmp.config import RunConfig, build_spec
 from besselmp.grid import make_grid
-from besselmp.problem import (
-    _energy_parts,
-    _residual_values,
-    eval_F,
-    eval_f,
-    eval_scrF,
-)
+from besselmp.problem import _energy_parts, _residual_values, eval_scrF
 from besselmp.verify import _component_count, _erode
 
 
@@ -58,18 +52,18 @@ def test_critical_exponent():
 class TestPowerNonlinearity:
     def test_quartic_values(self):
         nl = PowerNonlinearity(4.0)
-        assert nl.f(None, 2.0) == pytest.approx(8.0)
-        assert nl.f(None, -2.0) == pytest.approx(-8.0)
-        assert nl.F(None, 2.0) == pytest.approx(4.0)
-        assert nl.F(None, -2.0) == pytest.approx(4.0)
-        assert nl.f(None, 0.0) == 0.0
-        assert nl.F(None, 0.0) == 0.0
+        assert nl.f(2.0) == pytest.approx(8.0)
+        assert nl.f(-2.0) == pytest.approx(-8.0)
+        assert nl.F(2.0) == pytest.approx(4.0)
+        assert nl.F(-2.0) == pytest.approx(4.0)
+        assert nl.f(0.0) == 0.0
+        assert nl.F(0.0) == 0.0
         assert nl.theta == 4.0
 
     def test_f_prime(self):
         nl = PowerNonlinearity(4.0)
-        assert nl.f_prime(None, 2.0) == pytest.approx(12.0)
-        assert nl.f_prime(None, -2.0) == pytest.approx(12.0)
+        assert nl.f_prime(2.0) == pytest.approx(12.0)
+        assert nl.f_prime(-2.0) == pytest.approx(12.0)
 
     @settings(deadline=None, max_examples=50)
     @given(q=st.one_of(st.floats(2.1, 6.0), st.sampled_from([3.0, 4.0, 5.0, 6.0])),
@@ -78,8 +72,8 @@ class TestPowerNonlinearity:
         # theta = q makes theta*F = u*f exactly; the excess scrF is
         # (1/2 - 1/q)|u|^q >= 0
         nl = PowerNonlinearity(q)
-        F = float(nl.F(None, u))
-        uf = u * float(nl.f(None, u))
+        F = float(nl.F(u))
+        uf = u * float(nl.f(u))
         assert F >= 0.0
         assert uf == pytest.approx(q * F, rel=1e-12, abs=1e-300)
 
@@ -90,12 +84,12 @@ class TestPowerNonlinearity:
         u = np.concatenate([[0.0, -0.0], np.geomspace(1e-30, 1e30, 301)])
         u = np.concatenate([u, -u])
         a = np.abs(u)
-        for got, want in ((nl.F(None, u), a**q / q),
-                          (nl.f(None, u), np.sign(u) * a ** (q - 1.0)),
-                          (nl.f_prime(None, u), (q - 1.0) * a ** (q - 2.0))):
+        for got, want in ((nl.F(u), a**q / q),
+                          (nl.f(u), np.sign(u) * a ** (q - 1.0)),
+                          (nl.f_prime(u), (q - 1.0) * a ** (q - 2.0))):
             np.testing.assert_array_max_ulp(got, want, maxulp=4)
-        assert nl.f(None, 0.0) == nl.F(None, 0.0) == 0.0
-        assert nl.f(None, -2.0) == -(2.0 ** (q - 1.0))
+        assert nl.f(0.0) == nl.F(0.0) == 0.0
+        assert nl.f(-2.0) == -(2.0 ** (q - 1.0))
 
     def test_overflowing_row_reads_infinite_energy(self):
         spec = canonical_coercive_spec(n=64)
@@ -111,25 +105,6 @@ class TestPowerNonlinearity:
         u = np.linspace(-3, 3, 41)
         np.testing.assert_allclose(eval_scrF(spec, u), 0.25 * np.abs(u) ** 4,
                                    rtol=1e-12, atol=1e-300)
-
-
-def test_custom_nonlinearity_wraps_callables():
-    nl = CustomNonlinearity(
-        f_fn=lambda x, u: u**3,
-        F_fn=lambda x, u: 0.25 * u**4,
-        q=4.0, theta=4.0,
-    )
-    assert nl.f(None, 2.0) == pytest.approx(8.0)
-    assert nl.F(None, 2.0) == pytest.approx(4.0)
-    # derivative falls back to central differencing
-    assert nl.f_prime(None, 2.0) == pytest.approx(12.0, rel=1e-5)
-
-
-def test_eval_helpers_match_nonlinearity():
-    spec = canonical_coercive_spec()
-    u = np.array([-1.5, 0.0, 0.5, 2.0])
-    np.testing.assert_allclose(eval_f(spec, u), np.sign(u) * np.abs(u) ** 3)
-    np.testing.assert_allclose(eval_F(spec, u), np.abs(u) ** 4 / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +169,15 @@ class TestProblemSpecValidation:
             _spec(grid=g3, nonlinearity=PowerNonlinearity(4.0))
         _spec(grid=g3, nonlinearity=PowerNonlinearity(3.5))  # inside: fine
 
+    def test_only_the_power_law_is_accepted(self):
+        # the probe and the solvers rest on the power law's closed-form fibering map
+        with pytest.raises(ValueError) as err:
+            replace(_spec(), nonlinearity=object())
+        assert str(err.value) == "nonlinearity: must be a PowerNonlinearity, got object"
+        for cfg in (RunConfig(), RunConfig(dim=2, n=16, box_length=15.0, potential="well"),
+                    RunConfig(dim=3, n=8, box_length=10.0, q=3.0)):
+            assert type(build_spec(cfg).nonlinearity) is PowerNonlinearity
+
     def test_mu_zero_allowed(self):
         assert _spec(mu=0.0).mu == 0.0
 
@@ -250,23 +234,16 @@ def test_energy_overflow_reported(coercive_spec):
 
 
 def _one_spec_per_dim():
-    """One spec per dim; the 2-D one uses a nonlinearity that depends on x."""
-
-    def weight(x):
-        return 1.0 + 0.5 * np.exp(-x[0] ** 2)
-
-    custom = CustomNonlinearity(
-        f_fn=lambda x, u: weight(x) * np.sign(u) * np.abs(u) ** 3.0,
-        F_fn=lambda x, u: weight(x) * np.abs(u) ** 4.0 / 4.0, q=4.0, theta=4.0)
+    """One spec per dim: quartic in 1-D, cubic in 2-D and in the 3-D well."""
     return [
         _spec(grid=make_grid(1, 64, 20.0)),
-        _spec(grid=make_grid(2, 16, 12.0), nonlinearity=custom),
+        _spec(grid=make_grid(2, 16, 12.0), nonlinearity=PowerNonlinearity(3.0)),
         _spec(grid=make_grid(3, 8, 10.0), nonlinearity=PowerNonlinearity(3.0),
               potential=WellPotential(radius=1.0, height=5.0, ramp=1.0)),
     ]
 
 
-@pytest.mark.parametrize("spec", _one_spec_per_dim(), ids=["1d", "2d-custom", "3d-well"])
+@pytest.mark.parametrize("spec", _one_spec_per_dim(), ids=["1d", "2d-cubic", "3d-well"])
 def test_energy_and_residual_rows_match_field_api(spec):
     g = spec.grid
     rng = _rng(g.dim)

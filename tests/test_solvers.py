@@ -12,7 +12,6 @@ from scipy import optimize
 from scipy.sparse.linalg import LinearOperator, minres
 
 from besselmp import (
-    CustomNonlinearity,
     CustomPotential,
     CustomWeight,
     Field,
@@ -275,35 +274,6 @@ def test_probe_in_higher_dims(cfg, eta):
     np.testing.assert_array_equal(again.e.values, first.e.values)
 
 
-def _heavier_weight(x):
-    return 1.0 + 0.5 * np.exp(-x[0] ** 2)
-
-
-# an x-dependent quartic, heavier than |u|^4/4 near x_1 = 0
-HEAVIER = CustomNonlinearity(
-    f_fn=lambda x, u: _heavier_weight(x) * np.sign(u) * np.abs(u) ** 3.0,
-    F_fn=lambda x, u: _heavier_weight(x) * np.abs(u) ** 4.0 / 4.0, q=4.0, theta=4.0)
-# reads x without depending on it, and spells the power law as
-# PowerNonlinearity multiplies out its whole powers
-FLAT = CustomNonlinearity(
-    f_fn=lambda x, u: np.sign(u) * (np.abs(u) * (u * u)) + 0.0 * x[0],
-    F_fn=lambda x, u: (u * u) * (u * u) / 4.0 + 0.0 * x[0], q=4.0, theta=4.0)
-
-
-def test_probe_refuses_custom_nonlinearity():
-    # a CustomNonlinearity declares no bound F <= a |u|^q / q, so the
-    # ridge cannot be certified, even for a spelling of the power law
-    spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
-    for nonlinearity in (HEAVIER, FLAT):
-        with pytest.raises(GeometryError) as err:
-            probe_geometry(replace(spec, nonlinearity=nonlinearity))
-        assert str(err.value) == ("CustomNonlinearity declares no bound "
-                                  "F(x, u) <= a |u|^q / q, so the ridge cannot be certified")
-    ((name, ok, error),) = two_solution_stages(replace(spec, nonlinearity=FLAT))
-    assert name == "probe_geometry" and not ok
-    assert error.startswith("GeometryError: CustomNonlinearity declares no bound")
-
-
 # ---------------------------------------------------------------------------
 # mountain pass
 
@@ -535,9 +505,9 @@ def test_power_law_fibering_makes_no_pass_of_its_own(coercive_spec, coercive_pro
     # pass and its forward transform, whatever Newton tries
     calls = Counter()
     for name in ("f", "F"):
-        def counted(self, x, u, _name=name, _fn=getattr(PowerNonlinearity, name)):
+        def counted(self, u, _name=name, _fn=getattr(PowerNonlinearity, name)):
             calls[_name] += 1
-            return _fn(self, x, u)
+            return _fn(self, u)
         monkeypatch.setattr(PowerNonlinearity, name, counted)
     for w, bottom in ((coercive_probe.e.values, False),
                       (np.exp(-coercive_spec.grid.radius_sq), True)):
@@ -633,27 +603,6 @@ def test_descent_iterates_sit_on_the_nehari_manifold(monkeypatch):
     for u in accepted:
         pull = float(np.sum(_residual_values(spec, u) * u)) * spec.grid.cell_volume
         assert abs(pull) <= 1e-12 * _norm_lam(spec, Field(spec.grid, u)) ** 2
-
-
-def test_solvers_refuse_a_custom_nonlinearity(monkeypatch):
-    # F need not be homogeneous, so the fibering map has no closed form:
-    # both solvers refuse, naming the class, even for a spelling of the
-    # power law; past a probe that let it through, so does the stage
-    spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
-    probe = probe_geometry(spec)
-    flat = replace(spec, nonlinearity=FLAT)
-    refusal = ("CustomNonlinearity is not homogeneous, so its fibering map has no closed "
-               "form: the solvers take a PowerNonlinearity")
-    for solve in (lambda: mountain_pass_solve(flat, probe.e),
-                  lambda: ball_min_solve(flat, probe.rho)):
-        with pytest.raises(ValueError) as err:
-            solve()
-        assert str(err.value) == refusal
-    monkeypatch.setattr(solvers, "probe_geometry", lambda spec: probe)
-    stages = list(two_solution_stages(flat))
-    assert [(name, ok) for name, ok, _ in stages] == [("probe_geometry", True),
-                                                      ("mountain_pass", False)]
-    assert stages[-1][2] == "ValueError: " + refusal
 
 
 def test_plane_2d_descent_counts(fft_calls):
