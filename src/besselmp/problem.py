@@ -21,7 +21,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, Grid, _integral, _is_even, _multiply, _require, _weighted_norm_sq
+from .grid import (
+    Field,
+    Grid,
+    _abs_power,
+    _integral,
+    _is_even,
+    _multiply,
+    _require,
+    _weighted_norm_sq,
+)
 
 __all__ = [
     "PowerNonlinearity",
@@ -47,27 +56,6 @@ def critical_exponent(dim: int, alpha: float) -> float:
     if dim <= 2.0 * alpha:
         return math.inf
     return 2.0 * dim / (dim - 2.0 * alpha)
-
-
-def _abs_power(u: np.ndarray, k: float) -> np.ndarray:
-    """|u|^k; a whole k >= 1 by square-and-multiply, any other k through ``**``.
-
-    libm's pow costs about five multiplies per point, and some thirty times
-    more again where the result overflows, as it does at the trial points of
-    a diverging line search; a product overflows to inf at full speed.
-    """
-    a = np.abs(u)
-    if not (k >= 1.0 and float(k).is_integer()):
-        return a**k
-    k = int(k)
-    out = None
-    while True:
-        if k & 1:
-            out = a if out is None else out * a
-        k >>= 1
-        if not k:
-            return out
-        a = a * a
 
 
 @dataclass(frozen=True)
@@ -246,7 +234,7 @@ def _energy_parts(spec: ProblemSpec, u: np.ndarray) -> EnergyBreakdown:
     g = spec.grid
     quad = 0.5 * _weighted_norm_sq(g, u, spec.V_field.values, spec.lam, spec.alpha)
     f_term = _integral(g, spec.nonlinearity.F(u))
-    xi_integral = _integral(g, spec.xi_field.values * np.abs(u) ** spec.p)
+    xi_integral = _integral(g, spec.xi_field.values * _abs_power(u, spec.p))
     xi_term = (spec.mu / spec.p) * xi_integral
     total = quad - f_term - xi_term
     return EnergyBreakdown(quad, f_term, xi_integral, xi_term,
@@ -262,7 +250,7 @@ def _residual_values(spec: ProblemSpec, u: np.ndarray, image=None) -> np.ndarray
         image = _multiply(spec.grid, u, spec.alpha)
     vals = image + spec.lam * spec.V_field.values * u
     vals = vals - spec.nonlinearity.f(u)
-    return vals - spec.mu * spec.xi_field.values * np.sign(u) * np.abs(u) ** (spec.p - 1.0)
+    return vals - spec.mu * spec.xi_field.values * np.sign(u) * _abs_power(u, spec.p - 1.0)
 
 
 def energy(spec: ProblemSpec, u: Field) -> EnergyBreakdown:

@@ -36,6 +36,7 @@ from .grid import (
     _integral,
     _lp_norm,
     _potential,
+    _power,
     _require,
     _sum,
     _sup_constant,
@@ -127,7 +128,7 @@ def applies_to(family: str | None, potential) -> bool:
 
 def _tail_holds(spec, tau, u):
     """Where |f(u)|^tau / |u|^tau <= u f(u)/2 - F(u), up to roundoff."""
-    lhs = np.abs(spec.nonlinearity.f(u)) ** tau / u**tau
+    lhs = _power(np.abs(spec.nonlinearity.f(u)), tau) / _power(u, tau)
     return lhs <= eval_scrF(spec, u) * (1.0 + 1e-12) + 1e-300
 
 
@@ -527,7 +528,7 @@ def _median(a):
 def _growth_bound(spec, _b):
     q = spec.nonlinearity.q
     u = np.concatenate([-np.geomspace(1e-4, 1e3, 200)[::-1], np.geomspace(1e-4, 1e3, 200)])
-    ratio = np.abs(spec.nonlinearity.f(u)) / (1.0 + np.abs(u) ** (q - 1.0))
+    ratio = np.abs(spec.nonlinearity.f(u)) / (1.0 + _power(np.abs(u), q - 1.0))
     top = ratio[np.abs(u) >= 1e2]
     quotient = float(np.max(top) / max(_median(top), 1e-300))
     ok = np.all(np.isfinite(ratio)) and quotient <= 1.2
@@ -647,7 +648,7 @@ def _flat_zero_region(spec, _b):
 def _weight_integrable(spec, _b):
     g = spec.grid
     power = 2.0 / (2.0 - spec.p)
-    w = spec.xi_field.values**power
+    w = _power(spec.xi_field.values, power)
     integral = _integral(g, w)
     edge = g.radius_sq >= (0.45 * g.box_length) ** 2
     decayed = np.max(w[edge]) <= 1e-10 * max(np.max(w), 1e-300)

@@ -23,6 +23,7 @@ from besselmp import (
     spectral_derivative,
     weighted_norm_sq,
 )
+from besselmp.config import RunConfig, build_spec
 from besselmp.grid import (
     GRID_MAX_POINTS,
     _bessel_norm_sq,
@@ -34,6 +35,7 @@ from besselmp.grid import (
     _largest_prime_factor,
     _lp_norm,
     _multiply,
+    _power,
     _restrict,
     _rfft,
     _sum,
@@ -614,9 +616,52 @@ def test_lp_norm_survives_overflowing_powers():
     # 1e-500 underflows to zero: the same rescaling recovers the norm
     assert lp_norm(constant_field(g, 1e-5), 100.0) == pytest.approx(1e-5 * 8.0 ** (1 / 100),
                                                                     rel=1e-15)
+    # so does an integral below DBL_MIN, which has lost digits: 1e-5^64 = 1e-320
+    # at every point, and at r = 61 on a 1e-18 box the cell volume 6.25e-20
+    # takes 16 normal powers of 1e-305 to 1e-323
+    assert lp_norm(constant_field(g, 1e-5), 64.0) == pytest.approx(1e-5 * 8.0 ** (1 / 64),
+                                                                   rel=1e-15)
+    tiny_box = make_grid(1, 16, 1e-18)
+    assert lp_norm(constant_field(tiny_box, 1e-5), 61.0) == pytest.approx(
+        1e-5 * 1e-18 ** (1 / 61), rel=1e-15)
     # the solvers' kernel keeps reading inf on an overflowing trial
     with np.errstate(over="ignore"):
         assert _lp_norm(g, np.full(g.shape, 10.0), 400.0) == math.inf
+
+
+_TINY = np.finfo(np.float64).tiny
+
+
+@pytest.mark.parametrize("k", [0.5, 1.5, 2.0, 2.5, 3.0, 4.0])
+def test_power_is_pow_down_to_dbl_min(k):
+    floor = _TINY ** (1.0 / k)
+    span = np.geomspace(1.0, 1e-320, 400)
+    u = np.concatenate([span, -span, floor * (1.0 + 1e-15 * np.arange(-60, 61)),
+                        [0.0, -0.0, 0.0, np.inf, -np.inf, np.nan]])
+    plain = np.abs(u) ** k
+    got = _power(np.abs(u), k)
+    normal = plain >= _TINY
+    assert normal.sum() > 100 and (plain < _TINY).sum() > 100
+    assert np.array_equal(got[normal], plain[normal])
+    assert np.all(got[plain < _TINY] == 0.0)
+    assert np.array_equal(np.isnan(got), np.isnan(u))
+    assert np.array_equal(got == np.inf, np.isinf(u))
+    # clear of the floor the power is the plain one
+    clear = np.abs(u[normal & np.isfinite(u)])
+    assert np.array_equal(_power(clear, k), clear**k)
+
+
+def test_verify_fields_sum_as_plain_powers():
+    # zeroing the subnormal powers of verify's bump and partner (2-D n=64,
+    # box 40) moves no sum: the energy's xi integral and the L^r norms read
+    # as with plain ``**``
+    spec = build_spec(RunConfig(mode="verify", dim=2, n=64, box_length=40.0))
+    g = spec.grid
+    xi = spec.xi_field.values
+    for u in (np.exp(-g.radius_sq), 0.8 * np.exp(-1.3 * g.radius_sq)):
+        assert _energy_parts(spec, u).xi_integral == _integral(g, xi * np.abs(u) ** spec.p)
+        for r in (2.0, 3.0, 4.0):
+            assert _lp_norm(g, u, r) == float((np.sum(np.abs(u) ** r) * g.cell_volume) ** (1 / r))
 
 
 def test_lp_norm_rejects_r_below_one():

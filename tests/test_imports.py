@@ -119,6 +119,37 @@ def test_fft_transforms_only_in_the_grid_entry_points():
     assert not found, "numpy FFT calls outside grid._rfft / _irfft: " + ", ".join(found)
 
 
+def _is_abs_call(node):
+    """np.abs(...), numpy.abs(...) or the builtin abs(...)."""
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (getattr(func, "attr", None) == "abs"
+                                           or getattr(func, "id", None) == "abs")
+
+
+def test_abs_powers_only_in_the_grid_power_kernels():
+    # one kernel for |u|^k: grid._power (underflow-safe pow) and
+    # grid._abs_power; ``**`` or np.power on an abs elsewhere pays pow's
+    # subnormal slow path again
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        kernels = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and path.name == "grid.py" and node.name in ("_power", "_abs_power")]
+        skipped = {id(n) for node in kernels for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                base = node.left
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "power":
+                base = node.args[0] if node.args else None
+            else:
+                continue
+            if _is_abs_call(base):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "|u|^k outside grid._power / _abs_power: " + ", ".join(found)
+
+
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_imports(path):
     # loaded under its own name, not "__main__", so main() does not run; a

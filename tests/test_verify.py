@@ -552,6 +552,27 @@ def test_bracket_records_are_pinned(spec_name, sharp_lower, gamma_3, gamma_4, up
     assert est.upper[4.0] == pytest.approx(upper_4, rel=1e-12)
 
 
+@pytest.mark.parametrize("family,final_deviation", [
+    ("coercive_quadratic", "0x1.0f152c8000000p-20"),
+    ("well", "0x1.0f152c5000000p-20"),
+])
+def test_verify_2d_records_are_pinned(family, final_deviation):
+    # the 2-D n=64, box-40 checks perfbench's verify workload runs: most of
+    # each Gaussian there lies where pow's result is subnormal, so these
+    # records pin what the power kernel (grid._power) returns below DBL_MIN
+    cfg = RunConfig(mode="verify", dim=2, n=64, box_length=40.0, potential=family)
+    spec = build_spec(cfg)
+    weight = validate_assumptions(spec, b=cfg.b).by_name("weight_integrable")
+    assert weight.witness["integral"].hex() == "0x1.9508c961e0cedp-1"
+    table = CHECKS["embedding"].run(spec, cfg).data["table"]
+    assert {s: v.hex() for s, v in table.items()} == {
+        "2.0": "0x1.0000000000000p+0", "3.0": "0x1.1c130b256f9a5p-1",
+        "4.0": "0x1.0390aeddeb0a1p-1"}
+    (split,) = CHECKS["splitting"].run(spec, cfg).witnesses
+    assert split["final_deviation"].hex() == final_deviation
+    assert CHECKS["holder"].run(spec, cfg).data["value"] == 1.5659591285976011
+
+
 # ---------------------------------------------------------------------------
 # the brackets against exact suprema and random fields
 
