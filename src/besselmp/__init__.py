@@ -70,21 +70,5 @@ from .verify import (
 from .fieldio import load_field, save_field
 from .config import ConfigError, RunConfig, parse_config
 
-# besselmp.kernels needs scipy.integrate and scipy.special, most of a second
-# to import, and no solve or check uses it: its names load on first access
-_KERNEL_NAMES = ("KernelEval", "bessel_K", "bessel_kernel", "calibrate_pointwise_constant",
-                 "pointwise_apply")
-
-__all__ = [name for name in dir() if not name.startswith("_")] + list(_KERNEL_NAMES)
-
-
-def __getattr__(name):
-    if name in _KERNEL_NAMES:
-        from . import kernels
-
-        return getattr(kernels, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_KERNEL_NAMES))
+# besselmp.kernels needs SciPy, which no solve or check loads: it is not re-exported
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, special
@@ -35,7 +36,6 @@ from .grid import Field, spectral_derivative
 __all__ = [
     "KernelEval",
     "bessel_kernel",
-    "bessel_K",
     "pointwise_apply",
     "calibrate_pointwise_constant",
 ]
@@ -48,18 +48,6 @@ class KernelEval:
     dim: int
     value: float
     est_error: float
-
-
-def bessel_K(nu: float, r: float) -> float:
-    """Modified Bessel function of the second kind K_nu(r), r > 0."""
-    if not (r > 0 and np.isfinite(r)):
-        raise ValueError(f"bessel_K needs r > 0, got {r}")
-    if not (nu >= 0 and np.isfinite(nu)):
-        raise ValueError(f"bessel_K needs nu >= 0, got {nu}")
-    out = float(special.kv(nu, r))
-    if not np.isfinite(out):
-        raise ValueError(f"K_{nu}({r}) did not evaluate to a finite value")
-    return out
 
 
 def bessel_kernel(radius: float, order: float, dim: int) -> KernelEval:
@@ -103,14 +91,9 @@ def bessel_kernel(radius: float, order: float, dim: int) -> KernelEval:
 # ---------------------------------------------------------------------------
 # real-space (singular integral) route, dim 1 only
 
-_weight_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _pv_weights(alpha, h_fine, count):
     """Weight table K_nu(z)/z^nu at z = j*h_fine and the moment int z^2 w dz."""
-    key = (round(alpha, 12), round(h_fine, 15), count)
-    if key in _weight_cache:
-        return _weight_cache[key]
     nu = 0.5 * (1.0 + 2.0 * alpha)
     z = h_fine * np.arange(1, count + 1)
     w = special.kv(nu, z) / z**nu
@@ -125,8 +108,7 @@ def _pv_weights(alpha, h_fine, count):
         m2 = 0.0
         if z_top > 1.0:
             m2, _ = integrate.quad(moment, 1.0, z_top, epsabs=0.0, epsrel=1e-10, limit=400)
-    _weight_cache[key] = (z, w, m1 + m2)
-    return _weight_cache[key]
+    return z, w, m1 + m2
 
 
 def _singular_integral(field: Field, index: int, alpha: float, refine_factor: int) -> float:
@@ -166,14 +148,12 @@ def _edge_variation_ok(field: Field) -> bool:
     return np.ptp(edge) <= 1e-6 * spread + 1e-13 * (1.0 + np.max(np.abs(field.values)))
 
 
-def calibrate_pointwise_constant(alpha: float, dim: int = 1) -> float:
+def calibrate_pointwise_constant(alpha: float) -> float:
     """Scale constant of the singular-integral route, in closed form.
 
     c = 2^(alpha + 1/2) alpha / (sqrt(pi) Gamma(1 - alpha)), the 1-D case
     (nu = alpha + 1/2) of the module's constant; alpha = 1/2 gives 1/pi.
     """
-    if dim != 1:
-        raise NotImplementedError("real-space route is implemented for dim 1 only")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"pointwise route needs 0 < alpha < 1, got {alpha}")
     return 2.0 ** (alpha + 0.5) * alpha / (math.sqrt(math.pi) * math.gamma(1.0 - alpha))

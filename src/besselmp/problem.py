@@ -25,11 +25,12 @@ from .grid import (
     Field,
     Grid,
     _abs_power,
+    _bessel_norm_sq,
     _integral,
     _is_even,
     _multiply,
+    _potential,
     _require,
-    _weighted_norm_sq,
 )
 
 __all__ = [
@@ -229,10 +230,12 @@ class EnergyBreakdown(NamedTuple):
     total: float
 
 
-def _energy_parts(spec: ProblemSpec, u: np.ndarray) -> EnergyBreakdown:
-    """Phi and its pieces at the field values ``u``."""
+def _energy_parts(spec: ProblemSpec, u: np.ndarray, bessel=None) -> EnergyBreakdown:
+    """Phi and its pieces at the field values ``u``, of squared bessel norm ``bessel`` if given."""
     g = spec.grid
-    quad = 0.5 * _weighted_norm_sq(g, u, spec.V_field.values, spec.lam, spec.alpha)
+    if bessel is None:
+        bessel = _bessel_norm_sq(g, u, spec.alpha)
+    quad = 0.5 * (bessel + _potential(g, u, spec.V_field.values, spec.lam))
     f_term = _integral(g, spec.nonlinearity.F(u))
     xi_integral = _integral(g, spec.xi_field.values * _abs_power(u, spec.p))
     xi_term = (spec.mu / spec.p) * xi_integral

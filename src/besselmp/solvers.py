@@ -203,9 +203,6 @@ class SolveReport:
     # the grid the solve ran on, "even" (the x_i >= 0 half) or "full", and
     # why not the even one: "odd n", "dim 1, n above 416" (EVEN_1D_MAX_N),
     # "V is not even", "xi is not even" or "start is not even"; "" when even.
-    # On the even grid ``energy`` is scored on the half grid but
-    # ``residual_norm`` is re-checked on the full one, so ``energy`` can miss
-    # energy(spec, solution).total in the last bits (4 ulps on the coercive saddle)
     grid: str = "full"
     grid_reason: str = ""
 
@@ -765,17 +762,20 @@ def _subspace(spec, start):
 def _descend(spec, run, u, level, bottom, opts):
     """``_nehari_solve`` on ``run``, the problem ``_subspace`` picked, and back to ``spec``'s grid.
 
-    From the even half the solution is extended to the full grid, and when
-    it converged there rn is its residual norm recomputed once on the full
-    grid.  Returns (u, energy, rn, iterations, trace, handover), handover
-    the level the descent handed to the polish.
+    From the even half the solution is extended to the full grid, and its
+    energy and residual norm are scored once there, from one transform
+    pair, converged or not: they are ``energy`` and ``residual`` of the
+    reported solution to the bit.  Returns (u, energy, rn, iterations,
+    trace, handover), handover the level the descent handed to the polish.
     """
     u, e_u, rn, it, trace = _nehari_solve(run, u, level, bottom, opts)
     handover = next(t.energy for t in trace if t.phase == "polish")
     if run is not spec:
-        u = _extend(spec.grid, u)
-        if rn <= opts.tol:
-            rn = _trial_residual(spec, u)[1]
+        g = spec.grid
+        u = _extend(g, u)
+        image, bessel = _multiply_and_norm(g, u, spec.alpha)
+        rn = _lp_norm(g, _residual_values(spec, u, image), 2)
+        e_u = _energy_parts(spec, u, bessel).total
     return u, e_u, rn, it, trace, handover
 
 

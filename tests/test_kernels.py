@@ -1,4 +1,4 @@
-"""Kernel quadrature, K_nu anchors, and the real-space operator route."""
+"""Kernel quadrature and the real-space operator route."""
 
 import math
 
@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from besselmp import (
-    Field,
-    apply_multiplier,
-    bessel_K,
-    bessel_kernel,
-    calibrate_pointwise_constant,
-    pointwise_apply,
-)
+from besselmp import Field, apply_multiplier
 from besselmp.grid import make_grid
+from besselmp.kernels import bessel_kernel, calibrate_pointwise_constant, pointwise_apply
 
 
 def closed_kernel(r, order, dim):
@@ -27,37 +21,6 @@ def closed_kernel(r, order, dim):
     const = (2.0 ** (0.5 * (dim + order - 2.0))
              * math.pi ** (0.5 * dim) * math.gamma(0.5 * order))
     return special.kv(nu, r) * r ** (0.5 * (order - dim)) / const
-
-
-# ---------------------------------------------------------------------------
-# bessel_K
-
-
-def test_bessel_K_half_integer_closed_form():
-    for r in (0.5, 1.0, 2.0, 5.0):
-        exact = math.sqrt(math.pi / (2.0 * r)) * math.exp(-r)
-        assert bessel_K(0.5, r) == pytest.approx(exact, rel=1e-12)
-
-
-def test_bessel_K_large_r_asymptotic():
-    # sqrt(pi/2r) e^{-r} (1 - 1/(8r)) is within 1% at r = 10
-    approx = math.sqrt(math.pi / 20.0) * math.exp(-10.0) * (1.0 - 1.0 / 80.0)
-    assert bessel_K(0.0, 10.0) == pytest.approx(approx, rel=1e-2)
-
-
-def test_bessel_K_decreasing_in_r():
-    for nu in (0.0, 0.75, 2.0):
-        vals = [bessel_K(nu, r) for r in (0.1, 0.5, 1.0, 3.0, 10.0)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_bessel_K_input_validation():
-    with pytest.raises(ValueError, match="r > 0"):
-        bessel_K(0.5, 0.0)
-    with pytest.raises(ValueError, match="r > 0"):
-        bessel_K(0.5, -1.0)
-    with pytest.raises(ValueError, match="nu >= 0"):
-        bessel_K(-0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +110,6 @@ def test_constant_at_one_half_is_one_over_pi():
 def test_calibration_rejects_bad_alpha():
     with pytest.raises(ValueError, match="0 < alpha < 1"):
         calibrate_pointwise_constant(1.5)
-    with pytest.raises(NotImplementedError):
-        calibrate_pointwise_constant(0.5, dim=2)
 
 
 def test_pointwise_constant_field_is_fixed():

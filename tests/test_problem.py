@@ -356,6 +356,29 @@ def test_flat_potential_fails_ball_decay():
     assert not report.passed
 
 
+class _LinearAtZero(PowerNonlinearity):
+    """f(u) = u, which does not vanish faster than u at zero."""
+
+    def f(self, u):
+        return np.asarray(u, dtype=np.float64)
+
+
+@pytest.mark.parametrize("q", [2.05, 2.2, 2.4, 3.0, 4.0])
+def test_vanishing_at_zero_holds_for_every_power_above_two(q):
+    # f(u)/u = |u|^(q-2) -> 0 for every q > 2; the fixed factor 1e-4 between
+    # |u| = 0.1 and 1e-8 that this check used to ask for held only for q >= 2.5
+    report = validate_assumptions(replace(canonical_coercive_spec(), nonlinearity=PowerNonlinearity(q)))
+    assert report.by_name("vanishing_at_zero").passed
+    assert report.passed
+
+
+def test_vanishing_at_zero_fails_an_f_that_does_not_vanish():
+    spec = replace(canonical_coercive_spec(), nonlinearity=_LinearAtZero(3.0))
+    check = validate_assumptions(spec).by_name("vanishing_at_zero")
+    assert not check.passed
+    assert check.witness == {"ratio_small": 1.0, "ratio_large": 1.0}
+
+
 @pytest.mark.parametrize("family", ["coercve", "Well", None])
 def test_custom_potential_refuses_an_unknown_family(family):
     # a family that no hypothesis gates would leave only the common four
