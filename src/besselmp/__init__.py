@@ -11,17 +11,15 @@ argument rests on.
 
 __version__ = "0.1.0"
 
+import types
+
 from .grid import (
     Field,
     Grid,
     apply_multiplier,
-    bessel_norm_sq,
-    constant_field,
-    field_from_function,
     lp_norm,
     random_field,
     spectral_derivative,
-    weighted_norm_sq,
 )
 from .problem import (
     CoerciveQuadraticPotential,
@@ -70,5 +68,7 @@ from .verify import (
 from .fieldio import load_field, save_field
 from .config import ConfigError, RunConfig, parse_config
 
-# besselmp.kernels needs SciPy, which no solve or check loads: it is not re-exported
-__all__ = [name for name in dir() if not name.startswith("_")]
+# besselmp.kernels needs SciPy, which no solve or check loads: it is not re-exported.
+# Nor are the submodules, so a star import leaves a caller's own ``grid`` alone.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

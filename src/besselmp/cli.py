@@ -59,12 +59,6 @@ class RunReport:
             "passed": self.passed,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RunReport":
-        stages = tuple(StageResult(**s) for s in data["stages"])
-        return cls(version=data["version"], config=data["config"], stages=stages,
-                   passed=data["passed"])
-
 
 def _config_echo(cfg: RunConfig) -> dict:
     return {key: list(value) if isinstance(value, tuple) else value

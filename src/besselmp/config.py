@@ -31,7 +31,6 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "build_spec", "build_opti
 
 MODES = ("solve", "two-solutions", "verify", "probe-geometry", "kernel-table")
 POTENTIALS = ("coercive_quadratic", "well")
-WEIGHTS = ("gaussian",)
 CHECK_NAMES = tuple(CHECKS)
 
 
@@ -58,9 +57,7 @@ class RunConfig:
     well_radius: float = 1.0
     well_height: float = 50.0
     well_ramp: float = 1.0
-    xi: str = "gaussian"
     tol: float = 1e-8
-    max_iter: int = 5000
     distinct_tol: float = 1e-3
     # "auto" resolves at run time to the checkers that make sense for the
     # configured potential family (the sublevel bound needs a well)
@@ -142,8 +139,6 @@ def _validate(cfg: RunConfig, errors) -> None:
         errors.append(f"mode: unknown mode {cfg.mode!r}; choose from {', '.join(MODES)}")
     if cfg.potential not in POTENTIALS:
         errors.append(f"potential: unknown choice {cfg.potential!r}; choose from {', '.join(POTENTIALS)}")
-    if cfg.xi not in WEIGHTS:
-        errors.append(f"xi: unknown choice {cfg.xi!r}; choose from {', '.join(WEIGHTS)}")
     for name in ("distinct_tol", "b"):
         if not 0 < getattr(cfg, name) < math.inf:
             errors.append(f"{name}: must be positive and finite, got {getattr(cfg, name)}")
@@ -230,9 +225,9 @@ def _problem_on(grid: Grid, cfg: RunConfig) -> ProblemSpec:
     return ProblemSpec(
         grid=grid, alpha=cfg.alpha, lam=cfg.lam, mu=cfg.mu, p=cfg.p,
         nonlinearity=PowerNonlinearity(cfg.q), potential=_potential(cfg),
-        weight=GaussianWeight(),
+        weight=GaussianWeight(),  # xi is the Gaussian; no key selects another
     )
 
 
 def build_options(cfg: RunConfig) -> SolveOptions:
-    return SolveOptions(tol=cfg.tol, max_iter=cfg.max_iter)
+    return SolveOptions(tol=cfg.tol)

@@ -27,14 +27,9 @@ __all__ = [
     "Grid",
     "EvenGrid",
     "Field",
-    "make_grid",
     "apply_multiplier",
     "spectral_derivative",
-    "bessel_norm_sq",
-    "weighted_norm_sq",
     "lp_norm",
-    "constant_field",
-    "field_from_function",
     "random_field",
 ]
 
@@ -278,26 +273,12 @@ def _require_same_grid(a, b):
         raise ValueError("fields live on different grids")
 
 
-def make_grid(dim: int, n: int, box_length: float) -> Grid:
-    """Build a periodic grid; dim in {1,2,3}, n points per axis."""
-    return Grid(dim=dim, n=n, box_length=box_length)
-
-
-def constant_field(grid: Grid, value: float) -> Field:
-    return Field(grid, np.full(grid.shape, float(value)))
-
-
-def field_from_function(grid: Grid, fn) -> Field:
-    """Sample ``fn(*coords)`` on the grid."""
-    return Field(grid, np.asarray(fn(*grid.coords()), dtype=np.float64))
-
-
 # Array kernels: each takes one field's values, an ndarray of ``grid.shape``,
 # and returns a float; ``_multiply`` and ``_filter`` return the image and act
 # on the trailing grid axes, so they also take a stack of fields.  The
-# solvers call the kernels on raw iterates; the Field functions below are
-# thin wrappers over them.  All transform through ``_rfft`` and ``_irfft``,
-# and all sum through ``_sum``.
+# solvers and the checks call the kernels on raw iterates; the Field
+# functions at the end take and return Fields.  All transform through
+# ``_rfft`` and ``_irfft``, and all sum through ``_sum``.
 
 
 def _sum(grid: Grid, values: np.ndarray) -> float:
@@ -430,14 +411,8 @@ def _potential(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float) -> flo
 
 def _weighted_norm_sq(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float,
                       alpha: float) -> float:
-    """Squared solver norm; ``V`` holds the potential's values."""
+    """Squared solver norm: the bessel part plus lam * integral of V u^2, ``V`` the potential's values."""
     return _bessel_norm_sq(grid, values, alpha) + _potential(grid, values, V, lam)
-
-
-def _require_weight(V: np.ndarray, lam: float) -> None:
-    """The solver norm's rules: lam positive and finite, the potential values ``V`` nonnegative."""
-    _require((lam > 0 and np.isfinite(lam), f"lam must be positive, got {lam}"),
-             (np.min(V) >= 0, "potential must be nonnegative"))
 
 
 def _sup_constant(grid: Grid, alpha: float, shift: float = 0.0) -> float:
@@ -547,22 +522,6 @@ def spectral_derivative(field: Field, axis: int = 0, order: int = 1) -> Field:
     shape = [1] * g.dim
     shape[axis] = symbol.size
     return Field(g, _filter(g, field.values, symbol.reshape(shape)))
-
-
-def bessel_norm_sq(field: Field, alpha: float) -> float:
-    """Squared norm ||(I - Laplacian)^{alpha/2} u||_{L^2}^2 over the box."""
-    return _bessel_norm_sq(field.grid, field.values, alpha)
-
-
-def weighted_norm_sq(field: Field, V: Field, lam: float, alpha: float) -> float:
-    """Squared solver norm: bessel part plus lam * integral of V u^2.
-
-    With a nonnegative potential this dominates the plain bessel norm, so it
-    controls the same embeddings with constants no worse.
-    """
-    _require_same_grid(field, V)
-    _require_weight(V.values, lam)
-    return _weighted_norm_sq(field.grid, field.values, V.values, lam, alpha)
 
 
 def lp_norm(field: Field, r: float) -> float:

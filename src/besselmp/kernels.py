@@ -40,6 +40,8 @@ __all__ = [
     "calibrate_pointwise_constant",
 ]
 
+REFINE_FACTOR = 8  # fine-grid points per grid point in the singular integral's trapezoid rule
+
 
 @dataclass(frozen=True)
 class KernelEval:
@@ -111,7 +113,7 @@ def _pv_weights(alpha, h_fine, count):
     return z, w, m1 + m2
 
 
-def _singular_integral(field: Field, index: int, alpha: float, refine_factor: int) -> float:
+def _singular_integral(field: Field, index: int, alpha: float) -> float:
     """P.V. integral of (u(x) - u(y)) against the kernel weight, window = half box.
 
     The second-order Taylor part is subtracted and integrated exactly, the
@@ -119,19 +121,19 @@ def _singular_integral(field: Field, index: int, alpha: float, refine_factor: in
     beyond half the box is dropped, which also makes constants exact.
     """
     g = field.grid
-    nf = g.n * refine_factor
-    hf = g.spacing / refine_factor
+    nf = g.n * REFINE_FACTOR
+    hf = g.spacing / REFINE_FACTOR
     # trigonometric interpolation onto the fine grid as scipy.signal.resample
     # does it: zero-pad the half spectrum, halving an even n's Nyquist bin
     half = np.zeros(nf // 2 + 1, dtype=complex)
     half[: g.n // 2 + 1] = np.fft.rfft(field.values)
-    if g.n % 2 == 0 and refine_factor > 1:
+    if g.n % 2 == 0:
         half[g.n // 2] *= 0.5
-    u_fine = np.fft.irfft(half, nf) * refine_factor
+    u_fine = np.fft.irfft(half, nf) * REFINE_FACTOR
     count = nf // 2 - 1
     z, w, moment2 = _pv_weights(alpha, hf, count)
 
-    i0 = index * refine_factor
+    i0 = index * REFINE_FACTOR
     j = np.arange(1, count + 1)
     diffs = 2.0 * field.values[index] - u_fine[(i0 + j) % nf] - u_fine[(i0 - j) % nf]
     upp = spectral_derivative(field, 0, 2).values[index]
@@ -159,7 +161,7 @@ def calibrate_pointwise_constant(alpha: float) -> float:
     return 2.0 ** (alpha + 0.5) * alpha / (math.sqrt(math.pi) * math.gamma(1.0 - alpha))
 
 
-def pointwise_apply(field: Field, x: float, alpha: float, refine_factor: int = 8) -> float:
+def pointwise_apply(field: Field, x: float, alpha: float) -> float:
     """(I - Laplacian)^alpha u at one grid point via the singular integral.
 
     Serves as the independent oracle against apply_multiplier.  Requires a
@@ -178,4 +180,4 @@ def pointwise_apply(field: Field, x: float, alpha: float, refine_factor: int = 8
     if not _edge_variation_ok(field):
         raise ValueError("field varies near the box edge; wraparound would contaminate the integral")
     c = calibrate_pointwise_constant(alpha)
-    return c * _singular_integral(field, index, alpha, refine_factor) + field.values[index]
+    return c * _singular_integral(field, index, alpha) + field.values[index]

@@ -122,6 +122,7 @@ BACKTRACK_TRIES = 40  # gradient steps tried per search; from 1 they stay above 
 NEWTON_TRIES = 34  # damped Newton steps 1, 1/2, ... above 1e-10
 RIESZ_FORCING = 1e-2  # the gradient solve's forcing term, a relative preconditioned residual
 HANDOVER_RATIO = 0.1  # the descent hands over to Newton at <r, K^-1 r>^(1/2) <= this ||u||_lam
+DESCENT_MAX = 5000  # descent rows per solve; the canonical runs take at most a handful
 NEWTON_MAX = 80
 MINRES_MAXITER = 400
 INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
@@ -137,15 +138,13 @@ EVEN_1D_MAX_N = 416
 @dataclass(frozen=True)
 class SolveOptions:
     tol: float = 1e-8
-    max_iter: int = 5000
     # not an option: the benchmark's trace mode (perfbench/run.py) divides
     # its Armijo span count by path_nodes - 2, so the old path's node count
     # stays readable until the benchmark counts descent entries instead
     path_nodes: ClassVar[int] = 41
 
     def __post_init__(self):
-        _require((0 < self.tol < math.inf, f"tol: must be positive and finite, got {self.tol}"),
-                 (self.max_iter >= 1, f"max_iter: must be at least 1, got {self.max_iter}"))
+        _require((0 < self.tol < math.inf, f"tol: must be positive and finite, got {self.tol}"))
 
 
 @dataclass(frozen=True)
@@ -473,7 +472,7 @@ def _extremal_mu(spec, w):
     return 2.0 * (q - 2.0) * big_a * peak ** (2.0 - p) / ((q - p) * p * big_c)
 
 
-def _armijo_step(spec, u, e_u, d, slope, step, place):
+def _armijo_step(u, e_u, d, slope, step, place):
     """One monotone descent step from u along -d, backtracking from ``step``.
 
     Walks the steps step, step/2, ..., BACKTRACK_TRIES of them.  ``place``
@@ -713,7 +712,7 @@ def _nehari_solve(spec, u, level, bottom, opts):
     prev = None  # the previous row's (gradient, slope, direction)
     r, norm = _residual(spec, u)
     rn = _lp_norm(g, r, 2)
-    while it < opts.max_iter:
+    while it < DESCENT_MAX:
         grad, slope, iters, stop = _riesz_gradient(spec, r)
         entry = TraceEntry(it, level, rn, step, phase, 0, krylov_iters=iters, krylov_stop=stop,
                            norm_lam=norm)
@@ -722,10 +721,10 @@ def _nehari_solve(spec, u, level, bottom, opts):
             trace.append(entry)
             break
         d, d_slope, beta = _conjugate(spec, r, grad, slope, prev)
-        u, level, used, tried = _armijo_step(spec, u, level, d, d_slope, step, place)
+        u, level, used, tried = _armijo_step(u, level, d, d_slope, step, place)
         if used == 0.0 and beta > 0.0:
             d, beta = grad, 0.0
-            u, level, used, more = _armijo_step(spec, u, level, d, slope, step, place)
+            u, level, used, more = _armijo_step(u, level, d, slope, step, place)
             tried += more
         trace.append(replace(entry, trials=tried, beta=beta))
         if used == 0.0:
@@ -842,12 +841,13 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
     bump's ray has none once mu is at least its extremal value mu(bump)
     (``_extremal_mu``), where its fibering map loses both critical points;
     and below mu(bump) its bottom can lie below the float range, as it
-    does when p is near 2.  A nonlinearity other than the power law raises
-    ValueError, as in ``mountain_pass_solve``.  rho does not steer
-    the search; it only checks the result, which must have negative energy
-    and sit at most (1 - INTERIOR_MARGIN) rho from the origin in the
-    lam-norm.  A polish that left its basin, and the grid, are as in
-    ``mountain_pass_solve``.
+    does when p is near 2.  rho does not steer the search; it only checks
+    the result, which must sit at most (1 - INTERIOR_MARGIN) rho from the
+    origin in the lam-norm.  A polish that left its basin, and the grid,
+    are as in ``mountain_pass_solve``.  A result that passes ``_refusal``
+    has negative energy, so nothing checks its sign: the descent starts
+    below 0, J never rises over accepted steps, and ``_refusal`` passes
+    only an energy at most handover (1 - BASIN_SLACK) < 0.
     """
     opts = opts or SolveOptions()
     if not (rho > 0 and np.isfinite(rho)):
@@ -870,9 +870,7 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
     norm = _norm_lam(spec, u)
     bound = (1.0 - INTERIOR_MARGIN) * rho
     message = _refusal(rn, e_u, handover, opts)
-    if message is None and e_u >= 0.0:
-        message = "converged but the energy is not negative"
-    elif message is None and norm > bound:
+    if message is None and norm > bound:
         message = (f"converged at ||u||_lam = {norm:.6g}, beyond {bound:.6g} inside "
                    f"the ball radius rho = {rho:.6g}")
     return SolveReport(

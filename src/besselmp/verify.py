@@ -72,6 +72,8 @@ __all__ = [
     "require_separations",
 ]
 
+TAIL_POINTS = 20001  # the superquadratic-tail scan's points, u_max / TAIL_POINTS to u_max
+
 
 def require_tau_in_window(tau: float, dim: int, alpha: float, q: float) -> None:
     """Refuse a tail exponent outside the open window (max(1, dim/(2 alpha)), q/(q-2))."""
@@ -132,8 +134,8 @@ def _tail_holds(spec, tau, u):
     return lhs <= eval_scrF(spec, u) * (1.0 + 1e-12) + 1e-300
 
 
-def check_superquadratic_tail(spec: ProblemSpec, tau: float, u_max: float | None = None,
-                              points: int = 20001) -> CheckRecord:
+def check_superquadratic_tail(spec: ProblemSpec, tau: float,
+                              u_max: float | None = None) -> CheckRecord:
     """Find the threshold beyond which |f(u)|^tau / |u|^tau <= u f(u)/2 - F(u).
 
     tau must sit strictly inside (max(1, dim/(2 alpha)), q/(q-2)); outside
@@ -155,7 +157,7 @@ def check_superquadratic_tail(spec: ProblemSpec, tau: float, u_max: float | None
                 break
             u_max *= 2.0
 
-    u = np.linspace(u_max / points, u_max, points)
+    u = np.linspace(u_max / TAIL_POINTS, u_max, TAIL_POINTS)
     holds = _tail_holds(spec, tau, u)
     tail_ok = np.logical_and.accumulate(holds[::-1])[::-1]
     if not tail_ok[-1]:

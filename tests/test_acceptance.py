@@ -11,6 +11,7 @@ import pytest
 
 from besselmp import (
     Field,
+    Grid,
     apply_multiplier,
     canonical_coercive_spec,
     check_splitting,
@@ -25,7 +26,6 @@ from besselmp import (
     residual,
     two_solution_experiment,
 )
-from besselmp.grid import make_grid
 from besselmp.kernels import bessel_kernel, pointwise_apply
 from besselmp.problem import canonical_well_spec
 
@@ -39,7 +39,7 @@ def _stamp(index, budget, t0, label):
 def test_01_multiplier_exact_on_plane_waves():
     t0 = time.perf_counter()
     for dim, wave in ((1, (3,)), (2, (3, 2))):
-        g = make_grid(dim, 64, 10.0)
+        g = Grid(dim, 64, 10.0)
         phase = sum(2.0 * np.pi * k / g.box_length * x
                     for k, x in zip(wave, g.coords()))
         u = Field(g, np.cos(phase))
@@ -62,7 +62,7 @@ def test_03_pointwise_route_matches_spectral_route():
     # every grid point with |x| <= 5, 195 evaluations; the worst measured
     # errors are 1.44e-9, 8.72e-12 and 1.89e-7 of the peak
     t0 = time.perf_counter()
-    g = make_grid(1, 256, 40.0)
+    g = Grid(1, 256, 40.0)
     u = Field(g, np.exp(-g.axis_coords**2))
     probe_idx = np.nonzero(np.abs(g.axis_coords) <= 5.0)[0]
     for alpha in (0.25, 0.5, 0.75):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from besselmp import load_field, two_solution_experiment
-from besselmp.cli import RunReport, main
+from besselmp.cli import main, run
 from besselmp.config import build_spec, parse_config
 
 WELL_CFG = """
@@ -418,7 +418,7 @@ def test_seed_override_echoed(tmp_path, capsys):
 
 
 def test_report_json_round_trip(tmp_path):
+    # report.json reads back as the report that run returned
     out = tmp_path / "out"
-    assert main(["kernel-table", "--out", str(out)]) == 0
-    data = _report(out)
-    assert RunReport.from_json_dict(data).as_json_dict() == data
+    report = run(parse_config("", mode="kernel-table", out_dir=str(out)))
+    assert report.passed and _report(out) == report.as_json_dict()

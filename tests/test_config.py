@@ -166,9 +166,11 @@ def test_build_spec_well():
 
 
 def test_build_options_maps_solver_keys():
-    opts = build_options(parse_config("tol = 1e-6\nmax_iter = 99"))
-    assert opts.tol == 1e-6
-    assert opts.max_iter == 99
+    assert build_options(parse_config("tol = 1e-6")).tol == 1e-6
+    # the descent's row cap is solvers.DESCENT_MAX, and xi is the Gaussian: neither is a key
+    with pytest.raises(ConfigError) as err:
+        parse_config("max_iter = 99\nxi = gaussian")
+    assert err.value.errors == ["unknown key 'max_iter'", "unknown key 'xi'"]
 
 
 @pytest.mark.filterwarnings("ignore:n=")  # coarse or non-power-of-two grids
@@ -179,7 +181,7 @@ def test_build_options_maps_solver_keys():
        potential=st.sampled_from(["coercive_quadratic", "well"]),
        well_radius=st.floats(0.0, 5.0), well_height=st.floats(0.0, 100.0),
        well_ramp=st.floats(0.0, 5.0),
-       tol=st.floats(0.0, 1e-3), max_iter=st.integers(0, 10000))
+       tol=st.floats(0.0, 1e-3))
 def test_parsed_config_always_builds(**values):
     # ranges reach each rule's boundary, so both verdicts come up often
     text = "\n".join(f"{key} = {value}" for key, value in values.items())

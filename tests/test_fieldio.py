@@ -5,9 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from besselmp import Field, load_field, random_field, save_field
+from besselmp import Field, Grid, load_field, random_field, save_field
 from besselmp.fieldio import FORMAT_VERSION
-from besselmp.grid import make_grid
 
 
 def _rng(seed):
@@ -21,7 +20,7 @@ def _saved(tmp_path, field, name="f.bmpf"):
 
 
 def test_round_trip_1d(tmp_path):
-    g = make_grid(1, 64, 20.0)
+    g = Grid(1, 64, 20.0)
     u = random_field(g, _rng(0))
     back = load_field(_saved(tmp_path, u))
     assert back.grid == g
@@ -29,7 +28,7 @@ def test_round_trip_1d(tmp_path):
 
 
 def test_round_trip_2d(tmp_path):
-    g = make_grid(2, 16, 8.0)
+    g = Grid(2, 16, 8.0)
     u = random_field(g, _rng(1))
     back = load_field(_saved(tmp_path, u))
     assert back.grid == g
@@ -37,7 +36,7 @@ def test_round_trip_2d(tmp_path):
 
 
 def test_save_is_deterministic(tmp_path):
-    g = make_grid(1, 32, 10.0)
+    g = Grid(1, 32, 10.0)
     u = random_field(g, _rng(2))
     p1 = _saved(tmp_path, u, "a.bmpf")
     p2 = _saved(tmp_path, u, "b.bmpf")
@@ -45,7 +44,7 @@ def test_save_is_deterministic(tmp_path):
 
 
 def test_header_layout(tmp_path):
-    g = make_grid(2, 16, 8.0)
+    g = Grid(2, 16, 8.0)
     u = Field(g, np.zeros(g.shape))
     blob = _saved(tmp_path, u).read_bytes()
     assert blob[:4] == b"BMPF"
@@ -71,7 +70,7 @@ def test_empty_file_rejected(tmp_path):
 
 
 def test_truncated_header_rejected(tmp_path):
-    g = make_grid(1, 32, 10.0)
+    g = Grid(1, 32, 10.0)
     blob = _saved(tmp_path, Field(g, np.zeros(32))).read_bytes()
     path = tmp_path / "trunc.bmpf"
     path.write_bytes(blob[:10])
@@ -80,7 +79,7 @@ def test_truncated_header_rejected(tmp_path):
 
 
 def test_truncated_payload_rejected(tmp_path):
-    g = make_grid(1, 32, 10.0)
+    g = Grid(1, 32, 10.0)
     blob = _saved(tmp_path, Field(g, np.zeros(32))).read_bytes()
     path = tmp_path / "trunc.bmpf"
     path.write_bytes(blob[:-8])
@@ -89,7 +88,7 @@ def test_truncated_payload_rejected(tmp_path):
 
 
 def test_version_bump_rejected(tmp_path):
-    g = make_grid(1, 32, 10.0)
+    g = Grid(1, 32, 10.0)
     blob = bytearray(_saved(tmp_path, Field(g, np.zeros(32))).read_bytes())
     struct.pack_into("<I", blob, 4, FORMAT_VERSION + 1)
     path = tmp_path / "v2.bmpf"
@@ -108,7 +107,7 @@ def test_header_dim_outside_1_to_3_rejected(tmp_path, dim):
 
 
 def test_non_finite_payload_rejected(tmp_path):
-    g = make_grid(1, 32, 10.0)
+    g = Grid(1, 32, 10.0)
     blob = bytearray(_saved(tmp_path, Field(g, np.zeros(32))).read_bytes())
     struct.pack_into("<d", blob, len(blob) - 8, float("nan"))
     path = tmp_path / "nan.bmpf"
@@ -118,7 +117,7 @@ def test_non_finite_payload_rejected(tmp_path):
 
 
 def test_axis_length_mismatch_rejected(tmp_path):
-    g = make_grid(2, 16, 8.0)
+    g = Grid(2, 16, 8.0)
     blob = bytearray(_saved(tmp_path, Field(g, np.zeros((16, 16)))).read_bytes())
     struct.pack_into("<d", blob, 17 + 8, 9.0)  # second axis length
     path = tmp_path / "skew.bmpf"

@@ -15,13 +15,9 @@ from besselmp import (
     Field,
     Grid,
     apply_multiplier,
-    bessel_norm_sq,
-    constant_field,
-    field_from_function,
     lp_norm,
     random_field,
     spectral_derivative,
-    weighted_norm_sq,
 )
 from besselmp.config import RunConfig, build_spec
 from besselmp.grid import (
@@ -39,7 +35,7 @@ from besselmp.grid import (
     _restrict,
     _rfft,
     _sum,
-    make_grid,
+    _weighted_norm_sq,
 )
 from besselmp.problem import _energy_parts, canonical_coercive_spec
 from conftest import multiplier_matrix
@@ -55,7 +51,7 @@ def _rng(seed):
 
 class TestGrid:
     def test_basic_geometry(self):
-        g = make_grid(1, 64, 20.0)
+        g = Grid(1, 64, 20.0)
         assert g.spacing == pytest.approx(20.0 / 64)
         assert g.cell_volume == pytest.approx(20.0 / 64)
         assert g.shape == (64,)
@@ -65,7 +61,7 @@ class TestGrid:
         assert g.axis_coords[0] == -10.0
 
     def test_cell_volume_scales_with_dim(self):
-        g = make_grid(2, 32, 16.0)
+        g = Grid(2, 32, 16.0)
         assert g.cell_volume == pytest.approx(0.5**2)
         assert g.total_points == 1024
         assert g.radius_sq.shape == (32, 32)
@@ -123,7 +119,7 @@ class TestGrid:
             Grid(1, 64, 10.0)
 
     def test_freq_layout_matches_fft(self):
-        g = make_grid(1, 16, 8.0)
+        g = Grid(1, 16, 8.0)
         expect = 2.0 * np.pi * np.fft.fftfreq(16, d=0.5)
         np.testing.assert_allclose(g.axis_freqs, expect)
         np.testing.assert_allclose(g.freq_sq, expect**2)
@@ -135,51 +131,44 @@ class TestGrid:
 
 class TestField:
     def test_values_are_read_only(self):
-        g = make_grid(1, 32, 10.0)
-        u = constant_field(g, 2.0)
+        g = Grid(1, 32, 10.0)
+        u = Field(g, np.full(g.shape, 2.0))
         with pytest.raises(ValueError):
             u.values[0] = 5.0
 
     def test_constructor_copies_input(self):
-        g = make_grid(1, 32, 10.0)
+        g = Grid(1, 32, 10.0)
         raw = np.zeros(32)
         u = Field(g, raw)
         raw[0] = 99.0
         assert u.values[0] == 0.0
 
     def test_shape_mismatch_rejected(self):
-        g = make_grid(1, 32, 10.0)
+        g = Grid(1, 32, 10.0)
         with pytest.raises(ValueError, match="shape"):
             Field(g, np.zeros(31))
 
     def test_non_finite_rejected(self):
-        g = make_grid(1, 32, 10.0)
+        g = Grid(1, 32, 10.0)
         bad = np.zeros(32)
         bad[5] = np.nan
         with pytest.raises(ValueError, match="finite"):
             Field(g, bad)
 
     def test_arithmetic(self):
-        g = make_grid(1, 32, 10.0)
-        a = constant_field(g, 3.0)
-        b = constant_field(g, 1.0)
+        g = Grid(1, 32, 10.0)
+        a = Field(g, np.full(g.shape, 3.0))
+        b = Field(g, np.ones(g.shape))
         assert np.all((a + b).values == 4.0)
         assert np.all((a - b).values == 2.0)
         assert np.all((2.0 * a).values == 6.0)
         assert np.all((-a).values == -3.0)
 
     def test_cross_grid_arithmetic_rejected(self):
-        a = constant_field(make_grid(1, 32, 10.0), 1.0)
-        b = constant_field(make_grid(1, 64, 10.0), 1.0)
+        a = Field(Grid(1, 32, 10.0), np.ones(32))
+        b = Field(Grid(1, 64, 10.0), np.ones(64))
         with pytest.raises(ValueError, match="different grids"):
             a + b
-
-
-def test_field_from_function_samples_coords():
-    g = make_grid(2, 16, 8.0)
-    u = field_from_function(g, lambda x, y: x + 2 * y)
-    xs, ys = g.coords()
-    np.testing.assert_array_equal(u.values, xs + 2 * ys)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +179,7 @@ def test_field_from_function_samples_coords():
 @given(seed=st.integers(0, 2**31 - 1))
 def test_parseval(seed):
     """L2 mass equals the volume-normalized spectral power for any field."""
-    g = make_grid(1, 64, 20.0)
+    g = Grid(1, 64, 20.0)
     u = random_field(g, _rng(seed))
     coeffs = np.fft.fftn(u.values)
     power = float(np.sum(np.abs(coeffs) ** 2)) / g.total_points * g.cell_volume
@@ -202,8 +191,8 @@ def test_parseval(seed):
 
 
 def test_multiplier_fixes_constants():
-    g = make_grid(1, 64, 20.0)
-    u = constant_field(g, 3.7)
+    g = Grid(1, 64, 20.0)
+    u = Field(g, np.full(g.shape, 3.7))
     for s in (-1.0, -0.5, 0.75, 2.0):
         np.testing.assert_allclose(apply_multiplier(u, s).values, 3.7, rtol=1e-13)
 
@@ -213,7 +202,7 @@ def test_multiplier_eigenfunctions(dim):
     # cosine modes are exact eigenfunctions; d=2 uses an oblique wave so
     # both frequency axes participate
     L = 20.0
-    g = make_grid(dim, 64, L)
+    g = Grid(dim, 64, L)
     for k in ((1,), (3,), (7,)) if dim == 1 else ((1, 2), (4, 1), (0, 5)):
         kvec = k + (0,) * (dim - len(k))
         phase = sum(2.0 * np.pi * ki / L * c for ki, c in zip(kvec, g.coords()))
@@ -229,7 +218,7 @@ def test_multiplier_eigenfunctions(dim):
 @given(seed=st.integers(0, 2**31 - 1),
        s=st.floats(-1.25, 1.25), t=st.floats(-1.25, 1.25))
 def test_multiplier_semigroup(seed, s, t):
-    g = make_grid(1, 64, 20.0)
+    g = Grid(1, 64, 20.0)
     u = random_field(g, _rng(seed))
     once = apply_multiplier(u, s + t)
     twice = apply_multiplier(apply_multiplier(u, s), t)
@@ -238,7 +227,7 @@ def test_multiplier_semigroup(seed, s, t):
 
 
 def test_multiplier_inverse_pair():
-    g = make_grid(1, 128, 20.0)
+    g = Grid(1, 128, 20.0)
     u = random_field(g, _rng(11))
     back = apply_multiplier(apply_multiplier(u, 0.75), -0.75)
     scale = float(np.max(np.abs(u.values)))
@@ -246,9 +235,9 @@ def test_multiplier_inverse_pair():
 
 
 def test_multiplier_rejects_non_finite_order():
-    g = make_grid(1, 16, 8.0)
+    g = Grid(1, 16, 8.0)
     with pytest.raises(ValueError, match="finite"):
-        apply_multiplier(constant_field(g, 1.0), math.nan)
+        apply_multiplier(Field(g, np.ones(g.shape)), math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +255,14 @@ def _columnwise_matrix(g, s):
 def test_multiplier_matrix_matches_columnwise_build(dim, n, s):
     # the tests' dense operator, built from one stack of unit fields, is
     # the multiplier applied to each unit field alone
-    g = make_grid(dim, n, 20.0)
+    g = Grid(dim, n, 20.0)
     M = multiplier_matrix(g, s)
     assert M.shape == (g.total_points, g.total_points)
     assert np.array_equal(M, _columnwise_matrix(g, s))
 
 
 def test_symbol_and_coords_are_cached():
-    g = make_grid(2, 16, 20.0)
+    g = Grid(2, 16, 20.0)
     sym = g.symbol(0.75)
     # the half lattice: columns k = 0 .. n/2 of the last axis
     assert sym.shape == (16, 9)
@@ -284,14 +273,14 @@ def test_symbol_and_coords_are_cached():
 
 
 def test_workspace_arrays_are_read_only():
-    g = make_grid(2, 16, 20.0)
+    g = Grid(2, 16, 20.0)
     for arr in (g.symbol(0.75), g.parseval_weight(0.75), *g.coords()):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
 
 
 def test_workspace_is_per_grid_instance():
-    a, b = make_grid(1, 16, 8.0), make_grid(1, 16, 8.0)
+    a, b = Grid(1, 16, 8.0), Grid(1, 16, 8.0)
     assert a == b
     assert a.symbol(0.5) is not b.symbol(0.5)
 
@@ -308,7 +297,7 @@ KERNEL_GRIDS = [(1, 64, 20.0), (2, 16, 12.0), (3, 8, 10.0)]
 def test_multiplier_rows_match_field_api(dim, n, box, s):
     # _multiply takes a stack of fields; each row of the result is the
     # multiplier applied to that row alone, to the bit
-    g = make_grid(dim, n, box)
+    g = Grid(dim, n, box)
     rng = _rng(dim)
     u = np.stack([random_field(g, rng, envelope_sigma=2.0).values for _ in range(5)])
     out = _multiply(g, u, s)
@@ -320,7 +309,7 @@ def test_multiplier_rows_match_field_api(dim, n, box, s):
 def test_lp_norm_root_is_a_scalar_power():
     # NumPy's array power (SIMD) differs from the scalar pow in the last bit
     # for a few percent of inputs; the root is the scalar one
-    g = make_grid(2, 16, 12.0)
+    g = Grid(2, 16, 12.0)
     rng = _rng(5)
     fields = [random_field(g, rng, envelope_sigma=2.0).values for _ in range(200)]
     for r in (2.0, 3.0, 4.0):
@@ -335,7 +324,7 @@ def test_lp_norm_root_is_a_scalar_power():
 def test_transform_entry_points_match_rfftn_to_the_bit(dim, n):
     # one numpy call per axis, in rfftn's and irfftn's own order, on the
     # trailing grid axes: with leading axes too, as a stack of fields has
-    g = make_grid(dim, n, 10.0)
+    g = Grid(dim, n, 10.0)
     axes = tuple(range(-dim, 0))
     rng = _rng(n)
     for lead in ((), (n,), (2, 3)):
@@ -354,7 +343,7 @@ def test_no_kernel_calls_the_nd_wrappers():
 
 @pytest.mark.parametrize("dim,n,box", KERNEL_GRIDS)
 def test_row_kernels_transform_a_stack_once(dim, n, box, fft_calls):
-    g = make_grid(dim, n, box)
+    g = Grid(dim, n, box)
     u = _rng(dim).standard_normal(g.shape)
     assert type(_bessel_norm_sq(g, u, 0.75)) is float
     assert fft_calls == {"_rfft": 1}
@@ -381,7 +370,7 @@ def _close(got, want, scale):
 def test_even_grid_kernels_match_the_full_grid(dim, half_n, box, seed, s, r):
     # on a random even field, the half grid's multiplier, Parseval norm, L^r
     # norm and weighted sums read the full grid's kernels restricted to x >= 0
-    g = make_grid(dim, 2 * half_n, box)
+    g = Grid(dim, 2 * half_n, box)
     h = g.half
     u = _rng(seed).standard_normal(h.shape)
     full = _extend(g, u)
@@ -400,19 +389,19 @@ def test_even_grid_kernels_match_the_full_grid(dim, half_n, box, seed, s, r):
 def test_even_grid_layout():
     # (n/2 + 1)^dim points at x_i = j h, weighing 1 at the ends of each
     # axis and 2 between; only an even n has one
-    g = make_grid(2, 8, 4.0)
+    g = Grid(2, 8, 4.0)
     h = g.half
     assert h.shape == (5, 5) and h.total_points == g.total_points and g.half is h
     assert np.array_equal(h.axis_coords, 0.5 * np.arange(5))
     assert np.array_equal(h.weights[0], [1.0, 2.0, 2.0, 2.0, 1.0])
     assert h.weights.sum() == g.total_points and not g.even and h.even
-    assert h != make_grid(2, 8, 4.0)
+    assert h != Grid(2, 8, 4.0)
     with pytest.raises(ValueError, match="an even grid needs an even n, got 9"):
-        make_grid(2, 9, 4.0).half
+        Grid(2, 9, 4.0).half
     # its DCT-I matrix counts against the point limit: only 1-D reaches it
     with pytest.raises(ValueError, match="n=4096 gives an even grid's DCT-I matrix of 4,198,401"):
-        make_grid(1, 4096, 4.0).half
-    assert make_grid(2, 1024, 4.0).half.shape == (513, 513)
+        Grid(1, 4096, 4.0).half
+    assert Grid(2, 1024, 4.0).half.shape == (513, 513)
     # a field that is not even reads so, to roundoff
     bump = np.exp(-g.radius_sq)
     assert _is_even(g, bump) and not _is_even(g, np.roll(bump, 1, axis=1))
@@ -427,7 +416,7 @@ LARGE_EVEN_GRIDS = [(2, 128, 20.0), (3, 64, 10.0)]
 def test_even_grid_multiply_matches_the_full_grid_at_scale(dim, n, box, s):
     # a dense product adds more roundoff the longer its axis; the FFT multiply
     # on the full grid, restricted to x >= 0, still agrees to 1e-13
-    g = make_grid(dim, n, box)
+    g = Grid(dim, n, box)
     h = g.half
     u = _rng(n).standard_normal(h.shape)
     image = _restrict(g, _multiply(g, _extend(g, u), s))
@@ -438,7 +427,7 @@ def test_even_grid_multiply_matches_the_full_grid_at_scale(dim, n, box, s):
 
 @pytest.mark.parametrize("dim,n,box", LARGE_EVEN_GRIDS + [(2, 16, 12.0), (3, 8, 10.0)])
 def test_even_grid_stack_transforms_as_each_field(dim, n, box):
-    h = make_grid(dim, n, box).half
+    h = Grid(dim, n, box).half
     u = _rng(dim).standard_normal((3,) + h.shape)
     out = _multiply(h, u, 0.75)
     assert out.shape == u.shape
@@ -449,7 +438,7 @@ def test_even_grid_stack_transforms_as_each_field(dim, n, box):
 def test_even_grid_dct1_matrix_is_built_once_and_read_only():
     from scipy.fft import dct
 
-    h = make_grid(2, 48, 15.0).half
+    h = Grid(2, 48, 15.0).half
     u = _rng(0).standard_normal(h.shape)
     _multiply(h, u, 0.75)
     forward, backward = h._workspace[("dct1", "forward")], h._workspace[("dct1", "backward")]
@@ -468,7 +457,7 @@ def test_even_grid_dct1_matrix_is_built_once_and_read_only():
 
 def test_spectral_derivative_on_sine():
     L = 20.0
-    g = make_grid(1, 64, L)
+    g = Grid(1, 64, L)
     k = 2.0 * np.pi * 3 / L
     u = Field(g, np.sin(k * g.axis_coords))
     du = spectral_derivative(u)
@@ -478,16 +467,16 @@ def test_spectral_derivative_on_sine():
 
 
 def test_spectral_derivative_axis_range():
-    g = make_grid(1, 16, 8.0)
+    g = Grid(1, 16, 8.0)
     with pytest.raises(ValueError, match="axis"):
-        spectral_derivative(constant_field(g, 1.0), axis=1)
+        spectral_derivative(Field(g, np.ones(g.shape)), axis=1)
 
 
 def test_spectral_derivative_refuses_negative_order():
     # 1/(i xi)^1 is infinite at xi = 0: refused before any transform
-    g = make_grid(1, 16, 8.0)
+    g = Grid(1, 16, 8.0)
     with pytest.raises(ValueError, match="order -1 must be nonnegative"):
-        spectral_derivative(constant_field(g, 1.0), order=-1)
+        spectral_derivative(Field(g, np.ones(g.shape)), order=-1)
 
 
 def _complex_fft_derivative(g, values, axis, order):
@@ -501,7 +490,7 @@ def _complex_fft_derivative(g, values, axis, order):
 def test_spectral_derivative_matches_the_complex_fft(dim, n):
     # white noise fills an even n's Nyquist row: the formula's real part drops
     # an odd order's term there, which a half-spectrum inverse would mirror
-    g = make_grid(dim, n, 10.0)
+    g = Grid(dim, n, 10.0)
     u = Field(g, _rng(n).standard_normal(g.shape))
     for axis in range(dim):
         for order in range(4):
@@ -512,9 +501,9 @@ def test_spectral_derivative_matches_the_complex_fft(dim, n):
 
 def test_spectral_derivative_refuses_an_even_grid():
     # an odd derivative of an even field is odd, which the half cannot hold
-    g = make_grid(2, 16, 8.0).half
+    g = Grid(2, 16, 8.0).half
     with pytest.raises(ValueError, match="spectral_derivative needs a full Grid"):
-        spectral_derivative(constant_field(g, 1.0), order=2)
+        spectral_derivative(Field(g, np.ones(g.shape)), order=2)
 
 
 # ---------------------------------------------------------------------------
@@ -522,17 +511,16 @@ def test_spectral_derivative_refuses_an_even_grid():
 
 
 def test_bessel_norm_constant():
-    g = make_grid(1, 64, 20.0)
-    u = constant_field(g, 2.0)
-    assert bessel_norm_sq(u, 0.75) == pytest.approx(4.0 * 20.0, rel=1e-12)
+    g = Grid(1, 64, 20.0)
+    assert _bessel_norm_sq(g, np.full(g.shape, 2.0), 0.75) == pytest.approx(4.0 * 20.0, rel=1e-12)
 
 
 def test_bessel_norm_single_mode():
     L, a = 20.0, 1.3
-    g = make_grid(1, 64, L)
-    u = Field(g, a * np.cos(2.0 * np.pi * g.axis_coords / L))
+    g = Grid(1, 64, L)
+    u = a * np.cos(2.0 * np.pi * g.axis_coords / L)
     expect = (1.0 + (2.0 * np.pi / L) ** 2) ** 0.75 * a * a * L / 2.0
-    assert bessel_norm_sq(u, 0.75) == pytest.approx(expect, rel=1e-12)
+    assert _bessel_norm_sq(g, u, 0.75) == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore:n=")  # non-power-of-two grids
@@ -541,88 +529,77 @@ def test_bessel_norm_single_mode():
 def test_bessel_norm_matches_spectral_sum(seed, alpha):
     # odd n has no Nyquist column on the half lattice: every k > 0 there is doubled
     for dim, n in [(1, 64), (1, 63), (2, 16), (2, 15), (3, 8), (3, 9)]:
-        g = make_grid(dim, n, 20.0)
+        g = Grid(dim, n, 20.0)
         # every mode filled, up to the last column of the half lattice
         u = random_field(g, _rng(seed), band_fraction=1.0)
         coeffs = np.fft.fftn(u.values)
         oracle = float(np.sum((1.0 + g.freq_sq) ** alpha * np.abs(coeffs) ** 2))
         oracle *= g.cell_volume / g.total_points
-        assert bessel_norm_sq(u, alpha) == pytest.approx(oracle, rel=1e-10), (dim, n)
+        assert _bessel_norm_sq(g, u.values, alpha) == pytest.approx(oracle, rel=1e-10), (dim, n)
 
 
 def test_weighted_norm_pieces():
-    g = make_grid(1, 64, 20.0)
-    u = random_field(g, _rng(5))
-    V = Field(g, 1.0 + g.radius_sq)
-    pot = float(np.sum(V.values * u.values**2) * g.cell_volume)
-    expect = bessel_norm_sq(u, 0.75) + 2.5 * pot
-    assert weighted_norm_sq(u, V, 2.5, 0.75) == pytest.approx(expect, rel=1e-12)
+    g = Grid(1, 64, 20.0)
+    u = random_field(g, _rng(5)).values
+    V = 1.0 + g.radius_sq
+    pot = float(np.sum(V * u**2) * g.cell_volume)
+    expect = _bessel_norm_sq(g, u, 0.75) + 2.5 * pot
+    assert _weighted_norm_sq(g, u, V, 2.5, 0.75) == pytest.approx(expect, rel=1e-12)
 
 
 def test_weighted_norm_zero_weight_reduces_to_bessel():
-    g = make_grid(1, 64, 20.0)
-    u = random_field(g, _rng(6))
-    V = constant_field(g, 0.0)
-    assert weighted_norm_sq(u, V, 3.0, 0.75) == pytest.approx(
-        bessel_norm_sq(u, 0.75), rel=1e-12)
+    g = Grid(1, 64, 20.0)
+    u = random_field(g, _rng(6)).values
+    assert _weighted_norm_sq(g, u, np.zeros(g.shape), 3.0, 0.75) == pytest.approx(
+        _bessel_norm_sq(g, u, 0.75), rel=1e-12)
 
 
 def test_weighted_norm_monotone_in_lam():
-    g = make_grid(1, 64, 20.0)
-    u = random_field(g, _rng(7))
-    V = constant_field(g, 1.0)
-    assert weighted_norm_sq(u, V, 2.0, 0.75) > weighted_norm_sq(u, V, 1.0, 0.75)
+    g = Grid(1, 64, 20.0)
+    u = random_field(g, _rng(7)).values
+    V = np.ones(g.shape)
+    assert _weighted_norm_sq(g, u, V, 2.0, 0.75) > _weighted_norm_sq(g, u, V, 1.0, 0.75)
 
 
 def test_weighted_norm_dominates_bessel():
     # V >= 0 makes the weighted norm an upper bound for the plain one
-    g = make_grid(1, 64, 20.0)
-    V = Field(g, 1.0 + g.radius_sq)
+    g = Grid(1, 64, 20.0)
+    V = 1.0 + g.radius_sq
     for seed in range(10):
-        u = random_field(g, _rng(seed))
-        assert bessel_norm_sq(u, 0.75) <= weighted_norm_sq(u, V, 1.0, 0.75) * (1 + 1e-12)
-
-
-def test_weighted_norm_rejects_bad_inputs():
-    g = make_grid(1, 32, 10.0)
-    u = constant_field(g, 1.0)
-    V = constant_field(g, 1.0)
-    with pytest.raises(ValueError, match="lam"):
-        weighted_norm_sq(u, V, 0.0, 0.75)
-    with pytest.raises(ValueError, match="nonnegative"):
-        weighted_norm_sq(u, constant_field(g, -1.0), 1.0, 0.75)
+        u = random_field(g, _rng(seed)).values
+        assert _bessel_norm_sq(g, u, 0.75) <= _weighted_norm_sq(g, u, V, 1.0, 0.75) * (1 + 1e-12)
 
 
 def test_lp_norm_constant():
-    g = make_grid(1, 64, 20.0)
-    assert lp_norm(constant_field(g, 1.0), 2) == pytest.approx(math.sqrt(20.0))
-    assert lp_norm(constant_field(g, 0.0), 4) == 0.0
+    g = Grid(1, 64, 20.0)
+    assert lp_norm(Field(g, np.ones(g.shape)), 2) == pytest.approx(math.sqrt(20.0))
+    assert lp_norm(Field(g, np.zeros(g.shape)), 4) == 0.0
 
 
 def test_lp_norm_gaussian_anchor():
     # int exp(-2 x^2) = sqrt(pi/2); truncation at |x| = 20 is negligible
-    g = make_grid(1, 256, 40.0)
+    g = Grid(1, 256, 40.0)
     u = Field(g, np.exp(-g.axis_coords**2))
     assert lp_norm(u, 2) == pytest.approx((math.pi / 2.0) ** 0.25, abs=1e-8)
 
 
 def test_lp_norm_survives_overflowing_powers():
     # 10^400 overflows: the norm is rescaled by the peak, 10 * (16 * 0.5)^(1/400)
-    g = make_grid(1, 16, 8.0)
-    assert lp_norm(constant_field(g, 10.0), 400.0) == pytest.approx(10.0 * 8.0 ** (1 / 400),
-                                                                    rel=1e-15)
+    g = Grid(1, 16, 8.0)
+    assert lp_norm(Field(g, np.full(g.shape, 10.0)), 400.0) == pytest.approx(
+        10.0 * 8.0 ** (1 / 400), rel=1e-15)
     u = Field(g, np.exp(-g.axis_coords**2) * 1e3)
     assert lp_norm(u, 150.0) == pytest.approx(1e3 * lp_norm(u * 1e-3, 150.0), rel=1e-14)
     # 1e-500 underflows to zero: the same rescaling recovers the norm
-    assert lp_norm(constant_field(g, 1e-5), 100.0) == pytest.approx(1e-5 * 8.0 ** (1 / 100),
-                                                                    rel=1e-15)
+    assert lp_norm(Field(g, np.full(g.shape, 1e-5)), 100.0) == pytest.approx(
+        1e-5 * 8.0 ** (1 / 100), rel=1e-15)
     # so does an integral below DBL_MIN, which has lost digits: 1e-5^64 = 1e-320
     # at every point, and at r = 61 on a 1e-18 box the cell volume 6.25e-20
     # takes 16 normal powers of 1e-305 to 1e-323
-    assert lp_norm(constant_field(g, 1e-5), 64.0) == pytest.approx(1e-5 * 8.0 ** (1 / 64),
-                                                                   rel=1e-15)
-    tiny_box = make_grid(1, 16, 1e-18)
-    assert lp_norm(constant_field(tiny_box, 1e-5), 61.0) == pytest.approx(
+    assert lp_norm(Field(g, np.full(g.shape, 1e-5)), 64.0) == pytest.approx(
+        1e-5 * 8.0 ** (1 / 64), rel=1e-15)
+    tiny_box = Grid(1, 16, 1e-18)
+    assert lp_norm(Field(tiny_box, np.full(tiny_box.shape, 1e-5)), 61.0) == pytest.approx(
         1e-5 * 1e-18 ** (1 / 61), rel=1e-15)
     # the solvers' kernel keeps reading inf on an overflowing trial
     with np.errstate(over="ignore"):
@@ -665,9 +642,9 @@ def test_verify_fields_sum_as_plain_powers():
 
 
 def test_lp_norm_rejects_r_below_one():
-    g = make_grid(1, 32, 10.0)
+    g = Grid(1, 32, 10.0)
     with pytest.raises(ValueError, match="r >= 1"):
-        lp_norm(constant_field(g, 1.0), 0.5)
+        lp_norm(Field(g, np.ones(g.shape)), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +652,7 @@ def test_lp_norm_rejects_r_below_one():
 
 
 def test_random_field_deterministic_per_seed():
-    g = make_grid(1, 64, 20.0)
+    g = Grid(1, 64, 20.0)
     a = random_field(g, _rng(42))
     b = random_field(g, _rng(42))
     c = random_field(g, _rng(43))
@@ -687,7 +664,7 @@ def test_random_field_deterministic_per_seed():
 
 
 def test_random_field_is_band_limited():
-    g = make_grid(1, 128, 20.0)
+    g = Grid(1, 128, 20.0)
     u = random_field(g, _rng(1), band_fraction=0.1)
     coeffs = np.fft.fftn(u.values)
     idx = np.abs(np.fft.fftfreq(g.n) * g.n)
@@ -695,12 +672,12 @@ def test_random_field_is_band_limited():
 
 
 def test_random_field_band_fraction_validated():
-    g = make_grid(1, 32, 10.0)
+    g = Grid(1, 32, 10.0)
     with pytest.raises(ValueError, match="band_fraction"):
         random_field(g, _rng(0), band_fraction=0.0)
 
 
 def test_random_field_refuses_an_even_grid():
-    g = make_grid(2, 16, 8.0).half
+    g = Grid(2, 16, 8.0).half
     with pytest.raises(ValueError, match="random_field needs a full Grid"):
         random_field(g, _rng(0))

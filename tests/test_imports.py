@@ -6,6 +6,8 @@ import ast
 import importlib
 import importlib.util
 import re
+import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,36 +60,37 @@ def test_all_names_are_bound(path):
     assert not missing, f"{path.name}: __all__ lists unbound names: " + ", ".join(missing)
 
 
+def test_star_import_binds_no_module():
+    # besselmp.__all__ lists the re-exported names, not the submodules, so a
+    # star import leaves a caller's own ``grid`` as it was
+    namespace = {"grid": "the caller's"}
+    exec("from besselmp import *", namespace)
+    assert namespace["grid"] == "the caller's"
+    modules = [name for name, value in namespace.items()
+               if isinstance(value, types.ModuleType) and not name.startswith("__")]
+    assert not modules, "from besselmp import * binds modules: " + ", ".join(modules)
+
+
 def _private_functions(tree):
     """Module-level functions whose names start with one underscore."""
     return [node for node in tree.body if isinstance(node, ast.FunctionDef)
             and node.name.startswith("_") and not node.name.startswith("__")]
 
 
-def _referenced_names(tree, skip=()):
-    """Every name and attribute the tree mentions, outside the nodes in ``skip``."""
-    skipped = {id(n) for node in skip for n in ast.walk(node)}
-    names = set()
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+def _name_counts(tree):
+    """How often the tree mentions each name, as a Name id or an Attribute attr."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
 
 
 def test_private_functions_are_referenced():
-    # a helper that only the tests call is dead package code
+    # a helper that only the tests call is dead package code; mentions inside
+    # its own definition (recursion) do not count
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
-    unused = []
-    for name, tree in sorted(trees.items()):
-        for fn in _private_functions(tree):
-            referenced = set().union(*(_referenced_names(other, skip=[fn] if other is tree else [])
-                                       for other in trees.values()))
-            if fn.name not in referenced:
-                unused.append(f"{name}:{fn.lineno} {fn.name}")
+    total = sum((_name_counts(tree) for tree in trees.values()), Counter())
+    unused = [f"{name}:{fn.lineno} {fn.name}" for name, tree in sorted(trees.items())
+              for fn in _private_functions(tree)
+              if total[fn.name] - _name_counts(fn)[fn.name] <= 0]
     assert not unused, "private functions no module references: " + ", ".join(unused)
 
 

@@ -13,6 +13,7 @@ from besselmp import (
     CoerciveQuadraticPotential,
     CustomPotential,
     Field,
+    Grid,
     GaussianWeight,
     PowerNonlinearity,
     ProblemSpec,
@@ -25,10 +26,9 @@ from besselmp import (
     random_field,
     residual,
     validate_assumptions,
-    weighted_norm_sq,
 )
 from besselmp.config import RunConfig, build_spec
-from besselmp.grid import make_grid
+from besselmp.grid import _weighted_norm_sq
 from besselmp.problem import _energy_parts, _residual_values, eval_scrF
 from besselmp.verify import _component_count, _erode
 
@@ -112,13 +112,13 @@ class TestPowerNonlinearity:
 
 
 def test_coercive_quadratic_values():
-    g = make_grid(1, 64, 20.0)
+    g = Grid(1, 64, 20.0)
     vals = CoerciveQuadraticPotential().values(g)
     np.testing.assert_allclose(vals, 1.0 + g.axis_coords**2)
 
 
 def test_well_shape():
-    g = make_grid(1, 256, 40.0)
+    g = Grid(1, 256, 40.0)
     V = WellPotential(radius=1.0, height=50.0, ramp=1.0)
     vals = V.values(g)
     r = np.abs(g.axis_coords)
@@ -136,7 +136,7 @@ def test_well_parameter_validation():
 
 
 def test_gaussian_weight():
-    g = make_grid(1, 64, 20.0)
+    g = Grid(1, 64, 20.0)
     np.testing.assert_allclose(GaussianWeight().values(g), np.exp(-g.axis_coords**2))
 
 
@@ -145,7 +145,7 @@ def test_gaussian_weight():
 
 
 def _spec(grid=None, **overrides):
-    base = dict(grid=grid or make_grid(1, 64, 20.0), alpha=0.75, lam=1.0,
+    base = dict(grid=grid or Grid(1, 64, 20.0), alpha=0.75, lam=1.0,
                 mu=0.01, p=1.5)
     base.update(overrides)
     return ProblemSpec(**base)
@@ -164,7 +164,7 @@ class TestProblemSpecValidation:
 
     def test_q_checked_against_critical_exponent(self):
         # d=3, alpha=0.75: critical exponent is 4, so q=4 is out
-        g3 = make_grid(3, 16, 10.0)
+        g3 = Grid(3, 16, 10.0)
         with pytest.raises(ValueError, match="growth exponent"):
             _spec(grid=g3, nonlinearity=PowerNonlinearity(4.0))
         _spec(grid=g3, nonlinearity=PowerNonlinearity(3.5))  # inside: fine
@@ -196,8 +196,8 @@ def test_energy_decomposition_identity(coercive_spec):
     bd = energy(coercive_spec, u)
     assert bd.total == bd.quad - bd.f_term - bd.xi_term
     assert bd.quad == pytest.approx(
-        0.5 * weighted_norm_sq(u, coercive_spec.V_field, coercive_spec.lam,
-                               coercive_spec.alpha), rel=1e-12)
+        0.5 * _weighted_norm_sq(coercive_spec.grid, u.values, coercive_spec.V_field.values,
+                                coercive_spec.lam, coercive_spec.alpha), rel=1e-12)
     assert bd.f_term >= 0.0 and bd.xi_term >= 0.0
 
 
@@ -213,7 +213,7 @@ def test_energy_terms_against_direct_sums(coercive_spec):
 
 
 def test_energy_monotone_in_lam():
-    g = make_grid(1, 128, 40.0)
+    g = Grid(1, 128, 40.0)
     u = Field(g, np.exp(-g.radius_sq))
     low = energy(_spec(grid=g, lam=1.0), u).quad
     high = energy(_spec(grid=g, lam=2.0), u).quad
@@ -221,7 +221,7 @@ def test_energy_monotone_in_lam():
 
 
 def test_energy_rejects_mismatched_grid(coercive_spec):
-    other = Field(make_grid(1, 128, 40.0), np.zeros(128))
+    other = Field(Grid(1, 128, 40.0), np.zeros(128))
     with pytest.raises(ValueError, match="grid"):
         energy(coercive_spec, other)
 
@@ -236,9 +236,9 @@ def test_energy_overflow_reported(coercive_spec):
 def _one_spec_per_dim():
     """One spec per dim: quartic in 1-D, cubic in 2-D and in the 3-D well."""
     return [
-        _spec(grid=make_grid(1, 64, 20.0)),
-        _spec(grid=make_grid(2, 16, 12.0), nonlinearity=PowerNonlinearity(3.0)),
-        _spec(grid=make_grid(3, 8, 10.0), nonlinearity=PowerNonlinearity(3.0),
+        _spec(grid=Grid(1, 64, 20.0)),
+        _spec(grid=Grid(2, 16, 12.0), nonlinearity=PowerNonlinearity(3.0)),
+        _spec(grid=Grid(3, 8, 10.0), nonlinearity=PowerNonlinearity(3.0),
               potential=WellPotential(radius=1.0, height=5.0, ramp=1.0)),
     ]
 
@@ -349,7 +349,7 @@ def test_flat_zero_region_pins(name):
 
 
 def test_flat_potential_fails_ball_decay():
-    spec = _spec(grid=make_grid(1, 256, 40.0),
+    spec = _spec(grid=Grid(1, 256, 40.0),
                  potential=CustomPotential(lambda x: np.ones_like(x)))
     report = validate_assumptions(spec)
     assert not report.by_name("ball_integrals_decay").passed

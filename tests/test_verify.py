@@ -20,6 +20,7 @@ from besselmp import (
     CoerciveQuadraticPotential,
     CustomPotential,
     Field,
+    Grid,
     WellPotential,
     canonical_coercive_spec,
     canonical_well_spec,
@@ -32,15 +33,13 @@ from besselmp import (
     energy,
     estimate_embedding_constants,
     holder_estimate,
-    bessel_norm_sq,
     lp_norm,
     random_field,
     sublevel_measure,
     validate_assumptions,
-    weighted_norm_sq,
 )
 from besselmp.config import RunConfig, build_spec, resolve_checks
-from besselmp.grid import make_grid
+from besselmp.grid import _bessel_norm_sq, _weighted_norm_sq
 from besselmp.problem import ProblemSpec
 from besselmp.solvers import TraceEntry
 from besselmp.verify import CHECKS, _ball_radii, applies_to
@@ -154,8 +153,7 @@ def test_sublevel_bound_for_field_outside_sublevel_set(well_spec):
     g = well_spec.grid
     delta = _gaussian(g, center=10.0, sigma=0.5)
     lhs = lp_norm(delta, 2) ** 2
-    rhs = weighted_norm_sq(delta, well_spec.V_field, well_spec.lam,
-                           well_spec.alpha) / (well_spec.lam * 10.0)
+    rhs = 2.0 * energy(well_spec, delta).quad / (well_spec.lam * 10.0)
     assert lhs <= rhs
 
 
@@ -283,7 +281,7 @@ def test_splitting_edge_band_covers_every_axis():
 
 
 def test_coercivity_ladder_decays_under_quadratic_growth():
-    g = make_grid(1, 256, 40.0)
+    g = Grid(1, 256, 40.0)
     V = Field(g, 1.0 + g.axis_coords**2)
     radii = [0.0, 2.0, 5.0, 9.0, 14.0, 18.0]
     rec = coercivity_probe(V, radii)
@@ -296,7 +294,7 @@ def test_coercivity_ladder_decays_under_quadratic_growth():
 
 
 def test_coercivity_constant_potential_fails():
-    g = make_grid(1, 256, 40.0)
+    g = Grid(1, 256, 40.0)
     rec = coercivity_probe(Field(g, np.ones(g.shape)), [0.0, 5.0, 10.0, 15.0])
     assert not rec.passed
     # d=1 unit ball has length 2, so every rung is 2
@@ -311,7 +309,7 @@ def test_coercivity_flags_vanishing_potential(well_spec):
 
 
 def test_coercivity_reports_sublevel_intersections():
-    g = make_grid(1, 256, 40.0)
+    g = Grid(1, 256, 40.0)
     V = Field(g, 1.0 + g.axis_coords**2)
     rec = coercivity_probe(V, [0.0, 5.0, 10.0], b=10.0)
     inter = rec.data["sublevel_intersections"]
@@ -320,7 +318,7 @@ def test_coercivity_reports_sublevel_intersections():
 
 
 def test_coercivity_refuses_an_empty_ladder():
-    g = make_grid(1, 64, 10.0)
+    g = Grid(1, 64, 10.0)
     with pytest.raises(ValueError, match="at least one ball center"):
         coercivity_probe(Field(g, 1.0 + g.axis_coords**2), [])
 
@@ -330,7 +328,7 @@ def test_coercivity_refuses_an_empty_ladder():
 
 
 def test_sublevel_measure_cases(well_spec):
-    g = make_grid(1, 256, 40.0)
+    g = Grid(1, 256, 40.0)
     coercive_V = Field(g, 1.0 + g.axis_coords**2)
     assert sublevel_measure(coercive_V, 1.0) == 0.0
     assert sublevel_measure(well_spec.V_field, -1.0) == 0.0
@@ -353,14 +351,14 @@ def test_sublevel_measure_rejects_non_finite(well_spec):
 
 
 def test_holder_constant_field_is_zero():
-    g = make_grid(1, 128, 20.0)
+    g = Grid(1, 128, 20.0)
     u = Field(g, np.full(g.shape, 3.0))
     for beta in (0.3, 1.0, 1.5):
         assert holder_estimate(u, beta) == 0.0
 
 
 def test_holder_linear_field_lipschitz_one():
-    g = make_grid(1, 128, 20.0)
+    g = Grid(1, 128, 20.0)
     u = Field(g, g.axis_coords.copy())
     assert holder_estimate(u, 1.0) == pytest.approx(1.0, rel=1e-12)
 
@@ -369,7 +367,7 @@ def test_holder_above_one_uses_derivative():
     # for a single cosine mode the derivative is a sine of amplitude k;
     # its beta-1 quotient is bounded by k * (lag window)^(1 - (beta-1))
     L = 20.0
-    g = make_grid(1, 128, L)
+    g = Grid(1, 128, L)
     k = 2.0 * np.pi / L
     u = Field(g, np.cos(k * g.axis_coords))
     est = holder_estimate(u, 1.5)
@@ -377,7 +375,7 @@ def test_holder_above_one_uses_derivative():
 
 
 def test_holder_2d_scans_diagonals():
-    g = make_grid(2, 32, 8.0)
+    g = Grid(2, 32, 8.0)
     xs, ys = g.coords()
     u = Field(g, xs + ys)
     est = holder_estimate(u, 1.0)
@@ -386,7 +384,7 @@ def test_holder_2d_scans_diagonals():
 
 
 def test_holder_rejects_out_of_range_beta():
-    g = make_grid(1, 32, 8.0)
+    g = Grid(1, 32, 8.0)
     u = Field(g, np.zeros(32))
     for beta in (0.0, -0.5, 2.0, 2.5):
         with pytest.raises(ValueError, match="exponent"):
@@ -399,7 +397,7 @@ def test_holder_rejects_out_of_range_beta():
 
 def test_embedding_gamma2_is_one():
     # the constant field attains the supremum: the symbol's minimum is 1
-    g = make_grid(1, 128, 20.0)
+    g = Grid(1, 128, 20.0)
     est = estimate_embedding_constants(0.75, g, [2.0])
     assert est.table[2.0] == pytest.approx(1.0, abs=1e-12)
     # and the interpolation bound closes the bracket: C_inf^0
@@ -407,7 +405,7 @@ def test_embedding_gamma2_is_one():
 
 
 def test_embedding_rejects_out_of_range_exponents():
-    g = make_grid(1, 64, 20.0)
+    g = Grid(1, 64, 20.0)
     with pytest.raises(ValueError, match="outside"):
         estimate_embedding_constants(0.75, g, [1.9])
     # alpha = 0.25 in d=1 has critical exponent 4, an excluded endpoint
@@ -417,8 +415,8 @@ def test_embedding_rejects_out_of_range_exponents():
 
 
 def test_embedding_stable_under_refinement():
-    coarse = estimate_embedding_constants(0.75, make_grid(1, 128, 40.0), [4.0])
-    fine = estimate_embedding_constants(0.75, make_grid(1, 256, 40.0), [4.0])
+    coarse = estimate_embedding_constants(0.75, Grid(1, 128, 40.0), [4.0])
+    fine = estimate_embedding_constants(0.75, Grid(1, 256, 40.0), [4.0])
     drift = abs(fine.table[4.0] - coarse.table[4.0]) / coarse.table[4.0]
     assert drift < 0.10
 
@@ -642,8 +640,8 @@ def test_random_fields_respect_the_upper_ends(dim, family, band, sigma, checker,
     g, b = spec.grid, 10.0
     u = random_field(g, np.random.default_rng(seed), band_fraction=band, envelope_sigma=sigma)
     u = u + checker * _checkerboard_bump(spec)
-    bessel = bessel_norm_sq(u, spec.alpha)
-    lam_sq = weighted_norm_sq(u, spec.V_field, spec.lam, spec.alpha)
+    bessel = _bessel_norm_sq(g, u.values, spec.alpha)
+    lam_sq = _weighted_norm_sq(g, u.values, spec.V_field.values, spec.lam, spec.alpha)
     slack = 1.0 + 1e-12
     assert math.sqrt(bessel / lam_sq) <= check_norm_domination(spec).data["ratio_upper"] * slack
     mass = float(np.sum(u.values[spec.V_field.values >= b] ** 2)) * g.cell_volume
@@ -695,7 +693,7 @@ def test_hypotheses_read_the_public_checks(make_spec):
     assert (report.by_name("finite_sublevel").witness["measure"]
             == sublevel_measure(spec.V_field, 10.0))
     # the last center stays at least 1 on a box too small for L/2 - 1.5
-    assert _ball_radii(make_grid(1, 64, 2.0))[-1] == 1.0
+    assert _ball_radii(Grid(1, 64, 2.0))[-1] == 1.0
 
 
 _FAMILY_HYPOTHESES = {
@@ -719,7 +717,7 @@ _FAMILY_STAGES = {
     (CustomPotential(lambda x: 1.0 + x**2, family="well"), "well"),
 ], ids=["coercive", "well", "custom-well"])
 def test_one_family_rule_gates_hypotheses_and_stages(potential, family):
-    spec = ProblemSpec(make_grid(1, 256, 40.0), alpha=0.75, lam=1.0, mu=0.01, p=1.5,
+    spec = ProblemSpec(Grid(1, 256, 40.0), alpha=0.75, lam=1.0, mu=0.01, p=1.5,
                        potential=potential)
     required = {c.name for c in validate_assumptions(spec).checks if c.required}
     assert required == _FAMILY_HYPOTHESES[family]
