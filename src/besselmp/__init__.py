@@ -50,10 +50,8 @@ from .solvers import (
     two_solution_stages,
 )
 from .verify import (
-    AssumptionCheck,
     CheckRecord,
     EmbeddingEstimate,
-    ValidationReport,
     check_bounded_descent,
     check_norm_domination,
     check_splitting,

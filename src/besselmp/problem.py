@@ -166,7 +166,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         alpha_ok = 0.0 < self.alpha < 1.0
-        power = isinstance(self.nonlinearity, PowerNonlinearity)
+        power = type(self.nonlinearity) is PowerNonlinearity
         q = self.nonlinearity.q if power else None
         # without a valid alpha only the lower bound on q can be checked
         qmax = critical_exponent(self.grid.dim, self.alpha) if alpha_ok else math.inf
@@ -175,8 +175,8 @@ class ProblemSpec:
             (0.0 < self.lam < math.inf, f"lam: must be positive and finite, got {self.lam}"),
             (0.0 <= self.mu < math.inf, f"mu: must be nonnegative and finite, got {self.mu}"),
             (1.0 < self.p < 2.0, f"p: must lie in the open interval (1, 2), got {self.p}"),
-            # the probe's ridge bound and the solvers' fibering roots are in closed form
-            # for the homogeneous power law only
+            # the probe's ridge bound, the solvers' fibering roots and verify's tail threshold
+            # are in closed form for the power law itself, not a subclass that overrides f or F
             (power, "nonlinearity: must be a PowerNonlinearity, got "
                     f"{type(self.nonlinearity).__name__}"),
             (not power or 2.0 < q < qmax, f"q: growth exponent must lie in (2, {qmax}), got {q}"),
@@ -278,7 +278,7 @@ def residual(spec: ProblemSpec, u: Field) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# the hypotheses on V, f and xi are checked in ``verify``
+# the hypotheses on V and xi are checked in ``verify``; those on f hold for every valid spec
 
 
 def validate_assumptions(spec: ProblemSpec, b: float | None = None):

@@ -17,8 +17,10 @@ Their ``trials`` and ``seed`` keywords are accepted and ignored.
 family it needs (None: any), its runner ``(spec, cfg) -> CheckRecord`` and
 the rule it imposes on the config (an exponent window, a nonempty
 separation list), if any.  ``validate_assumptions`` runs the hypotheses on
-V, f and xi (a coercive V, or a steep well as in Bartsch & Wang, Comm. PDE
+V and xi (a coercive V, or a steep well as in Bartsch & Wang, Comm. PDE
 20, 1995), each declaring its family the same way; ``applies_to`` decides.
+Those on f hold in closed form for every valid spec, and so does the
+superquadratic tail's threshold.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ __all__ = [
     "CHECKS",
     "Check",
     "CheckRecord",
-    "AssumptionCheck",
-    "ValidationReport",
     "validate_assumptions",
     "applies_to",
     "EmbeddingEstimate",
@@ -71,9 +71,6 @@ __all__ = [
     "require_s_in_window",
     "require_separations",
 ]
-
-TAIL_POINTS = 20001  # the superquadratic-tail scan's points, u_max / TAIL_POINTS to u_max
-
 
 def require_tau_in_window(tau: float, dim: int, alpha: float, q: float) -> None:
     """Refuse a tail exponent outside the open window (max(1, dim/(2 alpha)), q/(q-2))."""
@@ -128,49 +125,45 @@ def applies_to(family: str | None, potential) -> bool:
     return family in (None, potential.family)
 
 
-def _tail_holds(spec, tau, u):
-    """Where |f(u)|^tau / |u|^tau <= u f(u)/2 - F(u), up to roundoff."""
-    lhs = _power(np.abs(spec.nonlinearity.f(u)), tau) / _power(u, tau)
-    return lhs <= eval_scrF(spec, u) * (1.0 + 1e-12) + 1e-300
-
-
-def check_superquadratic_tail(spec: ProblemSpec, tau: float,
-                              u_max: float | None = None) -> CheckRecord:
-    """Find the threshold beyond which |f(u)|^tau / |u|^tau <= u f(u)/2 - F(u).
+def check_superquadratic_tail(spec: ProblemSpec, tau: float) -> CheckRecord:
+    """The threshold beyond which (|f(u)| / |u|)^tau <= u f(u)/2 - F(u).
 
     tau must sit strictly inside (max(1, dim/(2 alpha)), q/(q-2)); outside
     that window the inequality has no subcritical meaning and the call is
-    rejected (``require_tau_in_window``).  For the quartic model with
-    tau = 1.5 the threshold is 4; for q = 3 it is 6^(1/(3 - tau)), 36 at
-    tau = 2.5.  Without ``u_max`` the scan's top starts at 20 and doubles,
-    at most 10 times, until the inequality holds there; a given ``u_max``
-    is scanned as it is, and must be positive and finite.  ``params``
-    records the top scanned.
+    rejected (``require_tau_in_window``).  For f = |u|^(q-2) u both sides
+    are powers of |u|, |u|^((q-2) tau) and (q-2)/(2q) |u|^q, so the
+    inequality holds exactly from u* = (2q/(q-2))^(1/(q - (q-2) tau)) on,
+    and the window keeps the exponent positive: u* is 4 for the quartic
+    model at tau = 1.5, and 6^(1/(3 - tau)) for q = 3, 36 at tau = 2.5.
+    The witness scores both sides at u* with the problem's own f and
+    ``eval_scrF``; the check passes when they are finite and agree to
+    1e-12 q/(q-2) relative: the tau-th power and the cancellation in
+    (1/2 - 1/q) |u|^q each scale roundoff by up to q/(q-2).  A u* past
+    the float range fails.
     """
     require_tau_in_window(tau, spec.grid.dim, spec.alpha, spec.nonlinearity.q)
-    if u_max is not None and not 0.0 < u_max < math.inf:
-        raise ValueError(f"u_max: must be positive and finite, got {u_max}")
-    if u_max is None:
-        u_max = 20.0
-        for _ in range(10):
-            if _tail_holds(spec, tau, np.array([u_max]))[0]:
-                break
-            u_max *= 2.0
-
-    u = np.linspace(u_max / TAIL_POINTS, u_max, TAIL_POINTS)
-    holds = _tail_holds(spec, tau, u)
-    tail_ok = np.logical_and.accumulate(holds[::-1])[::-1]
-    if not tail_ok[-1]:
+    q = spec.nonlinearity.q
+    # positive inside the window, but roundoff can zero it within an ulp of the top
+    exponent = q - (q - 2.0) * tau
+    try:
+        threshold = math.pow(2.0 * q / (q - 2.0), 1.0 / exponent) if exponent > 0.0 else math.inf
+    except OverflowError:
+        threshold = math.inf
+    if threshold == math.inf:
         return CheckRecord(
-            "superquadratic_tail", {"tau": tau, "u_max": u_max}, False,
-            ({"reason": "inequality fails at the top of the scan", "u_top": float(u[-1])},),
+            "superquadratic_tail", {"tau": tau}, False,
+            ({"reason": "the threshold (2q/(q-2))^(1/(q - (q-2) tau)) is past the float range"},),
             {"threshold": None},
         )
-    first = int(np.argmax(tail_ok))
-    threshold = float(u[first])
+    u = np.array([threshold])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = float(_power(np.abs(spec.nonlinearity.f(u)) / u, tau)[0])
+        rhs = float(eval_scrF(spec, u)[0])
+    ok = (math.isfinite(lhs) and math.isfinite(rhs)
+          and abs(lhs - rhs) <= 1e-12 * q / (q - 2.0) * rhs)
     return CheckRecord(
-        "superquadratic_tail", {"tau": tau, "u_max": u_max}, True,
-        ({"threshold": threshold, "scan_step": float(u[1] - u[0])},),
+        "superquadratic_tail", {"tau": tau}, ok,
+        ({"threshold": threshold, "lhs": lhs, "rhs": rhs},),
         {"threshold": threshold},
     )
 
@@ -490,78 +483,7 @@ def check_bounded_descent(spec: ProblemSpec, trace) -> CheckRecord:
 
 
 # ---------------------------------------------------------------------------
-# the hypotheses on V, f and xi
-
-
-@dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    passed: bool
-    required: bool
-    detail: str
-    witness: dict
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.required)
-
-    def by_name(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def _median(a):
-    """The median of a 1-D array, as np.median computes it.
-
-    np.median imports numpy.ma on its first call, about 15 ms that would
-    land inside the first validation run of a process.
-    """
-    s = np.sort(a)
-    half = s.size // 2
-    return s[half] if s.size % 2 else (s[half - 1] + s[half]) / 2
-
-
-def _growth_bound(spec, _b):
-    q = spec.nonlinearity.q
-    u = np.concatenate([-np.geomspace(1e-4, 1e3, 200)[::-1], np.geomspace(1e-4, 1e3, 200)])
-    ratio = np.abs(spec.nonlinearity.f(u)) / (1.0 + _power(np.abs(u), q - 1.0))
-    top = ratio[np.abs(u) >= 1e2]
-    quotient = float(np.max(top) / max(_median(top), 1e-300))
-    ok = np.all(np.isfinite(ratio)) and quotient <= 1.2
-    return (ok, f"sup |f(u)|/(1+|u|^(q-1)) ~ {np.max(ratio):.4g}, top-decade spread {quotient:.3g}",
-            {"c_estimate": float(np.max(ratio)), "top_decade_spread": quotient})
-
-
-def _vanishing_at_zero(spec, _b):
-    # f(u)/u = |u|^(q-2) falls by (1e-7)^(q-2) from 0.1 to 1e-8, to roundoff;
-    # that decay, not a fixed factor, holds for every q > 2
-    u = np.geomspace(1e-8, 1e-1, 120)
-    ratio = np.abs(spec.nonlinearity.f(u) / u)
-    decay = 1e-7 ** (spec.nonlinearity.q - 2.0)
-    return (ratio[0] <= (1.0 + 1e-12) * decay * ratio[-1],
-            f"|f(u)/u| falls from {ratio[-1]:.3g} at |u|=0.1 to {ratio[0]:.3g} at |u|=1e-8",
-            {"ratio_small": float(ratio[0]), "ratio_large": float(ratio[-1])})
-
-
-def _superquadratic(spec, _b):
-    theta = spec.nonlinearity.theta
-    u = np.concatenate([-np.geomspace(1e-6, 1e3, 250)[::-1], np.geomspace(1e-6, 1e3, 250)])
-    F = spec.nonlinearity.F(u)
-    uf = u * spec.nonlinearity.f(u)
-    margin = uf - theta * F
-    ok = np.all(F > 0) and np.all(margin >= -1e-12 * (1.0 + np.abs(uf)))
-    worst = int(np.argmin(margin / (1.0 + np.abs(uf))))
-    return (ok, f"0 < theta*F <= u*f checked at {u.size} values, "
-                f"worst margin {margin[worst]:.3g} at u={u[worst]:.3g}",
-            {"theta": float(theta), "worst_margin": float(margin[worst]),
-             "worst_u": float(u[worst])})
+# the hypotheses on V and xi
 
 
 def _positive_infimum(spec, _b):
@@ -667,9 +589,6 @@ def _weight_integrable(spec, _b):
 # gates (None: every family) and its runner (spec, b) -> (passed, detail,
 # witness); only finite_sublevel reads the sublevel height b
 _HYPOTHESES = {
-    "growth_bound": Check(None, _growth_bound),
-    "vanishing_at_zero": Check(None, _vanishing_at_zero),
-    "superquadratic": Check(None, _superquadratic),
     "positive_infimum": Check("coercive", _positive_infimum),
     "ball_integrals_decay": Check("coercive", _ball_integrals_decay),
     "finite_sublevel": Check("well", _finite_sublevel),
@@ -678,33 +597,32 @@ _HYPOTHESES = {
 }
 
 
-def validate_assumptions(spec: ProblemSpec, b: float | None = None) -> ValidationReport:
-    """Run every machine-checkable hypothesis on the supplied problem data.
+def validate_assumptions(spec: ProblemSpec, b: float | None = None) -> CheckRecord:
+    """Run every machine-checkable hypothesis on V and xi; one entry each in ``data["checks"]``.
 
-    Hypotheses of another potential family are still run and reported, but
-    only those that apply to the declared family (``applies_to``) gate
-    ``report.passed``.  ``b`` is the height of finite_sublevel's set
-    {V < b}, half of max V when None.
+    f needs none: ``ProblemSpec`` admits only the power law with 2 < q <
+    2 dim/(dim - 2 alpha), for which the growth bound, f(u)/u -> 0 at 0
+    and theta F = u f with theta = q hold identically.  Hypotheses of
+    another potential family are still run and reported, but only those
+    that apply to the declared family (``applies_to``) are required, and
+    the record passes when every required one does.  ``b`` is the height
+    of finite_sublevel's set {V < b}, half of max V when None.
     """
+    params = {"b": b}
     if b is None:
         b = 0.5 * float(np.max(spec.V_field.values))
     checks = []
     for name, hypothesis in _HYPOTHESES.items():
         passed, detail, witness = hypothesis.run(spec, b)
-        checks.append(AssumptionCheck(name, bool(passed), applies_to(hypothesis.family, spec.potential),
-                                      detail, witness))
-    return ValidationReport(tuple(checks))
+        checks.append({"name": name, "pass": bool(passed),
+                       "required": applies_to(hypothesis.family, spec.potential),
+                       "detail": detail, "witness": witness})
+    return CheckRecord("assumptions", params, all(c["pass"] for c in checks if c["required"]),
+                       (), {"checks": checks})
 
 
 # ---------------------------------------------------------------------------
 # the checks verify mode runs, in the order "auto" runs them
-
-
-def _assumptions(spec, cfg) -> CheckRecord:
-    report = validate_assumptions(spec, b=cfg.b)
-    checks = [{"name": c.name, "pass": c.passed, "required": c.required, "detail": c.detail,
-               "witness": c.witness} for c in report.checks]
-    return CheckRecord("assumptions", {"b": cfg.b}, report.passed, (), {"checks": checks})
 
 
 def _splitting(spec, cfg) -> CheckRecord:
@@ -730,7 +648,7 @@ def _embedding(spec, cfg) -> CheckRecord:
 
 
 CHECKS = {
-    "assumptions": Check(None, _assumptions),
+    "assumptions": Check(None, lambda spec, cfg: validate_assumptions(spec, b=cfg.b)),
     "superquadratic-tail": Check(
         None, lambda spec, cfg: check_superquadratic_tail(spec, tau=cfg.tau),
         lambda cfg: require_tau_in_window(cfg.tau, cfg.dim, cfg.alpha, cfg.q)),

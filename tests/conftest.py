@@ -1,4 +1,4 @@
-"""Shared fixtures (the canonical problems, their slow solved states, an FFT call counter), the Hypothesis profile and a dense multiplier matrix.
+"""Shared fixtures (the canonical problems, their slow solved states, an FFT call counter), the Hypothesis profile, a dense multiplier matrix and an assumptions-record lookup.
 
 The solve fixtures are session-scoped because several files assert against
 the same converged run; everything downstream treats them as read-only.
@@ -55,6 +55,12 @@ def multiplier_matrix(g, s):
     """
     units = np.eye(g.total_points).reshape((g.total_points,) + g.shape)
     return _multiply(g, units, s).reshape(g.total_points, g.total_points).T
+
+
+def hypothesis_entry(record, name):
+    """The entry ``name`` of an assumptions record's ``data["checks"]``."""
+    (entry,) = [c for c in record.data["checks"] if c["name"] == name]
+    return entry
 
 
 @pytest.fixture(scope="session")

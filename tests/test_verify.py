@@ -21,6 +21,7 @@ from besselmp import (
     CustomPotential,
     Field,
     Grid,
+    PowerNonlinearity,
     WellPotential,
     canonical_coercive_spec,
     canonical_well_spec,
@@ -43,7 +44,7 @@ from besselmp.grid import _bessel_norm_sq, _weighted_norm_sq
 from besselmp.problem import ProblemSpec
 from besselmp.solvers import TraceEntry
 from besselmp.verify import CHECKS, _ball_radii, applies_to
-from conftest import multiplier_matrix
+from conftest import hypothesis_entry, multiplier_matrix
 
 
 def _gaussian(grid, center=0.0, sigma=1.0, amp=1.0):
@@ -59,7 +60,7 @@ def test_tail_threshold_near_four(coercive_spec):
     # |u|^3 <= |u|^4/4 flips exactly at |u| = 4 for the quartic model
     rec = check_superquadratic_tail(coercive_spec, tau=1.5)
     assert rec.passed
-    assert rec.data["threshold"] == pytest.approx(4.0, rel=0.01)
+    assert rec.data["threshold"] == 4.0
 
 
 def test_tail_rejects_window_edges(coercive_spec):
@@ -72,27 +73,45 @@ def test_tail_rejects_window_edges(coercive_spec):
         check_superquadratic_tail(coercive_spec, tau=2.5)
 
 
-def test_tail_scan_top_doubles_past_the_threshold():
-    # f = u|u| in 3-D: u^tau <= u^3/6 from 6^(1/(3 - tau)) = 36 on, past the first top 20
-    spec = build_spec(RunConfig(mode="verify", dim=3, n=8, box_length=10.0, q=3.0, tau=2.5))
-    rec = check_superquadratic_tail(spec, tau=2.5)
+@pytest.mark.parametrize("dim,q,tau,threshold", [
+    # f = u|u| in 3-D: u^tau <= u^3/6 from 6^(1/(3 - tau)) on
+    (3, 3.0, 2.5, 36.0),
+    (3, 3.0, 2.9, 6.0**10),
+    # (q-2) tau = 2.45 against q = 2.5: the exponent 0.05 puts u* at 10^20
+    (1, 2.5, 4.9, 1e20),
+], ids=["q3-tau2.5", "q3-tau2.9", "q2.5-tau4.9"])
+def test_tail_threshold_is_closed_form(dim, q, tau, threshold):
+    spec = build_spec(RunConfig(mode="verify", dim=dim, n=8, box_length=10.0, q=q, tau=tau))
+    rec = check_superquadratic_tail(spec, tau=tau)
     assert rec.passed
-    assert rec.params["u_max"] == 40.0
-    assert abs(rec.data["threshold"] - 36.0) <= rec.witnesses[0]["scan_step"]
+    assert rec.params == {"tau": tau}
+    # tau = 2.9 and 4.9 are not binary fractions; 1/(q - (q-2) tau) scales their roundoff
+    assert rec.data["threshold"] == pytest.approx(threshold, rel=1e-12)
+    (witness,) = rec.witnesses
+    assert witness["lhs"] == pytest.approx(witness["rhs"], rel=1e-12)
 
 
-def test_tail_scan_below_threshold_fails(coercive_spec):
-    rec = check_superquadratic_tail(coercive_spec, tau=1.5, u_max=3.0)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q,tau", [
+    (2.05, 40.9),  # 82^(1/0.005) = 82^200 is about 10^383
+    (4.5, math.nextafter(1.8, 0.0)),  # an ulp below the top: q - (q-2) tau rounds to 0
+], ids=["q2.05-tau40.9", "q4.5-an-ulp-below-the-top"])
+def test_tail_threshold_past_the_float_range_fails(q, tau):
+    spec = build_spec(RunConfig(mode="verify", n=8, box_length=10.0, q=q, tau=tau))
+    rec = check_superquadratic_tail(spec, tau=tau)
     assert not rec.passed
     assert rec.data["threshold"] is None
-    # a given top is scanned as it is, never doubled
-    assert rec.params["u_max"] == 3.0
+    (witness,) = rec.witnesses
+    assert "past the float range" in witness["reason"]
 
 
-@pytest.mark.parametrize("u_max", [0.0, -5.0, math.inf, math.nan])
-def test_tail_refuses_a_scan_top_out_of_range(coercive_spec, u_max):
-    with pytest.raises(ValueError, match="u_max: must be positive and finite"):
-        check_superquadratic_tail(coercive_spec, tau=1.5, u_max=u_max)
+def test_tail_scores_the_problem_own_f(coercive_spec, monkeypatch):
+    # the threshold is closed-form for the power law, so an f that is not
+    # one fails where both sides are scored
+    rec = check_superquadratic_tail(coercive_spec, tau=1.5)
+    monkeypatch.setattr(PowerNonlinearity, "f", lambda self, u: 1.01 * u**3)
+    bent = check_superquadratic_tail(coercive_spec, tau=1.5)
+    assert bent.data == rec.data and bent.passed is not rec.passed
 
 
 def test_tail_record_shape(coercive_spec):
@@ -560,8 +579,8 @@ def test_verify_2d_records_are_pinned(family, final_deviation):
     # records pin what the power kernel (grid._power) returns below DBL_MIN
     cfg = RunConfig(mode="verify", dim=2, n=64, box_length=40.0, potential=family)
     spec = build_spec(cfg)
-    weight = validate_assumptions(spec, b=cfg.b).by_name("weight_integrable")
-    assert weight.witness["integral"].hex() == "0x1.9508c961e0cedp-1"
+    weight = hypothesis_entry(validate_assumptions(spec, b=cfg.b), "weight_integrable")
+    assert weight["witness"]["integral"].hex() == "0x1.9508c961e0cedp-1"
     table = CHECKS["embedding"].run(spec, cfg).data["table"]
     assert {s: v.hex() for s, v in table.items()} == {
         "2.0": "0x1.0000000000000p+0", "3.0": "0x1.1c130b256f9a5p-1",
@@ -684,23 +703,21 @@ def test_problem_defines_no_check_and_verify_takes_no_private_name_from_it():
                          ids=["coercive", "well"])
 def test_hypotheses_read_the_public_checks(make_spec):
     spec = make_spec()
-    report = validate_assumptions(spec, b=10.0)
+    record = validate_assumptions(spec, b=10.0)
     # the name problem keeps calls into verify
-    assert besselmp.problem.validate_assumptions(spec, b=10.0) == report
+    assert besselmp.problem.validate_assumptions(spec, b=10.0) == record
     ladder = coercivity_probe(spec.V_field, _ball_radii(spec.grid))
-    assert report.by_name("ball_integrals_decay").witness == ladder.data
-    assert report.by_name("ball_integrals_decay").passed is ladder.passed
-    assert (report.by_name("finite_sublevel").witness["measure"]
+    assert hypothesis_entry(record, "ball_integrals_decay")["witness"] == ladder.data
+    assert hypothesis_entry(record, "ball_integrals_decay")["pass"] is ladder.passed
+    assert (hypothesis_entry(record, "finite_sublevel")["witness"]["measure"]
             == sublevel_measure(spec.V_field, 10.0))
     # the last center stays at least 1 on a box too small for L/2 - 1.5
     assert _ball_radii(Grid(1, 64, 2.0))[-1] == 1.0
 
 
 _FAMILY_HYPOTHESES = {
-    "coercive": {"growth_bound", "vanishing_at_zero", "superquadratic", "positive_infimum",
-                 "ball_integrals_decay", "weight_integrable"},
-    "well": {"growth_bound", "vanishing_at_zero", "superquadratic", "finite_sublevel",
-             "flat_zero_region", "weight_integrable"},
+    "coercive": {"positive_infimum", "ball_integrals_decay", "weight_integrable"},
+    "well": {"finite_sublevel", "flat_zero_region", "weight_integrable"},
 }
 _FAMILY_STAGES = {
     "coercive": ("assumptions", "superquadratic-tail", "splitting", "holder", "embedding",
@@ -719,7 +736,7 @@ _FAMILY_STAGES = {
 def test_one_family_rule_gates_hypotheses_and_stages(potential, family):
     spec = ProblemSpec(Grid(1, 256, 40.0), alpha=0.75, lam=1.0, mu=0.01, p=1.5,
                        potential=potential)
-    required = {c.name for c in validate_assumptions(spec).checks if c.required}
+    required = {c["name"] for c in validate_assumptions(spec).data["checks"] if c["required"]}
     assert required == _FAMILY_HYPOTHESES[family]
     assert {name for name, check in CHECKS.items() if applies_to(check.family, potential)} \
         == set(_FAMILY_STAGES[family])
