@@ -382,6 +382,19 @@ def _filter(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return _irfft(grid, u_hat)
 
 
+def _multiplier_matrix(grid: Grid, s: float) -> np.ndarray:
+    """The dense matrix of ``_multiply(grid, ., s)`` on a 1-D grid's values, cached per s.
+
+    Column j is unit field j's image: the identity is filtered as one stack
+    of fields.  Read-only; on an EvenGrid A u is ``_multiply`` of u up to
+    roundoff, and A is symmetric in ``_dot``'s weighted inner product.
+    """
+    def build():
+        return _read_only(np.ascontiguousarray(_multiply(grid, np.eye(grid.shape[0]), s).T))
+
+    return grid._cached(("matrix", float(s)), build)
+
+
 def _parseval(grid: Grid, u_hat: np.ndarray, alpha: float) -> float:
     """Squared bessel norm of the field whose ``_rfft`` is ``u_hat``, which is not written."""
     power = u_hat.real**2

@@ -28,8 +28,10 @@ from .grid import (
     _bessel_norm_sq,
     _integral,
     _is_even,
+    _multiplier_matrix,
     _multiply,
     _potential,
+    _read_only,
     _require,
 )
 
@@ -207,6 +209,17 @@ class ProblemSpec:
             if not _is_even(self.grid, f.values):
                 return None, f"{name} is not even"
         return replace(self, grid=self.grid.half), ""
+
+    @cached_property
+    def _riesz_inverse(self) -> np.ndarray:
+        """K^{-1} as a dense matrix, K = (I - Laplacian)^alpha + lam V; on a 1-D grid only.
+
+        K does not depend on u, so the solvers factor it once per problem,
+        on first use (``solvers._riesz_gradient``).  Raises LinAlgError
+        where LAPACK finds K singular.
+        """
+        k = _multiplier_matrix(self.grid, self.alpha) + np.diag(self.lam * self.V_field.values)
+        return _read_only(np.linalg.inv(k))
 
 
 def eval_scrF(spec: ProblemSpec, u_value):

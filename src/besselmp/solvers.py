@@ -22,14 +22,16 @@ minimizer is the minimum of J-(w) = Phi(t-(w) w), the
 N+ branch of Brown & Zhang (2003), descended from a Gaussian bump.  The
 iterate always sits on its ray's critical point and J never rises over
 accepted steps.  The gradient in the lam-norm, g = K^{-1} r with
-K = (I - Laplacian)^alpha + lam V, is solved by preconditioned MINRES, and
+K = (I - Laplacian)^alpha + lam V, is solved by preconditioned MINRES, or
+on a 1-D even grid by one product with K^{-1}, factored once per problem;
 each step goes along the Polak-Ribiere+ direction d = g + beta d_prev,
 beta >= 0 (Gilbert & Nocedal, SIAM J. Optim. 2, 1992).  A d that is no
 descent direction restarts along g, and a line search that refuses every
 step along a conjugate d is retried along g.  Once the dual norm
 <r, K^{-1} r>^(1/2) is small next to ||u||_lam, or a search along g
 refuses every step, a damped Newton iteration on the strong-form
-residual pushes the iterate to solver tolerance.  The ball radius rho
+residual pushes the iterate to solver tolerance, each step solved by
+MINRES or, on a 1-D even grid, by one dense LU.  The ball radius rho
 only checks the minimizer: it must sit inside the ball, with a margin.
 
 Every backtracking search walks the steps s, s/2, s/4, ... and only its
@@ -49,13 +51,16 @@ MINRES.  By Palais' principle of symmetric criticality (Comm. Math. Phys.
 critical point of Phi.  On an even-n grid such a field is stored as its
 (n/2 + 1)^dim samples on x_i >= 0 (``grid.EvenGrid``), where a transform
 pair and the array work of a MINRES iteration cost about 2^dim times
-less.  The rule is fixed: a solve runs there exactly when n is even, in
-1-D n is at most EVEN_1D_MAX_N, and V, xi and the start are even to
-roundoff (the power law does not depend on x); otherwise on the full
-grid, as it stands.  The 1-D bound is where the even form stops paying:
-its DCT-I is a product with an (n/2 + 1)-square matrix, O(n^2) per
-transform, and past n = 416 the canonical coercive run is faster on the
-full grid's FFT (README).  The solution is extended back to the full
+less.  In 1-D that is at most 209 samples, few enough that both linear
+solves are dense and direct, with no MINRES loop in Python.  The rule is
+fixed: a solve runs there exactly when n is even, in 1-D n is at most
+EVEN_1D_MAX_N, and V, xi and the start are even to roundoff (the power
+law does not depend on x); otherwise on the full grid, as it stands.
+The 1-D bound is where the even form stopped paying with MINRES on both
+grids: its DCT-I is a product with an (n/2 + 1)-square matrix, O(n^2)
+per transform, and past n = 416 the canonical coercive run was faster on
+the full grid's FFT.  With direct solves the half grid still wins at
+n = 512 and loses at 1024 (README).  The solution is extended back to the full
 grid and its residual re-checked there once; a report says which grid it
 ran on, and why not the even one.
 """
@@ -76,6 +81,7 @@ from .grid import (
     _integral,
     _is_even,
     _lp_norm,
+    _multiplier_matrix,
     _multiply_and_norm,
     _potential,
     _require,
@@ -129,9 +135,11 @@ INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
 BASIN_SLACK = 1e-10  # a polish may end above its handover level by this, relative, and no more
 # Largest n at which a 1-D solve runs on the even half.  There ``_dct1`` is
 # one product with an (n/2 + 1)-square matrix, O(n^2) against the full
-# grid's O(n log n) FFT.  Interleaved warm runs on one thread: both canonical
-# 1-D problems are faster on the half grid up to n = 416, the coercive one
-# slower from 432 (README); from n = 2048 EvenGrid refuses the matrix.
+# grid's O(n log n) FFT.  Interleaved warm runs on one thread, with MINRES on
+# both grids: both canonical 1-D problems were faster on the half grid up
+# to n = 416, the coercive one slower from 432.  With the half grid's
+# direct solves both are faster there at 448 and 512 and slower at 1024
+# (README); from n = 2048 EvenGrid refuses the matrix.
 EVEN_1D_MAX_N = 416
 
 
@@ -173,11 +181,12 @@ class TraceEntry:
     trials: int
     # MINRES iterations behind the entry: of a descent entry's gradient
     # solve or a polish entry's Newton direction, also when the solve failed
-    # (MINRES_MAXITER if it hit the cap); 0 on the polish entry that stops
-    # at tol, which solves nothing
+    # (MINRES_MAXITER if it hit the cap); 0 on a direct solve (1-D even
+    # grid) and on the polish entry that stops at tol, which solves nothing
     krylov_iters: int = 0
-    # why that MINRES solve stopped: "forcing" (its forcing term was met),
-    # "cap" or "breakdown" (see ``_minres``); "" where no solve ran
+    # why that solve stopped: for MINRES "forcing" (its forcing term was
+    # met), "cap" or "breakdown" (see ``_minres``); "direct" for a dense
+    # solve, "singular" where it failed; "" where no solve ran
     krylov_stop: str = ""
     # a descent entry: the Polak-Ribiere+ weight of the previous direction
     # in the step it took, 0.0 on a gradient step (the first row, a restart
@@ -208,8 +217,9 @@ class SolveReport:
     @property
     def counts(self) -> dict:
         """The work summed from the trace: descent rows, the conjugate ones among them
-        (beta > 0), and the MINRES iterations of the gradient and of the Newton solves;
-        and the grid the solve ran on, with the reason."""
+        (beta > 0), and the MINRES iterations of the gradient and of the Newton solves,
+        both 0 where the solves are direct (a 1-D even grid); and the grid the solve
+        ran on, with the reason."""
         descent = [t for t in self.trace if t.phase != "polish"]
         return {"descent_rows": len(descent),
                 "conjugate_rows": sum(t.beta > 0.0 for t in descent),
@@ -405,20 +415,37 @@ def _scaled_inverse(g, inverse, scale, v):
     return scale * _filter(g, scale * v, inverse)
 
 
+def _direct(g) -> bool:
+    """Whether both linear solves on ``g`` are direct: on a 1-D even grid, at most 209 points."""
+    return g.even and g.dim == 1
+
+
 def _riesz_gradient(spec, r):
     """d ~ K^{-1} r, the gradient in the lam-norm; (d, its slope <r, d>, iterations, stop).
 
-    K = (I - Laplacian)^alpha + lam V is ``_minres``'s H with h = lam V, and
-    the solve stops once ||K d - r||_M <= RIESZ_FORCING ||r||_M.
+    On a 1-D even grid d = K^{-1} r is one product with the problem's
+    dense K^{-1} (``ProblemSpec._riesz_inverse``), factored once per
+    problem, with 0 iterations and stop "direct".  Elsewhere
+    K = (I - Laplacian)^alpha + lam V is ``_minres``'s H with h = lam V,
+    and the solve stops once ||K d - r||_M <= RIESZ_FORCING ||r||_M.
     K is symmetric positive definite, where the K-norm error of MINRES from
     d = 0 falls monotonically (Fong & Saunders, SQU J. Sci. 17, 2012): so
     ||K^{-1} r - d||_K < ||K^{-1} r||_K, which reads <r, d> > ||d||_lam^2 / 2
     > 0 for r != 0, -d is a descent direction and <r, d>^(1/2) estimates
-    the dual norm of r.  A failed solve returns d = 0 with slope 0, which
-    hands the descent over to the polish.
+    the dual norm of r; the direct d makes it exact.  A failed solve
+    (stop "singular" where LAPACK fails or d is not finite) returns d = 0
+    with slope 0, which hands the descent over to the polish.
     """
-    d, iters, stop = _minres(spec.grid, spec.alpha, spec.lam * spec.V_field.values, r,
-                             RIESZ_FORCING)
+    if _direct(spec.grid):
+        try:
+            d = spec._riesz_inverse @ r
+        except np.linalg.LinAlgError:
+            d = None
+        ok = d is not None and np.all(np.isfinite(d))
+        d, iters, stop = (d, 0, "direct") if ok else (None, 0, "singular")
+    else:
+        d, iters, stop = _minres(spec.grid, spec.alpha, spec.lam * spec.V_field.values, r,
+                                 RIESZ_FORCING)
     if d is None:
         return np.zeros_like(r), 0.0, iters, stop
     return d, _integral(spec.grid, r * d), iters, stop
@@ -602,17 +629,29 @@ def _minres(g, alpha, h, b, forcing, shifted=False):
 def _newton_direction(spec, u, r, forcing):
     """Solve (D^2 Phi)(u) delta = -r; (delta, MINRES iterations, stop), delta None if the solve fails.
 
-    ``_minres`` applies the Hessian matrix-free, preconditioned with the
-    shifted ((I - Laplacian)^alpha + mean |h|)^(-1), one transform pair per
+    On a 1-D even grid the Hessian is a dense matrix of at most
+    EVEN_1D_MAX_N / 2 + 1 rows, (I - Laplacian)^alpha (``_multiplier_matrix``)
+    plus diag(h), solved by one LU (``np.linalg.solve``) with 0 iterations
+    and stop "direct"; ``forcing`` is not used.  A LinAlgError fails the
+    solve with stop "singular".  Elsewhere ``_minres`` applies the Hessian
+    matrix-free, preconditioned with the shifted
+    ((I - Laplacian)^alpha + mean |h|)^(-1), one transform pair per
     iteration: the Hessian is symmetric but indefinite at a saddle, where
     CG has no guarantee and GMRES keeps a long recurrence that symmetry
     makes short, while MINRES needs only symmetry and an SPD
     preconditioner.  It stops once ||H delta + r||_M <= forcing ||r||_M,
     or fails after MINRES_MAXITER iterations, which it then reports;
-    ``stop`` says which.  A delta that is not finite also fails.
+    ``stop`` says which.  A delta that is not finite also fails, on the
+    direct route with stop "singular".
     """
-    delta, iters, stop = _minres(spec.grid, spec.alpha, _hessian_diag(spec, u), -r, forcing,
-                                 shifted=True)
+    g, h = spec.grid, _hessian_diag(spec, u)
+    if _direct(g):
+        try:
+            delta = np.linalg.solve(_multiplier_matrix(g, spec.alpha) + np.diag(h), -r)
+        except np.linalg.LinAlgError:
+            return None, 0, "singular"
+        return (delta, 0, "direct") if np.all(np.isfinite(delta)) else (None, 0, "singular")
+    delta, iters, stop = _minres(g, spec.alpha, h, -r, forcing, shifted=True)
     if delta is None or not np.all(np.isfinite(delta)):
         return None, iters, stop
     return delta, iters, stop

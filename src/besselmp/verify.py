@@ -132,14 +132,17 @@ def check_superquadratic_tail(spec: ProblemSpec, tau: float) -> CheckRecord:
     that window the inequality has no subcritical meaning and the call is
     rejected (``require_tau_in_window``).  For f = |u|^(q-2) u both sides
     are powers of |u|, |u|^((q-2) tau) and (q-2)/(2q) |u|^q, so the
-    inequality holds exactly from u* = (2q/(q-2))^(1/(q - (q-2) tau)) on,
-    and the window keeps the exponent positive: u* is 4 for the quartic
-    model at tau = 1.5, and 6^(1/(3 - tau)) for q = 3, 36 at tau = 2.5.
-    The witness scores both sides at u* with the problem's own f and
-    ``eval_scrF``; the check passes when they are finite and agree to
-    1e-12 q/(q-2) relative: the tau-th power and the cancellation in
-    (1/2 - 1/q) |u|^q each scale roundoff by up to q/(q-2).  A u* past
-    the float range fails.
+    inequality holds exactly from u* = (2q/(q-2))^(1/e) on, e = q - (q-2) tau,
+    and the window keeps e positive: u* is 4 for the quartic model at
+    tau = 1.5, and 6^(1/(3 - tau)) for q = 3, 36 at tau = 2.5.  The witness
+    scores both sides with the problem's own f and ``eval_scrF`` at
+    u = min(u*, 2^(512/q)), where |u|^q stays far inside the float range
+    although u*^q may not, and compares their log ratio with the closed
+    form's, e log(u / u*) = e log u - log(2q/(q-2)), 0 at u = u*.  The
+    check passes when both sides are positive and finite and the two logs
+    agree to 1e-12 q/(q-2): the tau-th power and the cancellation in
+    (1/2 - 1/q) |u|^q each scale roundoff by up to q/(q-2).  A u* past the
+    float range fails.
     """
     require_tau_in_window(tau, spec.grid.dim, spec.alpha, spec.nonlinearity.q)
     q = spec.nonlinearity.q
@@ -155,15 +158,15 @@ def check_superquadratic_tail(spec: ProblemSpec, tau: float) -> CheckRecord:
             ({"reason": "the threshold (2q/(q-2))^(1/(q - (q-2) tau)) is past the float range"},),
             {"threshold": None},
         )
-    u = np.array([threshold])
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = float(_power(np.abs(spec.nonlinearity.f(u)) / u, tau)[0])
-        rhs = float(eval_scrF(spec, u)[0])
-    ok = (math.isfinite(lhs) and math.isfinite(rhs)
-          and abs(lhs - rhs) <= 1e-12 * q / (q - 2.0) * rhs)
+    u = min(threshold, 2.0 ** (512.0 / q))
+    lhs = float(_power(np.abs(spec.nonlinearity.f(np.array([u]))) / u, tau)[0])
+    rhs = float(eval_scrF(spec, np.array([u]))[0])
+    gap = math.inf
+    if 0.0 < lhs < math.inf and 0.0 < rhs < math.inf:
+        gap = math.log(rhs / lhs) - (exponent * math.log(u) - math.log(2.0 * q / (q - 2.0)))
     return CheckRecord(
-        "superquadratic_tail", {"tau": tau}, ok,
-        ({"threshold": threshold, "lhs": lhs, "rhs": rhs},),
+        "superquadratic_tail", {"tau": tau}, abs(gap) <= 1e-12 * q / (q - 2.0),
+        ({"threshold": threshold, "u": u, "lhs": lhs, "rhs": rhs, "log_gap": gap},),
         {"threshold": threshold},
     )
 

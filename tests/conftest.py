@@ -4,8 +4,10 @@ The solve fixtures are session-scoped because several files assert against
 the same converged run; everything downstream treats them as read-only.
 
 The solvers' last bits follow the BLAS thread count (the np.vdot
-reductions of grid._dot in every MINRES solve), and the exact solver pins
-were recorded on one thread.  BLAS reads its thread count once, when NumPy
+reductions of grid._dot in every MINRES solve) and, on the 1-D even half,
+LAPACK: the LU behind np.linalg.solve in each Newton step and the
+factorisation of K behind each gradient.  The exact solver pins were
+recorded on one thread.  BLAS reads its thread count once, when NumPy
 loads, so this file pins it before that and stops the session if NumPy is
 already loaded (a -p plugin that imports it first, say): the pins would
 then fail on their last bits for a reason that is not in the code under

@@ -77,16 +77,16 @@ def test_two_solutions_mode(tmp_path, well_result):
         # trial points behind each entry: a whole count, 0 on the final one
         trials = [int(row[header.index("trials")]) for row in rows]
         assert min(trials) >= 0 and trials[-1] == 0, trace
-        # every row counts the MINRES iterations of its solve, the descent
-        # rows' gradient and the polish rows' Newton direction, each stopped
-        # by its forcing term; the last polish row stops at tol and solves
+        # every row records its solve, the descent rows' gradient and the
+        # polish rows' Newton direction: on the 1-D half grid both are direct,
+        # 0 MINRES iterations; the last polish row stops at tol and solves
         # nothing
         phase, iters = header.index("phase"), header.index("krylov_iters")
         stop = header.index("krylov_stop")
         descent = "nehari" if trace == "trace.csv" else "ball"
         assert {row[phase] for row in rows} == {descent, "polish"}, trace
         assert rows[-1][phase] == "polish", trace
-        assert all(int(row[iters]) > 0 and row[stop] == "forcing" for row in rows[:-1]), trace
+        assert all(int(row[iters]) == 0 and row[stop] == "direct" for row in rows[:-1]), trace
         assert (int(rows[-1][iters]), rows[-1][stop]) == (0, ""), trace
         # polish rows: the Newton step each accepted, 0 on the row that stops
         steps = [float(row[header.index("step_size")]) for row in rows if row[phase] == "polish"]

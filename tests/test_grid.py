@@ -30,6 +30,7 @@ from besselmp.grid import (
     _is_even,
     _largest_prime_factor,
     _lp_norm,
+    _multiplier_matrix,
     _multiply,
     _power,
     _restrict,
@@ -433,6 +434,22 @@ def test_even_grid_stack_transforms_as_each_field(dim, n, box):
     assert out.shape == u.shape
     for row, got in zip(u, out):
         assert np.array_equal(got, _multiply(h, row, 0.75))
+
+
+@pytest.mark.parametrize("n", [8, 256, 416])
+def test_even_grid_multiplier_matrix(n):
+    # the 1-D half grid's dense (I - Laplacian)^s: A u is _multiply's image,
+    # W A is symmetric for W the weights of _dot, and it is built once per s,
+    # read-only
+    h = Grid(1, n, 40.0).half
+    a = _multiplier_matrix(h, 0.75)
+    assert a.shape == (n // 2 + 1,) * 2 and _multiplier_matrix(h, 0.75) is a
+    u = _rng(n).standard_normal(h.shape)
+    assert np.max(np.abs(a @ u - _multiply(h, u, 0.75))) <= 1e-13 * np.max(np.abs(a @ u))
+    wa = h.weights[:, None] * a
+    assert np.max(np.abs(wa - wa.T)) <= 1e-13 * np.max(np.abs(wa))
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 1.0
 
 
 def test_even_grid_dct1_matrix_is_built_once_and_read_only():

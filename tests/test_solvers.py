@@ -32,7 +32,7 @@ from besselmp import (
     two_solution_experiment,
     two_solution_stages,
 )
-from besselmp import solvers
+from besselmp import problem, solvers
 from besselmp.config import RunConfig, build_spec
 from besselmp.grid import _extend, _filter, _multiply, _restrict, _weighted_norm_sq
 from besselmp.problem import _energy_parts, _residual_values
@@ -783,7 +783,7 @@ class TestBallMin:
         assert -1e-9 < coercive_ball.energy < 0.0
 
     def test_exact_regression(self, coercive_ball):
-        assert coercive_ball.energy == -5.6346764676827596e-11
+        assert coercive_ball.energy == -5.634676482952545e-11
 
     def test_descent_monotone(self, coercive_ball, well_result):
         # every accepted step lowers J-, so the descent entries never rise
@@ -878,9 +878,9 @@ class TestTwoSolutions:
 
     def test_well_exact_regression(self, well_result):
         # recorded as the coercive pins above, on one BLAS thread
-        assert well_result.mountain_pass.energy == 1.493150517621171
-        assert well_result.local_min.energy == -9.81930964023747e-08
-        assert well_result.distinctness == 1.6740738036278857
+        assert well_result.mountain_pass.energy == 1.4931505176211703
+        assert well_result.local_min.energy == -9.819309641123356e-08
+        assert well_result.distinctness == 1.6740738081758837
 
     def test_levels_echo_reports(self, well_result):
         lv = well_result.levels
@@ -997,15 +997,16 @@ def test_steep_well_certifies_at_n128():
 
 def test_polish_that_leaves_its_basin_is_refused(well_spec):
     # past the fold, at mu = 1.8 on the canonical well (the probe refuses
-    # it), the ball descent hands over at J- = -0.141563 and the Newton
-    # polish climbs to a sign-changing critical point at -0.00113; the
-    # saddle search from the mu = 0.05 endpoint hands over at J+ = -0.1378
-    # and lands on the same point.
+    # it), the ball descent hands over at J- = -0.141723 and the Newton
+    # polish climbs to a sign-changing critical point at -0.00113 in 11
+    # rows; the saddle search from the mu = 0.05 endpoint hands over at
+    # J+ = -0.137976 and lands on the same point in 10.
     # The point either seeks is at most its handover level: both refuse
     spec = replace(well_spec, mu=1.8)
     e = probe_geometry(well_spec).e
-    for report in (ball_min_solve(spec, 1e9), mountain_pass_solve(spec, e)):
+    for report, rows in ((ball_min_solve(spec, 1e9), 11), (mountain_pass_solve(spec, e), 10)):
         handover = next(t.energy for t in report.trace if t.phase == "polish")
+        assert sum(t.phase == "polish" for t in report.trace) == rows
         assert report.converged and not report.ok
         assert report.energy == pytest.approx(-0.00113255, rel=1e-5) and report.energy > handover
         assert report.message == (f"converged at energy {report.energy:.6g}, above the level "
@@ -1014,18 +1015,21 @@ def test_polish_that_leaves_its_basin_is_refused(well_spec):
         assert report.solution.values.min() < 0.0 < report.solution.values.max()
 
 
-def test_polish_at_the_fold_stalls_on_forcing_stops(well_spec):
+def test_polish_at_the_fold_stalls_on_direct_solves(well_spec):
     # at mu = 1.55 on the canonical well, near the fold, neither polish
-    # reaches tol; every MINRES solve, gradient or Newton, still ends on its
-    # forcing term, the cap or a breakdown, and the 42 solves of both runs
-    # sum to 1075 iterations
+    # reaches tol: each ends after 13 rows on a step that no trial passes.
+    # Every solve on the 1-D half grid, gradient or Newton, is direct and
+    # none fails, so no row spends a MINRES iteration
     spec = replace(well_spec, mu=1.55)
     e = probe_geometry(well_spec).e
     reports = (ball_min_solve(spec, 1e9), mountain_pass_solve(spec, e))
     for report in reports:
+        assert report.grid == "even"
         assert report.message == "residual tolerance not reached"
-        assert {t.krylov_stop for t in report.trace} <= {"forcing", "cap", "breakdown", ""}
-    assert sum(t.krylov_iters for r in reports for t in r.trace) == 1075
+        assert {t.krylov_stop for t in report.trace} == {"direct"}
+        polish = [t for t in report.trace if t.phase == "polish"]
+        assert len(polish) == 13 and polish[-1].step_size == 0.0
+    assert sum(t.krylov_iters for r in reports for t in r.trace) == 0
 
 
 # every (lam, mu) pair certifies with c > eta; two saddles pinned on one
@@ -1199,13 +1203,16 @@ def test_riesz_gradient_meets_its_tolerance(make_spec):
     assert slope > 0.5 * _norm_lam(spec, Field(g, d)) ** 2 > 0.0
 
 
-def test_descent_entries_count_their_gradient_solve(well_result):
-    # every descent entry of the canonical well records the MINRES
-    # iterations of its gradient solve; a preconditioner that sees
-    # lam V = 5,000 keeps them at 20 or fewer
-    for report in (well_result.mountain_pass, well_result.local_min):
-        descent = [t.krylov_iters for t in report.trace if t.phase != "polish"]
-        assert descent and all(0 < k <= 20 for k in descent), descent
+def test_descent_entries_count_their_gradient_solve(well_result, coercive_mp, coercive_ball):
+    # every row of a canonical 1-D solve records its solve: on the even half
+    # the gradient and the Newton direction are direct, 0 MINRES iterations
+    # (the 2-D steep-well tests count the Krylov route's); the polish row
+    # that stops at tol solves nothing
+    for report in (well_result.mountain_pass, well_result.local_min, coercive_mp, coercive_ball):
+        assert report.grid == "even"
+        rows = [(t.krylov_iters, t.krylov_stop) for t in report.trace]
+        assert rows[:-1] and set(rows[:-1]) == {(0, "direct")} and rows[-1] == (0, ""), rows
+        assert report.counts["gradient_krylov_iters"] == report.counts["newton_krylov_iters"] == 0
 
 
 def test_coarse_3d_run_on_the_default_box_raises_no_runtime_warning():
@@ -1244,6 +1251,71 @@ def test_newton_direction_2d(n, box_length, dense):
         J = multiplier_matrix(g, spec.alpha) + np.diag(_hessian_diag(spec, u).ravel())
         ref = np.linalg.solve(J, -r.ravel())
         assert np.linalg.norm(delta.ravel() - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def _half_states(make_spec):
+    """The even half of a canonical 1-D problem and two states there: a bump and a random field."""
+    spec = make_spec()
+    half, _ = spec.even_half
+    full = random_field(spec.grid, np.random.default_rng(0), envelope_sigma=2.0).values
+    even = 0.5 * (full + np.roll(full[::-1], 1))  # x -> -x maps index i to n - i
+    return half, {"bump": 2.0 * np.exp(-half.grid.radius_sq), "random": _restrict(spec.grid, even)}
+
+
+@pytest.mark.parametrize("make_spec", [canonical_coercive_spec, canonical_well_spec],
+                         ids=["coercive", "well"])
+def test_direct_newton_direction_matches_minres(make_spec):
+    # on the 1-D half grid one LU of (I - Laplacian)^alpha + diag(h) solves
+    # the Newton system; shifted MINRES at a forcing term of 1e-13 reaches
+    # the same delta (to 7e-13 relative on both problems and both states)
+    half, states = _half_states(make_spec)
+    g = half.grid
+    for name, u in states.items():
+        r = _residual_values(half, u)
+        h = _hessian_diag(half, u)
+        delta, iters, stop = _newton_direction(half, u, r, 0.1)
+        assert (iters, stop) == (0, "direct"), name
+        ref, ref_iters, ref_stop = _minres(g, half.alpha, h, -r, 1e-13, shifted=True)
+        assert ref_stop == "forcing" and ref_iters > 0, name
+        assert np.linalg.norm(delta - ref) <= 1e-11 * np.linalg.norm(ref), name
+        res = _multiply(g, delta, half.alpha) + h * delta + r
+        assert np.linalg.norm(res) <= 1e-13 * np.linalg.norm(r), name
+
+
+@pytest.mark.parametrize("make_spec", [canonical_coercive_spec, canonical_well_spec],
+                         ids=["coercive", "well"])
+def test_direct_riesz_gradient_matches_minres(make_spec):
+    # K = (I - Laplacian)^alpha + lam V is factored once per half problem,
+    # and each gradient is one product with it: the d of MINRES at a forcing
+    # term of 1e-13, and the slope is <r, d> of that d
+    half, states = _half_states(make_spec)
+    g = half.grid
+    for name, u in states.items():
+        r = _residual_values(half, u)
+        d, slope, iters, stop = solvers._riesz_gradient(half, r)
+        assert (iters, stop) == (0, "direct"), name
+        ref, _, ref_stop = _minres(g, half.alpha, half.lam * half.V_field.values, r, 1e-13)
+        assert ref_stop == "forcing", name
+        assert np.linalg.norm(d - ref) <= 1e-11 * np.linalg.norm(ref), name
+        assert slope == pytest.approx(solvers._integral(g, r * ref), rel=1e-12), name
+    assert half._riesz_inverse is half._riesz_inverse
+
+
+def test_singular_direct_solves_fail(monkeypatch):
+    # a Hessian that LAPACK finds singular, or whose solve is not finite,
+    # fails the Newton step with stop "singular"; a singular K returns the
+    # zero gradient with slope 0, which hands the descent over to the polish
+    half, states = _half_states(canonical_well_spec)
+    u = states["bump"]
+    r = _residual_values(half, u)
+    monkeypatch.setattr(solvers, "_hessian_diag", lambda spec, u: np.zeros_like(u))
+    for scale in (0.0, 1e-320):  # an exact zero pivot; a subnormal one, whose delta overflows
+        monkeypatch.setattr(solvers, "_multiplier_matrix", lambda g, s: scale * np.eye(len(u)))
+        assert _newton_direction(half, u, r, 0.1) == (None, 0, "singular")
+    weight = half.lam * half.V_field.values
+    monkeypatch.setattr(problem, "_multiplier_matrix", lambda g, s: -np.diag(weight))
+    d, slope, iters, stop = solvers._riesz_gradient(replace(half), r)
+    assert (slope, iters, stop) == (0.0, 0, "singular") and not np.any(d)
 
 
 def test_capped_minres_solve_shows_in_the_trace(monkeypatch):

@@ -92,6 +92,27 @@ def test_tail_threshold_is_closed_form(dim, q, tau, threshold):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim,alpha,q,tau", [
+    (2, 0.9, 18.7169, 1.1189),  # u* = 2.1e28, u*^q past the float range
+    (3, 0.3, 2.499, 5.0007),  # u* = 1.3e274
+], ids=["2d-q18.7", "3d-q2.499"])
+def test_tail_threshold_whose_power_overflows_passes(dim, alpha, q, tau):
+    # u* is a float but u*^q is not: both sides are scored at 2^(512/q)
+    # instead and their log ratio matches the closed form e log(u / u*)
+    spec = build_spec(RunConfig(mode="verify", dim=dim, n=8, box_length=10.0, alpha=alpha,
+                                q=q, tau=tau))
+    rec = check_superquadratic_tail(spec, tau=tau)
+    assert rec.passed
+    (witness,) = rec.witnesses
+    exponent = q - (q - 2.0) * tau
+    assert rec.data["threshold"] == pytest.approx((2.0 * q / (q - 2.0)) ** (1.0 / exponent),
+                                                  rel=1e-12)
+    assert witness["u"] == 2.0 ** (512.0 / q) < witness["threshold"]
+    assert math.isfinite(witness["lhs"]) and math.isfinite(witness["rhs"])
+    assert abs(witness["log_gap"]) <= 1e-12 * q / (q - 2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("q,tau", [
     (2.05, 40.9),  # 82^(1/0.005) = 82^200 is about 10^383
     (4.5, math.nextafter(1.8, 0.0)),  # an ulp below the top: q - (q-2) tau rounds to 0
