@@ -23,11 +23,7 @@ from .grid import (
 )
 from .problem import (
     CoerciveQuadraticPotential,
-    CustomPotential,
-    CustomWeight,
     EnergyBreakdown,
-    GaussianWeight,
-    PowerNonlinearity,
     ProblemSpec,
     WellPotential,
     canonical_coercive_spec,

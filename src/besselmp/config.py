@@ -15,13 +15,7 @@ import types
 from dataclasses import dataclass
 from typing import get_args, get_origin, get_type_hints
 
-from .problem import (
-    CoerciveQuadraticPotential,
-    GaussianWeight,
-    PowerNonlinearity,
-    ProblemSpec,
-    WellPotential,
-)
+from .problem import CoerciveQuadraticPotential, ProblemSpec, WellPotential
 from .grid import Grid
 from .solvers import SolveOptions
 from .verify import CHECKS, applies_to
@@ -222,11 +216,8 @@ def _potential(cfg: RunConfig):
 
 
 def _problem_on(grid: Grid, cfg: RunConfig) -> ProblemSpec:
-    return ProblemSpec(
-        grid=grid, alpha=cfg.alpha, lam=cfg.lam, mu=cfg.mu, p=cfg.p,
-        nonlinearity=PowerNonlinearity(cfg.q), potential=_potential(cfg),
-        weight=GaussianWeight(),  # xi is the Gaussian; no key selects another
-    )
+    return ProblemSpec(grid=grid, alpha=cfg.alpha, lam=cfg.lam, mu=cfg.mu, p=cfg.p, q=cfg.q,
+                       potential=_potential(cfg))
 
 
 def build_options(cfg: RunConfig) -> SolveOptions:

@@ -1,15 +1,17 @@
 """Problem data and the variational functional.
 
-A ProblemSpec bundles the grid, the nonlocal order alpha, the potential
-weight lam, the concave-term size mu with exponent p in (1, 2), the power
-law F(u) = |u|^q / q (the only nonlinearity it accepts), the potential,
-and the positive weight in front of the concave term.  The functional is
+A ProblemSpec is the problem's numbers: the grid, the nonlocal order
+alpha, the potential weight lam, the concave-term size mu with exponent
+p in (1, 2), the growth exponent q of the power law F(u) = |u|^q / q,
+and the potential, one of two radial families.  The weight in front of
+the concave term is the Gaussian xi(x) = exp(-|x|^2).  The functional is
 
     Phi(u) = 1/2 ||u||_lam^2 - int F(u) - (mu/p) int xi |u|^p,
 
-with ||u||_lam^2 the bessel seminorm plus lam * int V u^2.  The strong-form
-residual returned by ``residual`` is the exact L^2 gradient of the discrete
-functional, which the tests verify against finite differences.
+with ||u||_lam^2 the bessel seminorm plus lam * int V u^2, and
+f(u) = F'(u) = |u|^(q-2) u.  The strong-form residual returned by
+``residual`` is the exact L^2 gradient of the discrete functional, which
+the tests verify against finite differences.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .grid import (
     _abs_power,
     _bessel_norm_sq,
     _integral,
-    _is_even,
     _multiplier_matrix,
     _multiply,
     _potential,
@@ -36,12 +37,8 @@ from .grid import (
 )
 
 __all__ = [
-    "PowerNonlinearity",
     "CoerciveQuadraticPotential",
     "WellPotential",
-    "CustomPotential",
-    "GaussianWeight",
-    "CustomWeight",
     "ProblemSpec",
     "EnergyBreakdown",
     "eval_scrF",
@@ -59,29 +56,6 @@ def critical_exponent(dim: int, alpha: float) -> float:
     if dim <= 2.0 * alpha:
         return math.inf
     return 2.0 * dim / (dim - 2.0 * alpha)
-
-
-@dataclass(frozen=True)
-class PowerNonlinearity:
-    """f(u) = |u|^{q-2} u with primitive F(u) = |u|^q / q; theta = q."""
-
-    q: float
-
-    @property
-    def theta(self) -> float:
-        return self.q
-
-    def f(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        return np.sign(u) * _abs_power(u, self.q - 1.0)
-
-    def F(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        return _abs_power(u, self.q) / self.q
-
-    def f_prime(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        return (self.q - 1.0) * _abs_power(u, self.q - 2.0)
 
 
 @dataclass(frozen=True)
@@ -105,54 +79,14 @@ class WellPotential:
     family = "well"
 
     def __post_init__(self):
-        _require((self.radius > 0, f"well radius: must be positive, got {self.radius}"),
-                 (self.height > 0, f"well height: must be positive, got {self.height}"),
-                 (self.ramp > 0, f"well ramp: must be positive, got {self.ramp}"))
+        sizes = {"radius": self.radius, "height": self.height, "ramp": self.ramp}
+        _require(*((0.0 < v < math.inf, f"well {k}: must be positive and finite, got {v}")
+                   for k, v in sizes.items()))
 
     def values(self, grid: Grid) -> np.ndarray:
         rho = np.sqrt(grid.radius_sq)
         t = np.clip((rho - self.radius) / self.ramp, 0.0, None)
         return self.height * np.minimum(1.0, t**2)
-
-
-@dataclass(frozen=True)
-class CustomPotential:
-    """V(x) = fn(*coords), with coords the tuple of ``grid.shape`` coordinate arrays.
-
-    fn must return an array of ``grid.shape``.  ``family`` is "coercive" or
-    "well": it picks the hypotheses that gate the potential.
-    """
-
-    fn: object
-    family: str = "coercive"
-
-    def __post_init__(self):
-        _require((self.family in ("coercive", "well"),
-                  f"family: must be 'coercive' or 'well', got {self.family!r}"))
-
-    def values(self, grid: Grid) -> np.ndarray:
-        return np.asarray(self.fn(*grid.coords()), dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class GaussianWeight:
-    """xi(x) = exp(-|x|^2), strictly positive with every power integrable."""
-
-    def values(self, grid: Grid) -> np.ndarray:
-        return np.exp(-grid.radius_sq)
-
-
-@dataclass(frozen=True)
-class CustomWeight:
-    """xi(x) = fn(*coords), with coords the tuple of ``grid.shape`` coordinate arrays.
-
-    fn must return an array of ``grid.shape``.
-    """
-
-    fn: object
-
-    def values(self, grid: Grid) -> np.ndarray:
-        return np.asarray(self.fn(*grid.coords()), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -162,14 +96,12 @@ class ProblemSpec:
     lam: float
     mu: float
     p: float
-    nonlinearity: PowerNonlinearity = field(default_factory=lambda: PowerNonlinearity(4.0))
-    potential: object = field(default_factory=CoerciveQuadraticPotential)
-    weight: object = field(default_factory=GaussianWeight)
+    q: float = 4.0
+    potential: CoerciveQuadraticPotential | WellPotential = field(
+        default_factory=CoerciveQuadraticPotential)
 
     def __post_init__(self):
         alpha_ok = 0.0 < self.alpha < 1.0
-        power = type(self.nonlinearity) is PowerNonlinearity
-        q = self.nonlinearity.q if power else None
         # without a valid alpha only the lower bound on q can be checked
         qmax = critical_exponent(self.grid.dim, self.alpha) if alpha_ok else math.inf
         _require(
@@ -177,38 +109,30 @@ class ProblemSpec:
             (0.0 < self.lam < math.inf, f"lam: must be positive and finite, got {self.lam}"),
             (0.0 <= self.mu < math.inf, f"mu: must be nonnegative and finite, got {self.mu}"),
             (1.0 < self.p < 2.0, f"p: must lie in the open interval (1, 2), got {self.p}"),
-            # the probe's ridge bound, the solvers' fibering roots and verify's tail threshold
-            # are in closed form for the power law itself, not a subclass that overrides f or F
-            (power, "nonlinearity: must be a PowerNonlinearity, got "
-                    f"{type(self.nonlinearity).__name__}"),
-            (not power or 2.0 < q < qmax, f"q: growth exponent must lie in (2, {qmax}), got {q}"),
+            (2.0 < self.q < qmax, f"q: growth exponent must lie in (2, {qmax}), got {self.q}"),
+            # even_half rests on V being radial, as both families are
+            (type(self.potential) in (CoerciveQuadraticPotential, WellPotential),
+             "potential: must be a CoerciveQuadraticPotential or a WellPotential, got "
+             f"{type(self.potential).__name__}"),
         )
 
     @cached_property
     def V_field(self) -> Field:
-        vals = self.potential.values(self.grid)
-        if np.min(vals) < 0:
-            raise ValueError("potential evaluates negative on the grid")
-        return Field(self.grid, vals)
+        return Field(self.grid, self.potential.values(self.grid))
 
     @cached_property
     def xi_field(self) -> Field:
-        vals = self.weight.values(self.grid)
-        if np.min(vals) < 0:
-            raise ValueError("weight evaluates negative on the grid")
-        return Field(self.grid, vals)
+        """xi(x) = exp(-|x|^2), strictly positive with every power integrable."""
+        return Field(self.grid, np.exp(-self.grid.radius_sq))
 
     @cached_property
-    def even_half(self) -> tuple:
-        """(this problem on ``grid.half``, "") when V and xi are even in each x_i, else (None, why).
+    def even_half(self) -> ProblemSpec:
+        """This problem on ``grid.half``; n must be even.
 
-        n must be even.  On the half grid V and xi are the potential's and
-        the weight's own values there, built once, with the half problem.
+        V and xi are radial, so even in each x_i, and on the half grid they
+        are their own values there, built once, with the half problem.
         """
-        for name, f in (("V", self.V_field), ("xi", self.xi_field)):
-            if not _is_even(self.grid, f.values):
-                return None, f"{name} is not even"
-        return replace(self, grid=self.grid.half), ""
+        return replace(self, grid=self.grid.half)
 
     @cached_property
     def _riesz_inverse(self) -> np.ndarray:
@@ -223,9 +147,9 @@ class ProblemSpec:
 
 
 def eval_scrF(spec: ProblemSpec, u_value):
-    """Superquadratic excess u*f/2 - F; nonnegative for the power model."""
+    """Superquadratic excess u*f/2 - F = (1/2 - 1/q) |u|^q, nonnegative."""
     u = np.asarray(u_value, dtype=np.float64)
-    return 0.5 * u * spec.nonlinearity.f(u) - spec.nonlinearity.F(u)
+    return 0.5 * u * (np.sign(u) * _abs_power(u, spec.q - 1.0)) - _abs_power(u, spec.q) / spec.q
 
 
 class EnergyBreakdown(NamedTuple):
@@ -249,7 +173,7 @@ def _energy_parts(spec: ProblemSpec, u: np.ndarray, bessel=None) -> EnergyBreakd
     if bessel is None:
         bessel = _bessel_norm_sq(g, u, spec.alpha)
     quad = 0.5 * (bessel + _potential(g, u, spec.V_field.values, spec.lam))
-    f_term = _integral(g, spec.nonlinearity.F(u))
+    f_term = _integral(g, _abs_power(u, spec.q) / spec.q)
     xi_integral = _integral(g, spec.xi_field.values * _abs_power(u, spec.p))
     xi_term = (spec.mu / spec.p) * xi_integral
     total = quad - f_term - xi_term
@@ -265,7 +189,7 @@ def _residual_values(spec: ProblemSpec, u: np.ndarray, image=None) -> np.ndarray
     if image is None:
         image = _multiply(spec.grid, u, spec.alpha)
     vals = image + spec.lam * spec.V_field.values * u
-    vals = vals - spec.nonlinearity.f(u)
+    vals = vals - np.sign(u) * _abs_power(u, spec.q - 1.0)
     return vals - spec.mu * spec.xi_field.values * np.sign(u) * _abs_power(u, spec.p - 1.0)
 
 
@@ -313,9 +237,8 @@ def canonical_coercive_spec(n: int = 256, box_length: float = 40.0) -> ProblemSp
         lam=1.0,
         mu=0.01,
         p=1.5,
-        nonlinearity=PowerNonlinearity(4.0),
+        q=4.0,
         potential=CoerciveQuadraticPotential(),
-        weight=GaussianWeight(),
     )
 
 
@@ -328,7 +251,6 @@ def canonical_well_spec(n: int = 256, box_length: float = 40.0,
         lam=lam,
         mu=mu,
         p=1.5,
-        nonlinearity=PowerNonlinearity(4.0),
+        q=4.0,
         potential=WellPotential(radius=1.0, height=50.0, ramp=1.0),
-        weight=GaussianWeight(),
     )

@@ -15,11 +15,11 @@ top t+(w), its larger critical point, exactly when mu is below the ray's
 extremal value mu(w).  Both are the roots of one function, concave in
 log t, that a Newton iteration in log t reaches without crossing them
 (``_root``); the probe's radius is the top root of another.  The solvers
-rest on F being homogeneous: the power law, the one nonlinearity a
-ProblemSpec accepts.  The saddle search descends
-J+(w) = Phi(t+(w) w) from the far endpoint e; the negative-energy
-minimizer is the minimum of J-(w) = Phi(t-(w) w), the
-N+ branch of Brown & Zhang (2003), descended from a Gaussian bump.  The
+rest on F being homogeneous: the power law |u|^q / q of every
+ProblemSpec.  The saddle search descends J+(w) = Phi(t+(w) w) from the
+far endpoint e; the negative-energy minimizer is the minimum of
+J-(w) = Phi(t-(w) w), the N+ branch of Brown & Zhang (2003), descended
+from a Gaussian bump.  The
 iterate always sits on its ray's critical point and J never rises over
 accepted steps.  The gradient in the lam-norm, g = K^{-1} r with
 K = (I - Laplacian)^alpha + lam V, is solved by preconditioned MINRES, or
@@ -42,27 +42,27 @@ through the array kernels of ``grid`` and ``problem``: a trial point that
 overflows reads +inf energy, or a residual norm that fails every
 acceptance test, instead of being refused by the Field constructor.
 
-Both descents run in the even subspace when they can.  Every V, xi and
-start that the config builds is radial, so Phi is invariant under each
-reflection x_i -> -x_i, and every step above maps fields even in each x_i
-to even fields: the transforms, the pointwise maps, the line searches and
-MINRES.  By Palais' principle of symmetric criticality (Comm. Math. Phys.
-69, 1979) a critical point of Phi restricted to the even fields is a
-critical point of Phi.  On an even-n grid such a field is stored as its
-(n/2 + 1)^dim samples on x_i >= 0 (``grid.EvenGrid``), where a transform
-pair and the array work of a MINRES iteration cost about 2^dim times
-less.  In 1-D that is at most 209 samples, few enough that both linear
-solves are dense and direct, with no MINRES loop in Python.  The rule is
-fixed: a solve runs there exactly when n is even, in 1-D n is at most
-EVEN_1D_MAX_N, and V, xi and the start are even to roundoff (the power
-law does not depend on x); otherwise on the full grid, as it stands.
+Both descents run in the even subspace when they can.  V of both
+families and xi are radial, and so is every start that the config
+builds, so Phi is invariant under each reflection x_i -> -x_i, and every
+step above maps fields even in each x_i to even fields: the transforms,
+the pointwise maps, the line searches and MINRES.  By Palais' principle
+of symmetric criticality (Comm. Math. Phys. 69, 1979) a critical point
+of Phi restricted to the even fields is a critical point of Phi.  On an
+even-n grid such a field is stored as its (n/2 + 1)^dim samples on
+x_i >= 0 (``grid.EvenGrid``), where a transform pair and the array work
+of a MINRES iteration cost about 2^dim times less.  In 1-D that is at
+most 209 samples, few enough that both linear solves are dense and
+direct, with no MINRES loop in Python.  The rule is fixed: a solve runs
+there exactly when n is even, in 1-D n is at most EVEN_1D_MAX_N, and the
+start is even to roundoff; otherwise on the full grid, as it stands.
 The 1-D bound is where the even form stopped paying with MINRES on both
 grids: its DCT-I is a product with an (n/2 + 1)-square matrix, O(n^2)
 per transform, and past n = 416 the canonical coercive run was faster on
 the full grid's FFT.  With direct solves the half grid still wins at
-n = 512 and loses at 1024 (README).  The solution is extended back to the full
-grid and its residual re-checked there once; a report says which grid it
-ran on, and why not the even one.
+n = 512 and loses at 1024 (README).  The solution is extended back to
+the full grid and its residual re-checked there once; a report says
+which grid it ran on, and why not the even one.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ import numpy as np
 
 from .grid import (
     Field,
+    _abs_power,
     _dot,
     _extend,
     _filter,
@@ -209,8 +210,8 @@ class SolveReport:
     message: str
     trace: tuple
     # the grid the solve ran on, "even" (the x_i >= 0 half) or "full", and
-    # why not the even one: "odd n", "dim 1, n above 416" (EVEN_1D_MAX_N),
-    # "V is not even", "xi is not even" or "start is not even"; "" when even.
+    # why not the even one: "odd n", "dim 1, n above 416" (EVEN_1D_MAX_N)
+    # or "start is not even"; "" when even.
     grid: str = "full"
     grid_reason: str = ""
 
@@ -339,7 +340,7 @@ def _ridge_bound(spec, c_inf, c_2):
     Below it rho = argmax l is the top root of l'(rho) / rho = 1 - q a rho^(q-2)
     - p mu b rho^(p-2) (``_root``).
     """
-    q, p, mu = spec.nonlinearity.q, spec.p, spec.mu
+    q, p, mu = spec.q, spec.p, spec.mu
     numbers = f"C_inf = {c_inf:.6g}, C_2 = {c_2:.6g}"
     try:
         a = c_inf ** (q - 2.0) * c_2**2 / q
@@ -457,7 +458,7 @@ def _along(spec, pieces, t):
     The power law's int F is homogeneous of degree q (Brown & Zhang, 2003),
     so no t costs a transform; a t^q past the float range reads -inf.
     """
-    return (t**2 * pieces.quad - pieces.f_term * _scalar_power(t, spec.nonlinearity.q)
+    return (t**2 * pieces.quad - pieces.f_term * _scalar_power(t, spec.q)
             - t**spec.p * pieces.xi_term)
 
 
@@ -476,7 +477,7 @@ def _fibering(spec, w, bottom=False):
     pieces = _energy_parts(spec, w)
     if pieces.total == math.inf:
         return math.nan, math.inf
-    q, p = spec.nonlinearity.q, spec.p
+    q, p = spec.q, spec.p
     t = _root(2.0 * pieces.quad, q * pieces.f_term, p * pieces.xi_term, q, p, bottom)
     level = _along(spec, pieces, t)
     return (t, level) if math.isfinite(level) else (math.nan, math.inf)
@@ -491,7 +492,7 @@ def _extremal_mu(spec, w):
     Nonlinear Anal. 49, 2017); inf where C = 0.
     """
     parts = _energy_parts(spec, w)
-    q, p = spec.nonlinearity.q, spec.p
+    q, p = spec.q, spec.p
     big_a, big_c = parts.quad, parts.xi_integral / p
     if not big_c > 0.0:
         return math.inf
@@ -524,7 +525,7 @@ def _armijo_step(u, e_u, d, slope, step, place):
 
 def _hessian_diag(spec, u):
     """Pointwise part of the second derivative of Phi at u."""
-    vals = spec.lam * spec.V_field.values - spec.nonlinearity.f_prime(u)
+    vals = spec.lam * spec.V_field.values - (spec.q - 1.0) * _abs_power(u, spec.q - 2.0)
     if spec.mu > 0:
         # |u|^{p-2} blows up at zeros of u; the concave term's curvature is
         # meaningless there, so it is clamped off below a floor
@@ -788,13 +789,11 @@ def _subspace(spec, start):
         why = "odd n"
     elif g.dim == 1 and g.n > EVEN_1D_MAX_N:
         why = f"dim 1, n above {EVEN_1D_MAX_N}"
+    elif not _is_even(g, start):
+        why = "start is not even"
     else:
-        half, why = spec.even_half
-        if not (why or _is_even(g, start)):
-            why = "start is not even"
-    if why:
-        return spec, start, "full", why
-    return half, _restrict(g, start), "even", ""
+        return spec.even_half, _restrict(g, start), "even", ""
+    return spec, start, "full", why
 
 
 def _descend(spec, run, u, level, bottom, opts):

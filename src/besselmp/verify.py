@@ -34,6 +34,7 @@ import numpy as np
 from .grid import (
     Field,
     Grid,
+    _abs_power,
     _bessel_norm_sq,
     _integral,
     _lp_norm,
@@ -90,9 +91,15 @@ def require_s_in_window(s_list, dim: int, alpha: float) -> None:
 
 
 def require_separations(separations) -> None:
-    """Refuse an empty separation list: the splitting verdict reads the largest separation."""
+    """Refuse an empty separation list and a non-finite separation, one message each.
+
+    The verdict reads the largest separation, and each snaps to whole grid
+    cells, which an inf or a nan has none of.
+    """
     if len(separations) == 0:
         raise ValueError("separations: the splitting check needs at least one separation")
+    _require(*((math.isfinite(s), f"separations: each must be finite, got {s}")
+               for s in separations))
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ def check_superquadratic_tail(spec: ProblemSpec, tau: float) -> CheckRecord:
     inequality holds exactly from u* = (2q/(q-2))^(1/e) on, e = q - (q-2) tau,
     and the window keeps e positive: u* is 4 for the quartic model at
     tau = 1.5, and 6^(1/(3 - tau)) for q = 3, 36 at tau = 2.5.  The witness
-    scores both sides with the problem's own f and ``eval_scrF`` at
+    scores both sides, from |f(u)| = |u|^(q-1) and ``eval_scrF``, at
     u = min(u*, 2^(512/q)), where |u|^q stays far inside the float range
     although u*^q may not, and compares their log ratio with the closed
     form's, e log(u / u*) = e log u - log(2q/(q-2)), 0 at u = u*.  The
@@ -144,8 +151,8 @@ def check_superquadratic_tail(spec: ProblemSpec, tau: float) -> CheckRecord:
     (1/2 - 1/q) |u|^q each scale roundoff by up to q/(q-2).  A u* past the
     float range fails.
     """
-    require_tau_in_window(tau, spec.grid.dim, spec.alpha, spec.nonlinearity.q)
-    q = spec.nonlinearity.q
+    q = spec.q
+    require_tau_in_window(tau, spec.grid.dim, spec.alpha, q)
     # positive inside the window, but roundoff can zero it within an ulp of the top
     exponent = q - (q - 2.0) * tau
     try:
@@ -159,7 +166,8 @@ def check_superquadratic_tail(spec: ProblemSpec, tau: float) -> CheckRecord:
             {"threshold": None},
         )
     u = min(threshold, 2.0 ** (512.0 / q))
-    lhs = float(_power(np.abs(spec.nonlinearity.f(np.array([u]))) / u, tau)[0])
+    # |f(u)| / u = u^(q-1) / u at u > 0
+    lhs = float(_power(_abs_power(np.array([u]), q - 1.0) / u, tau)[0])
     rhs = float(eval_scrF(spec, np.array([u]))[0])
     gap = math.inf
     if 0.0 < lhs < math.inf and 0.0 < rhs < math.inf:
@@ -464,7 +472,7 @@ def check_bounded_descent(spec: ProblemSpec, trace) -> CheckRecord:
     rows = [t for t in trace if t.phase in ("nehari", "ball")]
     if not rows:
         raise ValueError("the trace has no descent rows (phase 'nehari' or 'ball') to check")
-    theta, p = spec.nonlinearity.theta, spec.p
+    theta, p = spec.q, spec.p
     xi_norm = _lp_norm(spec.grid, spec.xi_field.values, 2.0 / (2.0 - p))
     half = 0.5 - 1.0 / theta
     slack = (1.0 / p - 1.0 / theta) * spec.mu * xi_norm

@@ -1,6 +1,9 @@
 """Config parsing: defaults, coercion, aliasing, and error accumulation."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +129,26 @@ def test_empty_separations_refused_when_splitting_runs():
     parse_config(json.dumps({"mode": "verify", "separations": [], "checks": ["holder"]}))
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "2, inf", "-inf, 4"])
+def test_separations_must_be_finite_when_splitting_runs(value):
+    # a separation snaps to whole grid cells, which a non-finite one has none of
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"mode = verify\nchecks = splitting\nseparations = {value}")
+    bad = [s for s in (float(v) for v in value.split(",")) if not abs(s) < float("inf")]
+    assert err.value.errors == [f"separations: each must be finite, got {s}" for s in bad]
+    parse_config(f"mode = verify\nchecks = holder\nseparations = {value}")
+
+
+@pytest.mark.parametrize("key", ["well_radius", "well_height", "well_ramp"])
+def test_well_geometry_must_be_finite(key):
+    # an infinite height fails the probe on a non-finite field, and an
+    # infinite radius or ramp gives V = 0, which would certify as a well
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"potential = well\n{key} = inf")
+    name = key.removeprefix("well_")
+    assert err.value.errors == [f"well {name}: must be positive and finite, got inf"]
+
+
 @pytest.mark.parametrize("value", ["0", "inf", "nan"])
 def test_sublevel_height_must_be_positive_and_finite(value):
     # {V < b} needs a finite height: the hypotheses measure it
@@ -218,3 +241,18 @@ def test_verify_exponent_windows_are_checked_for_selected_checks():
     # the command line's mode is validated with the file's keys
     with pytest.raises(ConfigError):
         parse_config(VERIFY_3D.replace("verify", "solve"), mode="verify")
+
+
+def test_readme_config_table_names_every_key_once():
+    # the table's rows run unbroken from its header, so a paragraph between
+    # them leaves the keys after it out; an alias, in parentheses, is no key
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | default | meaning |")
+    assert lines[start + 1] == "| --- | --- | --- |"
+    named = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        named += re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", line.split("|")[1]))
+    keys = [f.name for f in dataclasses.fields(RunConfig) if f.name != "mode"]
+    assert sorted(named) == sorted(keys)

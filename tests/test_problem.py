@@ -1,4 +1,4 @@
-"""Problem data: nonlinearities, potentials, energy, residual, validators."""
+"""Problem data: the power law, potentials, energy, residual, validators."""
 
 import math
 from dataclasses import replace
@@ -11,11 +11,8 @@ from scipy import ndimage
 
 from besselmp import (
     CoerciveQuadraticPotential,
-    CustomPotential,
     Field,
     Grid,
-    GaussianWeight,
-    PowerNonlinearity,
     ProblemSpec,
     WellPotential,
     canonical_coercive_spec,
@@ -28,8 +25,9 @@ from besselmp import (
     validate_assumptions,
 )
 from besselmp.config import RunConfig, build_spec
-from besselmp.grid import _weighted_norm_sq
+from besselmp.grid import _abs_power, _is_even, _restrict, _weighted_norm_sq
 from besselmp.problem import _energy_parts, _residual_values, eval_scrF
+from besselmp.solvers import _hessian_diag
 from besselmp.verify import _component_count, _erode
 from conftest import hypothesis_entry
 
@@ -47,24 +45,30 @@ def test_critical_exponent():
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities
+# the power law f(u) = |u|^(q-2) u, F(u) = |u|^q / q, written where they are used
 
 
 class TestPowerNonlinearity:
     def test_quartic_values(self):
-        nl = PowerNonlinearity(4.0)
-        assert nl.f(2.0) == pytest.approx(8.0)
-        assert nl.f(-2.0) == pytest.approx(-8.0)
-        assert nl.F(2.0) == pytest.approx(4.0)
-        assert nl.F(-2.0) == pytest.approx(4.0)
-        assert nl.f(0.0) == 0.0
-        assert nl.F(0.0) == 0.0
-        assert nl.theta == 4.0
+        # at a constant field u = c the multiplier is the identity, so with
+        # mu = 0 the residual is c + lam V c - f(c), and int F(c) = F(c) L
+        spec = _spec(mu=0.0)
+        g = spec.grid
+        lam_v = spec.lam * spec.V_field.values
+        for c, f_c, big_f in ((2.0, 8.0, 4.0), (-2.0, -8.0, 4.0), (0.0, 0.0, 0.0)):
+            u = np.full(g.shape, c)
+            np.testing.assert_allclose(c + lam_v * c - _residual_values(spec, u), f_c,
+                                       rtol=1e-12, atol=1e-9)
+            assert _energy_parts(spec, u).f_term == pytest.approx(big_f * g.box_length)
+        assert spec.q == 4.0
 
     def test_f_prime(self):
-        nl = PowerNonlinearity(4.0)
-        assert nl.f_prime(2.0) == pytest.approx(12.0)
-        assert nl.f_prime(-2.0) == pytest.approx(12.0)
+        # with mu = 0 the Hessian's pointwise part is lam V - f'(u)
+        spec = _spec(mu=0.0)
+        lam_v = spec.lam * spec.V_field.values
+        for c in (2.0, -2.0):
+            h = _hessian_diag(spec, np.full(spec.grid.shape, c))
+            np.testing.assert_allclose(lam_v - h, 12.0, rtol=1e-12)
 
     @settings(deadline=None, max_examples=50)
     @given(q=st.one_of(st.floats(2.1, 6.0), st.sampled_from([3.0, 4.0, 5.0, 6.0])),
@@ -72,25 +76,20 @@ class TestPowerNonlinearity:
     def test_superquadratic_identity(self, q, u):
         # theta = q makes theta*F = u*f exactly; the excess scrF is
         # (1/2 - 1/q)|u|^q >= 0
-        nl = PowerNonlinearity(q)
-        F = float(nl.F(u))
-        uf = u * float(nl.f(u))
-        assert F >= 0.0
-        assert uf == pytest.approx(q * F, rel=1e-12, abs=1e-300)
+        excess = float(eval_scrF(_spec(q=q), u))
+        assert excess >= 0.0
+        assert excess == pytest.approx((0.5 - 1.0 / q) * abs(u) ** q, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("q", [3.0, 4.0, 5.0, 6.0])
     def test_whole_powers_match_pow(self, q):
-        # whole powers are multiplied out; they agree with ** to a few ulps
-        nl = PowerNonlinearity(q)
+        # F, f and f' take |u|^q, |u|^(q-1) and |u|^(q-2), whole powers
+        # multiplied out; they agree with ** to a few ulps
         u = np.concatenate([[0.0, -0.0], np.geomspace(1e-30, 1e30, 301)])
         u = np.concatenate([u, -u])
         a = np.abs(u)
-        for got, want in ((nl.F(u), a**q / q),
-                          (nl.f(u), np.sign(u) * a ** (q - 1.0)),
-                          (nl.f_prime(u), (q - 1.0) * a ** (q - 2.0))):
-            np.testing.assert_array_max_ulp(got, want, maxulp=4)
-        assert nl.f(0.0) == nl.F(0.0) == 0.0
-        assert nl.f(-2.0) == -(2.0 ** (q - 1.0))
+        for k in (q, q - 1.0, q - 2.0):
+            np.testing.assert_array_max_ulp(_abs_power(u, k), a**k, maxulp=4)
+        assert eval_scrF(_spec(q=q), 0.0) == 0.0
 
     def test_overflowing_row_reads_infinite_energy(self):
         spec = canonical_coercive_spec(n=64)
@@ -138,7 +137,33 @@ def test_well_parameter_validation():
 
 def test_gaussian_weight():
     g = Grid(1, 64, 20.0)
-    np.testing.assert_allclose(GaussianWeight().values(g), np.exp(-g.axis_coords**2))
+    np.testing.assert_allclose(_spec(grid=g).xi_field.values, np.exp(-g.axis_coords**2))
+
+
+_RADIAL = {
+    "coercive": CoerciveQuadraticPotential(),
+    "well": WellPotential(radius=1.0, height=50.0, ramp=1.0),
+    "steep-narrow-well": WellPotential(radius=0.3, height=1e6, ramp=0.01),
+}
+
+
+@pytest.mark.parametrize("dim,n,box_length", [
+    (1, 256, 40.0), (1, 408, 7.3), (2, 48, 15.0), (2, 64, 40.0), (2, 30, 1.7),
+    (3, 16, 10.0), (3, 32, 10.0), (3, 24, 2.9),
+])
+@pytest.mark.parametrize("family", sorted(_RADIAL))
+def test_v_and_xi_are_even_and_restrict_to_the_half_problem(family, dim, n, box_length):
+    # the even subspace rests on V and xi being even in each x_i, which
+    # ProblemSpec.even_half takes on trust: both potential families and
+    # xi are radial, so to roundoff on the grid, and the half problem's
+    # own V and xi are the full grid's restricted
+    spec = _spec(grid=Grid(dim, n, box_length), q=3.0, potential=_RADIAL[family])
+    half = spec.even_half
+    assert half.grid == spec.grid.half
+    for full, on_half in ((spec.V_field, half.V_field), (spec.xi_field, half.xi_field)):
+        assert _is_even(spec.grid, full.values)
+        np.testing.assert_allclose(on_half.values, _restrict(spec.grid, full.values),
+                                   rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +175,6 @@ def _spec(grid=None, **overrides):
                 mu=0.01, p=1.5)
     base.update(overrides)
     return ProblemSpec(**base)
-
-
-class _LinearAtZero(PowerNonlinearity):
-    """f(u) = u, which does not vanish faster than u at zero."""
-
-    def f(self, u):
-        return np.asarray(u, dtype=np.float64)
 
 
 class TestProblemSpecValidation:
@@ -174,32 +192,18 @@ class TestProblemSpecValidation:
         # d=3, alpha=0.75: critical exponent is 4, so q=4 is out
         g3 = Grid(3, 16, 10.0)
         with pytest.raises(ValueError, match="growth exponent"):
-            _spec(grid=g3, nonlinearity=PowerNonlinearity(4.0))
-        _spec(grid=g3, nonlinearity=PowerNonlinearity(3.5))  # inside: fine
+            _spec(grid=g3, q=4.0)
+        _spec(grid=g3, q=3.5)  # inside: fine
 
-    def test_only_the_power_law_is_accepted(self):
-        # the probe and the solvers rest on the power law's closed-form fibering map
+    def test_potential_is_one_of_the_two_families(self):
+        # the even subspace takes V to be radial, as both families are
         with pytest.raises(ValueError) as err:
-            replace(_spec(), nonlinearity=object())
-        assert str(err.value) == "nonlinearity: must be a PowerNonlinearity, got object"
-        for cfg in (RunConfig(), RunConfig(dim=2, n=16, box_length=15.0, potential="well"),
-                    RunConfig(dim=3, n=8, box_length=10.0, q=3.0)):
-            assert type(build_spec(cfg).nonlinearity) is PowerNonlinearity
-
-    def test_a_power_law_subclass_is_refused(self):
-        # a subclass may override f or F, and the ridge bound, the fibering
-        # roots and the tail threshold assume the power law itself
-        with pytest.raises(ValueError) as err:
-            replace(_spec(), nonlinearity=_LinearAtZero(3.0))
-        assert str(err.value) == "nonlinearity: must be a PowerNonlinearity, got _LinearAtZero"
+            _spec(potential=object())
+        assert str(err.value) == ("potential: must be a CoerciveQuadraticPotential or a "
+                                  "WellPotential, got object")
 
     def test_mu_zero_allowed(self):
         assert _spec(mu=0.0).mu == 0.0
-
-    def test_negative_potential_rejected_at_field_build(self):
-        spec = _spec(potential=CustomPotential(lambda x: x * 0.0 - 1.0))
-        with pytest.raises(ValueError, match="negative"):
-            spec.V_field
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +256,8 @@ def _one_spec_per_dim():
     """One spec per dim: quartic in 1-D, cubic in 2-D and in the 3-D well."""
     return [
         _spec(grid=Grid(1, 64, 20.0)),
-        _spec(grid=Grid(2, 16, 12.0), nonlinearity=PowerNonlinearity(3.0)),
-        _spec(grid=Grid(3, 8, 10.0), nonlinearity=PowerNonlinearity(3.0),
+        _spec(grid=Grid(2, 16, 12.0), q=3.0),
+        _spec(grid=Grid(3, 8, 10.0), q=3.0,
               potential=WellPotential(radius=1.0, height=5.0, ramp=1.0)),
     ]
 
@@ -364,10 +368,13 @@ def test_flat_zero_region_pins(name):
 
 
 def test_flat_potential_fails_ball_decay():
-    spec = _spec(grid=Grid(1, 256, 40.0),
-                 potential=CustomPotential(lambda x: np.ones_like(x)))
+    # on a box of 10 the ladder's balls reach only |x| = 3.5, where the
+    # coercive V is still too flat for the ball integrals of 1/V to fall
+    # below a tenth of their start; every other required hypothesis holds
+    spec = _spec(grid=Grid(1, 256, 10.0))
     record = validate_assumptions(spec)
-    assert not hypothesis_entry(record, "ball_integrals_decay")["pass"]
+    failed = {c["name"] for c in record.data["checks"] if c["required"] and not c["pass"]}
+    assert failed == {"ball_integrals_decay"}
     assert not record.passed
 
 
@@ -375,27 +382,17 @@ def test_flat_potential_fails_ball_decay():
 def test_vanishing_at_zero_holds_for_every_power_above_two(q):
     # f(u)/u = |u|^(q-2) -> 0 for every q > 2, so the spec's q window decides
     # this hypothesis and validate_assumptions runs no scan of f for it
-    spec = replace(canonical_coercive_spec(), nonlinearity=PowerNonlinearity(q))
-    u = np.geomspace(1e-8, 1e-1, 120)
-    np.testing.assert_allclose(spec.nonlinearity.f(u) / u, u ** (q - 2.0), rtol=1e-13)
+    spec = replace(canonical_coercive_spec(), q=q)
     record = validate_assumptions(spec)
     assert record.passed
     assert not {"growth_bound", "vanishing_at_zero", "superquadratic"} & {
         c["name"] for c in record.data["checks"]}
 
 
-@pytest.mark.parametrize("family", ["coercve", "Well", None])
-def test_custom_potential_refuses_an_unknown_family(family):
-    # a family that no hypothesis gates would leave only the common four
-    # required, so a constant V would pass without its ball-decay check
-    with pytest.raises(ValueError, match=f"family: must be 'coercive' or 'well', got {family!r}"):
-        CustomPotential(lambda x: np.ones_like(x), family=family)
-
-
 def test_canonical_specs_echo_parameters():
     c = canonical_coercive_spec()
     assert (c.alpha, c.lam, c.mu, c.p) == (0.75, 1.0, 0.01, 1.5)
-    assert c.nonlinearity.q == 4.0
+    assert c.q == 4.0
     assert c.grid.n == 256 and c.grid.box_length == 40.0
 
     w = canonical_well_spec()

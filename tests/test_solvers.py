@@ -12,11 +12,8 @@ from scipy import optimize
 from scipy.sparse.linalg import LinearOperator, minres
 
 from besselmp import (
-    CustomPotential,
-    CustomWeight,
     Field,
     GeometryError,
-    PowerNonlinearity,
     SolveOptions,
     apply_multiplier,
     assess_levels,
@@ -139,13 +136,6 @@ class TestProbe:
         with pytest.raises(GeometryError, match="not below the certified budget"):
             probe_geometry(replace(coercive_spec, mu=budget))
 
-    def test_budget_without_weight_is_infinite(self, coercive_spec):
-        # xi = 0: no mu can pull the bound down
-        flat = replace(coercive_spec, weight=CustomWeight(lambda x: np.zeros_like(x)))
-        p = probe_geometry(flat)
-        assert p.eta > 0.0
-        assert p.mu_budget == math.inf
-
 
 def _probe_key(p):
     return (p.rho, p.eta, p.mu_budget, p.c_inf, p.c_2)
@@ -153,14 +143,14 @@ def _probe_key(p):
 
 def _bound_coefficients(spec, probe):
     """(a, b) of l(rho) = rho^2/2 - a rho^q - mu b rho^p, from the probe's constants."""
-    q, p = spec.nonlinearity.q, spec.p
+    q, p = spec.q, spec.p
     a = probe.c_inf ** (q - 2.0) * probe.c_2**2 / q
     b = lp_norm(spec.xi_field, 2.0 / (2.0 - p)) * probe.c_2**p / p
     return a, b
 
 
 def _ridge(spec, a, b, r):
-    return 0.5 * r**2 - a * r**spec.nonlinearity.q - spec.mu * b * r**spec.p
+    return 0.5 * r**2 - a * r**spec.q - spec.mu * b * r**spec.p
 
 
 def _green(spec):
@@ -366,14 +356,14 @@ class TestMountainPass:
 def _closed_form_gap(spec, w):
     """The roots of 2 quad = q F t^(q-2) + p X t^(p-2) are the critical points of t -> Phi(t w).
 
-    For PowerNonlinearity, with F and X the f_term and xi_term of w.
+    For the power law, with F and X the f_term and xi_term of w.
     Returns (gap, lo, hi): the right side is convex in t with its minimum
     at lo, where q (q-2) F t^(q-p) = p (2-p) X; at hi = (2 quad / (q
     F))^(1/(q-2)) it exceeds 2 quad by p X hi^(p-2), so the larger root,
     the top, lies between lo and hi, and the smaller, the bottom, below lo.
     """
     quad, f_term, _, xi_term, _ = _energy_parts(spec, w)
-    q, p = spec.nonlinearity.q, spec.p
+    q, p = spec.q, spec.p
 
     def gap(t):
         return 2.0 * quad - q * f_term * t ** (q - 2.0) - p * xi_term * t ** (p - 2.0)
@@ -446,7 +436,7 @@ def _mu_of_ray(spec, w):
     B = int |w|^q / q and C = int xi |w|^p / p.
     """
     parts = _energy_parts(spec, w)
-    q, p = spec.nonlinearity.q, spec.p
+    q, p = spec.q, spec.p
     big_a, big_b, big_c = parts.quad, parts.f_term, parts.xi_integral / p
     peak = (2.0 * (2.0 - p) * big_a / (q * (q - p) * big_b)) ** (1.0 / (q - 2.0))
     return 2.0 * (q - 2.0) * big_a * peak ** (2.0 - p) / ((q - p) * p * big_c)
@@ -498,20 +488,22 @@ def test_fibering_closed_form_matches_pointwise_sums(cfg):
 
 def test_power_law_fibering_makes_no_pass_of_its_own(coercive_spec, coercive_probe, fft_calls,
                                                      monkeypatch):
-    # f and F are called only by the one energy evaluation of w: its F
-    # pass and its forward transform, whatever Newton tries
+    # |w|^q and |w|^p are taken only by the one energy evaluation of w,
+    # with its forward transform, whatever Newton tries: no f = |w|^(q-2) w
     calls = Counter()
-    for name in ("f", "F"):
-        def counted(self, u, _name=name, _fn=getattr(PowerNonlinearity, name)):
-            calls[_name] += 1
-            return _fn(self, u)
-        monkeypatch.setattr(PowerNonlinearity, name, counted)
+    abs_power = problem._abs_power
+
+    def counted(u, k):
+        calls[k] += 1
+        return abs_power(u, k)
+
+    monkeypatch.setattr(problem, "_abs_power", counted)
     for w, bottom in ((coercive_probe.e.values, False),
                       (np.exp(-coercive_spec.grid.radius_sq), True)):
         calls.clear()
         fft_calls.clear()
         assert math.isfinite(_fibering(coercive_spec, w, bottom)[1])
-        assert calls == {"F": 1} and fft_calls == {"_rfft": 1}
+        assert calls == {coercive_spec.q: 1, coercive_spec.p: 1} and fft_calls == {"_rfft": 1}
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e6])
@@ -628,7 +620,7 @@ def test_each_descent_row_computes_one_residual(coercive_spec, coercive_probe, m
         return residual(spec, u)
 
     monkeypatch.setattr(solvers, "_residual", counted)
-    half_spec = coercive_spec.even_half[0]
+    half_spec = coercive_spec.even_half
     for solve, phase in (
             (lambda: mountain_pass_solve(coercive_spec, coercive_probe.e, probe=coercive_probe),
              "nehari"),
@@ -1112,18 +1104,12 @@ def test_even_subspace_agrees_with_the_full_grid(cfg, full_grid_forward, fft_cal
 
 @pytest.mark.parametrize("case,saddle,minimizer", [
     ("odd n", 14.631529944143429, -1.6902557363020462e-11),
-    ("V is not even", 6.354869823316482, -2.126226662569821e-11),
-    ("xi is not even", 5.73805345866819, -1.8541789223031875e-11),
     ("start is not even", 8.067966995871565, None),
-], ids=["odd-n", "V-not-even", "xi-not-even", "start-not-even"])
+], ids=["odd-n", "start-not-even"])
 def test_full_grid_fallbacks_keep_their_results(case, saddle, minimizer):
     # each solve the rule keeps on the full grid says why, and gives the
     # results recorded before the even subspace, to the bit
     spec = build_spec(RunConfig(dim=2, n=15 if case == "odd n" else 16, box_length=15.0))
-    if case == "V is not even":
-        spec = replace(spec, potential=CustomPotential(lambda x, y: 1.0 + (x - 0.5) ** 2 + y**2))
-    elif case == "xi is not even":
-        spec = replace(spec, weight=CustomWeight(lambda x, y: np.exp(-(x - 0.5) ** 2 - y**2)))
     probe = probe_geometry(spec)
     e = probe.e
     if case == "start is not even":
@@ -1256,7 +1242,7 @@ def test_newton_direction_2d(n, box_length, dense):
 def _half_states(make_spec):
     """The even half of a canonical 1-D problem and two states there: a bump and a random field."""
     spec = make_spec()
-    half, _ = spec.even_half
+    half = spec.even_half
     full = random_field(spec.grid, np.random.default_rng(0), envelope_sigma=2.0).values
     even = 0.5 * (full + np.roll(full[::-1], 1))  # x -> -x maps index i to n - i
     return half, {"bump": 2.0 * np.exp(-half.grid.radius_sq), "random": _restrict(spec.grid, even)}

@@ -18,10 +18,8 @@ from scipy import linalg, optimize
 import besselmp
 from besselmp import (
     CoerciveQuadraticPotential,
-    CustomPotential,
     Field,
     Grid,
-    PowerNonlinearity,
     WellPotential,
     canonical_coercive_spec,
     canonical_well_spec,
@@ -130,7 +128,8 @@ def test_tail_scores_the_problem_own_f(coercive_spec, monkeypatch):
     # the threshold is closed-form for the power law, so an f that is not
     # one fails where both sides are scored
     rec = check_superquadratic_tail(coercive_spec, tau=1.5)
-    monkeypatch.setattr(PowerNonlinearity, "f", lambda self, u: 1.01 * u**3)
+    abs_power = besselmp.verify._abs_power
+    monkeypatch.setattr(besselmp.verify, "_abs_power", lambda u, k: 1.01 * abs_power(u, k))
     bent = check_superquadratic_tail(coercive_spec, tau=1.5)
     assert bent.data == rec.data and bent.passed is not rec.passed
 
@@ -249,6 +248,15 @@ def test_splitting_refuses_empty_separations(coercive_spec):
     u0 = _gaussian(coercive_spec.grid)
     with pytest.raises(ValueError, match="at least one separation"):
         check_splitting(coercive_spec, u0, u0, separations=())
+
+
+def test_splitting_refuses_non_finite_separations(coercive_spec):
+    # whole grid cells: inf has none to round to, nan no integer
+    u0 = _gaussian(coercive_spec.grid)
+    with pytest.raises(ValueError) as err:
+        check_splitting(coercive_spec, u0, u0, separations=(2.0, math.inf, math.nan))
+    assert str(err.value) == ("separations: each must be finite, got inf; "
+                              "separations: each must be finite, got nan")
 
 
 def test_splitting_rejects_edge_mass(coercive_spec):
@@ -534,7 +542,7 @@ class TestBoundedDescent:
         # the left side minus the right has one positive root, so a row
         # passes just below it and fails just above it
         spec, c = coercive_spec, 3.0
-        theta, p = spec.nonlinearity.theta, spec.p
+        theta, p = spec.q, spec.p
         slack = (1 / p - 1 / theta) * spec.mu * lp_norm(spec.xi_field, 2 / (2 - p))
         root = optimize.brentq(
             lambda t: (0.5 - 1 / theta) * t * t - t - slack * t**p - (1 + c), 0.0, 100.0)
@@ -751,9 +759,7 @@ _FAMILY_STAGES = {
 @pytest.mark.parametrize("potential,family", [
     (CoerciveQuadraticPotential(), "coercive"),
     (WellPotential(radius=1.0, height=50.0, ramp=1.0), "well"),
-    # a custom V is gated by the family it declares, whatever its values
-    (CustomPotential(lambda x: 1.0 + x**2, family="well"), "well"),
-], ids=["coercive", "well", "custom-well"])
+], ids=["coercive", "well"])
 def test_one_family_rule_gates_hypotheses_and_stages(potential, family):
     spec = ProblemSpec(Grid(1, 256, 40.0), alpha=0.75, lam=1.0, mu=0.01, p=1.5,
                        potential=potential)
@@ -761,7 +767,5 @@ def test_one_family_rule_gates_hypotheses_and_stages(potential, family):
     assert required == _FAMILY_HYPOTHESES[family]
     assert {name for name, check in CHECKS.items() if applies_to(check.family, potential)} \
         == set(_FAMILY_STAGES[family])
-    if not isinstance(potential, CustomPotential):  # the config builds only these two
-        cfg = RunConfig(mode="verify",
-                        potential="well" if family == "well" else "coercive_quadratic")
-        assert resolve_checks(cfg) == _FAMILY_STAGES[family]
+    cfg = RunConfig(mode="verify", potential="well" if family == "well" else "coercive_quadratic")
+    assert resolve_checks(cfg) == _FAMILY_STAGES[family]
