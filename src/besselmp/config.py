@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import get_args, get_origin, get_type_hints
 
 from .problem import CoerciveQuadraticPotential, ProblemSpec, WellPotential
-from .grid import Grid
+from .grid import Grid, _require_kernel_points
 from .solvers import SolveOptions
 from .verify import CHECKS, applies_to
 
@@ -145,6 +145,7 @@ def _validate(cfg: RunConfig, errors) -> None:
             errors.append(f"checks: unknown checker {name!r}; choose from {', '.join(CHECK_NAMES)}")
     if "auto" in cfg.checks and len(cfg.checks) > 1:
         errors.append(f"checks: 'auto' stands alone, got {', '.join(cfg.checks)}")
+    _collect(errors, lambda: _require_kernel_points(cfg.kernel_radii, cfg.kernel_alphas))
     grid = _collect(errors, lambda: Grid(dim=cfg.dim, n=cfg.n, box_length=cfg.box_length))
     problem = None
     if cfg.dim in (1, 2, 3):

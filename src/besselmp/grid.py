@@ -54,6 +54,13 @@ def _require(*rules) -> None:
         raise ValueError("; ".join(problems))
 
 
+def _require_kernel_points(radii, orders) -> None:
+    """Refuse each kernel radius and order not positive and finite; kept SciPy-free for config."""
+    rules = (("kernel_radii", "radius", radii), ("kernel_alphas", "order", orders))
+    _require(*((0.0 < v < math.inf, f"{key}: each {what} must be positive and finite, got {v}")
+               for key, what, values in rules for v in values))
+
+
 def _largest_prime_factor(n: int) -> int:
     """The largest prime factor of n >= 2."""
     largest, factor = 1, 2

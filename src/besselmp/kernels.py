@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
-from .grid import Field, spectral_derivative
+from .grid import Field, _require_kernel_points, spectral_derivative
 
 __all__ = [
     "KernelEval",
@@ -59,10 +59,7 @@ def bessel_kernel(radius: float, order: float, dim: int) -> KernelEval:
     relative target is 1e-9 and non-convergence raises instead of returning
     garbage.
     """
-    if not (radius > 0 and np.isfinite(radius)):
-        raise ValueError(f"kernel radius must be positive, got {radius}")
-    if not (order > 0 and np.isfinite(order)):
-        raise ValueError(f"kernel order must be positive, got {order}")
+    _require_kernel_points((radius,), (order,))
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
 
@@ -171,13 +168,11 @@ def pointwise_apply(field: Field, x: float, alpha: float) -> float:
     g = field.grid
     if g.dim != 1:
         raise NotImplementedError("pointwise_apply is implemented for dim 1 only")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"pointwise_apply needs 0 < alpha < 1, got {alpha}")
+    c = calibrate_pointwise_constant(alpha)  # refuses alpha outside (0, 1)
     pos = (x + 0.5 * g.box_length) / g.spacing
     index = int(round(pos))
     if abs(pos - index) > 1e-8 or not 0 <= index < g.n:
         raise ValueError(f"x={x} is not a grid point of {g}")
     if not _edge_variation_ok(field):
         raise ValueError("field varies near the box edge; wraparound would contaminate the integral")
-    c = calibrate_pointwise_constant(alpha)
     return c * _singular_integral(field, index, alpha) + field.values[index]

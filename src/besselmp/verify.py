@@ -15,8 +15,8 @@ Their ``trials`` and ``seed`` keywords are accepted and ignored.
 
 ``CHECKS`` is the table verify mode runs: per check name, the potential
 family it needs (None: any), its runner ``(spec, cfg) -> CheckRecord`` and
-the rule it imposes on the config (an exponent window, a nonempty
-separation list), if any.  ``validate_assumptions`` runs the hypotheses on
+the rule it imposes on the config (an exponent window, separations
+inside half the box), if any.  ``validate_assumptions`` runs the hypotheses on
 V and xi (a coercive V, or a steep well as in Bartsch & Wang, Comm. PDE
 20, 1995), each declaring its family the same way; ``applies_to`` decides.
 Those on f hold in closed form for every valid spec, and so does the
@@ -38,6 +38,7 @@ from .grid import (
     _bessel_norm_sq,
     _integral,
     _lp_norm,
+    _multiply,
     _potential,
     _power,
     _require,
@@ -48,7 +49,6 @@ from .grid import (
 from .problem import (
     ProblemSpec,
     critical_exponent,
-    energy,
     eval_scrF,
 )
 
@@ -90,15 +90,18 @@ def require_s_in_window(s_list, dim: int, alpha: float) -> None:
                for s in s_list))
 
 
-def require_separations(separations) -> None:
-    """Refuse an empty separation list and a non-finite separation, one message each.
+def require_separations(separations, box_length: float) -> None:
+    """Refuse an empty separation list, and each one not finite or not below box_length / 2.
 
     The verdict reads the largest separation, and each snaps to whole grid
-    cells, which an inf or a nan has none of.
+    cells, which an inf or a nan has none of; the periodic roll of the
+    partner wraps it back towards u0 from half the box on.
     """
     if len(separations) == 0:
         raise ValueError("separations: the splitting check needs at least one separation")
-    _require(*((math.isfinite(s), f"separations: each must be finite, got {s}")
+    _require(*((abs(s) < box_length / 2, f"separations: each must be finite, got {s}"
+                if not math.isfinite(s) else
+                f"separations: each must be below half the box length, {box_length / 2}, got {s}")
                for s in separations))
 
 
@@ -239,56 +242,57 @@ def check_splitting(spec: ProblemSpec, u0: Field, w: Field, separations,
                     threshold: float = 1e-3) -> CheckRecord:
     """Energy additivity under separation: Phi(u0 + w(.-s)) vs Phi(u0) + Phi(w(.-s)).
 
+    Each deviation is its interaction term, which keeps its low bits far
+    apart: the cross term int (A u0 + lam V u0) w_s of the quadratic part,
+    A = (I - Laplacian)^alpha, from the call's one transform pair, and the
+    integrated excesses |u0 + w_s|^k - |u0|^k - |w_s|^k of the f and xi parts.
     Shifts move w along the first axis and snap to whole grid cells (exact
     periodic roll).  Deviations must shrink as the parts separate and fall
     below the threshold at the largest separation; a part leaking into the
-    band max_i |x_i| >= 0.45 box_length raises, and so does an empty
-    separation list.
+    band max_i |x_i| >= 0.45 box_length raises, and so does a separation
+    list that ``require_separations`` refuses.
     """
-    require_separations(separations)
     g = spec.grid
-    h = g.spacing
+    require_separations(separations, g.box_length)
+    _require((u0.grid == g == w.grid, "field grid does not match problem grid"))
     edge = np.max(np.abs(g.coords()), axis=0) >= 0.45 * g.box_length
 
-    def reaches_edge(f_):
+    def reaches_edge(values):
         # 1e-4 relative edge mass perturbs the deviations well below the
         # 1e-3 verdict threshold; anything larger is wrap contamination
-        return np.max(np.abs(f_.values[edge])) > 1e-4 * max(np.max(np.abs(f_.values)), 1e-300)
+        return np.max(np.abs(values[edge])) > 1e-4 * max(np.max(np.abs(values)), 1e-300)
 
-    if reaches_edge(u0):
+    u, q, p = u0.values, spec.q, spec.p
+    if reaches_edge(u):
         raise ValueError("field mass of u0 reaches the box edge")
-    e_0 = energy(spec, u0)
+    image = _multiply(g, u, spec.alpha) + spec.lam * spec.V_field.values * u
+    u_q, u_p, w_q, w_p = (_abs_power(v, k) for v in (u, w.values) for k in (q, p))
     rows = []
     for s in separations:
-        cells = int(round(s / h))
-        s_actual = cells * h
-        shifted = Field(g, np.roll(w.values, cells, axis=0))
+        cells = int(round(s / g.spacing))
+        shifted = np.roll(w.values, cells, axis=0)
         if reaches_edge(shifted):
             raise ValueError(f"field mass reaches the box edge at separation {s}")
-        combined = u0 + shifted
-        e_c, e_s = energy(spec, combined), energy(spec, shifted)
-        rows.append({
-            "separation": s_actual,
-            "total": abs(e_c.total - e_0.total - e_s.total),
-            "quad": abs(e_c.quad - e_0.quad - e_s.quad),
-            "f_term": abs(e_c.f_term - e_0.f_term - e_s.f_term),
-            "xi_term": abs(e_c.xi_term - e_0.xi_term - e_s.xi_term),
-        })
+        combined = u + shifted
+        quad = _integral(g, image * shifted)
+        f_term = _integral(g, (_abs_power(combined, q) - u_q - np.roll(w_q, cells, axis=0)) / q)
+        xi_term = (spec.mu / p) * _integral(g, spec.xi_field.values * (
+            _abs_power(combined, p) - u_p - np.roll(w_p, cells, axis=0)))
+        rows.append({"separation": cells * g.spacing, "total": abs(quad - f_term - xi_term),
+                     "quad": abs(quad), "f_term": abs(f_term), "xi_term": abs(xi_term)})
 
-    overlap = _effective_radius(u0.values, g.radius_sq) + _effective_radius(w.values, g.radius_sq)
-    devs = [r["total"] for r in rows]
-    seps = [r["separation"] for r in rows]
-    beyond = [d for s, d in zip(seps, devs) if s > overlap]
+    overlap = _effective_radius(u, g.radius_sq) + _effective_radius(w.values, g.radius_sq)
+    beyond = [r["total"] for r in rows if r["separation"] > overlap]
     # a deviation below threshold / 100 has settled: its wiggle is at the
     # discretization level (about 1e-6 on a 2-D n=64 grid) and cannot carry
     # the final deviation across the threshold, so it cannot move the verdict
     settled = threshold / 100.0
     monotone = all(b <= a * 1.05 + 1e-15 or b < settled for a, b in zip(beyond, beyond[1:]))
-    final_ok = devs[-1] < threshold
+    final = rows[-1]["total"]
     return CheckRecord(
-        "splitting", {"separations": [float(s) for s in seps], "threshold": threshold},
-        bool(monotone and final_ok),
-        ({"final_deviation": devs[-1], "overlap_radius": overlap, "monotone_beyond_overlap": monotone},),
+        "splitting", {"separations": [float(r["separation"]) for r in rows], "threshold": threshold},
+        bool(monotone and final < threshold),
+        ({"final_deviation": final, "overlap_radius": overlap, "monotone_beyond_overlap": monotone},),
         {"rows": rows},
     )
 
@@ -361,23 +365,13 @@ def holder_estimate(u: Field, beta: float) -> float:
     if not 0.0 < beta < 2.0:
         raise ValueError(f"holder exponent must lie in (0, 2), got {beta}")
     g = u.grid
-    if beta > 1.0:
-        # dim > 1: the first-axis derivative stands in; a gradient magnitude would mix axes
-        base = spectral_derivative(u, axis=0)
-        expo = beta - 1.0
-    else:
-        base = u
-        expo = beta
-    vals = base.values
-    h = g.spacing
-    max_lag = max(1, g.n // 4)
-    best = 0.0
-    for lag in range(1, max_lag + 1):
+    # beta > 1 in dim > 1: the first-axis derivative stands in; a gradient magnitude would mix axes
+    base, expo = (spectral_derivative(u, axis=0), beta - 1.0) if beta > 1.0 else (u, beta)
+    vals, h, best = base.values, g.spacing, 0.0
+    for lag in range(1, max(1, g.n // 4) + 1):
         for ax in range(g.dim):
-            sl_hi = [slice(None)] * g.dim
-            sl_lo = [slice(None)] * g.dim
-            sl_hi[ax] = slice(lag, None)
-            sl_lo[ax] = slice(None, -lag)
+            sl_hi, sl_lo = [slice(None)] * g.dim, [slice(None)] * g.dim
+            sl_hi[ax], sl_lo[ax] = slice(lag, None), slice(None, -lag)
             diffs = np.abs(vals[tuple(sl_hi)] - vals[tuple(sl_lo)])
             if diffs.size:
                 best = max(best, float(np.max(diffs)) / (lag * h) ** expo)
@@ -663,7 +657,8 @@ CHECKS = {
     "superquadratic-tail": Check(
         None, lambda spec, cfg: check_superquadratic_tail(spec, tau=cfg.tau),
         lambda cfg: require_tau_in_window(cfg.tau, cfg.dim, cfg.alpha, cfg.q)),
-    "splitting": Check(None, _splitting, lambda cfg: require_separations(cfg.separations)),
+    "splitting": Check(None, _splitting,
+                       lambda cfg: require_separations(cfg.separations, cfg.box_length)),
     "holder": Check(None, _holder),
     "embedding": Check(None, _embedding,
                        lambda cfg: require_s_in_window(cfg.s_list, cfg.dim, cfg.alpha)),

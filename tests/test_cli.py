@@ -336,6 +336,18 @@ def test_verify_empty_separations_is_a_config_error(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_verify_separation_past_half_the_box_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "checks = splitting\nseparations = 2, 5, 45\n")
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: separations: each must be below half the box length, 20.0, "
+                   "got 45.0"]
+    assert not (out / "report.json").exists()
+
+
 def test_verify_exponent_windows_are_config_errors(tmp_path, capsys):
     cfg = _write(tmp_path, "dim = 3\nn = 16\nq = 3\n")
     out = tmp_path / "out"

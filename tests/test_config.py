@@ -139,6 +139,28 @@ def test_separations_must_be_finite_when_splitting_runs(value):
     parse_config(f"mode = verify\nchecks = holder\nseparations = {value}")
 
 
+def test_separations_must_stay_inside_half_the_box():
+    # the partner shifts by a periodic roll, so 45 on a box of 40 would be 5
+    with pytest.raises(ConfigError) as err:
+        parse_config("mode = verify\nchecks = splitting\nseparations = 2, 5, 45")
+    assert err.value.errors == ["separations: each must be below half the box length, 20.0, got 45.0"]
+    parse_config("mode = verify\nchecks = splitting\nseparations = 2, 5, 45\nbox_length = 100")
+    parse_config("mode = verify\nchecks = holder\nseparations = 2, 5, 45")
+
+
+@pytest.mark.parametrize("key,value,what", [
+    ("kernel_radii", "inf", "radius"), ("kernel_radii", "nan", "radius"),
+    ("kernel_radii", "-1", "radius"), ("kernel_alphas", "0", "order"),
+    ("kernel_alphas", "nan", "order"),
+])
+def test_kernel_table_values_must_be_positive_and_finite(key, value, what):
+    # the rule bessel_kernel applies, refused at parse time rather than in the stage
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"mode = kernel-table\n{key} = 0.5, {value}")
+    assert err.value.errors == [f"{key}: each {what} must be positive and finite, "
+                                f"got {float(value)}"]
+
+
 @pytest.mark.parametrize("key", ["well_radius", "well_height", "well_ramp"])
 def test_well_geometry_must_be_finite(key):
     # an infinite height fails the probe on a non-finite field, and an

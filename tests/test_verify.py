@@ -259,6 +259,15 @@ def test_splitting_refuses_non_finite_separations(coercive_spec):
                               "separations: each must be finite, got nan")
 
 
+def test_splitting_refuses_separations_that_wrap(coercive_spec):
+    # the shift is a periodic roll: on a box of 40 a separation of 45 is one of 5
+    u0 = _gaussian(coercive_spec.grid)
+    with pytest.raises(ValueError) as err:
+        check_splitting(coercive_spec, u0, u0, separations=(2.0, 5.0, 45.0, -20.0))
+    assert str(err.value) == ("separations: each must be below half the box length, 20.0, got 45.0; "
+                              "separations: each must be below half the box length, 20.0, got -20.0")
+
+
 def test_splitting_rejects_edge_mass(coercive_spec):
     g = coercive_spec.grid
     u0 = _gaussian(g)
@@ -312,6 +321,37 @@ def test_splitting_settled_deviations_keep_monotonicity():
     assert witness["final_deviation"] < 1e-4
     assert not witness["monotone_beyond_overlap"]
     assert not strict.passed
+
+
+@pytest.mark.parametrize("separations", [(15.0,), (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 15.0)],
+                         ids=["1", "7"])
+def test_splitting_transforms_once_per_call(separations, fft_calls):
+    # the image A u0 is the one transform pair; each separation integrates products
+    cfg = RunConfig(mode="verify", dim=2, n=64, box_length=40.0, separations=separations)
+    CHECKS["splitting"].run(build_spec(cfg), cfg)
+    assert fft_calls == {"_rfft": 1, "_irfft": 1}
+
+
+@pytest.mark.parametrize("family", ["coercive_quadratic", "well"])
+def test_splitting_rows_are_the_energy_differences(family):
+    # each interaction term equals the three-energy difference up to that
+    # difference's own cancellation, a few ulps of |Phi(u0)| + |Phi(w_s)|
+    cfg = RunConfig(mode="verify", dim=2, n=64, box_length=40.0, potential=family)
+    spec = build_spec(cfg)
+    g = spec.grid
+    bump, partner = Field(g, np.exp(-g.radius_sq)), Field(g, 0.8 * np.exp(-1.3 * g.radius_sq))
+    rows = check_splitting(spec, bump, partner, cfg.separations).data["rows"]
+    e_0 = energy(spec, bump)
+    for row in rows:
+        shifted = Field(g, np.roll(partner.values, int(round(row["separation"] / g.spacing)), 0))
+        e_c, e_s = energy(spec, bump + shifted), energy(spec, shifted)
+        scale = abs(e_0.total) + abs(e_s.total)
+        for key in ("total", "quad", "f_term", "xi_term"):
+            diff = abs(getattr(e_c, key) - getattr(e_0, key) - getattr(e_s, key))
+            assert abs(row[key] - diff) <= 1e-13 * scale, (row["separation"], key)
+    # 15 apart the f excess is about 1e-100: a difference of O(1) energies
+    # reads its roundoff there, 5.6e-17, and the pointwise excess the term
+    assert rows[-1]["f_term"] < 1e-90
 
 
 def test_splitting_edge_band_covers_every_axis():
@@ -598,14 +638,13 @@ def test_bracket_records_are_pinned(spec_name, sharp_lower, gamma_3, gamma_4, up
     assert est.upper[4.0] == pytest.approx(upper_4, rel=1e-12)
 
 
-@pytest.mark.parametrize("family,final_deviation", [
-    ("coercive_quadratic", "0x1.0f152c8000000p-20"),
-    ("well", "0x1.0f152c5000000p-20"),
-])
-def test_verify_2d_records_are_pinned(family, final_deviation):
+@pytest.mark.parametrize("family", ["coercive_quadratic", "well"])
+def test_verify_2d_records_are_pinned(family):
     # the 2-D n=64, box-40 checks perfbench's verify workload runs: most of
     # each Gaussian there lies where pow's result is subnormal, so these
-    # records pin what the power kernel (grid._power) returns below DBL_MIN
+    # records pin what the power kernel (grid._power) returns below DBL_MIN.
+    # The final splitting deviation is the same for both families: the one
+    # term that differs, int lam V u0 w_s, lies far below its last bit
     cfg = RunConfig(mode="verify", dim=2, n=64, box_length=40.0, potential=family)
     spec = build_spec(cfg)
     weight = hypothesis_entry(validate_assumptions(spec, b=cfg.b), "weight_integrable")
@@ -615,7 +654,7 @@ def test_verify_2d_records_are_pinned(family, final_deviation):
         "2.0": "0x1.0000000000000p+0", "3.0": "0x1.1c130b256f9a5p-1",
         "4.0": "0x1.0390aeddeb0a1p-1"}
     (split,) = CHECKS["splitting"].run(spec, cfg).witnesses
-    assert split["final_deviation"].hex() == final_deviation
+    assert split["final_deviation"].hex() == "0x1.0f152c5370b4ep-20"
     assert CHECKS["holder"].run(spec, cfg).data["value"] == 1.5659591285976011
 
 
