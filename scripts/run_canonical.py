@@ -1,9 +1,10 @@
 """Run both canonical problems end to end and print the level tables.
 
-Each solver stage also prints how its linear solves stopped ("direct" on
-the 1-D even half, where both are dense), the MINRES iterations that its
-trace records, the descent's and the polish's apart (0 where the solves
-are direct), and the Palais-Smale norm bound checked on its descent rows
+Each solver stage also prints how its linear solves stopped ("direct" for
+a gradient on the 1-D even half, one product with the stored K^{-1}), the
+MINRES iterations that its trace records, the descent's and the polish's
+apart (the descent's 0 where its gradients are direct), and the
+Palais-Smale norm bound checked on its descent rows
 (``check_bounded_descent``).
 
 Usage: python scripts/run_canonical.py

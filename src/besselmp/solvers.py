@@ -31,8 +31,8 @@ step along a conjugate d is retried along g.  Once the dual norm
 <r, K^{-1} r>^(1/2) is small next to ||u||_lam, or a search along g
 refuses every step, a damped Newton iteration on the strong-form
 residual pushes the iterate to solver tolerance, each step solved by
-MINRES or, on a 1-D even grid, by one dense LU.  The ball radius rho
-only checks the minimizer: it must sit inside the ball, with a margin.
+MINRES, on a 1-D even grid preconditioned by K^{-1}.  The ball radius
+rho only checks the minimizer: it must sit inside the ball, with a margin.
 
 Every backtracking search walks the steps s, s/2, s/4, ... and only its
 count differs.
@@ -52,17 +52,18 @@ of Phi restricted to the even fields is a critical point of Phi.  On an
 even-n grid such a field is stored as its (n/2 + 1)^dim samples on
 x_i >= 0 (``grid.EvenGrid``), where a transform pair and the array work
 of a MINRES iteration cost about 2^dim times less.  In 1-D that is at
-most 209 samples, few enough that both linear solves are dense and
-direct, with no MINRES loop in Python.  The rule is fixed: a solve runs
-there exactly when n is even, in 1-D n is at most EVEN_1D_MAX_N, and the
-start is even to roundoff; otherwise on the full grid, as it stands.
-The 1-D bound is where the even form stopped paying with MINRES on both
-grids: its DCT-I is a product with an (n/2 + 1)-square matrix, O(n^2)
-per transform, and past n = 416 the canonical coercive run was faster on
-the full grid's FFT.  With direct solves the half grid still wins at
-n = 512 and loses at 1024 (README).  The solution is extended back to
-the full grid and its residual re-checked there once; a report says
-which grid it ran on, and why not the even one.
+most 209 samples, few enough to store K^{-1} dense: the gradient is one
+product with it, and a Newton MINRES iteration one more, with no
+transform.  The rule is fixed: a solve runs there exactly when n is
+even, in 1-D n is at most EVEN_1D_MAX_N, and the start is even to
+roundoff; otherwise on the full grid, as it stands.  The 1-D bound is
+where the even form stops paying on a fresh problem: its DCT-I is a
+product with an (n/2 + 1)-square matrix, O(n^2) per transform, and its
+first run also builds and inverts K, O(n^3); from n = 416 on that cold
+run of the canonical coercive problem is slower than on the full grid's
+FFT, though warm runs stay faster up to n = 1024 (README).  The solution
+is extended back to the full grid and its residual re-checked there
+once; a report says which grid it ran on, and why not the even one.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ from .grid import (
     _integral,
     _is_even,
     _lp_norm,
-    _multiplier_matrix,
     _multiply_and_norm,
     _potential,
     _require,
@@ -136,10 +136,10 @@ INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
 BASIN_SLACK = 1e-10  # a polish may end above its handover level by this, relative, and no more
 # Largest n at which a 1-D solve runs on the even half.  There ``_dct1`` is
 # one product with an (n/2 + 1)-square matrix, O(n^2) against the full
-# grid's O(n log n) FFT.  Interleaved warm runs on one thread, with MINRES on
-# both grids: both canonical 1-D problems were faster on the half grid up
-# to n = 416, the coercive one slower from 432.  With the half grid's
-# direct solves both are faster there at 448 and 512 and slower at 1024
+# grid's O(n log n) FFT, and a fresh problem inverts the dense K, O(n^3).
+# On one thread, with the half grid's K^{-1}-preconditioned Newton steps,
+# warm runs of both canonical 1-D problems are faster on the half grid up
+# to n = 1024, but a cold run of the coercive one is slower from n = 416
 # (README); from n = 2048 EvenGrid refuses the matrix.
 EVEN_1D_MAX_N = 416
 
@@ -182,12 +182,13 @@ class TraceEntry:
     trials: int
     # MINRES iterations behind the entry: of a descent entry's gradient
     # solve or a polish entry's Newton direction, also when the solve failed
-    # (MINRES_MAXITER if it hit the cap); 0 on a direct solve (1-D even
+    # (MINRES_MAXITER if it hit the cap); 0 on a direct gradient (1-D even
     # grid) and on the polish entry that stops at tol, which solves nothing
     krylov_iters: int = 0
     # why that solve stopped: for MINRES "forcing" (its forcing term was
-    # met), "cap" or "breakdown" (see ``_minres``); "direct" for a dense
-    # solve, "singular" where it failed; "" where no solve ran
+    # met), "cap" or "breakdown" (see ``_minres``); "direct" for a gradient
+    # that is one product with K^{-1}, "singular" where LAPACK refused K or
+    # that gradient is not finite; "" where no solve ran
     krylov_stop: str = ""
     # a descent entry: the Polak-Ribiere+ weight of the previous direction
     # in the step it took, 0.0 on a gradient step (the first row, a restart
@@ -219,7 +220,7 @@ class SolveReport:
     def counts(self) -> dict:
         """The work summed from the trace: descent rows, the conjugate ones among them
         (beta > 0), and the MINRES iterations of the gradient and of the Newton solves,
-        both 0 where the solves are direct (a 1-D even grid); and the grid the solve
+        the gradient's 0 where it is direct (a 1-D even grid); and the grid the solve
         ran on, with the reason."""
         descent = [t for t in self.trace if t.phase != "polish"]
         return {"descent_rows": len(descent),
@@ -417,7 +418,7 @@ def _scaled_inverse(g, inverse, scale, v):
 
 
 def _direct(g) -> bool:
-    """Whether both linear solves on ``g`` are direct: on a 1-D even grid, at most 209 points."""
+    """Whether ``g`` is a 1-D even grid, at most 209 points, where K^{-1} is stored dense."""
     return g.even and g.dim == 1
 
 
@@ -445,8 +446,7 @@ def _riesz_gradient(spec, r):
         ok = d is not None and np.all(np.isfinite(d))
         d, iters, stop = (d, 0, "direct") if ok else (None, 0, "singular")
     else:
-        d, iters, stop = _minres(spec.grid, spec.alpha, spec.lam * spec.V_field.values, r,
-                                 RIESZ_FORCING)
+        d, iters, stop = _minres(spec, spec.lam * spec.V_field.values, r, RIESZ_FORCING)
     if d is None:
         return np.zeros_like(r), 0.0, iters, stop
     return d, _integral(spec.grid, r * d), iters, stop
@@ -536,20 +536,22 @@ def _hessian_diag(spec, u):
     return vals
 
 
-def _minres(g, alpha, h, b, forcing, shifted=False):
+def _minres(spec, h, b, forcing, shifted=False):
     """Solve H x = b, H = (I - Laplacian)^alpha + diag(h), by MINRES; (x, iterations, stop).
 
     The recurrence is Paige & Saunders' (SIAM J. Numer. Anal. 12, 1975),
     as in scipy.sparse.linalg.minres, with one of two symmetric positive
     definite preconditioners.  By default M = D (I - Laplacian)^(-alpha) D,
     D = (1 + |h|)^(-1/2) (``_scaled_inverse``), and an iteration costs two
-    transform pairs, H v and M r2.  With ``shifted``,
-    M = ((I - Laplacian)^alpha + sigma)^(-1), sigma = mean |h| over the
-    full grid: then
-    (I - Laplacian)^alpha M r2 = r2 - sigma M r2, so for v = M r2 / beta the
-    Lanczos product H v = r2 / beta + (h - sigma) v needs no transform and
-    an iteration costs the one pair of M r2.  A solve pays one more pair,
-    for M b.  The one convergence test is the inexact-Newton stop of Dembo,
+    transform pairs, H v and M r2.  With ``shifted``, M = (A + s)^(-1) for
+    A = (I - Laplacian)^alpha and a pointwise s: A M r2 = r2 - s M r2, so
+    for v = M r2 / beta the Lanczos product H v = r2 / beta + (h - s) v
+    needs no transform.  On a 1-D even grid s = lam V and M is the dense
+    K^{-1} (``ProblemSpec._riesz_inverse``, whose LinAlgError propagates):
+    K^{-1} H is the identity minus a compact part, so the count does not
+    grow with n.  Elsewhere s = mean |h| over the full grid and M r2 is one
+    transform pair.  An iteration costs one M, and a solve one more, for
+    M b.  The one convergence test is the inexact-Newton stop of Dembo,
     Eisenstat & Steihaug (SIAM J. Numer. Anal. 19, 1982): ``stop`` is
     "forcing" once the recurrence's ||H x - b||_M is at most ``forcing``
     ||b||_M, and on a zero b, which x = 0 solves; "cap" after
@@ -560,7 +562,13 @@ def _minres(g, alpha, h, b, forcing, shifted=False):
     ``_dot``'s, so on an EvenGrid MINRES runs in the full grid's inner
     product, in which H and M stay symmetric.
     """
-    if shifted:
+    g, alpha = spec.grid, spec.alpha
+    if shifted and _direct(g):
+        inverse, offset = spec._riesz_inverse, h - spec.lam * spec.V_field.values
+
+        def precondition(r):
+            return inverse @ r
+    elif shifted:
         sigma = _sum(g, np.abs(h)) / g.total_points
         inverse = 1.0 / (g.symbol(alpha) + sigma)
         offset = h - sigma
@@ -630,32 +638,23 @@ def _minres(g, alpha, h, b, forcing, shifted=False):
 def _newton_direction(spec, u, r, forcing):
     """Solve (D^2 Phi)(u) delta = -r; (delta, MINRES iterations, stop), delta None if the solve fails.
 
-    On a 1-D even grid the Hessian is a dense matrix of at most
-    EVEN_1D_MAX_N / 2 + 1 rows, (I - Laplacian)^alpha (``_multiplier_matrix``)
-    plus diag(h), solved by one LU (``np.linalg.solve``) with 0 iterations
-    and stop "direct"; ``forcing`` is not used.  A LinAlgError fails the
-    solve with stop "singular".  Elsewhere ``_minres`` applies the Hessian
-    matrix-free, preconditioned with the shifted
-    ((I - Laplacian)^alpha + mean |h|)^(-1), one transform pair per
-    iteration: the Hessian is symmetric but indefinite at a saddle, where
-    CG has no guarantee and GMRES keeps a long recurrence that symmetry
-    makes short, while MINRES needs only symmetry and an SPD
-    preconditioner.  It stops once ||H delta + r||_M <= forcing ||r||_M,
-    or fails after MINRES_MAXITER iterations, which it then reports;
-    ``stop`` says which.  A delta that is not finite also fails, on the
-    direct route with stop "singular".
+    ``_minres`` applies the Hessian matrix-free, preconditioned by its
+    shifted M, one product with M per iteration: the Hessian is symmetric
+    but indefinite at a saddle, where CG has no guarantee and GMRES keeps
+    a long recurrence that symmetry makes short, while MINRES needs only
+    symmetry and an SPD preconditioner.  It stops once
+    ||H delta + r||_M <= forcing ||r||_M, or fails after MINRES_MAXITER
+    iterations, which it then reports; ``stop`` says which.  On a 1-D even
+    grid M = K^{-1}, so that norm is the dual lam-norm <r, K^{-1} r>^(1/2);
+    a K that LAPACK finds singular fails the solve with 0 iterations and
+    stop "singular".  A delta that is not finite also fails.
     """
-    g, h = spec.grid, _hessian_diag(spec, u)
-    if _direct(g):
-        try:
-            delta = np.linalg.solve(_multiplier_matrix(g, spec.alpha) + np.diag(h), -r)
-        except np.linalg.LinAlgError:
-            return None, 0, "singular"
-        return (delta, 0, "direct") if np.all(np.isfinite(delta)) else (None, 0, "singular")
-    delta, iters, stop = _minres(g, spec.alpha, h, -r, forcing, shifted=True)
-    if delta is None or not np.all(np.isfinite(delta)):
-        return None, iters, stop
-    return delta, iters, stop
+    h = _hessian_diag(spec, u)
+    try:
+        delta, iters, stop = _minres(spec, h, -r, forcing, shifted=True)
+    except np.linalg.LinAlgError:
+        return None, 0, "singular"
+    return (delta if delta is not None and np.all(np.isfinite(delta)) else None), iters, stop
 
 
 def _polish(spec, u, e_u, r, rn, opts, trace, it0):

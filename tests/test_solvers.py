@@ -31,7 +31,14 @@ from besselmp import (
 )
 from besselmp import problem, solvers
 from besselmp.config import RunConfig, build_spec
-from besselmp.grid import _extend, _filter, _multiply, _restrict, _weighted_norm_sq
+from besselmp.grid import (
+    _extend,
+    _filter,
+    _multiplier_matrix,
+    _multiply,
+    _restrict,
+    _weighted_norm_sq,
+)
 from besselmp.problem import _energy_parts, _residual_values
 from besselmp.solvers import (
     MINRES_MAXITER,
@@ -284,7 +291,8 @@ class TestMountainPass:
         assert coercive_mp.energy == pytest.approx(3.22418890, rel=1e-6)
 
     # Exact values recorded with the half-spectrum kernels, the closed-form
-    # fibering and the shifted Newton preconditioner.  MINRES's reductions
+    # fibering and Newton MINRES preconditioned by K^{-1} on the 1-D half
+    # grid (by the shifted symbol elsewhere).  MINRES's reductions
     # can follow the BLAS thread count: these were recorded on one thread,
     # which conftest pins.
 
@@ -775,7 +783,7 @@ class TestBallMin:
         assert -1e-9 < coercive_ball.energy < 0.0
 
     def test_exact_regression(self, coercive_ball):
-        assert coercive_ball.energy == -5.634676482952545e-11
+        assert coercive_ball.energy == -5.634676503500939e-11
 
     def test_descent_monotone(self, coercive_ball, well_result):
         # every accepted step lowers J-, so the descent entries never rise
@@ -870,9 +878,9 @@ class TestTwoSolutions:
 
     def test_well_exact_regression(self, well_result):
         # recorded as the coercive pins above, on one BLAS thread
-        assert well_result.mountain_pass.energy == 1.4931505176211703
-        assert well_result.local_min.energy == -9.819309641123356e-08
-        assert well_result.distinctness == 1.6740738081758837
+        assert well_result.mountain_pass.energy == 1.4931505176211708
+        assert well_result.local_min.energy == -9.819309641120841e-08
+        assert well_result.distinctness == 1.6740738081170976
 
     def test_levels_echo_reports(self, well_result):
         lv = well_result.levels
@@ -990,13 +998,13 @@ def test_steep_well_certifies_at_n128():
 def test_polish_that_leaves_its_basin_is_refused(well_spec):
     # past the fold, at mu = 1.8 on the canonical well (the probe refuses
     # it), the ball descent hands over at J- = -0.141723 and the Newton
-    # polish climbs to a sign-changing critical point at -0.00113 in 11
+    # polish climbs to a sign-changing critical point at -0.00113 in 10
     # rows; the saddle search from the mu = 0.05 endpoint hands over at
-    # J+ = -0.137976 and lands on the same point in 10.
+    # J+ = -0.137976 and lands on the same point in 11.
     # The point either seeks is at most its handover level: both refuse
     spec = replace(well_spec, mu=1.8)
     e = probe_geometry(well_spec).e
-    for report, rows in ((ball_min_solve(spec, 1e9), 11), (mountain_pass_solve(spec, e), 10)):
+    for report, rows in ((ball_min_solve(spec, 1e9), 10), (mountain_pass_solve(spec, e), 11)):
         handover = next(t.energy for t in report.trace if t.phase == "polish")
         assert sum(t.phase == "polish" for t in report.trace) == rows
         assert report.converged and not report.ok
@@ -1007,28 +1015,29 @@ def test_polish_that_leaves_its_basin_is_refused(well_spec):
         assert report.solution.values.min() < 0.0 < report.solution.values.max()
 
 
-def test_polish_at_the_fold_stalls_on_direct_solves(well_spec):
+def test_polish_at_the_fold_stalls(well_spec):
     # at mu = 1.55 on the canonical well, near the fold, neither polish
-    # reaches tol: each ends after 13 rows on a step that no trial passes.
-    # Every solve on the 1-D half grid, gradient or Newton, is direct and
-    # none fails, so no row spends a MINRES iteration
+    # reaches tol: the ball's ends after 12 rows and the saddle's after 11,
+    # each on a step that no trial passes.  No solve fails: every gradient
+    # on the 1-D half grid is direct, and every Newton solve meets its
+    # forcing term
     spec = replace(well_spec, mu=1.55)
     e = probe_geometry(well_spec).e
-    reports = (ball_min_solve(spec, 1e9), mountain_pass_solve(spec, e))
-    for report in reports:
+    for report, rows in ((ball_min_solve(spec, 1e9), 12), (mountain_pass_solve(spec, e), 11)):
         assert report.grid == "even"
         assert report.message == "residual tolerance not reached"
-        assert {t.krylov_stop for t in report.trace} == {"direct"}
         polish = [t for t in report.trace if t.phase == "polish"]
-        assert len(polish) == 13 and polish[-1].step_size == 0.0
-    assert sum(t.krylov_iters for r in reports for t in r.trace) == 0
+        assert len(polish) == rows and polish[-1].step_size == 0.0
+        assert {(t.krylov_iters, t.krylov_stop) for t in report.trace
+                if t.phase != "polish"} == {(0, "direct")}
+        assert all(t.krylov_iters >= 1 and t.krylov_stop == "forcing" for t in polish)
 
 
 # every (lam, mu) pair certifies with c > eta; two saddles pinned on one
 # BLAS thread
 SWEEP_SADDLES = {
-    (200.0, 0.05): 1.5182109252113714,
-    (50.0, 0.05): 1.4602836700350947,
+    (200.0, 0.05): 1.518210925211372,
+    (50.0, 0.05): 1.4602836700350952,
 }
 
 
@@ -1191,14 +1200,55 @@ def test_riesz_gradient_meets_its_tolerance(make_spec):
 
 def test_descent_entries_count_their_gradient_solve(well_result, coercive_mp, coercive_ball):
     # every row of a canonical 1-D solve records its solve: on the even half
-    # the gradient and the Newton direction are direct, 0 MINRES iterations
-    # (the 2-D steep-well tests count the Krylov route's); the polish row
-    # that stops at tol solves nothing
+    # the gradient is direct, 0 MINRES iterations, and each Newton direction
+    # is MINRES preconditioned by K^{-1}, stopped by its forcing term (the
+    # 2-D steep-well tests count the gradient's Krylov route); the polish
+    # row that stops at tol solves nothing
     for report in (well_result.mountain_pass, well_result.local_min, coercive_mp, coercive_ball):
         assert report.grid == "even"
-        rows = [(t.krylov_iters, t.krylov_stop) for t in report.trace]
-        assert rows[:-1] and set(rows[:-1]) == {(0, "direct")} and rows[-1] == (0, ""), rows
-        assert report.counts["gradient_krylov_iters"] == report.counts["newton_krylov_iters"] == 0
+        rows = [(t.krylov_iters, t.krylov_stop) for t in report.trace if t.phase != "polish"]
+        assert rows and set(rows) == {(0, "direct")}, rows
+        polish = [(t.krylov_iters, t.krylov_stop) for t in report.trace if t.phase == "polish"]
+        assert all(n >= 1 and stop == "forcing" for n, stop in polish[:-1]), polish
+        assert polish[-1] == (0, ""), polish
+        assert report.counts["gradient_krylov_iters"] == 0
+        assert report.counts["newton_krylov_iters"] == sum(n for n, _ in polish) > 0
+
+
+@pytest.mark.parametrize("make_spec,solves,transforms", [
+    (canonical_coercive_spec, ((2, 5, 16), (1, 2, 3)), (23, 11)),
+    (canonical_well_spec, ((2, 4, 13), (2, 3, 6)), (25, 12)),
+], ids=["coercive", "well"])
+def test_canonical_1d_work_is_pinned(make_spec, solves, transforms, fft_calls):
+    # (descent rows, polish rows, Newton MINRES iterations) of each solve,
+    # saddle then minimizer, and the run's (forward, inverse) transforms on
+    # a fresh problem, which include the build of the dense
+    # (I - Laplacian)^alpha behind K^{-1}; a rise in any count is a
+    # regression of the 1-D solvers' cost
+    fft_calls.clear()
+    r = two_solution_experiment(make_spec())
+    assert r.success, r.failed_stage
+    for report, (descent, polish, newton) in zip((r.mountain_pass, r.local_min), solves):
+        c = report.counts
+        rows = sum(t.phase == "polish" for t in report.trace)
+        assert (c["descent_rows"], rows, c["newton_krylov_iters"]) == (descent, polish, newton)
+    assert (fft_calls["_rfft"], fft_calls["_irfft"]) == transforms
+
+
+@pytest.mark.parametrize("potential", ["quadratic", "well"])
+def test_newton_minres_count_does_not_grow_with_n(potential):
+    # preconditioned by K^{-1}, the Hessian is the identity minus a compact
+    # part, so no polish row takes more than 6 iterations (the most measured)
+    # at any n of the 1-D half grid
+    base = canonical_coercive_spec() if potential == "quadratic" else canonical_well_spec()
+    for n in (128, 256, 416):
+        spec = replace(base, grid=replace(base.grid, n=n))
+        r = two_solution_experiment(spec)
+        assert r.success, (n, r.failed_stage)
+        for report in (r.mountain_pass, r.local_min):
+            assert report.grid == "even"
+            iters = [t.krylov_iters for t in report.trace if t.phase == "polish"]
+            assert iters and max(iters) <= 6, (n, iters)
 
 
 def test_coarse_3d_run_on_the_default_box_raises_no_runtime_warning():
@@ -1250,22 +1300,45 @@ def _half_states(make_spec):
 
 @pytest.mark.parametrize("make_spec", [canonical_coercive_spec, canonical_well_spec],
                          ids=["coercive", "well"])
-def test_direct_newton_direction_matches_minres(make_spec):
-    # on the 1-D half grid one LU of (I - Laplacian)^alpha + diag(h) solves
-    # the Newton system; shifted MINRES at a forcing term of 1e-13 reaches
-    # the same delta (to 7e-13 relative on both problems and both states)
+def test_half_grid_newton_direction_matches_dense_solve(make_spec):
+    # on the 1-D half grid MINRES preconditioned by K^{-1}, at a forcing
+    # term of 1e-13, reaches the delta of a dense solve of
+    # (I - Laplacian)^alpha + diag(h) on both problems and both states
     half, states = _half_states(make_spec)
-    g = half.grid
+    a = _multiplier_matrix(half.grid, half.alpha)
     for name, u in states.items():
         r = _residual_values(half, u)
         h = _hessian_diag(half, u)
-        delta, iters, stop = _newton_direction(half, u, r, 0.1)
-        assert (iters, stop) == (0, "direct"), name
-        ref, ref_iters, ref_stop = _minres(g, half.alpha, h, -r, 1e-13, shifted=True)
-        assert ref_stop == "forcing" and ref_iters > 0, name
-        assert np.linalg.norm(delta - ref) <= 1e-11 * np.linalg.norm(ref), name
-        res = _multiply(g, delta, half.alpha) + h * delta + r
-        assert np.linalg.norm(res) <= 1e-13 * np.linalg.norm(r), name
+        delta, iters, stop = _newton_direction(half, u, r, 1e-13)
+        assert stop == "forcing" and 0 < iters < MINRES_MAXITER, name
+        ref = np.linalg.solve(a + np.diag(h), -r)
+        assert np.linalg.norm(delta - ref) <= 1e-10 * np.linalg.norm(ref), name
+
+
+@pytest.mark.parametrize("make_spec", [canonical_coercive_spec, canonical_well_spec],
+                         ids=["coercive", "well"])
+def test_riesz_lanczos_product_is_the_hessian(make_spec):
+    # with M = K^{-1}, K = (I - Laplacian)^alpha + lam V, and v = M r2 / beta,
+    # H v = r2 / beta + (h - lam V) v: the product that a Newton solve on the
+    # 1-D half grid forms without a transform.  M is symmetric and positive
+    # in the full grid's inner product, as MINRES needs
+    half, states = _half_states(make_spec)
+    g, inverse = half.grid, half._riesz_inverse
+    weight = half.lam * half.V_field.values
+    rng = np.random.default_rng(1)
+    for name, u in states.items():
+        h = _hessian_diag(half, u)
+        for r2 in (_residual_values(half, u), rng.standard_normal(g.shape)):
+            y = inverse @ r2
+            beta = math.sqrt(solvers._dot(g, r2, y))
+            v = y / beta
+            free = r2 / beta + (h - weight) * v
+            full = _multiply(g, v, half.alpha) + h * v
+            assert np.linalg.norm(free - full) <= 1e-12 * np.linalg.norm(full), name
+            x = rng.standard_normal(g.shape)
+            assert solvers._dot(g, inverse @ x, r2) == pytest.approx(
+                solvers._dot(g, x, y), rel=1e-12), name
+            assert solvers._dot(g, inverse @ x, x) > 0.0, name
 
 
 @pytest.mark.parametrize("make_spec", [canonical_coercive_spec, canonical_well_spec],
@@ -1280,7 +1353,7 @@ def test_direct_riesz_gradient_matches_minres(make_spec):
         r = _residual_values(half, u)
         d, slope, iters, stop = solvers._riesz_gradient(half, r)
         assert (iters, stop) == (0, "direct"), name
-        ref, _, ref_stop = _minres(g, half.alpha, half.lam * half.V_field.values, r, 1e-13)
+        ref, _, ref_stop = _minres(half, half.lam * half.V_field.values, r, 1e-13)
         assert ref_stop == "forcing", name
         assert np.linalg.norm(d - ref) <= 1e-11 * np.linalg.norm(ref), name
         assert slope == pytest.approx(solvers._integral(g, r * ref), rel=1e-12), name
@@ -1288,20 +1361,29 @@ def test_direct_riesz_gradient_matches_minres(make_spec):
 
 
 def test_singular_direct_solves_fail(monkeypatch):
-    # a Hessian that LAPACK finds singular, or whose solve is not finite,
-    # fails the Newton step with stop "singular"; a singular K returns the
-    # zero gradient with slope 0, which hands the descent over to the polish
+    # on the 1-D half grid a K that LAPACK finds singular fails both solves
+    # with stop "singular": the gradient is zero with slope 0, which hands
+    # the descent over to the polish, and the Newton direction is None.  A
+    # Newton MINRES that hits the cap or breaks down, or whose delta is not
+    # finite, returns None too, a step the polish refuses as on every grid
     half, states = _half_states(canonical_well_spec)
     u = states["bump"]
     r = _residual_values(half, u)
-    monkeypatch.setattr(solvers, "_hessian_diag", lambda spec, u: np.zeros_like(u))
-    for scale in (0.0, 1e-320):  # an exact zero pivot; a subnormal one, whose delta overflows
-        monkeypatch.setattr(solvers, "_multiplier_matrix", lambda g, s: scale * np.eye(len(u)))
-        assert _newton_direction(half, u, r, 0.1) == (None, 0, "singular")
     weight = half.lam * half.V_field.values
-    monkeypatch.setattr(problem, "_multiplier_matrix", lambda g, s: -np.diag(weight))
-    d, slope, iters, stop = solvers._riesz_gradient(replace(half), r)
-    assert (slope, iters, stop) == (0.0, 0, "singular") and not np.any(d)
+    with monkeypatch.context() as m:
+        m.setattr(problem, "_multiplier_matrix", lambda g, s: -np.diag(weight))
+        d, slope, iters, stop = solvers._riesz_gradient(replace(half), r)
+        assert (slope, iters, stop) == (0.0, 0, "singular") and not np.any(d)
+        assert _newton_direction(replace(half), u, r, 0.1) == (None, 0, "singular")
+    broken = replace(half)
+    broken.__dict__["_riesz_inverse"] = -half._riesz_inverse  # not positive definite
+    assert _newton_direction(broken, u, r, 0.1) == (None, 0, "breakdown")
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "MINRES_MAXITER", 1)
+        assert _newton_direction(half, u, r, 1e-13) == (None, 1, "cap")
+    monkeypatch.setattr(solvers, "_minres", lambda *args, **kw: (np.full_like(r, np.inf), 3,
+                                                                   "forcing"))
+    assert _newton_direction(half, u, r, 0.1) == (None, 3, "forcing")
 
 
 def test_capped_minres_solve_shows_in_the_trace(monkeypatch):
@@ -1408,7 +1490,7 @@ def _shifted_preconditioner(g, alpha, pointwise):
 
 
 def _krylov_system(cfg, shifted=False):
-    """(grid, alpha, h, b, H, M): a Newton system at 2 exp(-|x|^2) and its operators on arrays.
+    """(spec, h, b, H, M): a Newton system at 2 exp(-|x|^2) and its operators on arrays.
 
     M is the gradient solve's scaled preconditioner, or with ``shifted``
     the Newton solves' shifted one.
@@ -1419,7 +1501,7 @@ def _krylov_system(cfg, shifted=False):
     h = _hessian_diag(spec, u)
     b = -residual(spec, Field(g, u)).values
     precondition = _shifted_preconditioner if shifted else _scaled_preconditioner
-    return (g, alpha, h, b, (lambda v: _multiply(g, v, alpha) + h * v),
+    return (spec, h, b, (lambda v: _multiply(g, v, alpha) + h * v),
             precondition(g, alpha, h))
 
 
@@ -1446,10 +1528,10 @@ KRYLOV_GRIDS = [RunConfig(dim=2, n=64, box_length=15.0),
 def test_minres_matches_scipy(cfg):
     # _minres is SciPy's recurrence with the same preconditioner: the same
     # iterate after the same number of steps
-    g, alpha, h, b, H, M = _krylov_system(cfg)
-    delta, iters, stop = _minres(g, alpha, h, b, 1e-10)
+    spec, h, b, H, M = _krylov_system(cfg)
+    delta, iters, stop = _minres(spec, h, b, 1e-10)
     assert stop == "forcing"
-    ref = _scipy_minres(g, b, H, M, iters)
+    ref = _scipy_minres(spec.grid, b, H, M, iters)
     assert np.linalg.norm(delta.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -1460,10 +1542,10 @@ def test_shifted_minres_matches_scipy(cfg):
     # solver's symbols, so agreement also checks the transform-free product;
     # on the 1-D steep well the two iterates part by 3e-11 relative after
     # the 31 steps of forcing 1e-10 (2e-8 after the 25 of forcing 1e-6)
-    g, alpha, h, b, H, M = _krylov_system(cfg, shifted=True)
-    delta, iters, stop = _minres(g, alpha, h, b, 1e-10, shifted=True)
+    spec, h, b, H, M = _krylov_system(cfg, shifted=True)
+    delta, iters, stop = _minres(spec, h, b, 1e-10, shifted=True)
     assert stop == "forcing"
-    ref = _scipy_minres(g, b, H, M, iters)
+    ref = _scipy_minres(spec.grid, b, H, M, iters)
     assert np.linalg.norm(delta.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -1472,18 +1554,18 @@ def test_shifted_minres_matches_scipy(cfg):
 def test_minres_forcing_bounds_the_preconditioned_residual(cfg, forcing):
     # the forcing term bounds the M-norm residual, and a tighter one takes
     # more iterations
-    g, alpha, h, b, H, M = _krylov_system(cfg)
-    delta, iters, stop = _minres(g, alpha, h, b, forcing)
-    assert stop == "forcing" and 0 < iters < _minres(g, alpha, h, b, 1e-3 * forcing)[1]
+    spec, h, b, H, M = _krylov_system(cfg)
+    delta, iters, stop = _minres(spec, h, b, forcing)
+    assert stop == "forcing" and 0 < iters < _minres(spec, h, b, 1e-3 * forcing)[1]
     res = H(delta) - b
     assert math.sqrt(np.vdot(res, M(res))) <= forcing * math.sqrt(np.vdot(b, M(b)))
 
 
 def test_minres_zero_rhs_and_breakdown(monkeypatch):
-    g, alpha, h, b, _, _ = _krylov_system(KRYLOV_GRIDS[0])
+    spec, h, b, _, _ = _krylov_system(KRYLOV_GRIDS[0])
     # x = 0 solves a zero right-hand side, within any forcing term
-    x, iters, stop = _minres(g, alpha, h, np.zeros_like(b), 0.1)
+    x, iters, stop = _minres(spec, h, np.zeros_like(b), 0.1)
     assert iters == 0 and stop == "forcing" and not np.any(x)
     # a preconditioner that is not positive definite breaks the recurrence
     monkeypatch.setattr(solvers, "_filter", lambda grid, v, symbol: -v)
-    assert _minres(g, alpha, h, b, 0.1) == (None, 0, "breakdown")
+    assert _minres(spec, h, b, 0.1) == (None, 0, "breakdown")
