@@ -29,8 +29,8 @@ def run_one(name, spec):
             print(f"{stage} failed: {result}  {took}")
         elif stage == "probe_geometry":
             print(f"probe   rho={result.rho:.4f}  eta={result.eta:.6f}  "
-                  f"mu_budget={result.mu_budget:.4f}  C_inf={result.c_inf:.4f}  "
-                  f"C_2={result.c_2:.4f}  {took}")
+                  f"mu_budget={result.mu_budget:.4f}  mu0_lower={result.mu0_lower:.4f}  "
+                  f"C_inf={result.c_inf:.4f}  C_2={result.c_2:.4f}  {took}")
         elif stage == "levels":
             lv = result["levels"]
             print(f"levels  min={lv['local_min_energy']:.3e} < 0 < "

@@ -66,7 +66,7 @@ def _config_echo(cfg: RunConfig) -> dict:
 
 
 # the attributes of a GeometryProbe and of a SolveReport that a stage summary carries
-_PROBE_KEYS = ("rho", "eta", "mu_budget", "c_inf", "c_2")
+_PROBE_KEYS = ("rho", "eta", "mu_budget", "mu0_lower", "c_inf", "c_2")
 _SOLVE_KEYS = ("classification", "energy", "residual_norm", "iterations", "converged", "ok",
                "message")
 

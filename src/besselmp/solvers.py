@@ -161,6 +161,8 @@ class GeometryProbe:
     rho: float
     eta: float
     mu_budget: float
+    # a certified lower end of mu_0 = inf_w mu(w) (``_extremal_mu``)
+    mu0_lower: float
     c_inf: float
     c_2: float
     e: Field
@@ -380,6 +382,11 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
     shift = spec.lam * float(np.min(spec.V_field.values))
     c_inf, c_2 = _sup_constant(spec.grid, spec.alpha, shift), 1.0 / math.sqrt(1.0 + shift)
     rho, eta, budget = _ridge_bound(spec, c_inf, c_2)
+    # mu(w) is 0-homogeneous, and the ridge constants bound its t^q and t^p
+    # coefficients as they bound l's, so at ||w||_lam = 1 mu(w) is at least
+    # max_t (t^(2-p) - q a t^(q-p)) / (p b), the budget times (2/p) (2/q)^((2-p)/(q-2))
+    q, p = spec.q, spec.p
+    mu0_lower = 2.0 / p * (2.0 / q) ** ((2.0 - p) / (q - 2.0)) * budget
 
     # far endpoint: the first of the bumps 1.5^k exp(-|x|^2) with negative (and
     # finite) energy, each scored in closed form along the bump's ray
@@ -396,8 +403,8 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
     if not e_norm > rho:
         raise GeometryError(f"the far endpoint has ||e||_lam = {e_norm:.6g}, "
                             f"not beyond the certified ridge radius rho = {rho:.6g}")
-    return GeometryProbe(rho=rho, eta=eta, mu_budget=budget, c_inf=c_inf, c_2=c_2,
-                         e=Field(spec.grid, e))
+    return GeometryProbe(rho=rho, eta=eta, mu_budget=budget, mu0_lower=mu0_lower,
+                         c_inf=c_inf, c_2=c_2, e=Field(spec.grid, e))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ Their ``trials`` and ``seed`` keywords are accepted and ignored.
 family it needs (None: any), its runner ``(spec, cfg) -> CheckRecord`` and
 the rule it imposes on the config (an exponent window, separations
 inside half the box), if any.  ``validate_assumptions`` runs the hypotheses on
-V and xi (a coercive V, or a steep well as in Bartsch & Wang, Comm. PDE
-20, 1995), each declaring its family the same way; ``applies_to`` decides.
-Those on f hold in closed form for every valid spec, and so does the
-superquadratic tail's threshold.
+V and xi of the potential's own family (a coercive V, or a steep well as in
+Bartsch & Wang, Comm. PDE 20, 1995), each declaring its family the same
+way; ``applies_to`` decides.  None runs that holds for every valid spec:
+those on f (growth, f(u)/u -> 0 at 0, theta F = u f) hold identically for
+the power law with 2 < q < 2 dim/(dim - 2 alpha) that ``ProblemSpec``
+admits, and the coercive V = 1 + |x|^2 >= 1 has a positive infimum.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def require_s_in_window(s_list, dim: int, alpha: float) -> None:
 def require_separations(separations, box_length: float) -> None:
     """Refuse an empty separation list, and each one not finite or not below box_length / 2.
 
-    The verdict reads the largest separation, and each snaps to whole grid
+    The verdict reads the largest |s|, and each snaps to whole grid
     cells, which an inf or a nan has none of; the periodic roll of the
     partner wraps it back towards u0 from half the box on.
     """
@@ -247,10 +249,11 @@ def check_splitting(spec: ProblemSpec, u0: Field, w: Field, separations,
     A = (I - Laplacian)^alpha, from the call's one transform pair, and the
     integrated excesses |u0 + w_s|^k - |u0|^k - |w_s|^k of the f and xi parts.
     Shifts move w along the first axis and snap to whole grid cells (exact
-    periodic roll).  Deviations must shrink as the parts separate and fall
-    below the threshold at the largest separation; a part leaking into the
-    band max_i |x_i| >= 0.45 box_length raises, and so does a separation
-    list that ``require_separations`` refuses.
+    periodic roll).  Rows run in order of |s|, whatever the order listed,
+    so a permuted list gives the same record.  Deviations must shrink as
+    the parts separate and fall below the threshold at the largest |s|; a
+    part leaking into the band max_i |x_i| >= 0.45 box_length raises, and
+    so does a separation list that ``require_separations`` refuses.
     """
     g = spec.grid
     require_separations(separations, g.box_length)
@@ -268,7 +271,7 @@ def check_splitting(spec: ProblemSpec, u0: Field, w: Field, separations,
     image = _multiply(g, u, spec.alpha) + spec.lam * spec.V_field.values * u
     u_q, u_p, w_q, w_p = (_abs_power(v, k) for v in (u, w.values) for k in (q, p))
     rows = []
-    for s in separations:
+    for s in sorted(separations, key=lambda s: (abs(s), s)):
         cells = int(round(s / g.spacing))
         shifted = np.roll(w.values, cells, axis=0)
         if reaches_edge(shifted):
@@ -282,7 +285,7 @@ def check_splitting(spec: ProblemSpec, u0: Field, w: Field, separations,
                      "quad": abs(quad), "f_term": abs(f_term), "xi_term": abs(xi_term)})
 
     overlap = _effective_radius(u, g.radius_sq) + _effective_radius(w.values, g.radius_sq)
-    beyond = [r["total"] for r in rows if r["separation"] > overlap]
+    beyond = [r["total"] for r in rows if abs(r["separation"]) > overlap]
     # a deviation below threshold / 100 has settled: its wiggle is at the
     # discretization level (about 1e-6 on a 2-D n=64 grid) and cannot carry
     # the final deviation across the threshold, so it cannot move the verdict
@@ -491,13 +494,6 @@ def check_bounded_descent(spec: ProblemSpec, trace) -> CheckRecord:
 # the hypotheses on V and xi
 
 
-def _positive_infimum(spec, _b):
-    vmin = float(np.min(spec.V_field.values))
-    idx = np.unravel_index(int(np.argmin(spec.V_field.values)), spec.grid.shape)
-    where = [float(spec.grid.axis_coords[i]) for i in idx]
-    return vmin > 0.0, f"min V = {vmin:.4g} at x = {where}", {"min": vmin, "argmin": where}
-
-
 def _ball_integrals_decay(spec, _b):
     rec = coercivity_probe(spec.V_field, _ball_radii(spec.grid))
     radii, ladder = rec.data["radii"], rec.data["ladder"]
@@ -522,60 +518,30 @@ def _finite_sublevel(spec, b):
             {"b": b, "measure": measure, "edge_margin": float(margin)})
 
 
-def _face_pairs(mask):
-    """Flat indices (a, b) of each pair of face neighbours that both lie in a boolean array.
-
-    Neighbours do not wrap around the box.
-    """
-    index = np.arange(mask.size).reshape(mask.shape)
-    pairs = []
-    for ax in range(mask.ndim):
-        lo = tuple(slice(None, -1) if i == ax else slice(None) for i in range(mask.ndim))
-        hi = tuple(slice(1, None) if i == ax else slice(None) for i in range(mask.ndim))
-        both = mask[lo] & mask[hi]
-        pairs.append((index[lo][both], index[hi][both]))
-    return tuple(np.concatenate(side) for side in zip(*pairs))
-
-
 def _erode(mask):
     """The points of a boolean array whose 2 * ndim face neighbours all lie in it.
 
     scipy.ndimage.binary_erosion's default: face connectivity, no
     wrap-around, and the outside of the box counts as not in the array.
     """
-    degree = np.bincount(np.concatenate(_face_pairs(mask)), minlength=mask.size)
-    return (degree == 2 * mask.ndim).reshape(mask.shape)
-
-
-def _component_count(mask):
-    """The number of face-connected components of a boolean array, as ndimage.label(mask)[1].
-
-    Every point starts as its own root; each round hangs the larger root
-    of every face-neighbour pair that joins two roots under the smaller
-    one, then jumps every point to its root.  Roots only fall, so it ends
-    with one root per component.
-    """
-    a, b = _face_pairs(mask)
-    parent = np.arange(mask.size)
-    while True:
-        ra, rb = parent[a], parent[b]
-        split = ra != rb
-        if not split.any():
-            points = np.flatnonzero(mask)
-            return int(np.count_nonzero(parent[points] == points))
-        np.minimum.at(parent, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
-        jumped = parent[parent]
-        while not np.array_equal(jumped, parent):
-            parent, jumped = jumped, jumped[jumped]
+    inner = mask.copy()
+    for ax in range(mask.ndim):
+        head = (slice(None),) * ax
+        inner[head + (slice(1, None),)] &= mask[head + (slice(None, -1),)]
+        inner[head + (slice(None, -1),)] &= mask[head + (slice(1, None),)]
+        inner[head + (0,)] = inner[head + (-1,)] = False
+    return inner
 
 
 def _flat_zero_region(spec, _b):
+    # the zero set of the radial well is a discrete ball centred on the
+    # lattice's symmetry point, face-connected whenever it is not empty, so
+    # its interior is the one thing left to decide
     mask = spec.V_field.values <= 1e-12 * max(float(np.max(spec.V_field.values)), 1e-300)
-    n_comp = _component_count(mask)
     measure = _integral(spec.grid, mask)
-    return (_erode(mask).any(), f"zero set has measure {measure:.4g} in {n_comp} component(s); "
+    return (_erode(mask).any(), f"zero set has measure {measure:.4g}; "
                                 "boundary smoothness is not machine-checkable",
-            {"measure": measure, "components": n_comp})
+            {"measure": measure})
 
 
 def _weight_integrable(spec, _b):
@@ -591,10 +557,9 @@ def _weight_integrable(spec, _b):
 
 
 # per hypothesis, in the order they are reported: the potential family it
-# gates (None: every family) and its runner (spec, b) -> (passed, detail,
-# witness); only finite_sublevel reads the sublevel height b
+# belongs to (None: every family) and its runner (spec, b) -> (passed,
+# detail, witness); only finite_sublevel reads the sublevel height b
 _HYPOTHESES = {
-    "positive_infimum": Check("coercive", _positive_infimum),
     "ball_integrals_decay": Check("coercive", _ball_integrals_decay),
     "finite_sublevel": Check("well", _finite_sublevel),
     "flat_zero_region": Check("well", _flat_zero_region),
@@ -603,27 +568,23 @@ _HYPOTHESES = {
 
 
 def validate_assumptions(spec: ProblemSpec, b: float | None = None) -> CheckRecord:
-    """Run every machine-checkable hypothesis on V and xi; one entry each in ``data["checks"]``.
+    """Run the hypotheses on V and xi of the potential's family; one entry each in ``data["checks"]``.
 
-    f needs none: ``ProblemSpec`` admits only the power law with 2 < q <
-    2 dim/(dim - 2 alpha), for which the growth bound, f(u)/u -> 0 at 0
-    and theta F = u f with theta = q hold identically.  Hypotheses of
-    another potential family are still run and reported, but only those
-    that apply to the declared family (``applies_to``) are required, and
-    the record passes when every required one does.  ``b`` is the height
-    of finite_sublevel's set {V < b}, half of max V when None.
+    A hypothesis runs when ``applies_to`` its family, the rule that picks
+    ``auto``'s stages, and the record passes when every entry does.  ``b``
+    is the height of finite_sublevel's set {V < b}, half of max V when None.
     """
     params = {"b": b}
     if b is None:
         b = 0.5 * float(np.max(spec.V_field.values))
     checks = []
     for name, hypothesis in _HYPOTHESES.items():
-        passed, detail, witness = hypothesis.run(spec, b)
-        checks.append({"name": name, "pass": bool(passed),
-                       "required": applies_to(hypothesis.family, spec.potential),
-                       "detail": detail, "witness": witness})
-    return CheckRecord("assumptions", params, all(c["pass"] for c in checks if c["required"]),
-                       (), {"checks": checks})
+        if applies_to(hypothesis.family, spec.potential):
+            passed, detail, witness = hypothesis.run(spec, b)
+            checks.append({"name": name, "pass": bool(passed), "detail": detail,
+                           "witness": witness})
+    return CheckRecord("assumptions", params, all(c["pass"] for c in checks), (),
+                       {"checks": checks})
 
 
 # ---------------------------------------------------------------------------

@@ -432,7 +432,8 @@ def test_seed_override_echoed(tmp_path, capsys):
     assert main(["probe-geometry", "--out", str(out)]) == 0
     rep = _report(out)
     assert "seed" not in rep["config"]
-    assert list(rep["stages"][0]["summary"]) == ["rho", "eta", "mu_budget", "c_inf", "c_2"]
+    assert list(rep["stages"][0]["summary"]) == ["rho", "eta", "mu_budget", "mu0_lower", "c_inf",
+                                                 "c_2"]
 
 
 def test_report_json_round_trip(tmp_path):

@@ -28,7 +28,7 @@ from besselmp.config import RunConfig, build_spec
 from besselmp.grid import _abs_power, _is_even, _restrict, _weighted_norm_sq
 from besselmp.problem import _energy_parts, _residual_values, eval_scrF
 from besselmp.solvers import _hessian_diag
-from besselmp.verify import _component_count, _erode
+from besselmp.verify import _erode
 from conftest import hypothesis_entry
 
 
@@ -312,43 +312,42 @@ def test_residual_is_the_gradient(coercive_spec):
 
 
 def test_canonical_coercive_assumptions_pass(coercive_spec):
+    # only the coercive family's hypotheses run: V = 1 + |x|^2 has no zero
+    # set to erode and no sublevel set to bound
     record = validate_assumptions(coercive_spec)
     assert record.passed
-    assert hypothesis_entry(record, "positive_infimum")["pass"]
-    assert hypothesis_entry(record, "ball_integrals_decay")["pass"]
-    assert hypothesis_entry(record, "weight_integrable")["pass"]
-    # well-only checks run but are not required for this family
-    assert not hypothesis_entry(record, "flat_zero_region")["required"]
+    assert [c["name"] for c in record.data["checks"]] == ["ball_integrals_decay",
+                                                          "weight_integrable"]
+    assert all(c["pass"] for c in record.data["checks"])
 
 
 def test_canonical_well_assumptions_pass(well_spec):
+    # only the well family's: V vanishes inside the well, so neither a
+    # positive infimum nor decaying ball integrals of 1/V is asked of it
     record = validate_assumptions(well_spec, b=10.0)
     assert record.passed
-    assert hypothesis_entry(record, "finite_sublevel")["pass"]
-    assert hypothesis_entry(record, "flat_zero_region")["pass"]
-    # a flat well has no positive infimum; that check applies to the
-    # coercive family only
-    assert not hypothesis_entry(record, "positive_infimum")["pass"]
-    assert not hypothesis_entry(record, "positive_infimum")["required"]
+    assert [c["name"] for c in record.data["checks"]] == ["finite_sublevel", "flat_zero_region",
+                                                          "weight_integrable"]
+    assert all(c["pass"] for c in record.data["checks"])
 
 
 @settings(max_examples=200, deadline=None)
 @given(shape=st.integers(1, 3).flatmap(lambda dim: st.tuples(*[st.integers(1, 12)] * dim)),
        density=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1))
-def test_erosion_and_component_count_match_ndimage(shape, density, seed):
+def test_erosion_matches_ndimage(shape, density, seed):
     # face connectivity, no wrap-around, the box edge erodes; random masks
     # touch the edge in most draws
     mask = _rng(seed).random(shape) < density
     np.testing.assert_array_equal(_erode(mask), ndimage.binary_erosion(mask))
-    assert _component_count(mask) == ndimage.label(mask)[1]
 
 
-# the flat_zero_region checks as scipy.ndimage computed them
+# the flat_zero_region checks as scipy.ndimage computed them; a coercive V
+# >= 1 has no zero set, and the hypothesis does not run on it
 _FLAT_ZERO = {
-    "coercive": (False, "zero set has measure 0 in 0 component(s)", 0.0, 0),
-    "well": (True, "zero set has measure 2.031 in 1 component(s)", 2.03125, 1),
-    "verify-2d-coercive": (False, "zero set has measure 0 in 0 component(s)", 0.0, 0),
-    "verify-2d-well": (True, "zero set has measure 3.516 in 1 component(s)", 3.515625, 1),
+    "coercive": None,
+    "well": (True, "zero set has measure 2.031", 2.03125),
+    "verify-2d-coercive": None,
+    "verify-2d-well": (True, "zero set has measure 3.516", 3.515625),
 }
 
 
@@ -360,20 +359,24 @@ def test_flat_zero_region_pins(name):
                                     potential=family, trials=1000))
     else:
         spec = canonical_well_spec() if name == "well" else canonical_coercive_spec()
-    check = hypothesis_entry(validate_assumptions(spec), "flat_zero_region")
-    passed, detail, measure, components = _FLAT_ZERO[name]
+    record = validate_assumptions(spec)
+    if _FLAT_ZERO[name] is None:
+        assert "flat_zero_region" not in {c["name"] for c in record.data["checks"]}
+        return
+    check = hypothesis_entry(record, "flat_zero_region")
+    passed, detail, measure = _FLAT_ZERO[name]
     assert check["pass"] is passed
     assert check["detail"] == detail + "; boundary smoothness is not machine-checkable"
-    assert check["witness"] == {"measure": measure, "components": components}
+    assert check["witness"] == {"measure": measure}
 
 
 def test_flat_potential_fails_ball_decay():
     # on a box of 10 the ladder's balls reach only |x| = 3.5, where the
     # coercive V is still too flat for the ball integrals of 1/V to fall
-    # below a tenth of their start; every other required hypothesis holds
+    # below a tenth of their start; the other hypothesis holds
     spec = _spec(grid=Grid(1, 256, 10.0))
     record = validate_assumptions(spec)
-    failed = {c["name"] for c in record.data["checks"] if c["required"] and not c["pass"]}
+    failed = {c["name"] for c in record.data["checks"] if not c["pass"]}
     assert failed == {"ball_integrals_decay"}
     assert not record.passed
 

@@ -193,27 +193,58 @@ _BOUND_SPECS = {
 }
 
 
-@settings(deadline=None, max_examples=40)
-@given(dim=st.sampled_from([1, 2, 3]), which=st.integers(0, 1), seed=st.integers(0, 2**31 - 1),
-       band=st.floats(0.05, 1.0), mix=st.floats(0.0, 1.0), scale=st.floats(0.02, 3.0))
-def test_energy_dominates_the_ridge_bound(dim, which, seed, band, mix, scale):
-    # Phi(u) >= l(||u||_lam) at random radii around the certified ridge
-    # radius, on random band-limited fields mixed with the Green's function
-    # that comes within a few percent of sup |u| = C_inf ||u||_lam on the
-    # coercive grids
-    specs = _BOUND_SPECS[dim]
-    spec = specs[which % len(specs)]
-    probe = probe_geometry(spec)
-    a, b = _bound_coefficients(spec, probe)
+def _bound_field(spec, seed, band, mix):
+    """A random band-limited field mixed with the Green's function, which
+    comes within a few percent of sup |u| = C_inf ||u||_lam on the coercive grids."""
     g = spec.grid
     noise = random_field(g, np.random.default_rng(seed), band_fraction=band,
                          envelope_sigma=0.1 * g.box_length)
     green = Field(g, _green(spec)[0])
-    u = noise * ((1.0 - mix) / _norm_lam(spec, noise)) + green * (mix / _norm_lam(spec, green))
+    return noise * ((1.0 - mix) / _norm_lam(spec, noise)) + green * (mix / _norm_lam(spec, green))
+
+
+_BOUND_FIELDS = dict(dim=st.sampled_from([1, 2, 3]), which=st.integers(0, 1),
+                     seed=st.integers(0, 2**31 - 1), band=st.floats(0.05, 1.0),
+                     mix=st.floats(0.0, 1.0))
+
+
+@settings(deadline=None, max_examples=40)
+@given(scale=st.floats(0.02, 3.0), **_BOUND_FIELDS)
+def test_energy_dominates_the_ridge_bound(dim, which, seed, band, mix, scale):
+    # Phi(u) >= l(||u||_lam) at random radii around the certified ridge
+    # radius, on the fields of _bound_field
+    specs = _BOUND_SPECS[dim]
+    spec = specs[which % len(specs)]
+    probe = probe_geometry(spec)
+    a, b = _bound_coefficients(spec, probe)
+    u = _bound_field(spec, seed, band, mix)
     r = scale * probe.rho
     u = u * (r / _norm_lam(spec, u))
     assert float(np.max(np.abs(u.values))) <= probe.c_inf * r * (1.0 + 1e-12)
     assert energy(spec, u).total >= _ridge(spec, a, b, r) - 1e-12 * (1.0 + r**2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(**_BOUND_FIELDS)
+def test_mu0_lower_is_below_every_extremal_mu(dim, which, seed, band, mix):
+    # the probe's constants bound mu(w)'s t^q and t^p coefficients, so its
+    # lower end of mu_0 = inf_w mu(w) lies below mu(w) on every field
+    specs = _BOUND_SPECS[dim]
+    spec = specs[which % len(specs)]
+    w = _bound_field(spec, seed, band, mix).values
+    assert probe_geometry(spec).mu0_lower <= solvers._extremal_mu(spec, w)
+
+
+def test_mu0_lower_is_below_the_solutions_extremal_mu(coercive_spec, coercive_probe, coercive_mp,
+                                                      coercive_ball, well_spec, well_result):
+    # (2/p) (2/q)^((2-p)/(q-2)) times the budget: 1.121 times at p = 1.5, q = 4
+    assert coercive_probe.mu0_lower == pytest.approx(1.121195 * coercive_probe.mu_budget,
+                                                     rel=1e-6)
+    for spec, probe, reports in ((coercive_spec, coercive_probe, (coercive_mp, coercive_ball)),
+                                 (well_spec, well_result.probe,
+                                  (well_result.mountain_pass, well_result.local_min))):
+        for report in reports:
+            assert probe.mu0_lower <= solvers._extremal_mu(spec, report.solution.values)
 
 
 def test_far_endpoint_inside_the_ridge_is_refused(coercive_spec, coercive_probe, monkeypatch):
@@ -1216,22 +1247,30 @@ def test_descent_entries_count_their_gradient_solve(well_result, coercive_mp, co
 
 
 @pytest.mark.parametrize("make_spec,solves,transforms", [
-    (canonical_coercive_spec, ((2, 5, 16), (1, 2, 3)), (23, 11)),
-    (canonical_well_spec, ((2, 4, 13), (2, 3, 6)), (25, 12)),
-], ids=["coercive", "well"])
-def test_canonical_1d_work_is_pinned(make_spec, solves, transforms, fft_calls):
-    # (descent rows, polish rows, Newton MINRES iterations) of each solve,
-    # saddle then minimizer, and the run's (forward, inverse) transforms on
-    # a fresh problem, which include the build of the dense
-    # (I - Laplacian)^alpha behind K^{-1}; a rise in any count is a
-    # regression of the 1-D solvers' cost
+    (canonical_coercive_spec, ((2, 5, 16, 0), (1, 2, 3, 0)), (23, 11)),
+    (canonical_well_spec, ((2, 4, 13, 0), (2, 3, 6, 0)), (25, 12)),
+    (lambda: build_spec(RunConfig(dim=2, n=48, box_length=15.0)),
+     ((5, 5, 53, 18), (1, 2, 8, 4)), (147, 129)),
+    (lambda: build_spec(RunConfig(dim=2, n=64, box_length=20.0, potential="well",
+                                  lam=100.0, mu=0.05)),
+     ((3, 6, 149, 21), (2, 3, 67, 19)), (338, 322)),
+    (lambda: build_spec(RunConfig(dim=3, n=16, box_length=10.0, q=3.0)),
+     ((5, 5, 49, 20), (1, 3, 17, 4)), (158, 140)),
+], ids=["coercive", "well", "plane_2d", "2d-steep-well", "3d"])
+def test_solver_work_is_pinned(make_spec, solves, transforms, fft_calls):
+    # (descent rows, polish rows, Newton MINRES iterations, gradient MINRES
+    # iterations) of each solve, saddle then minimizer, and the run's
+    # (forward, inverse) transforms on a fresh problem, which in 1-D include
+    # the build of the dense (I - Laplacian)^alpha behind K^{-1}; a rise in
+    # any count is a regression of the solvers' cost in that dimension
     fft_calls.clear()
     r = two_solution_experiment(make_spec())
     assert r.success, r.failed_stage
-    for report, (descent, polish, newton) in zip((r.mountain_pass, r.local_min), solves):
+    for report, pinned in zip((r.mountain_pass, r.local_min), solves):
         c = report.counts
         rows = sum(t.phase == "polish" for t in report.trace)
-        assert (c["descent_rows"], rows, c["newton_krylov_iters"]) == (descent, polish, newton)
+        assert (c["descent_rows"], rows, c["newton_krylov_iters"],
+                c["gradient_krylov_iters"]) == pinned
     assert (fft_calls["_rfft"], fft_calls["_irfft"]) == transforms
 
 

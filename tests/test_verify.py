@@ -6,6 +6,7 @@ xi with their one family rule."""
 import ast
 import functools
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from besselmp.config import RunConfig, build_spec, resolve_checks
 from besselmp.grid import _bessel_norm_sq, _weighted_norm_sq
 from besselmp.problem import ProblemSpec
 from besselmp.solvers import TraceEntry
-from besselmp.verify import CHECKS, _ball_radii, applies_to
+from besselmp.verify import _HYPOTHESES, CHECKS, _ball_radii, applies_to
 from conftest import hypothesis_entry, multiplier_matrix
 
 
@@ -234,6 +235,21 @@ def test_splitting_ladder_decays(coercive_spec):
     assert rows[-1]["quad"] < 1e-3
     assert rows[-1]["f_term"] < 1e-3
     assert rows[-1]["xi_term"] < 1e-3
+
+
+def test_splitting_record_ignores_the_order_of_separations(coercive_spec):
+    # rows run in order of |s|, so the verdict reads the largest separation
+    # however the list is ordered; read from the last listed one instead, a
+    # reversed list failed on the deviation at 2 (0.037)
+    g = coercive_spec.grid
+    u0 = _gaussian(g)
+    w = Field(g, 0.8 * np.exp(-1.3 * g.axis_coords**2))
+    default = RunConfig().separations
+    rec = check_splitting(coercive_spec, u0, w, default)
+    assert rec.passed
+    for listed in (default[::-1], [default[i] for i in (3, 6, 0, 5, 1, 4, 2)]):
+        assert check_splitting(coercive_spec, u0, w, listed) == rec
+    assert check_splitting(coercive_spec, u0, w, (15.0, 2.0)).passed
 
 
 def test_splitting_snaps_separations_to_cells(coercive_spec):
@@ -774,18 +790,20 @@ def test_hypotheses_read_the_public_checks(make_spec):
     record = validate_assumptions(spec, b=10.0)
     # the name problem keeps calls into verify
     assert besselmp.problem.validate_assumptions(spec, b=10.0) == record
-    ladder = coercivity_probe(spec.V_field, _ball_radii(spec.grid))
-    assert hypothesis_entry(record, "ball_integrals_decay")["witness"] == ladder.data
-    assert hypothesis_entry(record, "ball_integrals_decay")["pass"] is ladder.passed
-    assert (hypothesis_entry(record, "finite_sublevel")["witness"]["measure"]
-            == sublevel_measure(spec.V_field, 10.0))
+    if spec.potential.family == "coercive":
+        ladder = coercivity_probe(spec.V_field, _ball_radii(spec.grid))
+        assert hypothesis_entry(record, "ball_integrals_decay")["witness"] == ladder.data
+        assert hypothesis_entry(record, "ball_integrals_decay")["pass"] is ladder.passed
+    else:
+        assert (hypothesis_entry(record, "finite_sublevel")["witness"]["measure"]
+                == sublevel_measure(spec.V_field, 10.0))
     # the last center stays at least 1 on a box too small for L/2 - 1.5
     assert _ball_radii(Grid(1, 64, 2.0))[-1] == 1.0
 
 
 _FAMILY_HYPOTHESES = {
-    "coercive": {"positive_infimum", "ball_integrals_decay", "weight_integrable"},
-    "well": {"finite_sublevel", "flat_zero_region", "weight_integrable"},
+    "coercive": ("ball_integrals_decay", "weight_integrable"),
+    "well": ("finite_sublevel", "flat_zero_region", "weight_integrable"),
 }
 _FAMILY_STAGES = {
     "coercive": ("assumptions", "superquadratic-tail", "splitting", "holder", "embedding",
@@ -802,9 +820,29 @@ _FAMILY_STAGES = {
 def test_one_family_rule_gates_hypotheses_and_stages(potential, family):
     spec = ProblemSpec(Grid(1, 256, 40.0), alpha=0.75, lam=1.0, mu=0.01, p=1.5,
                        potential=potential)
-    required = {c["name"] for c in validate_assumptions(spec).data["checks"] if c["required"]}
-    assert required == _FAMILY_HYPOTHESES[family]
+    record = validate_assumptions(spec)
+    assert tuple(c["name"] for c in record.data["checks"]) == _FAMILY_HYPOTHESES[family]
     assert {name for name, check in CHECKS.items() if applies_to(check.family, potential)} \
         == set(_FAMILY_STAGES[family])
     cfg = RunConfig(mode="verify", potential="well" if family == "well" else "coercive_quadratic")
     assert resolve_checks(cfg) == _FAMILY_STAGES[family]
+
+
+_NUMBER_WORDS = {"five": 5, "six": 6, "seven": 7, "eight": 8}
+
+
+def test_readme_property_checks_name_every_check_and_hypothesis():
+    # the section's bullets name CHECKS in the order auto runs them, the
+    # assumptions bullet's sub-bullets name each hypothesis with its family
+    # in the order they run, and the stage counts are resolve_checks'
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Property checks\n")[1].split("\n## ")[0]
+    assert re.findall(r"^\* `([\w-]+)`:", section, re.M) == list(CHECKS)
+    assumptions = section.split("* `assumptions`:")[1].split("\n* ")[0]
+    assert re.findall(r"^  - `(\w+)` \(([\w ]+)\):", assumptions, re.M) == [
+        (name, check.family or "any family") for name, check in _HYPOTHESES.items()]
+    coercive, well = re.search(r"(\w+) stages for the coercive family, (\w+) for the well",
+                               " ".join(section.split())).groups()
+    assert (_NUMBER_WORDS[coercive], _NUMBER_WORDS[well]) == tuple(
+        len(resolve_checks(RunConfig(mode="verify", potential=potential)))
+        for potential in ("coercive_quadratic", "well"))
