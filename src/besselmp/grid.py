@@ -10,7 +10,9 @@ fields that are even in each x_i by their (n/2 + 1)^dim samples there;
 on it the multiplier is a DCT-I on each axis, a dense matrix product.
 Every sum over a grid goes through ``_sum``, ``_integral`` or ``_dot``,
 which weigh each stored point by the full-grid points it stands for, so
-a kernel reads the same number on either grid for an even field.
+a kernel reads the same number on either grid for an even field; every
+sum over the frequency lattice runs over ``_rfft``'s half lattice, each
+entry weighed by the full-lattice frequencies it stands for.
 """
 
 from __future__ import annotations
@@ -186,19 +188,26 @@ class Grid:
         return self._cached(("symbol", s), lambda: _read_only(
             (1.0 + self.freq_sq[..., : self.n // 2 + 1]) ** s))
 
+    @cached_property
+    def lattice_weights(self) -> np.ndarray:
+        """How many full-lattice frequencies each entry of ``symbol``'s half lattice stands for.
+
+        2 on every last-axis column whose mirror -k the half lattice leaves
+        out, all but k = 0 and, for even n, k = n/2; on an EvenGrid ``weights``.
+        """
+        if self.even:
+            return self.weights
+        w = np.ones(self.shape[:-1] + (self.n // 2 + 1,))
+        w[..., 1 : (self.n + 1) // 2] = 2.0
+        return _read_only(w)
+
     def parseval_weight(self, alpha: float) -> np.ndarray:
         """Half-lattice weights w with sum w |_rfft(u)|^2 = ||(I - Laplacian)^{alpha/2} u||^2.
 
-        The symbol (1 + |xi|^2)^alpha times vol/N, doubled on every column
-        of the last axis whose mirror -k is left out of the half lattice:
-        all but k = 0 and, for even n, k = n/2.
+        The symbol (1 + |xi|^2)^alpha times vol/N times ``lattice_weights``.
         """
-        def build():
-            w = self.symbol(alpha) * (self.cell_volume / self.total_points)
-            w[..., 1 : (self.n + 1) // 2] *= 2.0
-            return _read_only(w)
-
-        return self._cached(("parseval", float(alpha)), build)
+        return self._cached(("parseval", float(alpha)), lambda: _read_only(
+            self.symbol(alpha) * (self.cell_volume / self.total_points) * self.lattice_weights))
 
 
 @dataclass(frozen=True)
@@ -235,11 +244,6 @@ class EvenGrid(Grid):
         axis = np.full(self.n // 2 + 1, 2.0)
         axis[[0, -1]] = 1.0
         return _read_only(math.prod(np.ix_(*(axis,) * self.dim)))
-
-    def parseval_weight(self, alpha: float) -> np.ndarray:
-        """Weights w with sum w _rfft(u)^2 = ||(I - Laplacian)^{alpha/2} u||^2 on the full grid."""
-        return self._cached(("parseval", float(alpha)), lambda: _read_only(
-            self.symbol(alpha) * (self.cell_volume / self.total_points) * self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +293,7 @@ def _require_same_grid(a, b):
 
 
 def _sum(grid: Grid, values: np.ndarray) -> float:
-    """Sum over the grid's points, or its frequency lattice: ``values.sum()`` on a Grid.
+    """Sum over the grid's points: ``values.sum()`` on a Grid.
 
     On an EvenGrid each entry weighs the full-grid points it stands for, so
     an even field's sum reads as on its full grid.
@@ -438,12 +442,12 @@ def _weighted_norm_sq(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float,
 def _sup_constant(grid: Grid, alpha: float, shift: float = 0.0) -> float:
     """C with sup |u|^2 <= C^2 (||u||_bessel^2 + shift ||u||_2^2) for every field on the grid.
 
-    For the DFT coefficients u_k and the full-lattice symbol
-    s_k = (1 + |xi_k|^2)^alpha, Cauchy-Schwarz on u(x) = (1/N) sum_k u_k e^{ikx}
-    gives C^2 = L^-d sum_k 1/(s_k + shift): the grid Green's function of
-    (I - Laplacian)^alpha + shift at the origin, which attains it.
+    For the DFT coefficients u_k and the symbol s_k = (1 + |xi_k|^2)^alpha,
+    Cauchy-Schwarz on u(x) = (1/N) sum_k u_k e^{ikx} gives C^2 = L^-d
+    sum_k 1/(s_k + shift) over the full lattice (``lattice_weights``): the
+    grid Green's function of (I - Laplacian)^alpha + shift at the origin.
     """
-    green_0 = _sum(grid, 1.0 / ((1.0 + grid.freq_sq) ** alpha + shift))
+    green_0 = float(np.vdot(grid.lattice_weights, 1.0 / (grid.symbol(alpha) + shift)))
     return math.sqrt(green_0 / grid.box_length**grid.dim)
 
 
@@ -451,56 +455,50 @@ def _sup_constant(grid: Grid, alpha: float, shift: float = 0.0) -> float:
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def _power(a: np.ndarray, k: float) -> np.ndarray:
-    """a**k for a >= 0 and k > 0: to the bit where that is a normal float, else 0.
+def _abs_power(u: np.ndarray, k: float) -> np.ndarray:
+    """|u|^k for k > 0, a new array: 0 wherever it would fall below DBL_MIN, NaN and inf kept.
 
-    pow costs 120-260 ns a point where its result is subnormal or
-    underflows, and 17 ns where a is 0, against 4 ns elsewhere; a product
-    costs 12.5 ns against 0.4 where it is subnormal (NumPy 2.4, AVX-512,
-    one thread of an x86-64 Xeon).  A Gaussian on a wide box lies mostly in
-    that range, so entries whose power falls below DBL_MIN read 0 without a
-    call; NaN stays NaN and inf stays inf.  When the array's least entry is
-    clear of that floor, as it is on every solver iterate, the power is the
-    plain one.  k = 2 multiplies and k = 0.5 takes the root, as NumPy's own
-    ``**`` does: a root is never subnormal.
+    A whole k multiplies out, in place on the fresh ``np.abs(u)``; k = 0.5
+    is the root, as in NumPy's ``**``; any other k calls pow.  pow costs
+    about five products a point, and thirty times more where it overflows,
+    as at a diverging line search's trials.  Where its result is subnormal
+    pow costs 120-260 ns against 4, and 17 ns at 0; a subnormal product
+    12.5 ns against 0.4 (NumPy 2.4, AVX-512, one x86-64 Xeon thread).  Most
+    of a Gaussian on a wide box lies there, so those entries read 0 without
+    either; when the least entry is clear of that floor, as on every solver
+    iterate, the power is the plain one.
     """
+    a = np.abs(u)
     if k == 0.5:
         return np.sqrt(a)
+    whole = k >= 1.0 and float(k).is_integer()
     floor = _TINY ** (1.0 / k)
     # argmin (NaN first) is cheaper than a.min(): about 0.7 against 1.4 us at 129 points
     if a.size == 0 or a.item(a.argmin()) > floor * (1.0 + 1e-9):
-        return a * a if k == 2.0 else a**k
-    out = np.zeros(a.shape)  # a quarter of zeros_like's cost
+        return _square_and_multiply(a, int(k)) if whole else a**k
     keep = ~(a <= floor * (1.0 - 1e-9))  # NaN is kept
-    if k == 2.0:
-        np.multiply(a, a, out=out, where=keep)
+    if whole:
+        out = _square_and_multiply(np.where(keep, a, 0.0), int(k))
     else:
+        out = np.zeros(a.shape)  # a quarter of zeros_like's cost
         np.power(a, k, out=out, where=keep)
     out[out < _TINY] = 0.0  # the few kept entries whose power is subnormal
     return out
 
 
-def _abs_power(u: np.ndarray, k: float) -> np.ndarray:
-    """|u|^k; a whole k >= 1 by square-and-multiply, any other k by ``_power``.
-
-    pow costs about five multiplies per point, and some thirty times more
-    again where the result overflows, as it does at the trial points of a
-    diverging line search; a product overflows to inf at full speed.  The
-    products can differ from pow in the last bits, so the L^r norms and the
-    verify scans call ``_power`` itself.
-    """
-    if not (k >= 1.0 and float(k).is_integer()):
-        return _power(np.abs(u), k)
-    a = np.abs(u)
-    k = int(k)
+def _square_and_multiply(a: np.ndarray, k: int) -> np.ndarray:
+    """a^k for a whole k >= 1, squaring ``a`` in place."""
     out = None
     while True:
         if k & 1:
-            out = a if out is None else out * a
+            if out is None:
+                out = a.copy() if k > 1 else a
+            else:
+                out *= a
         k >>= 1
         if not k:
             return out
-        a = a * a
+        a *= a
 
 
 def _lp_norm(grid: Grid, values: np.ndarray, r: float) -> float:
@@ -509,7 +507,7 @@ def _lp_norm(grid: Grid, values: np.ndarray, r: float) -> float:
     The root is a scalar power: NumPy's array power (SIMD) can differ from
     it in the last bit.
     """
-    total = _integral(grid, _power(np.abs(values), r))
+    total = _integral(grid, _abs_power(values, r))
     return total ** (1.0 / r)
 
 
@@ -556,7 +554,7 @@ def lp_norm(field: Field, r: float) -> float:
         raise ValueError(f"lp_norm needs r >= 1, got {r}")
     g, v = field.grid, field.values
     with np.errstate(over="ignore"):
-        total = _integral(g, _power(np.abs(v), r))
+        total = _integral(g, _abs_power(v, r))
     if _TINY <= total < math.inf:
         return total ** (1.0 / r)
     peak = float(np.max(np.abs(v)))

@@ -901,10 +901,9 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
     run, phi0, grid, why = _subspace(spec, _bump(spec))
     t, level = _fibering(run, phi0, bottom=True)
     if not level < 0.0:
-        zero = np.zeros(g.shape)
+        # every term of the residual vanishes at the zero field
         return SolveReport(
-            solution=Field(g, zero), energy=0.0,
-            residual_norm=_trial_residual(spec, zero)[1],
+            solution=Field(g, np.zeros(g.shape)), energy=0.0, residual_norm=0.0,
             iterations=0, classification="local_min", converged=False, ok=False,
             message="no negative energy found inside the ball: " + _no_bottom(run, phi0, t),
             trace=(), grid=grid, grid_reason=why,

@@ -42,9 +42,7 @@ from .grid import (
     _lp_norm,
     _multiply,
     _potential,
-    _power,
     _require,
-    _sum,
     _sup_constant,
     spectral_derivative,
 )
@@ -172,7 +170,7 @@ def check_superquadratic_tail(spec: ProblemSpec, tau: float) -> CheckRecord:
         )
     u = min(threshold, 2.0 ** (512.0 / q))
     # |f(u)| / u = u^(q-1) / u at u > 0
-    lhs = float(_power(_abs_power(np.array([u]), q - 1.0) / u, tau)[0])
+    lhs = float(_abs_power(_abs_power(np.array([u]), q - 1.0) / u, tau)[0])
     rhs = float(eval_scrF(spec, np.array([u]))[0])
     gap = math.inf
     if 0.0 < lhs < math.inf and 0.0 < rhs < math.inf:
@@ -186,7 +184,7 @@ def check_superquadratic_tail(spec: ProblemSpec, tau: float) -> CheckRecord:
 
 def _mean_symbol(grid, alpha: float) -> float:
     """Mean of s_k over the full lattice: ||d||_bessel^2 / ||d||_2^2 for a unit spike d."""
-    return _sum(grid, (1.0 + grid.freq_sq) ** alpha) / grid.total_points
+    return float(np.vdot(grid.lattice_weights, grid.symbol(alpha))) / grid.total_points
 
 
 def _spike_norms(spec: ProblemSpec, index: int) -> tuple:
@@ -536,18 +534,19 @@ def _erode(mask):
 def _flat_zero_region(spec, _b):
     # the zero set of the radial well is a discrete ball centred on the
     # lattice's symmetry point, face-connected whenever it is not empty, so
-    # its interior is the one thing left to decide
+    # its interior, empty on a grid too coarse to resolve the well, decides
     mask = spec.V_field.values <= 1e-12 * max(float(np.max(spec.V_field.values)), 1e-300)
     measure = _integral(spec.grid, mask)
-    return (_erode(mask).any(), f"zero set has measure {measure:.4g}; "
-                                "boundary smoothness is not machine-checkable",
-            {"measure": measure})
+    points, interior = int(mask.sum()), int(_erode(mask).sum())
+    return (interior > 0, f"zero set has measure {measure:.4g}, {points} grid point(s) of which "
+                          f"{interior} interior; boundary smoothness is not machine-checkable",
+            {"measure": measure, "points": points, "interior": interior})
 
 
 def _weight_integrable(spec, _b):
     g = spec.grid
     power = 2.0 / (2.0 - spec.p)
-    w = _power(spec.xi_field.values, power)
+    w = _abs_power(spec.xi_field.values, power)
     integral = _integral(g, w)
     edge = g.radius_sq >= (0.45 * g.box_length) ** 2
     decayed = np.max(w[edge]) <= 1e-10 * max(np.max(w), 1e-300)

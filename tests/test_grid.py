@@ -22,6 +22,7 @@ from besselmp import (
 from besselmp.config import RunConfig, build_spec
 from besselmp.grid import (
     GRID_MAX_POINTS,
+    _abs_power,
     _bessel_norm_sq,
     _dot,
     _extend,
@@ -32,7 +33,6 @@ from besselmp.grid import (
     _lp_norm,
     _multiplier_matrix,
     _multiply,
-    _power,
     _restrict,
     _rfft,
     _sum,
@@ -307,15 +307,23 @@ def test_multiplier_rows_match_field_api(dim, n, box, s):
         assert np.array_equal(got, apply_multiplier(Field(g, row), s).values)
 
 
+def _plain_power(a, k):
+    """a**k as the power kernel takes it: square-and-multiply at k = 3 and 4, else ``**``."""
+    return {3.0: a * (a * a), 4.0: (a * a) * (a * a)}.get(k, a**k)
+
+
 def test_lp_norm_root_is_a_scalar_power():
     # NumPy's array power (SIMD) differs from the scalar pow in the last bit
-    # for a few percent of inputs; the root is the scalar one
+    # for a few percent of inputs; the root is the scalar one.  The whole
+    # powers are products, within 4 ulps of pow
     g = Grid(2, 16, 12.0)
     rng = _rng(5)
     fields = [random_field(g, rng, envelope_sigma=2.0).values for _ in range(200)]
     for r in (2.0, 3.0, 4.0):
         for u in fields:
-            expect = float((np.sum(np.abs(u) ** r) * g.cell_volume) ** (1.0 / r))
+            power = _plain_power(np.abs(u), r)
+            np.testing.assert_array_max_ulp(power, np.abs(u) ** r, maxulp=4)
+            expect = float((np.sum(power) * g.cell_volume) ** (1.0 / r))
             assert _lp_norm(g, u, r) == expect
         assert lp_norm(Field(g, fields[0]), r) == _lp_norm(g, fields[0], r)
 
@@ -632,17 +640,19 @@ def test_power_is_pow_down_to_dbl_min(k):
     span = np.geomspace(1.0, 1e-320, 400)
     u = np.concatenate([span, -span, floor * (1.0 + 1e-15 * np.arange(-60, 61)),
                         [0.0, -0.0, 0.0, np.inf, -np.inf, np.nan]])
-    plain = np.abs(u) ** k
-    got = _power(np.abs(u), k)
+    # whole k >= 3 multiplies out, within 4 ulps of pow
+    plain = _plain_power(np.abs(u), k)
+    got = _abs_power(u, k)
     normal = plain >= _TINY
     assert normal.sum() > 100 and (plain < _TINY).sum() > 100
     assert np.array_equal(got[normal], plain[normal])
+    np.testing.assert_array_max_ulp(got[normal], np.abs(u[normal]) ** k, maxulp=4)
     assert np.all(got[plain < _TINY] == 0.0)
     assert np.array_equal(np.isnan(got), np.isnan(u))
     assert np.array_equal(got == np.inf, np.isinf(u))
     # clear of the floor the power is the plain one
     clear = np.abs(u[normal & np.isfinite(u)])
-    assert np.array_equal(_power(clear, k), clear**k)
+    assert np.array_equal(_abs_power(clear, k), _plain_power(clear, k))
 
 
 def test_verify_fields_sum_as_plain_powers():

@@ -130,14 +130,14 @@ def _is_abs_call(node):
 
 
 def test_abs_powers_only_in_the_grid_power_kernels():
-    # one kernel for |u|^k: grid._power (underflow-safe pow) and
-    # grid._abs_power; ``**`` or np.power on an abs elsewhere pays pow's
+    # one kernel for |u|^k, grid._abs_power (underflow-safe, whole powers
+    # multiplied out); ``**`` or np.power on an abs elsewhere pays pow's
     # subnormal slow path again
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         kernels = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-                   and path.name == "grid.py" and node.name in ("_power", "_abs_power")]
+                   and path.name == "grid.py" and node.name == "_abs_power"]
         skipped = {id(n) for node in kernels for n in ast.walk(node)}
         for node in ast.walk(tree):
             if id(node) in skipped:
@@ -150,7 +150,25 @@ def test_abs_powers_only_in_the_grid_power_kernels():
                 continue
             if _is_abs_call(base):
                 found.append(f"{path.name}:{node.lineno}")
-    assert not found, "|u|^k outside grid._power / _abs_power: " + ", ".join(found)
+    assert not found, "|u|^k outside grid._abs_power: " + ", ".join(found)
+
+
+def test_full_lattice_read_only_in_the_symbol_build():
+    # every lattice sum reads the cached half-lattice ``Grid.symbol`` through
+    # ``Grid.lattice_weights``; a read of ``freq_sq`` anywhere else rebuilds
+    # a symbol over the full lattice on every call
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        builds = [item for node in tree.body if isinstance(node, ast.ClassDef)
+                  and path.name == "grid.py" and node.name == "Grid"
+                  for item in node.body
+                  if isinstance(item, ast.FunctionDef) and item.name == "symbol"]
+        skipped = {id(n) for node in builds for n in ast.walk(node)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "freq_sq"
+                  and id(node) not in skipped]
+    assert not found, "freq_sq read outside Grid.symbol: " + ", ".join(found)
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)

@@ -341,13 +341,18 @@ def test_erosion_matches_ndimage(shape, density, seed):
     np.testing.assert_array_equal(_erode(mask), ndimage.binary_erosion(mask))
 
 
-# the flat_zero_region checks as scipy.ndimage computed them; a coercive V
-# >= 1 has no zero set, and the hypothesis does not run on it
+# the flat_zero_region checks: (pass, detail, witness); a coercive V >= 1
+# has no zero set, and the hypothesis does not run on it.  On the 3-D grid
+# of spacing 2.5 the well's zero set is one point, with no interior
 _FLAT_ZERO = {
     "coercive": None,
-    "well": (True, "zero set has measure 2.031", 2.03125),
+    "well": (True, "zero set has measure 2.031, 13 grid point(s) of which 11 interior",
+             {"measure": 2.03125, "points": 13, "interior": 11}),
     "verify-2d-coercive": None,
-    "verify-2d-well": (True, "zero set has measure 3.516", 3.515625),
+    "verify-2d-well": (True, "zero set has measure 3.516, 9 grid point(s) of which 1 interior",
+                       {"measure": 3.515625, "points": 9, "interior": 1}),
+    "verify-3d-well": (False, "zero set has measure 15.62, 1 grid point(s) of which 0 interior",
+                       {"measure": 15.625, "points": 1, "interior": 0}),
 }
 
 
@@ -357,6 +362,9 @@ def test_flat_zero_region_pins(name):
         family = "well" if name.endswith("well") else "coercive_quadratic"
         spec = build_spec(RunConfig(mode="verify", dim=2, n=64, box_length=40.0,
                                     potential=family, trials=1000))
+    elif name == "verify-3d-well":
+        spec = build_spec(RunConfig(mode="verify", dim=3, n=16, potential="well", q=3.0,
+                                    tau=2.2, s_list=(2.0, 3.0)))
     else:
         spec = canonical_well_spec() if name == "well" else canonical_coercive_spec()
     record = validate_assumptions(spec)
@@ -364,10 +372,10 @@ def test_flat_zero_region_pins(name):
         assert "flat_zero_region" not in {c["name"] for c in record.data["checks"]}
         return
     check = hypothesis_entry(record, "flat_zero_region")
-    passed, detail, measure = _FLAT_ZERO[name]
-    assert check["pass"] is passed
+    passed, detail, witness = _FLAT_ZERO[name]
+    assert check["pass"] is passed and record.passed is passed
     assert check["detail"] == detail + "; boundary smoothness is not machine-checkable"
-    assert check["witness"] == {"measure": measure}
+    assert check["witness"] == witness
 
 
 def test_flat_potential_fails_ball_decay():

@@ -122,7 +122,7 @@ class TestProbe:
 
     def test_exact_regression(self, coercive_probe):
         assert _probe_key(coercive_probe) == (
-            1.991204589419703, 0.9844696917956949, 1.1683023676942248,
+            1.991204589419703, 0.9844696917956949, 1.1683023676942246,
             0.7087768165603514, 0.7071067811865475)
 
     def test_mu_zero_budget_uses_raw_xi_integrals(self, coercive_probe):
@@ -283,7 +283,7 @@ def test_armijo_step_accepts_and_refuses(coercive_spec):
 
 
 @pytest.mark.parametrize("cfg,eta", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 2.1639282353112126),
+    (RunConfig(dim=2, n=16, box_length=15.0), 2.163928235311212),
     (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 6.35323845956531),
 ], ids=["2d", "3d"])
 def test_probe_in_higher_dims(cfg, eta):
@@ -849,12 +849,16 @@ class TestBallMin:
         assert report.message == (f"converged at ||u||_lam = {rho / 0.9:.6g}, beyond "
                                   f"{0.98 * rho:.6g} inside the ball radius rho = {rho:.6g}")
 
-    def test_mu_zero_reports_failure(self, coercive_spec, coercive_probe):
+    def test_mu_zero_reports_failure(self, coercive_spec, coercive_probe, fft_calls):
+        # the zero field's residual is exactly 0, reported without a
+        # transform: the one forward transform scores the bump's ray
+        fft_calls.clear()
         report = ball_min_solve(replace(coercive_spec, mu=0.0), coercive_probe.rho)
         assert not report.ok and not report.converged
         assert report.message == ("no negative energy found inside the ball: "
                                   "mu = 0, so no ray has a negative bottom")
-        assert report.energy == 0.0
+        assert report.energy == 0.0 and report.residual_norm == 0.0
+        assert fft_calls == {"_rfft": 1}
 
     def test_mu_past_the_bump_rays_extremal_value_reports_failure(self, coercive_spec,
                                                                   coercive_probe):
@@ -1254,9 +1258,14 @@ def test_descent_entries_count_their_gradient_solve(well_result, coercive_mp, co
     (lambda: build_spec(RunConfig(dim=2, n=64, box_length=20.0, potential="well",
                                   lam=100.0, mu=0.05)),
      ((3, 6, 149, 21), (2, 3, 67, 19)), (338, 322)),
+    (lambda: build_spec(RunConfig(dim=2, n=128, box_length=20.0, potential="well",
+                                  lam=100.0, mu=0.05)),
+     ((3, 5, 252, 24), (2, 3, 146, 24)), (533, 518)),
     (lambda: build_spec(RunConfig(dim=3, n=16, box_length=10.0, q=3.0)),
      ((5, 5, 49, 20), (1, 3, 17, 4)), (158, 140)),
-], ids=["coercive", "well", "plane_2d", "2d-steep-well", "3d"])
+    (lambda: build_spec(RunConfig(dim=3, n=32, box_length=10.0, q=3.0)),
+     ((3, 6, 66, 11), (1, 3, 17, 4)), (152, 137)),
+], ids=["coercive", "well", "plane_2d", "2d-steep-well", "2d-steep-well-128", "3d", "3d-32"])
 def test_solver_work_is_pinned(make_spec, solves, transforms, fft_calls):
     # (descent rows, polish rows, Newton MINRES iterations, gradient MINRES
     # iterations) of each solve, saddle then minimizer, and the run's

@@ -658,7 +658,7 @@ def test_bracket_records_are_pinned(spec_name, sharp_lower, gamma_3, gamma_4, up
 def test_verify_2d_records_are_pinned(family):
     # the 2-D n=64, box-40 checks perfbench's verify workload runs: most of
     # each Gaussian there lies where pow's result is subnormal, so these
-    # records pin what the power kernel (grid._power) returns below DBL_MIN.
+    # records pin what the power kernel (grid._abs_power) returns below DBL_MIN.
     # The final splitting deviation is the same for both families: the one
     # term that differs, int lam V u0 w_s, lies far below its last bit
     cfg = RunConfig(mode="verify", dim=2, n=64, box_length=40.0, potential=family)
