@@ -159,10 +159,11 @@ class Grid:
 
     @cached_property
     def freq_sq(self) -> np.ndarray:
-        """|xi|^2 on the full frequency lattice, FFT layout."""
-        out = np.zeros(self.shape)
-        mesh = np.meshgrid(*(self.axis_freqs,) * self.dim, indexing="ij")
-        for f in mesh:
+        """|xi|^2 on the half lattice, the layout of ``_rfft``: last-axis columns k = 0 .. n//2."""
+        last = self.axis_freqs[: self.n // 2 + 1]
+        out = np.zeros(self.shape[:-1] + last.shape)
+        axes = (self.axis_freqs,) * (self.dim - 1) + (last,)
+        for f in np.meshgrid(*axes, indexing="ij", sparse=True):
             out += f**2
         return _read_only(out)
 
@@ -184,9 +185,7 @@ class Grid:
         if not np.isfinite(s):
             raise ValueError(f"multiplier order must be finite, got {s}")
         s = float(s)
-        # the first n//2 + 1 columns of the full layout hold k = 0 .. n//2
-        return self._cached(("symbol", s), lambda: _read_only(
-            (1.0 + self.freq_sq[..., : self.n // 2 + 1]) ** s))
+        return self._cached(("symbol", s), lambda: _read_only((1.0 + self.freq_sq) ** s))
 
     @cached_property
     def lattice_weights(self) -> np.ndarray:
@@ -431,12 +430,6 @@ def _multiply_and_norm(grid: Grid, values: np.ndarray, alpha: float) -> tuple:
 def _potential(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float) -> float:
     """lam * integral of V u^2; ``V`` holds the potential's values."""
     return lam * _integral(grid, V * values**2)
-
-
-def _weighted_norm_sq(grid: Grid, values: np.ndarray, V: np.ndarray, lam: float,
-                      alpha: float) -> float:
-    """Squared solver norm: the bessel part plus lam * integral of V u^2, ``V`` the potential's values."""
-    return _bessel_norm_sq(grid, values, alpha) + _potential(grid, values, V, lam)
 
 
 def _sup_constant(grid: Grid, alpha: float, shift: float = 0.0) -> float:

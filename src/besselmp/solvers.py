@@ -89,7 +89,6 @@ from .grid import (
     _restrict,
     _sum,
     _sup_constant,
-    _weighted_norm_sq,
     lp_norm,
 )
 from .problem import (
@@ -206,7 +205,7 @@ class SolveReport:
     solution: Field
     energy: float
     residual_norm: float
-    iterations: int
+    iterations: int  # len(trace), each row's iteration its index
     classification: str
     converged: bool
     ok: bool
@@ -236,29 +235,11 @@ class SolveReport:
 # Array helpers: u, r and search directions are ndarrays of the grid's shape.
 
 
-def _energy(spec, u) -> float:
-    """Phi(u); +inf when u is out of range for the nonlinearity."""
-    return _energy_parts(spec, u).total
-
-
 def _residual(spec, u):
-    """(residual at the iterate u, ||u||_lam), both from one forward transform; r must be finite."""
-    g = spec.grid
-    image, bessel = _multiply_and_norm(g, u, spec.alpha)
+    """(r, ||r||_2, ||u||_bessel^2) from one transform pair; overflow reads an inf or nan norm."""
+    image, bessel = _multiply_and_norm(spec.grid, u, spec.alpha)
     r = _residual_values(spec, u, image)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("field values must be finite")
-    return r, math.sqrt(bessel + _potential(g, u, spec.V_field.values, spec.lam))
-
-
-def _trial_residual(spec, u):
-    """(residual at u, its L^2 norm); a trial that overflows reads an inf or nan norm."""
-    r = _residual_values(spec, u)
-    return r, _lp_norm(spec.grid, r, 2)
-
-
-def _norm_lam(spec, u) -> float:
-    return math.sqrt(_weighted_norm_sq(spec.grid, u, spec.V_field.values, spec.lam, spec.alpha))
+    return r, _lp_norm(spec.grid, r, 2), bessel
 
 
 def _bump(spec):
@@ -398,13 +379,13 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
     k, _ = _first(range(60), lambda k: -math.inf < _along(spec, pieces, 1.5**k) < 0.0)
     if k is None:
         raise GeometryError("could not drive the energy negative by scaling a bump")
-    e = 1.5**k * phi0
-    e_norm = _norm_lam(spec, e)
+    # ||e||_lam^2 = 1.5^(2k) ||phi0||_lam^2 = 1.5^(2k) 2 quad
+    e_norm = 1.5**k * math.sqrt(2.0 * pieces.quad)
     if not e_norm > rho:
         raise GeometryError(f"the far endpoint has ||e||_lam = {e_norm:.6g}, "
                             f"not beyond the certified ridge radius rho = {rho:.6g}")
     return GeometryProbe(rho=rho, eta=eta, mu_budget=budget, mu0_lower=mu0_lower,
-                         c_inf=c_inf, c_2=c_2, e=Field(spec.grid, e))
+                         c_inf=c_inf, c_2=c_2, e=Field(spec.grid, 1.5**k * phi0))
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +645,8 @@ def _newton_direction(spec, u, r, forcing):
     return (delta if delta is not None and np.all(np.isfinite(delta)) else None), iters, stop
 
 
-def _polish(spec, u, e_u, r, rn, opts, trace, it0):
-    """Damped Newton from u, of energy e_u and residual r (norm rn); (u, energy, rn, iterations).
+def _polish(spec, u, e_u, r, rn, bessel, opts, trace):
+    """Damped Newton from u, of energy e_u, residual r (norm rn) and bessel; (u, e_u, rn, bessel).
 
     Each step tries u + s delta for s = 1, 1/2, ... and takes the first
     that lowers the residual norm by the factor 1 - 1e-4 s.  When no trial
@@ -678,32 +659,31 @@ def _polish(spec, u, e_u, r, rn, opts, trace, it0):
     for Linear and Nonlinear Equations, 1995): near the end a step only has
     to take the residual to tol, and solving past that can cost more than
     the cap.  The floor bounds the solve's relative M-norm residual, not
-    the L^2 residual that the polish stops on.  Each accepted step scores
-    its new point's energy once, so the first entry records the e_u it was
-    given (the descent's J) and the energy returned is the one at the
-    returned u.
+    the L^2 residual that the polish stops on.  Each trial is scored by
+    one ``_residual``; an accepted step's energy is built from that
+    trial's bessel norm, with no transform, so the first entry records the
+    e_u it was given (the descent's J) and the energy returned is the one
+    at the returned u.
     """
-    it = it0
     for _ in range(NEWTON_MAX):
-        entry = TraceEntry(it, e_u, rn, 0.0, "polish", 0)
-        it += 1
+        entry = TraceEntry(len(trace), e_u, rn, 0.0, "polish", 0)
         if rn <= opts.tol:
             trace.append(entry)
-            return u, e_u, rn, it
+            return u, e_u, rn, bessel
         forcing = min(0.1, max(0.1 * rn, 0.5 * opts.tol / rn))
         delta, iters, stop = _newton_direction(spec, u, r, forcing)
         # the damped Newton trials u + s delta, s = 1, 1/2, ... above 1e-10, scored by
         # their residuals; the accepted one's (finite) is the next row's
         trials = () if delta is None else ((s, u + s * delta) for s in _steps(1.0, NEWTON_TRIES))
-        found, tried = _first(((s, v, *_trial_residual(spec, v)) for s, v in trials),
+        found, tried = _first(((s, v, *_residual(spec, v)) for s, v in trials),
                               lambda c: c[3] <= (1.0 - 1e-4 * c[0]) * rn)
         trace.append(replace(entry, step_size=0.0 if found is None else found[0],
                              trials=tried, krylov_iters=iters, krylov_stop=stop))
         if found is None:
-            return u, e_u, rn, it
-        _, u, r, rn = found
-        e_u = _energy(spec, u)
-    return u, e_u, rn, it
+            return u, e_u, rn, bessel
+        _, u, r, rn, bessel = found
+        e_u = _energy_parts(spec, u, bessel).total
+    return u, e_u, rn, bessel
 
 
 def _conjugate(spec, r, grad, slope, prev):
@@ -731,7 +711,7 @@ def _conjugate(spec, r, grad, slope, prev):
 
 
 def _nehari_solve(spec, u, level, bottom, opts):
-    """Descend J(w) = Phi(t(w) w) from u, then polish; returns (u, energy, rn, iterations, trace).
+    """Descend J(w) = Phi(t(w) w) from u, then polish; returns (u, energy, rn, bessel, trace).
 
     t(w) is the top of the fibering map, or with ``bottom`` its bottom;
     u must sit on that critical point of its own ray, at energy ``level``.
@@ -743,10 +723,17 @@ def _nehari_solve(spec, u, level, bottom, opts):
     dual norm is at most HANDOVER_RATIO ||u||_lam, or a line search along
     the gradient refuses every step, Newton polishes the iterate, starting
     from the residual that the last row computed.  Descent entries have
-    phase "ball" on the bottoms and "nehari" on the tops.
+    phase "ball" on the bottoms and "nehari" on the tops; a descent
+    iterate whose residual is not finite raises ValueError.
     """
     g = spec.grid
     phase = "ball" if bottom else "nehari"
+
+    def score(u):
+        r, rn, bessel = _residual(spec, u)
+        if not math.isfinite(rn):
+            raise ValueError(f"the residual at a descent iterate is not finite (||r||_2 = {rn})")
+        return r, rn, bessel, math.sqrt(bessel + _potential(g, u, spec.V_field.values, spec.lam))
 
     def place(w):
         t, j = _fibering(spec, w, bottom)
@@ -754,15 +741,12 @@ def _nehari_solve(spec, u, level, bottom, opts):
 
     step = STEP_INIT
     trace: list[TraceEntry] = []
-    it = 0
     prev = None  # the previous row's (gradient, slope, direction)
-    r, norm = _residual(spec, u)
-    rn = _lp_norm(g, r, 2)
-    while it < DESCENT_MAX:
+    r, rn, bessel, norm = score(u)
+    while len(trace) < DESCENT_MAX:
         grad, slope, iters, stop = _riesz_gradient(spec, r)
-        entry = TraceEntry(it, level, rn, step, phase, 0, krylov_iters=iters, krylov_stop=stop,
-                           norm_lam=norm)
-        it += 1
+        entry = TraceEntry(len(trace), level, rn, step, phase, 0, krylov_iters=iters,
+                           krylov_stop=stop, norm_lam=norm)
         if slope <= (HANDOVER_RATIO * norm) ** 2:
             trace.append(entry)
             break
@@ -777,10 +761,9 @@ def _nehari_solve(spec, u, level, bottom, opts):
             break
         prev = grad, slope, d
         step = min(used * 2.0, STEP_MAX)
-        r, norm = _residual(spec, u)
-        rn = _lp_norm(g, r, 2)
-    u, e_u, rn, it = _polish(spec, u, level, r, rn, opts, trace, it)
-    return u, e_u, rn, it, tuple(trace)
+        r, rn, bessel, norm = score(u)
+    u, e_u, rn, bessel = _polish(spec, u, level, r, rn, bessel, opts, trace)
+    return u, e_u, rn, bessel, tuple(trace)
 
 
 def _subspace(spec, start):
@@ -806,20 +789,20 @@ def _descend(spec, run, u, level, bottom, opts):
     """``_nehari_solve`` on ``run``, the problem ``_subspace`` picked, and back to ``spec``'s grid.
 
     From the even half the solution is extended to the full grid, and its
-    energy and residual norm are scored once there, from one transform
-    pair, converged or not: they are ``energy`` and ``residual`` of the
-    reported solution to the bit.  Returns (u, energy, rn, iterations,
-    trace, handover), handover the level the descent handed to the polish.
+    energy and residual norm are scored once there by ``_residual``,
+    converged or not: they are ``energy`` and ``residual`` of the reported
+    solution to the bit.  Returns (u, energy, rn, ||u||_lam, trace,
+    handover), handover the level the descent handed to the polish.
     """
-    u, e_u, rn, it, trace = _nehari_solve(run, u, level, bottom, opts)
+    g = spec.grid
+    u, e_u, rn, bessel, trace = _nehari_solve(run, u, level, bottom, opts)
     handover = next(t.energy for t in trace if t.phase == "polish")
     if run is not spec:
-        g = spec.grid
         u = _extend(g, u)
-        image, bessel = _multiply_and_norm(g, u, spec.alpha)
-        rn = _lp_norm(g, _residual_values(spec, u, image), 2)
+        _, rn, bessel = _residual(spec, u)
         e_u = _energy_parts(spec, u, bessel).total
-    return u, e_u, rn, it, trace, handover
+    norm = math.sqrt(bessel + _potential(g, u, spec.V_field.values, spec.lam))
+    return u, e_u, rn, norm, trace, handover
 
 
 def _refusal(rn, e_u, handover, opts):
@@ -858,13 +841,13 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
     t, level = _fibering(run, start)
     if not math.isfinite(level):
         raise ValueError("the fibering map along e has no local maximum")
-    u, e_u, rn, it, trace, handover = _descend(spec, run, t * start, level, False, opts)
+    u, e_u, rn, _, trace, handover = _descend(spec, run, t * start, level, False, opts)
 
     message = _refusal(rn, e_u, handover, opts)
     if message is None and probe is not None and not e_u > probe.eta:
         message = f"converged at energy {e_u:.6g}, not above the ridge height {probe.eta:.6g}"
     return SolveReport(
-        solution=Field(spec.grid, u), energy=e_u, residual_norm=rn, iterations=it,
+        solution=Field(spec.grid, u), energy=e_u, residual_norm=rn, iterations=len(trace),
         classification="mountain_pass", converged=rn <= opts.tol, ok=message is None,
         message=message or "converged", trace=trace, grid=grid, grid_reason=why,
     )
@@ -908,16 +891,14 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
             message="no negative energy found inside the ball: " + _no_bottom(run, phi0, t),
             trace=(), grid=grid, grid_reason=why,
         )
-    u, e_u, rn, it, trace, handover = _descend(spec, run, t * phi0, level, True, opts)
-
-    norm = _norm_lam(spec, u)
+    u, e_u, rn, norm, trace, handover = _descend(spec, run, t * phi0, level, True, opts)
     bound = (1.0 - INTERIOR_MARGIN) * rho
     message = _refusal(rn, e_u, handover, opts)
     if message is None and norm > bound:
         message = (f"converged at ||u||_lam = {norm:.6g}, beyond {bound:.6g} inside "
                    f"the ball radius rho = {rho:.6g}")
     return SolveReport(
-        solution=Field(g, u), energy=e_u, residual_norm=rn, iterations=it,
+        solution=Field(g, u), energy=e_u, residual_norm=rn, iterations=len(trace),
         classification="local_min", converged=rn <= opts.tol, ok=message is None,
         message=message or "converged", trace=trace, grid=grid, grid_reason=why,
     )

@@ -400,7 +400,8 @@ def estimate_embedding_constants(alpha: float, grid, s_list, trials=None,
 
     ``table`` is the largest quotient of six anchors: the constant field,
     which attains gamma_2 = 1 (the symbol's minimum is 1, at frequency
-    zero), and Gaussian bumps of widths 0.5 to 8.  ``upper`` interpolates
+    zero), and Gaussian bumps of widths 0.5 to 8, less any that underflows
+    to the zero field (a narrow one far from every sample).  ``upper`` interpolates
     between L^2 and L^inf: ||u||_s^s <= sup|u|^(s-2) ||u||_2^2, with
     sup|u| <= C_inf ||u||_bessel (``grid._sup_constant``, no shift) and
     ||u||_2 <= ||u||_bessel, gives gamma_s <= C_inf^(1 - 2/s).  Exponents
@@ -414,6 +415,8 @@ def estimate_embedding_constants(alpha: float, grid, s_list, trials=None,
                                        for sigma in (0.5, 1.0, 2.0, 4.0, 8.0)]
     for u in anchors:
         nrm = math.sqrt(_bessel_norm_sq(grid, u, alpha))
+        if nrm == 0.0:
+            continue
         for s in s_list:
             table[s] = max(table[s], _lp_norm(grid, u, s) / nrm)
     c_inf = _sup_constant(grid, alpha)

@@ -49,6 +49,12 @@ from besselmp import (
 from besselmp.grid import _multiply  # noqa: E402
 
 
+def full_freq_sq(g):
+    """|xi|^2 on a Grid's full frequency lattice, FFT layout, built from ``np.fft.fftfreq``."""
+    f = (2.0 * np.pi) * np.fft.fftfreq(g.n, d=g.spacing)
+    return sum(np.meshgrid(*(f**2,) * g.dim, indexing="ij", sparse=True))
+
+
 def multiplier_matrix(g, s):
     """The dense matrix of ``_multiply(g, ., s)`` on raveled fields: column j is unit field j's image.
 

@@ -231,6 +231,21 @@ def test_verify_mode_well(tmp_path):
             == rep["stages"][-1]["summary"]["data"]["sublevel_measure"])
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["coercive", "well"])
+def test_verify_on_a_grid_with_no_sample_at_the_origin(tmp_path, dim, family):
+    # on odd n no sample sits at the origin, and 150 from it on a 300-wide
+    # box the width-0.5 bump of the embedding anchors is the zero field:
+    # that anchor is skipped, and the constant field still attains gamma_2 = 1
+    text = (WELL_CFG if family == "well" else "") + f"dim = {dim}\nn = 9\nbox_length = 300\n"
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", str(_write(tmp_path, text)), "--out", str(out)])
+    assert rc in (0, 1)
+    (embedding,) = [s for s in _report(out)["stages"] if s["name"] == "verify:embedding"]
+    assert embedding["passed"]
+    assert embedding["summary"]["data"]["table"]["2.0"] == 1.0
+
+
 ALL_CHECKS = ("norm-domination, embedding, holder, splitting, sublevel-bound, "
               "superquadratic-tail, assumptions")
 

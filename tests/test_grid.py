@@ -35,11 +35,12 @@ from besselmp.grid import (
     _multiply,
     _restrict,
     _rfft,
+    _potential,
     _sum,
-    _weighted_norm_sq,
 )
-from besselmp.problem import _energy_parts, canonical_coercive_spec
-from conftest import multiplier_matrix
+from besselmp.problem import ProblemSpec, _energy_parts, canonical_coercive_spec
+from besselmp.solvers import _residual
+from conftest import full_freq_sq, multiplier_matrix
 
 
 def _rng(seed):
@@ -123,7 +124,8 @@ class TestGrid:
         g = Grid(1, 16, 8.0)
         expect = 2.0 * np.pi * np.fft.fftfreq(16, d=0.5)
         np.testing.assert_allclose(g.axis_freqs, expect)
-        np.testing.assert_allclose(g.freq_sq, expect**2)
+        # the half lattice of ``_rfft``: k = 0 .. n/2
+        np.testing.assert_allclose(g.freq_sq, expect[:9] ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +269,7 @@ def test_symbol_and_coords_are_cached():
     sym = g.symbol(0.75)
     # the half lattice: columns k = 0 .. n/2 of the last axis
     assert sym.shape == (16, 9)
-    assert np.array_equal(sym, (1.0 + g.freq_sq[:, :9]) ** 0.75)
+    assert np.array_equal(sym, (1.0 + full_freq_sq(g)[:, :9]) ** 0.75)
     assert g.symbol(0.75) is sym
     assert g.symbol(-0.75) is not sym
     assert g.coords() is g.coords()
@@ -558,9 +560,16 @@ def test_bessel_norm_matches_spectral_sum(seed, alpha):
         # every mode filled, up to the last column of the half lattice
         u = random_field(g, _rng(seed), band_fraction=1.0)
         coeffs = np.fft.fftn(u.values)
-        oracle = float(np.sum((1.0 + g.freq_sq) ** alpha * np.abs(coeffs) ** 2))
+        oracle = float(np.sum((1.0 + full_freq_sq(g)) ** alpha * np.abs(coeffs) ** 2))
         oracle *= g.cell_volume / g.total_points
         assert _bessel_norm_sq(g, u.values, alpha) == pytest.approx(oracle, rel=1e-10), (dim, n)
+
+
+def _lam_norm_sq(g, u, V, lam):
+    """||u||_lam^2 at alpha = 0.75 as the solvers build it: the bessel norm that
+    ``solvers._residual`` returns plus ``_potential``, for the potential values V."""
+    spec = ProblemSpec(grid=g, alpha=0.75, lam=1.0, mu=0.01, p=1.5)
+    return _residual(spec, u)[2] + _potential(g, u, V, lam)
 
 
 def test_weighted_norm_pieces():
@@ -569,13 +578,13 @@ def test_weighted_norm_pieces():
     V = 1.0 + g.radius_sq
     pot = float(np.sum(V * u**2) * g.cell_volume)
     expect = _bessel_norm_sq(g, u, 0.75) + 2.5 * pot
-    assert _weighted_norm_sq(g, u, V, 2.5, 0.75) == pytest.approx(expect, rel=1e-12)
+    assert _lam_norm_sq(g, u, V, 2.5) == pytest.approx(expect, rel=1e-12)
 
 
 def test_weighted_norm_zero_weight_reduces_to_bessel():
     g = Grid(1, 64, 20.0)
     u = random_field(g, _rng(6)).values
-    assert _weighted_norm_sq(g, u, np.zeros(g.shape), 3.0, 0.75) == pytest.approx(
+    assert _lam_norm_sq(g, u, np.zeros(g.shape), 3.0) == pytest.approx(
         _bessel_norm_sq(g, u, 0.75), rel=1e-12)
 
 
@@ -583,7 +592,7 @@ def test_weighted_norm_monotone_in_lam():
     g = Grid(1, 64, 20.0)
     u = random_field(g, _rng(7)).values
     V = np.ones(g.shape)
-    assert _weighted_norm_sq(g, u, V, 2.0, 0.75) > _weighted_norm_sq(g, u, V, 1.0, 0.75)
+    assert _lam_norm_sq(g, u, V, 2.0) > _lam_norm_sq(g, u, V, 1.0)
 
 
 def test_weighted_norm_dominates_bessel():
@@ -592,7 +601,7 @@ def test_weighted_norm_dominates_bessel():
     V = 1.0 + g.radius_sq
     for seed in range(10):
         u = random_field(g, _rng(seed)).values
-        assert _bessel_norm_sq(g, u, 0.75) <= _weighted_norm_sq(g, u, V, 1.0, 0.75) * (1 + 1e-12)
+        assert _bessel_norm_sq(g, u, 0.75) <= _lam_norm_sq(g, u, V, 1.0) * (1 + 1e-12)
 
 
 def test_lp_norm_constant():

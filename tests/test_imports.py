@@ -153,10 +153,34 @@ def test_abs_powers_only_in_the_grid_power_kernels():
     assert not found, "|u|^k outside grid._abs_power: " + ", ".join(found)
 
 
+# the solvers' energies scored in closed form along a ray, from its pieces
+_RAY_SCORES = ("_fibering", "_extremal_mu", "probe_geometry")
+
+
+def test_solver_points_scored_only_by_residual():
+    # one scoring of a solver point: ``solvers._residual`` is the one caller
+    # of the transform pair and the residual kernel, and every energy but a
+    # ray's closed-form score is built on the bessel norm it returned
+    tree = ast.parse((PACKAGE / "solvers.py").read_text())
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("_multiply_and_norm", "_residual_values") and owner != "_residual":
+                found.append(f"{owner}:{node.lineno} {name}")
+            elif (name == "_energy_parts" and owner not in _RAY_SCORES
+                  and len(node.args) + len(node.keywords) < 3):
+                found.append(f"{owner}:{node.lineno} _energy_parts without bessel")
+    assert not found, "a solver point scored outside _residual: " + ", ".join(found)
+
+
 def test_full_lattice_read_only_in_the_symbol_build():
-    # every lattice sum reads the cached half-lattice ``Grid.symbol`` through
+    # every lattice sum reads the cached ``Grid.symbol`` through
     # ``Grid.lattice_weights``; a read of ``freq_sq`` anywhere else rebuilds
-    # a symbol over the full lattice on every call
+    # a symbol on every call
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -25,7 +25,7 @@ from besselmp import (
     validate_assumptions,
 )
 from besselmp.config import RunConfig, build_spec
-from besselmp.grid import _abs_power, _is_even, _restrict, _weighted_norm_sq
+from besselmp.grid import _abs_power, _bessel_norm_sq, _is_even, _potential, _restrict
 from besselmp.problem import _energy_parts, _residual_values, eval_scrF
 from besselmp.solvers import _hessian_diag
 from besselmp.verify import _erode
@@ -214,9 +214,10 @@ def test_energy_decomposition_identity(coercive_spec):
     u = random_field(coercive_spec.grid, _rng(0), envelope_sigma=3.0)
     bd = energy(coercive_spec, u)
     assert bd.total == bd.quad - bd.f_term - bd.xi_term
-    assert bd.quad == pytest.approx(
-        0.5 * _weighted_norm_sq(coercive_spec.grid, u.values, coercive_spec.V_field.values,
-                                coercive_spec.lam, coercive_spec.alpha), rel=1e-12)
+    g = coercive_spec.grid
+    lam_sq = (_bessel_norm_sq(g, u.values, coercive_spec.alpha)
+              + _potential(g, u.values, coercive_spec.V_field.values, coercive_spec.lam))
+    assert bd.quad == pytest.approx(0.5 * lam_sq, rel=1e-12)
     assert bd.f_term >= 0.0 and bd.xi_term >= 0.0
 
 

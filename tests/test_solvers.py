@@ -32,12 +32,13 @@ from besselmp import (
 from besselmp import problem, solvers
 from besselmp.config import RunConfig, build_spec
 from besselmp.grid import (
+    _bessel_norm_sq,
     _extend,
     _filter,
     _multiplier_matrix,
     _multiply,
+    _potential,
     _restrict,
-    _weighted_norm_sq,
 )
 from besselmp.problem import _energy_parts, _residual_values
 from besselmp.solvers import (
@@ -51,7 +52,7 @@ from besselmp.solvers import (
     _newton_direction,
     _root,
 )
-from conftest import multiplier_matrix
+from conftest import full_freq_sq, multiplier_matrix
 
 # Most points on which a test builds the dense Hessian for its Morse index
 # (8 MB at this size): the 2-D n=32 grid.
@@ -59,8 +60,9 @@ MORSE_MAX_POINTS = 1024
 
 
 def _norm_lam(spec, u):
-    return math.sqrt(_weighted_norm_sq(spec.grid, u.values, spec.V_field.values, spec.lam,
-                                       spec.alpha))
+    g = spec.grid
+    return math.sqrt(_bessel_norm_sq(g, u.values, spec.alpha)
+                     + _potential(g, u.values, spec.V_field.values, spec.lam))
 
 
 def _morse_index(spec, u):
@@ -164,7 +166,7 @@ def _green(spec):
     """The grid Green's function of (I - Laplacian)^alpha + lam min V, peaked at the origin."""
     g = spec.grid
     shift = spec.lam * float(np.min(spec.V_field.values))
-    values = np.fft.ifftn(1.0 / ((1.0 + g.freq_sq) ** spec.alpha + shift)).real
+    values = np.fft.ifftn(1.0 / ((1.0 + full_freq_sq(g)) ** spec.alpha + shift)).real
     return np.roll(values, (g.n // 2,) * g.dim, axis=tuple(range(g.dim))), shift
 
 
@@ -179,7 +181,8 @@ def test_green_function_attains_c_inf(cfg):
     spec = build_spec(cfg)
     g = spec.grid
     values, shift = _green(spec)
-    norm_sq = _weighted_norm_sq(g, values, np.ones(g.shape), shift, spec.alpha)
+    norm_sq = _bessel_norm_sq(g, values, spec.alpha) + _potential(g, values, np.ones(g.shape),
+                                                                   shift)
     peak = float(np.max(np.abs(values)))
     assert peak == abs(values[(g.n // 2,) * g.dim])
     assert peak**2 / norm_sq == pytest.approx(probe_geometry(spec).c_inf ** 2, rel=1e-12, abs=0.0)
@@ -650,12 +653,14 @@ def test_each_descent_row_computes_one_residual(coercive_spec, coercive_probe, m
     # the polish starts from the residual and the level J of the descent's
     # last row; each descent row records ||u||_lam of the iterate whose
     # residual it computed, each polish row 0.0; the descent runs on the
-    # even half, and its iterates extend to the full grid's
+    # even half, and its iterates extend to the full grid's.  The descent
+    # rows' residuals come first, then the polish trials' and the full-grid
+    # re-check's (``test_trials_count_the_trial_points``)
     calls = []
     residual = solvers._residual
 
     def counted(spec, u):
-        calls.append(_extend(coercive_spec.grid, u))
+        calls.append(_extend(coercive_spec.grid, u) if spec.grid.even else u)
         return residual(spec, u)
 
     monkeypatch.setattr(solvers, "_residual", counted)
@@ -668,10 +673,12 @@ def test_each_descent_row_computes_one_residual(coercive_spec, coercive_probe, m
         report = solve()
         descent = [t for t in report.trace if t.phase == phase]
         polish = [t for t in report.trace if t.phase == "polish"]
-        assert report.ok and report.grid == "even" and len(calls) == len(descent)
+        assert report.ok and report.grid == "even"
+        assert len(calls) == len(descent) + sum(t.trials for t in polish) + 1
         assert polish[0].energy == descent[-1].energy
         assert [t.norm_lam for t in descent] == pytest.approx(
-            [_norm_lam(coercive_spec, Field(coercive_spec.grid, u)) for u in calls], rel=1e-13)
+            [_norm_lam(coercive_spec, Field(coercive_spec.grid, u))
+             for u in calls[: len(descent)]], rel=1e-13)
         assert all(t.norm_lam == 0.0 for t in polish)
         # the polish scores its level on the half grid, the report on the full
         # grid, and the two differ by roundoff
@@ -760,37 +767,49 @@ def test_descent_trace_2d_pinned():
 
 def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_ball,
                                        monkeypatch):
-    scored, norms = [0], [0]
-    parts, norm = solvers._energy_parts, solvers._trial_residual
+    scored, residuals = [0], [0]
+    parts, residual = solvers._energy_parts, solvers._residual
 
     def counted_parts(spec, u, bessel=None):
         scored[0] += 1
         return parts(spec, u, bessel)
 
-    def counted_norm(spec, u):
-        norms[0] += 1
-        return norm(spec, u)
+    def counted_residual(spec, u):
+        residuals[0] += 1
+        return residual(spec, u)
 
     monkeypatch.setattr(solvers, "_energy_parts", counted_parts)
-    monkeypatch.setattr(solvers, "_trial_residual", counted_norm)
+    monkeypatch.setattr(solvers, "_residual", counted_residual)
     # each solver scores the critical point of its first ray, one energy
     # per descent trial, and the point of each accepted Newton step; the
     # first polish entry reports the descent's level, scored by no one; a
     # solve on the even half scores its extended solution's energy once on
-    # the full grid, with the residual from the same transform pair
+    # the full grid, with the residual from the same transform pair.  One
+    # residual per descent row, per polish trial and for that re-check
     for solve, phase, again in (
             (lambda: mountain_pass_solve(coercive_spec, coercive_probe.e, probe=coercive_probe),
              "nehari", None),
             (lambda: ball_min_solve(coercive_spec, coercive_probe.rho), "ball", coercive_ball)):
-        scored[0] = norms[0] = 0
+        scored[0] = residuals[0] = 0
         report = solve()
         descent = [t.trials for t in report.trace if t.phase == phase]
         polish = [t.trials for t in report.trace if t.phase == "polish"]
         accepted = sum(t.step_size > 0.0 for t in report.trace if t.phase == "polish")
         assert 2 + sum(descent) + accepted == scored[0] and accepted == len(polish) - 1
-        assert report.grid == "even"
-        assert sum(polish) == norms[0] and polish[-1] == 0
+        assert report.grid == "even" and polish[-1] == 0
+        assert len(descent) + sum(polish) + 1 == residuals[0]
         assert again is None or report.energy == again.energy
+
+
+def test_iterations_count_the_trace_rows(coercive_mp, coercive_ball, well_result):
+    # a report's iterations are its trace rows, each row's iteration its
+    # index, on the even half and on an odd n's full grid alike
+    odd = two_solution_experiment(canonical_coercive_spec(n=255))
+    assert odd.success and odd.mountain_pass.grid_reason == "odd n"
+    for report in (coercive_mp, coercive_ball, well_result.mountain_pass, well_result.local_min,
+                   odd.mountain_pass, odd.local_min):
+        assert report.iterations == len(report.trace) > 0
+        assert [t.iteration for t in report.trace] == list(range(len(report.trace)))
 
 
 # ---------------------------------------------------------------------------
@@ -1251,20 +1270,20 @@ def test_descent_entries_count_their_gradient_solve(well_result, coercive_mp, co
 
 
 @pytest.mark.parametrize("make_spec,solves,transforms", [
-    (canonical_coercive_spec, ((2, 5, 16, 0), (1, 2, 3, 0)), (23, 11)),
-    (canonical_well_spec, ((2, 4, 13, 0), (2, 3, 6, 0)), (25, 12)),
+    (canonical_coercive_spec, ((2, 5, 16, 0), (1, 2, 3, 0)), (16, 11)),
+    (canonical_well_spec, ((2, 4, 13, 0), (2, 3, 6, 0)), (18, 12)),
     (lambda: build_spec(RunConfig(dim=2, n=48, box_length=15.0)),
-     ((5, 5, 53, 18), (1, 2, 8, 4)), (147, 129)),
+     ((5, 5, 53, 18), (1, 2, 8, 4)), (140, 129)),
     (lambda: build_spec(RunConfig(dim=2, n=64, box_length=20.0, potential="well",
                                   lam=100.0, mu=0.05)),
-     ((3, 6, 149, 21), (2, 3, 67, 19)), (338, 322)),
+     ((3, 6, 149, 21), (2, 3, 67, 19)), (329, 322)),
     (lambda: build_spec(RunConfig(dim=2, n=128, box_length=20.0, potential="well",
                                   lam=100.0, mu=0.05)),
-     ((3, 5, 252, 24), (2, 3, 146, 24)), (533, 518)),
+     ((3, 5, 252, 24), (2, 3, 146, 24)), (525, 518)),
     (lambda: build_spec(RunConfig(dim=3, n=16, box_length=10.0, q=3.0)),
-     ((5, 5, 49, 20), (1, 3, 17, 4)), (158, 140)),
+     ((5, 5, 49, 20), (1, 3, 17, 4)), (150, 140)),
     (lambda: build_spec(RunConfig(dim=3, n=32, box_length=10.0, q=3.0)),
-     ((3, 6, 66, 11), (1, 3, 17, 4)), (152, 137)),
+     ((3, 6, 66, 11), (1, 3, 17, 4)), (143, 137)),
 ], ids=["coercive", "well", "plane_2d", "2d-steep-well", "2d-steep-well-128", "3d", "3d-32"])
 def test_solver_work_is_pinned(make_spec, solves, transforms, fft_calls):
     # (descent rows, polish rows, Newton MINRES iterations, gradient MINRES
@@ -1533,7 +1552,7 @@ def _scaled_preconditioner(g, alpha, pointwise):
 
 def _shifted_preconditioner(g, alpha, pointwise):
     """v -> ((I - Laplacian)^alpha + mean |pointwise|)^(-1) v, on arrays, through full-lattice FFTs."""
-    symbol = (1.0 + g.freq_sq) ** alpha + np.mean(np.abs(pointwise))
+    symbol = (1.0 + full_freq_sq(g)) ** alpha + np.mean(np.abs(pointwise))
     return lambda v: np.fft.ifftn(np.fft.fftn(v) / symbol).real
 
 

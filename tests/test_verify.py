@@ -39,7 +39,7 @@ from besselmp import (
     validate_assumptions,
 )
 from besselmp.config import RunConfig, build_spec, resolve_checks
-from besselmp.grid import _bessel_norm_sq, _weighted_norm_sq
+from besselmp.grid import _bessel_norm_sq, _potential
 from besselmp.problem import ProblemSpec
 from besselmp.solvers import TraceEntry
 from besselmp.verify import _HYPOTHESES, CHECKS, _ball_radii, applies_to
@@ -744,7 +744,7 @@ def test_random_fields_respect_the_upper_ends(dim, family, band, sigma, checker,
     u = random_field(g, np.random.default_rng(seed), band_fraction=band, envelope_sigma=sigma)
     u = u + checker * _checkerboard_bump(spec)
     bessel = _bessel_norm_sq(g, u.values, spec.alpha)
-    lam_sq = _weighted_norm_sq(g, u.values, spec.V_field.values, spec.lam, spec.alpha)
+    lam_sq = bessel + _potential(g, u.values, spec.V_field.values, spec.lam)
     slack = 1.0 + 1e-12
     assert math.sqrt(bessel / lam_sq) <= check_norm_domination(spec).data["ratio_upper"] * slack
     mass = float(np.sum(u.values[spec.V_field.values >= b] ** 2)) * g.cell_volume
