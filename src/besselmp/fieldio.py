@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, _require
 
 __all__ = ["save_field", "load_field", "FORMAT_VERSION"]
 
@@ -23,6 +23,8 @@ FORMAT_VERSION = 1
 
 def save_field(field: Field, path) -> None:
     g = field.grid
+    _require((not g.even, "save_field needs a full Grid: the header stores the full grid's n, "
+                          "and an EvenGrid holds only the samples of its half"))
     header = _MAGIC + struct.pack("<IBQ", FORMAT_VERSION, g.dim, g.n)
     header += struct.pack(f"<{g.dim}d", *([g.box_length] * g.dim))
     payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()

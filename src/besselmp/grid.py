@@ -329,6 +329,19 @@ def _is_even(grid: Grid, values: np.ndarray) -> bool:
     return bool(np.max(gap) <= 1e-12 * np.max(np.abs(values)))
 
 
+def _dct1_matrix(grid: EvenGrid, norm: str) -> np.ndarray:
+    """``_dct1``'s matrix, built once per grid: the backward one is the cached forward's / n."""
+    def build():
+        if norm == "backward":
+            return _read_only(_dct1_matrix(grid, "forward") / grid.n)
+        j = np.arange(grid.n // 2 + 1)
+        c = np.cos((2.0 * np.pi / grid.n) * (np.outer(j, j) % grid.n))
+        c[:, 1:-1] *= 2.0
+        return _read_only(c)
+
+    return grid._cached(("dct1", norm), build)
+
+
 def _dct1(grid: EvenGrid, values: np.ndarray, norm: str) -> np.ndarray:
     """The DCT-I on each trailing axis, one product per axis with a cached (n/2 + 1)-square matrix.
 
@@ -341,13 +354,7 @@ def _dct1(grid: EvenGrid, values: np.ndarray, norm: str) -> np.ndarray:
     at 2046, so 1-D solves use it only up to ``solvers.EVEN_1D_MAX_N``.
     In dims 2 and 3 a stack of fields transforms as each field alone, to the bit.
     """
-    def build():
-        j = np.arange(grid.n // 2 + 1)
-        c = np.cos((2.0 * np.pi / grid.n) * (np.outer(j, j) % grid.n))
-        c[:, 1:-1] *= 2.0
-        return _read_only(c if norm == "forward" else c / grid.n)
-
-    c = grid._cached(("dct1", norm), build)
+    c = _dct1_matrix(grid, norm)
     values = values @ c.T
     if grid.dim > 1:
         values = c @ values
@@ -392,15 +399,16 @@ def _filter(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return _irfft(grid, u_hat)
 
 
-def _multiplier_matrix(grid: Grid, s: float) -> np.ndarray:
-    """The dense matrix of ``_multiply(grid, ., s)`` on a 1-D grid's values, cached per s.
+def _multiplier_matrix(grid: EvenGrid, s: float) -> np.ndarray:
+    """The dense matrix A of ``_multiply(grid, ., s)`` on a 1-D EvenGrid, cached per s; read-only.
 
-    Column j is unit field j's image: the identity is filtered as one stack
-    of fields.  Read-only; on an EvenGrid A u is ``_multiply`` of u up to
-    roundoff, and A is symmetric in ``_dot``'s weighted inner product.
+    A = C_b diag(symbol) C_f from ``_dct1_matrix``, formed as (C_f^T diag(symbol)) C_b^T with
+    a C-ordered left operand, transposed: the identity filtered as one stack of fields, to the
+    bit.  A u is ``_multiply`` of u up to roundoff; A is symmetric in ``_dot``'s inner product.
     """
     def build():
-        return _read_only(np.ascontiguousarray(_multiply(grid, np.eye(grid.shape[0]), s).T))
+        scaled = np.multiply(_dct1_matrix(grid, "forward").T, grid.symbol(s), order="C")
+        return _read_only(np.ascontiguousarray((scaled @ _dct1_matrix(grid, "backward").T).T))
 
     return grid._cached(("matrix", float(s)), build)
 

@@ -135,15 +135,18 @@ class ProblemSpec:
         return replace(self, grid=self.grid.half)
 
     @cached_property
-    def _riesz_inverse(self) -> np.ndarray:
-        """K^{-1} as a dense matrix, K = (I - Laplacian)^alpha + lam V; on a 1-D grid only.
+    def _riesz_inverse(self) -> np.ndarray | None:
+        """K^{-1} as a dense matrix, K = (I - Laplacian)^alpha + lam V, on a 1-D EvenGrid only.
 
-        K does not depend on u, so the solvers factor it once per problem,
-        on first use (``solvers._riesz_gradient``).  Raises LinAlgError
-        where LAPACK finds K singular.
+        K does not depend on u, so it is inverted once per problem, on first
+        use by a solver.  None where LAPACK refuses K, which the solvers read
+        as a failed solve; either value is cached, so a refused K is tried once.
         """
         k = _multiplier_matrix(self.grid, self.alpha) + np.diag(self.lam * self.V_field.values)
-        return _read_only(np.linalg.inv(k))
+        try:
+            return _read_only(np.linalg.inv(k))
+        except np.linalg.LinAlgError:
+            return None
 
 
 def eval_scrF(spec: ProblemSpec, u_value):

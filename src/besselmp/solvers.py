@@ -23,7 +23,7 @@ from a Gaussian bump.  The
 iterate always sits on its ray's critical point and J never rises over
 accepted steps.  The gradient in the lam-norm, g = K^{-1} r with
 K = (I - Laplacian)^alpha + lam V, is solved by preconditioned MINRES, or
-on a 1-D even grid by one product with K^{-1}, factored once per problem;
+on a 1-D even grid by one product with K^{-1}, inverted once per problem;
 each step goes along the Polak-Ribiere+ direction d = g + beta d_prev,
 beta >= 0 (Gilbert & Nocedal, SIAM J. Optim. 2, 1992).  A d that is no
 descent direction restarts along g, and a line search that refuses every
@@ -59,9 +59,9 @@ even, in 1-D n is at most EVEN_1D_MAX_N, and the start is even to
 roundoff; otherwise on the full grid, as it stands.  The 1-D bound is
 where the even form stops paying on a fresh problem: its DCT-I is a
 product with an (n/2 + 1)-square matrix, O(n^2) per transform, and its
-first run also builds and inverts K, O(n^3); from n = 416 on that cold
-run of the canonical coercive problem is slower than on the full grid's
-FFT, though warm runs stay faster up to n = 1024 (README).  The solution
+first run also inverts K, O(n^3); from about n = 384 to 448 that cold run
+of the canonical coercive problem is as fast as on the full grid's FFT,
+though warm runs stay faster up to n = 1024 (README).  The solution
 is extended back to the full grid and its residual re-checked there
 once; a report says which grid it ran on, and why not the even one.
 """
@@ -133,13 +133,9 @@ NEWTON_MAX = 80
 MINRES_MAXITER = 400
 INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
 BASIN_SLACK = 1e-10  # a polish may end above its handover level by this, relative, and no more
-# Largest n at which a 1-D solve runs on the even half.  There ``_dct1`` is
-# one product with an (n/2 + 1)-square matrix, O(n^2) against the full
-# grid's O(n log n) FFT, and a fresh problem inverts the dense K, O(n^3).
-# On one thread, with the half grid's K^{-1}-preconditioned Newton steps,
-# warm runs of both canonical 1-D problems are faster on the half grid up
-# to n = 1024, but a cold run of the coercive one is slower from n = 416
-# (README); from n = 2048 EvenGrid refuses the matrix.
+# Largest n at which a 1-D solve runs on the even half, where the cold
+# coercive run stops winning (module docstring, README); from n = 2048
+# EvenGrid refuses the matrix.
 EVEN_1D_MAX_N = 416
 
 
@@ -186,10 +182,10 @@ class TraceEntry:
     # (MINRES_MAXITER if it hit the cap); 0 on a direct gradient (1-D even
     # grid) and on the polish entry that stops at tol, which solves nothing
     krylov_iters: int = 0
-    # why that solve stopped: for MINRES "forcing" (its forcing term was
-    # met), "cap" or "breakdown" (see ``_minres``); "direct" for a gradient
-    # that is one product with K^{-1}, "singular" where LAPACK refused K or
-    # that gradient is not finite; "" where no solve ran
+    # why that solve stopped: ``_minres``'s "forcing" (its forcing term was
+    # met) or its failures "cap", "breakdown" and "singular" (K refused);
+    # "direct" for a gradient that is one product with K^{-1}, which reads
+    # "singular" too where that gradient is not finite; "" where no solve ran
     krylov_stop: str = ""
     # a descent entry: the Polak-Ribiere+ weight of the previous direction
     # in the step it took, 0.0 on a gradient step (the first row, a restart
@@ -392,19 +388,6 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
 # mountain pass
 
 
-def _scaled_inverse(g, inverse, scale, v):
-    """M v for M = D (I - Laplacian)^(-alpha) D, D = diag(scale), ``inverse`` = g.symbol(-alpha).
-
-    One transform pair.  M is symmetric positive definite for any positive
-    ``scale``.  With D = (1 + |pointwise part|)^(-1/2) it is a diagonal
-    stand-in for the absolute-value preconditioner |H|^(-1) of Vecharynski
-    & Knyazev (SIAM J. Sci. Comput. 35, 2013): (I - Laplacian)^(-alpha)
-    alone does not see a potential wall thousands of times higher than the
-    symbol.
-    """
-    return scale * _filter(g, scale * v, inverse)
-
-
 def _direct(g) -> bool:
     """Whether ``g`` is a 1-D even grid, at most 209 points, where K^{-1} is stored dense."""
     return g.even and g.dim == 1
@@ -414,7 +397,7 @@ def _riesz_gradient(spec, r):
     """d ~ K^{-1} r, the gradient in the lam-norm; (d, its slope <r, d>, iterations, stop).
 
     On a 1-D even grid d = K^{-1} r is one product with the problem's
-    dense K^{-1} (``ProblemSpec._riesz_inverse``), factored once per
+    dense K^{-1} (``ProblemSpec._riesz_inverse``), inverted once per
     problem, with 0 iterations and stop "direct".  Elsewhere
     K = (I - Laplacian)^alpha + lam V is ``_minres``'s H with h = lam V,
     and the solve stops once ||K d - r||_M <= RIESZ_FORCING ||r||_M.
@@ -422,21 +405,17 @@ def _riesz_gradient(spec, r):
     d = 0 falls monotonically (Fong & Saunders, SQU J. Sci. 17, 2012): so
     ||K^{-1} r - d||_K < ||K^{-1} r||_K, which reads <r, d> > ||d||_lam^2 / 2
     > 0 for r != 0, -d is a descent direction and <r, d>^(1/2) estimates
-    the dual norm of r; the direct d makes it exact.  A failed solve
-    (stop "singular" where LAPACK fails or d is not finite) returns d = 0
-    with slope 0, which hands the descent over to the polish.
+    the dual norm of r; the direct d makes it exact.  A failed solve, or a
+    d that is not finite, returns d = 0 with slope 0, which hands the
+    descent over to the polish; the direct route then reads "singular".
     """
     if _direct(spec.grid):
-        try:
-            d = spec._riesz_inverse @ r
-        except np.linalg.LinAlgError:
-            d = None
-        ok = d is not None and np.all(np.isfinite(d))
-        d, iters, stop = (d, 0, "direct") if ok else (None, 0, "singular")
+        inverse = spec._riesz_inverse
+        d, iters, stop = (None, 0, "singular") if inverse is None else (inverse @ r, 0, "direct")
     else:
         d, iters, stop = _minres(spec, spec.lam * spec.V_field.values, r, RIESZ_FORCING)
-    if d is None:
-        return np.zeros_like(r), 0.0, iters, stop
+    if d is None or not np.isfinite(d).all():
+        return np.zeros_like(r), 0.0, iters, "singular" if stop == "direct" else stop
     return d, _integral(spec.grid, r * d), iters, stop
 
 
@@ -527,32 +506,36 @@ def _hessian_diag(spec, u):
 def _minres(spec, h, b, forcing, shifted=False):
     """Solve H x = b, H = (I - Laplacian)^alpha + diag(h), by MINRES; (x, iterations, stop).
 
-    The recurrence is Paige & Saunders' (SIAM J. Numer. Anal. 12, 1975),
-    as in scipy.sparse.linalg.minres, with one of two symmetric positive
-    definite preconditioners.  By default M = D (I - Laplacian)^(-alpha) D,
-    D = (1 + |h|)^(-1/2) (``_scaled_inverse``), and an iteration costs two
-    transform pairs, H v and M r2.  With ``shifted``, M = (A + s)^(-1) for
+    Paige & Saunders' recurrence (SIAM J. Numer. Anal. 12, 1975), as in
+    scipy.sparse.linalg.minres, with one of two SPD preconditioners.  By
+    default M = D (I - Laplacian)^(-alpha) D, D = (1 + |h|)^(-1/2), a
+    diagonal stand-in for the absolute-value preconditioner |H|^(-1)
+    (Vecharynski & Knyazev, SIAM J. Sci. Comput. 35, 2013) that sees a
+    potential wall far above the symbol; an iteration costs two transform
+    pairs, H v and M r2.  With ``shifted``, M = (A + s)^(-1) for
     A = (I - Laplacian)^alpha and a pointwise s: A M r2 = r2 - s M r2, so
     for v = M r2 / beta the Lanczos product H v = r2 / beta + (h - s) v
     needs no transform.  On a 1-D even grid s = lam V and M is the dense
-    K^{-1} (``ProblemSpec._riesz_inverse``, whose LinAlgError propagates):
-    K^{-1} H is the identity minus a compact part, so the count does not
-    grow with n.  Elsewhere s = mean |h| over the full grid and M r2 is one
-    transform pair.  An iteration costs one M, and a solve one more, for
-    M b.  The one convergence test is the inexact-Newton stop of Dembo,
-    Eisenstat & Steihaug (SIAM J. Numer. Anal. 19, 1982): ``stop`` is
+    K^{-1} (``ProblemSpec._riesz_inverse``): K^{-1} H is the identity minus
+    a compact part, so the count does not grow with n.  Elsewhere
+    s = mean |h| over the full grid and M r2 is one transform pair; an
+    iteration costs one M, and a solve one more, for M b.  ``stop`` is
     "forcing" once the recurrence's ||H x - b||_M is at most ``forcing``
-    ||b||_M, and on a zero b, which x = 0 solves; "cap" after
-    MINRES_MAXITER iterations; "breakdown" when beta^2 = <r2, M r2> < 0,
-    which a symmetric H and SPD M rule out except by rounding.  A beta of
-    0, an invariant subspace, zeroes phibar and so stops on "forcing".  x
-    is None on "cap" and "breakdown".  Inner products and norms are
-    ``_dot``'s, so on an EvenGrid MINRES runs in the full grid's inner
-    product, in which H and M stay symmetric.
+    ||b||_M, the inexact-Newton stop of Dembo, Eisenstat & Steihaug (SIAM
+    J. Numer. Anal. 19, 1982), and on a zero b or a beta of 0 (an invariant
+    subspace, which zeroes phibar).  Only here does a linear solve fail,
+    with x None: "cap" after MINRES_MAXITER iterations; "breakdown" on a
+    beta^2 = <r2, M r2> that is not finite, or negative, which a symmetric
+    H and SPD M rule out but for rounding; "singular", 0 iterations, where
+    LAPACK refused K; and an x that is not finite keeps the stop that ended
+    the loop.  Inner products are ``_dot``'s, the full grid's also on an
+    EvenGrid, in which H and M stay symmetric.
     """
     g, alpha = spec.grid, spec.alpha
     if shifted and _direct(g):
         inverse, offset = spec._riesz_inverse, h - spec.lam * spec.V_field.values
+        if inverse is None:
+            return None, 0, "singular"
 
         def precondition(r):
             return inverse @ r
@@ -568,11 +551,11 @@ def _minres(spec, h, b, forcing, shifted=False):
         scale = 1.0 / np.sqrt(1.0 + np.abs(h))
 
         def precondition(r):
-            return _scaled_inverse(g, inverse, scale, r)
+            return scale * _filter(g, scale * r, inverse)
     x = np.zeros_like(b)
     y = precondition(b)
     beta1 = _dot(g, b, y)
-    if not beta1 > 0.0:
+    if not 0.0 < beta1 < math.inf:
         return (x, 0, "forcing") if beta1 == 0.0 else (None, 0, "breakdown")
     beta1 = math.sqrt(beta1)
     eps = np.finfo(float).eps
@@ -601,7 +584,7 @@ def _minres(spec, h, b, forcing, shifted=False):
         r1, r2 = r2, y
         y = precondition(r2)
         oldb, beta = beta, _dot(g, r2, y)
-        if beta < 0.0:
+        if not 0.0 <= beta < math.inf:
             return None, itn, "breakdown"
         beta = math.sqrt(beta)
         # apply the previous plane rotation, then make the next one
@@ -619,7 +602,7 @@ def _minres(spec, h, b, forcing, shifted=False):
         w /= gamma
         x += np.multiply(phi, w, out=tmp)
         if phibar <= forcing * beta1:
-            return x, itn, "forcing"
+            return (x if np.isfinite(x).all() else None), itn, "forcing"
     return None, MINRES_MAXITER, "cap"
 
 
@@ -631,18 +614,11 @@ def _newton_direction(spec, u, r, forcing):
     but indefinite at a saddle, where CG has no guarantee and GMRES keeps
     a long recurrence that symmetry makes short, while MINRES needs only
     symmetry and an SPD preconditioner.  It stops once
-    ||H delta + r||_M <= forcing ||r||_M, or fails after MINRES_MAXITER
-    iterations, which it then reports; ``stop`` says which.  On a 1-D even
-    grid M = K^{-1}, so that norm is the dual lam-norm <r, K^{-1} r>^(1/2);
-    a K that LAPACK finds singular fails the solve with 0 iterations and
-    stop "singular".  A delta that is not finite also fails.
+    ||H delta + r||_M <= forcing ||r||_M, or fails as ``_minres`` says.  On
+    a 1-D even grid M = K^{-1}, so that norm is the dual lam-norm
+    <r, K^{-1} r>^(1/2).
     """
-    h = _hessian_diag(spec, u)
-    try:
-        delta, iters, stop = _minres(spec, h, -r, forcing, shifted=True)
-    except np.linalg.LinAlgError:
-        return None, 0, "singular"
-    return (delta if delta is not None and np.all(np.isfinite(delta)) else None), iters, stop
+    return _minres(spec, _hessian_diag(spec, u), -r, forcing, shifted=True)
 
 
 def _polish(spec, u, e_u, r, rn, bessel, opts, trace):

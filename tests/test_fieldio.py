@@ -55,6 +55,17 @@ def test_header_layout(tmp_path):
     assert len(blob) == 17 + 16 + 8 * 16 * 16
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_even_grid_field_is_refused(tmp_path, dim):
+    # the header would read as the full grid's n, against the half's samples,
+    # so load_field could not read the file back; no file is left behind
+    g = Grid(dim, 16, 10.0).half
+    path = tmp_path / "half.bmpf"
+    with pytest.raises(ValueError, match="save_field needs a full Grid"):
+        save_field(Field(g, np.ones(g.shape)), path)
+    assert not path.exists()
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.bmpf"
     path.write_bytes(b"NOPE" + bytes(40))

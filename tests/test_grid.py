@@ -462,6 +462,17 @@ def test_even_grid_multiplier_matrix(n):
         a[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 100, 128, 256, 300, 416, 1024])
+@pytest.mark.parametrize("box", [40.0, 7.0])
+def test_even_grid_multiplier_matrix_is_the_filtered_identity(n, box):
+    # the closed form C_b diag(symbol) C_f is, to the bit, the image of the
+    # identity filtered as one stack of fields, for each order s
+    h = Grid(1, n, box).half
+    eye = np.eye(h.shape[0])
+    for s in (0.75, 0.3, -0.5):
+        assert np.array_equal(_multiplier_matrix(h, s), _multiply(h, eye, s).T), s
+
+
 def test_even_grid_dct1_matrix_is_built_once_and_read_only():
     from scipy.fft import dct
 
@@ -480,6 +491,7 @@ def test_even_grid_dct1_matrix_is_built_once_and_read_only():
     # SciPy's DCT-I of the unit vectors, and the inverse pair over n = 48
     assert np.allclose(forward, dct(np.eye(25), type=1, axis=0), rtol=0.0, atol=1e-13)
     assert np.allclose(backward @ forward, np.eye(25), rtol=0.0, atol=1e-13)
+    assert np.array_equal(backward, forward / 48)  # derived, not a second build
 
 
 def test_spectral_derivative_on_sine():

@@ -195,6 +195,31 @@ def test_full_lattice_read_only_in_the_symbol_build():
     assert not found, "freq_sq read outside Grid.symbol: " + ", ".join(found)
 
 
+def test_linalg_errors_caught_only_where_k_is_inverted():
+    # one failure rule for the linear solves: ProblemSpec._riesz_inverse reads
+    # a K that LAPACK refuses as None, and _minres alone turns that into a
+    # failed solve, so no other module names LinAlgError
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "problem.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if getattr(node, "attr", getattr(node, "id", None)) == "LinAlgError"]
+    assert not found, "LinAlgError named outside problem.py: " + ", ".join(found)
+
+
+def test_dct1_matrix_built_only_in_its_cached_build():
+    # each EvenGrid builds its cosine matrix once, in grid._dct1_matrix, and
+    # derives the backward one from it; no other grid function calls np.cos
+    tree = ast.parse((PACKAGE / "grid.py").read_text())
+    (build,) = [top for top in tree.body
+                if isinstance(top, ast.FunctionDef) and top.name == "_dct1_matrix"]
+    inside = {id(node) for node in ast.walk(build)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "cos"]
+    found = [f"grid.py:{node.lineno}" for node in calls if id(node) not in inside]
+    assert not found, "np.cos outside grid._dct1_matrix: " + ", ".join(found)
+    assert any(id(node) in inside for node in calls)
+
+
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_imports(path):
     # loaded under its own name, not "__main__", so main() does not run; a

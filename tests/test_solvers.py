@@ -1269,28 +1269,40 @@ def test_descent_entries_count_their_gradient_solve(well_result, coercive_mp, co
         assert report.counts["newton_krylov_iters"] == sum(n for n, _ in polish) > 0
 
 
-@pytest.mark.parametrize("make_spec,solves,transforms", [
-    (canonical_coercive_spec, ((2, 5, 16, 0), (1, 2, 3, 0)), (16, 11)),
-    (canonical_well_spec, ((2, 4, 13, 0), (2, 3, 6, 0)), (18, 12)),
+def _canonical_at(make_spec, n):
+    spec = make_spec()
+    return replace(spec, grid=replace(spec.grid, n=n))
+
+
+@pytest.mark.parametrize("make_spec,solves,transforms,reason", [
+    (canonical_coercive_spec, ((2, 5, 16, 0), (1, 2, 3, 0)), (15, 10), ""),
+    (canonical_well_spec, ((2, 4, 13, 0), (2, 3, 6, 0)), (17, 11), ""),
+    (lambda: _canonical_at(canonical_coercive_spec, 255),
+     ((2, 5, 116, 7), (1, 2, 21, 4)), (180, 175), "odd n"),
+    (lambda: _canonical_at(canonical_well_spec, 512),
+     ((2, 5, 160, 19), (2, 3, 81, 25)), (355, 349), "dim 1, n above 416"),
     (lambda: build_spec(RunConfig(dim=2, n=48, box_length=15.0)),
-     ((5, 5, 53, 18), (1, 2, 8, 4)), (140, 129)),
+     ((5, 5, 53, 18), (1, 2, 8, 4)), (140, 129), ""),
     (lambda: build_spec(RunConfig(dim=2, n=64, box_length=20.0, potential="well",
                                   lam=100.0, mu=0.05)),
-     ((3, 6, 149, 21), (2, 3, 67, 19)), (329, 322)),
+     ((3, 6, 149, 21), (2, 3, 67, 19)), (329, 322), ""),
     (lambda: build_spec(RunConfig(dim=2, n=128, box_length=20.0, potential="well",
                                   lam=100.0, mu=0.05)),
-     ((3, 5, 252, 24), (2, 3, 146, 24)), (525, 518)),
+     ((3, 5, 252, 24), (2, 3, 146, 24)), (525, 518), ""),
     (lambda: build_spec(RunConfig(dim=3, n=16, box_length=10.0, q=3.0)),
-     ((5, 5, 49, 20), (1, 3, 17, 4)), (150, 140)),
+     ((5, 5, 49, 20), (1, 3, 17, 4)), (150, 140), ""),
     (lambda: build_spec(RunConfig(dim=3, n=32, box_length=10.0, q=3.0)),
-     ((3, 6, 66, 11), (1, 3, 17, 4)), (143, 137)),
-], ids=["coercive", "well", "plane_2d", "2d-steep-well", "2d-steep-well-128", "3d", "3d-32"])
-def test_solver_work_is_pinned(make_spec, solves, transforms, fft_calls):
+     ((3, 6, 66, 11), (1, 3, 17, 4)), (143, 137), ""),
+], ids=["coercive", "well", "coercive-full-255", "well-full-512", "plane_2d", "2d-steep-well",
+        "2d-steep-well-128", "3d", "3d-32"])
+def test_solver_work_is_pinned(make_spec, solves, transforms, reason, fft_calls):
     # (descent rows, polish rows, Newton MINRES iterations, gradient MINRES
     # iterations) of each solve, saddle then minimizer, and the run's
-    # (forward, inverse) transforms on a fresh problem, which in 1-D include
-    # the build of the dense (I - Laplacian)^alpha behind K^{-1}; a rise in
-    # any count is a regression of the solvers' cost in that dimension
+    # (forward, inverse) transforms on a fresh problem; in 1-D the build of
+    # the dense (I - Laplacian)^alpha behind K^{-1} transforms nothing, so a
+    # fresh half-grid run counts as a warm one.  The two 1-D full-grid runs
+    # are the only 1-D ones whose gradient is a MINRES solve.  A rise in any
+    # count is a regression of the solvers' cost in that dimension
     fft_calls.clear()
     r = two_solution_experiment(make_spec())
     assert r.success, r.failed_stage
@@ -1299,6 +1311,7 @@ def test_solver_work_is_pinned(make_spec, solves, transforms, fft_calls):
         rows = sum(t.phase == "polish" for t in report.trace)
         assert (c["descent_rows"], rows, c["newton_krylov_iters"],
                 c["gradient_krylov_iters"]) == pinned
+        assert (report.grid, report.grid_reason) == ("full" if reason else "even", reason)
     assert (fft_calls["_rfft"], fft_calls["_irfft"]) == transforms
 
 
@@ -1411,7 +1424,7 @@ def test_riesz_lanczos_product_is_the_hessian(make_spec):
 @pytest.mark.parametrize("make_spec", [canonical_coercive_spec, canonical_well_spec],
                          ids=["coercive", "well"])
 def test_direct_riesz_gradient_matches_minres(make_spec):
-    # K = (I - Laplacian)^alpha + lam V is factored once per half problem,
+    # K = (I - Laplacian)^alpha + lam V is inverted once per half problem,
     # and each gradient is one product with it: the d of MINRES at a forcing
     # term of 1e-13, and the slope is <r, d> of that d
     half, states = _half_states(make_spec)
@@ -1428,29 +1441,76 @@ def test_direct_riesz_gradient_matches_minres(make_spec):
 
 
 def test_singular_direct_solves_fail(monkeypatch):
-    # on the 1-D half grid a K that LAPACK finds singular fails both solves
-    # with stop "singular": the gradient is zero with slope 0, which hands
-    # the descent over to the polish, and the Newton direction is None.  A
-    # Newton MINRES that hits the cap or breaks down, or whose delta is not
-    # finite, returns None too, a step the polish refuses as on every grid
+    # on the 1-D half grid a K that LAPACK refuses is inverted once, and read
+    # as a failed solve with stop "singular" by both solves: the gradient is
+    # zero with slope 0, which hands the descent over to the polish, and the
+    # Newton direction is None.  A Newton MINRES that hits the cap or breaks
+    # down returns None too, a step the polish refuses as on every grid
     half, states = _half_states(canonical_well_spec)
     u = states["bump"]
     r = _residual_values(half, u)
     weight = half.lam * half.V_field.values
+    inversions, inv = Counter(), np.linalg.inv
     with monkeypatch.context() as m:
         m.setattr(problem, "_multiplier_matrix", lambda g, s: -np.diag(weight))
-        d, slope, iters, stop = solvers._riesz_gradient(replace(half), r)
-        assert (slope, iters, stop) == (0.0, 0, "singular") and not np.any(d)
-        assert _newton_direction(replace(half), u, r, 0.1) == (None, 0, "singular")
+        m.setattr(np.linalg, "inv", lambda a: inversions.update(["inv"]) or inv(a))
+        refused = replace(half)
+        for _ in range(3):
+            d, slope, iters, stop = solvers._riesz_gradient(refused, r)
+            assert (slope, iters, stop) == (0.0, 0, "singular") and not np.any(d)
+            assert _newton_direction(refused, u, r, 0.1) == (None, 0, "singular")
+        assert refused._riesz_inverse is None
+    assert inversions["inv"] == 1
     broken = replace(half)
     broken.__dict__["_riesz_inverse"] = -half._riesz_inverse  # not positive definite
     assert _newton_direction(broken, u, r, 0.1) == (None, 0, "breakdown")
     with monkeypatch.context() as m:
         m.setattr(solvers, "MINRES_MAXITER", 1)
         assert _newton_direction(half, u, r, 1e-13) == (None, 1, "cap")
+
+
+def test_minres_refuses_an_x_that_is_not_finite():
+    # a system whose solution lies past the float range: M = diag(1, 1e300,
+    # 1, ...) stands in for K^{-1}, and h sets the shifted product's H to
+    # M^{-1} + diag(h - lam V), whose entry 1 is 1e-300 2^-52.  One
+    # iteration meets the forcing term with x_1 about 4e318, which
+    # overflows; the solve returns None and keeps the stop "forcing"
+    half, _ = _half_states(canonical_well_spec)
+    weight = half.lam * half.V_field.values
+    dense = replace(half)
+    dense.__dict__["_riesz_inverse"] = np.diag(np.where(np.arange(len(weight)) == 1, 1e300, 1.0))
+    h = weight.copy()
+    h[1] -= (1.0 - 2.0**-52) / 1e300
+    b = np.zeros_like(weight)
+    b[1] = 1e3
+    with np.errstate(over="ignore"):
+        assert _minres(dense, h, b, 0.1, shifted=True) == (None, 1, "forcing")
+
+
+def test_minres_gradient_that_is_not_finite_is_refused(monkeypatch):
+    # a gradient d that is not finite, from either route, is a failed
+    # solve: d = 0 with slope 0, not a slope of nan
+    spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
+    r = residual(spec, Field(spec.grid, 2.0 * np.exp(-spec.grid.radius_sq))).values
     monkeypatch.setattr(solvers, "_minres", lambda *args, **kw: (np.full_like(r, np.inf), 3,
                                                                    "forcing"))
-    assert _newton_direction(half, u, r, 0.1) == (None, 3, "forcing")
+    d, slope, iters, stop = solvers._riesz_gradient(spec, r)
+    assert (slope, iters, stop) == (0.0, 3, "forcing") and not np.any(d)
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(dim=2, n=16, box_length=15.0),
+                                 RunConfig(dim=3, n=8, box_length=10.0, q=3.0)],
+                         ids=["2d", "3d"])
+@pytest.mark.parametrize("shifted", [False, True], ids=["scaled", "shifted"])
+def test_minres_breaks_down_where_beta_leaves_the_float_range(cfg, shifted):
+    # at these scales beta1^2 = <b, M b> overflows to inf or reads nan; a
+    # beta^2 that is not finite stops the solve with "breakdown" before
+    # anything divides by it
+    spec = build_spec(cfg)
+    u = 2.0 * np.exp(-spec.grid.radius_sq)
+    r, h = _residual_values(spec, u), _hessian_diag(spec, u)
+    for scale in (1e155, 1e160):
+        assert _minres(spec, h, scale * r, 0.1, shifted=shifted) == (None, 0, "breakdown"), scale
 
 
 def test_capped_minres_solve_shows_in_the_trace(monkeypatch):
@@ -1494,7 +1554,7 @@ def test_minres_pieces_are_symmetric_with_positive_preconditioner(cfg):
     def H(v):
         return _multiply(g, v, alpha) + h * v
 
-    preconditioners = (lambda v: solvers._scaled_inverse(g, g.symbol(-alpha), scale, v),
+    preconditioners = (lambda v: scale * _filter(g, scale * v, g.symbol(-alpha)),
                        lambda v: _filter(g, v, shifted))
     rng = np.random.default_rng(cfg.dim)
     for _ in range(5):
