@@ -1,11 +1,10 @@
 """Run both canonical problems end to end and print the level tables.
 
-Each solver stage also prints how its linear solves stopped ("direct" for
-a gradient on the 1-D even half, one product with the stored K^{-1}), the
-MINRES iterations that its trace records, the descent's and the polish's
-apart (the descent's 0 where its gradients are direct), and the
-Palais-Smale norm bound checked on its descent rows
-(``check_bounded_descent``).
+Each solver stage also prints its gradients' route and how its Newton
+solves stopped ("direct" for a gradient on the 1-D even half, one product
+with the stored K^{-1}; "forcing" for a Newton MINRES that met its forcing
+term), the polish's MINRES iterations, and the Palais-Smale norm bound
+checked on its descent rows (``check_bounded_descent``).
 
 Usage: python scripts/run_canonical.py
 """
@@ -40,14 +39,13 @@ def run_one(name, spec):
         else:
             label, energy = ("saddle ", f"{result.energy:.8f}") if stage == "mountain_pass" \
                 else ("minimum", f"{result.energy:.3e}")
-            # the solves' stop labels and MINRES iterations from the trace: the
-            # descent's gradient solves and the polish's Newton solves
+            # the gradients' routes and the Newton solves' stops, and the
+            # Newton MINRES iterations, from the trace
             counts = result.counts
             stops = ",".join(sorted({t.krylov_stop for t in result.trace} - {""}))
             print(f"{label} E={energy}  |r|={result.residual_norm:.2e}  "
                   f"iters={result.iterations}  solves={stops}  "
-                  f"minres descent={counts['gradient_krylov_iters']} "
-                  f"polish={counts['newton_krylov_iters']}  ok={ok}  {took}")
+                  f"minres polish={counts['newton_krylov_iters']}  ok={ok}  {took}")
             if result.trace:
                 chain = check_bounded_descent(spec, result.trace)
                 print(f"        bounded descent: pass={chain.passed}  "

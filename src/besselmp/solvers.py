@@ -21,18 +21,19 @@ far endpoint e; the negative-energy minimizer is the minimum of
 J-(w) = Phi(t-(w) w), the N+ branch of Brown & Zhang (2003), descended
 from a Gaussian bump.  The
 iterate always sits on its ray's critical point and J never rises over
-accepted steps.  The gradient in the lam-norm, g = K^{-1} r with
-K = (I - Laplacian)^alpha + lam V, is solved by preconditioned MINRES, or
-on a 1-D even grid by one product with K^{-1}, inverted once per problem;
-each step goes along the Polak-Ribiere+ direction d = g + beta d_prev,
-beta >= 0 (Gilbert & Nocedal, SIAM J. Optim. 2, 1992).  A d that is no
-descent direction restarts along g, and a line search that refuses every
-step along a conjugate d is retried along g.  Once the dual norm
-<r, K^{-1} r>^(1/2) is small next to ||u||_lam, or a search along g
-refuses every step, a damped Newton iteration on the strong-form
-residual pushes the iterate to solver tolerance, each step solved by
-MINRES, on a 1-D even grid preconditioned by K^{-1}.  The ball radius
-rho only checks the minimizer: it must sit inside the ball, with a margin.
+accepted steps.  Each step goes along the Polak-Ribiere+ direction
+d = g + beta d_prev, beta >= 0 (Gilbert & Nocedal, SIAM J. Optim. 2,
+1992), on the gradient g = M r of an SPD M that stands in for the
+lam-norm's Riesz map K^{-1}, K = (I - Laplacian)^alpha + lam V: K^{-1}
+itself on a 1-D even grid, inverted once per problem, and one transform
+pair elsewhere (``_riesz_gradient``).  A d that is no descent direction
+restarts along g, and a line search that refuses every step along a
+conjugate d is retried along g.  Once <r, g>^(1/2) is small next to
+||u||_lam, or a search along g refuses every step, a damped Newton
+iteration on the strong-form residual pushes the iterate to solver
+tolerance, each step solved by MINRES, on a 1-D even grid preconditioned
+by K^{-1}.  The ball radius rho only checks the minimizer: it must sit
+inside the ball, with a margin.
 
 Every backtracking search walks the steps s, s/2, s/4, ... and only its
 count differs.
@@ -56,11 +57,11 @@ most 209 samples, few enough to store K^{-1} dense: the gradient is one
 product with it, and a Newton MINRES iteration one more, with no
 transform.  The rule is fixed: a solve runs there exactly when n is
 even, in 1-D n is at most EVEN_1D_MAX_N, and the start is even to
-roundoff; otherwise on the full grid, as it stands.  The 1-D bound is
-where the even form stops paying on a fresh problem: its DCT-I is a
+roundoff; otherwise on the full grid, as it stands.  The 1-D bound
+weighs a fresh problem against a warm one: the even form's DCT-I is a
 product with an (n/2 + 1)-square matrix, O(n^2) per transform, and its
-first run also inverts K, O(n^3); from about n = 384 to 448 that cold run
-of the canonical coercive problem is as fast as on the full grid's FFT,
+first run also inverts K, O(n^3), so from about n = 384 the cold run of
+the canonical coercive problem is slower than on the full grid's FFT,
 though warm runs stay faster up to n = 1024 (README).  The solution
 is extended back to the full grid and its residual re-checked there
 once; a report says which grid it ran on, and why not the even one.
@@ -126,16 +127,16 @@ ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 BACKTRACK_TRIES = 40  # gradient steps tried per search; from 1 they stay above 1e-12
 NEWTON_TRIES = 34  # damped Newton steps 1, 1/2, ... above 1e-10
-RIESZ_FORCING = 1e-2  # the gradient solve's forcing term, a relative preconditioned residual
-HANDOVER_RATIO = 0.1  # the descent hands over to Newton at <r, K^-1 r>^(1/2) <= this ||u||_lam
+GRADIENT_SHIFT = 4.0  # c of the descent's M off the 1-D even grid (``_riesz_gradient``)
+HANDOVER_RATIO = 0.1  # the descent hands over to Newton at <r, M r>^(1/2) <= this ||u||_lam
 DESCENT_MAX = 5000  # descent rows per solve; the canonical runs take at most a handful
 NEWTON_MAX = 80
 MINRES_MAXITER = 400
 INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
 BASIN_SLACK = 1e-10  # a polish may end above its handover level by this, relative, and no more
-# Largest n at which a 1-D solve runs on the even half, where the cold
-# coercive run stops winning (module docstring, README); from n = 2048
-# EvenGrid refuses the matrix.
+# Largest n at which a 1-D solve runs on the even half, where warm runs win
+# and the cold coercive run no longer does (module docstring, README); from
+# n = 2048 EvenGrid refuses the matrix.
 EVEN_1D_MAX_N = 416
 
 
@@ -177,15 +178,14 @@ class TraceEntry:
     # trial points scored by the step taken from this entry: energies in
     # the Nehari descent and the ball, residual norms in the polish
     trials: int
-    # MINRES iterations behind the entry: of a descent entry's gradient
-    # solve or a polish entry's Newton direction, also when the solve failed
-    # (MINRES_MAXITER if it hit the cap); 0 on a direct gradient (1-D even
-    # grid) and on the polish entry that stops at tol, which solves nothing
+    # MINRES iterations of a polish entry's Newton direction, also when the
+    # solve failed (MINRES_MAXITER if it hit the cap); 0 on a descent entry,
+    # whose gradient solves nothing, and on the polish entry that stops at tol
     krylov_iters: int = 0
-    # why that solve stopped: ``_minres``'s "forcing" (its forcing term was
-    # met) or its failures "cap", "breakdown" and "singular" (K refused);
-    # "direct" for a gradient that is one product with K^{-1}, which reads
-    # "singular" too where that gradient is not finite; "" where no solve ran
+    # a polish entry: why its solve stopped, ``_minres``'s "forcing" or its
+    # failures "cap", "breakdown" and "singular" (K refused); "" at tol.  A
+    # descent entry: its gradient's route, "direct" (K^{-1}, 1-D even grid),
+    # "scaled" (M_c, elsewhere) or "singular" (K refused, or not finite)
     krylov_stop: str = ""
     # a descent entry: the Polak-Ribiere+ weight of the previous direction
     # in the step it took, 0.0 on a gradient step (the first row, a restart
@@ -216,13 +216,11 @@ class SolveReport:
     @property
     def counts(self) -> dict:
         """The work summed from the trace: descent rows, the conjugate ones among them
-        (beta > 0), and the MINRES iterations of the gradient and of the Newton solves,
-        the gradient's 0 where it is direct (a 1-D even grid); and the grid the solve
-        ran on, with the reason."""
+        (beta > 0), and the MINRES iterations of the Newton solves; and the grid the
+        solve ran on, with the reason."""
         descent = [t for t in self.trace if t.phase != "polish"]
         return {"descent_rows": len(descent),
                 "conjugate_rows": sum(t.beta > 0.0 for t in descent),
-                "gradient_krylov_iters": sum(t.krylov_iters for t in descent),
                 "newton_krylov_iters": sum(t.krylov_iters for t in self.trace
                                            if t.phase == "polish"),
                 "grid": self.grid, "grid_reason": self.grid_reason}
@@ -394,29 +392,37 @@ def _direct(g) -> bool:
 
 
 def _riesz_gradient(spec, r):
-    """d ~ K^{-1} r, the gradient in the lam-norm; (d, its slope <r, d>, iterations, stop).
+    """d = M r, the descent's gradient for an SPD M ~ K^{-1}; (d, its slope <r, d>, stop).
 
-    On a 1-D even grid d = K^{-1} r is one product with the problem's
-    dense K^{-1} (``ProblemSpec._riesz_inverse``), inverted once per
-    problem, with 0 iterations and stop "direct".  Elsewhere
-    K = (I - Laplacian)^alpha + lam V is ``_minres``'s H with h = lam V,
-    and the solve stops once ||K d - r||_M <= RIESZ_FORCING ||r||_M.
-    K is symmetric positive definite, where the K-norm error of MINRES from
-    d = 0 falls monotonically (Fong & Saunders, SQU J. Sci. 17, 2012): so
-    ||K^{-1} r - d||_K < ||K^{-1} r||_K, which reads <r, d> > ||d||_lam^2 / 2
-    > 0 for r != 0, -d is a descent direction and <r, d>^(1/2) estimates
-    the dual norm of r; the direct d makes it exact.  A failed solve, or a
-    d that is not finite, returns d = 0 with slope 0, which hands the
-    descent over to the polish; the direct route then reads "singular".
+    K = (I - Laplacian)^alpha + lam V.  On a 1-D even grid M = K^{-1}, one
+    product with the problem's dense K^{-1} (``ProblemSpec._riesz_inverse``),
+    stop "direct": d is the lam-norm gradient and <r, d>^(1/2) the dual
+    norm of r.  Elsewhere M = M_c = D (A + c)^(-1) D, one transform pair,
+    stop "scaled", with A = (I - Laplacian)^alpha, c = GRADIENT_SHIFT and
+    D^2 = (1 + c) / (1 + c + lam V).  Preconditioned nonlinear CG needs
+    only an SPD M (Hager & Zhang, Pacific J. Optim. 2, 2006), symmetric in
+    ``_dot``'s inner product: <r, d> > 0 for r != 0, and -d is a descent
+    direction.  Where lam V is a constant w, M_c K has the condition number
+    max((1 + w) / (1 + c), (1 + c) / (1 + w)): at most 1 + c where w <= c,
+    and on a wall w > c the 1 + w of the c = 0 form D A^(-1) D over 1 + c.
+    c = 4 was measured on the runs of ``test_solver_work_is_pinned``:
+    c = 16 makes as many forward transforms over them but more on the 2-D
+    plane and the 1-D full grid, and c = 0 takes the n=128 steep well's
+    ball descent to 58 rows.  A refused K, or a d that is not finite,
+    returns d = 0 with slope 0 and stop "singular", which hands the
+    descent over to the polish.
     """
-    if _direct(spec.grid):
-        inverse = spec._riesz_inverse
-        d, iters, stop = (None, 0, "singular") if inverse is None else (inverse @ r, 0, "direct")
+    g = spec.grid
+    if _direct(g):
+        inverse, stop = spec._riesz_inverse, "direct"
+        d = None if inverse is None else inverse @ r
     else:
-        d, iters, stop = _minres(spec, spec.lam * spec.V_field.values, r, RIESZ_FORCING)
+        c, stop = GRADIENT_SHIFT, "scaled"
+        scale = np.sqrt((1.0 + c) / (1.0 + c + spec.lam * spec.V_field.values))
+        d = scale * _filter(g, scale * r, 1.0 / (g.symbol(spec.alpha) + c))
     if d is None or not np.isfinite(d).all():
-        return np.zeros_like(r), 0.0, iters, "singular" if stop == "direct" else stop
-    return d, _integral(spec.grid, r * d), iters, stop
+        return np.zeros_like(r), 0.0, "singular"
+    return d, _integral(g, r * d), stop
 
 
 def _along(spec, pieces, t):
@@ -503,18 +509,13 @@ def _hessian_diag(spec, u):
     return vals
 
 
-def _minres(spec, h, b, forcing, shifted=False):
+def _minres(spec, h, b, forcing):
     """Solve H x = b, H = (I - Laplacian)^alpha + diag(h), by MINRES; (x, iterations, stop).
 
     Paige & Saunders' recurrence (SIAM J. Numer. Anal. 12, 1975), as in
-    scipy.sparse.linalg.minres, with one of two SPD preconditioners.  By
-    default M = D (I - Laplacian)^(-alpha) D, D = (1 + |h|)^(-1/2), a
-    diagonal stand-in for the absolute-value preconditioner |H|^(-1)
-    (Vecharynski & Knyazev, SIAM J. Sci. Comput. 35, 2013) that sees a
-    potential wall far above the symbol; an iteration costs two transform
-    pairs, H v and M r2.  With ``shifted``, M = (A + s)^(-1) for
-    A = (I - Laplacian)^alpha and a pointwise s: A M r2 = r2 - s M r2, so
-    for v = M r2 / beta the Lanczos product H v = r2 / beta + (h - s) v
+    scipy.sparse.linalg.minres, with the SPD preconditioner M = (A + s)^(-1)
+    for A = (I - Laplacian)^alpha and a pointwise s: A M r2 = r2 - s M r2,
+    so for v = M r2 / beta the Lanczos product H v = r2 / beta + (h - s) v
     needs no transform.  On a 1-D even grid s = lam V and M is the dense
     K^{-1} (``ProblemSpec._riesz_inverse``): K^{-1} H is the identity minus
     a compact part, so the count does not grow with n.  Elsewhere
@@ -531,27 +532,21 @@ def _minres(spec, h, b, forcing, shifted=False):
     the loop.  Inner products are ``_dot``'s, the full grid's also on an
     EvenGrid, in which H and M stay symmetric.
     """
-    g, alpha = spec.grid, spec.alpha
-    if shifted and _direct(g):
+    g = spec.grid
+    if _direct(g):
         inverse, offset = spec._riesz_inverse, h - spec.lam * spec.V_field.values
         if inverse is None:
             return None, 0, "singular"
 
         def precondition(r):
             return inverse @ r
-    elif shifted:
+    else:
         sigma = _sum(g, np.abs(h)) / g.total_points
-        inverse = 1.0 / (g.symbol(alpha) + sigma)
+        inverse = 1.0 / (g.symbol(spec.alpha) + sigma)
         offset = h - sigma
 
         def precondition(r):
             return _filter(g, r, inverse)
-    else:
-        symbol, inverse = g.symbol(alpha), g.symbol(-alpha)
-        scale = 1.0 / np.sqrt(1.0 + np.abs(h))
-
-        def precondition(r):
-            return scale * _filter(g, scale * r, inverse)
     x = np.zeros_like(b)
     y = precondition(b)
     beta1 = _dot(g, b, y)
@@ -571,12 +566,8 @@ def _minres(spec, h, b, forcing, shifted=False):
         # Lanczos step: v = M r2 / beta, then y = H v - alfa/beta r2 - beta/oldb r1
         s = 1.0 / beta
         np.multiply(s, y, out=v)
-        if shifted:
-            np.multiply(s, r2, out=y)
-            y += np.multiply(offset, v, out=tmp)
-        else:
-            y = _filter(g, v, symbol)
-            y += np.multiply(h, v, out=tmp)
+        np.multiply(s, r2, out=y)
+        y += np.multiply(offset, v, out=tmp)
         if itn >= 2:
             y -= np.multiply(beta / oldb, r1, out=tmp)
         alfa = _dot(g, v, y)
@@ -610,7 +601,7 @@ def _newton_direction(spec, u, r, forcing):
     """Solve (D^2 Phi)(u) delta = -r; (delta, MINRES iterations, stop), delta None if the solve fails.
 
     ``_minres`` applies the Hessian matrix-free, preconditioned by its
-    shifted M, one product with M per iteration: the Hessian is symmetric
+    one M, one product with M per iteration: the Hessian is symmetric
     but indefinite at a saddle, where CG has no guarantee and GMRES keeps
     a long recurrence that symmetry makes short, while MINRES needs only
     symmetry and an SPD preconditioner.  It stops once
@@ -618,7 +609,7 @@ def _newton_direction(spec, u, r, forcing):
     a 1-D even grid M = K^{-1}, so that norm is the dual lam-norm
     <r, K^{-1} r>^(1/2).
     """
-    return _minres(spec, _hessian_diag(spec, u), -r, forcing, shifted=True)
+    return _minres(spec, _hessian_diag(spec, u), -r, forcing)
 
 
 def _polish(spec, u, e_u, r, rn, bessel, opts, trace):
@@ -665,12 +656,12 @@ def _polish(spec, u, e_u, r, rn, bessel, opts, trace):
 def _conjugate(spec, r, grad, slope, prev):
     """The Polak-Ribiere+ direction at residual r; (d, its slope <r, d>, beta).
 
-    ``grad`` ~ K^{-1} r is this row's lam-norm gradient and ``slope`` its
-    <r, grad>; ``prev`` holds the previous row's (gradient, slope,
+    ``grad`` = M r is this row's gradient (``_riesz_gradient``) and ``slope``
+    its <r, grad>; ``prev`` holds the previous row's (gradient, slope,
     direction), or is None on the first row.  d = grad + beta d_prev with
     beta = max(0, <r, grad - g_prev> / <r_prev, g_prev>) (Gilbert & Nocedal,
-    SIAM J. Optim. 2, 1992): since K grad ~ r, these are lam-inner products
-    of gradients, and beta costs two sums and no solve.  The denominator is
+    SIAM J. Optim. 2, 1992): M is symmetric, so these are M-inner products
+    of residuals, and beta costs two sums and no solve.  The denominator is
     the previous slope, positive or the descent would have handed over.  A
     d whose slope is not positive is no descent direction: the row
     restarts along grad with beta = 0.
@@ -692,11 +683,11 @@ def _nehari_solve(spec, u, level, bottom, opts):
     t(w) is the top of the fibering map, or with ``bottom`` its bottom;
     u must sit on that critical point of its own ray, at energy ``level``.
     Each row steps along the Polak-Ribiere+ direction of ``_conjugate``,
-    built on the lam-norm gradient, each trial placed on its own ray's
+    built on the gradient g = M r, each trial placed on its own ray's
     critical point before it is scored, so J never rises over accepted
     steps.  When the line search refuses every step along a conjugate
-    direction, the row retries along the gradient.  Once the gradient's
-    dual norm is at most HANDOVER_RATIO ||u||_lam, or a line search along
+    direction, the row retries along the gradient.  Once <r, g>^(1/2) is
+    at most HANDOVER_RATIO ||u||_lam, or a line search along
     the gradient refuses every step, Newton polishes the iterate, starting
     from the residual that the last row computed.  Descent entries have
     phase "ball" on the bottoms and "nehari" on the tops; a descent
@@ -720,9 +711,9 @@ def _nehari_solve(spec, u, level, bottom, opts):
     prev = None  # the previous row's (gradient, slope, direction)
     r, rn, bessel, norm = score(u)
     while len(trace) < DESCENT_MAX:
-        grad, slope, iters, stop = _riesz_gradient(spec, r)
-        entry = TraceEntry(len(trace), level, rn, step, phase, 0, krylov_iters=iters,
-                           krylov_stop=stop, norm_lam=norm)
+        grad, slope, stop = _riesz_gradient(spec, r)
+        entry = TraceEntry(len(trace), level, rn, step, phase, 0, krylov_stop=stop,
+                           norm_lam=norm)
         if slope <= (HANDOVER_RATIO * norm) ** 2:
             trace.append(entry)
             break

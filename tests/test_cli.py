@@ -106,11 +106,9 @@ def test_two_solutions_mode(tmp_path, well_result):
         # the stage summary's counts are sums over its trace file
         counts = {s["name"]: s["summary"] for s in rep["stages"]}[
             "mountain_pass" if trace == "trace.csv" else "local_min"]
-        steps_taken = [(b, int(row[iters])) for b, row in zip(betas, rows)
-                       if row[phase] == descent]
+        steps_taken = [b for b, row in zip(betas, rows) if row[phase] == descent]
         assert counts["descent_rows"] == len(steps_taken) > 0, trace
-        assert counts["conjugate_rows"] == sum(b > 0.0 for b, _ in steps_taken), trace
-        assert counts["gradient_krylov_iters"] == sum(n for _, n in steps_taken), trace
+        assert counts["conjugate_rows"] == sum(b > 0.0 for b in steps_taken), trace
         assert counts["newton_krylov_iters"] == sum(
             int(row[iters]) for row in rows if row[phase] == "polish"), trace
         # 1-D solves at n = 256 run on the even half

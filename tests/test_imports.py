@@ -206,6 +206,25 @@ def test_linalg_errors_caught_only_where_k_is_inverted():
     assert not found, "LinAlgError named outside problem.py: " + ", ".join(found)
 
 
+def test_minres_called_only_by_the_newton_direction():
+    # one Krylov loop and one caller: the descent's gradient is one
+    # preconditioner product, so only solvers._newton_direction runs _minres
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", None)
+            found += [f"{path.name}:{node.lineno} {owner}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_minres"
+                      and (path.name, owner) != ("solvers.py", "_newton_direction")]
+    assert not found, "_minres called outside _newton_direction: " + ", ".join(found)
+    solvers = ast.parse((PACKAGE / "solvers.py").read_text())
+    (direction,) = [top for top in solvers.body
+                    if getattr(top, "name", None) == "_newton_direction"]
+    assert any(getattr(node.func, "id", None) == "_minres"
+               for node in ast.walk(direction) if isinstance(node, ast.Call))
+
+
 def test_dct1_matrix_built_only_in_its_cached_build():
     # each EvenGrid builds its cosine matrix once, in grid._dct1_matrix, and
     # derives the backward one from it; no other grid function calls np.cos

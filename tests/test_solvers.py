@@ -303,13 +303,25 @@ def test_probe_in_higher_dims(cfg, eta):
 
 
 PLANE_2D = RunConfig(dim=2, n=48, box_length=15.0)
+# the 2-D steep well: its saddle search takes a conjugate step (beta > 0),
+# where the plane's descent takes gradient steps only
+STEEP_WELL_2D = RunConfig(dim=2, n=64, box_length=20.0, potential="well", lam=100.0, mu=0.05)
+
+
+def _saddle(cfg):
+    spec = build_spec(cfg)
+    probe = probe_geometry(spec)
+    return mountain_pass_solve(spec, probe.e, probe=probe)
 
 
 @pytest.fixture(scope="module")
 def plane_mp():
-    spec = build_spec(PLANE_2D)
-    probe = probe_geometry(spec)
-    return mountain_pass_solve(spec, probe.e, probe=probe)
+    return _saddle(PLANE_2D)
+
+
+@pytest.fixture(scope="module")
+def steep_well_mp():
+    return _saddle(STEEP_WELL_2D)
 
 
 class TestMountainPass:
@@ -336,16 +348,16 @@ class TestMountainPass:
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
 
-    def test_descent_trace_monotone(self, coercive_mp, plane_mp):
+    def test_descent_trace_monotone(self, coercive_mp, plane_mp, steep_well_mp):
         # every accepted step lowers J, so the descent entries never rise;
-        # the 2-D plane's descent steps along conjugate directions too
-        for report in (coercive_mp, plane_mp):
+        # the 2-D steep well's descent steps along a conjugate direction too
+        for report in (coercive_mp, plane_mp, steep_well_mp):
             levels = [t.energy for t in report.trace if t.phase == "nehari"]
             assert levels, "no descent entries recorded"
             assert all(b <= a for a, b in zip(levels, levels[1:]))
             phases = [t.phase for t in report.trace]
             assert phases == sorted(phases)  # the descent, then the polish
-        assert any(t.beta > 0.0 for t in plane_mp.trace)
+        assert any(t.beta > 0.0 for t in steep_well_mp.trace)
 
     def test_deterministic(self, coercive_spec, coercive_probe, coercive_mp):
         again = mountain_pass_solve(coercive_spec, coercive_probe.e,
@@ -714,8 +726,9 @@ def test_conjugate_direction_and_its_restart(coercive_spec):
 def test_refused_conjugate_search_retries_the_gradient(monkeypatch):
     # with every line search along a conjugate direction refused, each row
     # retries along its gradient from the same point and step: the run
-    # takes gradient steps only, records beta 0 on every row, and certifies
-    spec = build_spec(PLANE_2D)
+    # takes gradient steps only, records beta 0 on every row, and certifies;
+    # the 2-D steep well's saddle search is one that tries a conjugate step
+    spec = build_spec(STEEP_WELL_2D)
     probe = probe_geometry(spec)
     gradients, calls = [], []
     riesz, step = solvers._riesz_gradient, solvers._armijo_step
@@ -748,11 +761,12 @@ def test_refused_conjugate_search_retries_the_gradient(monkeypatch):
 
 
 # The Tier-1 2-D n=16 saddle search: (energy, residual_norm, step_size,
-# trials) of its descent entries, recorded with the lam-norm gradient.
+# trials) of its descent entries, recorded with the scaled-and-shifted
+# gradient M_c r.
 DESCENT_2D_TRACE = (
     (8.791369490887906, 6.4655000606142625, 1.0, 1),
-    (5.879688270372664, 1.3599421854826865, 2.0, 1),
-    (5.824345087000545, 1.0361210338881914, 4.0, 0),
+    (6.552001598017938, 3.225673221209565, 2.0, 1),
+    (5.7367234337165725, 0.18372366136522833, 4.0, 0),
 )
 
 
@@ -762,7 +776,7 @@ def test_descent_trace_2d_pinned():
     descent = [(t.energy, t.residual_norm, t.step_size, t.trials)
                for t in report.trace if t.phase == "nehari"]
     assert descent == list(DESCENT_2D_TRACE)
-    assert report.energy == 5.733592449945192
+    assert report.energy == 5.7335924499451965
 
 
 def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_ball,
@@ -990,11 +1004,11 @@ class TestTwoSolutions:
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945192, -2.484581071296184e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124027, -3.083581953340334e-11),
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.7335924499451965, -2.484581071296184e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124031, -3.083582144413578e-11),
     (RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
-     3.357013680409742, -2.8471659286480796e-08),
-    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.07007919114882, -9.833296806524985e-12),
+     3.357013680409742, -2.847165929010145e-08),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.070079191148835, -9.833296806524985e-12),
 ], ids=["2d", "3d", "2d-steep-well", "3d-n32"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     # the pins were recorded on one BLAS thread, like the 1-D ones, with
@@ -1014,8 +1028,8 @@ def _steep_well_on_the_krylov_route(n, saddle, minimizer):
     """The 2-D steep well (box 20, lam = 100, mu = 0.05) at n x n points, pinned.
 
     Every Newton solve is stopped by its forcing term and none at the
-    cap, and every descent entry records the MINRES iterations of its
-    gradient solve, also stopped by its forcing term.  The Morse index is
+    cap, and every descent entry's gradient is one product with M_c, no
+    MINRES iteration and stop "scaled".  The Morse index is
     not checked: the dense Hessian at these sizes is a 4096 x 4096
     eigenproblem or larger.
     """
@@ -1032,21 +1046,20 @@ def _steep_well_on_the_krylov_route(n, saddle, minimizer):
         assert polish[-1].krylov_iters == 0 and polish[-1].krylov_stop == ""
         # each polish row but the last accepted a Newton step, full or damped
         assert all(0.0 < t.step_size <= 1.0 for t in polish[:-1]) and polish[-1].step_size == 0.0
-        assert all(t.krylov_iters > 0 and t.krylov_stop == "forcing"
+        assert all((t.krylov_iters, t.krylov_stop) == (0, "scaled")
                    for t in report.trace if t.phase != "polish")
 
 
 def test_steep_well_on_the_krylov_route():
     # the pins were recorded on one BLAS thread, in the even subspace
-    _steep_well_on_the_krylov_route(64, 3.9546408552919083, -2.338150707753176e-08)
+    _steep_well_on_the_krylov_route(64, 3.9546408552919092, -2.3381507078050343e-08)
 
 
 def test_steep_well_certifies_at_n128():
-    # lam V = 5,000 on the wall: the gradient solve's scaled preconditioner
-    # sees it pointwise, the Newton solves' shift only as the mean of |h|,
-    # and every solve still stops short of the cap here; the n=256 saddle is
-    # 4.13223520
-    _steep_well_on_the_krylov_route(128, 4.131516190837433, -2.125687791829553e-08)
+    # lam V = 5,000 on the wall: the gradient's M_c sees it pointwise, the
+    # Newton solves' shift only as the mean of |h|, and every Newton solve
+    # still stops short of the cap here; the n=256 saddle is 4.13223520
+    _steep_well_on_the_krylov_route(128, 4.131516190837431, -2.1256877919264245e-08)
 
 
 def test_polish_that_leaves_its_basin_is_refused(well_spec):
@@ -1167,11 +1180,11 @@ def test_even_subspace_agrees_with_the_full_grid(cfg, full_grid_forward, fft_cal
 
 @pytest.mark.parametrize("case,saddle,minimizer", [
     ("odd n", 14.631529944143429, -1.6902557363020462e-11),
-    ("start is not even", 8.067966995871565, None),
+    ("start is not even", 8.067966995871563, None),
 ], ids=["odd-n", "start-not-even"])
 def test_full_grid_fallbacks_keep_their_results(case, saddle, minimizer):
-    # each solve the rule keeps on the full grid says why, and gives the
-    # results recorded before the even subspace, to the bit
+    # each solve the rule keeps on the full grid says why, and gives its
+    # pinned results, to the bit
     spec = build_spec(RunConfig(dim=2, n=15 if case == "odd n" else 16, box_length=15.0))
     probe = probe_geometry(spec)
     e = probe.e
@@ -1190,8 +1203,7 @@ def test_one_dimension_runs_on_the_even_half_up_to_its_bound(coercive_mp, coerci
     # both canonical 1-D problems (n = 256) solve on the even half; above
     # EVEN_1D_MAX_N a 1-D solve stays on the full grid, where its FFT is
     # cheaper than the DCT-I matrix, which EvenGrid refuses from n = 2048:
-    # the canonical well there certifies with the results recorded before
-    # any 1-D solve ran on the half grid, to the bit
+    # the canonical well there certifies with its pinned results, to the bit
     for report in (coercive_mp, coercive_ball, well_result.mountain_pass, well_result.local_min):
         assert (report.grid, report.grid_reason) == ("even", "")
         assert report.counts["grid"] == "even"
@@ -1204,8 +1216,8 @@ def test_one_dimension_runs_on_the_even_half_up_to_its_bound(coercive_mp, coerci
     assert r.success, r.failed_stage
     for report in (r.mountain_pass, r.local_min):
         assert (report.grid, report.grid_reason) == ("full", above)
-    assert r.mountain_pass.energy == 1.4777515661625635
-    assert r.local_min.energy == -1.0098925733263954e-07
+    assert r.mountain_pass.energy == 1.477751566162564
+    assert r.local_min.energy == -1.0098925733936096e-07
 
 
 def test_full_grid_recheck_refuses_a_residual_above_tol(monkeypatch):
@@ -1227,37 +1239,47 @@ def test_full_grid_recheck_refuses_a_residual_above_tol(monkeypatch):
 # gradient solve
 
 
-@pytest.mark.parametrize("make_spec", [
-    canonical_well_spec,
-    lambda: build_spec(RunConfig(dim=2, n=16, box_length=15.0)),
-    lambda: build_spec(RunConfig(dim=3, n=8, box_length=10.0, q=3.0)),
-    lambda: build_spec(RunConfig(dim=2, n=64, box_length=20.0, potential="well",
-                                 lam=100.0, mu=0.05)),
-], ids=["1d-well", "2d", "3d", "2d-steep-well"])
-def test_riesz_gradient_meets_its_tolerance(make_spec):
-    # MINRES on K = (I - Laplacian)^alpha + lam V stops once the M-norm of
-    # K d - r is RIESZ_FORCING of its start, M = D (I - Laplacian)^(-alpha) D
-    # with D = (1 + lam V)^(-1/2); from d = 0 the K-norm error falls, so
-    # ||d* - d||_K < ||d*||_K, which is <r, d> > ||d||_lam^2 / 2
-    spec = make_spec()
-    g, alpha = spec.grid, spec.alpha
+GRADIENT_SPECS = [canonical_well_spec, lambda: build_spec(RunConfig(dim=2, n=16, box_length=15.0)),
+                  lambda: build_spec(RunConfig(dim=3, n=8, box_length=10.0, q=3.0)),
+                  lambda: build_spec(STEEP_WELL_2D)]
+
+
+@pytest.mark.parametrize("make_spec,half", [(m, h) for h in (False, True) for m in GRADIENT_SPECS],
+                         ids=["1d-well", "2d", "3d", "2d-steep-well", "1d-well-half", "2d-half",
+                              "3d-half", "2d-steep-well-half"])
+def test_riesz_gradient_meets_its_tolerance(make_spec, half):
+    # off the 1-D half grid the gradient is d = M_c r, M_c = D (A + c)^(-1) D
+    # with A = (I - Laplacian)^alpha and D^2 = (1 + c) / (1 + c + lam V),
+    # here applied through full-lattice FFTs (on a half grid to the even
+    # extension of r); on the 1-D half grid d = K^{-1} r, K = A + lam V.
+    # Either M is SPD, so <r, d> > 0 for every r != 0
+    base = make_spec()
+    spec = base.even_half if half else base
+    g, full = spec.grid, base.grid
     weight = spec.lam * spec.V_field.values
-    M = _scaled_preconditioner(g, alpha, weight)
-    r = residual(spec, Field(g, 2.0 * np.exp(-g.radius_sq))).values
-    d, slope, iters, stop = solvers._riesz_gradient(spec, r)
-    res = _multiply(g, d, alpha) + weight * d - r
-    assert math.sqrt(np.vdot(res, M(res))) <= solvers.RIESZ_FORCING * math.sqrt(np.vdot(r, M(r)))
-    assert stop == "forcing"
-    assert 0 < iters <= 20
-    assert slope > 0.5 * _norm_lam(spec, Field(g, d)) ** 2 > 0.0
+    M = _scaled_shifted_preconditioner(full, base.alpha, base.lam * base.V_field.values,
+                                       solvers.GRADIENT_SHIFT)
+    rng = np.random.default_rng(g.dim)
+    bump = _residual_values(spec, 2.0 * np.exp(-g.radius_sq))
+    for r in (bump, *rng.standard_normal((3,) + g.shape)):
+        d, slope, stop = solvers._riesz_gradient(spec, r)
+        if half and g.dim == 1:
+            assert stop == "direct"
+            image = _multiply(g, d, spec.alpha) + weight * d
+            assert np.linalg.norm(image - r) <= 1e-10 * np.linalg.norm(r)
+        else:
+            assert stop == "scaled"
+            ref = _restrict(full, M(_extend(full, r))) if half else M(r)
+            assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert slope == solvers._integral(g, r * d) > 0.0
 
 
 def test_descent_entries_count_their_gradient_solve(well_result, coercive_mp, coercive_ball):
     # every row of a canonical 1-D solve records its solve: on the even half
     # the gradient is direct, 0 MINRES iterations, and each Newton direction
     # is MINRES preconditioned by K^{-1}, stopped by its forcing term (the
-    # 2-D steep-well tests count the gradient's Krylov route); the polish
-    # row that stops at tol solves nothing
+    # 2-D steep-well tests read the gradient's M_c route); the polish row
+    # that stops at tol solves nothing
     for report in (well_result.mountain_pass, well_result.local_min, coercive_mp, coercive_ball):
         assert report.grid == "even"
         rows = [(t.krylov_iters, t.krylov_stop) for t in report.trace if t.phase != "polish"]
@@ -1265,7 +1287,6 @@ def test_descent_entries_count_their_gradient_solve(well_result, coercive_mp, co
         polish = [(t.krylov_iters, t.krylov_stop) for t in report.trace if t.phase == "polish"]
         assert all(n >= 1 and stop == "forcing" for n, stop in polish[:-1]), polish
         assert polish[-1] == (0, ""), polish
-        assert report.counts["gradient_krylov_iters"] == 0
         assert report.counts["newton_krylov_iters"] == sum(n for n, _ in polish) > 0
 
 
@@ -1278,31 +1299,29 @@ def _canonical_at(make_spec, n):
     (canonical_coercive_spec, ((2, 5, 16, 0), (1, 2, 3, 0)), (15, 10), ""),
     (canonical_well_spec, ((2, 4, 13, 0), (2, 3, 6, 0)), (17, 11), ""),
     (lambda: _canonical_at(canonical_coercive_spec, 255),
-     ((2, 5, 116, 7), (1, 2, 21, 4)), (180, 175), "odd n"),
+     ((2, 5, 107, 0), (1, 2, 21, 0)), (149, 144), "odd n"),
     (lambda: _canonical_at(canonical_well_spec, 512),
-     ((2, 5, 160, 19), (2, 3, 81, 25)), (355, 349), "dim 1, n above 416"),
+     ((3, 6, 152, 0), (5, 3, 95, 1)), (290, 277), "dim 1, n above 416"),
     (lambda: build_spec(RunConfig(dim=2, n=48, box_length=15.0)),
-     ((5, 5, 53, 18), (1, 2, 8, 4)), (140, 129), ""),
-    (lambda: build_spec(RunConfig(dim=2, n=64, box_length=20.0, potential="well",
-                                  lam=100.0, mu=0.05)),
-     ((3, 6, 149, 21), (2, 3, 67, 19)), (329, 322), ""),
-    (lambda: build_spec(RunConfig(dim=2, n=128, box_length=20.0, potential="well",
-                                  lam=100.0, mu=0.05)),
-     ((3, 5, 252, 24), (2, 3, 146, 24)), (525, 518), ""),
+     ((4, 6, 67, 0), (1, 2, 8, 0)), (106, 99), ""),
+    (lambda: build_spec(STEEP_WELL_2D), ((4, 6, 129, 1), (8, 3, 40, 1)), (230, 209), ""),
+    (lambda: build_spec(replace(STEEP_WELL_2D, n=128)),
+     ((6, 5, 236, 1), (6, 3, 139, 3)), (436, 413), ""),
     (lambda: build_spec(RunConfig(dim=3, n=16, box_length=10.0, q=3.0)),
-     ((5, 5, 49, 20), (1, 3, 17, 4)), (150, 140), ""),
+     ((4, 5, 52, 0), (1, 3, 17, 0)), (100, 93), ""),
     (lambda: build_spec(RunConfig(dim=3, n=32, box_length=10.0, q=3.0)),
-     ((3, 6, 66, 11), (1, 3, 17, 4)), (143, 137), ""),
+     ((3, 7, 71, 0), (1, 3, 17, 0)), (121, 115), ""),
 ], ids=["coercive", "well", "coercive-full-255", "well-full-512", "plane_2d", "2d-steep-well",
         "2d-steep-well-128", "3d", "3d-32"])
 def test_solver_work_is_pinned(make_spec, solves, transforms, reason, fft_calls):
-    # (descent rows, polish rows, Newton MINRES iterations, gradient MINRES
-    # iterations) of each solve, saddle then minimizer, and the run's
-    # (forward, inverse) transforms on a fresh problem; in 1-D the build of
-    # the dense (I - Laplacian)^alpha behind K^{-1} transforms nothing, so a
-    # fresh half-grid run counts as a warm one.  The two 1-D full-grid runs
-    # are the only 1-D ones whose gradient is a MINRES solve.  A rise in any
-    # count is a regression of the solvers' cost in that dimension
+    # (descent rows, polish rows, Newton MINRES iterations, conjugate rows)
+    # of each solve, saddle then minimizer, and the run's (forward, inverse)
+    # transforms on a fresh problem; in 1-D the build of the dense
+    # (I - Laplacian)^alpha behind K^{-1} transforms nothing, so a fresh
+    # half-grid run counts as a warm one.  No gradient runs a Krylov loop:
+    # each is one product with K^{-1} on the 1-D half grid and with M_c
+    # elsewhere.  A rise in any count is a regression of the solvers' cost
+    # in that dimension
     fft_calls.clear()
     r = two_solution_experiment(make_spec())
     assert r.success, r.failed_stage
@@ -1310,7 +1329,8 @@ def test_solver_work_is_pinned(make_spec, solves, transforms, reason, fft_calls)
         c = report.counts
         rows = sum(t.phase == "polish" for t in report.trace)
         assert (c["descent_rows"], rows, c["newton_krylov_iters"],
-                c["gradient_krylov_iters"]) == pinned
+                c["conjugate_rows"]) == pinned
+        assert {t.krylov_iters for t in report.trace if t.phase != "polish"} == {0}
         assert (report.grid, report.grid_reason) == ("full" if reason else "even", reason)
     assert (fft_calls["_rfft"], fft_calls["_irfft"]) == transforms
 
@@ -1431,8 +1451,8 @@ def test_direct_riesz_gradient_matches_minres(make_spec):
     g = half.grid
     for name, u in states.items():
         r = _residual_values(half, u)
-        d, slope, iters, stop = solvers._riesz_gradient(half, r)
-        assert (iters, stop) == (0, "direct"), name
+        d, slope, stop = solvers._riesz_gradient(half, r)
+        assert stop == "direct", name
         ref, _, ref_stop = _minres(half, half.lam * half.V_field.values, r, 1e-13)
         assert ref_stop == "forcing", name
         assert np.linalg.norm(d - ref) <= 1e-11 * np.linalg.norm(ref), name
@@ -1456,8 +1476,8 @@ def test_singular_direct_solves_fail(monkeypatch):
         m.setattr(np.linalg, "inv", lambda a: inversions.update(["inv"]) or inv(a))
         refused = replace(half)
         for _ in range(3):
-            d, slope, iters, stop = solvers._riesz_gradient(refused, r)
-            assert (slope, iters, stop) == (0.0, 0, "singular") and not np.any(d)
+            d, slope, stop = solvers._riesz_gradient(refused, r)
+            assert (slope, stop) == (0.0, "singular") and not np.any(d)
             assert _newton_direction(refused, u, r, 0.1) == (None, 0, "singular")
         assert refused._riesz_inverse is None
     assert inversions["inv"] == 1
@@ -1471,7 +1491,7 @@ def test_singular_direct_solves_fail(monkeypatch):
 
 def test_minres_refuses_an_x_that_is_not_finite():
     # a system whose solution lies past the float range: M = diag(1, 1e300,
-    # 1, ...) stands in for K^{-1}, and h sets the shifted product's H to
+    # 1, ...) stands in for K^{-1}, and h sets the Lanczos product's H to
     # M^{-1} + diag(h - lam V), whose entry 1 is 1e-300 2^-52.  One
     # iteration meets the forcing term with x_1 about 4e318, which
     # overflows; the solve returns None and keeps the stop "forcing"
@@ -1484,25 +1504,31 @@ def test_minres_refuses_an_x_that_is_not_finite():
     b = np.zeros_like(weight)
     b[1] = 1e3
     with np.errstate(over="ignore"):
-        assert _minres(dense, h, b, 0.1, shifted=True) == (None, 1, "forcing")
+        assert _minres(dense, h, b, 0.1) == (None, 1, "forcing")
 
 
 def test_minres_gradient_that_is_not_finite_is_refused(monkeypatch):
-    # a gradient d that is not finite, from either route, is a failed
-    # solve: d = 0 with slope 0, not a slope of nan
+    # a gradient d that is not finite, from either route, M_c or the 1-D
+    # half grid's K^{-1}, is refused as a singular one: d = 0 with slope 0,
+    # not a slope of nan
     spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
     r = residual(spec, Field(spec.grid, 2.0 * np.exp(-spec.grid.radius_sq))).values
-    monkeypatch.setattr(solvers, "_minres", lambda *args, **kw: (np.full_like(r, np.inf), 3,
-                                                                   "forcing"))
-    d, slope, iters, stop = solvers._riesz_gradient(spec, r)
-    assert (slope, iters, stop) == (0.0, 3, "forcing") and not np.any(d)
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_filter", lambda grid, v, symbol: np.full_like(v, np.inf))
+        d, slope, stop = solvers._riesz_gradient(spec, r)
+    assert (slope, stop) == (0.0, "singular") and not np.any(d)
+    half, states = _half_states(canonical_well_spec)
+    broken = replace(half)
+    broken.__dict__["_riesz_inverse"] = np.full_like(half._riesz_inverse, np.inf)
+    with np.errstate(invalid="ignore"):
+        d, slope, stop = solvers._riesz_gradient(broken, _residual_values(half, states["bump"]))
+    assert (slope, stop) == (0.0, "singular") and not np.any(d)
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(dim=2, n=16, box_length=15.0),
                                  RunConfig(dim=3, n=8, box_length=10.0, q=3.0)],
                          ids=["2d", "3d"])
-@pytest.mark.parametrize("shifted", [False, True], ids=["scaled", "shifted"])
-def test_minres_breaks_down_where_beta_leaves_the_float_range(cfg, shifted):
+def test_minres_breaks_down_where_beta_leaves_the_float_range(cfg):
     # at these scales beta1^2 = <b, M b> overflows to inf or reads nan; a
     # beta^2 that is not finite stops the solve with "breakdown" before
     # anything divides by it
@@ -1510,24 +1536,24 @@ def test_minres_breaks_down_where_beta_leaves_the_float_range(cfg, shifted):
     u = 2.0 * np.exp(-spec.grid.radius_sq)
     r, h = _residual_values(spec, u), _hessian_diag(spec, u)
     for scale in (1e155, 1e160):
-        assert _minres(spec, h, scale * r, 0.1, shifted=shifted) == (None, 0, "breakdown"), scale
+        assert _minres(spec, h, scale * r, 0.1) == (None, 0, "breakdown"), scale
 
 
 def test_capped_minres_solve_shows_in_the_trace(monkeypatch):
     # a MINRES solve stopped at the cap still reads the iterations it spent
-    # (uncapped: 3-4 per gradient solve and 8-20 per Newton solve, each
-    # stopped by its forcing term, so a cap of 1 caps them all); the cap is
-    # read at call time.  A capped gradient solve returns slope 0, which hands
-    # the descent over to the polish at once, and a capped Newton solve
-    # refuses the step, which ends the polish
-    spec = build_spec(RunConfig(dim=2, n=48, box_length=15.0))
+    # (uncapped: 8-20 per Newton solve, each stopped by its forcing term, so
+    # a cap of 1 caps them all); the cap is read at call time.  The descent
+    # runs no MINRES, so it is untouched: its 4 rows step along M_c r.  The
+    # first capped Newton solve refuses the step, which ends the polish
+    spec = build_spec(PLANE_2D)
     monkeypatch.setattr(solvers, "MINRES_MAXITER", 1)
     probe = probe_geometry(spec)
     report = mountain_pass_solve(spec, probe.e, probe=probe)
     descent = [t for t in report.trace if t.phase == "nehari"]
-    assert len(descent) == 1 and (descent[0].krylov_iters, descent[0].krylov_stop) == (1, "cap")
+    assert len(descent) == 4 and {(t.krylov_iters, t.krylov_stop) for t in descent} == {
+        (0, "scaled")}
     polish = [t for t in report.trace if t.phase == "polish"]
-    assert [t.phase for t in report.trace] == ["nehari", "polish"]
+    assert [t.phase for t in report.trace] == ["nehari"] * 4 + ["polish"]
     assert polish and all(t.krylov_iters == 1 and t.krylov_stop == "cap" for t in polish)
     assert polish[-1].step_size == 0.0
     assert not report.converged
@@ -1541,20 +1567,19 @@ SMALL_GRIDS = [RunConfig(dim=1, n=64, box_length=20.0, potential="well"),
 
 @pytest.mark.parametrize("cfg", SMALL_GRIDS, ids=["1d", "2d", "3d"])
 def test_minres_pieces_are_symmetric_with_positive_preconditioner(cfg):
-    # MINRES needs H symmetric and both preconditioners, the gradient
-    # solve's D (I - Laplacian)^(-alpha) D and the Newton solves'
+    # MINRES needs H symmetric and its preconditioner, the Newton solves'
     # ((I - Laplacian)^alpha + mean |h|)^(-1), symmetric positive definite,
+    # as the descent's M_c = D ((I - Laplacian)^alpha + c)^(-1) D must be,
     # and the multiplier pair must invert
     spec = build_spec(cfg)
     g, alpha = spec.grid, spec.alpha
     h = _hessian_diag(spec, 2.0 * np.exp(-g.radius_sq))
-    scale = 1.0 / np.sqrt(1.0 + np.abs(h))
     shifted = 1.0 / (g.symbol(alpha) + np.mean(np.abs(h)))
 
     def H(v):
         return _multiply(g, v, alpha) + h * v
 
-    preconditioners = (lambda v: scale * _filter(g, scale * v, g.symbol(-alpha)),
+    preconditioners = (lambda v: solvers._riesz_gradient(spec, v)[0],
                        lambda v: _filter(g, v, shifted))
     rng = np.random.default_rng(cfg.dim)
     for _ in range(5):
@@ -1570,8 +1595,8 @@ def test_minres_pieces_are_symmetric_with_positive_preconditioner(cfg):
 @pytest.mark.parametrize("cfg", SMALL_GRIDS, ids=["1d", "2d", "3d"])
 def test_minres_transform_pairs_per_iteration(cfg, fft_calls):
     # a Newton solve pays one transform pair for M b and one per iteration,
-    # for M r2, and forms H v without a transform; a gradient solve pays a
-    # second pair per iteration, for H v
+    # for M r2, and forms H v without a transform; a gradient off the 1-D
+    # half grid is one pair, for M_c r
     spec = build_spec(cfg)
     u = 2.0 * np.exp(-spec.grid.radius_sq)
     r = residual(spec, Field(spec.grid, u)).values
@@ -1579,8 +1604,8 @@ def test_minres_transform_pairs_per_iteration(cfg, fft_calls):
     _, iters, _ = _newton_direction(spec, u, r, 1e-6)
     assert iters > 0 and fft_calls == {"_rfft": iters + 1, "_irfft": iters + 1}
     fft_calls.clear()
-    _, _, iters, _ = solvers._riesz_gradient(spec, r)
-    assert iters > 0 and fft_calls == {"_rfft": 2 * iters + 1, "_irfft": 2 * iters + 1}
+    _, _, stop = solvers._riesz_gradient(spec, r)
+    assert stop == "scaled" and fft_calls == {"_rfft": 1, "_irfft": 1}
 
 
 @pytest.mark.parametrize("cfg", SMALL_GRIDS, ids=["1d", "2d", "3d"])
@@ -1604,10 +1629,11 @@ def test_shifted_lanczos_product_is_the_hessian(cfg):
         assert np.linalg.norm(free - full) <= 1e-12 * np.linalg.norm(full)
 
 
-def _scaled_preconditioner(g, alpha, pointwise):
-    """v -> D (I - Laplacian)^(-alpha) D v with D = (1 + |pointwise|)^(-1/2), on arrays."""
-    scale = 1.0 / np.sqrt(1.0 + np.abs(pointwise))
-    return lambda v: scale * _multiply(g, scale * v, -alpha)
+def _scaled_shifted_preconditioner(g, alpha, weight, c):
+    """v -> D ((I - Laplacian)^alpha + c)^(-1) D v, D^2 = (1 + c) / (1 + c + weight), full FFTs."""
+    scale = np.sqrt((1.0 + c) / (1.0 + c + weight))
+    symbol = (1.0 + full_freq_sq(g)) ** alpha + c
+    return lambda v: scale * np.fft.ifftn(np.fft.fftn(scale * v) / symbol).real
 
 
 def _shifted_preconditioner(g, alpha, pointwise):
@@ -1616,20 +1642,20 @@ def _shifted_preconditioner(g, alpha, pointwise):
     return lambda v: np.fft.ifftn(np.fft.fftn(v) / symbol).real
 
 
-def _krylov_system(cfg, shifted=False):
+def _krylov_system(cfg, riesz=False):
     """(spec, h, b, H, M): a Newton system at 2 exp(-|x|^2) and its operators on arrays.
 
-    M is the gradient solve's scaled preconditioner, or with ``shifted``
-    the Newton solves' shifted one.
+    With ``riesz`` H is the symmetric positive definite
+    K = (I - Laplacian)^alpha + lam V in place of the Hessian.  M is
+    ``_minres``'s preconditioner.
     """
     spec = build_spec(cfg)
     g, alpha = spec.grid, spec.alpha
     u = 2.0 * np.exp(-g.radius_sq)
-    h = _hessian_diag(spec, u)
+    h = spec.lam * spec.V_field.values if riesz else _hessian_diag(spec, u)
     b = -residual(spec, Field(g, u)).values
-    precondition = _shifted_preconditioner if shifted else _scaled_preconditioner
     return (spec, h, b, (lambda v: _multiply(g, v, alpha) + h * v),
-            precondition(g, alpha, h))
+            _shifted_preconditioner(g, alpha, h))
 
 
 def _scipy_minres(g, b, H, M, iters):
@@ -1654,8 +1680,8 @@ KRYLOV_GRIDS = [RunConfig(dim=2, n=64, box_length=15.0),
 @pytest.mark.parametrize("cfg", KRYLOV_GRIDS, ids=["2d", "3d"])
 def test_minres_matches_scipy(cfg):
     # _minres is SciPy's recurrence with the same preconditioner: the same
-    # iterate after the same number of steps
-    spec, h, b, H, M = _krylov_system(cfg)
+    # iterate after the same number of steps, here on the positive definite K
+    spec, h, b, H, M = _krylov_system(cfg, riesz=True)
     delta, iters, stop = _minres(spec, h, b, 1e-10)
     assert stop == "forcing"
     ref = _scipy_minres(spec.grid, b, H, M, iters)
@@ -1669,8 +1695,8 @@ def test_shifted_minres_matches_scipy(cfg):
     # solver's symbols, so agreement also checks the transform-free product;
     # on the 1-D steep well the two iterates part by 3e-11 relative after
     # the 31 steps of forcing 1e-10 (2e-8 after the 25 of forcing 1e-6)
-    spec, h, b, H, M = _krylov_system(cfg, shifted=True)
-    delta, iters, stop = _minres(spec, h, b, 1e-10, shifted=True)
+    spec, h, b, H, M = _krylov_system(cfg)
+    delta, iters, stop = _minres(spec, h, b, 1e-10)
     assert stop == "forcing"
     ref = _scipy_minres(spec.grid, b, H, M, iters)
     assert np.linalg.norm(delta.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
