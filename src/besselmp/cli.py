@@ -142,7 +142,7 @@ def _verify_stages(cfg, out):
 
 
 def _kernel_table_stages(cfg, out):
-    from .kernels import bessel_kernel  # SciPy quadrature; only this mode imports it
+    from .kernels import bessel_kernel  # needs SciPy; only this mode imports it
 
     def table():
         buf = io.StringIO()
@@ -170,7 +170,10 @@ def run(cfg: RunConfig) -> RunReport:
     if cfg.mode not in _MODE_STAGES:
         raise ConfigError([f"mode: unknown mode {cfg.mode!r}"])
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # a file in the way, or no permission
+        raise ConfigError([f"out_dir: cannot create directory {out}: {err.strerror}"]) from err
     stages: list[StageResult] = []
     t0 = time.perf_counter()
     for name, ok, summary in _MODE_STAGES[cfg.mode](cfg, out):
@@ -210,12 +213,12 @@ def main(argv=None) -> int:
     try:
         text = Path(args.config).read_text() if args.config is not None else ""
         cfg = parse_config(text, **overrides)
+        report = run(cfg)
     except ConfigError as err:
         for line in err.errors:
             print(f"config error: {line}", file=sys.stderr)
         return 2
 
-    report = run(cfg)
     for stage in report.stages:
         flag = "PASS" if stage.passed else "FAIL"
         print(f"[{flag}] {stage.name} ({stage.wall_seconds:.2f}s)")

@@ -52,6 +52,7 @@ def load_field(path) -> Field:
         raise ValueError(f"truncated header: file ends at byte {len(blob)}")
     lengths = struct.unpack_from(f"<{dim}d", blob, off)
     off += 8 * dim
+    grid = Grid(dim=dim, n=n, box_length=lengths[0])  # first: NaN equals no length, not even NaN
     if any(L != lengths[0] for L in lengths):
         raise ValueError(f"per-axis box lengths disagree: {lengths}")
     count = n**dim
@@ -63,4 +64,4 @@ def load_field(path) -> Field:
     values = values.reshape((n,) * dim).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("payload contains non-finite values")
-    return Field(Grid(dim=dim, n=n, box_length=lengths[0]), values)
+    return Field(grid, values)

@@ -909,7 +909,7 @@ def assess_levels(probe, mp, ball, distinct_tol: float):
     if not ball.energy < 0.0 < probe.eta < mp.energy:
         return False, distinctness, "levels: ordering m < 0 < eta < c failed"
     if distinctness <= distinct_tol:
-        return False, distinctness, "solutions are not distinct"
+        return False, distinctness, "levels: solutions are not distinct"
     return True, distinctness, None
 
 

@@ -303,6 +303,27 @@ def test_kernel_table_mode(tmp_path, capsys):
     assert "radius,alpha,dim,G_value,est_error" in stdout
 
 
+@pytest.mark.parametrize("text,what", [
+    ("kernel_alphas = 400\n", "order=400.0, dim=1 overflows"),
+    ("kernel_radii = 1000\n", "radius=1000.0, order=0.5, dim=1 underflows"),
+])
+def test_kernel_outside_the_float_range_fails_its_stage(tmp_path, capsys, text, what):
+    out = tmp_path / "out"
+    assert main(["kernel-table", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 1
+    (stage,) = _report(out)["stages"]
+    assert stage["name"] == "kernel_table" and not stage["passed"]
+    assert stage["summary"]["error"].startswith("ValueError: the kernel at radius=")
+    assert what in stage["summary"]["error"]
+
+
+def test_out_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    taken = _write(tmp_path, "not a directory\n", name="taken")
+    assert main(["kernel-table", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: out_dir: cannot create directory "
+                                              f"{taken}: ")
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "alpha = 2.0\nwat = 3\n")
     rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -127,6 +127,18 @@ def test_non_finite_payload_rejected(tmp_path):
         load_field(path)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nan_box_length_rejected_as_a_box_length(tmp_path, dim):
+    # NaN equals no length, not even NaN, so the per-axis check alone would misname it
+    g = Grid(dim, 16, 8.0)
+    blob = bytearray(_saved(tmp_path, Field(g, np.zeros(g.shape))).read_bytes())
+    struct.pack_into(f"<{dim}d", blob, 17, *[float("nan")] * dim)
+    path = tmp_path / "nan_length.bmpf"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="box_length must be positive and finite, got nan"):
+        load_field(path)
+
+
 def test_axis_length_mismatch_rejected(tmp_path):
     g = Grid(2, 16, 8.0)
     blob = bytearray(_saved(tmp_path, Field(g, np.zeros((16, 16)))).read_bytes())

@@ -1,6 +1,6 @@
 """SciPy stays off the import path: a solve or a verify run loads no SciPy module.
 
-Only ``besselmp.kernels`` (quadrature and special functions) needs SciPy;
+Only ``besselmp.kernels`` (Bessel functions and quadrature) needs SciPy;
 its names are imported from it alone, and the kernel-table mode imports it
 when it runs.  Each guard runs in a fresh interpreter, since the test
 process has SciPy loaded already.
@@ -20,9 +20,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 KERNEL_NAMES = ("KernelEval", "bessel_kernel", "calibrate_pointwise_constant", "pointwise_apply")
 
 # sha256 of kernel_table.csv from ``bessel-mp kernel-table`` with the default
-# config, recorded (SciPy 1.17.1) while besselmp.kernels was still imported
-# with the package
-KERNEL_TABLE_SHA256 = "867b2f68dd1d388a6c2398b2cac3a3aad9131cfd6d28e8255de93da6302b13a8"
+# config, recorded (SciPy 1.17.1) when bessel_kernel took its closed form in
+# K_nu; each G_value is within 6.6e-14 relative of the quadrature it replaced
+KERNEL_TABLE_SHA256 = "52d5c36ebcd3f7d250d0916996feadae4cb29e0dc4395c3e85f1ccf341e83368"
 
 _REPORT = """
 import sys

@@ -1,4 +1,4 @@
-"""Kernel quadrature and the real-space operator route."""
+"""The closed-form kernel and the real-space operator route."""
 
 import math
 
@@ -7,13 +7,18 @@ import pytest
 from scipy import special
 
 from besselmp import Field, Grid, apply_multiplier
-from besselmp.kernels import bessel_kernel, calibrate_pointwise_constant, pointwise_apply
+from besselmp.kernels import (
+    KERNEL_REL_ERROR,
+    bessel_kernel,
+    calibrate_pointwise_constant,
+    pointwise_apply,
+)
 
 
 def closed_kernel(r, order, dim):
-    """Independent closed form via K_nu, used as the quadrature oracle.
+    """The closed form written independently, with nu = |dim - order|/2:
 
-    G(r) = K_{(dim-order)/2}(r) r^{(order-dim)/2}
+    G(r) = K_nu(r) r^{(order-dim)/2}
            / (2^{(dim+order-2)/2} pi^{dim/2} Gamma(order/2)).
     """
     nu = abs(0.5 * (dim - order))
@@ -25,12 +30,39 @@ def closed_kernel(r, order, dim):
 # ---------------------------------------------------------------------------
 # bessel_kernel
 
+# orders whose nu = (dim - order)/2 is +-1/2, where K_nu reduces to an exponential
+EXPONENTIAL_CASES = {
+    (1, 2.0): lambda r: 0.5 * math.exp(-r),
+    (2, 1.0): lambda r: math.exp(-r) / (2.0 * math.pi * r),
+    (2, 3.0): lambda r: math.exp(-r) / (2.0 * math.pi),
+    (3, 2.0): lambda r: math.exp(-r) / (4.0 * math.pi * r),
+    (3, 4.0): lambda r: math.exp(-r) / (8.0 * math.pi),
+}
 
-def test_kernel_order_two_is_half_exp():
-    for r in (0.25, 0.5, 1.0, 2.0, 4.0):
-        k = bessel_kernel(r, 2.0, 1)
-        assert k.value == pytest.approx(0.5 * math.exp(-r), rel=1e-9)
-        assert k.est_error < 1e-8 * k.value
+# (dim, order, radius) -> value, from the t-integral's closed form in
+# 30-digit arithmetic (mpmath), at radii where adaptive quadrature of the
+# t-integral misreports or fails
+REFERENCES = {
+    (1, 1.5, 1e-4): 0.82664799883217631554,
+    (1, 0.5, 1e-4): 39.512848290610360709,
+    (2, 0.5, 1e-6): 76074279.756440492016,
+    (3, 0.5, 1e-3): 1003921.5527452726061,
+    (3, 0.25, 1e-3): 3168507.1392578023153,
+}
+
+
+@pytest.mark.parametrize("dim,order", list(EXPONENTIAL_CASES))
+def test_kernel_half_integer_cases_are_exponentials(dim, order):
+    for r in (1e-6, 0.25, 1.0, 4.0, 50.0):
+        k = bessel_kernel(r, order, dim)
+        assert k.value == pytest.approx(EXPONENTIAL_CASES[dim, order](r), rel=1e-12)
+        assert k.est_error == KERNEL_REL_ERROR * k.value
+
+
+@pytest.mark.parametrize("point", list(REFERENCES), ids=str)
+def test_kernel_matches_30_digit_references(point):
+    dim, order, radius = point
+    assert bessel_kernel(radius, order, dim).value == pytest.approx(REFERENCES[point], rel=1e-12)
 
 
 @pytest.mark.parametrize("order,dim", [
@@ -38,9 +70,9 @@ def test_kernel_order_two_is_half_exp():
     (2.0, 2), (2.5, 2), (3.0, 3), (4.0, 3),
 ])
 def test_kernel_matches_closed_form(order, dim):
-    for r in (0.25, 1.0, 3.0):
+    for r in (1e-8, 0.25, 1.0, 3.0, 300.0):
         got = bessel_kernel(r, order, dim).value
-        assert got == pytest.approx(closed_kernel(r, order, dim), rel=1e-8)
+        assert got == pytest.approx(closed_kernel(r, order, dim), rel=1e-12)
 
 
 def test_kernel_positive_and_decreasing():
@@ -67,6 +99,16 @@ def test_kernel_input_validation():
         bessel_kernel(1.0, 2.0, 4)
 
 
+@pytest.mark.parametrize("radius,order,dim,what", [
+    (1.0, 400.0, 1, "overflows"),    # Gamma(200) and K_199.5(1) are past the float range
+    (1.0, 300.0, 1, "overflows"),    # K_149.5(1) is
+    (1000.0, 0.5, 1, "underflows"),  # K_nu(1000) ~ exp(-1000)
+])
+def test_kernel_refuses_values_outside_the_float_range(radius, order, dim, what):
+    with pytest.raises(ValueError, match=rf"radius={radius}, order={order}, dim={dim} {what}"):
+        bessel_kernel(radius, order, dim)
+
+
 def test_convolution_duality():
     """Convolving with the kernel of order 2*alpha inverts the multiplier.
 
@@ -78,7 +120,7 @@ def test_convolution_duality():
     disp = h * np.arange(n_fine)
     disp = np.where(disp > 0.5 * L, disp - L, disp)
     r = np.maximum(np.abs(disp), 1e-9)
-    kernel = closed_kernel(r, 2.0 * alpha, 1)
+    kernel = np.array([bessel_kernel(x, 2.0 * alpha, 1).value for x in r])
     u_fine = np.exp(-(-0.5 * L + h * np.arange(n_fine)) ** 2)
     conv = np.fft.ifft(np.fft.fft(u_fine) * np.fft.fft(kernel)).real * h
 

@@ -1141,7 +1141,7 @@ def test_assess_levels_verdicts(well_result):
     assert dist == well_result.distinctness
 
     ok, _, failure = assess_levels(probe, mp, ball, distinct_tol=10.0)
-    assert not ok and "not distinct" in failure
+    assert not ok and failure == "levels: solutions are not distinct"
 
     # feeding the minimizer in as the saddle breaks the ordering
     ok, _, failure = assess_levels(probe, ball, ball, distinct_tol=1e-3)
