@@ -191,6 +191,14 @@ def run(cfg: RunConfig) -> RunReport:
     return report
 
 
+def _read_config(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:  # missing, a directory, not UTF-8
+        reason = getattr(err, "strerror", err)
+        raise ConfigError([f"config: cannot read {path}: {reason}"]) from err
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bessel-mp",
@@ -211,7 +219,7 @@ def main(argv=None) -> int:
     if args.out is not None:
         overrides["out_dir"] = str(args.out)
     try:
-        text = Path(args.config).read_text() if args.config is not None else ""
+        text = _read_config(args.config) if args.config is not None else ""
         cfg = parse_config(text, **overrides)
         report = run(cfg)
     except ConfigError as err:

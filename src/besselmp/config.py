@@ -57,7 +57,7 @@ class RunConfig:
     # configured potential family (the sublevel bound needs a well)
     checks: tuple[str, ...] = ("auto",)
     b: float = 10.0
-    # ignored: kept for callers that still pass it
+    # ignored, trials and beta alike: kept for callers that still pass them
     trials: int = 100
     tau: float = 1.5
     beta: float | None = None
@@ -81,7 +81,7 @@ def _raw_pairs(text, errors):
         pairs = []
 
         def hook(items):
-            pairs.extend(items)
+            pairs[:] = items  # objects close innermost first: the outermost is last
             return dict(items)
 
         try:
@@ -89,7 +89,7 @@ def _raw_pairs(text, errors):
         except json.JSONDecodeError as err:
             errors.append(f"invalid JSON: {err}")
             return []
-        return [(k, v) for k, v in pairs]
+        return pairs
     pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -117,6 +117,9 @@ def _coerce(key, value, errors):
                 errors.append(f"{key}: expected numbers, got {item!r}")
                 return None
         return tuple(out)
+    if isinstance(value, (dict, list)):
+        errors.append(f"{key}: expected one value, got {value!r}")
+        return None
     if tp is str:
         return str(value)
     try:
@@ -136,8 +139,6 @@ def _validate(cfg: RunConfig, errors) -> None:
     for name in ("distinct_tol", "b"):
         if not 0 < getattr(cfg, name) < math.inf:
             errors.append(f"{name}: must be positive and finite, got {getattr(cfg, name)}")
-    if cfg.beta is not None and not 0.0 < cfg.beta < 2.0:
-        errors.append(f"beta: must lie in (0, 2), got {cfg.beta}")
     if not cfg.checks:
         errors.append("checks: select at least one check")
     for name in cfg.checks:

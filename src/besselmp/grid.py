@@ -57,9 +57,11 @@ def _require(*rules) -> None:
 
 
 def _require_kernel_points(radii, orders) -> None:
-    """Refuse each kernel radius and order not positive and finite; kept SciPy-free for config."""
+    """Refuse an empty list, and each radius or order not positive and finite; SciPy-free for config."""
     rules = (("kernel_radii", "radius", radii), ("kernel_alphas", "order", orders))
-    _require(*((0.0 < v < math.inf, f"{key}: each {what} must be positive and finite, got {v}")
+    _require(*((len(values) > 0, f"{key}: the kernel table needs at least one {what}")
+               for key, what, values in rules),
+             *((0.0 < v < math.inf, f"{key}: each {what} must be positive and finite, got {v}")
                for key, what, values in rules for v in values))
 
 

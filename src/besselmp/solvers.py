@@ -27,9 +27,8 @@ d = g + beta d_prev, beta >= 0 (Gilbert & Nocedal, SIAM J. Optim. 2,
 lam-norm's Riesz map K^{-1}, K = (I - Laplacian)^alpha + lam V: K^{-1}
 itself on a 1-D even grid, inverted once per problem, and one transform
 pair elsewhere (``_riesz_gradient``).  A d that is no descent direction
-restarts along g, and a line search that refuses every step along a
-conjugate d is retried along g.  Once <r, g>^(1/2) is small next to
-||u||_lam, or a search along g refuses every step, a damped Newton
+restarts along g.  Once <r, g>^(1/2) is small next to ||u||_lam, or a
+row's one line search refuses every step along d, a damped Newton
 iteration on the strong-form residual pushes the iterate to solver
 tolerance, each step solved by MINRES, on a 1-D even grid preconditioned
 by K^{-1}.  The ball radius rho only checks the minimizer: it must sit
@@ -188,8 +187,8 @@ class TraceEntry:
     # "scaled" (M_c, elsewhere) or "singular" (K refused, or not finite)
     krylov_stop: str = ""
     # a descent entry: the Polak-Ribiere+ weight of the previous direction
-    # in the step it took, 0.0 on a gradient step (the first row, a restart
-    # or a gradient retry) and on every polish entry
+    # in its search direction, 0.0 on a gradient step (the first row or a
+    # restart) and on every polish entry
     beta: float = 0.0
     # a descent entry: ||u||_lam of its iterate, the norm its handover test
     # reads; 0.0 on every polish entry
@@ -682,16 +681,14 @@ def _nehari_solve(spec, u, level, bottom, opts):
 
     t(w) is the top of the fibering map, or with ``bottom`` its bottom;
     u must sit on that critical point of its own ray, at energy ``level``.
-    Each row steps along the Polak-Ribiere+ direction of ``_conjugate``,
-    built on the gradient g = M r, each trial placed on its own ray's
-    critical point before it is scored, so J never rises over accepted
-    steps.  When the line search refuses every step along a conjugate
-    direction, the row retries along the gradient.  Once <r, g>^(1/2) is
-    at most HANDOVER_RATIO ||u||_lam, or a line search along
-    the gradient refuses every step, Newton polishes the iterate, starting
+    Each row makes one line search along the Polak-Ribiere+ direction of
+    ``_conjugate``, built on the gradient g = M r, each trial placed on its
+    own ray's critical point before it is scored, so J never rises over
+    accepted steps.  Once <r, g>^(1/2) is at most HANDOVER_RATIO ||u||_lam,
+    or a row's line search refuses every step, Newton polishes the iterate
     from the residual that the last row computed.  Descent entries have
-    phase "ball" on the bottoms and "nehari" on the tops; a descent
-    iterate whose residual is not finite raises ValueError.
+    phase "ball" on the bottoms and "nehari" on the tops; a descent iterate
+    whose residual is not finite raises ValueError.
     """
     g = spec.grid
     phase = "ball" if bottom else "nehari"
@@ -719,10 +716,6 @@ def _nehari_solve(spec, u, level, bottom, opts):
             break
         d, d_slope, beta = _conjugate(spec, r, grad, slope, prev)
         u, level, used, tried = _armijo_step(u, level, d, d_slope, step, place)
-        if used == 0.0 and beta > 0.0:
-            d, beta = grad, 0.0
-            u, level, used, more = _armijo_step(u, level, d, slope, step, place)
-            tried += more
         trace.append(replace(entry, trials=tried, beta=beta))
         if used == 0.0:
             break

@@ -16,10 +16,11 @@ Their ``trials`` and ``seed`` keywords are accepted and ignored.
 ``CHECKS`` is the table verify mode runs: per check name, the potential
 family it needs (None: any), its runner ``(spec, cfg) -> CheckRecord`` and
 the rule it imposes on the config (an exponent window, separations
-inside half the box), if any.  ``validate_assumptions`` runs the hypotheses on
-V and xi of the potential's own family (a coercive V, or a steep well as in
-Bartsch & Wang, Comm. PDE 20, 1995), each declaring its family the same
-way; ``applies_to`` decides.  None runs that holds for every valid spec:
+inside half the box), if any; ``holder_estimate`` gives no verdict and
+is none of them.  ``validate_assumptions`` runs the hypotheses on V and xi
+of the potential's own family (a coercive V, or a steep well as in Bartsch
+& Wang, Comm. PDE 20, 1995), each declaring its family the same way;
+``applies_to`` decides.  None runs that holds for every valid spec:
 those on f (growth, f(u)/u -> 0 at 0, theta F = u f) hold identically for
 the power law with 2 < q < 2 dim/(dim - 2 alpha) that ``ProblemSpec``
 admits, and the coercive V = 1 + |x|^2 >= 1 has a positive infimum.
@@ -83,9 +84,10 @@ def require_tau_in_window(tau: float, dim: int, alpha: float, q: float) -> None:
 
 
 def require_s_in_window(s_list, dim: int, alpha: float) -> None:
-    """Refuse every embedding exponent outside [2, 2 dim/(dim - 2 alpha)), one message each."""
+    """Refuse an empty list, and each exponent outside [2, 2 dim/(dim - 2 alpha)), one by one."""
     s_crit = critical_exponent(dim, alpha)
-    _require(*((2.0 <= s < s_crit,
+    _require((len(s_list) > 0, "s_list: the embedding check needs at least one exponent"),
+             *((2.0 <= s < s_crit,
                 f"s_list: exponent {s} outside the embedding window [2, {s_crit})")
                for s in s_list))
 
@@ -599,12 +601,6 @@ def _splitting(spec, cfg) -> CheckRecord:
     return check_splitting(spec, bump, partner, cfg.separations)
 
 
-def _holder(spec, cfg) -> CheckRecord:
-    beta = cfg.beta if cfg.beta is not None else 0.9 * 2.0 * spec.alpha
-    value = holder_estimate(Field(spec.grid, np.exp(-spec.grid.radius_sq)), beta)
-    return CheckRecord("holder_estimate", {"beta": beta}, True, (), {"value": value})
-
-
 def _embedding(spec, cfg) -> CheckRecord:
     """Passes when every entry is finite and at most its upper end, and gamma_2 <= 1."""
     est = estimate_embedding_constants(spec.alpha, spec.grid, cfg.s_list)
@@ -622,7 +618,6 @@ CHECKS = {
         lambda cfg: require_tau_in_window(cfg.tau, cfg.dim, cfg.alpha, cfg.q)),
     "splitting": Check(None, _splitting,
                        lambda cfg: require_separations(cfg.separations, cfg.box_length)),
-    "holder": Check(None, _holder),
     "embedding": Check(None, _embedding,
                        lambda cfg: require_s_in_window(cfg.s_list, cfg.dim, cfg.alpha)),
     "norm-domination": Check(None, lambda spec, cfg: check_norm_domination(spec)),

@@ -198,7 +198,7 @@ def test_verify_mode_coercive(tmp_path):
     names = [s["name"] for s in rep["stages"]]
     assert names == [
         "verify:assumptions", "verify:superquadratic-tail", "verify:splitting",
-        "verify:holder", "verify:embedding", "verify:norm-domination",
+        "verify:embedding", "verify:norm-domination",
     ]
     assert all(s["passed"] for s in rep["stages"])
     # the coercivity ladder is written with the hypothesis that walks it
@@ -218,8 +218,7 @@ def test_verify_mode_well(tmp_path):
     names = [s["name"] for s in rep["stages"]]
     assert names == [
         "verify:assumptions", "verify:superquadratic-tail", "verify:splitting",
-        "verify:holder", "verify:embedding", "verify:norm-domination",
-        "verify:sublevel-bound",
+        "verify:embedding", "verify:norm-domination", "verify:sublevel-bound",
     ]
     assert all(s["passed"] for s in rep["stages"])
     # the measure of {V < b} is written by the hypothesis and the bound alike
@@ -244,13 +243,13 @@ def test_verify_on_a_grid_with_no_sample_at_the_origin(tmp_path, dim, family):
     assert embedding["summary"]["data"]["table"]["2.0"] == 1.0
 
 
-ALL_CHECKS = ("norm-domination, embedding, holder, splitting, sublevel-bound, "
+ALL_CHECKS = ("norm-domination, embedding, splitting, sublevel-bound, "
               "superquadratic-tail, assumptions")
 
 
 @pytest.mark.parametrize("family", ["coercive", "well"])
 def test_verify_every_check_writes_a_check_record(tmp_path, family):
-    # all seven checks on either family, in the order listed: every summary
+    # all six checks on either family, in the order listed: every summary
     # is a CheckRecord, and none fails
     text = (WELL_CFG if family == "well" else "") + f"checks = {ALL_CHECKS}\n"
     out = tmp_path / "out"
@@ -265,9 +264,10 @@ def test_verify_every_check_writes_a_check_record(tmp_path, family):
     assert rc == 0
 
 
-@pytest.mark.parametrize("name", ["coercivity", "sublevel-measure"])
+@pytest.mark.parametrize("name", ["coercivity", "sublevel-measure", "holder"])
 def test_retired_checks_are_config_errors(tmp_path, capsys, name):
-    # the ladder runs inside assumptions, the measure inside sublevel-bound
+    # the ladder runs inside assumptions, the measure inside sublevel-bound;
+    # holder recorded a fixed bump's quotient and passed on every input
     rc = main(["verify", "--config", str(_write(tmp_path, f"checks = {name}\n")),
                "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -322,6 +322,35 @@ def test_out_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"config error: out_dir: cannot create directory "
                                               f"{taken}: ")
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, case):
+    path = {"missing": tmp_path / "absent.cfg", "directory": tmp_path,
+            "not-utf8": tmp_path / "latin1.cfg"}[case]
+    if case == "not-utf8":
+        path.write_bytes("mu = 0.5  # \u00b5\n".encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config: cannot read {path}: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,text,error", [
+    ("verify", {"checks": ["embedding"], "s_list": []},
+     "s_list: the embedding check needs at least one exponent"),
+    ("kernel-table", {"kernel_radii": []}, "kernel_radii: the kernel table needs at least one radius"),
+    ("kernel-table", {"kernel_alphas": []}, "kernel_alphas: the kernel table needs at least one order"),
+], ids=["s_list", "kernel_radii", "kernel_alphas"])
+def test_empty_point_list_is_a_config_error(tmp_path, capsys, mode, text, error):
+    # an empty list would pass its stage with an empty table
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, json.dumps(text), name="run.json")
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {error}"]
+    assert not (out / "report.json").exists()
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -53,9 +53,9 @@ def test_lambda_alias():
 
 
 def test_list_parsing():
-    cfg = parse_config("s_list = 2, 3, 3.5\nchecks = embedding, holder")
+    cfg = parse_config("s_list = 2, 3, 3.5\nchecks = embedding, norm-domination")
     assert cfg.s_list == (2.0, 3.0, 3.5)
-    assert cfg.checks == ("embedding", "holder")
+    assert cfg.checks == ("embedding", "norm-domination")
 
 
 def test_p_range_message():
@@ -85,6 +85,22 @@ def test_duplicate_key_in_json_reported():
     with pytest.raises(ConfigError) as err:
         parse_config('{"n": 128, "n": 256}')
     assert any("duplicate" in line for line in err.value.errors)
+
+
+def test_json_reads_only_the_outermost_pairs():
+    # a nested object's keys are not config keys, and an object or a list
+    # is no value of a key that takes one
+    with pytest.raises(ConfigError) as err:
+        parse_config('{"out_dir": {"mu": 0.5}}')
+    assert err.value.errors == ["out_dir: expected one value, got {'mu': 0.5}"]
+    with pytest.raises(ConfigError) as err:
+        parse_config('{"n": 64, "x": {"n": 32}}')
+    assert err.value.errors == ["unknown key 'x'"]
+    with pytest.raises(ConfigError) as err:
+        parse_config('{"mode": ["verify"], "n": [64]}')
+    assert err.value.errors == ["mode: expected one value, got ['verify']",
+                                "n: expected one value, got [64]"]
+    assert parse_config('{"n": 64, "separations": [2, 4]}').n == 64
 
 
 def test_malformed_line_reports_line_number():
@@ -126,7 +142,8 @@ def test_empty_separations_refused_when_splitting_runs():
         parse_config(text)
     assert err.value.errors == ["separations: the splitting check needs at least one separation"]
     # the rule binds only when the splitting check runs
-    parse_config(json.dumps({"mode": "verify", "separations": [], "checks": ["holder"]}))
+    parse_config(json.dumps({"mode": "verify", "separations": [],
+                             "checks": ["norm-domination"]}))
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "2, inf", "-inf, 4"])
@@ -136,7 +153,7 @@ def test_separations_must_be_finite_when_splitting_runs(value):
         parse_config(f"mode = verify\nchecks = splitting\nseparations = {value}")
     bad = [s for s in (float(v) for v in value.split(",")) if not abs(s) < float("inf")]
     assert err.value.errors == [f"separations: each must be finite, got {s}" for s in bad]
-    parse_config(f"mode = verify\nchecks = holder\nseparations = {value}")
+    parse_config(f"mode = verify\nchecks = norm-domination\nseparations = {value}")
 
 
 def test_separations_must_stay_inside_half_the_box():
@@ -145,7 +162,21 @@ def test_separations_must_stay_inside_half_the_box():
         parse_config("mode = verify\nchecks = splitting\nseparations = 2, 5, 45")
     assert err.value.errors == ["separations: each must be below half the box length, 20.0, got 45.0"]
     parse_config("mode = verify\nchecks = splitting\nseparations = 2, 5, 45\nbox_length = 100")
-    parse_config("mode = verify\nchecks = holder\nseparations = 2, 5, 45")
+    parse_config("mode = verify\nchecks = norm-domination\nseparations = 2, 5, 45")
+
+
+@pytest.mark.parametrize("text,error", [
+    ({"mode": "verify", "checks": ["embedding"], "s_list": []},
+     "s_list: the embedding check needs at least one exponent"),
+    ({"kernel_radii": []}, "kernel_radii: the kernel table needs at least one radius"),
+    ({"kernel_alphas": []}, "kernel_alphas: the kernel table needs at least one order"),
+], ids=["s_list", "kernel_radii", "kernel_alphas"])
+def test_empty_point_lists_refused(text, error):
+    # an empty list checks nothing: the embedding table and the kernel
+    # table would pass with no entry
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(text))
+    assert err.value.errors == [error]
 
 
 @pytest.mark.parametrize("key,value,what", [
@@ -258,7 +289,7 @@ def test_verify_exponent_windows_are_checked_for_selected_checks():
                                 "s_list: exponent 4.0 outside the embedding window [2, 4.0)"]
     assert parse_config(VERIFY_3D + "tau = 2.2\ns_list = 2, 3").tau == 2.2
     # a window binds only when its check runs
-    parse_config(VERIFY_3D + "checks = holder, splitting")
+    parse_config(VERIFY_3D + "checks = norm-domination, splitting")
     parse_config(VERIFY_3D.replace("verify", "solve"))
     # the command line's mode is validated with the file's keys
     with pytest.raises(ConfigError):

@@ -206,23 +206,29 @@ def test_linalg_errors_caught_only_where_k_is_inverted():
     assert not found, "LinAlgError named outside problem.py: " + ", ".join(found)
 
 
-def test_minres_called_only_by_the_newton_direction():
-    # one Krylov loop and one caller: the descent's gradient is one
-    # preconditioner product, so only solvers._newton_direction runs _minres
+def _call_sites(name):
+    """(module file, top-level owner, line) of each call of ``name`` in the package."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
-            owner = getattr(top, "name", None)
-            found += [f"{path.name}:{node.lineno} {owner}" for node in ast.walk(top)
-                      if isinstance(node, ast.Call)
-                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_minres"
-                      and (path.name, owner) != ("solvers.py", "_newton_direction")]
-    assert not found, "_minres called outside _newton_direction: " + ", ".join(found)
-    solvers = ast.parse((PACKAGE / "solvers.py").read_text())
-    (direction,) = [top for top in solvers.body
-                    if getattr(top, "name", None) == "_newton_direction"]
-    assert any(getattr(node.func, "id", None) == "_minres"
-               for node in ast.walk(direction) if isinstance(node, ast.Call))
+            found += [(path.name, getattr(top, "name", None), node.lineno)
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+    return found
+
+
+def test_minres_called_only_by_the_newton_direction():
+    # one Krylov loop and one caller: the descent's gradient is one
+    # preconditioner product, so only solvers._newton_direction runs _minres
+    found = _call_sites("_minres")
+    assert {site[:2] for site in found} == {("solvers.py", "_newton_direction")}, found
+
+
+def test_armijo_step_called_once_by_the_descent():
+    # a descent row makes one line search, and a refused one hands over to
+    # the polish: one call site, in solvers._nehari_solve
+    found = _call_sites("_armijo_step")
+    assert [site[:2] for site in found] == [("solvers.py", "_nehari_solve")], found
 
 
 def test_dct1_matrix_built_only_in_its_cached_build():

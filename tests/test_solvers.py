@@ -723,11 +723,11 @@ def test_conjugate_direction_and_its_restart(coercive_spec):
     assert d is grad and (d_slope, beta) == (slope, 0.0)
 
 
-def test_refused_conjugate_search_retries_the_gradient(monkeypatch):
-    # with every line search along a conjugate direction refused, each row
-    # retries along its gradient from the same point and step: the run
-    # takes gradient steps only, records beta 0 on every row, and certifies;
-    # the 2-D steep well's saddle search is one that tries a conjugate step
+def test_refused_conjugate_search_hands_over(monkeypatch):
+    # a row makes one line search: with every search along a conjugate
+    # direction refused, the first row that tries one records its beta > 0
+    # and its one refused trial, and the next row is the polish's; the 2-D
+    # steep well's saddle search is one that tries a conjugate step
     spec = build_spec(STEEP_WELL_2D)
     probe = probe_geometry(spec)
     gradients, calls = [], []
@@ -740,24 +740,18 @@ def test_refused_conjugate_search_retries_the_gradient(monkeypatch):
 
     def refuse_conjugate(u, e_u, d, slope, s, place):
         conjugate = d is not gradients[-1]
-        out = (u, e_u, 0.0, 1) if conjugate else step(u, e_u, d, slope, s, place)
-        calls.append((conjugate, u, s, out[3]))
-        return out
+        calls.append(conjugate)
+        return (u, e_u, 0.0, 1) if conjugate else step(u, e_u, d, slope, s, place)
 
     monkeypatch.setattr(solvers, "_riesz_gradient", recorded_riesz)
     monkeypatch.setattr(solvers, "_armijo_step", refuse_conjugate)
     report = mountain_pass_solve(spec, probe.e, probe=probe)
-    assert report.ok
-    refused = [i for i, c in enumerate(calls) if c[0]]
-    assert refused, "no conjugate direction was tried"
-    for i in refused:
-        conjugate, u, s, _ = calls[i + 1]
-        assert not conjugate and u is calls[i][1] and s == calls[i][2]
-    assert all(t.beta == 0.0 for t in report.trace)
-    # a retried row counts the refused trial and the gradient search's
+    assert calls[-1] and not any(calls[:-1]), "no conjugate direction was tried"
     descent = [t for t in report.trace if t.phase == "nehari"]
-    assert sum(t.trials for t in descent) == sum(c[3] for c in calls)
-    assert len(descent) == len(calls) - len(refused) + 1  # and the handover row
+    assert len(descent) == len(calls)
+    assert all(t.beta == 0.0 for t in descent[:-1])
+    assert descent[-1].beta > 0.0 and descent[-1].trials == 1
+    assert report.trace[len(descent)].phase == "polish"
 
 
 # The Tier-1 2-D n=16 saddle search: (energy, residual_norm, step_size,

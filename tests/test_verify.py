@@ -516,6 +516,9 @@ def test_embedding_rejects_out_of_range_exponents():
     with pytest.raises(ValueError, match="outside"):
         estimate_embedding_constants(0.25, g, [4.0])
     estimate_embedding_constants(0.25, g, [3.9])
+    # an empty list would give an empty table, which checks nothing
+    with pytest.raises(ValueError, match="at least one exponent"):
+        estimate_embedding_constants(0.75, g, [])
 
 
 def test_embedding_stable_under_refinement():
@@ -671,7 +674,8 @@ def test_verify_2d_records_are_pinned(family):
         "4.0": "0x1.0390aeddeb0a1p-1"}
     (split,) = CHECKS["splitting"].run(spec, cfg).witnesses
     assert split["final_deviation"].hex() == "0x1.0f152c5370b4ep-20"
-    assert CHECKS["holder"].run(spec, cfg).data["value"] == 1.5659591285976011
+    assert holder_estimate(Field(spec.grid, np.exp(-spec.grid.radius_sq)),
+                           0.9 * 2.0 * cfg.alpha) == 1.5659591285976011
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +810,9 @@ _FAMILY_HYPOTHESES = {
     "well": ("finite_sublevel", "flat_zero_region", "weight_integrable"),
 }
 _FAMILY_STAGES = {
-    "coercive": ("assumptions", "superquadratic-tail", "splitting", "holder", "embedding",
+    "coercive": ("assumptions", "superquadratic-tail", "splitting", "embedding",
                  "norm-domination"),
-    "well": ("assumptions", "superquadratic-tail", "splitting", "holder", "embedding",
+    "well": ("assumptions", "superquadratic-tail", "splitting", "embedding",
              "norm-domination", "sublevel-bound"),
 }
 
