@@ -105,6 +105,12 @@ def _raw_pairs(text, errors):
 
 def _coerce(key, value, errors):
     tp = _FIELD_TYPES[key]
+    # JSON's null and booleans are no strings: str() would make them "None" or "True"
+    loose = [v for v in (value if isinstance(value, list) else [value])
+             if v is None or isinstance(v, bool)]
+    if loose and str in (tp, *get_args(tp)):
+        errors.append(f"{key}: expected a string, got {json.dumps(loose[0])}")
+        return None
     if get_origin(tp) is tuple:
         items = value if isinstance(value, (list, tuple)) else str(value).split(",")
         if get_args(tp)[0] is str:

@@ -118,7 +118,7 @@ class Grid:
     def spacing(self) -> float:
         return self.box_length / self.n
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return self.spacing**self.dim
 
@@ -314,15 +314,18 @@ def _dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
 
 def _restrict(grid: Grid, values: np.ndarray) -> np.ndarray:
     """A full-grid field's samples on ``grid.half``, x_i = j h for j = 0 .. n/2 (n even)."""
-    m = grid.n // 2
-    index = (np.arange(m + 1) + m) % grid.n  # x = L/2 is the wrapped x = -L/2
-    return values[np.ix_(*(index,) * grid.dim)]
+    m = grid.n // 2  # x = L/2 is the wrapped x = -L/2
+    return values[_index_map(grid, "restrict", lambda: (np.arange(m + 1) + m) % grid.n)]
 
 
 def _extend(grid: Grid, values: np.ndarray) -> np.ndarray:
     """The even full-grid field whose samples on ``grid.half`` are ``values``."""
-    index = np.abs(np.arange(grid.n) - grid.n // 2)
-    return values[np.ix_(*(index,) * grid.dim)]
+    return values[_index_map(grid, "extend", lambda: np.abs(np.arange(grid.n) - grid.n // 2))]
+
+
+def _index_map(grid: Grid, key: str, index) -> tuple:
+    """The open mesh of the axis map ``index()`` on every axis, built once per grid and key."""
+    return grid._cached(key, lambda: np.ix_(*(index(),) * grid.dim))
 
 
 def _is_even(grid: Grid, values: np.ndarray) -> bool:
@@ -350,10 +353,9 @@ def _dct1(grid: EvenGrid, values: np.ndarray, norm: str) -> np.ndarray:
     Forward c[j, k] = w_k cos(2 pi (jk mod n) / n), w_k = 1 at k = 0 and n/2
     and 2 between: the DFT of an axis's even extension.  Backward c / n.
     Faster than NumPy's irfft of the even extension at every 2-D and 3-D size (README).
-    In 1-D the product costs O(n^2): a transform pair on one thread costs 8.7 us
-    against the full grid's 13.8 us at n=256, 15.0 against 16.9 us at 384, but
-    18.8 against 17.4 us at 448, 185 against 22 us at 1024 and 708 against 45 us
-    at 2046, so 1-D solves use it only up to ``solvers.EVEN_1D_MAX_N``.
+    In 1-D a solve's images and norms skip it for ``_multiplier_matrix``, which
+    these matrices build once per order; there a transform pair would cost O(n^2),
+    8.7 us against the full grid's 13.8 us at n=256 and 185 against 22 us at 1024.
     In dims 2 and 3 a stack of fields transforms as each field alone, to the bit.
     """
     c = _dct1_matrix(grid, norm)
@@ -389,6 +391,11 @@ def _irfft(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
     return np.fft.irfft(u_hat, grid.n, -1)
 
 
+def _direct(grid: Grid) -> bool:
+    """Whether ``grid`` is a 1-D EvenGrid, small enough to store its operators dense."""
+    return grid.even and grid.dim == 1
+
+
 def _multiply(grid: Grid, values: np.ndarray, s: float) -> np.ndarray:
     """(I - Laplacian)^s on the trailing grid axes of ``values``."""
     return _filter(grid, values, grid.symbol(s))
@@ -407,6 +414,7 @@ def _multiplier_matrix(grid: EvenGrid, s: float) -> np.ndarray:
     A = C_b diag(symbol) C_f from ``_dct1_matrix``, formed as (C_f^T diag(symbol)) C_b^T with
     a C-ordered left operand, transposed: the identity filtered as one stack of fields, to the
     bit.  A u is ``_multiply`` of u up to roundoff; A is symmetric in ``_dot``'s inner product.
+    ``_multiply_and_norm`` and ``_bessel_norm_sq`` apply it there in place of a DCT-I pair.
     """
     def build():
         scaled = np.multiply(_dct1_matrix(grid, "forward").T, grid.symbol(s), order="C")
@@ -425,12 +433,21 @@ def _parseval(grid: Grid, u_hat: np.ndarray, alpha: float) -> float:
 
 
 def _bessel_norm_sq(grid: Grid, values: np.ndarray, alpha: float) -> float:
-    """Squared bessel norm, by Parseval from the forward half spectrum."""
+    """Squared bessel norm, by Parseval; on a 1-D EvenGrid as ``_multiply_and_norm``."""
+    if _direct(grid):
+        return _multiply_and_norm(grid, values, alpha)[1]
     return _parseval(grid, _rfft(grid, values), alpha)
 
 
 def _multiply_and_norm(grid: Grid, values: np.ndarray, alpha: float) -> tuple:
-    """(``_multiply``, ``_bessel_norm_sq``) of a field by alpha, to the bit, from one transform."""
+    """(``_multiply``, ``_bessel_norm_sq``) of a field by alpha, to the bit, from one transform.
+
+    On a 1-D EvenGrid no transform: one product A u with the cached ``_multiplier_matrix``,
+    ``_multiply``'s image up to roundoff, and the norm the integral of u A u, one ``_dot``.
+    """
+    if _direct(grid):
+        image = _multiplier_matrix(grid, alpha) @ values
+        return image, _dot(grid, values, image) * grid.cell_volume
     u_hat = _rfft(grid, values)
     norm_sq = _parseval(grid, u_hat, alpha)
     u_hat *= grid.symbol(alpha)

@@ -52,15 +52,15 @@ of Phi restricted to the even fields is a critical point of Phi.  On an
 even-n grid such a field is stored as its (n/2 + 1)^dim samples on
 x_i >= 0 (``grid.EvenGrid``), where a transform pair and the array work
 of a MINRES iteration cost about 2^dim times less.  In 1-D that is at
-most 209 samples, few enough to store K^{-1} dense: the gradient is one
-product with it, and a Newton MINRES iteration one more, with no
-transform.  The rule is fixed: a solve runs there exactly when n is
+most 209 samples, few enough to store A = (I - Laplacian)^alpha and
+K^{-1} dense: a residual or an energy is one product with A, the
+gradient one with K^{-1}, and a Newton MINRES iteration one more, with
+no transform.  The rule is fixed: a solve runs there exactly when n is
 even, in 1-D n is at most EVEN_1D_MAX_N, and the start is even to
 roundoff; otherwise on the full grid, as it stands.  The 1-D bound
-weighs a fresh problem against a warm one: the even form's DCT-I is a
-product with an (n/2 + 1)-square matrix, O(n^2) per transform, and its
-first run also inverts K, O(n^3), so from about n = 384 the cold run of
-the canonical coercive problem is slower than on the full grid's FFT,
+weighs a fresh problem against a warm one: each product is O(n^2), and
+the first run also builds A and inverts K, O(n^3), so from about n = 384
+the cold coercive canonical run is slower than on the full grid's FFT,
 though warm runs stay faster up to n = 1024 (README).  The solution
 is extended back to the full grid and its residual re-checked there
 once; a report says which grid it ran on, and why not the even one.
@@ -69,7 +69,7 @@ once; a report says which grid it ran on, and why not the even one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -77,6 +77,7 @@ import numpy as np
 from .grid import (
     Field,
     _abs_power,
+    _direct,
     _dot,
     _extend,
     _filter,
@@ -95,7 +96,7 @@ from .problem import (
     ProblemSpec,
     _energy_parts,
     _residual_values,
-    energy,
+    energy,  # not called here: perfbench's tests read besselmp.solvers.energy
 )
 
 __all__ = [
@@ -229,7 +230,7 @@ class SolveReport:
 
 
 def _residual(spec, u):
-    """(r, ||r||_2, ||u||_bessel^2) from one transform pair; overflow reads an inf or nan norm."""
+    """(r, ||r||_2, ||u||_bessel^2) from one ``_multiply_and_norm``; overflow reads inf or nan."""
     image, bessel = _multiply_and_norm(spec.grid, u, spec.alpha)
     r = _residual_values(spec, u, image)
     return r, _lp_norm(spec.grid, r, 2), bessel
@@ -385,11 +386,6 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
 # mountain pass
 
 
-def _direct(g) -> bool:
-    """Whether ``g`` is a 1-D even grid, at most 209 points, where K^{-1} is stored dense."""
-    return g.even and g.dim == 1
-
-
 def _riesz_gradient(spec, r):
     """d = M r, the descent's gradient for an SPD M ~ K^{-1}; (d, its slope <r, d>, stop).
 
@@ -434,19 +430,19 @@ def _along(spec, pieces, t):
             - t**spec.p * pieces.xi_term)
 
 
-def _fibering(spec, w, bottom=False):
+def _fibering(spec, w, bottom=False, pieces=None):
     """(t, Phi(t w)) at the top of the fibering map t -> Phi(t w), or with ``bottom`` at its bottom.
 
     dPhi(t w)/dt = t (a - b t^(q-2) - c t^(p-2)) with a = 2 quad,
-    b = q f_term and c = p xi_term from one ``_energy_parts(w)`` call, so
-    the top t+(w), the larger critical point, and the bottom t-(w), the
-    local minimum below it, are the two roots that ``_root`` finds, on any
-    ray that has them, whatever the scale of w.  A ray has both exactly
+    b = q f_term and c = p xi_term from w's ``_energy_parts``, ``pieces``
+    or one call, so the top t+(w), the larger critical point, and the
+    bottom t-(w), the local minimum below it, are the two roots that
+    ``_root`` finds, on any ray that has them, whatever the scale of w.  A ray has both exactly
     when mu < mu(w), its extremal value (``_extremal_mu``).  (nan, inf)
     when Phi(w) or Phi(t w) is not finite or the ray has no such point; a
     descent refuses such a trial.  A bottom that underflows reads (0.0, 0.0).
     """
-    pieces = _energy_parts(spec, w)
+    pieces = pieces or _energy_parts(spec, w)
     if pieces.total == math.inf:
         return math.nan, math.inf
     q, p = spec.q, spec.p
@@ -632,9 +628,8 @@ def _polish(spec, u, e_u, r, rn, bessel, opts, trace):
     at the returned u.
     """
     for _ in range(NEWTON_MAX):
-        entry = TraceEntry(len(trace), e_u, rn, 0.0, "polish", 0)
         if rn <= opts.tol:
-            trace.append(entry)
+            trace.append(TraceEntry(len(trace), e_u, rn, 0.0, "polish", 0))
             return u, e_u, rn, bessel
         forcing = min(0.1, max(0.1 * rn, 0.5 * opts.tol / rn))
         delta, iters, stop = _newton_direction(spec, u, r, forcing)
@@ -643,8 +638,8 @@ def _polish(spec, u, e_u, r, rn, bessel, opts, trace):
         trials = () if delta is None else ((s, u + s * delta) for s in _steps(1.0, NEWTON_TRIES))
         found, tried = _first(((s, v, *_residual(spec, v)) for s, v in trials),
                               lambda c: c[3] <= (1.0 - 1e-4 * c[0]) * rn)
-        trace.append(replace(entry, step_size=0.0 if found is None else found[0],
-                             trials=tried, krylov_iters=iters, krylov_stop=stop))
+        trace.append(TraceEntry(len(trace), e_u, rn, 0.0 if found is None else found[0],
+                                "polish", tried, krylov_iters=iters, krylov_stop=stop))
         if found is None:
             return u, e_u, rn, bessel
         _, u, r, rn, bessel = found
@@ -709,14 +704,13 @@ def _nehari_solve(spec, u, level, bottom, opts):
     r, rn, bessel, norm = score(u)
     while len(trace) < DESCENT_MAX:
         grad, slope, stop = _riesz_gradient(spec, r)
-        entry = TraceEntry(len(trace), level, rn, step, phase, 0, krylov_stop=stop,
-                           norm_lam=norm)
+        row = (len(trace), level, rn, step, phase)
         if slope <= (HANDOVER_RATIO * norm) ** 2:
-            trace.append(entry)
+            trace.append(TraceEntry(*row, 0, krylov_stop=stop, norm_lam=norm))
             break
         d, d_slope, beta = _conjugate(spec, r, grad, slope, prev)
         u, level, used, tried = _armijo_step(u, level, d, d_slope, step, place)
-        trace.append(replace(entry, trials=tried, beta=beta))
+        trace.append(TraceEntry(*row, tried, krylov_stop=stop, beta=beta, norm_lam=norm))
         if used == 0.0:
             break
         prev = grad, slope, d
@@ -795,10 +789,12 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
     report names.
     """
     opts = opts or SolveOptions()
+    _require((e.grid == spec.grid, "field grid does not match problem grid"))
     run, start, grid, why = _subspace(spec, e.values)
-    if energy(spec, e).total >= 0.0:
+    pieces = _energy_parts(run, start)
+    if not pieces.total < 0.0:
         raise ValueError("endpoint e must have negative energy")
-    t, level = _fibering(run, start)
+    t, level = _fibering(run, start, pieces=pieces)
     if not math.isfinite(level):
         raise ValueError("the fibering map along e has no local maximum")
     u, e_u, rn, _, trace, handover = _descend(spec, run, t * start, level, False, opts)

@@ -353,6 +353,21 @@ def test_empty_point_list_is_a_config_error(tmp_path, capsys, mode, text, error)
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("text,error", [
+    ({"out_dir": None}, "out_dir: expected a string, got null"),
+    ({"out_dir": True}, "out_dir: expected a string, got true"),
+    ({"potential": None}, "potential: expected a string, got null"),
+    ({"checks": [None]}, "checks: expected a string, got null"),
+], ids=["out_dir-null", "out_dir-true", "potential-null", "checks-item-null"])
+def test_json_null_or_boolean_string_is_a_config_error(tmp_path, capsys, monkeypatch, text, error):
+    # no run starts, and none writes into a directory named None or True
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, json.dumps(text), name="run.json")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {error}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "alpha = 2.0\nwat = 3\n")
     rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -103,6 +103,24 @@ def test_json_reads_only_the_outermost_pairs():
     assert parse_config('{"n": 64, "separations": [2, 4]}').n == 64
 
 
+@pytest.mark.parametrize("text,error", [
+    ('{"out_dir": null}', "out_dir: expected a string, got null"),
+    ('{"out_dir": true}', "out_dir: expected a string, got true"),
+    ('{"potential": null}', "potential: expected a string, got null"),
+    ('{"mode": false}', "mode: expected a string, got false"),
+    ('{"checks": [null]}', "checks: expected a string, got null"),
+    ('{"checks": ["auto", true]}', "checks: expected a string, got true"),
+    ('{"checks": null}', "checks: expected a string, got null"),
+], ids=["out_dir-null", "out_dir-true", "potential-null", "mode-false", "checks-item-null",
+        "checks-item-true", "checks-null"])
+def test_json_null_and_booleans_are_no_strings(text, error):
+    # str() would read them as the words "None", "True" and "False": a run
+    # writing into a directory named None, or an unknown choice 'None'
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == [error]
+
+
 def test_malformed_line_reports_line_number():
     with pytest.raises(ConfigError) as err:
         parse_config("mode = solve\nthis is not a pair")

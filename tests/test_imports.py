@@ -153,8 +153,9 @@ def test_abs_powers_only_in_the_grid_power_kernels():
     assert not found, "|u|^k outside grid._abs_power: " + ", ".join(found)
 
 
-# the solvers' energies scored in closed form along a ray, from its pieces
-_RAY_SCORES = ("_fibering", "_extremal_mu", "probe_geometry")
+# the solvers' energies scored in closed form along a ray, from its pieces;
+# mountain_pass_solve scores e's ray once and hands the pieces to _fibering
+_RAY_SCORES = ("_fibering", "_extremal_mu", "probe_geometry", "mountain_pass_solve")
 
 
 def test_solver_points_scored_only_by_residual():

@@ -29,9 +29,11 @@ from besselmp import (
     two_solution_experiment,
     two_solution_stages,
 )
+from besselmp import grid as grid_module
 from besselmp import problem, solvers
 from besselmp.config import RunConfig, build_spec
 from besselmp.grid import (
+    Grid,
     _bessel_norm_sq,
     _extend,
     _filter,
@@ -337,13 +339,14 @@ class TestMountainPass:
         assert coercive_mp.energy == pytest.approx(3.22418890, rel=1e-6)
 
     # Exact values recorded with the half-spectrum kernels, the closed-form
-    # fibering and Newton MINRES preconditioned by K^{-1} on the 1-D half
-    # grid (by the shifted symbol elsewhere).  MINRES's reductions
+    # fibering, and on the 1-D half grid the dense (I - Laplacian)^alpha for
+    # every image and norm and Newton MINRES preconditioned by K^{-1} (by
+    # the shifted symbol elsewhere).  MINRES's reductions
     # can follow the BLAS thread count: these were recorded on one thread,
     # which conftest pins.
 
     def test_exact_regression(self, coercive_mp):
-        assert coercive_mp.energy == 3.2241889043092673
+        assert coercive_mp.energy == 3.224188904309268
 
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
@@ -381,6 +384,17 @@ class TestMountainPass:
         assert energy(coercive_spec, small).total > 0.0
         with pytest.raises(ValueError, match="negative energy"):
             mountain_pass_solve(coercive_spec, small)
+
+    @pytest.mark.parametrize("n,box", [(128, 40.0), (512, 40.0), (256, 20.0)],
+                             ids=["coarser-n", "finer-n", "other-box"])
+    def test_rejects_endpoint_on_another_grid(self, coercive_spec, n, box):
+        # the grid is checked before anything reads e's values: another n
+        # once failed inside the even-subspace test with an IndexError or a
+        # NumPy broadcast error
+        g = Grid(1, n, box)
+        e = Field(g, 10.0 * np.exp(-g.radius_sq))
+        with pytest.raises(ValueError, match="^field grid does not match problem grid$"):
+            mountain_pass_solve(coercive_spec, e)
 
     def test_ray_without_top_raises(self, coercive_spec, coercive_probe):
         # a concave term this strong keeps Phi falling along the whole ray
@@ -841,7 +855,7 @@ class TestBallMin:
         assert -1e-9 < coercive_ball.energy < 0.0
 
     def test_exact_regression(self, coercive_ball):
-        assert coercive_ball.energy == -5.634676503500939e-11
+        assert coercive_ball.energy == -5.634676503500934e-11
 
     def test_descent_monotone(self, coercive_ball, well_result):
         # every accepted step lowers J-, so the descent entries never rise
@@ -878,14 +892,15 @@ class TestBallMin:
 
     def test_mu_zero_reports_failure(self, coercive_spec, coercive_probe, fft_calls):
         # the zero field's residual is exactly 0, reported without a
-        # transform: the one forward transform scores the bump's ray
+        # transform, and the bump's ray is scored on the 1-D half grid by a
+        # product with the dense (I - Laplacian)^alpha, without one either
         fft_calls.clear()
         report = ball_min_solve(replace(coercive_spec, mu=0.0), coercive_probe.rho)
         assert not report.ok and not report.converged
         assert report.message == ("no negative energy found inside the ball: "
                                   "mu = 0, so no ray has a negative bottom")
         assert report.energy == 0.0 and report.residual_norm == 0.0
-        assert fft_calls == {"_rfft": 1}
+        assert fft_calls == {}
 
     def test_mu_past_the_bump_rays_extremal_value_reports_failure(self, coercive_spec,
                                                                   coercive_probe):
@@ -942,7 +957,7 @@ class TestTwoSolutions:
         # recorded as the coercive pins above, on one BLAS thread
         assert well_result.mountain_pass.energy == 1.4931505176211708
         assert well_result.local_min.energy == -9.819309641120841e-08
-        assert well_result.distinctness == 1.6740738081170976
+        assert well_result.distinctness == 1.6740738081170927
 
     def test_levels_echo_reports(self, well_result):
         lv = well_result.levels
@@ -1097,8 +1112,8 @@ def test_polish_at_the_fold_stalls(well_spec):
 # every (lam, mu) pair certifies with c > eta; two saddles pinned on one
 # BLAS thread
 SWEEP_SADDLES = {
-    (200.0, 0.05): 1.518210925211372,
-    (50.0, 0.05): 1.4602836700350952,
+    (200.0, 0.05): 1.5182109252113707,
+    (50.0, 0.05): 1.4602836700350947,
 }
 
 
@@ -1284,35 +1299,54 @@ def test_descent_entries_count_their_gradient_solve(well_result, coercive_mp, co
         assert report.counts["newton_krylov_iters"] == sum(n for n, _ in polish) > 0
 
 
+@pytest.mark.parametrize("make_spec", [canonical_coercive_spec, canonical_well_spec],
+                         ids=["coercive", "well"])
+def test_canonical_1d_run_transforms_nothing_on_the_half_grid(make_spec, monkeypatch):
+    # every image and norm on the 1-D half grid is one product with the dense
+    # (I - Laplacian)^alpha: the transforms left are the full grid's, the
+    # probe's bump and the re-check of each solution
+    calls = Counter()
+    for name in ("_rfft", "_irfft"):
+        def counted(g, values, _name=name, _fn=getattr(grid_module, name)):
+            calls[_name, type(g).__name__] += 1
+            return _fn(g, values)
+        monkeypatch.setattr(grid_module, name, counted)
+    r = two_solution_experiment(make_spec())
+    assert r.success and r.mountain_pass.grid == r.local_min.grid == "even"
+    assert calls == {("_rfft", "Grid"): 3, ("_irfft", "Grid"): 2}
+
+
 def _canonical_at(make_spec, n):
     spec = make_spec()
     return replace(spec, grid=replace(spec.grid, n=n))
 
 
 @pytest.mark.parametrize("make_spec,solves,transforms,reason", [
-    (canonical_coercive_spec, ((2, 5, 16, 0), (1, 2, 3, 0)), (15, 10), ""),
-    (canonical_well_spec, ((2, 4, 13, 0), (2, 3, 6, 0)), (17, 11), ""),
+    (canonical_coercive_spec, ((2, 5, 16, 0), (1, 2, 3, 0)), (3, 2), ""),
+    (canonical_well_spec, ((2, 4, 13, 0), (2, 3, 6, 0)), (3, 2), ""),
     (lambda: _canonical_at(canonical_coercive_spec, 255),
-     ((2, 5, 107, 0), (1, 2, 21, 0)), (149, 144), "odd n"),
+     ((2, 5, 107, 0), (1, 2, 21, 0)), (148, 144), "odd n"),
     (lambda: _canonical_at(canonical_well_spec, 512),
-     ((3, 6, 152, 0), (5, 3, 95, 1)), (290, 277), "dim 1, n above 416"),
+     ((3, 6, 152, 0), (5, 3, 95, 1)), (289, 277), "dim 1, n above 416"),
     (lambda: build_spec(RunConfig(dim=2, n=48, box_length=15.0)),
-     ((4, 6, 67, 0), (1, 2, 8, 0)), (106, 99), ""),
-    (lambda: build_spec(STEEP_WELL_2D), ((4, 6, 129, 1), (8, 3, 40, 1)), (230, 209), ""),
+     ((4, 6, 67, 0), (1, 2, 8, 0)), (105, 99), ""),
+    (lambda: build_spec(STEEP_WELL_2D), ((4, 6, 129, 1), (8, 3, 40, 1)), (229, 209), ""),
     (lambda: build_spec(replace(STEEP_WELL_2D, n=128)),
-     ((6, 5, 236, 1), (6, 3, 139, 3)), (436, 413), ""),
+     ((6, 5, 236, 1), (6, 3, 139, 3)), (435, 413), ""),
     (lambda: build_spec(RunConfig(dim=3, n=16, box_length=10.0, q=3.0)),
-     ((4, 5, 52, 0), (1, 3, 17, 0)), (100, 93), ""),
+     ((4, 5, 52, 0), (1, 3, 17, 0)), (99, 93), ""),
     (lambda: build_spec(RunConfig(dim=3, n=32, box_length=10.0, q=3.0)),
-     ((3, 7, 71, 0), (1, 3, 17, 0)), (121, 115), ""),
+     ((3, 7, 71, 0), (1, 3, 17, 0)), (120, 115), ""),
 ], ids=["coercive", "well", "coercive-full-255", "well-full-512", "plane_2d", "2d-steep-well",
         "2d-steep-well-128", "3d", "3d-32"])
 def test_solver_work_is_pinned(make_spec, solves, transforms, reason, fft_calls):
     # (descent rows, polish rows, Newton MINRES iterations, conjugate rows)
     # of each solve, saddle then minimizer, and the run's (forward, inverse)
     # transforms on a fresh problem; in 1-D the build of the dense
-    # (I - Laplacian)^alpha behind K^{-1} transforms nothing, so a fresh
-    # half-grid run counts as a warm one.  No gradient runs a Krylov loop:
+    # A = (I - Laplacian)^alpha behind K^{-1} transforms nothing, so a fresh
+    # half-grid run counts as a warm one, and each image and norm there is a
+    # product with A: a canonical run transforms only the probe's bump and
+    # the full-grid re-check of each solution.  No gradient runs a Krylov loop:
     # each is one product with K^{-1} on the 1-D half grid and with M_c
     # elsewhere.  A rise in any count is a regression of the solvers' cost
     # in that dimension
