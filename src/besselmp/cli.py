@@ -84,8 +84,9 @@ def _write_trace(path: Path, entries) -> None:
 
 
 def _write_profile(path: Path, grid, columns: dict) -> None:
-    """Plot-ready profile: x plus one column per named field (axis-0 line
-    through the box center for dim > 1)."""
+    """Plot-ready profile: x plus one column per named field (for dim > 1
+    the axis-0 line at index n//2 on the other axes: through the box center,
+    or at x_i = -h/2 when n is odd)."""
     line = (slice(None),) + (grid.n // 2,) * (grid.dim - 1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -5,9 +5,10 @@ Everything downstream works on a uniform grid over a cube of side
 supplying exact application of multipliers m(xi) = (1 + |xi|^2)^s at the
 grid frequencies xi_k = 2*pi*k / box_length.
 
-An ``EvenGrid`` is the x_i >= 0 half of an even-n grid and holds the
-fields that are even in each x_i by their (n/2 + 1)^dim samples there;
-on it the multiplier is a DCT-I on each axis, a dense matrix product.
+An ``EvenGrid`` is the x_i <= 0 half of a grid, stored from the box edge,
+and holds the fields that are even in each x_i by their (n//2 + 1)^dim
+samples there; on it ``_rfft`` is the real DFT of a mirror-even axis (a
+DCT-I when n is even), a dense matrix product on each axis.
 Every sum over a grid goes through ``_sum``, ``_integral`` or ``_dot``,
 which weigh each stored point by the full-grid points it stands for, so
 a kernel reads the same number on either grid for an even field; every
@@ -39,15 +40,6 @@ __all__ = [
 # dozens (n = 256 in 3-D would be 16.8M points, 134 MB per field).
 GRID_MAX_POINTS = 2**20
 
-# Largest prime factor of n that keeps numpy's FFT fast.  Past its fast
-# radices numpy runs a generic pass whose cost per point grows with the
-# prime.  2-D rfftn/irfftn pairs on one core of a 2-core x86 box (NumPy 2.4,
-# best of 12 interleaved timings) cost, relative to n=64: 1.34 at 48,
-# 0.88-1.30 for n with a largest prime factor of 13 to 29 (104, 117, 68,
-# 76, 92, 116), 1.33-1.88 at 31 (124, 62), 1.8-2.0 at 37 and 41, 2.1-2.5
-# from 43 to 53 (94, 188, 106) and 5.4 at the prime 97.
-FFT_MAX_PRIME = 29
-
 
 def _require(*rules) -> None:
     """Raise one ValueError naming every (holds, message) rule that fails, joined by "; "."""
@@ -65,14 +57,15 @@ def _require_kernel_points(radii, orders) -> None:
                for key, what, values in rules for v in values))
 
 
-def _largest_prime_factor(n: int) -> int:
-    """The largest prime factor of n >= 2."""
-    largest, factor = 1, 2
-    while factor * factor <= n:
-        while n % factor == 0:
-            largest, n = factor, n // factor
-        factor += 1
-    return max(largest, n)
+def _mirror_weights(n: int) -> np.ndarray:
+    """Weights of the axis indices j = 0 .. n//2: 1 where j is its own mirror n - j (mod n), else 2.
+
+    The reflection x -> -x maps the periodic axis index j to n - j (mod n),
+    so a stored j stands for itself and its mirror, and so does a half-lattice
+    frequency k.
+    """
+    j = np.arange(n // 2 + 1)
+    return np.where(j == (n - j) % n, 1.0, 2.0)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -88,7 +81,7 @@ class Grid:
     n: int
     box_length: float
 
-    # an EvenGrid stores only the x_i >= 0 half of the even fields
+    # an EvenGrid stores only the x_i <= 0 half of the even fields
     even: ClassVar[bool] = False
 
     def __post_init__(self):
@@ -103,16 +96,11 @@ class Grid:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "box_length", float(self.box_length))
         if self.even:  # its full grid has warned
-            _require((self.n % 2 == 0, f"an even grid needs an even n, got {self.n}"),
-                     ((self.n // 2 + 1) ** 2 <= GRID_MAX_POINTS,
+            _require(((self.n // 2 + 1) ** 2 <= GRID_MAX_POINTS,
                       f"n={self.n} gives an even grid's DCT-I matrix of {(self.n // 2 + 1) ** 2:,} "
                       f"entries, above the grid point limit of {GRID_MAX_POINTS:,}"))
         elif self.n < 8:
             warnings.warn(f"n={self.n} is very coarse; results will be poorly resolved")
-        elif _largest_prime_factor(self.n) > FFT_MAX_PRIME:
-            # numpy's mixed-radix FFT stays exact, only speed suffers
-            warnings.warn(f"n={self.n} has a prime factor above {FFT_MAX_PRIME}; numpy's FFT "
-                          "runs about twice as slow per point or slower at such sizes")
 
     @property
     def spacing(self) -> float:
@@ -133,13 +121,13 @@ class Grid:
 
     @cached_property
     def half(self) -> EvenGrid:
-        """The x_i >= 0 half of this grid, for its even fields; n must be even."""
+        """The x_i <= 0 half of this grid, from the box edge, for its even fields."""
         return EvenGrid(self.dim, self.n, self.box_length)
 
     @cached_property
     def axis_coords(self) -> np.ndarray:
-        """Sample positions along one axis, origin at index n//2."""
-        return _read_only(-0.5 * self.box_length + self.spacing * np.arange(self.n))
+        """Sample positions -L/2 + j h along one axis, origin at index n//2 when n is even."""
+        return _read_only(-0.5 * self.box_length + self.spacing * np.arange(self.shape[0]))
 
     def coords(self) -> tuple:
         """Tuple of dim coordinate arrays of shape ``self.shape`` (ij indexing)."""
@@ -193,14 +181,12 @@ class Grid:
     def lattice_weights(self) -> np.ndarray:
         """How many full-lattice frequencies each entry of ``symbol``'s half lattice stands for.
 
-        2 on every last-axis column whose mirror -k the half lattice leaves
-        out, all but k = 0 and, for even n, k = n/2; on an EvenGrid ``weights``.
+        ``_mirror_weights`` on the last axis: 2 on every column whose mirror
+        -k the half lattice leaves out; on an EvenGrid ``weights``.
         """
         if self.even:
             return self.weights
-        w = np.ones(self.shape[:-1] + (self.n // 2 + 1,))
-        w[..., 1 : (self.n + 1) // 2] = 2.0
-        return _read_only(w)
+        return _read_only(np.ones(self.shape[:-1] + (1,)) * _mirror_weights(self.n))
 
     def parseval_weight(self, alpha: float) -> np.ndarray:
         """Half-lattice weights w with sum w |_rfft(u)|^2 = ||(I - Laplacian)^{alpha/2} u||^2.
@@ -213,17 +199,20 @@ class Grid:
 
 @dataclass(frozen=True)
 class EvenGrid(Grid):
-    """The x_i >= 0 half of the even-n Grid of the same dim, n and box_length.
+    """The x_i <= 0 half of the Grid of the same dim, n and box_length, for any n.
 
-    A field even in each x_i is fixed by its (n/2 + 1)^dim samples at
-    x_i = j h, j = 0 .. n/2: the full grid holds their mirror images, and
-    x_i = L/2 is x_i = -L/2 by periodicity.  Its DFT is real and even, so
-    the frequency lattice is the same half, k_i = 0 .. n/2, and ``_rfft``
-    is a DCT-I on each axis, a product with the grid's cached (n/2 + 1)^2
-    matrix (``_dct1``), which is why n/2 + 1 squared must also be within
-    GRID_MAX_POINTS.  In every sum a stored point, or coefficient, weighs
-    the full-grid points it stands for: the product over the axes of 1 at
-    j = 0 and n/2 and 2 between.
+    A field even in each x_i is fixed by its (n//2 + 1)^dim samples at the
+    full grid's indices j = 0 .. n//2 on each axis, x_i = -L/2 + j h: from
+    the box edge to the origin when n is even, to -h/2 when n is odd.  The
+    reflection x_i -> -x_i is the index map j -> n - j (mod n), since the
+    box is periodic, so the full grid holds their mirror images.  The DFT
+    of such a field is real and even, so the frequency lattice is the same
+    half, k_i = 0 .. n//2, and ``_rfft`` is a product on each axis with the
+    grid's cached (n//2 + 1)^2 matrix (``_dct1``), which is why n//2 + 1
+    squared must also be within GRID_MAX_POINTS.  In every sum a stored
+    point, or coefficient, weighs the full-grid points it stands for: the
+    product over the axes of ``_mirror_weights``, 1 where an index is its
+    own mirror (j = 0, and n/2 when n is even) and 2 elsewhere.
     """
 
     even: ClassVar[bool] = True
@@ -233,18 +222,12 @@ class EvenGrid(Grid):
         return (self.n // 2 + 1,) * self.dim
 
     @cached_property
-    def axis_coords(self) -> np.ndarray:
-        return _read_only(self.spacing * np.arange(self.n // 2 + 1))
-
-    @cached_property
     def axis_freqs(self) -> np.ndarray:
         return _read_only((2.0 * np.pi / self.box_length) * np.arange(self.n // 2 + 1))
 
     @cached_property
     def weights(self) -> np.ndarray:
-        axis = np.full(self.n // 2 + 1, 2.0)
-        axis[[0, -1]] = 1.0
-        return _read_only(math.prod(np.ix_(*(axis,) * self.dim)))
+        return _read_only(math.prod(np.ix_(*(_mirror_weights(self.n),) * self.dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,14 +296,17 @@ def _dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _restrict(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """A full-grid field's samples on ``grid.half``, x_i = j h for j = 0 .. n/2 (n even)."""
-    m = grid.n // 2  # x = L/2 is the wrapped x = -L/2
-    return values[_index_map(grid, "restrict", lambda: (np.arange(m + 1) + m) % grid.n)]
+    """A full-grid field's samples on ``grid.half``: its indices j = 0 .. n//2 on each axis."""
+    return values[_index_map(grid, "restrict", lambda: np.arange(grid.n // 2 + 1))]
 
 
 def _extend(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """The even full-grid field whose samples on ``grid.half`` are ``values``."""
-    return values[_index_map(grid, "extend", lambda: np.abs(np.arange(grid.n) - grid.n // 2))]
+    """The even full-grid field whose samples on ``grid.half`` are ``values``.
+
+    Index j reads the stored one of j and its mirror n - j (mod n).
+    """
+    return values[_index_map(grid, "extend",
+                             lambda: np.minimum(np.arange(grid.n), np.arange(grid.n, 0, -1)))]
 
 
 def _index_map(grid: Grid, key: str, index) -> tuple:
@@ -329,29 +315,32 @@ def _index_map(grid: Grid, key: str, index) -> tuple:
 
 
 def _is_even(grid: Grid, values: np.ndarray) -> bool:
-    """Whether a field on an even-n Grid is even in each x_i, to 1e-12 of its largest magnitude."""
+    """Whether a field on a Grid is even in each x_i, to 1e-12 of its largest magnitude."""
     gap = np.abs(values - _extend(grid, _restrict(grid, values)))
     return bool(np.max(gap) <= 1e-12 * np.max(np.abs(values)))
 
 
 def _dct1_matrix(grid: EvenGrid, norm: str) -> np.ndarray:
-    """``_dct1``'s matrix, built once per grid: the backward one is the cached forward's / n."""
+    """``_dct1``'s matrix, built once per grid: the backward one is the cached forward's / n.
+
+    The real DFT of a mirror-even axis, a DCT-I when n is even.
+    """
     def build():
         if norm == "backward":
             return _read_only(_dct1_matrix(grid, "forward") / grid.n)
         j = np.arange(grid.n // 2 + 1)
-        c = np.cos((2.0 * np.pi / grid.n) * (np.outer(j, j) % grid.n))
-        c[:, 1:-1] *= 2.0
-        return _read_only(c)
+        return _read_only(np.cos((2.0 * np.pi / grid.n) * (np.outer(j, j) % grid.n))
+                          * _mirror_weights(grid.n))
 
     return grid._cached(("dct1", norm), build)
 
 
 def _dct1(grid: EvenGrid, values: np.ndarray, norm: str) -> np.ndarray:
-    """The DCT-I on each trailing axis, one product per axis with a cached (n/2 + 1)-square matrix.
+    """The real DFT of a mirror-even field on each trailing axis, a DCT-I when n is even.
 
-    Forward c[j, k] = w_k cos(2 pi (jk mod n) / n), w_k = 1 at k = 0 and n/2
-    and 2 between: the DFT of an axis's even extension.  Backward c / n.
+    One product per axis with a cached (n//2 + 1)-square matrix.  Forward
+    c[k, j] = w_j cos(2 pi (jk mod n) / n), w = ``_mirror_weights``: the DFT
+    of an axis's even extension.  Backward c / n.
     Faster than NumPy's irfft of the even extension at every 2-D and 3-D size (README).
     In 1-D a solve's images and norms skip it for ``_multiplier_matrix``, which
     these matrices build once per order; there a transform pair would cost O(n^2),

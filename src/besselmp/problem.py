@@ -127,10 +127,11 @@ class ProblemSpec:
 
     @cached_property
     def even_half(self) -> ProblemSpec:
-        """This problem on ``grid.half``; n must be even.
+        """This problem on ``grid.half``, for any n.
 
         V and xi are radial, so even in each x_i, and on the half grid they
-        are their own values there, built once, with the half problem.
+        are built once, with the half problem, from the full grid's own
+        coordinates: the restricted full-grid fields, to the bit.
         """
         return replace(self, grid=self.grid.half)
 

@@ -48,16 +48,16 @@ builds, so Phi is invariant under each reflection x_i -> -x_i, and every
 step above maps fields even in each x_i to even fields: the transforms,
 the pointwise maps, the line searches and MINRES.  By Palais' principle
 of symmetric criticality (Comm. Math. Phys. 69, 1979) a critical point
-of Phi restricted to the even fields is a critical point of Phi.  On an
-even-n grid such a field is stored as its (n/2 + 1)^dim samples on
-x_i >= 0 (``grid.EvenGrid``), where a transform pair and the array work
-of a MINRES iteration cost about 2^dim times less.  In 1-D that is at
-most 209 samples, few enough to store A = (I - Laplacian)^alpha and
-K^{-1} dense: a residual or an energy is one product with A, the
-gradient one with K^{-1}, and a Newton MINRES iteration one more, with
-no transform.  The rule is fixed: a solve runs there exactly when n is
-even, in 1-D n is at most EVEN_1D_MAX_N, and the start is even to
-roundoff; otherwise on the full grid, as it stands.  The 1-D bound
+of Phi restricted to the even fields is a critical point of Phi.  On
+any grid such a field is stored as its (n//2 + 1)^dim samples on
+x_i <= 0, from the box edge (``grid.EvenGrid``), where a transform pair
+and the array work of a MINRES iteration cost about 2^dim times less.
+In 1-D that is at most 209 samples, few enough to store
+A = (I - Laplacian)^alpha and K^{-1} dense: a residual or an energy is
+one product with A, the gradient one with K^{-1}, and a Newton MINRES
+iteration one more, with no transform.  The rule is fixed: a solve runs
+there exactly when, in 1-D, n is at most EVEN_1D_MAX_N and the start is
+even to roundoff; otherwise on the full grid, as it stands.  The 1-D bound
 weighs a fresh problem against a warm one: each product is O(n^2), and
 the first run also builds A and inverts K, O(n^3), so from about n = 384
 the cold coercive canonical run is slower than on the full grid's FFT,
@@ -134,9 +134,9 @@ NEWTON_MAX = 80
 MINRES_MAXITER = 400
 INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
 BASIN_SLACK = 1e-10  # a polish may end above its handover level by this, relative, and no more
-# Largest n at which a 1-D solve runs on the even half, where warm runs win
-# and the cold coercive run no longer does (module docstring, README); from
-# n = 2048 EvenGrid refuses the matrix.
+# Largest n, odd or even, at which a 1-D solve runs on the even half, where
+# warm runs win and the cold coercive run no longer does (module docstring,
+# README); from n = 2048 EvenGrid refuses the matrix.
 EVEN_1D_MAX_N = 416
 
 
@@ -207,9 +207,9 @@ class SolveReport:
     ok: bool
     message: str
     trace: tuple
-    # the grid the solve ran on, "even" (the x_i >= 0 half) or "full", and
-    # why not the even one: "odd n", "dim 1, n above 416" (EVEN_1D_MAX_N)
-    # or "start is not even"; "" when even.
+    # the grid the solve ran on, "even" (the x_i <= 0 half) or "full", and
+    # why not the even one: "dim 1, n above 416" (EVEN_1D_MAX_N) or "start
+    # is not even"; "" when even.
     grid: str = "full"
     grid_reason: str = ""
 
@@ -728,9 +728,7 @@ def _subspace(spec, start):
     stands, grid "full" and why the rule refused.
     """
     g = spec.grid
-    if g.n % 2:
-        why = "odd n"
-    elif g.dim == 1 and g.n > EVEN_1D_MAX_N:
+    if g.dim == 1 and g.n > EVEN_1D_MAX_N:
         why = f"dim 1, n above {EVEN_1D_MAX_N}"
     elif not _is_even(g, start):
         why = "start is not even"

@@ -267,7 +267,7 @@ def test_build_options_maps_solver_keys():
     assert err.value.errors == ["unknown key 'max_iter'", "unknown key 'xi'"]
 
 
-@pytest.mark.filterwarnings("ignore:n=")  # coarse or non-power-of-two grids
+@pytest.mark.filterwarnings("ignore:n=")  # coarse grids
 @settings(max_examples=300, deadline=None)
 @given(dim=st.sampled_from([1, 2, 3]), n=st.integers(0, 300),
        box_length=st.floats(0.0, 50.0), alpha=st.floats(0.0, 1.0), p=st.floats(1.0, 2.0),

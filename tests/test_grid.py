@@ -30,7 +30,6 @@ from besselmp.grid import (
     _integral,
     _irfft,
     _is_even,
-    _largest_prime_factor,
     _lp_norm,
     _multiplier_matrix,
     _multiply,
@@ -97,24 +96,6 @@ class TestGrid:
     def test_coarse_grid_warns(self):
         with pytest.warns(UserWarning, match="coarse"):
             Grid(1, 4, 10.0)
-
-    def test_non_power_of_two_warns(self):
-        # only a largest prime factor above FFT_MAX_PRIME = 29 warns: the
-        # transforms at 97, 188 = 4 x 47 and 62 = 2 x 31 are slow per point,
-        # those at 104 = 8 x 13, 117 = 9 x 13 and 116 = 4 x 29 are not
-        for n in (97, 188, 62):
-            with pytest.warns(UserWarning, match="prime factor above 29"):
-                Grid(1, n, 10.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for n in (48, 104, 116, 117):
-                Grid(1, n, 10.0)
-
-    def test_largest_prime_factor(self):
-        for n in range(2, 600):
-            primes = [k for k in range(2, n + 1)
-                      if n % k == 0 and all(k % j for j in range(2, k))]
-            assert _largest_prime_factor(n) == max(primes), n
 
     def test_power_of_two_silent(self):
         with warnings.catch_warnings():
@@ -377,12 +358,13 @@ def _close(got, want, scale):
 
 @settings(deadline=None, max_examples=60)
 @given(dim=st.sampled_from([1, 2, 3]), half_n=st.sampled_from([4, 5, 6, 8, 12]),
-       box=st.floats(5.0, 40.0), seed=st.integers(0, 2**31 - 1), s=st.floats(-1.0, 1.0),
-       r=st.floats(1.0, 6.0))
-def test_even_grid_kernels_match_the_full_grid(dim, half_n, box, seed, s, r):
+       odd=st.booleans(), box=st.floats(5.0, 40.0), seed=st.integers(0, 2**31 - 1),
+       s=st.floats(-1.0, 1.0), r=st.floats(1.0, 6.0))
+def test_even_grid_kernels_match_the_full_grid(dim, half_n, odd, box, seed, s, r):
     # on a random even field, the half grid's multiplier, Parseval norm, L^r
-    # norm and weighted sums read the full grid's kernels restricted to x >= 0
-    g = Grid(dim, 2 * half_n, box)
+    # norm and weighted sums read the full grid's kernels restricted to
+    # x <= 0, for an even and an odd n
+    g = Grid(dim, 2 * half_n + odd, box)
     h = g.half
     u = _rng(seed).standard_normal(h.shape)
     full = _extend(g, u)
@@ -399,17 +381,23 @@ def test_even_grid_kernels_match_the_full_grid(dim, half_n, box, seed, s, r):
 
 
 def test_even_grid_layout():
-    # (n/2 + 1)^dim points at x_i = j h, weighing 1 at the ends of each
-    # axis and 2 between; only an even n has one
+    # (n//2 + 1)^dim points, the full grid's first on each axis, from the
+    # box edge x_i = -L/2 to the origin (n even) or to -h/2 (n odd); an
+    # index weighs 1 where it is its own mirror n - j (mod n), 2 elsewhere
     g = Grid(2, 8, 4.0)
     h = g.half
     assert h.shape == (5, 5) and h.total_points == g.total_points and g.half is h
-    assert np.array_equal(h.axis_coords, 0.5 * np.arange(5))
+    assert np.array_equal(h.axis_coords, g.axis_coords[:5])
+    assert np.array_equal(h.axis_coords, -2.0 + 0.5 * np.arange(5))
     assert np.array_equal(h.weights[0], [1.0, 2.0, 2.0, 2.0, 1.0])
     assert h.weights.sum() == g.total_points and not g.even and h.even
     assert h != Grid(2, 8, 4.0)
-    with pytest.raises(ValueError, match="an even grid needs an even n, got 9"):
-        Grid(2, 9, 4.0).half
+    odd = Grid(2, 9, 4.0)
+    assert odd.half.shape == (5, 5) and np.array_equal(odd.half.axis_coords, odd.axis_coords[:5])
+    assert odd.half.axis_coords[-1] == pytest.approx(-0.5 * odd.spacing, abs=1e-15)
+    assert np.array_equal(odd.half.weights[0], [1.0, 2.0, 2.0, 2.0, 2.0])
+    assert odd.half.weights.sum() == odd.total_points
+    assert np.array_equal(odd.lattice_weights[0], odd.half.weights[0])
     # its DCT-I matrix counts against the point limit: only 1-D reaches it
     with pytest.raises(ValueError, match="n=4096 gives an even grid's DCT-I matrix of 4,198,401"):
         Grid(1, 4096, 4.0).half
@@ -586,7 +574,6 @@ def test_bessel_norm_single_mode():
     assert _bessel_norm_sq(g, u, 0.75) == pytest.approx(expect, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:n=")  # non-power-of-two grids
 @settings(deadline=None, max_examples=20)
 @given(seed=st.integers(0, 2**31 - 1), alpha=st.floats(0.1, 0.95))
 def test_bessel_norm_matches_spectral_sum(seed, alpha):

@@ -149,21 +149,21 @@ _RADIAL = {
 
 @pytest.mark.parametrize("dim,n,box_length", [
     (1, 256, 40.0), (1, 408, 7.3), (2, 48, 15.0), (2, 64, 40.0), (2, 30, 1.7),
-    (3, 16, 10.0), (3, 32, 10.0), (3, 24, 2.9),
+    (3, 16, 10.0), (3, 32, 10.0), (3, 24, 2.9), (1, 255, 40.0), (2, 47, 15.0), (3, 15, 10.0),
 ])
 @pytest.mark.parametrize("family", sorted(_RADIAL))
 def test_v_and_xi_are_even_and_restrict_to_the_half_problem(family, dim, n, box_length):
     # the even subspace rests on V and xi being even in each x_i, which
     # ProblemSpec.even_half takes on trust: both potential families and
     # xi are radial, so to roundoff on the grid, and the half problem's
-    # own V and xi are the full grid's restricted
+    # own V and xi, built at the full grid's own coordinates, are the full
+    # grid's restricted, to the bit, for an even and an odd n
     spec = _spec(grid=Grid(dim, n, box_length), q=3.0, potential=_RADIAL[family])
     half = spec.even_half
     assert half.grid == spec.grid.half
     for full, on_half in ((spec.V_field, half.V_field), (spec.xi_field, half.xi_field)):
         assert _is_even(spec.grid, full.values)
-        np.testing.assert_allclose(on_half.values, _restrict(spec.grid, full.values),
-                                   rtol=1e-12, atol=0.0)
+        assert np.array_equal(on_half.values, _restrict(spec.grid, full.values))
 
 
 # ---------------------------------------------------------------------------

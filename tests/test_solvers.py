@@ -346,7 +346,7 @@ class TestMountainPass:
     # which conftest pins.
 
     def test_exact_regression(self, coercive_mp):
-        assert coercive_mp.energy == 3.224188904309268
+        assert coercive_mp.energy == 3.224188904309267
 
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
@@ -772,9 +772,9 @@ def test_refused_conjugate_search_hands_over(monkeypatch):
 # trials) of its descent entries, recorded with the scaled-and-shifted
 # gradient M_c r.
 DESCENT_2D_TRACE = (
-    (8.791369490887906, 6.4655000606142625, 1.0, 1),
-    (6.552001598017938, 3.225673221209565, 2.0, 1),
-    (5.7367234337165725, 0.18372366136522833, 4.0, 0),
+    (8.791369490887902, 6.46550006061426, 1.0, 1),
+    (6.552001598017935, 3.225673221209564, 2.0, 1),
+    (5.7367234337165725, 0.18372366136522947, 4.0, 0),
 )
 
 
@@ -784,7 +784,7 @@ def test_descent_trace_2d_pinned():
     descent = [(t.energy, t.residual_norm, t.step_size, t.trials)
                for t in report.trace if t.phase == "nehari"]
     assert descent == list(DESCENT_2D_TRACE)
-    assert report.energy == 5.7335924499451965
+    assert report.energy == 5.733592449945197
 
 
 def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_ball,
@@ -825,11 +825,12 @@ def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_b
 
 def test_iterations_count_the_trace_rows(coercive_mp, coercive_ball, well_result):
     # a report's iterations are its trace rows, each row's iteration its
-    # index, on the even half and on an odd n's full grid alike
-    odd = two_solution_experiment(canonical_coercive_spec(n=255))
-    assert odd.success and odd.mountain_pass.grid_reason == "odd n"
+    # index, on the even half and on the full grid of a 1-D n above
+    # EVEN_1D_MAX_N alike
+    full = two_solution_experiment(canonical_coercive_spec(n=512))
+    assert full.success and full.mountain_pass.grid_reason == "dim 1, n above 416"
     for report in (coercive_mp, coercive_ball, well_result.mountain_pass, well_result.local_min,
-                   odd.mountain_pass, odd.local_min):
+                   full.mountain_pass, full.local_min):
         assert report.iterations == len(report.trace) > 0
         assert [t.iteration for t in report.trace] == list(range(len(report.trace)))
 
@@ -955,9 +956,9 @@ class TestTwoSolutions:
 
     def test_well_exact_regression(self, well_result):
         # recorded as the coercive pins above, on one BLAS thread
-        assert well_result.mountain_pass.energy == 1.4931505176211708
-        assert well_result.local_min.energy == -9.819309641120841e-08
-        assert well_result.distinctness == 1.6740738081170927
+        assert well_result.mountain_pass.energy == 1.493150517621171
+        assert well_result.local_min.energy == -9.819309641120836e-08
+        assert well_result.distinctness == 1.6740738081170974
 
     def test_levels_echo_reports(self, well_result):
         lv = well_result.levels
@@ -1013,11 +1014,11 @@ class TestTwoSolutions:
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.7335924499451965, -2.484581071296184e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.04461206124031, -3.083582144413578e-11),
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945197, -2.4845810712961867e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.044612061240294, -3.083582144413579e-11),
     (RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
-     3.357013680409742, -2.847165929010145e-08),
-    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.070079191148835, -9.833296806524985e-12),
+     3.3570136804097412, -2.8471659290101438e-08),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.07007919114881, -9.833296806524985e-12),
 ], ids=["2d", "3d", "2d-steep-well", "3d-n32"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     # the pins were recorded on one BLAS thread, like the 1-D ones, with
@@ -1061,14 +1062,14 @@ def _steep_well_on_the_krylov_route(n, saddle, minimizer):
 
 def test_steep_well_on_the_krylov_route():
     # the pins were recorded on one BLAS thread, in the even subspace
-    _steep_well_on_the_krylov_route(64, 3.9546408552919092, -2.3381507078050343e-08)
+    _steep_well_on_the_krylov_route(64, 3.95464085529191, -2.3381507077841337e-08)
 
 
 def test_steep_well_certifies_at_n128():
     # lam V = 5,000 on the wall: the gradient's M_c sees it pointwise, the
     # Newton solves' shift only as the mean of |h|, and every Newton solve
     # still stops short of the cap here; the n=256 saddle is 4.13223520
-    _steep_well_on_the_krylov_route(128, 4.131516190837431, -2.1256877919264245e-08)
+    _steep_well_on_the_krylov_route(128, 4.1315161908374325, -2.125687791926464e-08)
 
 
 def test_polish_that_leaves_its_basin_is_refused(well_spec):
@@ -1112,8 +1113,8 @@ def test_polish_at_the_fold_stalls(well_spec):
 # every (lam, mu) pair certifies with c > eta; two saddles pinned on one
 # BLAS thread
 SWEEP_SADDLES = {
-    (200.0, 0.05): 1.5182109252113707,
-    (50.0, 0.05): 1.4602836700350947,
+    (200.0, 0.05): 1.5182109252113711,
+    (50.0, 0.05): 1.4602836700350952,
 }
 
 
@@ -1160,26 +1161,46 @@ def test_assess_levels_verdicts(well_result):
 # ---------------------------------------------------------------------------
 # the even subspace
 
-# full_grid_forward: the forward transforms of a run whose solves all ran
-# on the full grid, each descent row transforming its iterate twice
-@pytest.mark.parametrize("cfg,full_grid_forward", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 138), (PLANE_2D, 151),
-    (RunConfig(dim=2, n=64, box_length=20.0, potential="well", lam=100.0, mu=0.05), 372),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 122),
-    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 154),
-], ids=["2d", "plane-2d", "2d-steep-well", "3d", "3d-n32"])
-def test_even_subspace_agrees_with_the_full_grid(cfg, full_grid_forward, fft_calls, monkeypatch):
-    # c to 1e-12 and m to 1e-9 relative against the same solves kept on the
-    # full grid; each solution's residual re-checked on the full grid is
-    # the reported one, at most tol; and fewer forward transforms
+# m_rtol: the bound on m's relative gap.  Measured on one BLAS thread, c
+# agrees to at most 8.9e-16 relative on every row, and m to at most 1.5e-11
+# (the 2-D steep well at n=64), except the 1-D coercive problem at n=255:
+# there m = -5.63e-11 agrees to 6.4e-9, because the half grid runs the
+# dense-K^{-1} Newton route, which stops at another point within tol
+@pytest.mark.parametrize("cfg,m_rtol", [
+    (RunConfig(dim=2, n=16, box_length=15.0), 1e-10), (PLANE_2D, 1e-10),
+    (STEEP_WELL_2D, 1e-10),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 1e-10),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 1e-10),
+    (RunConfig(dim=2, n=15, box_length=15.0), 1e-10),
+    (RunConfig(dim=2, n=47, box_length=15.0), 1e-10),
+    (RunConfig(dim=3, n=31, box_length=10.0, q=3.0), 1e-10),
+    (replace(STEEP_WELL_2D, n=63), 1e-10),
+    (RunConfig(dim=1, n=255), 1e-8),
+    (RunConfig(dim=1, n=255, potential="well", lam=100.0, mu=0.05), 1e-10),
+], ids=["2d", "plane-2d", "2d-steep-well", "3d", "3d-n32", "2d-n15", "2d-n47", "3d-n31",
+        "2d-steep-well-n63", "1d-coercive-n255", "1d-well-n255"])
+def test_even_subspace_agrees_with_the_full_grid(cfg, m_rtol, monkeypatch):
+    # c to 1e-14 and m to m_rtol relative against the same solves kept on
+    # the full grid, for an even and an odd n; each solution's residual
+    # re-checked on the full grid is the reported one, at most tol; and the
+    # forward transforms read fewer points
+    points = [0]
+    rfft = grid_module._rfft
+
+    def counted(g, values):
+        points[0] += values.size
+        return rfft(g, values)
+
+    monkeypatch.setattr(grid_module, "_rfft", counted)
     spec = build_spec(cfg)
     even = two_solution_experiment(spec)
-    assert fft_calls["_rfft"] <= full_grid_forward
+    even_points, points[0] = points[0], 0
     monkeypatch.setattr(solvers, "_subspace", lambda spec, start: (spec, start, "full", "kept"))
     full = two_solution_experiment(spec)
     assert even.success and full.success
-    assert even.mountain_pass.energy == pytest.approx(full.mountain_pass.energy, rel=1e-12, abs=0)
-    assert even.local_min.energy == pytest.approx(full.local_min.energy, rel=1e-9, abs=0)
+    assert even_points < points[0]
+    assert even.mountain_pass.energy == pytest.approx(full.mountain_pass.energy, rel=1e-14, abs=0)
+    assert even.local_min.energy == pytest.approx(full.local_min.energy, rel=m_rtol, abs=0)
     for report in (even.mountain_pass, even.local_min):
         assert (report.grid, report.grid_reason) == ("even", "")
         rn = lp_norm(residual(spec, report.solution), 2)
@@ -1187,24 +1208,29 @@ def test_even_subspace_agrees_with_the_full_grid(cfg, full_grid_forward, fft_cal
         assert report.energy == energy(spec, report.solution).total
 
 
-@pytest.mark.parametrize("case,saddle,minimizer", [
-    ("odd n", 14.631529944143429, -1.6902557363020462e-11),
-    ("start is not even", 8.067966995871563, None),
-], ids=["odd-n", "start-not-even"])
-def test_full_grid_fallbacks_keep_their_results(case, saddle, minimizer):
+@pytest.mark.parametrize("case,saddle", [("start is not even", 8.067966995871563)],
+                         ids=["start-not-even"])
+def test_full_grid_fallbacks_keep_their_results(case, saddle):
     # each solve the rule keeps on the full grid says why, and gives its
-    # pinned results, to the bit
-    spec = build_spec(RunConfig(dim=2, n=15 if case == "odd n" else 16, box_length=15.0))
-    probe = probe_geometry(spec)
-    e = probe.e
-    if case == "start is not even":
-        e = Field(spec.grid, np.roll(e.values, 1, axis=0))
-    reports = [mountain_pass_solve(spec, e)]
-    if minimizer is not None:
-        reports.append(ball_min_solve(spec, probe.rho))
-    for report, level in zip(reports, (saddle, minimizer)):
-        assert report.ok and (report.grid, report.grid_reason) == ("full", case)
-        assert report.energy == level
+    # pinned results, to the bit; an odd n no longer falls back
+    # (test_odd_n_runs_on_the_even_half)
+    spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
+    e = probe_geometry(spec).e
+    report = mountain_pass_solve(spec, Field(spec.grid, np.roll(e.values, 1, axis=0)))
+    assert report.ok and (report.grid, report.grid_reason) == ("full", case)
+    assert report.energy == saddle
+
+
+def test_odd_n_runs_on_the_even_half():
+    # an odd n stores x_i <= -h/2 and runs both solves there; its saddle is
+    # the one the full grid gives, to the bit.  At h = 1 it is no Morse
+    # index 1 point of the full grid (index 4), on either grid
+    r = two_solution_experiment(build_spec(RunConfig(dim=2, n=15, box_length=15.0)))
+    assert r.success, r.failed_stage
+    for report in (r.mountain_pass, r.local_min):
+        assert (report.grid, report.grid_reason) == ("even", "")
+    assert r.mountain_pass.energy == 14.631529944143429
+    assert r.local_min.energy == -1.690255736302045e-11
 
 
 def test_one_dimension_runs_on_the_even_half_up_to_its_bound(coercive_mp, coercive_ball,
@@ -1325,7 +1351,7 @@ def _canonical_at(make_spec, n):
     (canonical_coercive_spec, ((2, 5, 16, 0), (1, 2, 3, 0)), (3, 2), ""),
     (canonical_well_spec, ((2, 4, 13, 0), (2, 3, 6, 0)), (3, 2), ""),
     (lambda: _canonical_at(canonical_coercive_spec, 255),
-     ((2, 5, 107, 0), (1, 2, 21, 0)), (148, 144), "odd n"),
+     ((2, 5, 16, 0), (1, 2, 3, 0)), (3, 2), ""),
     (lambda: _canonical_at(canonical_well_spec, 512),
      ((3, 6, 152, 0), (5, 3, 95, 1)), (289, 277), "dim 1, n above 416"),
     (lambda: build_spec(RunConfig(dim=2, n=48, box_length=15.0)),
@@ -1337,7 +1363,7 @@ def _canonical_at(make_spec, n):
      ((4, 5, 52, 0), (1, 3, 17, 0)), (99, 93), ""),
     (lambda: build_spec(RunConfig(dim=3, n=32, box_length=10.0, q=3.0)),
      ((3, 7, 71, 0), (1, 3, 17, 0)), (120, 115), ""),
-], ids=["coercive", "well", "coercive-full-255", "well-full-512", "plane_2d", "2d-steep-well",
+], ids=["coercive", "well", "coercive-255", "well-full-512", "plane_2d", "2d-steep-well",
         "2d-steep-well-128", "3d", "3d-32"])
 def test_solver_work_is_pinned(make_spec, solves, transforms, reason, fft_calls):
     # (descent rows, polish rows, Newton MINRES iterations, conjugate rows)
@@ -1518,19 +1544,22 @@ def test_singular_direct_solves_fail(monkeypatch):
 
 
 def test_minres_refuses_an_x_that_is_not_finite():
-    # a system whose solution lies past the float range: M = diag(1, 1e300,
-    # 1, ...) stands in for K^{-1}, and h sets the Lanczos product's H to
-    # M^{-1} + diag(h - lam V), whose entry 1 is 1e-300 2^-52.  One
-    # iteration meets the forcing term with x_1 about 4e318, which
-    # overflows; the solve returns None and keeps the stop "forcing"
+    # a system whose solution lies past the float range: M, the identity
+    # but 1e300 at the stored index i = n/2 - 1 (x = -h, inside the well,
+    # where lam V = 0), stands in for K^{-1}, and h sets the Lanczos
+    # product's H to M^{-1} + diag(h - lam V), whose entry i is
+    # 1e-300 2^-52.  One iteration meets the forcing term with x_i about
+    # 4e318, which overflows; the solve returns None and keeps the stop
+    # "forcing"
     half, _ = _half_states(canonical_well_spec)
     weight = half.lam * half.V_field.values
+    i = half.grid.n // 2 - 1
     dense = replace(half)
-    dense.__dict__["_riesz_inverse"] = np.diag(np.where(np.arange(len(weight)) == 1, 1e300, 1.0))
+    dense.__dict__["_riesz_inverse"] = np.diag(np.where(np.arange(len(weight)) == i, 1e300, 1.0))
     h = weight.copy()
-    h[1] -= (1.0 - 2.0**-52) / 1e300
+    h[i] -= (1.0 - 2.0**-52) / 1e300
     b = np.zeros_like(weight)
-    b[1] = 1e3
+    b[i] = 1e3
     with np.errstate(over="ignore"):
         assert _minres(dense, h, b, 0.1) == (None, 1, "forcing")
 
