@@ -1165,25 +1165,29 @@ def test_assess_levels_verdicts(well_result):
 # agrees to at most 8.9e-16 relative on every row, and m to at most 1.5e-11
 # (the 2-D steep well at n=64), except the 1-D coercive problem at n=255:
 # there m = -5.63e-11 agrees to 6.4e-9, because the half grid runs the
-# dense-K^{-1} Newton route, which stops at another point within tol
-@pytest.mark.parametrize("cfg,m_rtol", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 1e-10), (PLANE_2D, 1e-10),
-    (STEEP_WELL_2D, 1e-10),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 1e-10),
-    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 1e-10),
-    (RunConfig(dim=2, n=15, box_length=15.0), 1e-10),
-    (RunConfig(dim=2, n=47, box_length=15.0), 1e-10),
-    (RunConfig(dim=3, n=31, box_length=10.0, q=3.0), 1e-10),
-    (replace(STEEP_WELL_2D, n=63), 1e-10),
-    (RunConfig(dim=1, n=255), 1e-8),
-    (RunConfig(dim=1, n=255, potential="well", lam=100.0, mu=0.05), 1e-10),
+# dense-K^{-1} Newton route, which stops at another point within tol.
+# forward_cap: the forward transforms the half-grid run makes, measured on
+# one BLAS thread; a rise in them fails the row
+@pytest.mark.parametrize("cfg,m_rtol,forward_cap", [
+    (RunConfig(dim=2, n=16, box_length=15.0), 1e-10, 90), (PLANE_2D, 1e-10, 105),
+    (STEEP_WELL_2D, 1e-10, 229),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 1e-10, 80),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 1e-10, 120),
+    (RunConfig(dim=2, n=15, box_length=15.0), 1e-10, 69),
+    (RunConfig(dim=2, n=47, box_length=15.0), 1e-10, 82),
+    (RunConfig(dim=3, n=31, box_length=10.0, q=3.0), 1e-10, 101),
+    (replace(STEEP_WELL_2D, n=63), 1e-10, 184),
+    (RunConfig(dim=1, n=255), 1e-8, 3),
+    (RunConfig(dim=1, n=255, potential="well", lam=100.0, mu=0.05), 1e-10, 3),
 ], ids=["2d", "plane-2d", "2d-steep-well", "3d", "3d-n32", "2d-n15", "2d-n47", "3d-n31",
         "2d-steep-well-n63", "1d-coercive-n255", "1d-well-n255"])
-def test_even_subspace_agrees_with_the_full_grid(cfg, m_rtol, monkeypatch):
+def test_even_subspace_agrees_with_the_full_grid(cfg, m_rtol, forward_cap, fft_calls,
+                                                 monkeypatch):
     # c to 1e-14 and m to m_rtol relative against the same solves kept on
     # the full grid, for an even and an odd n; each solution's residual
-    # re-checked on the full grid is the reported one, at most tol; and the
-    # forward transforms read fewer points
+    # re-checked on the full grid is the reported one, at most tol; the
+    # half-grid run makes at most forward_cap forward transforms, and they
+    # read fewer points than the full-grid run's
     points = [0]
     rfft = grid_module._rfft
 
@@ -1194,6 +1198,7 @@ def test_even_subspace_agrees_with_the_full_grid(cfg, m_rtol, monkeypatch):
     monkeypatch.setattr(grid_module, "_rfft", counted)
     spec = build_spec(cfg)
     even = two_solution_experiment(spec)
+    assert fft_calls["_rfft"] <= forward_cap
     even_points, points[0] = points[0], 0
     monkeypatch.setattr(solvers, "_subspace", lambda spec, start: (spec, start, "full", "kept"))
     full = two_solution_experiment(spec)
