@@ -55,15 +55,16 @@ and the array work of a MINRES iteration cost about 2^dim times less.
 In 1-D that is at most 209 samples, few enough to store
 A = (I - Laplacian)^alpha and K^{-1} dense: a residual or an energy is
 one product with A, the gradient one with K^{-1}, and a Newton MINRES
-iteration one more, with no transform.  The rule is fixed: a solve runs
-there exactly when, in 1-D, n is at most EVEN_1D_MAX_N and the start is
-even to roundoff; otherwise on the full grid, as it stands.  The 1-D bound
+iteration one more, with no transform.  The rule is fixed (``_subspace``):
+a start even to roundoff runs there unless, in 1-D, n is above
+EVEN_1D_MAX_N; otherwise on the full grid, as it stands.  The 1-D bound
 weighs a fresh problem against a warm one: each product is O(n^2), and
 the first run also builds A and inverts K, O(n^3), so from about n = 384
 the cold coercive canonical run is slower than on the full grid's FFT,
-though warm runs stay faster up to n = 1024 (README).  The solution
-is extended back to the full grid and its residual re-checked there
-once; a report says which grid it ran on, and why not the even one.
+though warm runs stay faster up to n = 1024 (README).  The probe and the
+ball's start follow the rule.  A solve is scored where it ran, the
+mirror weights making each sum the full grid's to roundoff, and only its
+solution is extended; a report says which grid it ran on, and why.
 """
 
 from __future__ import annotations
@@ -352,11 +353,13 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
     budget, when the ridge bound is not a finite float, when the bump's
     energy is not finite, or when ||e||_lam <= rho.
     """
+    # the bump is even, so all but e is scored where an even start runs: the same sums
+    run = _subspace(spec)[0]
     # with m = lam min V, ||u||_lam^2 >= ||u||_bessel^2 + m ||u||_2^2 and the symbol is at
     # least 1: sup |u| <= C_inf ||u||_lam and ||u||_2 <= C_2 ||u||_lam, C_2^2 = 1/(1 + m)
-    shift = spec.lam * float(np.min(spec.V_field.values))
-    c_inf, c_2 = _sup_constant(spec.grid, spec.alpha, shift), 1.0 / math.sqrt(1.0 + shift)
-    rho, eta, budget = _ridge_bound(spec, c_inf, c_2)
+    shift = run.lam * float(np.min(run.V_field.values))
+    c_inf, c_2 = _sup_constant(run.grid, run.alpha, shift), 1.0 / math.sqrt(1.0 + shift)
+    rho, eta, budget = _ridge_bound(run, c_inf, c_2)
     # mu(w) is 0-homogeneous, and the ridge constants bound its t^q and t^p
     # coefficients as they bound l's, so at ||w||_lam = 1 mu(w) is at least
     # max_t (t^(2-p) - q a t^(q-p)) / (p b), the budget times (2/p) (2/q)^((2-p)/(q-2))
@@ -365,12 +368,11 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
 
     # far endpoint: the first of the bumps 1.5^k exp(-|x|^2) with negative (and
     # finite) energy, each scored in closed form along the bump's ray
-    phi0 = _bump(spec)
-    pieces = _energy_parts(spec, phi0)
+    pieces = _energy_parts(run, _bump(run))
     if pieces.total == math.inf:
         raise GeometryError(f"the bump exp(-|x|^2) has infinite energy on the grid (n = "
                             f"{spec.grid.n}, box_length = {spec.grid.box_length:.6g})")
-    k, _ = _first(range(60), lambda k: -math.inf < _along(spec, pieces, 1.5**k) < 0.0)
+    k, _ = _first(range(60), lambda k: -math.inf < _along(run, pieces, 1.5**k) < 0.0)
     if k is None:
         raise GeometryError("could not drive the energy negative by scaling a bump")
     # ||e||_lam^2 = 1.5^(2k) ||phi0||_lam^2 = 1.5^(2k) 2 quad
@@ -379,7 +381,7 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
         raise GeometryError(f"the far endpoint has ||e||_lam = {e_norm:.6g}, "
                             f"not beyond the certified ridge radius rho = {rho:.6g}")
     return GeometryProbe(rho=rho, eta=eta, mu_budget=budget, mu0_lower=mu0_lower,
-                         c_inf=c_inf, c_2=c_2, e=Field(spec.grid, 1.5**k * phi0))
+                         c_inf=c_inf, c_2=c_2, e=Field(spec.grid, 1.5**k * _bump(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -720,40 +722,32 @@ def _nehari_solve(spec, u, level, bottom, opts):
     return u, e_u, rn, bessel, tuple(trace)
 
 
-def _subspace(spec, start):
-    """(problem, start on its grid, grid, why): where a solve from the full-grid ``start`` runs.
+def _subspace(spec, start=None):
+    """(problem, grid, why): where a solve from an even start, or from the given ``start``, runs.
 
-    The even half (``ProblemSpec.even_half``) when the module docstring's
-    rule allows, with grid "even" and why ""; else the full grid as it
-    stands, grid "full" and why the rule refused.
+    The even half (``ProblemSpec.even_half``), grid "even" and why "", unless
+    the module docstring's rule refuses it: then ``spec``, grid "full" and why.
     """
     g = spec.grid
     if g.dim == 1 and g.n > EVEN_1D_MAX_N:
-        why = f"dim 1, n above {EVEN_1D_MAX_N}"
-    elif not _is_even(g, start):
-        why = "start is not even"
-    else:
-        return spec.even_half, _restrict(g, start), "even", ""
-    return spec, start, "full", why
+        return spec, "full", f"dim 1, n above {EVEN_1D_MAX_N}"
+    if start is not None and not _is_even(g, start):
+        return spec, "full", "start is not even"
+    return spec.even_half, "even", ""
 
 
 def _descend(spec, run, u, level, bottom, opts):
-    """``_nehari_solve`` on ``run``, the problem ``_subspace`` picked, and back to ``spec``'s grid.
+    """``_nehari_solve`` on ``run``, the problem ``_subspace`` picked; u back on ``spec``'s grid.
 
-    From the even half the solution is extended to the full grid, and its
-    energy and residual norm are scored once there by ``_residual``,
-    converged or not: they are ``energy`` and ``residual`` of the reported
-    solution to the bit.  Returns (u, energy, rn, ||u||_lam, trace,
+    The energy, rn and ||u||_lam are scored on ``run``, where the polish
+    stopped; only u is extended.  Returns (u, energy, rn, ||u||_lam, trace,
     handover), handover the level the descent handed to the polish.
     """
-    g = spec.grid
     u, e_u, rn, bessel, trace = _nehari_solve(run, u, level, bottom, opts)
     handover = next(t.energy for t in trace if t.phase == "polish")
+    norm = math.sqrt(bessel + _potential(run.grid, u, run.V_field.values, run.lam))
     if run is not spec:
-        u = _extend(g, u)
-        _, rn, bessel = _residual(spec, u)
-        e_u = _energy_parts(spec, u, bessel).total
-    norm = math.sqrt(bessel + _potential(g, u, spec.V_field.values, spec.lam))
+        u = _extend(spec.grid, u)
     return u, e_u, rn, norm, trace, handover
 
 
@@ -788,7 +782,8 @@ def mountain_pass_solve(spec: ProblemSpec, e: Field, opts: SolveOptions | None =
     """
     opts = opts or SolveOptions()
     _require((e.grid == spec.grid, "field grid does not match problem grid"))
-    run, start, grid, why = _subspace(spec, e.values)
+    run, grid, why = _subspace(spec, e.values)
+    start = e.values if run is spec else _restrict(spec.grid, e.values)
     pieces = _energy_parts(run, start)
     if not pieces.total < 0.0:
         raise ValueError("endpoint e must have negative energy")
@@ -835,7 +830,8 @@ def ball_min_solve(spec: ProblemSpec, rho: float, opts: SolveOptions | None = No
         raise ValueError(f"ball radius must be positive, got {rho}")
 
     g = spec.grid
-    run, phi0, grid, why = _subspace(spec, _bump(spec))
+    run, grid, why = _subspace(spec)
+    phi0 = _bump(run)
     t, level = _fibering(run, phi0, bottom=True)
     if not level < 0.0:
         # every term of the residual vanishes at the zero field

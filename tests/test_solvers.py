@@ -46,7 +46,6 @@ from besselmp.problem import _energy_parts, _residual_values
 from besselmp.solvers import (
     MINRES_MAXITER,
     _armijo_step,
-    _bump,
     _conjugate,
     _fibering,
     _hessian_diag,
@@ -77,6 +76,21 @@ def _morse_index(spec, u):
     g = spec.grid
     hessian = multiplier_matrix(g, spec.alpha) + np.diag(_hessian_diag(spec, u.values).ravel())
     return int(np.count_nonzero(np.linalg.eigvalsh(hessian) < 0.0))
+
+
+def _assert_scored_to_roundoff(spec, report):
+    """A report's energy and residual norm are its solution's on the full grid, to roundoff.
+
+    A solve scores both on the grid it ran on.  The energy agrees to 1e-13
+    relative; the residual norm, which at a solution is far below the terms
+    that cancel in it, to 1e-13 of its linear part ||(I - Laplacian)^alpha u
+    + lam V u||_2.
+    """
+    g, u = spec.grid, report.solution.values
+    assert report.energy == pytest.approx(energy(spec, report.solution).total, rel=1e-13, abs=0)
+    linear = _multiply(g, u, spec.alpha) + spec.lam * spec.V_field.values * u
+    gap = report.residual_norm - lp_norm(residual(spec, report.solution), 2)
+    assert abs(gap) <= 1e-13 * lp_norm(Field(g, linear), 2)
 
 
 def test_solve_options_validation():
@@ -346,7 +360,7 @@ class TestMountainPass:
     # which conftest pins.
 
     def test_exact_regression(self, coercive_mp):
-        assert coercive_mp.energy == 3.224188904309267
+        assert coercive_mp.energy == 3.224188904309269
 
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
@@ -412,11 +426,11 @@ class TestMountainPass:
         polish = [t for t in report.trace if t.phase == "polish"]
         assert len(polish) == 1
         assert polish[0].step_size == 0.0 and polish[0].trials == 0
-        # a run that did not converge is also scored on the full grid
-        assert report.residual_norm == lp_norm(residual(spec, report.solution), 2)
-        assert report.residual_norm == pytest.approx(polish[0].residual_norm, rel=1e-12)
-        assert report.residual_norm > SolveOptions().tol
-        assert report.energy == energy(spec, report.solution).total
+        # a run that did not converge reports the scores of the point where
+        # its polish stopped, which are its solution's to roundoff
+        assert report.residual_norm == polish[0].residual_norm > SolveOptions().tol
+        assert report.energy == polish[0].energy
+        _assert_scored_to_roundoff(spec, report)
         assert not report.converged and not report.ok
         assert report.message == "residual tolerance not reached"
 
@@ -680,8 +694,8 @@ def test_each_descent_row_computes_one_residual(coercive_spec, coercive_probe, m
     # last row; each descent row records ||u||_lam of the iterate whose
     # residual it computed, each polish row 0.0; the descent runs on the
     # even half, and its iterates extend to the full grid's.  The descent
-    # rows' residuals come first, then the polish trials' and the full-grid
-    # re-check's (``test_trials_count_the_trial_points``)
+    # rows' residuals come first, then the polish trials'
+    # (``test_trials_count_the_trial_points``)
     calls = []
     residual = solvers._residual
 
@@ -700,18 +714,17 @@ def test_each_descent_row_computes_one_residual(coercive_spec, coercive_probe, m
         descent = [t for t in report.trace if t.phase == phase]
         polish = [t for t in report.trace if t.phase == "polish"]
         assert report.ok and report.grid == "even"
-        assert len(calls) == len(descent) + sum(t.trials for t in polish) + 1
+        assert len(calls) == len(descent) + sum(t.trials for t in polish)
         assert polish[0].energy == descent[-1].energy
         assert [t.norm_lam for t in descent] == pytest.approx(
             [_norm_lam(coercive_spec, Field(coercive_spec.grid, u))
              for u in calls[: len(descent)]], rel=1e-13)
         assert all(t.norm_lam == 0.0 for t in polish)
-        # the polish scores its level on the half grid, the report on the full
-        # grid, and the two differ by roundoff
+        # the report's level is the one the polish scored on the half grid,
+        # and the full grid's to roundoff
         half = Field(half_spec.grid, _restrict(coercive_spec.grid, report.solution.values))
-        assert report.trace[-1].energy == energy(half_spec, half).total
-        assert report.energy == energy(coercive_spec, report.solution).total
-        assert report.energy == pytest.approx(report.trace[-1].energy, rel=1e-14)
+        assert report.energy == report.trace[-1].energy == energy(half_spec, half).total
+        _assert_scored_to_roundoff(coercive_spec, report)
 
 
 def test_conjugate_direction_and_its_restart(coercive_spec):
@@ -784,7 +797,7 @@ def test_descent_trace_2d_pinned():
     descent = [(t.energy, t.residual_norm, t.step_size, t.trials)
                for t in report.trace if t.phase == "nehari"]
     assert descent == list(DESCENT_2D_TRACE)
-    assert report.energy == 5.733592449945197
+    assert report.energy == 5.733592449945196
 
 
 def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_ball,
@@ -804,10 +817,9 @@ def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_b
     monkeypatch.setattr(solvers, "_residual", counted_residual)
     # each solver scores the critical point of its first ray, one energy
     # per descent trial, and the point of each accepted Newton step; the
-    # first polish entry reports the descent's level, scored by no one; a
-    # solve on the even half scores its extended solution's energy once on
-    # the full grid, with the residual from the same transform pair.  One
-    # residual per descent row, per polish trial and for that re-check
+    # first polish entry reports the descent's level, scored by no one, and
+    # the report the last point's, on the grid the solve ran on.  One
+    # residual per descent row and per polish trial
     for solve, phase, again in (
             (lambda: mountain_pass_solve(coercive_spec, coercive_probe.e, probe=coercive_probe),
              "nehari", None),
@@ -817,9 +829,9 @@ def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_b
         descent = [t.trials for t in report.trace if t.phase == phase]
         polish = [t.trials for t in report.trace if t.phase == "polish"]
         accepted = sum(t.step_size > 0.0 for t in report.trace if t.phase == "polish")
-        assert 2 + sum(descent) + accepted == scored[0] and accepted == len(polish) - 1
+        assert 1 + sum(descent) + accepted == scored[0] and accepted == len(polish) - 1
         assert report.grid == "even" and polish[-1] == 0
-        assert len(descent) + sum(polish) + 1 == residuals[0]
+        assert len(descent) + sum(polish) == residuals[0]
         assert again is None or report.energy == again.energy
 
 
@@ -856,7 +868,7 @@ class TestBallMin:
         assert -1e-9 < coercive_ball.energy < 0.0
 
     def test_exact_regression(self, coercive_ball):
-        assert coercive_ball.energy == -5.634676503500934e-11
+        assert coercive_ball.energy == -5.6346765035009183e-11
 
     def test_descent_monotone(self, coercive_ball, well_result):
         # every accepted step lowers J-, so the descent entries never rise
@@ -956,8 +968,8 @@ class TestTwoSolutions:
 
     def test_well_exact_regression(self, well_result):
         # recorded as the coercive pins above, on one BLAS thread
-        assert well_result.mountain_pass.energy == 1.493150517621171
-        assert well_result.local_min.energy == -9.819309641120836e-08
+        assert well_result.mountain_pass.energy == 1.493150517621172
+        assert well_result.local_min.energy == -9.81930964112083e-08
         assert well_result.distinctness == 1.6740738081170974
 
     def test_levels_echo_reports(self, well_result):
@@ -1014,11 +1026,11 @@ class TestTwoSolutions:
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945197, -2.4845810712961867e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.044612061240294, -3.083582144413579e-11),
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945196, -2.484581071296183e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.044612061240265, -3.083582144413579e-11),
     (RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
-     3.3570136804097412, -2.8471659290101438e-08),
-    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.07007919114881, -9.833296806524985e-12),
+     3.3570136804097404, -2.847165929010145e-08),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.07007919114872, -9.833296806524991e-12),
 ], ids=["2d", "3d", "2d-steep-well", "3d-n32"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     # the pins were recorded on one BLAS thread, like the 1-D ones, with
@@ -1062,14 +1074,14 @@ def _steep_well_on_the_krylov_route(n, saddle, minimizer):
 
 def test_steep_well_on_the_krylov_route():
     # the pins were recorded on one BLAS thread, in the even subspace
-    _steep_well_on_the_krylov_route(64, 3.95464085529191, -2.3381507077841337e-08)
+    _steep_well_on_the_krylov_route(64, 3.954640855291904, -2.3381507077841377e-08)
 
 
 def test_steep_well_certifies_at_n128():
     # lam V = 5,000 on the wall: the gradient's M_c sees it pointwise, the
     # Newton solves' shift only as the mean of |h|, and every Newton solve
     # still stops short of the cap here; the n=256 saddle is 4.13223520
-    _steep_well_on_the_krylov_route(128, 4.1315161908374325, -2.125687791926464e-08)
+    _steep_well_on_the_krylov_route(128, 4.131516190837428, -2.1256877919264655e-08)
 
 
 def test_polish_that_leaves_its_basin_is_refused(well_spec):
@@ -1113,8 +1125,8 @@ def test_polish_at_the_fold_stalls(well_spec):
 # every (lam, mu) pair certifies with c > eta; two saddles pinned on one
 # BLAS thread
 SWEEP_SADDLES = {
-    (200.0, 0.05): 1.5182109252113711,
-    (50.0, 0.05): 1.4602836700350952,
+    (200.0, 0.05): 1.5182109252113736,
+    (50.0, 0.05): 1.4602836700350943,
 }
 
 
@@ -1167,27 +1179,28 @@ def test_assess_levels_verdicts(well_result):
 # there m = -5.63e-11 agrees to 6.4e-9, because the half grid runs the
 # dense-K^{-1} Newton route, which stops at another point within tol.
 # forward_cap: the forward transforms the half-grid run makes, measured on
-# one BLAS thread; a rise in them fails the row
+# one BLAS thread; a rise in them fails the row.  A 1-D run transforms
+# nothing (``test_canonical_1d_run_transforms_nothing_on_the_half_grid``)
 @pytest.mark.parametrize("cfg,m_rtol,forward_cap", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 1e-10, 90), (PLANE_2D, 1e-10, 105),
-    (STEEP_WELL_2D, 1e-10, 229),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 1e-10, 80),
-    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 1e-10, 120),
-    (RunConfig(dim=2, n=15, box_length=15.0), 1e-10, 69),
-    (RunConfig(dim=2, n=47, box_length=15.0), 1e-10, 82),
-    (RunConfig(dim=3, n=31, box_length=10.0, q=3.0), 1e-10, 101),
-    (replace(STEEP_WELL_2D, n=63), 1e-10, 184),
-    (RunConfig(dim=1, n=255), 1e-8, 3),
-    (RunConfig(dim=1, n=255, potential="well", lam=100.0, mu=0.05), 1e-10, 3),
+    (RunConfig(dim=2, n=16, box_length=15.0), 1e-10, 88), (PLANE_2D, 1e-10, 103),
+    (STEEP_WELL_2D, 1e-10, 227),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 1e-10, 78),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 1e-10, 118),
+    (RunConfig(dim=2, n=15, box_length=15.0), 1e-10, 67),
+    (RunConfig(dim=2, n=47, box_length=15.0), 1e-10, 80),
+    (RunConfig(dim=3, n=31, box_length=10.0, q=3.0), 1e-10, 99),
+    (replace(STEEP_WELL_2D, n=63), 1e-10, 182),
+    (RunConfig(dim=1, n=255), 1e-8, 0),
+    (RunConfig(dim=1, n=255, potential="well", lam=100.0, mu=0.05), 1e-10, 0),
 ], ids=["2d", "plane-2d", "2d-steep-well", "3d", "3d-n32", "2d-n15", "2d-n47", "3d-n31",
         "2d-steep-well-n63", "1d-coercive-n255", "1d-well-n255"])
 def test_even_subspace_agrees_with_the_full_grid(cfg, m_rtol, forward_cap, fft_calls,
                                                  monkeypatch):
-    # c to 1e-14 and m to m_rtol relative against the same solves kept on
-    # the full grid, for an even and an odd n; each solution's residual
-    # re-checked on the full grid is the reported one, at most tol; the
-    # half-grid run makes at most forward_cap forward transforms, and they
-    # read fewer points than the full-grid run's
+    # c to 1e-14 and m to m_rtol relative against the same probe and solves
+    # kept on the full grid, for an even and an odd n; each report scores
+    # its solution to roundoff, with a residual at most tol; the half-grid
+    # run makes at most forward_cap forward transforms, and they read fewer
+    # points than the full-grid run's
     points = [0]
     rfft = grid_module._rfft
 
@@ -1200,7 +1213,7 @@ def test_even_subspace_agrees_with_the_full_grid(cfg, m_rtol, forward_cap, fft_c
     even = two_solution_experiment(spec)
     assert fft_calls["_rfft"] <= forward_cap
     even_points, points[0] = points[0], 0
-    monkeypatch.setattr(solvers, "_subspace", lambda spec, start: (spec, start, "full", "kept"))
+    monkeypatch.setattr(solvers, "_subspace", lambda spec, start=None: (spec, "full", "kept"))
     full = two_solution_experiment(spec)
     assert even.success and full.success
     assert even_points < points[0]
@@ -1208,9 +1221,58 @@ def test_even_subspace_agrees_with_the_full_grid(cfg, m_rtol, forward_cap, fft_c
     assert even.local_min.energy == pytest.approx(full.local_min.energy, rel=m_rtol, abs=0)
     for report in (even.mountain_pass, even.local_min):
         assert (report.grid, report.grid_reason) == ("even", "")
-        rn = lp_norm(residual(spec, report.solution), 2)
-        assert report.residual_norm == rn <= SolveOptions().tol
-        assert report.energy == energy(spec, report.solution).total
+        assert report.residual_norm <= SolveOptions().tol
+        _assert_scored_to_roundoff(spec, report)
+    assert (full.mountain_pass.grid, full.local_min.grid) == ("full", "full")
+
+
+@pytest.mark.parametrize("cfg,half", [
+    (RunConfig(), True), (RunConfig(potential="well", lam=100.0, mu=0.05), True),
+    (PLANE_2D, True), (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), True),
+    (RunConfig(dim=2, n=47, box_length=15.0), True),
+    (RunConfig(dim=1, n=2048, potential="well", lam=100.0, mu=0.05), False),
+], ids=["1d-coercive", "1d-well", "plane-2d", "3d-n32", "2d-n47", "1d-well-n2048"])
+def test_probe_on_the_half_grid_agrees_with_the_full_grid(cfg, half, monkeypatch):
+    # the probe scores the bump and sums the lattice on the grid that an even
+    # start runs on, the full grid for a 1-D n above EVEN_1D_MAX_N; its
+    # numbers are the full-grid probe's to 1e-14 relative, and its e is the
+    # full grid's 1.5^k exp(-|x|^2), to the bit
+    spec = build_spec(cfg)
+    grids, parts = [], solvers._energy_parts
+
+    def recorded(spec, u, bessel=None):
+        grids.append(spec.grid.even)
+        return parts(spec, u, bessel)
+
+    monkeypatch.setattr(solvers, "_energy_parts", recorded)
+    probe = probe_geometry(spec)
+    monkeypatch.setattr(solvers, "_subspace", lambda spec, start=None: (spec, "full", "kept"))
+    full = probe_geometry(spec)
+    assert grids == [half, False]
+    for name in ("rho", "eta", "mu_budget", "mu0_lower", "c_inf", "c_2"):
+        assert getattr(probe, name) == pytest.approx(getattr(full, name), rel=1e-14, abs=0), name
+    bump = np.exp(-spec.grid.radius_sq)
+    k = round(math.log(probe.e.values.max() / bump.max()) / math.log(1.5))
+    assert np.array_equal(probe.e.values, 1.5**k * bump)
+    assert np.array_equal(probe.e.values, full.e.values)
+
+
+@pytest.mark.parametrize("make_spec", [
+    canonical_coercive_spec, canonical_well_spec, lambda: build_spec(PLANE_2D),
+    lambda: build_spec(RunConfig(dim=3, n=32, box_length=10.0, q=3.0)),
+    lambda: build_spec(RunConfig(dim=2, n=47, box_length=15.0)),
+], ids=["1d-coercive", "1d-well", "plane-2d", "3d-n32", "2d-n47"])
+def test_reports_score_their_solutions_to_roundoff(make_spec):
+    # both solves score their solutions on the even half, where the mirror
+    # weights make every sum the full grid's: the reported energy and
+    # residual norm are energy and residual of the returned full-grid
+    # solution to roundoff (``_assert_scored_to_roundoff``)
+    spec = make_spec()
+    r = two_solution_experiment(spec)
+    assert r.success, r.failed_stage
+    for report in (r.mountain_pass, r.local_min):
+        assert report.grid == "even"
+        _assert_scored_to_roundoff(spec, report)
 
 
 @pytest.mark.parametrize("case,saddle", [("start is not even", 8.067966995871563)],
@@ -1228,14 +1290,14 @@ def test_full_grid_fallbacks_keep_their_results(case, saddle):
 
 def test_odd_n_runs_on_the_even_half():
     # an odd n stores x_i <= -h/2 and runs both solves there; its saddle is
-    # the one the full grid gives, to the bit.  At h = 1 it is no Morse
+    # the one the full grid gives, to roundoff.  At h = 1 it is no Morse
     # index 1 point of the full grid (index 4), on either grid
     r = two_solution_experiment(build_spec(RunConfig(dim=2, n=15, box_length=15.0)))
     assert r.success, r.failed_stage
     for report in (r.mountain_pass, r.local_min):
         assert (report.grid, report.grid_reason) == ("even", "")
-    assert r.mountain_pass.energy == 14.631529944143429
-    assert r.local_min.energy == -1.690255736302045e-11
+    assert r.mountain_pass.energy == 14.631529944143406
+    assert r.local_min.energy == -1.69025573630205e-11
 
 
 def test_one_dimension_runs_on_the_even_half_up_to_its_bound(coercive_mp, coercive_ball,
@@ -1250,8 +1312,7 @@ def test_one_dimension_runs_on_the_even_half_up_to_its_bound(coercive_mp, coerci
     bound = solvers.EVEN_1D_MAX_N
     above = f"dim 1, n above {bound}"
     for n, grid, why in ((bound, "even", ""), (bound + 2, "full", above)):
-        spec = canonical_well_spec(n=n)
-        assert solvers._subspace(spec, _bump(spec))[2:] == (grid, why)
+        assert solvers._subspace(canonical_well_spec(n=n))[1:] == (grid, why)
     r = two_solution_experiment(canonical_well_spec(n=2048))
     assert r.success, r.failed_stage
     for report in (r.mountain_pass, r.local_min):
@@ -1260,18 +1321,16 @@ def test_one_dimension_runs_on_the_even_half_up_to_its_bound(coercive_mp, coerci
     assert r.local_min.energy == -1.0098925733936096e-07
 
 
-def test_full_grid_recheck_refuses_a_residual_above_tol(monkeypatch):
-    # the residual a converged solve reports is recomputed on the full grid;
-    # one that reads above tol there (here a solution scaled by 1 + 1e-6 on
-    # its way back) is not converged
+def test_residual_above_tol_on_the_half_grid_is_refused():
+    # a solve is judged on the grid it ran on: at tol = 1e-15 the polish
+    # stops on the half grid at its roundoff floor, above tol, and the run
+    # reports that residual and is refused
     spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
     probe = probe_geometry(spec)
-    extend = solvers._extend
-    monkeypatch.setattr(solvers, "_extend", lambda g, u: (1.0 + 1e-6) * extend(g, u))
-    report = mountain_pass_solve(spec, probe.e, probe=probe)
+    report = mountain_pass_solve(spec, probe.e, SolveOptions(tol=1e-15), probe=probe)
     assert report.grid == "even" and not report.converged and not report.ok
-    assert report.residual_norm == lp_norm(residual(spec, report.solution), 2)
-    assert report.trace[-1].residual_norm <= SolveOptions().tol < report.residual_norm
+    assert report.trace[-1].step_size == 0.0
+    assert report.residual_norm == report.trace[-1].residual_norm > 1e-15
     assert report.message == "residual tolerance not reached"
 
 
@@ -1334,17 +1393,30 @@ def test_descent_entries_count_their_gradient_solve(well_result, coercive_mp, co
                          ids=["coercive", "well"])
 def test_canonical_1d_run_transforms_nothing_on_the_half_grid(make_spec, monkeypatch):
     # every image and norm on the 1-D half grid is one product with the dense
-    # (I - Laplacian)^alpha: the transforms left are the full grid's, the
-    # probe's bump and the re-check of each solution
-    calls = Counter()
+    # (I - Laplacian)^alpha, and the probe and both solves score there: a
+    # canonical run transforms nothing, on either grid
+    assert _transforms_by_grid(make_spec(), monkeypatch) == set()
+
+
+@pytest.mark.parametrize("cfg", [PLANE_2D, RunConfig(dim=3, n=64, box_length=10.0, q=3.0)],
+                         ids=["plane-2d", "3d-n64"])
+def test_even_run_transforms_nothing_on_the_full_grid(cfg, monkeypatch):
+    # in 2-D and 3-D the probe and both solves transform on the half grid
+    # only: the full grid holds just the returned fields
+    assert _transforms_by_grid(build_spec(cfg), monkeypatch) == {"EvenGrid"}
+
+
+def _transforms_by_grid(spec, monkeypatch):
+    """The grid types that a two-solution run on ``spec``, on the even half, transforms on."""
+    grids = set()
     for name in ("_rfft", "_irfft"):
-        def counted(g, values, _name=name, _fn=getattr(grid_module, name)):
-            calls[_name, type(g).__name__] += 1
+        def counted(g, values, _fn=getattr(grid_module, name)):
+            grids.add(type(g).__name__)
             return _fn(g, values)
         monkeypatch.setattr(grid_module, name, counted)
-    r = two_solution_experiment(make_spec())
+    r = two_solution_experiment(spec)
     assert r.success and r.mountain_pass.grid == r.local_min.grid == "even"
-    assert calls == {("_rfft", "Grid"): 3, ("_irfft", "Grid"): 2}
+    return grids
 
 
 def _canonical_at(make_spec, n):
@@ -1353,21 +1425,21 @@ def _canonical_at(make_spec, n):
 
 
 @pytest.mark.parametrize("make_spec,solves,transforms,reason", [
-    (canonical_coercive_spec, ((2, 5, 16, 0), (1, 2, 3, 0)), (3, 2), ""),
-    (canonical_well_spec, ((2, 4, 13, 0), (2, 3, 6, 0)), (3, 2), ""),
+    (canonical_coercive_spec, ((2, 5, 16, 0), (1, 2, 3, 0)), (0, 0), ""),
+    (canonical_well_spec, ((2, 4, 13, 0), (2, 3, 6, 0)), (0, 0), ""),
     (lambda: _canonical_at(canonical_coercive_spec, 255),
-     ((2, 5, 16, 0), (1, 2, 3, 0)), (3, 2), ""),
+     ((2, 5, 16, 0), (1, 2, 3, 0)), (0, 0), ""),
     (lambda: _canonical_at(canonical_well_spec, 512),
      ((3, 6, 152, 0), (5, 3, 95, 1)), (289, 277), "dim 1, n above 416"),
     (lambda: build_spec(RunConfig(dim=2, n=48, box_length=15.0)),
-     ((4, 6, 67, 0), (1, 2, 8, 0)), (105, 99), ""),
-    (lambda: build_spec(STEEP_WELL_2D), ((4, 6, 129, 1), (8, 3, 40, 1)), (229, 209), ""),
+     ((4, 6, 67, 0), (1, 2, 8, 0)), (103, 97), ""),
+    (lambda: build_spec(STEEP_WELL_2D), ((4, 6, 129, 1), (8, 3, 40, 1)), (227, 207), ""),
     (lambda: build_spec(replace(STEEP_WELL_2D, n=128)),
-     ((6, 5, 236, 1), (6, 3, 139, 3)), (435, 413), ""),
+     ((6, 5, 236, 1), (6, 3, 139, 3)), (433, 411), ""),
     (lambda: build_spec(RunConfig(dim=3, n=16, box_length=10.0, q=3.0)),
-     ((4, 5, 52, 0), (1, 3, 17, 0)), (99, 93), ""),
+     ((4, 5, 52, 0), (1, 3, 17, 0)), (97, 91), ""),
     (lambda: build_spec(RunConfig(dim=3, n=32, box_length=10.0, q=3.0)),
-     ((3, 7, 71, 0), (1, 3, 17, 0)), (120, 115), ""),
+     ((3, 7, 71, 0), (1, 3, 17, 0)), (118, 113), ""),
 ], ids=["coercive", "well", "coercive-255", "well-full-512", "plane_2d", "2d-steep-well",
         "2d-steep-well-128", "3d", "3d-32"])
 def test_solver_work_is_pinned(make_spec, solves, transforms, reason, fft_calls):
@@ -1376,8 +1448,7 @@ def test_solver_work_is_pinned(make_spec, solves, transforms, reason, fft_calls)
     # transforms on a fresh problem; in 1-D the build of the dense
     # A = (I - Laplacian)^alpha behind K^{-1} transforms nothing, so a fresh
     # half-grid run counts as a warm one, and each image and norm there is a
-    # product with A: a canonical run transforms only the probe's bump and
-    # the full-grid re-check of each solution.  No gradient runs a Krylov loop:
+    # product with A: a canonical run transforms nothing.  No gradient runs a Krylov loop:
     # each is one product with K^{-1} on the 1-D half grid and with M_c
     # elsewhere.  A rise in any count is a regression of the solvers' cost
     # in that dimension
