@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 
+PRECONDITIONER_SHIFT = 4.0  # c of M_c, both solves' M off a 1-D EvenGrid
+
+
 def critical_exponent(dim: int, alpha: float) -> float:
     """Upper limit for the growth exponent: 2*dim/(dim - 2*alpha), inf at or below dim <= 2*alpha."""
     if dim <= 2.0 * alpha:
@@ -148,6 +151,13 @@ class ProblemSpec:
             return _read_only(np.linalg.inv(k))
         except np.linalg.LinAlgError:
             return None
+
+    @cached_property
+    def _scaled_preconditioner(self) -> tuple:
+        """(D, 1 / (symbol + c)) of M_c = D (A + c)^(-1) D, D^2 = (1 + c) / (1 + c + lam V)."""
+        c = PRECONDITIONER_SHIFT
+        return (_read_only(np.sqrt((1.0 + c) / (1.0 + c + self.lam * self.V_field.values))),
+                _read_only(1.0 / (self.grid.symbol(self.alpha) + c)))
 
 
 def eval_scrF(spec: ProblemSpec, u_value):

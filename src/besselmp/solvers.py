@@ -25,14 +25,14 @@ accepted steps.  Each step goes along the Polak-Ribiere+ direction
 d = g + beta d_prev, beta >= 0 (Gilbert & Nocedal, SIAM J. Optim. 2,
 1992), on the gradient g = M r of an SPD M that stands in for the
 lam-norm's Riesz map K^{-1}, K = (I - Laplacian)^alpha + lam V: K^{-1}
-itself on a 1-D even grid, inverted once per problem, and one transform
-pair elsewhere (``_riesz_gradient``).  A d that is no descent direction
-restarts along g.  Once <r, g>^(1/2) is small next to ||u||_lam, or a
-row's one line search refuses every step along d, a damped Newton
-iteration on the strong-form residual pushes the iterate to solver
-tolerance, each step solved by MINRES, on a 1-D even grid preconditioned
-by K^{-1}.  The ball radius rho only checks the minimizer: it must sit
-inside the ball, with a margin.
+itself on a 1-D even grid, inverted once per problem, and elsewhere
+M_c = D ((I - Laplacian)^alpha + c)^(-1) D, one transform pair
+(``_preconditioner``).  A d that is no descent direction restarts along
+g.  Once <r, g>^(1/2) is small next to ||u||_lam, or a row's one line
+search refuses every step along d, a damped Newton iteration on the
+strong-form residual pushes the iterate to solver tolerance, each step
+solved by MINRES preconditioned by the same M.  The ball radius rho only
+checks the minimizer: it must sit inside the ball, with a margin.
 
 Every backtracking search walks the steps s, s/2, s/4, ... and only its
 count differs.
@@ -57,11 +57,10 @@ A = (I - Laplacian)^alpha and K^{-1} dense: a residual or an energy is
 one product with A, the gradient one with K^{-1}, and a Newton MINRES
 iteration one more, with no transform.  The rule is fixed (``_subspace``):
 a start even to roundoff runs there unless, in 1-D, n is above
-EVEN_1D_MAX_N; otherwise on the full grid, as it stands.  The 1-D bound
-weighs a fresh problem against a warm one: each product is O(n^2), and
-the first run also builds A and inverts K, O(n^3), so from about n = 384
-the cold coercive canonical run is slower than on the full grid's FFT,
-though warm runs stay faster up to n = 1024 (README).  The probe and the
+EVEN_1D_MAX_N; otherwise on the full grid, as it stands.  A warm 1-D run
+is faster there up to n = 1024, O(n^2) a product, but a fresh one also
+builds A and inverts K, O(n^3): from n = 256 the cold coercive canonical
+run is no faster than on the full grid (README).  The probe and the
 ball's start follow the rule.  A solve is scored where it ran, the
 mirror weights making each sum the full grid's to roundoff, and only its
 solution is extended; a report says which grid it ran on, and why.
@@ -85,6 +84,7 @@ from .grid import (
     _integral,
     _is_even,
     _lp_norm,
+    _multiply,
     _multiply_and_norm,
     _potential,
     _require,
@@ -128,16 +128,14 @@ ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 BACKTRACK_TRIES = 40  # gradient steps tried per search; from 1 they stay above 1e-12
 NEWTON_TRIES = 34  # damped Newton steps 1, 1/2, ... above 1e-10
-GRADIENT_SHIFT = 4.0  # c of the descent's M off the 1-D even grid (``_riesz_gradient``)
 HANDOVER_RATIO = 0.1  # the descent hands over to Newton at <r, M r>^(1/2) <= this ||u||_lam
 DESCENT_MAX = 5000  # descent rows per solve; the canonical runs take at most a handful
 NEWTON_MAX = 80
 MINRES_MAXITER = 400
 INTERIOR_MARGIN = 0.02  # a ball minimizer must sit this fraction of rho inside
 BASIN_SLACK = 1e-10  # a polish may end above its handover level by this, relative, and no more
-# Largest n, odd or even, at which a 1-D solve runs on the even half, where
-# warm runs win and the cold coercive run no longer does (module docstring,
-# README); from n = 2048 EvenGrid refuses the matrix.
+# Largest n, odd or even, at which a 1-D solve runs on the even half, where warm runs
+# win (module docstring, README); from n = 2048 EvenGrid refuses the matrix.
 EVEN_1D_MAX_N = 416
 
 
@@ -388,38 +386,38 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
 # mountain pass
 
 
-def _riesz_gradient(spec, r):
-    """d = M r, the descent's gradient for an SPD M ~ K^{-1}; (d, its slope <r, d>, stop).
+def _preconditioner(spec):
+    """M ~ K^{-1}, the SPD preconditioner of the gradient and Newton solves, as r -> M r.
 
-    K = (I - Laplacian)^alpha + lam V.  On a 1-D even grid M = K^{-1}, one
-    product with the problem's dense K^{-1} (``ProblemSpec._riesz_inverse``),
-    stop "direct": d is the lam-norm gradient and <r, d>^(1/2) the dual
-    norm of r.  Elsewhere M = M_c = D (A + c)^(-1) D, one transform pair,
-    stop "scaled", with A = (I - Laplacian)^alpha, c = GRADIENT_SHIFT and
-    D^2 = (1 + c) / (1 + c + lam V).  Preconditioned nonlinear CG needs
-    only an SPD M (Hager & Zhang, Pacific J. Optim. 2, 2006), symmetric in
-    ``_dot``'s inner product: <r, d> > 0 for r != 0, and -d is a descent
-    direction.  Where lam V is a constant w, M_c K has the condition number
-    max((1 + w) / (1 + c), (1 + c) / (1 + w)): at most 1 + c where w <= c,
-    and on a wall w > c the 1 + w of the c = 0 form D A^(-1) D over 1 + c.
-    c = 4 was measured on the runs of ``test_solver_work_is_pinned``:
-    c = 16 makes as many forward transforms over them but more on the 2-D
-    plane and the 1-D full grid, and c = 0 takes the n=128 steep well's
-    ball descent to 58 rows.  A refused K, or a d that is not finite,
-    returns d = 0 with slope 0 and stop "singular", which hands the
-    descent over to the polish.
+    On a 1-D even grid M = K^{-1}, one dense product
+    (``ProblemSpec._riesz_inverse``), None where LAPACK refused K.
+    Elsewhere M = M_c = D ((I - Laplacian)^alpha + c)^(-1) D, c = 4, one
+    transform pair (``ProblemSpec._scaled_preconditioner``) whose D sees
+    lam V pointwise: a diagonal stand-in for the absolute-value
+    preconditioner (Vecharynski & Knyazev, SIAM J. Sci. Comput. 35, 2013).
     """
-    g = spec.grid
-    if _direct(g):
-        inverse, stop = spec._riesz_inverse, "direct"
-        d = None if inverse is None else inverse @ r
-    else:
-        c, stop = GRADIENT_SHIFT, "scaled"
-        scale = np.sqrt((1.0 + c) / (1.0 + c + spec.lam * spec.V_field.values))
-        d = scale * _filter(g, scale * r, 1.0 / (g.symbol(spec.alpha) + c))
+    if _direct(spec.grid):
+        inverse = spec._riesz_inverse
+        return lambda r: None if inverse is None else inverse @ r
+    scale, inverse = spec._scaled_preconditioner
+    return lambda r: scale * _filter(spec.grid, scale * r, inverse)
+
+
+def _riesz_gradient(spec, r):
+    """d = M r, the descent's gradient for ``_preconditioner``'s M; (d, its slope <r, d>, stop).
+
+    On a 1-D even grid M = K^{-1}, stop "direct": d is the lam-norm
+    gradient and <r, d>^(1/2) the dual norm of r.  Elsewhere M = M_c, stop
+    "scaled".  Preconditioned nonlinear CG needs only an SPD M (Hager &
+    Zhang, Pacific J. Optim. 2, 2006), symmetric in ``_dot``'s inner
+    product: <r, d> > 0 for r != 0, and -d is a descent direction.  A
+    refused K, or a d that is not finite, returns d = 0 with slope 0 and
+    stop "singular", which hands the descent over to the polish.
+    """
+    d = _preconditioner(spec)(r)
     if d is None or not np.isfinite(d).all():
         return np.zeros_like(r), 0.0, "singular"
-    return d, _integral(g, r * d), stop
+    return d, _integral(spec.grid, r * d), "direct" if _direct(spec.grid) else "scaled"
 
 
 def _along(spec, pieces, t):
@@ -510,17 +508,17 @@ def _minres(spec, h, b, forcing):
     """Solve H x = b, H = (I - Laplacian)^alpha + diag(h), by MINRES; (x, iterations, stop).
 
     Paige & Saunders' recurrence (SIAM J. Numer. Anal. 12, 1975), as in
-    scipy.sparse.linalg.minres, with the SPD preconditioner M = (A + s)^(-1)
-    for A = (I - Laplacian)^alpha and a pointwise s: A M r2 = r2 - s M r2,
-    so for v = M r2 / beta the Lanczos product H v = r2 / beta + (h - s) v
-    needs no transform.  On a 1-D even grid s = lam V and M is the dense
-    K^{-1} (``ProblemSpec._riesz_inverse``): K^{-1} H is the identity minus
-    a compact part, so the count does not grow with n.  Elsewhere
-    s = mean |h| over the full grid and M r2 is one transform pair; an
-    iteration costs one M, and a solve one more, for M b.  ``stop`` is
-    "forcing" once the recurrence's ||H x - b||_M is at most ``forcing``
-    ||b||_M, the inexact-Newton stop of Dembo, Eisenstat & Steihaug (SIAM
-    J. Numer. Anal. 19, 1982), and on a zero b or a beta of 0 (an invariant
+    scipy.sparse.linalg.minres, preconditioned by the descent's SPD M
+    (``_preconditioner``).  On a 1-D even grid M = K^{-1}: with
+    A = (I - Laplacian)^alpha, A M r2 = r2 - lam V M r2, so for
+    v = M r2 / beta the Lanczos product H v = r2 / beta + (h - lam V) v
+    needs no product with A, and K^{-1} H is the identity minus a compact
+    part, so the count does not grow with n.  Elsewhere M = M_c and
+    H v = A v + h v: an iteration costs two transform pairs, for H v and
+    M r2, and a solve one more, for M b.  ``stop`` is "forcing" once the
+    recurrence's ||H x - b||_M is at most ``forcing`` ||b||_M, the
+    inexact-Newton stop of Dembo, Eisenstat & Steihaug (SIAM J. Numer.
+    Anal. 19, 1982), and on a zero b or a beta of 0 (an invariant
     subspace, which zeroes phibar).  Only here does a linear solve fail,
     with x None: "cap" after MINRES_MAXITER iterations; "breakdown" on a
     beta^2 = <r2, M r2> that is not finite, or negative, which a symmetric
@@ -530,22 +528,12 @@ def _minres(spec, h, b, forcing):
     EvenGrid, in which H and M stay symmetric.
     """
     g = spec.grid
-    if _direct(g):
-        inverse, offset = spec._riesz_inverse, h - spec.lam * spec.V_field.values
-        if inverse is None:
-            return None, 0, "singular"
-
-        def precondition(r):
-            return inverse @ r
-    else:
-        sigma = _sum(g, np.abs(h)) / g.total_points
-        inverse = 1.0 / (g.symbol(spec.alpha) + sigma)
-        offset = h - sigma
-
-        def precondition(r):
-            return _filter(g, r, inverse)
-    x = np.zeros_like(b)
+    precondition = _preconditioner(spec)
     y = precondition(b)
+    if y is None:
+        return None, 0, "singular"
+    offset = h - spec.lam * spec.V_field.values if _direct(g) else None
+    x = np.zeros_like(b)
     beta1 = _dot(g, b, y)
     if not 0.0 < beta1 < math.inf:
         return (x, 0, "forcing") if beta1 == 0.0 else (None, 0, "breakdown")
@@ -563,8 +551,11 @@ def _minres(spec, h, b, forcing):
         # Lanczos step: v = M r2 / beta, then y = H v - alfa/beta r2 - beta/oldb r1
         s = 1.0 / beta
         np.multiply(s, y, out=v)
-        np.multiply(s, r2, out=y)
-        y += np.multiply(offset, v, out=tmp)
+        if offset is None:
+            np.add(_multiply(g, v, spec.alpha), np.multiply(h, v, out=tmp), out=y)
+        else:
+            np.multiply(s, r2, out=y)
+            y += np.multiply(offset, v, out=tmp)
         if itn >= 2:
             y -= np.multiply(beta / oldb, r1, out=tmp)
         alfa = _dot(g, v, y)
@@ -597,14 +588,13 @@ def _minres(spec, h, b, forcing):
 def _newton_direction(spec, u, r, forcing):
     """Solve (D^2 Phi)(u) delta = -r; (delta, MINRES iterations, stop), delta None if the solve fails.
 
-    ``_minres`` applies the Hessian matrix-free, preconditioned by its
-    one M, one product with M per iteration: the Hessian is symmetric
-    but indefinite at a saddle, where CG has no guarantee and GMRES keeps
-    a long recurrence that symmetry makes short, while MINRES needs only
-    symmetry and an SPD preconditioner.  It stops once
-    ||H delta + r||_M <= forcing ||r||_M, or fails as ``_minres`` says.  On
-    a 1-D even grid M = K^{-1}, so that norm is the dual lam-norm
-    <r, K^{-1} r>^(1/2).
+    ``_minres`` applies the Hessian matrix-free, preconditioned by the
+    descent's M: the Hessian is symmetric but indefinite at a saddle,
+    where CG has no guarantee and GMRES keeps a long recurrence that
+    symmetry makes short, while MINRES needs only symmetry and an SPD
+    preconditioner.  It stops once ||H delta + r||_M <= forcing ||r||_M,
+    or fails as ``_minres`` says.  On a 1-D even grid M = K^{-1}, so that
+    norm is the dual lam-norm <r, K^{-1} r>^(1/2).
     """
     return _minres(spec, _hessian_diag(spec, u), -r, forcing)
 

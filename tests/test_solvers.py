@@ -355,7 +355,7 @@ class TestMountainPass:
     # Exact values recorded with the half-spectrum kernels, the closed-form
     # fibering, and on the 1-D half grid the dense (I - Laplacian)^alpha for
     # every image and norm and Newton MINRES preconditioned by K^{-1} (by
-    # the shifted symbol elsewhere).  MINRES's reductions
+    # M_c elsewhere).  MINRES's reductions
     # can follow the BLAS thread count: these were recorded on one thread,
     # which conftest pins.
 
@@ -797,7 +797,7 @@ def test_descent_trace_2d_pinned():
     descent = [(t.energy, t.residual_norm, t.step_size, t.trials)
                for t in report.trace if t.phase == "nehari"]
     assert descent == list(DESCENT_2D_TRACE)
-    assert report.energy == 5.733592449945196
+    assert report.energy == 5.733592449945193
 
 
 def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_ball,
@@ -1026,11 +1026,11 @@ class TestTwoSolutions:
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945196, -2.484581071296183e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.044612061240265, -3.083582144413579e-11),
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945193, -2.4845810669625927e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.044612061240265, -3.0835820844599806e-11),
     (RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
-     3.3570136804097404, -2.847165929010145e-08),
-    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.07007919114872, -9.833296806524991e-12),
+     3.357013680409739, -2.8471659290098407e-08),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.070079191148714, -9.833296886319408e-12),
 ], ids=["2d", "3d", "2d-steep-well", "3d-n32"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     # the pins were recorded on one BLAS thread, like the 1-D ones, with
@@ -1074,14 +1074,16 @@ def _steep_well_on_the_krylov_route(n, saddle, minimizer):
 
 def test_steep_well_on_the_krylov_route():
     # the pins were recorded on one BLAS thread, in the even subspace
-    _steep_well_on_the_krylov_route(64, 3.954640855291904, -2.3381507077841377e-08)
+    _steep_well_on_the_krylov_route(64, 3.9546408552919043, -2.338150707850107e-08)
 
 
-def test_steep_well_certifies_at_n128():
-    # lam V = 5,000 on the wall: the gradient's M_c sees it pointwise, the
-    # Newton solves' shift only as the mean of |h|, and every Newton solve
-    # still stops short of the cap here; the n=256 saddle is 4.13223520
-    _steep_well_on_the_krylov_route(128, 4.131516190837428, -2.1256877919264655e-08)
+def test_steep_well_certifies_at_n128(fft_calls):
+    # lam V = 5,000 on the wall, which M_c sees pointwise in the gradient
+    # and the Newton solves alike: every Newton solve stops on its forcing
+    # term, and the run makes at most 300 forward transforms (278 measured);
+    # the n=256 saddle is 4.13223520
+    _steep_well_on_the_krylov_route(128, 4.131516190837428, -2.1256877919570288e-08)
+    assert fft_calls["_rfft"] <= 300
 
 
 def test_polish_that_leaves_its_basin_is_refused(well_spec):
@@ -1182,14 +1184,14 @@ def test_assess_levels_verdicts(well_result):
 # one BLAS thread; a rise in them fails the row.  A 1-D run transforms
 # nothing (``test_canonical_1d_run_transforms_nothing_on_the_half_grid``)
 @pytest.mark.parametrize("cfg,m_rtol,forward_cap", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 1e-10, 88), (PLANE_2D, 1e-10, 103),
-    (STEEP_WELL_2D, 1e-10, 227),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 1e-10, 78),
-    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 1e-10, 118),
-    (RunConfig(dim=2, n=15, box_length=15.0), 1e-10, 67),
-    (RunConfig(dim=2, n=47, box_length=15.0), 1e-10, 80),
-    (RunConfig(dim=3, n=31, box_length=10.0, q=3.0), 1e-10, 99),
-    (replace(STEEP_WELL_2D, n=63), 1e-10, 182),
+    (RunConfig(dim=2, n=16, box_length=15.0), 1e-10, 67), (PLANE_2D, 1e-10, 90),
+    (STEEP_WELL_2D, 1e-10, 182),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 1e-10, 63),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 1e-10, 120),
+    (RunConfig(dim=2, n=15, box_length=15.0), 1e-10, 53),
+    (RunConfig(dim=2, n=47, box_length=15.0), 1e-10, 78),
+    (RunConfig(dim=3, n=31, box_length=10.0, q=3.0), 1e-10, 91),
+    (replace(STEEP_WELL_2D, n=63), 1e-10, 179),
     (RunConfig(dim=1, n=255), 1e-8, 0),
     (RunConfig(dim=1, n=255, potential="well", lam=100.0, mu=0.05), 1e-10, 0),
 ], ids=["2d", "plane-2d", "2d-steep-well", "3d", "3d-n32", "2d-n15", "2d-n47", "3d-n31",
@@ -1275,7 +1277,7 @@ def test_reports_score_their_solutions_to_roundoff(make_spec):
         _assert_scored_to_roundoff(spec, report)
 
 
-@pytest.mark.parametrize("case,saddle", [("start is not even", 8.067966995871563)],
+@pytest.mark.parametrize("case,saddle", [("start is not even", 8.067966995871569)],
                          ids=["start-not-even"])
 def test_full_grid_fallbacks_keep_their_results(case, saddle):
     # each solve the rule keeps on the full grid says why, and gives its
@@ -1296,8 +1298,8 @@ def test_odd_n_runs_on_the_even_half():
     assert r.success, r.failed_stage
     for report in (r.mountain_pass, r.local_min):
         assert (report.grid, report.grid_reason) == ("even", "")
-    assert r.mountain_pass.energy == 14.631529944143406
-    assert r.local_min.energy == -1.69025573630205e-11
+    assert r.mountain_pass.energy == 14.6315299441434
+    assert r.local_min.energy == -1.690255744827036e-11
 
 
 def test_one_dimension_runs_on_the_even_half_up_to_its_bound(coercive_mp, coercive_ball,
@@ -1317,20 +1319,26 @@ def test_one_dimension_runs_on_the_even_half_up_to_its_bound(coercive_mp, coerci
     assert r.success, r.failed_stage
     for report in (r.mountain_pass, r.local_min):
         assert (report.grid, report.grid_reason) == ("full", above)
-    assert r.mountain_pass.energy == 1.477751566162564
-    assert r.local_min.energy == -1.0098925733936096e-07
+    assert r.mountain_pass.energy == 1.4777515661625635
+    assert r.local_min.energy == -1.009892573395436e-07
 
 
 def test_residual_above_tol_on_the_half_grid_is_refused():
     # a solve is judged on the grid it ran on: at tol = 1e-15 the polish
-    # stops on the half grid at its roundoff floor, above tol, and the run
-    # reports that residual and is refused
+    # reaches the half grid's roundoff floor, near 1.7e-15, and creeps
+    # along it by damped steps (the last ones 1/256, each lowering the
+    # residual by about 5e-5 relative) until NEWTON_MAX rows; the run
+    # reports the residual of its last accepted step, above tol, and is
+    # refused
     spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
     probe = probe_geometry(spec)
     report = mountain_pass_solve(spec, probe.e, SolveOptions(tol=1e-15), probe=probe)
     assert report.grid == "even" and not report.converged and not report.ok
-    assert report.trace[-1].step_size == 0.0
-    assert report.residual_norm == report.trace[-1].residual_norm > 1e-15
+    polish = [t for t in report.trace if t.phase == "polish"]
+    assert len(polish) == solvers.NEWTON_MAX
+    last = polish[-1]
+    assert 0.0 < last.step_size < 1.0 and last.krylov_stop == "forcing"
+    assert 1e-15 < report.residual_norm < last.residual_norm
     assert report.message == "residual tolerance not reached"
 
 
@@ -1357,7 +1365,7 @@ def test_riesz_gradient_meets_its_tolerance(make_spec, half):
     g, full = spec.grid, base.grid
     weight = spec.lam * spec.V_field.values
     M = _scaled_shifted_preconditioner(full, base.alpha, base.lam * base.V_field.values,
-                                       solvers.GRADIENT_SHIFT)
+                                       problem.PRECONDITIONER_SHIFT)
     rng = np.random.default_rng(g.dim)
     bump = _residual_values(spec, 2.0 * np.exp(-g.radius_sq))
     for r in (bump, *rng.standard_normal((3,) + g.shape)):
@@ -1430,16 +1438,16 @@ def _canonical_at(make_spec, n):
     (lambda: _canonical_at(canonical_coercive_spec, 255),
      ((2, 5, 16, 0), (1, 2, 3, 0)), (0, 0), ""),
     (lambda: _canonical_at(canonical_well_spec, 512),
-     ((3, 6, 152, 0), (5, 3, 95, 1)), (289, 277), "dim 1, n above 416"),
+     ((3, 6, 78, 0), (5, 4, 46, 1)), (292, 280), "dim 1, n above 416"),
     (lambda: build_spec(RunConfig(dim=2, n=48, box_length=15.0)),
-     ((4, 6, 67, 0), (1, 2, 8, 0)), (103, 97), ""),
-    (lambda: build_spec(STEEP_WELL_2D), ((4, 6, 129, 1), (8, 3, 40, 1)), (227, 207), ""),
+     ((4, 6, 27, 0), (1, 2, 4, 0)), (90, 84), ""),
+    (lambda: build_spec(STEEP_WELL_2D), ((4, 6, 42, 1), (8, 3, 20, 1)), (182, 162), ""),
     (lambda: build_spec(replace(STEEP_WELL_2D, n=128)),
-     ((6, 5, 236, 1), (6, 3, 139, 3)), (433, 411), ""),
+     ((6, 6, 66, 1), (6, 4, 42, 3)), (278, 256), ""),
     (lambda: build_spec(RunConfig(dim=3, n=16, box_length=10.0, q=3.0)),
-     ((4, 5, 52, 0), (1, 3, 17, 0)), (97, 91), ""),
+     ((4, 5, 21, 0), (1, 3, 7, 0)), (84, 78), ""),
     (lambda: build_spec(RunConfig(dim=3, n=32, box_length=10.0, q=3.0)),
-     ((3, 7, 71, 0), (1, 3, 17, 0)), (118, 113), ""),
+     ((3, 7, 38, 0), (1, 3, 7, 0)), (120, 115), ""),
 ], ids=["coercive", "well", "coercive-255", "well-full-512", "plane_2d", "2d-steep-well",
         "2d-steep-well-128", "3d", "3d-32"])
 def test_solver_work_is_pinned(make_spec, solves, transforms, reason, fft_calls):
@@ -1674,7 +1682,7 @@ def test_minres_breaks_down_where_beta_leaves_the_float_range(cfg):
 
 def test_capped_minres_solve_shows_in_the_trace(monkeypatch):
     # a MINRES solve stopped at the cap still reads the iterations it spent
-    # (uncapped: 8-20 per Newton solve, each stopped by its forcing term, so
+    # (uncapped: 3-9 per Newton solve, each stopped by its forcing term, so
     # a cap of 1 caps them all); the cap is read at call time.  The descent
     # runs no MINRES, so it is untouched: its 4 rows step along M_c r.  The
     # first capped Newton solve refuses the step, which ends the polish
@@ -1700,66 +1708,82 @@ SMALL_GRIDS = [RunConfig(dim=1, n=64, box_length=20.0, potential="well"),
 
 @pytest.mark.parametrize("cfg", SMALL_GRIDS, ids=["1d", "2d", "3d"])
 def test_minres_pieces_are_symmetric_with_positive_preconditioner(cfg):
-    # MINRES needs H symmetric and its preconditioner, the Newton solves'
-    # ((I - Laplacian)^alpha + mean |h|)^(-1), symmetric positive definite,
-    # as the descent's M_c = D ((I - Laplacian)^alpha + c)^(-1) D must be,
-    # and the multiplier pair must invert
+    # MINRES needs H symmetric and its preconditioner symmetric positive
+    # definite: off the 1-D half grid that is M_c =
+    # D ((I - Laplacian)^alpha + c)^(-1) D, the one M of the gradient and
+    # the Newton solves; and the multiplier pair must invert
     spec = build_spec(cfg)
     g, alpha = spec.grid, spec.alpha
     h = _hessian_diag(spec, 2.0 * np.exp(-g.radius_sq))
-    shifted = 1.0 / (g.symbol(alpha) + np.mean(np.abs(h)))
+    M = solvers._preconditioner(spec)
 
     def H(v):
         return _multiply(g, v, alpha) + h * v
 
-    preconditioners = (lambda v: solvers._riesz_gradient(spec, v)[0],
-                       lambda v: _filter(g, v, shifted))
     rng = np.random.default_rng(cfg.dim)
     for _ in range(5):
         x, y = rng.standard_normal((2,) + g.shape)
         back = _multiply(g, _multiply(g, x, -alpha), alpha)
         assert np.linalg.norm(back - x) <= 1e-13 * np.linalg.norm(x)
         assert np.vdot(H(x), y) == pytest.approx(np.vdot(x, H(y)), rel=1e-12)
-        for M in preconditioners:
-            assert np.vdot(M(x), y) == pytest.approx(np.vdot(x, M(y)), rel=1e-12)
-            assert np.vdot(M(x), x) > 0.0
+        assert np.vdot(M(x), y) == pytest.approx(np.vdot(x, M(y)), rel=1e-12)
+        assert np.vdot(M(x), x) > 0.0
 
 
 @pytest.mark.parametrize("cfg", SMALL_GRIDS, ids=["1d", "2d", "3d"])
 def test_minres_transform_pairs_per_iteration(cfg, fft_calls):
-    # a Newton solve pays one transform pair for M b and one per iteration,
-    # for M r2, and forms H v without a transform; a gradient off the 1-D
-    # half grid is one pair, for M_c r
+    # off the 1-D half grid a Newton solve pays one transform pair for M b
+    # and two per iteration, for H v and for M_c r2; a gradient is one
+    # pair, for M_c r
     spec = build_spec(cfg)
     u = 2.0 * np.exp(-spec.grid.radius_sq)
     r = residual(spec, Field(spec.grid, u)).values
     fft_calls.clear()
     _, iters, _ = _newton_direction(spec, u, r, 1e-6)
-    assert iters > 0 and fft_calls == {"_rfft": iters + 1, "_irfft": iters + 1}
+    assert iters > 0 and fft_calls == {"_rfft": 2 * iters + 1, "_irfft": 2 * iters + 1}
     fft_calls.clear()
     _, _, stop = solvers._riesz_gradient(spec, r)
     assert stop == "scaled" and fft_calls == {"_rfft": 1, "_irfft": 1}
 
 
-@pytest.mark.parametrize("cfg", SMALL_GRIDS, ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("cfg", SMALL_GRIDS[:1], ids=["1d"])
 def test_shifted_lanczos_product_is_the_hessian(cfg):
-    # with M = ((I - Laplacian)^alpha + sigma)^(-1) and v = M r2 / beta,
-    # H v = r2 / beta + (h - sigma) v: the product that a Newton solve forms
-    # without a transform
-    spec = build_spec(cfg)
-    g, alpha = spec.grid, spec.alpha
-    h = _hessian_diag(spec, 2.0 * np.exp(-g.radius_sq))
-    sigma = float(np.mean(np.abs(h)))
-    M = _shifted_preconditioner(g, alpha, h)
+    # the one Lanczos product formed without a transform, on the 1-D half
+    # grid: with M = K^{-1} = ((I - Laplacian)^alpha + lam V)^(-1) and
+    # v = M r2 / beta, H v = r2 / beta + (h - lam V) v.  Elsewhere a Newton
+    # solve forms H v = (I - Laplacian)^alpha v + h v
+    # (``test_shifted_minres_matches_scipy``)
+    half = build_spec(cfg).even_half
+    g, alpha = half.grid, half.alpha
+    h = _hessian_diag(half, 2.0 * np.exp(-g.radius_sq))
     rng = np.random.default_rng(cfg.dim)
     for _ in range(5):
         r2 = rng.standard_normal(g.shape)
-        y = M(r2)
-        beta = math.sqrt(np.vdot(r2, y))
+        y = half._riesz_inverse @ r2
+        beta = math.sqrt(solvers._dot(g, r2, y))
         v = y / beta
-        free = r2 / beta + (h - sigma) * v
+        free = r2 / beta + (h - half.lam * half.V_field.values) * v
         full = _filter(g, v, g.symbol(alpha)) + h * v
         assert np.linalg.norm(free - full) <= 1e-12 * np.linalg.norm(full)
+
+
+@pytest.mark.parametrize("cfg,half", [(SMALL_GRIDS[0], False), (SMALL_GRIDS[1], False),
+                                      (SMALL_GRIDS[1], True), (SMALL_GRIDS[2], True)],
+                         ids=["1d-full", "2d", "2d-half", "3d-half"])
+def test_gradient_and_newton_apply_one_preconditioner(cfg, half):
+    # off the 1-D half grid the descent's gradient and the Newton solves
+    # read the one M_c that the problem builds: MINRES's first iterate is
+    # a multiple of M b, and so of the gradient d = M b of b
+    base = build_spec(cfg)
+    spec = base.even_half if half else base
+    g = spec.grid
+    u = 2.0 * np.exp(-g.radius_sq)
+    b = _residual_values(spec, u)
+    d, _, stop = solvers._riesz_gradient(spec, b)
+    x, iters, x_stop = _minres(spec, _hessian_diag(spec, u), b, 1.0)
+    assert (stop, iters, x_stop) == ("scaled", 1, "forcing")
+    t = solvers._dot(g, x, d) / solvers._dot(g, d, d)
+    assert t != 0.0 and np.linalg.norm(x - t * d) <= 1e-13 * np.linalg.norm(x)
 
 
 def _scaled_shifted_preconditioner(g, alpha, weight, c):
@@ -1769,26 +1793,22 @@ def _scaled_shifted_preconditioner(g, alpha, weight, c):
     return lambda v: scale * np.fft.ifftn(np.fft.fftn(scale * v) / symbol).real
 
 
-def _shifted_preconditioner(g, alpha, pointwise):
-    """v -> ((I - Laplacian)^alpha + mean |pointwise|)^(-1) v, on arrays, through full-lattice FFTs."""
-    symbol = (1.0 + full_freq_sq(g)) ** alpha + np.mean(np.abs(pointwise))
-    return lambda v: np.fft.ifftn(np.fft.fftn(v) / symbol).real
-
-
 def _krylov_system(cfg, riesz=False):
     """(spec, h, b, H, M): a Newton system at 2 exp(-|x|^2) and its operators on arrays.
 
     With ``riesz`` H is the symmetric positive definite
     K = (I - Laplacian)^alpha + lam V in place of the Hessian.  M is
-    ``_minres``'s preconditioner.
+    ``_minres``'s preconditioner M_c, built independently of the solver's
+    symbols.
     """
     spec = build_spec(cfg)
     g, alpha = spec.grid, spec.alpha
     u = 2.0 * np.exp(-g.radius_sq)
-    h = spec.lam * spec.V_field.values if riesz else _hessian_diag(spec, u)
+    weight = spec.lam * spec.V_field.values
+    h = weight if riesz else _hessian_diag(spec, u)
     b = -residual(spec, Field(g, u)).values
     return (spec, h, b, (lambda v: _multiply(g, v, alpha) + h * v),
-            _shifted_preconditioner(g, alpha, h))
+            _scaled_shifted_preconditioner(g, alpha, weight, problem.PRECONDITIONER_SHIFT))
 
 
 def _scipy_minres(g, b, H, M, iters):
@@ -1824,10 +1844,11 @@ def test_minres_matches_scipy(cfg):
 @pytest.mark.parametrize("cfg", [RunConfig(potential="well", lam=100.0, mu=0.05), *KRYLOV_GRIDS],
                          ids=["1d", "2d", "3d"])
 def test_shifted_minres_matches_scipy(cfg):
-    # SciPy applies H with a transform pair and M independently of the
-    # solver's symbols, so agreement also checks the transform-free product;
-    # on the 1-D steep well the two iterates part by 3e-11 relative after
-    # the 31 steps of forcing 1e-10 (2e-8 after the 25 of forcing 1e-6)
+    # SciPy applies H with a transform pair and M_c independently of the
+    # solver's symbols, so agreement also checks the product and the M
+    # that _minres forms; on the 1-D steep well (full grid) the two
+    # iterates part by 8e-13 relative after the 46 steps of forcing 1e-10
+    # (1.7e-10 after the 25 of forcing 1e-6)
     spec, h, b, H, M = _krylov_system(cfg)
     delta, iters, stop = _minres(spec, h, b, 1e-10)
     assert stop == "forcing"
