@@ -28,6 +28,8 @@ from .grid import (
     Grid,
     _abs_power,
     _bessel_norm_sq,
+    _direct,
+    _filter,
     _integral,
     _multiplier_matrix,
     _multiply,
@@ -143,8 +145,8 @@ class ProblemSpec:
         """K^{-1} as a dense matrix, K = (I - Laplacian)^alpha + lam V, on a 1-D EvenGrid only.
 
         K does not depend on u, so it is inverted once per problem, on first
-        use by a solver.  None where LAPACK refuses K, which the solvers read
-        as a failed solve; either value is cached, so a refused K is tried once.
+        use by a solver.  None where LAPACK refuses K; either value is
+        cached, so a refused K is tried once.
         """
         k = _multiplier_matrix(self.grid, self.alpha) + np.diag(self.lam * self.V_field.values)
         try:
@@ -153,11 +155,23 @@ class ProblemSpec:
             return None
 
     @cached_property
-    def _scaled_preconditioner(self) -> tuple:
-        """(D, 1 / (symbol + c)) of M_c = D (A + c)^(-1) D, D^2 = (1 + c) / (1 + c + lam V)."""
+    def _preconditioner(self) -> tuple:
+        """(M, route): the SPD M ~ K^{-1} of the gradient and Newton solves, as r -> M r.
+
+        Route "direct" on a 1-D EvenGrid (``grid._direct``): M = K^{-1}, one
+        dense product (``_riesz_inverse``), None where LAPACK refused K.  Route
+        "scaled" elsewhere: M_c = D ((I - Laplacian)^alpha + c)^(-1) D with
+        D^2 = (1 + c) / (1 + c + lam V) and c = PRECONDITIONER_SHIFT, one
+        transform pair, a diagonal stand-in for the absolute-value
+        preconditioner (Vecharynski & Knyazev, SIAM J. Sci. Comput. 35, 2013).
+        """
+        if _direct(self.grid):
+            inverse = self._riesz_inverse
+            return (None if inverse is None else lambda r: inverse @ r), "direct"
         c = PRECONDITIONER_SHIFT
-        return (_read_only(np.sqrt((1.0 + c) / (1.0 + c + self.lam * self.V_field.values))),
-                _read_only(1.0 / (self.grid.symbol(self.alpha) + c)))
+        scale = np.sqrt((1.0 + c) / (1.0 + c + self.lam * self.V_field.values))
+        shifted = 1.0 / (self.grid.symbol(self.alpha) + c)
+        return (lambda r: scale * _filter(self.grid, scale * r, shifted)), "scaled"
 
 
 def eval_scrF(spec: ProblemSpec, u_value):
@@ -205,6 +219,19 @@ def _residual_values(spec: ProblemSpec, u: np.ndarray, image=None) -> np.ndarray
     vals = image + spec.lam * spec.V_field.values * u
     vals = vals - np.sign(u) * _abs_power(u, spec.q - 1.0)
     return vals - spec.mu * spec.xi_field.values * np.sign(u) * _abs_power(u, spec.p - 1.0)
+
+
+def _hessian_diag(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
+    """Pointwise part of the second derivative of Phi at the field values ``u``."""
+    vals = spec.lam * spec.V_field.values - (spec.q - 1.0) * _abs_power(u, spec.q - 2.0)
+    if spec.mu > 0:
+        # |u|^{p-2} blows up at zeros of u; the concave term's curvature is
+        # meaningless there, so it is clamped off below a floor
+        au = np.abs(u)
+        floor = 1e-12 * max(1.0, float(np.max(au)))
+        curv = np.power(au, spec.p - 2.0, out=np.zeros_like(au), where=au > floor)
+        vals = vals - spec.mu * (spec.p - 1.0) * spec.xi_field.values * curv
+    return vals
 
 
 def energy(spec: ProblemSpec, u: Field) -> EnergyBreakdown:

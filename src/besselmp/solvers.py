@@ -26,9 +26,9 @@ d = g + beta d_prev, beta >= 0 (Gilbert & Nocedal, SIAM J. Optim. 2,
 1992), on the gradient g = M r of an SPD M that stands in for the
 lam-norm's Riesz map K^{-1}, K = (I - Laplacian)^alpha + lam V: K^{-1}
 itself on a 1-D even grid, inverted once per problem, and elsewhere
-M_c = D ((I - Laplacian)^alpha + c)^(-1) D, one transform pair
-(``_preconditioner``).  A d that is no descent direction restarts along
-g.  Once <r, g>^(1/2) is small next to ||u||_lam, or a row's one line
+M_c = D ((I - Laplacian)^alpha + c)^(-1) D, one transform pair, both
+built once per problem (``ProblemSpec._preconditioner``).  A d that is no
+descent direction restarts along g.  Once <r, g>^(1/2) is small next to ||u||_lam, or a row's one line
 search refuses every step along d, a damped Newton iteration on the
 strong-form residual pushes the iterate to solver tolerance, each step
 solved by MINRES preconditioned by the same M.  The ball radius rho only
@@ -76,11 +76,8 @@ import numpy as np
 
 from .grid import (
     Field,
-    _abs_power,
-    _direct,
     _dot,
     _extend,
-    _filter,
     _integral,
     _is_even,
     _lp_norm,
@@ -96,6 +93,7 @@ from .grid import (
 from .problem import (
     ProblemSpec,
     _energy_parts,
+    _hessian_diag,
     _residual_values,
     energy,  # not called here: perfbench's tests read besselmp.solvers.energy
 )
@@ -236,7 +234,8 @@ def _residual(spec, u):
 
 
 def _bump(spec):
-    return np.exp(-spec.grid.radius_sq)
+    """The Gaussian bump exp(-|x|^2) that starts the probe and the ball: the cached xi."""
+    return spec.xi_field.values
 
 
 def _steps(s, tries):
@@ -386,38 +385,23 @@ def probe_geometry(spec: ProblemSpec) -> GeometryProbe:
 # mountain pass
 
 
-def _preconditioner(spec):
-    """M ~ K^{-1}, the SPD preconditioner of the gradient and Newton solves, as r -> M r.
-
-    On a 1-D even grid M = K^{-1}, one dense product
-    (``ProblemSpec._riesz_inverse``), None where LAPACK refused K.
-    Elsewhere M = M_c = D ((I - Laplacian)^alpha + c)^(-1) D, c = 4, one
-    transform pair (``ProblemSpec._scaled_preconditioner``) whose D sees
-    lam V pointwise: a diagonal stand-in for the absolute-value
-    preconditioner (Vecharynski & Knyazev, SIAM J. Sci. Comput. 35, 2013).
-    """
-    if _direct(spec.grid):
-        inverse = spec._riesz_inverse
-        return lambda r: None if inverse is None else inverse @ r
-    scale, inverse = spec._scaled_preconditioner
-    return lambda r: scale * _filter(spec.grid, scale * r, inverse)
-
-
 def _riesz_gradient(spec, r):
-    """d = M r, the descent's gradient for ``_preconditioner``'s M; (d, its slope <r, d>, stop).
+    """d = M r, the descent's gradient; (d, its slope <r, d>, stop).
 
-    On a 1-D even grid M = K^{-1}, stop "direct": d is the lam-norm
-    gradient and <r, d>^(1/2) the dual norm of r.  Elsewhere M = M_c, stop
-    "scaled".  Preconditioned nonlinear CG needs only an SPD M (Hager &
+    M is the problem's ``ProblemSpec._preconditioner`` and the stop its
+    route: "direct" on a 1-D even grid, where M = K^{-1}, d is the lam-norm
+    gradient and <r, d>^(1/2) the dual norm of r; "scaled" elsewhere,
+    where M = M_c.  Preconditioned nonlinear CG needs only an SPD M (Hager &
     Zhang, Pacific J. Optim. 2, 2006), symmetric in ``_dot``'s inner
     product: <r, d> > 0 for r != 0, and -d is a descent direction.  A
     refused K, or a d that is not finite, returns d = 0 with slope 0 and
     stop "singular", which hands the descent over to the polish.
     """
-    d = _preconditioner(spec)(r)
+    precondition, route = spec._preconditioner
+    d = None if precondition is None else precondition(r)
     if d is None or not np.isfinite(d).all():
         return np.zeros_like(r), 0.0, "singular"
-    return d, _integral(spec.grid, r * d), "direct" if _direct(spec.grid) else "scaled"
+    return d, _integral(spec.grid, r * d), route
 
 
 def _along(spec, pieces, t):
@@ -491,27 +475,14 @@ def _armijo_step(u, e_u, d, slope, step, place):
     return point, e_t, s, tried
 
 
-def _hessian_diag(spec, u):
-    """Pointwise part of the second derivative of Phi at u."""
-    vals = spec.lam * spec.V_field.values - (spec.q - 1.0) * _abs_power(u, spec.q - 2.0)
-    if spec.mu > 0:
-        # |u|^{p-2} blows up at zeros of u; the concave term's curvature is
-        # meaningless there, so it is clamped off below a floor
-        au = np.abs(u)
-        floor = 1e-12 * max(1.0, float(np.max(au)))
-        curv = np.power(au, spec.p - 2.0, out=np.zeros_like(au), where=au > floor)
-        vals = vals - spec.mu * (spec.p - 1.0) * spec.xi_field.values * curv
-    return vals
-
-
 def _minres(spec, h, b, forcing):
     """Solve H x = b, H = (I - Laplacian)^alpha + diag(h), by MINRES; (x, iterations, stop).
 
     Paige & Saunders' recurrence (SIAM J. Numer. Anal. 12, 1975), as in
     scipy.sparse.linalg.minres, preconditioned by the descent's SPD M
-    (``_preconditioner``).  On a 1-D even grid M = K^{-1}: with
-    A = (I - Laplacian)^alpha, A M r2 = r2 - lam V M r2, so for
-    v = M r2 / beta the Lanczos product H v = r2 / beta + (h - lam V) v
+    (``ProblemSpec._preconditioner``).  On its route "direct", the 1-D even
+    grid, M = K^{-1}: with A = (I - Laplacian)^alpha, A M r2 = r2 - lam V M r2,
+    so for v = M r2 / beta the Lanczos product H v = r2 / beta + (h - lam V) v
     needs no product with A, and K^{-1} H is the identity minus a compact
     part, so the count does not grow with n.  Elsewhere M = M_c and
     H v = A v + h v: an iteration costs two transform pairs, for H v and
@@ -528,11 +499,11 @@ def _minres(spec, h, b, forcing):
     EvenGrid, in which H and M stay symmetric.
     """
     g = spec.grid
-    precondition = _preconditioner(spec)
-    y = precondition(b)
-    if y is None:
+    precondition, route = spec._preconditioner
+    if precondition is None:
         return None, 0, "singular"
-    offset = h - spec.lam * spec.V_field.values if _direct(g) else None
+    y = precondition(b)
+    offset = h - spec.lam * spec.V_field.values if route == "direct" else None
     x = np.zeros_like(b)
     beta1 = _dot(g, b, y)
     if not 0.0 < beta1 < math.inf:

@@ -225,6 +225,17 @@ def test_minres_called_only_by_the_newton_direction():
     assert {site[:2] for site in found} == {("solvers.py", "_newton_direction")}, found
 
 
+def test_one_owner_of_the_dense_1d_rule_and_the_power_law():
+    # the rule "a 1-D half grid stores its operators dense" is read by the
+    # grid and by the problem, which builds both solves' preconditioner with
+    # its route; the power law's |u|^k lives in the problem's residual and
+    # Hessian diagonal, so the solvers name neither kernel
+    assert {site[0] for site in _call_sites("_direct")} == {"grid.py", "problem.py"}
+    names = _name_counts(ast.parse((PACKAGE / "solvers.py").read_text()))
+    found = [name for name in ("_direct", "_filter", "_abs_power") if names[name]]
+    assert not found, "solvers.py names " + ", ".join(found)
+
+
 def test_armijo_step_called_once_by_the_descent():
     # a descent row makes one line search, and a refused one hands over to
     # the polish: one call site, in solvers._nehari_solve

@@ -26,8 +26,7 @@ from besselmp import (
 )
 from besselmp.config import RunConfig, build_spec
 from besselmp.grid import _abs_power, _bessel_norm_sq, _is_even, _potential, _restrict
-from besselmp.problem import _energy_parts, _residual_values, eval_scrF
-from besselmp.solvers import _hessian_diag
+from besselmp.problem import _energy_parts, _hessian_diag, _residual_values, eval_scrF
 from besselmp.verify import _erode
 from conftest import hypothesis_entry
 

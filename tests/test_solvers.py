@@ -42,13 +42,12 @@ from besselmp.grid import (
     _potential,
     _restrict,
 )
-from besselmp.problem import _energy_parts, _residual_values
+from besselmp.problem import _energy_parts, _hessian_diag, _residual_values
 from besselmp.solvers import (
     MINRES_MAXITER,
     _armijo_step,
     _conjugate,
     _fibering,
-    _hessian_diag,
     _minres,
     _newton_direction,
     _root,
@@ -1655,7 +1654,7 @@ def test_minres_gradient_that_is_not_finite_is_refused(monkeypatch):
     spec = build_spec(RunConfig(dim=2, n=16, box_length=15.0))
     r = residual(spec, Field(spec.grid, 2.0 * np.exp(-spec.grid.radius_sq))).values
     with monkeypatch.context() as m:
-        m.setattr(solvers, "_filter", lambda grid, v, symbol: np.full_like(v, np.inf))
+        m.setattr(problem, "_filter", lambda grid, v, symbol: np.full_like(v, np.inf))
         d, slope, stop = solvers._riesz_gradient(spec, r)
     assert (slope, stop) == (0.0, "singular") and not np.any(d)
     half, states = _half_states(canonical_well_spec)
@@ -1711,11 +1710,13 @@ def test_minres_pieces_are_symmetric_with_positive_preconditioner(cfg):
     # MINRES needs H symmetric and its preconditioner symmetric positive
     # definite: off the 1-D half grid that is M_c =
     # D ((I - Laplacian)^alpha + c)^(-1) D, the one M of the gradient and
-    # the Newton solves; and the multiplier pair must invert
+    # the Newton solves that the problem builds; and the multiplier pair
+    # must invert
     spec = build_spec(cfg)
     g, alpha = spec.grid, spec.alpha
     h = _hessian_diag(spec, 2.0 * np.exp(-g.radius_sq))
-    M = solvers._preconditioner(spec)
+    M, route = spec._preconditioner
+    assert route == "scaled" and spec._preconditioner is spec._preconditioner
 
     def H(v):
         return _multiply(g, v, alpha) + h * v
@@ -1874,5 +1875,5 @@ def test_minres_zero_rhs_and_breakdown(monkeypatch):
     x, iters, stop = _minres(spec, h, np.zeros_like(b), 0.1)
     assert iters == 0 and stop == "forcing" and not np.any(x)
     # a preconditioner that is not positive definite breaks the recurrence
-    monkeypatch.setattr(solvers, "_filter", lambda grid, v, symbol: -v)
+    monkeypatch.setattr(problem, "_filter", lambda grid, v, symbol: -v)
     assert _minres(spec, h, b, 0.1) == (None, 0, "breakdown")
