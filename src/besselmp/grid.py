@@ -5,7 +5,7 @@ Everything downstream works on a uniform grid over a cube of side
 supplying exact application of multipliers m(xi) = (1 + |xi|^2)^s at the
 grid frequencies xi_k = 2*pi*k / box_length.
 
-An ``EvenGrid`` is the x_i <= 0 half of a grid, stored from the box edge,
+An ``EvenGrid`` is the x_i <= 0 half of a grid, stored from the origin,
 and holds the fields that are even in each x_i by their (n//2 + 1)^dim
 samples there; on it ``_rfft`` is the real DFT of a mirror-even axis (a
 DCT-I when n is even), a dense matrix product on each axis.
@@ -75,7 +75,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [-box_length/2, box_length/2)^dim."""
+    """Uniform periodic grid on a cube of side box_length, the origin at index n//2 of each axis."""
 
     dim: int
     n: int
@@ -85,9 +85,10 @@ class Grid:
     even: ClassVar[bool] = False
 
     def __post_init__(self):
-        points = int(self.n) ** self.dim if self.dim in (1, 2, 3) else 0
+        n_ok = 0 < self.n < math.inf and int(self.n) == self.n  # int() never sees nan or inf
+        points = int(self.n) ** self.dim if n_ok and self.dim in (1, 2, 3) else 0
         _require((self.dim in (1, 2, 3), f"dim must be 1, 2 or 3, got {self.dim}"),
-                 (int(self.n) == self.n and self.n > 0, f"n must be a positive integer, got {self.n}"),
+                 (n_ok, f"n must be a positive integer, got {self.n}"),
                  (0.0 < self.box_length < np.inf,
                   f"box_length must be positive and finite, got {self.box_length}"),
                  (points <= GRID_MAX_POINTS,
@@ -121,13 +122,14 @@ class Grid:
 
     @cached_property
     def half(self) -> EvenGrid:
-        """The x_i <= 0 half of this grid, from the box edge, for its even fields."""
+        """The x_i <= 0 half of this grid, from the origin, for its even fields."""
         return EvenGrid(self.dim, self.n, self.box_length)
 
     @cached_property
     def axis_coords(self) -> np.ndarray:
-        """Sample positions -L/2 + j h along one axis, origin at index n//2 when n is even."""
-        return _read_only(-0.5 * self.box_length + self.spacing * np.arange(self.shape[0]))
+        """Positions (j - n//2) h along one axis; on an EvenGrid -j h, the full one's n//2 - j."""
+        j = np.arange(self.shape[0])
+        return _read_only(-self.spacing * j if self.even else self.spacing * (j - self.n // 2))
 
     def coords(self) -> tuple:
         """Tuple of dim coordinate arrays of shape ``self.shape`` (ij indexing)."""
@@ -201,18 +203,18 @@ class Grid:
 class EvenGrid(Grid):
     """The x_i <= 0 half of the Grid of the same dim, n and box_length, for any n.
 
-    A field even in each x_i is fixed by its (n//2 + 1)^dim samples at the
-    full grid's indices j = 0 .. n//2 on each axis, x_i = -L/2 + j h: from
-    the box edge to the origin when n is even, to -h/2 when n is odd.  The
-    reflection x_i -> -x_i is the index map j -> n - j (mod n), since the
-    box is periodic, so the full grid holds their mirror images.  The DFT
-    of such a field is real and even, so the frequency lattice is the same
-    half, k_i = 0 .. n//2, and ``_rfft`` is a product on each axis with the
-    grid's cached (n//2 + 1)^2 matrix (``_dct1``), which is why n//2 + 1
-    squared must also be within GRID_MAX_POINTS.  In every sum a stored
-    point, or coefficient, weighs the full-grid points it stands for: the
-    product over the axes of ``_mirror_weights``, 1 where an index is its
-    own mirror (j = 0, and n/2 when n is even) and 2 elsewhere.
+    A field even in each x_i is fixed by its (n//2 + 1)^dim samples at
+    x_i = -j h, j = 0 .. n//2 on each axis: the full grid's, from the origin
+    out to the box edge (n even) or to -L/2 + h/2 (n odd).  The reflection
+    x_i -> -x_i maps j to -j, n - j (mod n) on the periodic axis, so the
+    full grid holds their mirror images.  The DFT of such a field is real
+    and even, so the frequency lattice is the same half, k_i = 0 .. n//2,
+    and ``_rfft`` is a product on each axis with the grid's cached
+    (n//2 + 1)^2 matrix (``_dct1``), which is why n//2 + 1 squared must also
+    be within GRID_MAX_POINTS.  In every sum a stored point, or coefficient,
+    weighs the full-grid points it stands for: the product over the axes of
+    ``_mirror_weights``, 1 where an index is its own mirror (j = 0, the
+    origin, and n/2, the box edge, when n is even) and 2 elsewhere.
     """
 
     even: ClassVar[bool] = True
@@ -296,17 +298,16 @@ def _dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _restrict(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """A full-grid field's samples on ``grid.half``: its indices j = 0 .. n//2 on each axis."""
-    return values[_index_map(grid, "restrict", lambda: np.arange(grid.n // 2 + 1))]
+    """A full-grid field's samples on ``grid.half``: stored index i reads index n//2 - i."""
+    return values[_index_map(grid, "restrict", lambda: grid.n // 2 - np.arange(grid.n // 2 + 1))]
 
 
 def _extend(grid: Grid, values: np.ndarray) -> np.ndarray:
     """The even full-grid field whose samples on ``grid.half`` are ``values``.
 
-    Index j reads the stored one of j and its mirror n - j (mod n).
+    Index j reads stored index |j - n//2|, its distance from the origin.
     """
-    return values[_index_map(grid, "extend",
-                             lambda: np.minimum(np.arange(grid.n), np.arange(grid.n, 0, -1)))]
+    return values[_index_map(grid, "extend", lambda: np.abs(np.arange(grid.n) - grid.n // 2))]
 
 
 def _index_map(grid: Grid, key: str, index) -> tuple:

@@ -162,7 +162,7 @@ def pointwise_apply(field: Field, x: float, alpha: float) -> float:
     if g.dim != 1:
         raise NotImplementedError("pointwise_apply is implemented for dim 1 only")
     c = calibrate_pointwise_constant(alpha)  # refuses alpha outside (0, 1)
-    pos = (x + 0.5 * g.box_length) / g.spacing
+    pos = x / g.spacing + g.n // 2
     index = int(round(pos))
     if abs(pos - index) > 1e-8 or not 0 <= index < g.n:
         raise ValueError(f"x={x} is not a grid point of {g}")

@@ -132,7 +132,7 @@ class ProblemSpec:
 
     @cached_property
     def even_half(self) -> ProblemSpec:
-        """This problem on ``grid.half``, for any n.
+        """This problem on ``grid.half``, stored from the origin, for any n.
 
         V and xi are radial, so even in each x_i, and on the half grid they
         are built once, with the half problem, from the full grid's own
@@ -144,9 +144,8 @@ class ProblemSpec:
     def _riesz_inverse(self) -> np.ndarray | None:
         """K^{-1} as a dense matrix, K = (I - Laplacian)^alpha + lam V, on a 1-D EvenGrid only.
 
-        K does not depend on u, so it is inverted once per problem, on first
-        use by a solver.  None where LAPACK refuses K; either value is
-        cached, so a refused K is tried once.
+        K does not depend on u, so it is inverted once per problem, on first use
+        by a solver.  None where LAPACK refuses K, cached too: it is tried once.
         """
         k = _multiplier_matrix(self.grid, self.alpha) + np.diag(self.lam * self.V_field.values)
         try:

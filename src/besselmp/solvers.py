@@ -25,14 +25,15 @@ accepted steps.  Each step goes along the Polak-Ribiere+ direction
 d = g + beta d_prev, beta >= 0 (Gilbert & Nocedal, SIAM J. Optim. 2,
 1992), on the gradient g = M r of an SPD M that stands in for the
 lam-norm's Riesz map K^{-1}, K = (I - Laplacian)^alpha + lam V: K^{-1}
-itself on a 1-D even grid, inverted once per problem, and elsewhere
-M_c = D ((I - Laplacian)^alpha + c)^(-1) D, one transform pair, both
-built once per problem (``ProblemSpec._preconditioner``).  A d that is no
-descent direction restarts along g.  Once <r, g>^(1/2) is small next to ||u||_lam, or a row's one line
-search refuses every step along d, a damped Newton iteration on the
-strong-form residual pushes the iterate to solver tolerance, each step
-solved by MINRES preconditioned by the same M.  The ball radius rho only
-checks the minimizer: it must sit inside the ball, with a margin.
+itself on a 1-D even grid, and elsewhere M_c = D ((I - Laplacian)^alpha
++ c)^(-1) D, one transform pair, each built once per problem
+(``ProblemSpec._preconditioner``).  A d that is no descent direction
+restarts along g.  Once <r, g>^(1/2) is small next to ||u||_lam, or a
+row's one line search refuses every step along d, a damped Newton
+iteration on the strong-form residual pushes the iterate to solver
+tolerance, each step solved by MINRES preconditioned by the same M.  The
+ball radius rho only checks the minimizer: it must sit inside the ball,
+with a margin.
 
 Every backtracking search walks the steps s, s/2, s/4, ... and only its
 count differs.
@@ -50,14 +51,15 @@ the pointwise maps, the line searches and MINRES.  By Palais' principle
 of symmetric criticality (Comm. Math. Phys. 69, 1979) a critical point
 of Phi restricted to the even fields is a critical point of Phi.  On
 any grid such a field is stored as its (n//2 + 1)^dim samples on
-x_i <= 0, from the box edge (``grid.EvenGrid``), where a transform pair
+x_i <= 0, from the origin (``grid.EvenGrid``), where a transform pair
 and the array work of a MINRES iteration cost about 2^dim times less.
 In 1-D that is at most 209 samples, few enough to store
 A = (I - Laplacian)^alpha and K^{-1} dense: a residual or an energy is
 one product with A, the gradient one with K^{-1}, and a Newton MINRES
-iteration one more, with no transform.  The rule is fixed (``_subspace``):
-a start even to roundoff runs there unless, in 1-D, n is above
-EVEN_1D_MAX_N; otherwise on the full grid, as it stands.  A warm 1-D run
+iteration one more, with no transform: the preconditioner's route
+"direct".  The rule is fixed (``_subspace``): a start even to roundoff
+runs there unless, in 1-D, n is above EVEN_1D_MAX_N; otherwise on the
+full grid, as it stands.  A warm 1-D run
 is faster there up to n = 1024, O(n^2) a product, but a fresh one also
 builds A and inverts K, O(n^3): from n = 256 the cold coercive canonical
 run is no faster than on the full grid (README).  The probe and the
@@ -234,8 +236,7 @@ def _residual(spec, u):
 
 
 def _bump(spec):
-    """The Gaussian bump exp(-|x|^2) that starts the probe and the ball: the cached xi."""
-    return spec.xi_field.values
+    return spec.xi_field.values  # exp(-|x|^2), cached with the problem
 
 
 def _steps(s, tries):
@@ -480,13 +481,12 @@ def _minres(spec, h, b, forcing):
 
     Paige & Saunders' recurrence (SIAM J. Numer. Anal. 12, 1975), as in
     scipy.sparse.linalg.minres, preconditioned by the descent's SPD M
-    (``ProblemSpec._preconditioner``).  On its route "direct", the 1-D even
-    grid, M = K^{-1}: with A = (I - Laplacian)^alpha, A M r2 = r2 - lam V M r2,
-    so for v = M r2 / beta the Lanczos product H v = r2 / beta + (h - lam V) v
-    needs no product with A, and K^{-1} H is the identity minus a compact
-    part, so the count does not grow with n.  Elsewhere M = M_c and
-    H v = A v + h v: an iteration costs two transform pairs, for H v and
-    M r2, and a solve one more, for M b.  ``stop`` is "forcing" once the
+    (``ProblemSpec._preconditioner``).  On its route "direct" M = K^{-1}, so
+    A M r2 = r2 - lam V M r2 with A = (I - Laplacian)^alpha, and for
+    v = M r2 / beta the Lanczos product H v = r2 / beta + (h - lam V) v
+    needs no A; K^{-1} H is the identity minus a compact part, so the count
+    does not grow with n.  On "scaled" M = M_c and H v = A v + h v: two
+    transform pairs an iteration, for H v and M r2, and one for M b.  ``stop`` is "forcing" once the
     recurrence's ||H x - b||_M is at most ``forcing`` ||b||_M, the
     inexact-Newton stop of Dembo, Eisenstat & Steihaug (SIAM J. Numer.
     Anal. 19, 1982), and on a zero b or a beta of 0 (an invariant

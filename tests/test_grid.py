@@ -78,6 +78,10 @@ class TestGrid:
             Grid(1, 0, 10.0)
         with pytest.raises(ValueError, match="positive integer"):
             Grid(1, -16, 10.0)
+        # a non-finite n fails the same rule, before its points are counted
+        for n in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n}$"):
+                Grid(1, n, 10.0)
 
     def test_box_length_validation(self):
         with pytest.raises(ValueError, match="box_length"):
@@ -381,23 +385,34 @@ def test_even_grid_kernels_match_the_full_grid(dim, half_n, odd, box, seed, s, r
 
 
 def test_even_grid_layout():
-    # (n//2 + 1)^dim points, the full grid's first on each axis, from the
-    # box edge x_i = -L/2 to the origin (n even) or to -h/2 (n odd); an
-    # index weighs 1 where it is its own mirror n - j (mod n), 2 elsewhere
+    # (n//2 + 1)^dim points, the full grid's from the origin, at index n//2,
+    # out to the box edge x_i = -L/2 (n even) or to -L/2 + h/2 (n odd): the
+    # stored index is the distance from the origin in steps.  An index
+    # weighs 1 where it is its own mirror n - j (mod n), 2 elsewhere
     g = Grid(2, 8, 4.0)
     h = g.half
     assert h.shape == (5, 5) and h.total_points == g.total_points and g.half is h
-    assert np.array_equal(h.axis_coords, g.axis_coords[:5])
-    assert np.array_equal(h.axis_coords, -2.0 + 0.5 * np.arange(5))
+    assert np.array_equal(g.axis_coords, 0.5 * np.arange(-4, 4))
+    assert np.array_equal(h.axis_coords, g.axis_coords[4::-1])
+    assert np.array_equal(h.axis_coords, -0.5 * np.arange(5))
     assert np.array_equal(h.weights[0], [1.0, 2.0, 2.0, 2.0, 1.0])
     assert h.weights.sum() == g.total_points and not g.even and h.even
     assert h != Grid(2, 8, 4.0)
     odd = Grid(2, 9, 4.0)
-    assert odd.half.shape == (5, 5) and np.array_equal(odd.half.axis_coords, odd.axis_coords[:5])
-    assert odd.half.axis_coords[-1] == pytest.approx(-0.5 * odd.spacing, abs=1e-15)
+    # an odd n samples the origin too, at index n//2, and is symmetric about it
+    assert odd.axis_coords[4] == 0.0
+    assert np.array_equal(odd.axis_coords, -odd.axis_coords[::-1])
+    assert odd.half.shape == (5, 5)
+    assert np.array_equal(odd.half.axis_coords, odd.axis_coords[4::-1])
+    assert odd.half.axis_coords[-1] == pytest.approx(-2.0 + 0.5 * odd.spacing, abs=1e-15)
     assert np.array_equal(odd.half.weights[0], [1.0, 2.0, 2.0, 2.0, 2.0])
     assert odd.half.weights.sum() == odd.total_points
     assert np.array_equal(odd.lattice_weights[0], odd.half.weights[0])
+    # the half grid's coordinates are the full grid's, restricted, to the bit
+    for grid in (Grid(1, 256, 40.0), Grid(1, 255, 40.0), Grid(3, 31, 10.0), Grid(2, 47, 15.0)):
+        assert np.array_equal(grid.half.axis_coords, _restrict(Grid(1, grid.n, grid.box_length),
+                                                               grid.axis_coords))
+        assert np.array_equal(grid.half.radius_sq, _restrict(grid, grid.radius_sq))
     # its DCT-I matrix counts against the point limit: only 1-D reaches it
     with pytest.raises(ValueError, match="n=4096 gives an even grid's DCT-I matrix of 4,198,401"):
         Grid(1, 4096, 4.0).half
@@ -415,7 +430,7 @@ LARGE_EVEN_GRIDS = [(2, 128, 20.0), (3, 64, 10.0)]
 @pytest.mark.parametrize("s", [0.75, -0.75])
 def test_even_grid_multiply_matches_the_full_grid_at_scale(dim, n, box, s):
     # a dense product adds more roundoff the longer its axis; the FFT multiply
-    # on the full grid, restricted to x >= 0, still agrees to 1e-13
+    # on the full grid, restricted to x <= 0, still agrees to 1e-13
     g = Grid(dim, n, box)
     h = g.half
     u = _rng(n).standard_normal(h.shape)

@@ -168,6 +168,19 @@ def test_pointwise_even_symmetry():
         assert plus == pytest.approx(minus, rel=1e-6)
 
 
+def test_pointwise_route_at_the_origin_of_an_odd_grid():
+    # an odd n samples x = 0 at index n//2, where the singular-integral route
+    # meets the spectral one as on an even grid; x = h/2 is no grid point
+    g = Grid(1, 255, 40.0)
+    u = Field(g, np.exp(-g.axis_coords**2))
+    for alpha in (0.25, 0.75):
+        target = apply_multiplier(u, alpha).values
+        got = pointwise_apply(u, 0.0, alpha)
+        assert abs(got - target[g.n // 2]) <= 1e-6 * np.max(np.abs(target))
+    with pytest.raises(ValueError, match="not a grid point"):
+        pointwise_apply(u, 0.5 * g.spacing, 0.5)
+
+
 def test_pointwise_input_validation():
     g = Grid(1, 256, 40.0)
     u = Field(g, np.exp(-g.axis_coords**2))

@@ -274,6 +274,15 @@ def test_far_endpoint_inside_the_ridge_is_refused(coercive_spec, coercive_probe,
                               f"the certified ridge radius rho = {coercive_probe.rho:.6g}")
 
 
+def test_bump_is_the_cached_xi(coercive_spec):
+    # the probe's and the ball's Gaussian start is the problem's own xi, on
+    # either grid, not an exp rebuilt per call
+    half = coercive_spec.even_half
+    for spec in (coercive_spec, half):
+        assert solvers._bump(spec) is spec.xi_field.values
+    assert np.array_equal(solvers._bump(half), np.exp(-half.grid.radius_sq))
+
+
 def test_armijo_step_accepts_and_refuses(coercive_spec):
     g = coercive_spec.grid
     u = 3.0 * np.exp(-g.radius_sq / 4.0)
@@ -359,7 +368,7 @@ class TestMountainPass:
     # which conftest pins.
 
     def test_exact_regression(self, coercive_mp):
-        assert coercive_mp.energy == 3.224188904309269
+        assert coercive_mp.energy == 3.2241889043092806
 
     def test_energy_at_least_ridge_height(self, coercive_probe, coercive_mp):
         assert coercive_mp.energy >= coercive_probe.eta
@@ -784,9 +793,9 @@ def test_refused_conjugate_search_hands_over(monkeypatch):
 # trials) of its descent entries, recorded with the scaled-and-shifted
 # gradient M_c r.
 DESCENT_2D_TRACE = (
-    (8.791369490887902, 6.46550006061426, 1.0, 1),
-    (6.552001598017935, 3.225673221209564, 2.0, 1),
-    (5.7367234337165725, 0.18372366136522947, 4.0, 0),
+    (8.791369490887906, 6.4655000606142625, 1.0, 1),
+    (6.552001598017938, 3.225673221209565, 2.0, 1),
+    (5.7367234337165725, 0.18372366136522833, 4.0, 0),
 )
 
 
@@ -796,7 +805,7 @@ def test_descent_trace_2d_pinned():
     descent = [(t.energy, t.residual_norm, t.step_size, t.trials)
                for t in report.trace if t.phase == "nehari"]
     assert descent == list(DESCENT_2D_TRACE)
-    assert report.energy == 5.733592449945193
+    assert report.energy == 5.733592449945195
 
 
 def test_trials_count_the_trial_points(coercive_spec, coercive_probe, coercive_ball,
@@ -867,7 +876,7 @@ class TestBallMin:
         assert -1e-9 < coercive_ball.energy < 0.0
 
     def test_exact_regression(self, coercive_ball):
-        assert coercive_ball.energy == -5.6346765035009183e-11
+        assert coercive_ball.energy == -5.634676503500944e-11
 
     def test_descent_monotone(self, coercive_ball, well_result):
         # every accepted step lowers J-, so the descent entries never rise
@@ -967,9 +976,9 @@ class TestTwoSolutions:
 
     def test_well_exact_regression(self, well_result):
         # recorded as the coercive pins above, on one BLAS thread
-        assert well_result.mountain_pass.energy == 1.493150517621172
-        assert well_result.local_min.energy == -9.81930964112083e-08
-        assert well_result.distinctness == 1.6740738081170974
+        assert well_result.mountain_pass.energy == 1.4931505176211703
+        assert well_result.local_min.energy == -9.819309641120958e-08
+        assert well_result.distinctness == 1.6740738081170927
 
     def test_levels_echo_reports(self, well_result):
         lv = well_result.levels
@@ -1025,11 +1034,11 @@ class TestTwoSolutions:
 
 
 @pytest.mark.parametrize("cfg,saddle,minimizer", [
-    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945193, -2.4845810669625927e-11),
-    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.044612061240265, -3.0835820844599806e-11),
+    (RunConfig(dim=2, n=16, box_length=15.0), 5.733592449945195, -2.48458106696259e-11),
+    (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 42.044612061240265, -3.083582084459983e-11),
     (RunConfig(dim=2, n=32, box_length=20.0, potential="well", lam=100.0, mu=0.05),
-     3.357013680409739, -2.8471659290098407e-08),
-    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.070079191148714, -9.833296886319408e-12),
+     3.3570136804097417, -2.847165929009834e-08),
+    (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 55.07007919114876, -9.833296886319402e-12),
 ], ids=["2d", "3d", "2d-steep-well", "3d-n32"])
 def test_two_solutions_in_higher_dims(cfg, saddle, minimizer):
     # the pins were recorded on one BLAS thread, like the 1-D ones, with
@@ -1073,7 +1082,7 @@ def _steep_well_on_the_krylov_route(n, saddle, minimizer):
 
 def test_steep_well_on_the_krylov_route():
     # the pins were recorded on one BLAS thread, in the even subspace
-    _steep_well_on_the_krylov_route(64, 3.9546408552919043, -2.338150707850107e-08)
+    _steep_well_on_the_krylov_route(64, 3.954640855291907, -2.3381507078501017e-08)
 
 
 def test_steep_well_certifies_at_n128(fft_calls):
@@ -1081,7 +1090,7 @@ def test_steep_well_certifies_at_n128(fft_calls):
     # and the Newton solves alike: every Newton solve stops on its forcing
     # term, and the run makes at most 300 forward transforms (278 measured);
     # the n=256 saddle is 4.13223520
-    _steep_well_on_the_krylov_route(128, 4.131516190837428, -2.1256877919570288e-08)
+    _steep_well_on_the_krylov_route(128, 4.131516190837433, -2.1256877919570235e-08)
     assert fft_calls["_rfft"] <= 300
 
 
@@ -1126,8 +1135,8 @@ def test_polish_at_the_fold_stalls(well_spec):
 # every (lam, mu) pair certifies with c > eta; two saddles pinned on one
 # BLAS thread
 SWEEP_SADDLES = {
-    (200.0, 0.05): 1.5182109252113736,
-    (50.0, 0.05): 1.4602836700350943,
+    (200.0, 0.05): 1.5182109252113631,
+    (50.0, 0.05): 1.4602836700350965,
 }
 
 
@@ -1175,22 +1184,22 @@ def test_assess_levels_verdicts(well_result):
 # the even subspace
 
 # m_rtol: the bound on m's relative gap.  Measured on one BLAS thread, c
-# agrees to at most 8.9e-16 relative on every row, and m to at most 1.5e-11
-# (the 2-D steep well at n=64), except the 1-D coercive problem at n=255:
-# there m = -5.63e-11 agrees to 6.4e-9, because the half grid runs the
-# dense-K^{-1} Newton route, which stops at another point within tol.
-# forward_cap: the forward transforms the half-grid run makes, measured on
-# one BLAS thread; a rise in them fails the row.  A 1-D run transforms
+# agrees to at most 2e-15 relative in 2-D and 3-D and 7.2e-15 in 1-D, and m
+# to at most 2.7e-15, except in 1-D at n=255: the well's m agrees to
+# 2.1e-13, and the coercive m = -5.63e-11 to 8e-9, because the half grid
+# runs the dense-K^{-1} Newton route, which stops at another point within
+# tol.  forward_cap: the forward transforms the half-grid run makes,
+# measured on one BLAS thread; a rise in them fails the row.  A 1-D run transforms
 # nothing (``test_canonical_1d_run_transforms_nothing_on_the_half_grid``)
 @pytest.mark.parametrize("cfg,m_rtol,forward_cap", [
     (RunConfig(dim=2, n=16, box_length=15.0), 1e-10, 67), (PLANE_2D, 1e-10, 90),
     (STEEP_WELL_2D, 1e-10, 182),
     (RunConfig(dim=3, n=8, box_length=10.0, q=3.0), 1e-10, 63),
     (RunConfig(dim=3, n=32, box_length=10.0, q=3.0), 1e-10, 120),
-    (RunConfig(dim=2, n=15, box_length=15.0), 1e-10, 53),
-    (RunConfig(dim=2, n=47, box_length=15.0), 1e-10, 78),
-    (RunConfig(dim=3, n=31, box_length=10.0, q=3.0), 1e-10, 91),
-    (replace(STEEP_WELL_2D, n=63), 1e-10, 179),
+    (RunConfig(dim=2, n=15, box_length=15.0), 1e-10, 61),
+    (RunConfig(dim=2, n=47, box_length=15.0), 1e-10, 86),
+    (RunConfig(dim=3, n=31, box_length=10.0, q=3.0), 1e-10, 120),
+    (replace(STEEP_WELL_2D, n=63), 1e-10, 192),
     (RunConfig(dim=1, n=255), 1e-8, 0),
     (RunConfig(dim=1, n=255, potential="well", lam=100.0, mu=0.05), 1e-10, 0),
 ], ids=["2d", "plane-2d", "2d-steep-well", "3d", "3d-n32", "2d-n15", "2d-n47", "3d-n31",
@@ -1290,15 +1299,31 @@ def test_full_grid_fallbacks_keep_their_results(case, saddle):
 
 
 def test_odd_n_runs_on_the_even_half():
-    # an odd n stores x_i <= -h/2 and runs both solves there; its saddle is
-    # the one the full grid gives, to roundoff.  At h = 1 it is no Morse
-    # index 1 point of the full grid (index 4), on either grid
-    r = two_solution_experiment(build_spec(RunConfig(dim=2, n=15, box_length=15.0)))
+    # an odd n samples the origin and stores x_i = 0, -h, ..., -L/2 + h/2,
+    # and runs both solves there; at h = 1 its saddle is a Morse index 1
+    # point of the full grid, and its minimizer index 0
+    spec = build_spec(RunConfig(dim=2, n=15, box_length=15.0))
+    r = two_solution_experiment(spec)
     assert r.success, r.failed_stage
     for report in (r.mountain_pass, r.local_min):
         assert (report.grid, report.grid_reason) == ("even", "")
-    assert r.mountain_pass.energy == 14.6315299441434
-    assert r.local_min.energy == -1.690255744827036e-11
+    assert r.mountain_pass.energy == 5.8200617929245855
+    assert r.local_min.energy == -2.7245494225498307e-11
+    assert _morse_index(spec, r.mountain_pass.solution) == 1
+    assert _morse_index(spec, r.local_min.solution) == 0
+
+
+@pytest.mark.parametrize("ns", [(31, 32, 33), (47, 48, 49), (63, 64, 65)], ids=str)
+def test_odd_n_levels_fall_in_line_with_even_n(ns):
+    # the 2-D saddle on box 15 rises with n (6.2152328 resolved): with the
+    # origin sampled at every n, each even n's level lies between its odd
+    # neighbours', with no odd n on another critical point
+    levels = []
+    for n in ns:
+        r = two_solution_experiment(build_spec(RunConfig(dim=2, n=n, box_length=15.0)))
+        assert r.success, (n, r.failed_stage)
+        levels.append(r.mountain_pass.energy)
+    assert levels == sorted(levels) and len(set(levels)) == 3, levels
 
 
 def test_one_dimension_runs_on_the_even_half_up_to_its_bound(coercive_mp, coercive_ball,
@@ -1628,7 +1653,7 @@ def test_singular_direct_solves_fail(monkeypatch):
 
 def test_minres_refuses_an_x_that_is_not_finite():
     # a system whose solution lies past the float range: M, the identity
-    # but 1e300 at the stored index i = n/2 - 1 (x = -h, inside the well,
+    # but 1e300 at the stored index i = 1 (x = -h, inside the well,
     # where lam V = 0), stands in for K^{-1}, and h sets the Lanczos
     # product's H to M^{-1} + diag(h - lam V), whose entry i is
     # 1e-300 2^-52.  One iteration meets the forcing term with x_i about
@@ -1636,7 +1661,8 @@ def test_minres_refuses_an_x_that_is_not_finite():
     # "forcing"
     half, _ = _half_states(canonical_well_spec)
     weight = half.lam * half.V_field.values
-    i = half.grid.n // 2 - 1
+    i = 1
+    assert half.grid.axis_coords[i] == -half.grid.spacing
     dense = replace(half)
     dense.__dict__["_riesz_inverse"] = np.diag(np.where(np.arange(len(weight)) == i, 1e300, 1.0))
     h = weight.copy()
